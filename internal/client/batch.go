@@ -18,8 +18,12 @@ import (
 // Submit it must be discarded (op IDs are stamped at submit time, so a
 // re-submitted builder would be a fresh set of ops, not a replay).
 type Batch struct {
-	c         *Client
-	items     []ipc.BatchItem
+	c     *Client
+	items []ipc.BatchItem
+	// carrier maps each distinct source text to 1 + the index of the first
+	// item holding it; later items with the same text ship that number as
+	// their SrcRef instead of the text.
+	carrier   map[string]int
 	submitted bool
 }
 
@@ -63,15 +67,27 @@ func (b *Batch) LaunchSource(source, kernel string, grid, block kern.Dim3, taskS
 	return b.LaunchSourceStream(source, kernel, grid, block, taskSize, 0)
 }
 
-// LaunchSourceStream is LaunchSource on a specific stream.
+// LaunchSourceStream is LaunchSource on a specific stream. A translation unit
+// crosses the wire once per frame: the first item with a given text carries
+// it, the rest refer to that item (ipc.BatchItem.SrcRef).
 func (b *Batch) LaunchSourceStream(source, kernel string, grid, block kern.Dim3, taskSize, stream int) error {
 	if stream < 0 {
 		return fmt.Errorf("client: invalid stream %d", stream)
 	}
-	b.items = append(b.items, ipc.BatchItem{
-		Src: true, Source: source, Kernel: kernel, TaskSize: taskSize, Stream: stream,
+	it := ipc.BatchItem{
+		Src: true, Kernel: kernel, TaskSize: taskSize, Stream: stream,
 		GridX: grid.X, GridY: grid.Y, BlockX: block.X, BlockY: block.Y,
-	})
+	}
+	if ref, ok := b.carrier[source]; ok {
+		it.SrcRef = ref
+	} else {
+		if b.carrier == nil {
+			b.carrier = map[string]int{}
+		}
+		b.carrier[source] = len(b.items) + 1
+		it.Source = source
+	}
+	b.items = append(b.items, it)
 	return nil
 }
 

@@ -66,6 +66,9 @@ var (
 	// NOT run. Not retried by the backpressure loop — the client's own
 	// timeout budget for the op is what expired.
 	ErrExpired = daemon.ErrExpired
+	// ErrMalformed: the daemon refused a frame whose fields contradict each
+	// other. Batch never builds one; a hand-built request can.
+	ErrMalformed = ipc.ErrMalformed
 )
 
 // opError is a failed command: the op, the daemon's message, and the typed
@@ -768,6 +771,8 @@ func sentinelFor(code ipc.ErrCode) error {
 		return ErrVersionSkew
 	case ipc.CodeExpired:
 		return ErrExpired
+	case ipc.CodeMalformed:
+		return ErrMalformed
 	default:
 		return nil
 	}
@@ -820,6 +825,11 @@ func (c *Client) notePendingLocked(req *ipc.Request) {
 			if it.Src {
 				single.Op = ipc.OpLaunchSource
 				single.Source, single.Kernel = it.Source, it.Kernel
+				if it.SrcRef != 0 {
+					// Refs mean nothing outside their frame: the single
+					// re-send carries the text its batch item pointed at.
+					single.Source = req.Batch[it.SrcRef-1].Source
+				}
 				single.GridX, single.GridY = it.GridX, it.GridY
 				single.BlockX, single.BlockY = it.BlockX, it.BlockY
 			} else {

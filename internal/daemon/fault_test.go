@@ -228,6 +228,15 @@ func TestCompileFailureDegradesToVanillaPath(t *testing.T) {
 	if !found {
 		t.Fatalf("no fallback decision recorded; decisions = %v", srv.Exec.Decisions)
 	}
+	// The failure was transient and was not cached: with the hook gone the
+	// same unit compiles, and that launch runs the Slate path.
+	srv.Compiler.FailHook = nil
+	if _, degraded, err = cli.LaunchSourceDegraded(src, "k", kern.D1(8), kern.D1(32), 4); err != nil || degraded {
+		t.Fatalf("launch after the hook cleared: degraded=%v err=%v", degraded, err)
+	}
+	if compiles, hits := srv.Compiler.Stats(); compiles != 1 || hits != 0 {
+		t.Fatalf("stats = (%d, %d) after one failed and one good compile, want (1, 0)", compiles, hits)
+	}
 	// Garbage source must still fail: degradation is only for kernels that
 	// would have run without Slate.
 	if _, _, err := cli.LaunchSourceDegraded("int main() {}", "k", kern.D1(8), kern.D1(32), 4); err == nil {

@@ -359,6 +359,8 @@ func fail(rep *ipc.Reply, err error) {
 		rep.Code = ipc.CodeVersionSkew
 	case errors.Is(err, ErrExpired):
 		rep.Code = ipc.CodeExpired
+	case errors.Is(err, ipc.ErrMalformed):
+		rep.Code = ipc.CodeMalformed
 	default:
 		rep.Code = ipc.CodeGeneric
 	}
@@ -748,26 +750,24 @@ func errFromCode(code uint8, msg string) error {
 
 // prepareSource runs the injection + runtime-compilation pipeline for one
 // OpLaunchSource and returns the execution thunk the caller schedules (nil
-// when rep was failed instead). When injection or compilation fails for a
-// source whose requested kernel is otherwise valid CUDA, the launch degrades
-// to the untransformed vanilla hardware-scheduler path instead of failing —
-// the paper's transparency contract — and the downgrade is recorded in the
-// executor's decision log.
+// when rep was failed instead). The pipeline is the compiler's source-keyed
+// cache: the first launch of a translation unit under a task size injects
+// and compiles it, every later one is a lookup. When injection or
+// compilation fails for a source whose requested kernel is otherwise valid
+// CUDA, the launch degrades to the untransformed vanilla hardware-scheduler
+// path instead of failing — the paper's transparency contract — and the
+// downgrade is recorded in the executor's decision log. Failures are never
+// cached, so a transient one degrades that launch only.
 func (s *Server) prepareSource(req *ipc.Request, rep *ipc.Reply) func() error {
 	want := "slate_" + req.Kernel
-	out, pipeErr := inject.Transform(req.Source, inject.Options{TaskSize: req.TaskSize, EmitDispatcher: true})
+	img, pipeErr := s.Compiler.CompileSource(req.Source, inject.Options{TaskSize: req.TaskSize, EmitDispatcher: true})
 	if pipeErr == nil {
-		var img *nvrtc.Compiled
-		img, pipeErr = s.Compiler.Compile(out)
-		if pipeErr == nil {
-			if !img.HasEntry(want) {
-				fail(rep, fmt.Errorf("daemon: kernel %q not found after injection", req.Kernel))
-				return nil
-			}
-			rep.Entries = img.Entries
+		if !img.HasEntry(want) {
+			fail(rep, fmt.Errorf("daemon: kernel %q not found after injection", req.Kernel))
+			return nil
 		}
-	}
-	if pipeErr != nil {
+		rep.Entries = img.Entries
+	} else {
 		// Degradation is only for kernels that would have run without
 		// Slate: the original source must itself define the kernel.
 		if !sourceHasKernel(req.Source, req.Kernel) {
@@ -851,10 +851,11 @@ func batchItemRequest(it *ipc.BatchItem) *ipc.Request {
 	return r
 }
 
-// handleLaunchBatch serves one OpLaunchBatch: per-item dedup, whole-batch
-// admission, per-item prepare, ONE group-commit journal append for every
-// accepted item (write-ahead of the single batch ack), then hand-off to the
-// session's persistent dispatch loop. Order matters:
+// handleLaunchBatch serves one OpLaunchBatch: source refs resolved (a bad one
+// refuses the whole frame before anything else looks at it), per-item dedup,
+// whole-batch admission, per-item prepare, ONE group-commit journal append
+// for every accepted item (write-ahead of the single batch ack), then
+// hand-off to the session's persistent dispatch loop. Order matters:
 //
 //  1. dedup first — replayed items are answered from the window and consume
 //     no admission quota;
@@ -876,6 +877,10 @@ func (s *Server) handleLaunchBatch(ss *session, streams *streamTracker, wg *sync
 	n := len(req.Batch)
 	if n == 0 {
 		fail(rep, fmt.Errorf("daemon: empty launch batch"))
+		return false
+	}
+	if err := ipc.ResolveSrcRefs(req.Batch); err != nil {
+		fail(rep, fmt.Errorf("daemon: launch batch refused: %w", err))
 		return false
 	}
 	if err := ss.stickyErr(); err != nil {

@@ -5,12 +5,26 @@ import (
 	"strings"
 )
 
+// DefaultTaskSize is the SLATE_ITERS grouping a non-positive
+// Options.TaskSize selects.
+const DefaultTaskSize = 10
+
 // Options configures the transformation.
 type Options struct {
-	// TaskSize is the SLATE_ITERS grouping; <=0 selects 10.
+	// TaskSize is the SLATE_ITERS grouping; <=0 selects DefaultTaskSize.
 	TaskSize int
 	// EmitDispatcher also generates the Listing-3 dispatch kernel.
 	EmitDispatcher bool
+}
+
+// Canonical returns opt with its defaults filled in. Two Options generate
+// the same code exactly when their canonical forms are equal, so the
+// canonical form is what a cache of transformed units keys on.
+func (opt Options) Canonical() Options {
+	if opt.TaskSize <= 0 {
+		opt.TaskSize = DefaultTaskSize
+	}
+	return opt
 }
 
 // Prelude is the device runtime every transformed translation unit needs:
@@ -31,14 +45,12 @@ static __device__ __forceinline__ unsigned int slate_get_smid() {
 // returns the complete transformed translation unit. Non-kernel code is
 // preserved verbatim.
 func Transform(src string, opt Options) (string, error) {
-	if opt.TaskSize <= 0 {
-		opt.TaskSize = 10
-	}
+	opt = opt.Canonical()
 	toks := Lex(src)
 	if d := braceDelta(toks); d != 0 {
 		return "", fmt.Errorf("inject: source has unbalanced braces (%+d at EOF)", d)
 	}
-	kernels, err := FindKernels(src)
+	kernels, err := FindKernelsIn(toks)
 	if err != nil {
 		return "", err
 	}
@@ -68,7 +80,7 @@ func generate(toks []Token, k Kernel, opt Options) (string, error) {
 	_ = nRepl
 
 	params := strings.TrimSpace(k.Params)
-	callArgs, err := paramNames(params)
+	callArgs, err := paramNames(toks[k.paramStart:k.paramEnd])
 	if err != nil {
 		return "", fmt.Errorf("inject: kernel %s: %w", k.Name, err)
 	}
@@ -170,65 +182,67 @@ func replaceBuiltins(toks []Token) (string, int) {
 	return b.String(), n
 }
 
-// paramNames extracts the declared names from a C parameter list. It
-// handles pointers, references, array suffixes, and default-free CUDA
-// parameter declarations; it rejects unnamed parameters.
-func paramNames(params string) ([]string, error) {
-	if strings.TrimSpace(params) == "" || strings.TrimSpace(params) == "void" {
+// paramNames extracts the declared names from the tokens of a C parameter
+// list. It handles pointers, references, array suffixes, and default-free
+// CUDA parameter declarations; it rejects unnamed parameters. The name a
+// declaration declares is its last identifier outside [] and ().
+func paramNames(toks []Token) ([]string, error) {
+	var only *Token // the sole non-space token, if there is exactly one
+	significant := 0
+	for i := range toks {
+		if toks[i].Kind != TokSpace {
+			only = &toks[i]
+			significant++
+		}
+	}
+	if significant == 0 || (significant == 1 && only.Kind == TokIdent && only.Text == "void") {
 		return nil, nil
 	}
 	var names []string
-	depth := 0
-	start := 0
-	flush := func(decl string) error {
-		name, err := declName(decl)
-		if err != nil {
-			return err
+	// split nests (), <> and [], deciding which commas separate parameters;
+	// suffix nests only [] and (), deciding which identifiers can be the
+	// declared name.
+	split, suffix := 0, 0
+	name, start := "", 0
+	flush := func(end int) error {
+		if name == "" {
+			return fmt.Errorf("unnamed parameter %q", strings.TrimSpace(Render(toks[start:end])))
 		}
 		names = append(names, name)
+		name, start, suffix = "", end+1, 0
 		return nil
 	}
-	for i, r := range params {
-		switch r {
-		case '(', '<', '[':
-			depth++
-		case ')', '>', ']':
-			depth--
-		case ',':
-			if depth == 0 {
-				if err := flush(params[start:i]); err != nil {
-					return nil, err
+	for i, t := range toks {
+		switch t.Kind {
+		case TokIdent:
+			if suffix == 0 {
+				name = t.Text
+			}
+		case TokPunct:
+			switch t.Text {
+			case "(", "[":
+				split++
+				suffix++
+			case ")", "]":
+				split--
+				suffix--
+			case "<":
+				split++
+			case ">":
+				split--
+			case ",":
+				if split == 0 {
+					if err := flush(i); err != nil {
+						return nil, err
+					}
 				}
-				start = i + 1
 			}
 		}
 	}
-	if err := flush(params[start:]); err != nil {
+	if err := flush(len(toks)); err != nil {
 		return nil, err
 	}
 	return names, nil
-}
-
-// declName returns the identifier a single parameter declaration declares:
-// the last identifier, ignoring array suffixes.
-func declName(decl string) (string, error) {
-	toks := Lex(decl)
-	name := ""
-	depth := 0
-	for _, t := range toks {
-		switch {
-		case t.Kind == TokPunct && (t.Text == "[" || t.Text == "("):
-			depth++
-		case t.Kind == TokPunct && (t.Text == "]" || t.Text == ")"):
-			depth--
-		case t.Kind == TokIdent && depth == 0:
-			name = t.Text
-		}
-	}
-	if name == "" {
-		return "", fmt.Errorf("unnamed parameter %q", strings.TrimSpace(decl))
-	}
-	return name, nil
 }
 
 // braceDelta counts net brace depth at token level (strings and comments

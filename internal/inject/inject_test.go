@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -194,9 +195,11 @@ func TestParamNames(t *testing.T) {
 		{"float data[256], unsigned long long seed", []string{"data", "seed"}},
 		{"", nil},
 		{"void", nil},
+		// Separators and brackets inside a comment are not structure.
+		{"int a /* b, c[ */, int d", []string{"a", "d"}},
 	}
 	for _, c := range cases {
-		got, err := paramNames(c.in)
+		got, err := paramNames(Lex(c.in))
 		if err != nil {
 			t.Errorf("paramNames(%q): %v", c.in, err)
 			continue
@@ -248,5 +251,33 @@ func TestLaunchBoundsQualifier(t *testing.T) {
 	}
 	if !strings.Contains(out, "slate_bounded") || !strings.Contains(out, "slate_alsoBounded") {
 		t.Fatal("launch_bounds kernels not transformed")
+	}
+}
+
+// Transform's output is pinned byte for byte: testdata/injection.cu is the
+// translation unit examples/injection transforms, and the golden is what the
+// two-pass lexer produced for it at task size 10 before Transform lexed once.
+func TestTransformGolden(t *testing.T) {
+	in, err := os.ReadFile("testdata/injection.cu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := os.ReadFile("../../examples/injection/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(example), "`"+string(in)+"`") {
+		t.Fatal("testdata/injection.cu is no longer the source examples/injection transforms")
+	}
+	want, err := os.ReadFile("testdata/injection_ts10.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Transform(string(in), Options{TaskSize: 10, EmitDispatcher: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("Transform output changed (%d bytes, golden has %d)", len(got), len(want))
 	}
 }

@@ -25,13 +25,21 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, replyBuf.Bytes()))
 	f.Add(AppendFrame(nil, nil))
 	f.Add(AppendFrame(AppendFrame(nil, journalRec), replyBuf.Bytes())) // two frames
-	f.Add(AppendFrame(nil, journalRec)[:11])                          // torn payload
-	f.Add(AppendFrame(nil, journalRec)[:3])                           // torn header
+	f.Add(AppendFrame(nil, journalRec)[:11])                           // torn payload
+	f.Add(AppendFrame(nil, journalRec)[:3])                            // torn header
 	flipped := AppendFrame(nil, journalRec)
 	flipped[FrameHeaderSize+4] ^= 0x20
 	f.Add(flipped)                                         // bit-flipped payload
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 'x'}) // absurd length
 	f.Add([]byte{})
+	// A protocol-v2 batch request: one item carrying its source, one
+	// referring to it by SrcRef.
+	var batchBuf bytes.Buffer
+	_ = gob.NewEncoder(&batchBuf).Encode(&Request{Op: OpLaunchBatch, Seq: 3, Batch: []BatchItem{
+		{Src: true, OpID: 1, Source: "__global__ void k(int n) {}", Kernel: "k", GridX: 1, GridY: 1, BlockX: 32, BlockY: 1},
+		{Src: true, OpID: 2, SrcRef: 1, Kernel: "k", GridX: 1, GridY: 1, BlockX: 32, BlockY: 1},
+	}})
+	f.Add(AppendFrame(nil, batchBuf.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The in-place decoder must never panic and must stay classified;

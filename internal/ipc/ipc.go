@@ -22,6 +22,12 @@ import (
 // (cudaErrorMemoryAllocation); callers test it with errors.Is.
 var ErrDeviceOOM = errors.New("ipc: out of device memory")
 
+// ErrMalformed is the typed cause of refusing a frame that decoded but whose
+// contents contradict each other (a batch item's SrcRef that does not name an
+// earlier source-carrying item). Only a client that does not speak the
+// protocol can cause it; retrying the same frame is pointless.
+var ErrMalformed = errors.New("ipc: malformed request")
+
 // ErrCode classifies a Reply's failure so clients can map wire errors back
 // to typed sentinels without parsing strings.
 type ErrCode uint8
@@ -66,13 +72,19 @@ const (
 	// (and never will); retrying it verbatim is pointless because the
 	// client's own deadline has passed too.
 	CodeExpired
+	// CodeMalformed refuses a request whose fields are inconsistent
+	// (ErrMalformed). Nothing was admitted, journaled or executed.
+	CodeMalformed
 )
 
 // ProtocolVersion is the wire protocol generation this build speaks. Clients
 // stamp it on Hello/Resume; daemons refuse a mismatched, non-zero version
 // with CodeVersionSkew (zero means a legacy, pre-versioning peer and is
 // accepted for compatibility — gob decodes absent fields as zero).
-const ProtocolVersion uint32 = 1
+//
+// Version 2 added BatchItem.SrcRef: a v1 daemon would decode a v2 client's
+// interned batch as items with empty sources, so the two must not talk.
+const ProtocolVersion uint32 = 2
 
 // Op enumerates command-channel operations.
 type Op uint8
@@ -244,10 +256,49 @@ type BatchItem struct {
 	Stream   int
 	// OpID is the per-session monotonic op ID; every batched item must be
 	// stamped (the daemon refuses unstamped items).
-	OpID   uint64
+	OpID uint64
+	// Source is the CUDA text of a source item. An item whose text an earlier
+	// item of the same frame already carries leaves it empty and sets SrcRef.
 	Source string
-	Kernel string
+	// SrcRef, when non-zero, is 1 + the index of an earlier item of this
+	// frame that carries this item's Source; see ResolveSrcRefs. It means
+	// nothing across frames, so a resend never depends on what the daemon
+	// remembers.
+	SrcRef                       int
+	Kernel                       string
 	GridX, GridY, BlockX, BlockY int
+}
+
+// ResolveSrcRefs replaces every SrcRef in one frame's items with the Source
+// it names, in place (the strings share memory). A ref must be on a source
+// item that has no text of its own and must name an earlier source item that
+// does: forward and self refs, refs onto spec items, refs onto items that are
+// themselves refs and out-of-range refs all fail with ErrMalformed, and the
+// caller must then refuse the whole frame — items up to the bad one have
+// been resolved, which is harmless.
+func ResolveSrcRefs(items []BatchItem) error {
+	for i := range items {
+		it := &items[i]
+		if it.SrcRef == 0 {
+			continue
+		}
+		switch {
+		case !it.Src:
+			return fmt.Errorf("%w: batch item %d is not a source launch but has SrcRef %d", ErrMalformed, i, it.SrcRef)
+		case it.Source != "":
+			return fmt.Errorf("%w: batch item %d has both a Source and SrcRef %d", ErrMalformed, i, it.SrcRef)
+		case it.SrcRef < 0 || it.SrcRef > i:
+			return fmt.Errorf("%w: batch item %d has SrcRef %d, want an earlier item in 1..%d", ErrMalformed, i, it.SrcRef, i)
+		}
+		// Earlier items are already resolved, so a carrier that was itself a
+		// ref cannot be told apart by its Source; its SrcRef still can.
+		carrier := &items[it.SrcRef-1]
+		if !carrier.Src || carrier.SrcRef != 0 {
+			return fmt.Errorf("%w: batch item %d has SrcRef %d, which does not carry a source", ErrMalformed, i, it.SrcRef)
+		}
+		it.Source = carrier.Source
+	}
+	return nil
 }
 
 // BatchAck is one item's accept-time verdict inside an OpLaunchBatch reply.

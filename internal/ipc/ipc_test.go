@@ -1,7 +1,11 @@
 package ipc
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 )
 
@@ -142,5 +146,77 @@ func TestBoundedRegistryEnforcesCapacity(t *testing.T) {
 	u := NewBufferRegistry()
 	if _, _, err := u.Create(1 << 30); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ResolveSrcRefs fills every ref from the earlier item that carries the text
+// and refuses, typed, every ref that does not name one.
+func TestResolveSrcRefs(t *testing.T) {
+	src := func(text string) BatchItem { return BatchItem{Src: true, Source: text} }
+	ref := func(n int) BatchItem { return BatchItem{Src: true, SrcRef: n} }
+	spec := BatchItem{Token: 7}
+
+	good := []BatchItem{src("A"), ref(1), spec, src("B"), ref(4), ref(1), src("A")}
+	if err := ResolveSrcRefs(good); err != nil {
+		t.Fatalf("valid frame refused: %v", err)
+	}
+	for i, want := range []string{"A", "A", "", "B", "B", "A", "A"} {
+		if good[i].Source != want {
+			t.Errorf("item %d resolved to %q, want %q", i, good[i].Source, want)
+		}
+	}
+
+	bad := map[string][]BatchItem{
+		"forward":               {ref(2), src("A")},
+		"self":                  {src("A"), ref(2)},
+		"first item":            {ref(1)},
+		"out of range":          {src("A"), ref(9)},
+		"negative":              {src("A"), ref(-1)},
+		"onto a spec item":      {spec, ref(1)},
+		"onto a ref":            {src("A"), ref(1), ref(2)},
+		"on a spec item":        {src("A"), {Token: 7, SrcRef: 1}},
+		"beside its own source": {src("A"), {Src: true, Source: "B", SrcRef: 1}},
+	}
+	for name, items := range bad {
+		if err := ResolveSrcRefs(items); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: ResolveSrcRefs = %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// On the wire a ref costs a few bytes where the text would cost its length,
+// and it survives the round trip next to an item that carries its text.
+func TestSrcRefOnTheWire(t *testing.T) {
+	text := strings.Repeat("x", 600)
+	// steadyFrame is the encoded size of a frame once the stream's one-time
+	// gob type descriptors have gone out with an earlier one.
+	steadyFrame := func(items []BatchItem) int {
+		t.Helper()
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		for i := 0; i < 2; i++ {
+			buf.Reset()
+			if err := enc.Encode(&Request{Op: OpLaunchBatch, Batch: items}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Len()
+	}
+	interned := []BatchItem{{Src: true, Source: text, OpID: 1}, {Src: true, SrcRef: 1, OpID: 2}}
+	full := steadyFrame([]BatchItem{{Src: true, Source: text, OpID: 1}, {Src: true, Source: text, OpID: 2}})
+	if saved := full - steadyFrame(interned); saved < len(text)-8 {
+		t.Fatalf("interning saved %d bytes of a %d-byte text (full frame %d)", saved, len(text), full)
+	}
+
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&Request{Op: OpLaunchBatch, Batch: interned}); err != nil {
+		t.Fatal(err)
+	}
+	var got Request
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Batch) != 2 || got.Batch[0].Source != text || got.Batch[1].Source != "" || got.Batch[1].SrcRef != 1 {
+		t.Fatalf("decoded items = %+v", got.Batch)
 	}
 }

@@ -1,8 +1,17 @@
 // Package nvrtc mocks the NVIDIA Runtime Compiler the Slate daemon invokes
 // after code injection (§IV-B): it validates a transformed translation
 // unit, extracts its kernel entry points, and memoizes compiled images so a
-// kernel is compiled once and served from cache on every later launch — the
-// behaviour behind Fig. 6's one-time 1.5% injection/compilation cost.
+// translation unit is injected and compiled once and served from cache on
+// every later launch — the behaviour behind Fig. 6's one-time 1.5%
+// injection/compilation cost.
+//
+// The cache has two entrances onto one bounded table. CompileSource is the
+// daemon's: it is keyed on the raw user source plus the injection options, so
+// a hit costs one map lookup and neither lexes nor injects anything. Compile
+// takes an already transformed unit and is keyed on that text. Keys are the
+// strings themselves (no hash that could collide), only successes are
+// stored, concurrent misses on one key compile once, and the table holds at
+// most cacheCap images, evicting the oldest.
 package nvrtc
 
 import (
@@ -18,7 +27,8 @@ import (
 type Compiled struct {
 	// Entries lists the extern "C" __global__ entry points.
 	Entries []string
-	// Hash identifies the source (the cache key).
+	// Hash is FNV-64a of the compiled (transformed) text. Informational:
+	// the cache is keyed on the text itself, never on this.
 	Hash uint64
 	// Log carries compiler diagnostics.
 	Log string
@@ -34,15 +44,41 @@ func (c *Compiled) HasEntry(name string) bool {
 	return false
 }
 
-// Compiler validates and caches transformed sources. Safe for concurrent
-// use.
+// cacheCap bounds the image table. Keys are client-supplied source text held
+// in memory, so the table must not grow with the number of distinct units a
+// daemon has ever seen; a unit evicted here is recompiled on its next launch.
+const cacheCap = 512
+
+// unitKey identifies one cached image: the text handed in, and for raw user
+// source the canonical injection options too (TaskSize is baked into the
+// generated code, so the same text under two task sizes is two images).
+type unitKey struct {
+	text string
+	raw  bool
+	opt  inject.Options
+}
+
+// unit is one table slot. While its compile is in flight img and err are
+// unset and done is open; later arrivals on the key wait on done instead of
+// compiling again.
+type unit struct {
+	img  *Compiled
+	err  error
+	done chan struct{}
+}
+
+// Compiler validates and caches translation units. Safe for concurrent use.
 type Compiler struct {
 	mu    sync.Mutex
-	cache map[uint64]*Compiled
+	units map[unitKey]*unit
+	// fifo holds the keys of the stored images in insertion order; once it
+	// is cacheCap long it is a ring and next is its oldest slot.
+	fifo []unitKey
+	next int
 
-	// FailHook, when set, runs on every cache miss before compilation; a
-	// non-nil return fails the compile transiently without poisoning the
-	// cache (fault injection).
+	// FailHook, when set, runs on every cache miss before compilation, on
+	// the transformed text; a non-nil return fails the compile transiently
+	// without poisoning the cache (fault injection).
 	FailHook func(src string) error
 
 	// Compiles and CacheHits are counters for the overhead analysis.
@@ -52,44 +88,95 @@ type Compiler struct {
 
 // New constructs an empty-cache compiler.
 func New() *Compiler {
-	return &Compiler{cache: map[uint64]*Compiled{}}
+	return &Compiler{units: map[unitKey]*unit{}}
 }
 
-// Compile validates src and returns its compiled image, serving repeats
-// from the cache.
+// Compile validates an already transformed translation unit and returns its
+// compiled image, serving repeats from the cache.
 func (c *Compiler) Compile(src string) (*Compiled, error) {
-	h := fnv.New64a()
-	h.Write([]byte(src))
-	key := h.Sum64()
+	return c.cached(unitKey{text: src})
+}
 
+// CompileSource injects raw user source under opt, compiles the result and
+// returns the image, serving repeats of the same (text, options) pair from
+// the cache without lexing anything. An injection error, a FailHook failure
+// and a compile error are all returned uncached, so the next call retries.
+func (c *Compiler) CompileSource(raw string, opt inject.Options) (*Compiled, error) {
+	return c.cached(unitKey{text: raw, raw: true, opt: opt.Canonical()})
+}
+
+// cached returns k's image, building it on a miss. Arrivals during another
+// caller's build of the same key share that build's outcome: a success
+// counts as a cache hit for them, a failure is theirs too.
+func (c *Compiler) cached(k unitKey) (*Compiled, error) {
 	c.mu.Lock()
-	if img, ok := c.cache[key]; ok {
+	if u, ok := c.units[k]; ok {
+		if u.img == nil {
+			c.mu.Unlock()
+			<-u.done
+			if u.err != nil {
+				return nil, u.err
+			}
+			c.mu.Lock()
+		}
 		c.CacheHits++
 		c.mu.Unlock()
-		return img, nil
+		return u.img, nil
 	}
+	u := &unit{done: make(chan struct{})}
+	c.units[k] = u
 	c.mu.Unlock()
 
+	img, err := c.build(k)
+
+	c.mu.Lock()
+	if err != nil {
+		u.err = err
+		delete(c.units, k)
+	} else {
+		u.img = img
+		c.Compiles++
+		c.storeLocked(k)
+	}
+	c.mu.Unlock()
+	close(u.done)
+	return img, err
+}
+
+// storeLocked records k as the newest stored image, evicting the oldest when
+// the table is full. Caller holds c.mu.
+func (c *Compiler) storeLocked(k unitKey) {
+	if len(c.fifo) < cacheCap {
+		c.fifo = append(c.fifo, k)
+		return
+	}
+	delete(c.units, c.fifo[c.next])
+	c.fifo[c.next] = k
+	c.next = (c.next + 1) % cacheCap
+}
+
+// build is the miss path: injection for raw source, the fault hook, then
+// compilation.
+func (c *Compiler) build(k unitKey) (*Compiled, error) {
+	src := k.text
+	if k.raw {
+		var err error
+		if src, err = inject.Transform(k.text, k.opt); err != nil {
+			return nil, err
+		}
+	}
 	if c.FailHook != nil {
 		if err := c.FailHook(src); err != nil {
 			return nil, fmt.Errorf("nvrtc: %w", err)
 		}
 	}
-	img, err := compile(src, key)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.cache[key] = img
-	c.Compiles++
-	c.mu.Unlock()
-	return img, nil
+	return compile(src)
 }
 
 // compile performs the validation a real NVRTC invocation would fail on:
 // lexical integrity, balanced braces, the Slate device runtime, and at
 // least one extern "C" entry point.
-func compile(src string, key uint64) (*Compiled, error) {
+func compile(src string) (*Compiled, error) {
 	if !strings.Contains(src, "slateIdx") || !strings.Contains(src, "slate_get_smid") {
 		return nil, fmt.Errorf("nvrtc: source lacks the Slate device runtime; was it injected?")
 	}
@@ -112,7 +199,7 @@ func compile(src string, key uint64) (*Compiled, error) {
 	if depth != 0 {
 		return nil, fmt.Errorf("nvrtc: unbalanced braces (%+d at EOF)", depth)
 	}
-	kernels, err := inject.FindKernels(src)
+	kernels, err := inject.FindKernelsIn(toks)
 	if err != nil {
 		return nil, fmt.Errorf("nvrtc: %w", err)
 	}
@@ -125,9 +212,11 @@ func compile(src string, key uint64) (*Compiled, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("nvrtc: no slate_* entry points; injection incomplete")
 	}
+	h := fnv.New64a()
+	h.Write([]byte(src))
 	return &Compiled{
 		Entries: entries,
-		Hash:    key,
+		Hash:    h.Sum64(),
 		Log:     fmt.Sprintf("nvrtc: compiled %d entry point(s)", len(entries)),
 	}, nil
 }

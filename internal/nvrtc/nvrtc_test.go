@@ -1,7 +1,11 @@
 package nvrtc
 
 import (
+	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slate/internal/inject"
@@ -101,5 +105,155 @@ func TestCompileDistinguishesSources(t *testing.T) {
 	}
 	if compiles, _ := c.Stats(); compiles != 2 {
 		t.Fatalf("compiles = %d, want 2", compiles)
+	}
+}
+
+var srcOpt = inject.Options{TaskSize: 10, EmitDispatcher: true}
+
+// The source-keyed entrance prepares a (text, options) pair once: repeats are
+// hits that return the same image, the default task size and its explicit
+// value are one key, and a different task size is a different image because
+// the value is baked into the generated code.
+func TestCompileSourceKeysOnTextAndOptions(t *testing.T) {
+	c := New()
+	first, err := c.CompileSource(userSrc, srcOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.HasEntry("slate_saxpy") || !first.HasEntry("slate_saxpyDispatcher") {
+		t.Fatalf("entries = %v", first.Entries)
+	}
+	const n = 8
+	for i := 1; i < n; i++ {
+		opt := srcOpt
+		if i%2 == 1 {
+			opt.TaskSize = 0 // selects inject.DefaultTaskSize, which srcOpt names
+		}
+		img, err := c.CompileSource(userSrc, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img != first {
+			t.Fatalf("launch %d got a different image", i)
+		}
+	}
+	if compiles, hits := c.Stats(); compiles != 1 || hits != n-1 {
+		t.Fatalf("stats = (%d, %d), want (1, %d)", compiles, hits, n-1)
+	}
+	other, err := c.CompileSource(userSrc, inject.Options{TaskSize: 4, EmitDispatcher: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first {
+		t.Fatal("task sizes 10 and 4 share an image")
+	}
+	if compiles, _ := c.Stats(); compiles != 2 {
+		t.Fatalf("compiles = %d after a second task size, want 2", compiles)
+	}
+}
+
+// Racing cold misses on one unit compile it once; whether a racer arrived
+// during the compile or after it, it counts as a hit.
+func TestCompileSourceSingleFlight(t *testing.T) {
+	c := New()
+	var built atomic.Int32
+	c.FailHook = func(string) error { built.Add(1); return nil }
+	const racers = 16
+	start := make(chan struct{})
+	imgs := make([]*Compiled, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			img, err := c.CompileSource(userSrc, srcOpt)
+			if err != nil {
+				t.Error(err)
+			}
+			imgs[i] = img
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if compiles, hits := c.Stats(); compiles != 1 || hits != racers-1 {
+		t.Fatalf("stats = (%d, %d), want (1, %d)", compiles, hits, racers-1)
+	}
+	if n := built.Load(); n != 1 {
+		t.Fatalf("miss path ran %d times, want 1", n)
+	}
+	for i, img := range imgs {
+		if img != imgs[0] {
+			t.Fatalf("racer %d got a different image", i)
+		}
+	}
+}
+
+// Failures are returned, never stored: a transient hook failure is gone on
+// the next call, and a source that cannot be injected fails with the same
+// message every time.
+func TestCompileSourceDoesNotCacheFailures(t *testing.T) {
+	c := New()
+	c.FailHook = func(string) error { return errors.New("transient") }
+	if _, err := c.CompileSource(userSrc, srcOpt); err == nil || !strings.Contains(err.Error(), "transient") {
+		t.Fatalf("hooked compile = %v, want the hook's failure", err)
+	}
+	c.FailHook = nil
+	if _, err := c.CompileSource(userSrc, srcOpt); err != nil {
+		t.Fatalf("compile after the hook cleared: %v", err)
+	}
+	if compiles, hits := c.Stats(); compiles != 1 || hits != 0 {
+		t.Fatalf("stats = (%d, %d), want (1, 0): the failure must not count or be served", compiles, hits)
+	}
+
+	unbalanced := userSrc + "\n}"
+	var msg string
+	for i := 0; i < 3; i++ {
+		_, err := c.CompileSource(unbalanced, srcOpt)
+		if err == nil {
+			t.Fatal("unbalanced source accepted")
+		}
+		if i > 0 && err.Error() != msg {
+			t.Fatalf("call %d failed with %q, earlier with %q", i, err, msg)
+		}
+		msg = err.Error()
+	}
+	if !strings.Contains(msg, "unbalanced braces") {
+		t.Fatalf("error = %q, want injection's unbalanced-braces message", msg)
+	}
+	if len(c.units) != 1 {
+		t.Fatalf("%d units stored, want only the one success", len(c.units))
+	}
+}
+
+// The table is bounded: one unit past the cap evicts the oldest, which then
+// compiles again, while a unit still inside the table stays a hit.
+func TestCacheIsBoundedOldestFirst(t *testing.T) {
+	c := New()
+	unit := func(i int) string {
+		return strings.ReplaceAll(userSrc, "saxpy", fmt.Sprintf("k%d", i))
+	}
+	for i := 0; i <= cacheCap; i++ {
+		if _, err := c.CompileSource(unit(i), srcOpt); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.units) > cacheCap {
+			t.Fatalf("%d units stored after %d compiles, cap is %d", len(c.units), i+1, cacheCap)
+		}
+	}
+	if _, err := c.CompileSource(unit(cacheCap), srcOpt); err != nil {
+		t.Fatal(err)
+	}
+	if compiles, hits := c.Stats(); compiles != cacheCap+1 || hits != 1 {
+		t.Fatalf("stats = (%d, %d), want (%d, 1): the newest unit must still be stored", compiles, hits, cacheCap+1)
+	}
+	if _, err := c.CompileSource(unit(0), srcOpt); err != nil {
+		t.Fatal(err)
+	}
+	if compiles, _ := c.Stats(); compiles != cacheCap+2 {
+		t.Fatalf("compiles = %d, want %d: the evicted unit must compile again", compiles, cacheCap+2)
+	}
+	if len(c.units) != cacheCap || len(c.fifo) != cacheCap {
+		t.Fatalf("table holds %d units, %d fifo slots; want %d of each", len(c.units), len(c.fifo), cacheCap)
 	}
 }
