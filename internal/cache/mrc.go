@@ -5,20 +5,23 @@
 // model-build hot path.
 //
 // Phase 1 computes, for each access, its LRU reuse distance — the number of
-// distinct cache lines touched since the previous access to the same line —
-// in O(N log N) with a Fenwick (binary indexed) tree over trace positions:
-// position i carries a 1 while it is some line's most recent access, so the
-// count of set positions after a line's previous access is exactly its
-// reuse distance. Under fully-associative LRU an access with distance d
-// hits a cache of L lines iff d < L, so a histogram of distances answers
-// every capacity at once, exactly.
+// distinct cache lines touched since the previous access to the same line.
+// Trace position i carries a 1 while it is some line's most recent access,
+// so the count of set positions after a line's previous access is exactly
+// its reuse distance. The positions are one bit each, and a Fenwick (binary
+// indexed) tree holds the popcount of every completed 64-position word:
+// rank(prev) is a tree prefix plus the popcount of one masked word, in
+// O(log(N/64)) on a structure that stays cache-resident (64 KB of tree and
+// 122 KB of bits for a 10⁶-access trace). Under fully-associative LRU an
+// access with distance d hits a cache of L lines iff d < L, so a histogram
+// of distances answers every capacity at once, exactly.
 //
 // For set-associative geometries the hard threshold is replaced by the
 // Hill–Smith expectation (the same model StatStack uses): with hashed set
 // indexing the d intervening lines distribute uniformly over S sets, so the
 // access misses a W-way cache with probability P[Binomial(d, 1/S) >= W].
-// Phase 2 folds the distance histogram through that tail — smoothing the
-// fully-associative knee — one independent job per capacity point.
+// That tail is a function of (S, W) alone; phase 2 folds the distance
+// histogram through a table of it built once per geometry (tailTable).
 //
 // The set-associative simulator (SimulateTrace / MissRatioCurve) remains
 // the validation oracle: the property tests in mrc_test.go and the
@@ -40,42 +43,51 @@ import (
 // every workload pattern. See DESIGN.md §10 for the measured maxima.
 const MRCDeviationBound = 0.04
 
-// mrcScratch is the per-pass working memory: the Fenwick tree, the
-// open-addressing line→last-position table, and the per-access distance
-// array feeding the histogram phase. Pooled because a model build at the
-// default trace length needs ~30 MB of scratch and the harness builds
-// hundreds of entries.
+// mrcScratch is the per-pass working memory: the position bitmap, the
+// Fenwick tree over its word popcounts, the open-addressing line table and
+// the distance histogram. Pooled because the harness builds hundreds of
+// entries. At the default trace length (10⁶ accesses) the bitmap and tree
+// are under 200 KB, the histogram is 4 MB and the line table 8 MB, all
+// cleared per build (~1 ms). The table stores only each line's last
+// position: the line itself is read back from the trace at that position, so
+// there is no key array. It is sized for the all-distinct worst case and not
+// from a distinct-line bound: only the trace crosses ReuseDistanceMRC's
+// signature, and counting distinct lines would be a pass of its own.
 type mrcScratch struct {
-	tree  []int32
-	keys  []uint64
-	vals  []int32
-	dists []int32
+	words []uint64 // bit i set while position i is some line's most recent access
+	tree  []int32  // Fenwick tree, 1-based over words: popcounts of completed words
+	last  []int32  // line table: 1-based position of the slot's line's last access, 0 = empty
 	hist  []int32
 }
 
 var mrcPool = sync.Pool{New: func() any { return new(mrcScratch) }}
 
 // grow resizes and zeroes the scratch for a trace of n accesses with an
-// m-slot hash table.
+// m-slot line table.
 func (s *mrcScratch) grow(n, m int) {
-	if cap(s.tree) < n+1 {
-		s.tree = make([]int32, n+1)
+	nw := (n + 63) / 64
+	if cap(s.words) < nw {
+		s.words = make([]uint64, nw)
+		s.tree = make([]int32, nw+1)
 	} else {
-		s.tree = s.tree[:n+1]
+		s.words = s.words[:nw]
+		s.tree = s.tree[:nw+1]
+		clear(s.words)
 		clear(s.tree)
 	}
-	if cap(s.keys) < m {
-		s.keys = make([]uint64, m)
-		s.vals = make([]int32, m)
+	if cap(s.last) < m {
+		s.last = make([]int32, m)
 	} else {
-		s.keys = s.keys[:m]
-		s.vals = s.vals[:m]
-		clear(s.vals) // vals[h]==0 marks an empty slot; keys need no reset
+		s.last = s.last[:m]
+		clear(s.last)
 	}
-	if cap(s.dists) < n {
-		s.dists = make([]int32, n)
+	// A reuse distance counts distinct lines other than the accessed one,
+	// so it is below n.
+	if cap(s.hist) < n {
+		s.hist = make([]int32, n)
 	} else {
-		s.dists = s.dists[:n]
+		s.hist = s.hist[:n]
+		clear(s.hist)
 	}
 }
 
@@ -114,16 +126,6 @@ func geometryAt(cfg Config, sizeBytes int) mrcGeometry {
 // geometries (cfg.Ways <= 0) the result is exact; for set-associative ones
 // the binomial conflict expectation applies.
 func ReuseDistanceMRC(cfg Config, trace []uint64, sizesBytes []int) []float64 {
-	return ReuseDistanceMRCWorkers(cfg, trace, sizesBytes, 1)
-}
-
-// ReuseDistanceMRCWorkers is ReuseDistanceMRC with the per-capacity
-// histogram integrations fanned across workers. The reuse-distance
-// extraction itself is inherently sequential (each distance depends on all
-// prior accesses); the capacity points are independent afterwards and each
-// is integrated by exactly one goroutine, so the result is bit-identical at
-// any worker count.
-func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, workers int) []float64 {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("cache: ReuseDistanceMRC LineBytes %d must be a positive power of two", cfg.LineBytes))
 	}
@@ -138,22 +140,97 @@ func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, worke
 		panic(fmt.Sprintf("cache: ReuseDistanceMRC trace length %d exceeds int32 positions", n))
 	}
 
-	lineShift := uint(bits.TrailingZeros(uint(cfg.LineBytes)))
-	// Hash table sized to a <=50% load factor at the worst case (all
+	s := mrcPool.Get().(*mrcScratch)
+	defer mrcPool.Put(s)
+	cold, maxd := s.reuseDistances(trace, uint(bits.TrailingZeros(uint(cfg.LineBytes))))
+
+	// Phase 2: fold the histogram through every capacity point's miss
+	// probability in one ascending walk over its non-zero bins. Each point's
+	// sum takes its terms in ascending d, and a skipped bin — empty, or one
+	// whose probability is 0 — would have added exactly +0, so the result is
+	// the float a bin-by-bin walk per point produces.
+	points := make([]missCurve, len(sizesBytes))
+	for j, size := range sizesBytes {
+		points[j] = missCurveAt(geometryAt(cfg, size))
+	}
+	reuse := make([]float64, len(sizesBytes)) // expected non-cold misses
+	for d := int32(0); d <= maxd; d++ {
+		h := s.hist[d]
+		if h == 0 {
+			continue
+		}
+		for j := range points {
+			reuse[j] += points[j].at(d) * float64(h)
+		}
+	}
+	for j := range out {
+		out[j] = (float64(cold) + reuse[j]) / float64(n)
+	}
+	return out
+}
+
+// missCurve is one capacity point's miss probability as a function of reuse
+// distance: 0 below lo, tail[d-lo] inside the table, 1 past its end.
+type missCurve struct {
+	lo   int32
+	tail []float64
+}
+
+// missCurveAt returns the geometry's curve: a hard threshold at the capacity
+// for a fully-associative cache (the stack property is exact), the shared
+// binomial tail table for a set-associative one, and a constant 1 for a
+// capacity below one line, which can never hit.
+func missCurveAt(g mrcGeometry) missCurve {
+	if g.sets <= 1 {
+		return missCurve{lo: int32(g.lines)}
+	}
+	t := tailTableFor(g.sets, g.ways)
+	return missCurve{lo: t.dLo, tail: t.tail}
+}
+
+func (c missCurve) at(d int32) float64 {
+	switch i := int(d - c.lo); {
+	case i < 0:
+		return 0
+	case i < len(c.tail):
+		return c.tail[i]
+	}
+	return 1
+}
+
+// ReuseDistanceMRCWorkers is ReuseDistanceMRC. The workers argument is
+// ignored: with the tail tables precomputed, integrating a capacity point
+// costs microseconds, less than handing it to a goroutine, and the distance
+// extraction is inherently sequential. The name and signature stay for
+// callers written against the fanned phase 2.
+func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, workers int) []float64 {
+	return ReuseDistanceMRC(cfg, trace, sizesBytes)
+}
+
+// reuseDistances is phase 1: it sizes the scratch for the trace, extracts
+// every access's reuse distance into s.hist, and returns the number of cold
+// (first-touch) accesses and the largest distance seen (-1 if no line was
+// reused).
+func (s *mrcScratch) reuseDistances(trace []uint64, lineShift uint) (cold int64, maxd int32) {
+	n := len(trace)
+	// Line table sized to a <=50% load factor at the worst case (all
 	// accesses distinct).
 	m := 16
 	for m < 2*n {
 		m <<= 1
 	}
-	mask := uint64(m - 1)
-	hashShift := uint(64 - bits.TrailingZeros(uint(m)))
-
-	s := mrcPool.Get().(*mrcScratch)
 	s.grow(n, m)
-	tree, keys, vals, dists := s.tree, s.keys, s.vals, s.dists
+	words, tree, last, hist := s.words, s.tree, s.last, s.hist
+	mask := uint64(m - 1)
+	// Locality-preserving slots: eight line-consecutive addresses hash as one
+	// group and keep their low three bits as the offset inside it, so a
+	// streaming kernel's neighbouring lines probe one cache line of the
+	// table instead of eight random ones.
+	groupShift := uint(64 - bits.TrailingZeros(uint(m/8)))
 
+	nw := len(words)
 	treeAdd := func(i int, v int32) {
-		for ; i <= n; i += i & -i {
+		for ; i <= nw; i += i & -i {
 			tree[i] += v
 		}
 	}
@@ -165,34 +242,50 @@ func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, worke
 		return sum
 	}
 
-	// Phase 1: sequential reuse-distance extraction. dists[i] = -1 marks a
-	// cold (first-touch) access.
-	var cold int64
-	var maxd int32 = -1
-	var active int32 // distinct lines currently tracked = set bits in tree
+	maxd = -1
+	var active int32 // distinct lines seen so far = set bits in words
 	for i, addr := range trace {
-		pos := int32(i + 1) // Fenwick positions are 1-based
+		cw := i >> 6 // the word being filled; it is not in the tree yet
+		bit := uint64(1) << (uint(i) & 63)
+		if i&63 == 0 && i > 0 {
+			// The previous word is complete: its population enters the tree.
+			if c := bits.OnesCount64(words[cw-1]); c > 0 {
+				treeAdd(cw, int32(c))
+			}
+		}
 		line := addr >> lineShift
-		h := (line * 0x9E3779B97F4A7C15) >> hashShift
+		h := ((line>>3)*0x9E3779B97F4A7C15)>>groupShift<<3 | line&7
 		for {
-			if vals[h] == 0 { // cold: first touch of this line
-				keys[h] = line
-				vals[h] = pos
-				treeAdd(int(pos), 1)
+			p := last[h]
+			if p == 0 { // cold: first touch of this line
+				last[h] = int32(i + 1)
+				words[cw] |= bit
 				active++
-				dists[i] = -1
 				cold++
 				break
 			}
-			if keys[h] == line {
-				prev := vals[h]
+			// The slot's line is whatever the trace holds at its position.
+			if trace[p-1]>>lineShift == line {
 				// Reuse distance: distinct lines whose most recent access
 				// came after prev — the set positions strictly beyond it.
-				d := active - treePrefix(int(prev))
-				treeAdd(int(prev), -1)
-				treeAdd(int(pos), 1)
-				vals[h] = pos
-				dists[i] = d
+				prev := int(p - 1)
+				pw := prev >> 6
+				pbit := uint64(1) << (uint(prev) & 63)
+				upTo := pbit<<1 - 1 // bits at or below prev (all ones when prev is bit 63)
+				var d int32
+				if pw == cw {
+					// prev is in the word being filled, which holds every
+					// position after it.
+					d = int32(bits.OnesCount64(words[cw] &^ upTo))
+					words[cw] = words[cw]&^pbit | bit
+				} else {
+					d = active - treePrefix(pw) - int32(bits.OnesCount64(words[pw]&upTo))
+					words[pw] &^= pbit
+					treeAdd(pw+1, -1)
+					words[cw] |= bit
+				}
+				last[h] = int32(i + 1)
+				hist[d]++
 				if d > maxd {
 					maxd = d
 				}
@@ -201,73 +294,48 @@ func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, worke
 			h = (h + 1) & mask
 		}
 	}
-
-	// Distance histogram (reused across every capacity point).
-	if cap(s.hist) < int(maxd)+2 {
-		s.hist = make([]int32, maxd+2)
-	} else {
-		s.hist = s.hist[:maxd+2]
-		clear(s.hist)
-	}
-	hist := s.hist
-	for _, d := range dists {
-		if d >= 0 {
-			hist[d]++
-		}
-	}
-
-	// Phase 2: per-capacity integration — independent jobs again, fanned
-	// across workers; each output slot is written by exactly one goroutine.
-	integrate := func(j int) {
-		g := geometryAt(cfg, sizesBytes[j])
-		if g.lines < 1 { // sub-line capacity can never hit
-			out[j] = 1
-			return
-		}
-		misses := float64(cold)
-		if g.sets <= 1 {
-			// Fully associative: the stack threshold is exact.
-			for d := int32(g.lines); d <= maxd; d++ {
-				misses += float64(hist[d])
-			}
-		} else {
-			misses += binomialMisses(hist, maxd, g.sets, g.ways)
-		}
-		out[j] = misses / float64(n)
-	}
-	if workers > len(sizesBytes) {
-		workers = len(sizesBytes)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for j := w; j < len(sizesBytes); j += workers {
-					integrate(j)
-				}
-			}(w)
-		}
-		wg.Wait()
-	} else {
-		for j := range sizesBytes {
-			integrate(j)
-		}
-	}
-	mrcPool.Put(s)
-	return out
+	return cold, maxd
 }
 
-// binomialMisses returns the expected reuse (non-cold) misses of a
-// sets×ways LRU cache with hashed indexing over the distance histogram:
-// an access at reuse distance d misses iff at least `ways` of the d
-// intervening distinct lines hash into its set, i.e. with probability
-// P[Binomial(d, 1/sets) >= ways] (Hill & Smith's conflict model). The tail
-// is advanced incrementally in d and clamped to 0/1 outside a window where
-// it is numerically indistinguishable from the clamp, so cost is
-// O(window × ways), not O(maxd × ways).
-func binomialMisses(hist []int32, maxd int32, sets, ways int) float64 {
+// tailTable holds P[Binomial(d, 1/sets) >= ways] — the probability that an
+// access at reuse distance d misses a sets×ways LRU cache with hashed
+// indexing, because at least `ways` of the d intervening distinct lines
+// hashed into its set (Hill & Smith's conflict model) — for every d where it
+// is not numerically 0 or 1.
+type tailTable struct {
+	once sync.Once
+	dLo  int32     // below dLo the tail is 0
+	tail []float64 // tail[d-dLo]; past its end the tail is 1
+}
+
+// tailTables memoizes one tailTable per (sets, ways). The table depends on
+// nothing in the trace, so it is built once per process and geometry
+// (single-flight through the entry's Once) and read-only afterwards. A
+// device model asks for its eight capacity points only; for the 64 KiB–6 MiB
+// ladder at 64-byte lines and 16 ways (every device preset) that is 0.83 M
+// entries, 6.6 MB, in total, the 6 MiB point alone 3.1 MB.
+var tailTables = struct {
+	mu sync.Mutex
+	m  map[[2]int]*tailTable
+}{m: map[[2]int]*tailTable{}}
+
+func tailTableFor(sets, ways int) *tailTable {
+	key := [2]int{sets, ways}
+	tailTables.mu.Lock()
+	t := tailTables.m[key]
+	if t == nil {
+		t = new(tailTable)
+		tailTables.m[key] = t
+	}
+	tailTables.mu.Unlock()
+	t.once.Do(func() { t.build(sets, ways) })
+	return t
+}
+
+// build fills the table by advancing the binomial pmf one d at a time over
+// the window where the tail is distinguishable from its clamp, so cost and
+// size are O(window × ways) and O(window).
+func (t *tailTable) build(sets, ways int) {
 	q := 1.0 / float64(sets)
 	// The tail transitions near d ≈ sets·ways with width ~ sets·sqrt(ways);
 	// ±12 widths put the clamp error below 1e-30.
@@ -275,9 +343,6 @@ func binomialMisses(hist []int32, maxd int32, sets, ways int) float64 {
 	dLo := int32(float64(sets*ways) - 12*width)
 	if dLo < int32(ways) {
 		dLo = int32(ways) // below `ways` intervening lines a miss is impossible
-	}
-	if dLo > maxd {
-		return 0
 	}
 	dHi := float64(sets*ways) + 12*width
 	// pmf[k] = P[Binomial(d, q) = k] for k < ways, seeded directly at dLo
@@ -291,22 +356,16 @@ func binomialMisses(hist []int32, maxd int32, sets, ways int) float64 {
 		lgdk, _ := math.Lgamma(d - float64(k) + 1)
 		pmf[k] = math.Exp(lgd - lgk - lgdk + float64(k)*lq + (d-float64(k))*l1q)
 	}
-	var misses float64
-	for di := dLo; di <= maxd; di++ {
-		if float64(di) > dHi {
-			// Tail is 1 to machine precision from here on.
-			for ; di <= maxd; di++ {
-				misses += float64(hist[di])
-			}
-			break
-		}
+	t.dLo = dLo
+	t.tail = make([]float64, 0, int(dHi)-int(dLo)+1)
+	for di := dLo; float64(di) <= dHi; di++ {
 		hit := 0.0
 		for _, p := range pmf {
 			hit += p
 		}
-		if tail := 1 - hit; tail > 0 {
-			misses += tail * float64(hist[di])
-		}
+		// Rounding can leave 1-hit a hair below zero where the tail is
+		// vanishing; such a bin contributes no miss.
+		t.tail = append(t.tail, math.Max(1-hit, 0))
 		// Advance pmf from d=di to d=di+1: one more intervening line lands
 		// in the set with probability q.
 		for k := ways - 1; k > 0; k-- {
@@ -314,5 +373,4 @@ func binomialMisses(hist []int32, maxd int32, sets, ways int) float64 {
 		}
 		pmf[0] *= 1 - q
 	}
-	return misses
 }

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -90,8 +93,9 @@ func TestReuseDistanceMRCDeviationBound(t *testing.T) {
 	}
 }
 
-// The fanned per-capacity integration must be bit-identical at any worker
-// count, including through the binomial set-conflict path.
+// ReuseDistanceMRCWorkers keeps its signature for callers written against
+// the fanned integration it no longer has: whatever worker count they pass,
+// they get ReuseDistanceMRC's result.
 func TestReuseDistanceMRCWorkersBitIdentical(t *testing.T) {
 	for _, cfg := range []Config{faCfg, TitanXpL2()} {
 		for name, trace := range mrcTestTraces(3, 50_000) {
@@ -171,4 +175,261 @@ func TestReuseDistanceMRCPanicsOnBadLineBytes(t *testing.T) {
 		}
 	}()
 	ReuseDistanceMRC(Config{LineBytes: 48}, []uint64{0}, []int{1 << 10})
+}
+
+// refReuseDistances is the distance extraction the bitmap rank structure
+// replaced, kept as the differential reference: a Fenwick tree with one
+// int32 per trace position (position p holds 1 while p is some line's most
+// recent access) and a Go map for line→last position. It returns the cold
+// count and the distance histogram (length maxd+1, nil if nothing is reused).
+func refReuseDistances(trace []uint64, lineShift uint) (cold int64, hist []int32) {
+	n := len(trace)
+	tree := make([]int32, n+1)
+	add := func(i int, v int32) {
+		for ; i <= n; i += i & -i {
+			tree[i] += v
+		}
+	}
+	prefix := func(i int) int32 {
+		var sum int32
+		for ; i > 0; i -= i & -i {
+			sum += tree[i]
+		}
+		return sum
+	}
+	last := map[uint64]int{}
+	var active int32
+	for i, addr := range trace {
+		pos, line := i+1, addr>>lineShift
+		prev, seen := last[line]
+		last[line] = pos
+		add(pos, 1)
+		if !seen {
+			active++
+			cold++
+			continue
+		}
+		d := int(active - prefix(prev))
+		add(prev, -1)
+		for len(hist) <= d {
+			hist = append(hist, 0)
+		}
+		hist[d]++
+	}
+	return cold, hist
+}
+
+// refBinomialMisses is the per-call tail recurrence the geometry-keyed tail
+// tables replaced: Σ P[Binomial(d, 1/sets) >= ways]·hist[d], the pmf seeded
+// at the window's low edge and advanced bin by bin on every call.
+func refBinomialMisses(hist []int32, sets, ways int) float64 {
+	maxd := int32(len(hist) - 1)
+	q := 1.0 / float64(sets)
+	width := float64(sets) * (math.Sqrt(float64(ways)) + 1)
+	dLo := int32(float64(sets*ways) - 12*width)
+	if dLo < int32(ways) {
+		dLo = int32(ways)
+	}
+	if dLo > maxd {
+		return 0
+	}
+	dHi := float64(sets*ways) + 12*width
+	pmf := make([]float64, ways)
+	lq, l1q := math.Log(q), math.Log1p(-q)
+	d := float64(dLo)
+	lgd, _ := math.Lgamma(d + 1)
+	for k := 0; k < ways && float64(k) <= d; k++ {
+		lgk, _ := math.Lgamma(float64(k) + 1)
+		lgdk, _ := math.Lgamma(d - float64(k) + 1)
+		pmf[k] = math.Exp(lgd - lgk - lgdk + float64(k)*lq + (d-float64(k))*l1q)
+	}
+	var misses float64
+	for di := dLo; di <= maxd; di++ {
+		if float64(di) > dHi {
+			for ; di <= maxd; di++ {
+				misses += float64(hist[di])
+			}
+			break
+		}
+		hit := 0.0
+		for _, p := range pmf {
+			hit += p
+		}
+		if tail := 1 - hit; tail > 0 {
+			misses += tail * float64(hist[di])
+		}
+		for k := ways - 1; k > 0; k-- {
+			pmf[k] = pmf[k]*(1-q) + pmf[k-1]*q
+		}
+		pmf[0] *= 1 - q
+	}
+	return misses
+}
+
+// refMRC is ReuseDistanceMRC as it stood before the rewrite, over the two
+// references above.
+func refMRC(cfg Config, trace []uint64, sizesBytes []int) []float64 {
+	out := make([]float64, len(sizesBytes))
+	if len(trace) == 0 {
+		return out
+	}
+	cold, hist := refReuseDistances(trace, uint(bits.TrailingZeros(uint(cfg.LineBytes))))
+	for j, size := range sizesBytes {
+		g := geometryAt(cfg, size)
+		if g.lines < 1 {
+			out[j] = 1
+			continue
+		}
+		misses := float64(cold)
+		if g.sets <= 1 {
+			for d := g.lines; d < len(hist); d++ {
+				misses += float64(hist[d])
+			}
+		} else {
+			misses += refBinomialMisses(hist, g.sets, g.ways)
+		}
+		out[j] = misses / float64(len(trace))
+	}
+	return out
+}
+
+// differentialTraces are the seeded shapes plus the edges the bitmap
+// introduces: lengths around the 64-position word boundary, a single line
+// repeated (prev and pos always in the word being filled, or prev the last
+// bit of the word just completed), all-distinct lines, and reuses whose
+// previous access is bit 63 of a completed word.
+func differentialTraces() map[string][]uint64 {
+	out := map[string][]uint64{}
+	for _, seed := range []int64{1, 7, 42} {
+		for name, tr := range mrcTestTraces(seed, 40_000) {
+			out[fmt.Sprintf("%s/seed%d", name, seed)] = tr
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 1000} {
+		repeated := make([]uint64, n)
+		distinct := make([]uint64, n)
+		few := make([]uint64, n)
+		for i := range distinct {
+			distinct[i] = uint64(i) * 64
+			few[i] = uint64(rng.Intn(24)) * 64
+		}
+		out[fmt.Sprintf("repeated/n%d", n)] = repeated
+		out[fmt.Sprintf("distinct/n%d", n)] = distinct
+		out[fmt.Sprintf("few/n%d", n)] = few
+	}
+	// Line X is last touched at position 63 (bit 63 of word 0) and at
+	// position 127, and reused from the next word and from two words on.
+	const x = 1 << 20
+	lastBit := make([]uint64, 300)
+	for i := range lastBit {
+		lastBit[i] = uint64(i%40) * 64
+	}
+	lastBit[63], lastBit[64], lastBit[127], lastBit[290] = x, x, x, x
+	out["prev-is-last-bit"] = lastBit
+	// A stride of eight lines keeps the low three line bits constant, so
+	// every line of the trace asks for the same offset inside its slot group.
+	strided8 := make([]uint64, 5000)
+	for i := range strided8 {
+		strided8[i] = uint64(i%3000) * 8 * 64
+	}
+	out["stride-8-lines"] = strided8
+	return out
+}
+
+// The bitmap + word-level Fenwick extraction must produce the reference's
+// distance histogram exactly, and the curve built from it must be the same
+// float64s — fully associative and through the binomial tail tables.
+func TestReuseDistanceMRCMatchesFenwickReference(t *testing.T) {
+	sizes := append([]int{16, 1 << 10, 4 << 10, 16 << 10}, mrcTestSizes...)
+	for name, trace := range differentialTraces() {
+		wantCold, wantHist := refReuseDistances(trace, 6)
+		s := new(mrcScratch)
+		cold, maxd := s.reuseDistances(trace, 6)
+		if cold != wantCold || int(maxd) != len(wantHist)-1 {
+			t.Fatalf("%s: cold %d maxd %d, reference cold %d maxd %d", name, cold, maxd, wantCold, len(wantHist)-1)
+		}
+		for d, want := range wantHist {
+			if s.hist[d] != want {
+				t.Fatalf("%s: hist[%d] = %d, reference %d", name, d, s.hist[d], want)
+			}
+		}
+		for _, cfg := range []Config{faCfg, TitanXpL2()} {
+			got, want := ReuseDistanceMRC(cfg, trace, sizes), refMRC(cfg, trace, sizes)
+			for i := range sizes {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s ways=%d @ %d B: %v (%016x) != reference %v (%016x)", name, cfg.Ways, sizes[i],
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// Property: for each TitanXpL2 geometry of the capacity ladder, the cached
+// tail table holds the value a fresh recurrence computes — probed bin by bin
+// with one-hot histograms at the table's edges, the transition and seeded
+// interior points, and as a whole with an all-ones histogram reaching past
+// the table's end.
+func TestTailTableMatchesFreshRecurrence(t *testing.T) {
+	cfg := TitanXpL2()
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range mrcTestSizes {
+		g := geometryAt(cfg, size)
+		c := missCurveAt(g)
+		end := int(c.lo) + len(c.tail) // first distance past the table
+		probes := []int{0, int(c.lo) - 1, int(c.lo), int(c.lo) + 1, g.sets * g.ways, end - 1, end, end + 1}
+		for i := 0; i < 8; i++ {
+			probes = append(probes, int(c.lo)+rng.Intn(len(c.tail)))
+		}
+		for _, d := range probes {
+			if d < 0 {
+				continue
+			}
+			oneHot := make([]int32, d+1)
+			oneHot[d] = 1
+			got, want := c.at(int32(d)), refBinomialMisses(oneHot, g.sets, g.ways)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%d KiB (%d×%d) d=%d: table %v != fresh %v", size>>10, g.sets, g.ways, d, got, want)
+			}
+		}
+		ones := make([]int32, end+100)
+		for i := range ones {
+			ones[i] = 1
+		}
+		var got float64
+		for d := range ones {
+			got += c.at(int32(d)) * float64(ones[d])
+		}
+		if want := refBinomialMisses(ones, g.sets, g.ways); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%d KiB (%d×%d): Σ table %v != fresh Σ %v", size>>10, g.sets, g.ways, got, want)
+		}
+	}
+}
+
+// The tail tables are process-wide state reached from concurrent model
+// builds: goroutines racing to first use of a geometry must single-flight
+// its build and all read the reference's result. The geometries here are
+// used by no other test, so each is cold when the goroutines arrive.
+func TestTailTableConcurrentFirstUse(t *testing.T) {
+	trace := mrcTestTraces(13, 20_000)["random"]
+	sizes := []int{16 << 10, 64 << 10}
+	for ways := 2; ways <= 7; ways++ {
+		cfg := Config{LineBytes: 64, Ways: ways}
+		want := refMRC(cfg, trace, sizes)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := ReuseDistanceMRC(cfg, trace, sizes)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("ways=%d @ %d KiB: %v != reference %v", ways, sizes[i]>>10, got[i], want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -90,12 +90,11 @@ type TraceModel struct {
 	MaxAccesses int
 	// Seed drives trace assembly determinism.
 	Seed int64
-	// BuildWorkers bounds the goroutines used inside one entry's MRC build
-	// (<=1 means sequential). The one-pass reuse-distance engine extracts
-	// distances sequentially and shards only its counting phase across
-	// capacity-independent trace segments; the legacy oracle path fans the
-	// independent capacity-point simulations instead. Either way the result
-	// is bit-identical at any setting.
+	// BuildWorkers bounds the goroutines the LegacyMRC oracle path fans its
+	// independent capacity-point simulations across (<=1 means sequential).
+	// The one-pass reuse-distance engine ignores it: its distance extraction
+	// is sequential and integrating the capacity points costs microseconds.
+	// The result is bit-identical at any setting.
 	BuildWorkers int
 	// LegacyMRC selects the pre-version-2 path: one full set-associative
 	// LRU simulation per capacity point. It is the validation oracle the
@@ -114,9 +113,13 @@ type traceKey struct {
 }
 
 type traceEntry struct {
-	// ready is closed once sizes/missRate/runBytes are final; concurrent
-	// requesters of an in-flight key block on it instead of re-building.
-	ready    chan struct{}
+	// ready is closed once sizes/missRate/runBytes are final, or once the
+	// build has panicked; concurrent requesters of an in-flight key block on
+	// it instead of re-building.
+	ready chan struct{}
+	// built is false after ready only if the build panicked; the entry has
+	// been forgotten by then and the requester takes its own turn.
+	built    bool
 	sizes    []int
 	missRate []float64
 	runBytes float64
@@ -141,19 +144,39 @@ func (m *TraceModel) entry(spec *kern.Spec, mode Mode, taskSize int) *traceEntry
 	// harness runs "BS@3", "RG#1", …) hash to the same fingerprint and
 	// share the memoized entry by construction.
 	key := traceKey{spec.Fingerprint(), mode, taskSize}
-	m.mu.Lock()
-	if e, ok := m.cache[key]; ok {
+	var e *traceEntry
+	for {
+		m.mu.Lock()
+		inflight, ok := m.cache[key]
+		if !ok {
+			e = &traceEntry{ready: make(chan struct{})}
+			m.cache[key] = e
+			m.mu.Unlock()
+			break
+		}
 		m.mu.Unlock()
-		<-e.ready
-		return e
+		<-inflight.ready
+		if inflight.built {
+			return inflight
+		}
 	}
-	e := &traceEntry{ready: make(chan struct{})}
-	m.cache[key] = e
-	m.mu.Unlock()
+	// A build that panics (a custom device the MRC rejects, recovered by a
+	// caller's panic isolation) must not leave its entry behind with ready
+	// open: every later request for the key would block forever. Forget the
+	// entry first, then release the waiters, who retry and get the panic from
+	// their own build.
+	defer func() {
+		if !e.built {
+			m.mu.Lock()
+			delete(m.cache, key)
+			m.mu.Unlock()
+		}
+		close(e.ready)
+	}()
 	// Build outside the map lock so distinct keys build concurrently — the
 	// trace simulations dominate harness wall-clock.
 	m.build(spec, mode, taskSize, e)
-	close(e.ready)
+	e.built = true
 	return e
 }
 
@@ -193,19 +216,17 @@ func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int, e *traceEnt
 		Seed:        m.Seed,
 		MaxAccesses: m.maxAccesses(),
 	}
-	trace := traces.Assemble(p, acfg)
+	// One dealing and expansion of the pattern yields both the interleaved
+	// trace and the per-stream run statistics.
+	trace, runs := traces.AssembleWithRunStats(p, acfg)
 	e.sizes = mrcSizes
 	if m.LegacyMRC {
 		e.missRate = m.legacyMRC(trace)
 	} else {
 		// Single pass over the trace answers every capacity at once.
-		bw := m.BuildWorkers
-		if bw < 1 {
-			bw = 1
-		}
-		e.missRate = cache.ReuseDistanceMRCWorkers(m.Dev.L2, trace, mrcSizes, bw)
+		e.missRate = cache.ReuseDistanceMRC(m.Dev.L2, trace, mrcSizes)
 	}
-	e.runBytes = traces.StreamRunStats(p, acfg).MeanRunBytes
+	e.runBytes = runs.MeanRunBytes
 }
 
 // legacyMRC is the version-1 model's miss-ratio curve: one full

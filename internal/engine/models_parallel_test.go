@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"slate/internal/device"
 )
@@ -57,8 +58,9 @@ func TestTraceModelConcurrentSharedUse(t *testing.T) {
 	}
 }
 
-// TestTraceModelBuildWorkersBitIdentical verifies the MRC fan-out produces
-// exactly the sequential result.
+// TestTraceModelBuildWorkersBitIdentical verifies BuildWorkers never changes
+// a result: the one-pass engine ignores it, and the oracle's fan writes
+// disjoint slots.
 func TestTraceModelBuildWorkersBitIdentical(t *testing.T) {
 	seq := NewTraceModel(device.TitanXp())
 	par := NewTraceModel(device.TitanXp())
@@ -73,5 +75,41 @@ func TestTraceModelBuildWorkersBitIdentical(t *testing.T) {
 	}
 	if a, b := seq.MeanRunBytes(spec, SlateSched, 10), par.MeanRunBytes(spec, SlateSched, 10); a != b {
 		t.Fatalf("run bytes differ: %v vs %v", a, b)
+	}
+}
+
+// TestTraceModelPanickedBuildDoesNotPoisonKey: a build that panics (here the
+// MRC rejecting a non-power-of-two line size on a custom device) used to
+// leave its single-flight entry in the map with ready never closed, so the
+// next request for the key blocked forever. Every request — one that arrives
+// after the failed build and ones that waited on it — must get the panic
+// from a build of its own.
+func TestTraceModelPanickedBuildDoesNotPoisonKey(t *testing.T) {
+	dev := device.TitanXp()
+	dev.L2.LineBytes = 48
+	m := NewTraceModel(dev)
+	m.MaxAccesses = 10_000
+	spec := traceSpec("poison")
+
+	const requests = 4
+	panicked := make(chan bool, requests)
+	request := func() {
+		defer func() { panicked <- recover() != nil }()
+		m.HitRate(spec, SlateSched, 10, 1<<20)
+	}
+	request() // serial: fails, and must forget its entry
+	<-panicked
+	for i := 1; i < requests; i++ {
+		go request() // concurrent: single-flight behind one another's failures
+	}
+	for i := 1; i < requests; i++ {
+		select {
+		case p := <-panicked:
+			if !p {
+				t.Fatal("request after a failed build returned instead of panicking")
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("request after a panicking build hung on the poisoned entry")
+		}
 	}
 }

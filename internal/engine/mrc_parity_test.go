@@ -41,12 +41,11 @@ func paritySpecs() []*kern.Spec {
 
 // Property: at every mrcSizes capacity, under both execution orders, the
 // one-pass reuse-distance curve deviates from the legacy set-associative
-// oracle by at most cache.MRCDeviationBound. Runs the one-pass model with
-// BuildWorkers > 1 so `go test -race` exercises the sharded counting phase.
+// oracle by at most cache.MRCDeviationBound. The oracle runs with
+// BuildWorkers > 1 so `go test -race` exercises its capacity-point fan.
 func TestTraceModelOnePassMatchesOracle(t *testing.T) {
 	for _, spec := range paritySpecs() {
 		onepass := NewTraceModel(device.TitanXp())
-		onepass.BuildWorkers = 4
 		oracle := NewTraceModel(device.TitanXp())
 		oracle.LegacyMRC = true
 		oracle.BuildWorkers = 4

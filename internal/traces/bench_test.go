@@ -17,12 +17,17 @@ func benchPatterns() map[string]BlockPattern {
 		},
 		"tiled":  Tiled{GridX: 32, GridY: 32, PanelBytes: 32 << 10, LineBytes: 64, BBase: 1 << 30},
 		"random": Random{Blocks: 2048, BytesPerBlock: 28 << 10, TableBytes: 1 << 20, TableReads: 64, LineBytes: 64, TableBase: 1 << 30},
+		// The RG shape: 100 accesses per block, so a model-scale expansion
+		// re-seeds the table-read source 10 000 times.
+		"random-rg": Random{Blocks: 16384, BytesPerBlock: 92 * 64, TableBytes: 64 << 10, TableReads: 8, LineBytes: 64, Seed: 11, TableBase: 1 << 34},
 	}
 }
 
 // BenchmarkAssemble measures trace assembly (the other half of a model
 // build beside the MRC) with allocation counts: the preallocated queue,
-// stream, and output buffers should keep allocs flat in trace length.
+// stream, and output buffers should keep allocs flat in trace length. The
+// "+stats" cases run the fused entry a model build calls; what they cost
+// over plain assembly is the run-statistics pass alone.
 func BenchmarkAssemble(b *testing.B) {
 	for _, order := range []struct {
 		name string
@@ -37,6 +42,15 @@ func BenchmarkAssemble(b *testing.B) {
 				var sink int
 				for i := 0; i < b.N; i++ {
 					sink = len(Assemble(p, order.cfg))
+				}
+				_ = sink
+			})
+			b.Run(fmt.Sprintf("%s/%s+stats", order.name, name), func(b *testing.B) {
+				b.ReportAllocs()
+				var sink int
+				for i := 0; i < b.N; i++ {
+					trace, rs := AssembleWithRunStats(p, order.cfg)
+					sink = len(trace) + rs.Runs
 				}
 				_ = sink
 			})

@@ -13,6 +13,7 @@
 package traces
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"slate/internal/cache"
@@ -196,19 +197,31 @@ func (r Random) AccessesPerBlock() int {
 
 // AppendBlock implements BlockPattern.
 func (r Random) AppendBlock(dst []uint64, b int) []uint64 {
-	rng := rand.New(rand.NewSource(r.Seed + int64(b)))
-	start := r.Base + uint64(b)*uint64(r.BytesPerBlock)
-	for off := 0; off < r.BytesPerBlock; off += r.LineBytes {
-		dst = append(dst, start+uint64(off))
-	}
+	return r.blockAppender()(dst, b)
+}
+
+// blockAppender returns AppendBlock bound to one rand source that is
+// re-seeded per block. Seed resets the source's whole state, so the draws are
+// those of a fresh rand.NewSource(r.Seed+b); what is saved is the 4.9 KB
+// source a fresh one allocates, once per block of a model-scale expansion.
+func (r Random) blockAppender() func(dst []uint64, b int) []uint64 {
+	src := rand.NewSource(0)
+	rng := rand.New(src)
 	lines := r.TableBytes / r.LineBytes
 	if lines < 1 {
 		lines = 1
 	}
-	for k := 0; k < r.TableReads; k++ {
-		dst = append(dst, r.TableBase+uint64(rng.Intn(lines))*uint64(r.LineBytes))
+	return func(dst []uint64, b int) []uint64 {
+		src.Seed(r.Seed + int64(b))
+		start := r.Base + uint64(b)*uint64(r.BytesPerBlock)
+		for off := 0; off < r.BytesPerBlock; off += r.LineBytes {
+			dst = append(dst, start+uint64(off))
+		}
+		for k := 0; k < r.TableReads; k++ {
+			dst = append(dst, r.TableBase+uint64(rng.Intn(lines))*uint64(r.LineBytes))
+		}
+		return dst
 	}
-	return dst
 }
 
 // Order identifies a block-execution order for trace assembly.
@@ -246,6 +259,23 @@ type AssembleConfig struct {
 // Assemble builds a single interleaved address trace from the pattern under
 // the given execution order.
 func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
+	streams, cfg := expand(p, cfg)
+	return interleave(streams, cfg)
+}
+
+// AssembleWithRunStats returns what Assemble and StreamRunStats return for
+// the same arguments from one dealing and one expansion of the pattern — the
+// pair a model build needs.
+func AssembleWithRunStats(p BlockPattern, cfg AssembleConfig) ([]uint64, RunStats) {
+	streams, cfg := expand(p, cfg)
+	return interleave(streams, cfg), runStats(streams)
+}
+
+// expand is the one dealing and expansion routine: it normalizes cfg, deals
+// the sampled blocks to worker queues under cfg.Order, and expands every
+// queue into that worker's access stream. Assemble interleaves the streams,
+// StreamRunStats measures them. The returned cfg is the normalized one.
+func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, AssembleConfig) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -259,6 +289,9 @@ func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
 	// merged trace: per-block access composition must stay representative.
 	per := accessesPerBlock(p)
 	n := sampleBlocksFor(p, per, cfg.MaxAccesses)
+	if n == 0 {
+		return nil, cfg
+	}
 	if cfg.Workers > n {
 		cfg.Workers = n
 	}
@@ -296,29 +329,36 @@ func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
 		}
 	}
 
-	// Expand each worker queue into its access stream, sized from the
-	// pattern's per-block hint so append never reallocates.
+	// Expand each worker queue into its access stream. The streams are
+	// consecutive windows of one buffer sized from the pattern's per-block
+	// hint, so append never reallocates for a SizedPattern.
+	appendBlock := p.AppendBlock
+	if r, ok := p.(Random); ok {
+		appendBlock = r.blockAppender() // one rand source for the whole expansion
+	}
+	buf := make([]uint64, 0, n*per)
 	streams := make([][]uint64, cfg.Workers)
 	for w, q := range queues {
-		s := make([]uint64, 0, len(q)*per)
+		start := len(buf)
 		for _, b := range q {
-			s = p.AppendBlock(s, b)
+			buf = appendBlock(buf, b)
 		}
-		streams[w] = s
+		streams[w] = buf[start:]
 	}
+	return streams, cfg
+}
 
-	// Merge streams chunk-by-chunk with a deterministic shuffle over the
-	// set of streams that still have accesses left.
+// interleave merges the streams chunk-by-chunk with a deterministic shuffle
+// over the set of streams that still have accesses left.
+func interleave(streams [][]uint64, cfg AssembleConfig) []uint64 {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pos := make([]int, cfg.Workers)
-	live := make([]int, 0, cfg.Workers)
-	for w := range streams {
-		if len(streams[w]) > 0 {
+	pos := make([]int, len(streams))
+	live := make([]int, 0, len(streams))
+	total := 0
+	for w, s := range streams {
+		if len(s) > 0 {
 			live = append(live, w)
 		}
-	}
-	total := 0
-	for _, s := range streams {
 		total += len(s)
 	}
 	out := make([]uint64, 0, total)
@@ -406,57 +446,54 @@ type RunStats struct {
 // StreamRunStats computes RunStats for the pattern under the given execution
 // order without interleaving (runs are a per-stream property).
 func StreamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	if cfg.TaskSize < 1 {
-		cfg.TaskSize = 1
-	}
-	per := accessesPerBlock(p)
-	n := sampleBlocksFor(p, per, cfg.MaxAccesses)
-	if cfg.Workers > n {
-		cfg.Workers = n
-	}
-	queues := make([][]int, cfg.Workers)
-	switch cfg.Order {
-	case HardwareOrder:
-		order := boundedWindowShuffle(n, 4*cfg.Workers, cfg.Seed)
-		for i, b := range order {
-			queues[i%cfg.Workers] = append(queues[i%cfg.Workers], b)
-		}
-	case SlateOrder:
-		task := 0
-		for b := 0; b < n; b += cfg.TaskSize {
-			w := task % cfg.Workers
-			for k := b; k < b+cfg.TaskSize && k < n; k++ {
-				queues[w] = append(queues[w], k)
-			}
-			task++
+	streams, _ := expand(p, cfg)
+	return runStats(streams)
+}
+
+// runStatsLineBytes is the line size run statistics are measured in: the
+// 64-byte L2 line every device preset and every workload pattern uses. It is
+// a constant and not the pattern's LineBytes because a BlockPattern emits
+// byte addresses and does not expose the step it generated them at.
+const runStatsLineBytes = 64
+
+// runStats measures runs over each worker's first-touch lines only: repeat
+// accesses (hot shared data like GS's pivot row) are served by the L2 and
+// neither extend nor break a DRAM access run.
+func runStats(streams [][]uint64) RunStats {
+	longest := 0
+	for _, s := range streams {
+		if len(s) > longest {
+			longest = len(s)
 		}
 	}
-	// Runs are measured over each worker's first-touch lines only: repeat
-	// accesses (hot shared data like GS's pivot row) are served by the L2
-	// and neither extend nor break a DRAM access run.
+	// One open-addressed seen-set serves every worker: a slot belongs to the
+	// current worker only while its stamp equals that worker's epoch, so
+	// moving to the next worker empties the table without clearing it. Sized
+	// for a <=50% load factor on the longest stream.
+	size := 16
+	for size < 2*longest {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	shift := uint(64 - bits.TrailingZeros(uint(size)))
+	lines := make([]uint64, size)
+	stamps := make([]uint32, size)
+
 	var runs, coldLines int
-	lb := uint64(64)
-	buf := make([]uint64, 0, (n/cfg.Workers+1)*per)
-	for _, q := range queues {
-		buf = buf[:0]
-		for _, b := range q {
-			buf = p.AppendBlock(buf, b)
-		}
-		if len(buf) == 0 {
-			continue
-		}
-		seen := make(map[uint64]struct{}, len(buf))
+	for w, s := range streams {
+		epoch := uint32(w + 1)
 		havePrev := false
 		var prev uint64
-		for _, a := range buf {
-			ln := a / lb
-			if _, ok := seen[ln]; ok {
-				continue
+		for _, a := range s {
+			ln := a / runStatsLineBytes
+			h := (ln * 0x9E3779B97F4A7C15) >> shift
+			for stamps[h] == epoch && lines[h] != ln {
+				h = (h + 1) & mask
 			}
-			seen[ln] = struct{}{}
+			if stamps[h] == epoch {
+				continue // already touched by this worker
+			}
+			stamps[h], lines[h] = epoch, ln
 			coldLines++
 			if !havePrev || (ln != prev && ln != prev+1) {
 				runs++
@@ -468,5 +505,5 @@ func StreamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
 	if runs == 0 {
 		return RunStats{}
 	}
-	return RunStats{Runs: runs, MeanRunBytes: float64(uint64(coldLines)*lb) / float64(runs)}
+	return RunStats{Runs: runs, MeanRunBytes: float64(uint64(coldLines)*runStatsLineBytes) / float64(runs)}
 }

@@ -1,6 +1,7 @@
 package traces
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -291,5 +292,91 @@ func BenchmarkAssembleRowSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Assemble(p, cfg)
+	}
+}
+
+// The fused entry is the two separate calls on one expansion: same trace,
+// same statistics, for every pattern shape under both orders.
+func TestAssembleWithRunStatsMatchesSeparateCalls(t *testing.T) {
+	patterns := map[string]BlockPattern{
+		"streaming": Streaming{Blocks: 300, BytesPerBlock: 1024, LineBytes: 64, WriteStride: 4096, WriteBytes: 512, WriteBase: 1 << 30},
+		"rowsweep":  RowSweep{Blocks: 300, PivotBytes: 1024, SliceBytes: 2048, SliceOverlap: 512, LineBytes: 64, RowBase: 1 << 22},
+		"tiled":     Tiled{GridX: 16, GridY: 16, PanelBytes: 1024, LineBytes: 64, BBase: 1 << 30},
+		"random":    Random{Blocks: 300, BytesPerBlock: 1024, TableBytes: 4096, TableReads: 8, LineBytes: 64, Seed: 11, TableBase: 1 << 34},
+	}
+	for name, p := range patterns {
+		for _, cfg := range []AssembleConfig{
+			{Order: HardwareOrder, Workers: 7, Chunk: 8, Seed: 3, MaxAccesses: 4000},
+			{Order: SlateOrder, Workers: 7, TaskSize: 10, Chunk: 8, Seed: 3},
+		} {
+			trace, stats := AssembleWithRunStats(p, cfg)
+			want := Assemble(p, cfg)
+			if len(trace) != len(want) {
+				t.Fatalf("%s %v: fused trace has %d accesses, Assemble %d", name, cfg.Order, len(trace), len(want))
+			}
+			for i := range want {
+				if trace[i] != want[i] {
+					t.Fatalf("%s %v: fused trace differs from Assemble at %d", name, cfg.Order, i)
+				}
+			}
+			if ref := mapRunStats(p, cfg); stats != ref || StreamRunStats(p, cfg) != ref {
+				t.Fatalf("%s %v: fused stats %+v, StreamRunStats %+v, map reference %+v",
+					name, cfg.Order, stats, StreamRunStats(p, cfg), ref)
+			}
+		}
+	}
+}
+
+// mapRunStats is the reference for the epoch-stamped first-touch table: one
+// Go map per worker stream.
+func mapRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
+	streams, _ := expand(p, cfg)
+	var runs, cold int
+	for _, s := range streams {
+		seen := map[uint64]bool{}
+		var prev uint64
+		for _, a := range s {
+			ln := a / 64
+			if seen[ln] {
+				continue
+			}
+			if len(seen) == 0 || (ln != prev && ln != prev+1) {
+				runs++
+			}
+			seen[ln] = true
+			cold++
+			prev = ln
+		}
+	}
+	if runs == 0 {
+		return RunStats{}
+	}
+	return RunStats{Runs: runs, MeanRunBytes: float64(cold*64) / float64(runs)}
+}
+
+// An expansion shares one re-seeded rand source across blocks; every block
+// must still draw what a source freshly seeded with Seed+b draws.
+func TestRandomExpansionMatchesFreshSourcePerBlock(t *testing.T) {
+	p := Random{Blocks: 50, BytesPerBlock: 256, TableBytes: 1 << 16, TableReads: 8, LineBytes: 64, Seed: 11, TableBase: 1 << 34}
+	// One worker in Slate order walks blocks 0..n-1, so the trace is the
+	// concatenation of the blocks.
+	got := Assemble(p, AssembleConfig{Order: SlateOrder, Workers: 1, Seed: 1})
+	var want []uint64
+	for b := 0; b < p.Blocks; b++ {
+		rng := rand.New(rand.NewSource(p.Seed + int64(b)))
+		for off := 0; off < p.BytesPerBlock; off += p.LineBytes {
+			want = append(want, p.Base+uint64(b*p.BytesPerBlock+off))
+		}
+		for k := 0; k < p.TableReads; k++ {
+			want = append(want, p.TableBase+uint64(rng.Intn(p.TableBytes/p.LineBytes))*uint64(p.LineBytes))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("trace has %d accesses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d = %#x, a fresh source per block gives %#x", i, got[i], want[i])
+		}
 	}
 }

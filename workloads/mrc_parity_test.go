@@ -12,15 +12,12 @@ import (
 // Property: for every calibrated workload pattern — the paper's five, the
 // three extended apps, and the stream microbenchmark — the one-pass
 // reuse-distance MRC stays within cache.MRCDeviationBound of the legacy
-// set-associative oracle at every capacity and under both schedulers. The
-// one-pass model runs with BuildWorkers > 1 so -race covers the sharded
-// counting phase on real workload traces.
+// set-associative oracle at every capacity and under both schedulers.
 func TestWorkloadMRCParityAgainstOracle(t *testing.T) {
 	apps := append(Apps(), ExtendedApps()...)
 	apps = append(apps, StreamApp())
 	for _, app := range apps {
 		onepass := engine.NewTraceModel(device.TitanXp())
-		onepass.BuildWorkers = 4
 		oracle := engine.NewTraceModel(device.TitanXp())
 		oracle.LegacyMRC = true
 		for _, mode := range []engine.Mode{engine.HardwareSched, engine.SlateSched} {
