@@ -38,9 +38,9 @@ type Config struct {
 	// SimWorkers parallelizes INSIDE a single experiment cell: solo
 	// calibration runs execute as shards of a vtime.ShardedClock, the
 	// per-cell scheduler simulations shard the same way (SimBenchCell),
-	// engines fan their rate fixpoint across kernels (engine.Workers), and
-	// the trace model's LegacyMRC oracle fans its capacity-point simulations
-	// (TraceModel.BuildWorkers).
+	// engines fan the static pass of their rate fixpoint across kernels
+	// (engine.Workers), and the trace model's LegacyMRC oracle fans its
+	// capacity-point simulations (TraceModel.BuildWorkers).
 	// 0 or 1 keeps every simulation strictly serial. Output is
 	// byte-identical at every setting — see DESIGN.md §15.
 	SimWorkers int

@@ -52,21 +52,41 @@ func (m Mode) String() string {
 	}
 }
 
-// PerfModel supplies the locality parameters for a kernel under a given
-// scheduling regime. Implementations may run real cache simulations
-// (TraceModel) or return fixed values (StaticModel, for tests).
+// Locality is what a PerfModel knows about one kernel under one scheduling
+// regime: its miss-ratio curve over L2 capacity and the mean sequential run
+// length of its first-touch DRAM stream. A Locality is immutable once
+// returned; the engine keeps the pointer for the life of a Handle and any
+// number of handles, engines and goroutines may share one.
+type Locality struct {
+	// Capacities are the L2 capacities in bytes, ascending, at which
+	// MissRatio is sampled.
+	Capacities []float64
+	MissRatio  []float64
+	// RunBytes is the mean sequential run length in bytes.
+	RunBytes float64
+}
+
+// HitRate returns the L2 hit rate when the kernel effectively owns l2Bytes
+// of cache: one minus the miss-ratio curve interpolated piecewise-linearly
+// at that capacity, clamped outside the sampled range.
+func (l *Locality) HitRate(l2Bytes float64) float64 {
+	return 1 - interpolate(l.Capacities, l.MissRatio, l2Bytes)
+}
+
+// PerfModel supplies a kernel's locality under a given scheduling regime.
+// Implementations may run real cache simulations (TraceModel) or return
+// fixed values (StaticModel, for tests).
 //
-// Implementations must be safe for concurrent lookups: with Engine.Workers
-// > 1 the rate fixpoint fans its per-kernel pass across goroutines.
-// TraceModel's singleflight entry cache and the stateless StaticModel both
-// satisfy this.
+// The engine resolves each Handle once, on the first rate computation in
+// which it holds SMs, and interpolates on the returned curve from then on.
+// Implementations must be safe for concurrent calls: with Engine.Workers > 1
+// several still-unresolved handles resolve on separate goroutines, and
+// engines running different simulations share one model. TraceModel's
+// single-flight entry cache and the stateless StaticModel both satisfy this.
 type PerfModel interface {
-	// HitRate returns the kernel's L2 hit rate when it effectively owns
-	// l2Bytes of cache under the given mode and task size.
-	HitRate(spec *kern.Spec, mode Mode, taskSize int, l2Bytes float64) float64
-	// MeanRunBytes returns the mean sequential run length of the kernel's
-	// first-touch DRAM stream under the given mode and task size.
-	MeanRunBytes(spec *kern.Spec, mode Mode, taskSize int) float64
+	// Locality returns the kernel's locality under the given mode and task
+	// size.
+	Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality
 }
 
 // LaunchOpts configures a kernel instance.
@@ -160,18 +180,16 @@ type Handle struct {
 
 	// cached static parameters
 	warpsPerBlock float64
-	maxWorkers    int // per current SM range (Slate) or device capacity (hardware)
+	resident      float64 // blocks of this shape resident on one SM
+	// loc is the kernel's locality, resolved from the PerfModel by the first
+	// rate computation in which the instance holds SMs (where any expensive
+	// cold model build happens) and read lock-free from then on.
+	loc *Locality
 
 	// dynamic state
 	pausedUntil vtime.Time
 	completion  *vtime.Event
 	checkpoint  *vtime.Event
-
-	// modelWarm records that the PerfModel has served this instance once,
-	// i.e. any expensive cold entry build (trace synthesis, MRC sweep) is
-	// behind us; the rate fixpoint fans pass 1 across kernels only while a
-	// cold build is possible or the kernel set is wide.
-	modelWarm bool
 
 	// last computed rate snapshot (blocks/sec and per-block resource use)
 	rate        float64
@@ -216,12 +234,16 @@ type Engine struct {
 	Model PerfModel
 
 	// Workers bounds the goroutines used to fan per-kernel work inside a
-	// single event: pass 1 of the computeRates fixpoint (model lookups +
-	// demand computation) and the advanceProgress integration. <= 1 keeps
-	// the hot path strictly serial. Results are bit-identical at any
-	// setting — each kernel writes only its own index-assigned slots and
-	// the cross-kernel folds (bus arbitration, L2 share update) stay
-	// serial — so this is a pure wall-clock knob.
+	// single event. Two things fan: the once-per-recompute static pass of
+	// computeRates (locality resolution plus the share-independent rate
+	// ceilings), when the kernel set is wide or several handles still need a
+	// possibly cold model build, and the advanceProgress integration over a
+	// wide kernel set. The fixpoint iterations themselves — an interpolation
+	// and a few multiplies per kernel, then the cross-kernel folds (bus
+	// arbitration, L2 share update) — always run serially. <= 1 keeps the
+	// whole hot path serial. Results are bit-identical at any setting: each
+	// kernel writes only its own handle and index-assigned slots, so this is
+	// a pure wall-clock knob.
 	Workers int
 
 	// RescheduleEveryEvent disables the completion-event reschedule skip
@@ -237,13 +259,33 @@ type Engine struct {
 	// the event loop's profile.
 	scratch engineScratch
 	sorter  prioSorter
+	// recomputeFn is e.recompute bound once, so scheduling an event does not
+	// allocate a closure.
+	recomputeFn func(vtime.Time)
 }
 
-// engineScratch is the reusable working set of allocate/computeRates.
+// engineScratch is the reusable working set of recompute. recompute re-enters
+// itself through OnComplete callbacks, so a buffer may be live across a
+// callback only if its user detaches it first (finished); the rest are
+// written and consumed inside allocate/computeRates, which run no callbacks.
 type engineScratch struct {
-	alloc, shares, demands, uncon, accessRates []float64
-	snaps                                      []rateSnap
-	order                                      []int
+	alloc, shares, demands, grants, accessRates []float64
+	terms                                       []rateTerms
+	snaps                                       []rateSnap
+	order                                       []int
+	finished                                    []*Handle
+}
+
+// rateTerms is the part of one kernel's rate that does not depend on its L2
+// share: computed once per recompute, read by every fixpoint iteration.
+type rateTerms struct {
+	// live reports that the kernel holds SMs and has active workers.
+	live bool
+	// uncon is the block rate before the bus: the minimum of the compute,
+	// L2, latency and queue-serialization ceilings.
+	uncon float64
+	// dramCeil is the DRAM bandwidth the kernel can pull on its own.
+	dramCeil float64
 }
 
 // rateSnap is one kernel's rate snapshot within the fixpoint.
@@ -271,12 +313,12 @@ func (p *prioSorter) Less(a, b int) bool {
 }
 func (p *prioSorter) Swap(a, b int) { p.order[a], p.order[b] = p.order[b], p.order[a] }
 
-// Fan gates. With every model entry warm the per-kernel pass-1 work is a few
-// hundred nanoseconds and a goroutine handoff would dominate, so the fan
-// engages only where it pays: a possible cold model build (milliseconds of
-// trace synthesis and MRC sweeping) at any width, or a kernel set wide
-// enough to amortize the handoff. Vars rather than consts so tests can
-// lower them.
+// Fan gates. Per-kernel work on resolved handles is tens of nanoseconds and
+// a goroutine handoff would dominate, so the fans engage only where they
+// pay: a kernel set wide enough to amortize the handoff or, for the static
+// rate pass, at least two handles whose locality may each need a cold model
+// build (milliseconds of trace synthesis and MRC sweeping). Vars rather than
+// consts so tests can lower them.
 var (
 	rateFanKernels    = 16
 	advanceFanKernels = 16
@@ -321,7 +363,9 @@ func New(dev *device.Device, clock *vtime.Clock, model PerfModel) *Engine {
 	if err := dev.Validate(); err != nil {
 		panic(err)
 	}
-	return &Engine{Dev: dev, Clock: clock, Model: model}
+	e := &Engine{Dev: dev, Clock: clock, Model: model}
+	e.recomputeFn = e.recompute
+	return e
 }
 
 // Running returns the live instance count.
@@ -360,6 +404,7 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 		opts:          opts,
 		numBlocks:     float64(spec.NumBlocks()),
 		warpsPerBlock: float64(spec.Shape().Warps()),
+		resident:      float64(resident),
 	}
 	e.nextID++
 	h.metrics.Launched = e.Clock.Now()
@@ -396,7 +441,7 @@ func (e *Engine) Resize(h *Handle, smLow, smHigh int) error {
 	h.opts.SMLow, h.opts.SMHigh = smLow, smHigh
 	h.metrics.Resizes++
 	h.pausedUntil = now.Add(vtime.FromSeconds(e.Dev.ResizeSeconds))
-	e.Clock.At(h.pausedUntil, func(t vtime.Time) { e.recompute(t) })
+	e.Clock.At(h.pausedUntil, e.recomputeFn)
 	e.recompute(now)
 	return nil
 }
@@ -461,7 +506,7 @@ func (e *Engine) Stall(h *Handle, d vtime.Duration) error {
 	now := e.Clock.Now()
 	e.advanceProgress(now)
 	h.pausedUntil = now.Add(d)
-	e.Clock.At(h.pausedUntil, func(t vtime.Time) { e.recompute(t) })
+	e.Clock.At(h.pausedUntil, e.recomputeFn)
 	e.recompute(now)
 	return nil
 }
@@ -516,9 +561,12 @@ func (e *Engine) advanceHandle(h *Handle, dt float64) {
 func (e *Engine) recompute(now vtime.Time) {
 	e.advanceProgress(now)
 
-	// Retire finished kernels.
-	var still []*Handle
-	var finished []*Handle
+	// Retire finished kernels, compacting the running set in place. The
+	// finished list outlives the callbacks below, which may re-enter
+	// recompute, so it is detached from the scratch while in use.
+	finished := e.scratch.finished[:0]
+	e.scratch.finished = nil
+	live := e.running[:0]
 	for _, h := range e.running {
 		if h.numBlocks-h.blocksDone < 1e-6 {
 			h.blocksDone = h.numBlocks
@@ -537,10 +585,11 @@ func (e *Engine) recompute(now vtime.Time) {
 			}
 			finished = append(finished, h)
 		} else {
-			still = append(still, h)
+			live = append(live, h)
 		}
 	}
-	e.running = still
+	clear(e.running[len(live):])
+	e.running = live
 
 	// Completion callbacks may launch or resize kernels, re-entering
 	// recompute; run them after state is consistent.
@@ -554,7 +603,9 @@ func (e *Engine) recompute(now vtime.Time) {
 		// recomputed; recompute once more to be safe (idempotent at fixed
 		// time).
 		e.advanceProgress(e.Clock.Now())
+		clear(finished)
 	}
+	e.scratch.finished = finished[:0]
 
 	e.computeRates(e.Clock.Now())
 
@@ -597,20 +648,20 @@ func (e *Engine) recompute(now vtime.Time) {
 		if dt < 1 {
 			dt = 1
 		}
-		h.completion = e.Clock.After(dt, func(t vtime.Time) { e.recompute(t) })
+		h.completion = e.Clock.After(dt, e.recomputeFn)
 
 		// Parallelism drops when the kernel enters its final wave, and
 		// leftover allocation shifts as a hardware kernel drains; refine
 		// with checkpoints. The wave boundary is exact; the geometric
 		// halving refines continuous leftover reallocation for co-runners.
 		var ck vtime.Duration
-		if boundary := e.lastWaveBoundary(h, h.smAlloc); h.blocksDone < boundary {
+		if _, _, boundary := h.waves(h.smAlloc); h.blocksDone < boundary {
 			ck = vtime.FromSeconds((boundary - h.blocksDone) / h.rate)
 		} else if len(e.running) > 1 {
 			ck = vtime.FromSeconds(rem / (2 * h.rate))
 		}
 		if ck >= 100 && ck < dt {
-			h.checkpoint = e.Clock.After(ck, func(t vtime.Time) { e.recompute(t) })
+			h.checkpoint = e.Clock.After(ck, e.recomputeFn)
 		}
 	}
 }
@@ -666,7 +717,7 @@ func (e *Engine) allocate(now vtime.Time) []float64 {
 		// the leftover policy almost never coruns these workloads (§V-A2):
 		// SMs only free up when the in-flight wave shrinks below the SM
 		// count at the very end of a kernel.
-		needSMs := e.activeWorkers(h, free)
+		needSMs := h.activeWorkers(free)
 		if needSMs > free {
 			needSMs = free
 		}
@@ -677,11 +728,14 @@ func (e *Engine) allocate(now vtime.Time) []float64 {
 }
 
 // computeRates runs the coupled rate/L2-share fixpoint and stores each
-// running kernel's snapshot. Pass 1 — the per-kernel model lookups and
-// demand computation, where any expensive cold model build happens — writes
-// only index-assigned slots, so it fans across Workers goroutines with
-// bit-identical results; the cross-kernel folds (bus arbitration in pass 2,
-// the L2 share update in pass 3) stay serial.
+// running kernel's snapshot. Only three quantities depend on a kernel's L2
+// share — its hit rate, hence its DRAM bytes per block, hence its bus demand
+// — so everything else (rateTerms) is computed once, before the iterations;
+// that static pass is also where a handle's locality is resolved, and so
+// where any expensive cold model build happens. It writes only the kernel's
+// own handle and index-assigned slot, so it fans across Workers goroutines
+// with bit-identical results; the iterations and their cross-kernel folds
+// (bus arbitration, L2 share update) stay serial.
 func (e *Engine) computeRates(now vtime.Time) {
 	n := len(e.running)
 	if n == 0 {
@@ -689,150 +743,66 @@ func (e *Engine) computeRates(now vtime.Time) {
 	}
 	alloc := e.allocate(now)
 
-	// Initial equal L2 shares.
-	e.scratch.shares = f64Scratch(e.scratch.shares, n)
-	shares := e.scratch.shares
-	for i := range shares {
-		shares[i] = 1.0 / float64(n)
+	sc := &e.scratch
+	sc.shares = f64Scratch(sc.shares, n)
+	sc.demands = f64Scratch(sc.demands, n)
+	sc.grants = f64Scratch(sc.grants, n)
+	sc.accessRates = f64Scratch(sc.accessRates, n)
+	if cap(sc.snaps) < n {
+		sc.snaps = make([]rateSnap, n)
+		sc.terms = make([]rateTerms, n)
 	}
+	shares, demands, accessRates := sc.shares, sc.demands, sc.accessRates
+	snaps, terms := sc.snaps[:n], sc.terms[:n]
 
-	if cap(e.scratch.snaps) < n {
-		e.scratch.snaps = make([]rateSnap, n)
-	}
-	snaps := e.scratch.snaps[:n]
-	e.scratch.demands = f64Scratch(e.scratch.demands, n)
-	e.scratch.uncon = f64Scratch(e.scratch.uncon, n)
-	e.scratch.accessRates = f64Scratch(e.scratch.accessRates, n)
-	demands, uncon, accessRates := e.scratch.demands, e.scratch.uncon, e.scratch.accessRates
-
-	l2Size := float64(e.Dev.L2.SizeBytes)
 	// Bus interference applies only among kernels that actually hold SMs.
-	sharers := 0
-	for i := range e.running {
+	sharers, unresolved := 0, 0
+	for i, h := range e.running {
 		if alloc[i] > 0 {
 			sharers++
+			if h.loc == nil {
+				unresolved++
+			}
+		}
+	}
+	corun := sharers > 1
+	if e.Workers > 1 && n > 1 && (n >= rateFanKernels || unresolved > 1) {
+		e.fanKernels(n, func(i int) { terms[i] = e.staticTerms(e.running[i], alloc[i], corun) })
+	} else {
+		for i, h := range e.running {
+			terms[i] = e.staticTerms(h, alloc[i], corun)
 		}
 	}
 
-	// Pass 1 body for kernel i: reads shares[i]/alloc[i] and the shared
-	// read-only device/model, writes slots i of snaps/demands/uncon.
-	passOne := func(i int) {
-		h := e.running[i]
-		s := alloc[i]
-		if s <= 0 {
-			snaps[i] = rateSnap{}
-			return
-		}
-		hit := e.Model.HitRate(h.spec, h.opts.Mode, h.opts.TaskSize, shares[i]*l2Size)
-		runB := e.Model.MeanRunBytes(h.spec, h.opts.Mode, h.opts.TaskSize)
-		h.modelWarm = true
-		runEff := e.Dev.DRAM.RunEfficiency(runB)
-		dramPB := h.spec.L2BytesPerBlock * (1 - hit)
-
-		active := e.activeWorkers(h, s)
-		// Active workers spread across the allocated SMs; once fewer
-		// workers than SMs remain, each active block has an SM to
-		// itself and the kernel effectively occupies only `occ` SMs.
-		occ := s
-		if active < occ {
-			occ = active
-		}
-		if occ <= 0 {
-			snaps[i] = rateSnap{}
-			return
-		}
-		warpsPerSM := active * h.warpsPerBlock / occ
-		mlp := h.spec.MemMLP
-		if mlp <= 0 {
-			mlp = 1
-		}
-		cUtil := e.Dev.SM.ComputeUtil(warpsPerSM)
-		mUtil := e.Dev.SM.MemUtil(warpsPerSM * mlp)
-
-		ovh := 1.0
-		if h.opts.Mode == SlateSched {
-			ovh = 1 + e.Dev.InjectedInstrOverhead
-		}
-		ops := h.spec.OpsPerBlock
-		if ops <= 0 {
-			ops = h.spec.FLOPsPerBlock
-		}
-		computeRate := math.Inf(1)
-		if ops > 0 {
-			rc := occ * e.Dev.SM.PeakFLOPS() * h.spec.ComputeEff * cUtil
-			computeRate = rc / (ops * ovh)
-		}
-		l2Rate := math.Inf(1)
-		if h.spec.L2BytesPerBlock > 0 {
-			rl2 := e.Dev.DRAM.L2Ceiling(int(math.Ceil(occ)), e.Dev.NumSMs)
-			l2Rate = rl2 / h.spec.L2BytesPerBlock
-		}
-		// Service floor: dispatch (hardware) or queue atomic (Slate),
-		// amortized over active workers, plus the block latency floor.
-		floor := e.Dev.BlockLatencySeconds
-		var serialRate = math.Inf(1)
-		if h.opts.Mode == HardwareSched {
-			floor += e.Dev.BlockDispatchSeconds
-		} else {
-			floor += e.Dev.AtomicSerialSeconds / float64(h.opts.TaskSize)
-			// Global queue serialization: one atomic at a time.
-			serialRate = float64(h.opts.TaskSize) / e.Dev.AtomicSerialSeconds
-		}
-		latRate := active / floor
-
-		r := math.Min(computeRate, math.Min(l2Rate, math.Min(latRate, serialRate)))
-		uncon[i] = r
-		snaps[i] = rateSnap{hit: hit, dramPB: dramPB}
-		if dramPB > 0 {
-			memEff := h.spec.MemEff
-			if memEff <= 0 {
-				memEff = 1
-			}
-			dramCeil := e.Dev.DRAM.StreamCeiling(int(math.Ceil(occ))) * runEff * mUtil * memEff
-			if sharers > 1 {
-				// Sharing the bus with another kernel's stream breaks
-				// row locality for both (memsys.CorunEfficiency).
-				dramCeil *= e.Dev.DRAM.CorunEff()
-			}
-			demands[i] = math.Min(r*dramPB, dramCeil)
-		}
+	// Initial equal L2 shares.
+	for i := range shares {
+		shares[i] = 1.0 / float64(n)
+		snaps[i] = rateSnap{}
 	}
-
+	l2Size := float64(e.Dev.L2.SizeBytes)
 	for iter := 0; iter < 4; iter++ {
-		// Pass 1: per-kernel unconstrained demands. Fan only when it pays:
-		// a cold model entry may need building (the multi-millisecond
-		// case), or the kernel set is wide enough to amortize handoffs.
-		for i := range demands {
-			demands[i], uncon[i], accessRates[i] = 0, 0, 0
-		}
-		fan := false
-		if e.Workers > 1 && n > 1 {
-			fan = n >= rateFanKernels
-			if !fan {
-				for _, h := range e.running {
-					if !h.modelWarm {
-						fan = true
-						break
-					}
-				}
+		// Pass 1: per-kernel bus demand at the current share.
+		for i, h := range e.running {
+			demands[i], accessRates[i] = 0, 0
+			if !terms[i].live {
+				continue
 			}
-		}
-		if fan {
-			e.fanKernels(n, passOne)
-		} else {
-			for i := 0; i < n; i++ {
-				passOne(i)
+			hit := h.loc.HitRate(shares[i] * l2Size)
+			dramPB := h.spec.L2BytesPerBlock * (1 - hit)
+			snaps[i].hit, snaps[i].dramPB = hit, dramPB
+			if dramPB > 0 {
+				demands[i] = math.Min(terms[i].uncon*dramPB, terms[i].dramCeil)
 			}
 		}
 
 		// Pass 2: arbitrate the shared bus and finalize rates.
-		grants := e.Dev.DRAM.Arbitrate(demands)
+		grants := e.Dev.DRAM.ArbitrateInto(sc.grants, demands)
 		totalAccess := 0.0
 		for i, h := range e.running {
 			if alloc[i] <= 0 {
 				continue
 			}
-			r := uncon[i]
+			r := terms[i].uncon
 			throttle := 0.0
 			if snaps[i].dramPB > 0 {
 				dramRate := grants[i] / snaps[i].dramPB
@@ -864,16 +834,90 @@ func (e *Engine) computeRates(now vtime.Time) {
 	}
 }
 
-// activeWorkers returns how many block slots are actually processing work —
-// the tail/imbalance model. Workers drain the queue in waves of `capacity`
-// scheduling units (tasks under Slate, blocks under hardware) that progress
-// in lockstep, so parallelism is capacity through the full waves and drops
-// to the final wave's size for the tail. A kernel whose task count is below
-// capacity runs a single underpopulated wave for its entire execution —
-// Fig. 5's BlackScholes load-imbalance case.
-func (e *Engine) activeWorkers(h *Handle, smAlloc float64) float64 {
-	resident := float64(e.Dev.ResidentBlocks(h.spec.Shape()))
-	capacity := math.Floor(smAlloc * resident)
+// staticTerms returns the share-independent rate terms of h on s SMs,
+// resolving h's locality first if this is the first time it holds any. corun
+// reports that more than one kernel holds SMs.
+func (e *Engine) staticTerms(h *Handle, s float64, corun bool) rateTerms {
+	if s <= 0 {
+		return rateTerms{}
+	}
+	if h.loc == nil {
+		h.loc = e.Model.Locality(h.spec, h.opts.Mode, h.opts.TaskSize)
+	}
+	active := h.activeWorkers(s)
+	// Active workers spread across the allocated SMs; once fewer
+	// workers than SMs remain, each active block has an SM to
+	// itself and the kernel effectively occupies only `occ` SMs.
+	occ := s
+	if active < occ {
+		occ = active
+	}
+	if occ <= 0 {
+		return rateTerms{}
+	}
+	warpsPerSM := active * h.warpsPerBlock / occ
+	mlp := h.spec.MemMLP
+	if mlp <= 0 {
+		mlp = 1
+	}
+	cUtil := e.Dev.SM.ComputeUtil(warpsPerSM)
+	mUtil := e.Dev.SM.MemUtil(warpsPerSM * mlp)
+
+	ovh := 1.0
+	if h.opts.Mode == SlateSched {
+		ovh = 1 + e.Dev.InjectedInstrOverhead
+	}
+	ops := h.spec.OpsPerBlock
+	if ops <= 0 {
+		ops = h.spec.FLOPsPerBlock
+	}
+	computeRate := math.Inf(1)
+	if ops > 0 {
+		rc := occ * e.Dev.SM.PeakFLOPS() * h.spec.ComputeEff * cUtil
+		computeRate = rc / (ops * ovh)
+	}
+	l2Rate := math.Inf(1)
+	if h.spec.L2BytesPerBlock > 0 {
+		rl2 := e.Dev.DRAM.L2Ceiling(int(math.Ceil(occ)), e.Dev.NumSMs)
+		l2Rate = rl2 / h.spec.L2BytesPerBlock
+	}
+	// Service floor: dispatch (hardware) or queue atomic (Slate),
+	// amortized over active workers, plus the block latency floor.
+	floor := e.Dev.BlockLatencySeconds
+	serialRate := math.Inf(1)
+	if h.opts.Mode == HardwareSched {
+		floor += e.Dev.BlockDispatchSeconds
+	} else {
+		floor += e.Dev.AtomicSerialSeconds / float64(h.opts.TaskSize)
+		// Global queue serialization: one atomic at a time.
+		serialRate = float64(h.opts.TaskSize) / e.Dev.AtomicSerialSeconds
+	}
+	latRate := active / floor
+
+	memEff := h.spec.MemEff
+	if memEff <= 0 {
+		memEff = 1
+	}
+	dramCeil := e.Dev.DRAM.StreamCeiling(int(math.Ceil(occ))) * e.Dev.DRAM.RunEfficiency(h.loc.RunBytes) * mUtil * memEff
+	if corun {
+		// Sharing the bus with another kernel's stream breaks
+		// row locality for both (memsys.CorunEfficiency).
+		dramCeil *= e.Dev.DRAM.CorunEff()
+	}
+	return rateTerms{
+		live:     true,
+		uncon:    math.Min(computeRate, math.Min(l2Rate, math.Min(latRate, serialRate))),
+		dramCeil: dramCeil,
+	}
+}
+
+// waves returns the kernel's wave geometry on smAlloc SMs. Workers drain the
+// queue in waves of `capacity` scheduling units (tasks under Slate, blocks
+// under hardware) that progress in lockstep; lastWave is the size of the
+// final, possibly underpopulated wave and boundary the blocksDone value at
+// which it begins.
+func (h *Handle) waves(smAlloc float64) (capacity, lastWave, boundary float64) {
+	capacity = math.Floor(smAlloc * h.resident)
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -883,37 +927,23 @@ func (e *Engine) activeWorkers(h *Handle, smAlloc float64) float64 {
 	}
 	unitsTotal := math.Ceil(h.numBlocks / unit)
 	fullWaves := math.Floor(unitsTotal / capacity)
-	lastWave := unitsTotal - fullWaves*capacity
+	lastWave = unitsTotal - fullWaves*capacity
 	if lastWave == 0 {
 		lastWave = capacity
 		fullWaves--
 	}
-	boundary := fullWaves * capacity * unit // blocks completed when the last wave begins
+	return capacity, lastWave, fullWaves * capacity * unit
+}
+
+// activeWorkers returns how many block slots are actually processing work —
+// the tail/imbalance model: parallelism is capacity through the full waves
+// and drops to the final wave's size for the tail. A kernel whose task count
+// is below capacity runs a single underpopulated wave for its entire
+// execution — Fig. 5's BlackScholes load-imbalance case.
+func (h *Handle) activeWorkers(smAlloc float64) float64 {
+	capacity, lastWave, boundary := h.waves(smAlloc)
 	if h.blocksDone >= boundary {
 		return lastWave
 	}
 	return capacity
-}
-
-// lastWaveBoundary returns the blocksDone value at which the kernel enters
-// its final, possibly underpopulated wave (see activeWorkers).
-func (e *Engine) lastWaveBoundary(h *Handle, smAlloc float64) float64 {
-	resident := float64(e.Dev.ResidentBlocks(h.spec.Shape()))
-	capacity := math.Floor(smAlloc * resident)
-	if capacity < 1 {
-		capacity = 1
-	}
-	unit := 1.0
-	if h.opts.Mode == SlateSched {
-		unit = float64(h.opts.TaskSize)
-	}
-	unitsTotal := math.Ceil(h.numBlocks / unit)
-	fullWaves := math.Floor(unitsTotal / capacity)
-	if unitsTotal-fullWaves*capacity == 0 {
-		fullWaves--
-	}
-	if fullWaves < 0 {
-		fullWaves = 0
-	}
-	return fullWaves * capacity * unit
 }

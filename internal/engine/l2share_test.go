@@ -16,19 +16,14 @@ type footprintModel struct {
 	maxHit    float64
 }
 
-func (m *footprintModel) HitRate(spec *kern.Spec, _ Mode, _ int, l2Bytes float64) float64 {
-	fp := m.footprint[spec.Name]
-	if fp <= 0 {
-		return 0
+func (m *footprintModel) Locality(spec *kern.Spec, _ Mode, _ int) *Locality {
+	loc := &Locality{Capacities: []float64{0}, MissRatio: []float64{1}, RunBytes: 1 << 20}
+	if fp := m.footprint[spec.Name]; fp > 0 {
+		loc.Capacities = append(loc.Capacities, m.maxHit*fp)
+		loc.MissRatio = append(loc.MissRatio, 1-m.maxHit)
 	}
-	h := l2Bytes / fp
-	if h > m.maxHit {
-		h = m.maxHit
-	}
-	return h
+	return loc
 }
-
-func (m *footprintModel) MeanRunBytes(*kern.Spec, Mode, int) float64 { return 1 << 20 }
 
 func cachedKernel(name string, bytesPB float64) *kern.Spec {
 	return &kern.Spec{

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"slate/internal/cache"
 	"slate/internal/device"
@@ -38,10 +39,9 @@ type StaticModel struct {
 	RunBytes map[string]float64
 }
 
-// HitRate implements PerfModel. The supplied l2Bytes scales the hit rate
-// linearly below the full cache (a crude MRC), which suffices for unit
-// tests.
-func (m *StaticModel) HitRate(spec *kern.Spec, mode Mode, taskSize int, l2Bytes float64) float64 {
+// Locality implements PerfModel: a flat one-point curve (the hit rate does
+// not depend on the granted L2 capacity), which suffices for unit tests.
+func (m *StaticModel) Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality {
 	h := m.DefaultHit
 	if v, ok := m.Hit[spec.Name]; ok {
 		h = v
@@ -55,11 +55,6 @@ func (m *StaticModel) HitRate(spec *kern.Spec, mode Mode, taskSize int, l2Bytes 
 	if h > 1 {
 		h = 1
 	}
-	return h
-}
-
-// MeanRunBytes implements PerfModel.
-func (m *StaticModel) MeanRunBytes(spec *kern.Spec, mode Mode, taskSize int) float64 {
 	r := m.DefaultRunBytes
 	if v, ok := m.RunBytes[spec.Name]; ok {
 		r = v
@@ -70,13 +65,13 @@ func (m *StaticModel) MeanRunBytes(spec *kern.Spec, mode Mode, taskSize int) flo
 	if mode == SlateSched && m.SlateRunFactor > 0 {
 		r *= m.SlateRunFactor
 	}
-	return r
+	return &Locality{Capacities: []float64{0}, MissRatio: []float64{1 - h}, RunBytes: r}
 }
 
 // TraceModel derives locality parameters by simulating each kernel's
 // synthetic address trace (kern.Spec.Pattern) through the cache simulator:
-// a miss-ratio curve sampled at geometric capacities yields HitRate under
-// L2 partitioning, and first-touch run statistics yield MeanRunBytes.
+// a miss-ratio curve sampled at geometric capacities and first-touch run
+// statistics make up the kernel's Locality.
 //
 // Results are memoized per (content fingerprint, mode, taskSize), so any
 // number of kernel instances — or renamed copies — with identical geometry
@@ -102,7 +97,7 @@ type TraceModel struct {
 	// engine against; production builds leave it false.
 	LegacyMRC bool
 
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	cache map[traceKey]*traceEntry
 }
 
@@ -113,23 +108,32 @@ type traceKey struct {
 }
 
 type traceEntry struct {
-	// ready is closed once sizes/missRate/runBytes are final, or once the
-	// build has panicked; concurrent requesters of an in-flight key block on
-	// it instead of re-building.
+	// ready is closed once loc is final, or once the build has panicked;
+	// concurrent requesters of an in-flight key block on it instead of
+	// re-building.
 	ready chan struct{}
-	// built is false after ready only if the build panicked; the entry has
-	// been forgotten by then and the requester takes its own turn.
-	built    bool
-	sizes    []int
-	missRate []float64
-	runBytes float64
+	// built is set just before ready closes unless the build panicked, in
+	// which case the entry has been forgotten by then and the requester takes
+	// its own turn. A requester that loads true never touches ready.
+	built atomic.Bool
+	loc   Locality
 }
 
-// mrcSizes are the L2 capacities at which miss ratios are sampled.
-var mrcSizes = []int{
-	64 << 10, 128 << 10, 256 << 10, 512 << 10,
-	1 << 20, 3 << 20 / 2, 3 << 20, 6 << 20,
-}
+// mrcSizes are the L2 capacities at which miss ratios are sampled;
+// mrcCapacities is the same axis as every Locality carries it.
+var (
+	mrcSizes = []int{
+		64 << 10, 128 << 10, 256 << 10, 512 << 10,
+		1 << 20, 3 << 20 / 2, 3 << 20, 6 << 20,
+	}
+	mrcCapacities = func() []float64 {
+		out := make([]float64, len(mrcSizes))
+		for i, sz := range mrcSizes {
+			out[i] = float64(sz)
+		}
+		return out
+	}()
+)
 
 // NewTraceModel builds a trace-driven model for the device.
 func NewTraceModel(dev *device.Device) *TraceModel {
@@ -146,17 +150,26 @@ func (m *TraceModel) entry(spec *kern.Spec, mode Mode, taskSize int) *traceEntry
 	key := traceKey{spec.Fingerprint(), mode, taskSize}
 	var e *traceEntry
 	for {
-		m.mu.Lock()
+		// Warm path: a shared lock and one atomic load.
+		m.mu.RLock()
 		inflight, ok := m.cache[key]
+		m.mu.RUnlock()
 		if !ok {
+			m.mu.Lock()
+			if _, raced := m.cache[key]; raced {
+				m.mu.Unlock()
+				continue
+			}
 			e = &traceEntry{ready: make(chan struct{})}
 			m.cache[key] = e
 			m.mu.Unlock()
 			break
 		}
-		m.mu.Unlock()
+		if inflight.built.Load() {
+			return inflight
+		}
 		<-inflight.ready
-		if inflight.built {
+		if inflight.built.Load() {
 			return inflight
 		}
 	}
@@ -166,7 +179,7 @@ func (m *TraceModel) entry(spec *kern.Spec, mode Mode, taskSize int) *traceEntry
 	// entry first, then release the waiters, who retry and get the panic from
 	// their own build.
 	defer func() {
-		if !e.built {
+		if !e.built.Load() {
 			m.mu.Lock()
 			delete(m.cache, key)
 			m.mu.Unlock()
@@ -175,20 +188,19 @@ func (m *TraceModel) entry(spec *kern.Spec, mode Mode, taskSize int) *traceEntry
 	}()
 	// Build outside the map lock so distinct keys build concurrently — the
 	// trace simulations dominate harness wall-clock.
-	m.build(spec, mode, taskSize, e)
-	e.built = true
+	e.loc = m.build(spec, mode, taskSize)
+	e.built.Store(true)
 	return e
 }
 
-func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int, e *traceEntry) {
+func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) Locality {
 	p := spec.Pattern
 	if p == nil {
 		// No pattern: pure streaming with block-sized private chunks.
 		bytesPerBlock := int(spec.L2BytesPerBlock)
 		if bytesPerBlock < 64 {
 			// Effectively no memory traffic; locality irrelevant.
-			e.sizes, e.missRate, e.runBytes = mrcSizes, ones(len(mrcSizes)), 64
-			return
+			return Locality{Capacities: mrcCapacities, MissRatio: ones(len(mrcSizes)), RunBytes: 64}
 		}
 		blocks := spec.NumBlocks()
 		if blocks > 4096 {
@@ -219,14 +231,14 @@ func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int, e *traceEnt
 	// One dealing and expansion of the pattern yields both the interleaved
 	// trace and the per-stream run statistics.
 	trace, runs := traces.AssembleWithRunStats(p, acfg)
-	e.sizes = mrcSizes
+	loc := Locality{Capacities: mrcCapacities, RunBytes: runs.MeanRunBytes}
 	if m.LegacyMRC {
-		e.missRate = m.legacyMRC(trace)
+		loc.MissRatio = m.legacyMRC(trace)
 	} else {
 		// Single pass over the trace answers every capacity at once.
-		e.missRate = cache.ReuseDistanceMRC(m.Dev.L2, trace, mrcSizes)
+		loc.MissRatio = cache.ReuseDistanceMRC(m.Dev.L2, trace, mrcSizes)
 	}
-	e.runBytes = runs.MeanRunBytes
+	return loc
 }
 
 // legacyMRC is the version-1 model's miss-ratio curve: one full
@@ -267,17 +279,20 @@ func (m *TraceModel) legacyMRC(trace []uint64) []float64 {
 	return missRate
 }
 
+// Locality implements PerfModel. The first request for a (content
+// fingerprint, mode, taskSize) builds the entry; every later one returns the
+// same shared value.
+func (m *TraceModel) Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality {
+	return &m.entry(spec, mode, taskSize).loc
+}
+
 // MissRatioCurve returns a copy of the memoized capacity points and miss
-// ratios for spec — the curve HitRate interpolates. Exposed so validation
-// drivers (slatebench -exp modelbench) can compare the one-pass engine
-// against the legacy oracle point by point.
+// ratios for spec. Exposed so validation drivers (slatebench -exp
+// modelbench) can compare the one-pass engine against the legacy oracle
+// point by point.
 func (m *TraceModel) MissRatioCurve(spec *kern.Spec, mode Mode, taskSize int) (sizes []int, missRate []float64) {
-	e := m.entry(spec, mode, taskSize)
-	sizes = make([]int, len(e.sizes))
-	copy(sizes, e.sizes)
-	missRate = make([]float64, len(e.missRate))
-	copy(missRate, e.missRate)
-	return sizes, missRate
+	loc := m.Locality(spec, mode, taskSize)
+	return append([]int(nil), mrcSizes...), append([]float64(nil), loc.MissRatio...)
 }
 
 func (m *TraceModel) maxAccesses() int {
@@ -295,34 +310,32 @@ func ones(n int) []float64 {
 	return out
 }
 
-// HitRate implements PerfModel by interpolating the kernel's miss-ratio
-// curve at the granted L2 capacity.
+// HitRate returns the kernel's L2 hit rate at the granted capacity.
 func (m *TraceModel) HitRate(spec *kern.Spec, mode Mode, taskSize int, l2Bytes float64) float64 {
-	e := m.entry(spec, mode, taskSize)
-	miss := interpolate(e.sizes, e.missRate, l2Bytes)
-	return 1 - miss
+	return m.Locality(spec, mode, taskSize).HitRate(l2Bytes)
 }
 
-// MeanRunBytes implements PerfModel.
+// MeanRunBytes returns the mean sequential run length of the kernel's
+// first-touch DRAM stream.
 func (m *TraceModel) MeanRunBytes(spec *kern.Spec, mode Mode, taskSize int) float64 {
-	return m.entry(spec, mode, taskSize).runBytes
+	return m.Locality(spec, mode, taskSize).RunBytes
 }
 
 // interpolate performs piecewise-linear interpolation of ys over xs
 // (ascending), clamping outside the range.
-func interpolate(xs []int, ys []float64, x float64) float64 {
+func interpolate(xs, ys []float64, x float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if x <= float64(xs[0]) {
+	if x <= xs[0] {
 		return ys[0]
 	}
-	if x >= float64(xs[len(xs)-1]) {
+	if x >= xs[len(xs)-1] {
 		return ys[len(ys)-1]
 	}
 	for i := 1; i < len(xs); i++ {
-		if x <= float64(xs[i]) {
-			x0, x1 := float64(xs[i-1]), float64(xs[i])
+		if x <= xs[i] {
+			x0, x1 := xs[i-1], xs[i]
 			t := (x - x0) / (x1 - x0)
 			return ys[i-1] + t*(ys[i]-ys[i-1])
 		}

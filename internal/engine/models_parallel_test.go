@@ -58,6 +58,49 @@ func TestTraceModelConcurrentSharedUse(t *testing.T) {
 	}
 }
 
+// TestTraceModelWarmReadsDuringBuild: the warm read path (shared lock, atomic
+// built flag, no channel receive) against the write path. Eight goroutines
+// re-read one warm key for as long as a second key's cold build — which takes
+// the write lock to publish its in-flight entry and again never after — is
+// running; run with -race. Every read returns the warm entry itself.
+func TestTraceModelWarmReadsDuringBuild(t *testing.T) {
+	m := NewTraceModel(device.TitanXp())
+	m.MaxAccesses = 200_000
+	warm, cold := traceSpec("warm"), traceSpec("cold")
+	cold.L2BytesPerBlock++ // a different fingerprint, hence a second key
+	want := m.Locality(warm, SlateSched, 10)
+
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		m.Locality(cold, SlateSched, 10)
+	}()
+	const readers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for building := true; building; {
+				select {
+				case <-built:
+					building = false
+				default:
+				}
+				if got := m.Locality(warm, SlateSched, 10); got != want {
+					t.Errorf("warm read returned entry %p, want %p", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	<-built
+	if got := m.Locality(cold, SlateSched, 10); got == want || len(got.MissRatio) != len(mrcSizes) {
+		t.Fatalf("second key's entry %+v is not its own complete curve", got)
+	}
+}
+
 // TestTraceModelBuildWorkersBitIdentical verifies BuildWorkers never changes
 // a result: the one-pass engine ignores it, and the oracle's fan writes
 // disjoint slots.

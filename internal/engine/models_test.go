@@ -93,7 +93,7 @@ func TestTraceModelPatternlessKernels(t *testing.T) {
 }
 
 func TestInterpolate(t *testing.T) {
-	xs := []int{10, 20, 40}
+	xs := []float64{10, 20, 40}
 	ys := []float64{1.0, 0.5, 0.25}
 	cases := []struct{ x, want float64 }{
 		{5, 1.0},   // clamp low

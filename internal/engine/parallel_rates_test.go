@@ -63,9 +63,9 @@ func corunFingerprint(t *testing.T, workers int, rescheduleEvery bool, fanGate i
 }
 
 // TestEngineWorkersBitIdentical is the §15 contract at the engine layer:
-// fanning computeRates pass 1 and advanceProgress across goroutines must not
-// change a single bit of any metric or the dispatched-event count. fanGate=2
-// forces the fan for every recompute, not just cold-model ones.
+// fanning computeRates' static pass and advanceProgress across goroutines
+// must not change a single bit of any metric or the dispatched-event count.
+// fanGate=2 forces both fans on every recompute with two or more kernels.
 func TestEngineWorkersBitIdentical(t *testing.T) {
 	ref, refFired := corunFingerprint(t, 1, false, 2)
 	for _, workers := range []int{2, 8} {

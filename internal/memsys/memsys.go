@@ -118,7 +118,15 @@ func logRatio(x float64) float64 {
 // proportional share; GDDR controllers are approximately fair under
 // saturation. The returned grants sum to at most the ceiling.
 func (d DRAM) Arbitrate(demands []float64) []float64 {
-	grants := make([]float64, len(demands))
+	return d.ArbitrateInto(make([]float64, len(demands)), demands)
+}
+
+// ArbitrateInto is Arbitrate writing the grants into grants, which must be at
+// least as long as demands and must not alias it; it returns
+// grants[:len(demands)]. For callers that arbitrate on a hot path and reuse
+// the buffer.
+func (d DRAM) ArbitrateInto(grants, demands []float64) []float64 {
+	grants = grants[:len(demands)]
 	total := 0.0
 	demanders := 0
 	for _, dm := range demands {
