@@ -154,11 +154,7 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 	res.registry = srv.Registry.Len()
 	res.specs = srv.Specs.Len()
 	res.faultTrace = inj.Trace()
-	for _, d := range srv.Exec.Decisions {
-		if strings.HasPrefix(d, "fallback ") {
-			res.fallbacks++
-		}
-	}
+	res.fallbacks = srv.Exec.Fallbacks()
 	return res, nil
 }
 

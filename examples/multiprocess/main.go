@@ -81,7 +81,7 @@ func main() {
 	}
 
 	fmt.Println("\ndaemon scheduling decisions:")
-	for _, d := range srv.Exec.Decisions {
+	for _, d := range srv.Exec.Decisions() {
 		fmt.Printf("  %s\n", d)
 	}
 }

@@ -98,7 +98,8 @@ func (b *Batch) LaunchSourceStream(source, kernel string, grid, block kern.Dim3,
 // session, backpressure that retries exhausted) is returned as the error with
 // nil acks. Items the daemon rejected individually carry their verdict in
 // their BatchAck (Code/Err); accepted items execute asynchronously, and their
-// failures surface at Synchronize.
+// failures surface at Synchronize. The specs of refused items leave the shared
+// table again; after a transport failure they stay, for Resume's re-send.
 func (b *Batch) Submit() ([]ipc.BatchAck, error) {
 	if b.submitted {
 		return nil, fmt.Errorf("client: batch already submitted")
@@ -109,7 +110,26 @@ func (b *Batch) Submit() ([]ipc.BatchAck, error) {
 	}
 	rep, err := b.c.callLaunch(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: b.items})
 	if err != nil {
+		if refused(err) {
+			for i := range b.items {
+				b.takeBack(i)
+			}
+		}
 		return nil, err
 	}
+	for i, a := range rep.Acks {
+		if a.Code != ipc.CodeOK && i < len(b.items) {
+			b.takeBack(i)
+		}
+	}
 	return rep.Acks, nil
+}
+
+// takeBack removes the spec item i deposited from the shared table after the
+// daemon refused the item (or its whole batch): nothing will launch it, and
+// it would otherwise sit there until the session closes.
+func (b *Batch) takeBack(i int) {
+	if it := &b.items[i]; !it.Src {
+		b.c.specs.Take(it.Token)
+	}
 }

@@ -973,7 +973,19 @@ func (c *Client) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
 	// concurrent launches hit the wire in op-ID order; backpressure retries
 	// re-stamp (a rejected op was never accepted, so the old ID is dead).
 	_, err := c.callLaunch(&ipc.Request{Op: ipc.OpLaunch, Token: tok, TaskSize: taskSize, Stream: stream})
+	if refused(err) {
+		c.specs.Take(tok)
+	}
 	return err
+}
+
+// refused reports whether a launch error is a definite refusal — a reply
+// carrying a non-OK code, or the local breaker declining to send — after
+// which the daemon will never take the spec the launch deposited, so the
+// client takes it back. A transport failure is not one: the op's fate is
+// unknown and Resume re-sends it under the same token.
+func refused(err error) bool {
+	return err != nil && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrDaemonDown)
 }
 
 // LaunchSource runs the injection + runtime-compilation pipeline on CUDA

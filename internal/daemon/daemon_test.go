@@ -255,14 +255,14 @@ func TestExecutorRebalanceBiasesByClass(t *testing.T) {
 	wg.Wait()
 	// Budget 6 with one memory-heavy partner → 4/2 split.
 	unEven := false
-	for _, d := range x.Decisions {
+	for _, d := range x.Decisions() {
 		if strings.HasPrefix(d, "corun ") &&
 			strings.Contains(d, "(4 workers)") && strings.Contains(d, "(2 workers)") {
 			unEven = true
 		}
 	}
 	if !unEven {
-		t.Fatalf("no uneven corun split recorded; decisions: %v", x.Decisions)
+		t.Fatalf("no uneven corun split recorded; decisions: %v", x.Decisions())
 	}
 	if nLow.Load() != 4300 || nMem.Load() != 4300 {
 		t.Fatalf("block counts %d/%d, want 4300/4300", nLow.Load(), nMem.Load())
@@ -297,7 +297,14 @@ func TestExecutorThreeWay(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	var peak atomic.Int64
+	// Block 0 of each kernel holds its kernel in the running set until all
+	// three have been admitted: allRunning latches the first time anyone
+	// sees RunningCount() == 3. Without it the test would be hoping three
+	// ~30 ms kernels overlap in wall-clock on however many cores the host
+	// has; with a plain poll two kernels could see 3 and finish before the
+	// third looked. The wait is bounded, so an executor that never admits the
+	// third fails the check below instead of hanging.
+	var allRunning atomic.Bool
 	start := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		i := i
@@ -306,10 +313,18 @@ func TestExecutorThreeWay(t *testing.T) {
 			defer wg.Done()
 			<-start
 			spec := lightKernel(specs[i].Name, &counts[i])
-			spec.Exec = func(int) {
+			spec.Exec = func(glob int) {
 				counts[i].Add(1)
-				if n := int64(x.RunningCount()); n > peak.Load() {
-					peak.Store(n)
+				giveUp := time.Now().Add(5 * time.Second)
+				for !allRunning.Load() {
+					if x.RunningCount() == 3 {
+						allRunning.Store(true)
+						break
+					}
+					if glob != 0 || time.Now().After(giveUp) {
+						break
+					}
+					time.Sleep(100 * time.Microsecond)
 				}
 				s := 0.0
 				for k := 0; k < 30000; k++ {
@@ -329,7 +344,75 @@ func TestExecutorThreeWay(t *testing.T) {
 			t.Fatalf("kernel %d executed %d blocks, want 4000", i, counts[i].Load())
 		}
 	}
-	if peak.Load() < 3 {
-		t.Fatalf("peak concurrency %d; three-way sharing never engaged", peak.Load())
+	if !allRunning.Load() {
+		t.Fatal("three kernels were never running together; three-way sharing never engaged")
+	}
+}
+
+// The decision log is a ring: after 100 000 runs it holds the newest
+// decisionLogCap decisions in order, the fallback count is still exact, and
+// every sentence reads as it did when record took a formatted string.
+func TestDecisionLogIsBoundedAndFormatsOnRead(t *testing.T) {
+	x := NewExecutor(4)
+	noop := func(name string) *kern.Spec {
+		return &kern.Spec{
+			Name: name, Grid: kern.D1(4), BlockDim: kern.D1(32),
+			FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
+			ComputeEff: 0.5,
+			Exec:       func(int) {},
+		}
+	}
+	spec := noop("noop")
+	const runs, fallbacks = 100000, 3000
+	for i := 0; i < runs; i++ {
+		if err := x.Run(spec, 4); err != nil {
+			t.Fatal(err)
+		}
+		if i < fallbacks {
+			x.NoteFallback("src:k", "inject: boom")
+		}
+	}
+	last := noop("newest")
+	for i := 0; i < 2; i++ { // profile, then solo
+		if err := x.Run(last, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := x.Decisions()
+	if len(got) != decisionLogCap {
+		t.Fatalf("log holds %d decisions after %d runs, want its capacity %d", len(got), runs, decisionLogCap)
+	}
+	if got[len(got)-1] != "solo newest(4 workers)" || !strings.HasPrefix(got[len(got)-2], "profile newest: class=") {
+		t.Fatalf("newest decisions = %q, want newest's profile and solo last", got[len(got)-2:])
+	}
+	for _, d := range got[:len(got)-2] {
+		if d != "solo noop(4 workers)" {
+			t.Fatalf("kept decision %q, want the most recent solos (fallbacks and the profile are long gone)", d)
+		}
+	}
+	if x.Fallbacks() != fallbacks {
+		t.Fatalf("Fallbacks() = %d past the cap, want exactly %d", x.Fallbacks(), fallbacks)
+	}
+	if x.Runs("noop") != runs {
+		t.Fatalf("Runs = %d, want %d", x.Runs("noop"), runs)
+	}
+
+	perr := fmt.Errorf("%w: kernel %q at block %d: %v", ErrKernelPanic, "k", 3, "boom")
+	for _, c := range []struct {
+		d    decision
+		want string
+	}{
+		{decision{kind: decSolo, name: "a", n: 8}, "solo a(8 workers)"},
+		{decision{kind: decCorun, name: "a", n: 4, other: "b", m: 2}, "corun a(4 workers) + b(2 workers)"},
+		{decision{kind: decProfile, name: "a", class: policy.LC, sec: 0.0012345}, fmt.Sprintf("profile %s: class=%v solo=%.3fms", "a", policy.LC, 1.2345)},
+		{decision{kind: decPanic, name: "k", other: perr.Error()}, fmt.Sprintf("panic %s: %v", "k", perr)},
+		{decision{kind: decFallback, name: "src:k", other: "inject: boom"}, "fallback src:k: vanilla path (inject: boom)"},
+		{decision{kind: decTimeoutProfiling, name: "k", sec: 0.05}, "timeout k: abandoned during profiling after 0.1s"},
+		{decision{kind: decTimeout, name: "k", sec: 1.5, n: 40, m: 2000}, "timeout k: abandoned after 1.5s, 40 of 2000 blocks claimed"},
+		{decision{kind: decTimeoutVanilla, name: "k", sec: 2}, "timeout k: vanilla launch abandoned after 2.0s"},
+	} {
+		if got := c.d.String(); got != c.want {
+			t.Fatalf("decision renders %q, want %q", got, c.want)
+		}
 	}
 }

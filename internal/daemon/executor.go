@@ -89,8 +89,68 @@ type Executor struct {
 	running  []*execTask
 	profiles map[string]*execProfile
 	runs     map[string]int
-	// Decisions records corun/solo choices for observability.
-	Decisions []string
+	// log is the decision log: a ring of the last decisionLogCap decisions,
+	// logged counting every one ever recorded (so log[logged%cap] is the
+	// oldest once the ring is full). fallbacks counts the fallback decisions
+	// among them exactly, whatever the ring has since dropped.
+	log       []decision
+	logged    uint64
+	fallbacks int
+}
+
+// decisionLogCap bounds the decision log: a daemon records one decision per
+// launch for as long as it runs, and observability needs the recent ones.
+const decisionLogCap = 1024
+
+// decisionKind selects the sentence a decision renders as.
+type decisionKind uint8
+
+const (
+	decSolo decisionKind = iota
+	decCorun
+	decProfile
+	decPanic
+	decFallback
+	decTimeoutProfiling
+	decTimeout
+	decTimeoutVanilla
+)
+
+// decision is one decision-log entry, kept as the values it was made from
+// and formatted only when somebody reads the log: recording one on the launch
+// path costs a struct copy, not a Sprintf.
+type decision struct {
+	kind decisionKind
+	// name is the deciding kernel; other is the corun partner's name, or the
+	// detail text of a panic or fallback.
+	name, other string
+	// n and m are the two worker counts (solo uses n), or the claimed and
+	// total block counts of a timeout.
+	n, m int
+	// sec is the solo time of a profile, or the deadline of a timeout.
+	sec   float64
+	class policy.Class
+}
+
+func (d decision) String() string {
+	switch d.kind {
+	case decSolo:
+		return fmt.Sprintf("solo %s(%d workers)", d.name, d.n)
+	case decCorun:
+		return fmt.Sprintf("corun %s(%d workers) + %s(%d workers)", d.name, d.n, d.other, d.m)
+	case decProfile:
+		return fmt.Sprintf("profile %s: class=%v solo=%.3fms", d.name, d.class, d.sec*1e3)
+	case decPanic:
+		return fmt.Sprintf("panic %s: %s", d.name, d.other)
+	case decFallback:
+		return fmt.Sprintf("fallback %s: vanilla path (%s)", d.name, d.other)
+	case decTimeoutProfiling:
+		return fmt.Sprintf("timeout %s: abandoned during profiling after %.1fs", d.name, d.sec)
+	case decTimeout:
+		return fmt.Sprintf("timeout %s: abandoned after %.1fs, %d of %d blocks claimed", d.name, d.sec, d.n, d.m)
+	default:
+		return fmt.Sprintf("timeout %s: vanilla launch abandoned after %.1fs", d.name, d.sec)
+	}
 }
 
 type execProfile struct {
@@ -146,17 +206,10 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		x.mu.Unlock()
 		start := time.Now()
 		q := transform.NewQueue(tr)
-		profDone := make(chan struct{})
-		go func() {
-			defer close(profDone)
-			transform.RunParallel(tr, q, x.Budget, trap.wrap(spec))
-		}()
-		select {
-		case <-profDone:
-		case <-x.deadline():
+		if !x.contain(func() { transform.RunParallel(tr, q, x.Budget, trap.wrap(spec)) }) {
 			q.Retreat()
 			x.mu.Lock()
-			x.record(fmt.Sprintf("timeout %s: abandoned during profiling after %.1fs", spec.Name, x.MaxRunSeconds))
+			x.record(decision{kind: decTimeoutProfiling, name: spec.Name, sec: x.MaxRunSeconds})
 			x.cond.Broadcast()
 			x.mu.Unlock()
 			return fmt.Errorf("daemon: profiling %q: %w", spec.Name, ErrKernelTimeout)
@@ -169,7 +222,7 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		if perr := trap.err(); perr != nil {
 			// A panicking first run is not classified; the next launch of
 			// the (presumably fixed) kernel profiles afresh.
-			x.record(fmt.Sprintf("panic %s: %v", spec.Name, perr))
+			x.record(decision{kind: decPanic, name: spec.Name, other: perr.Error()})
 			x.cond.Broadcast()
 			x.mu.Unlock()
 			return perr
@@ -178,7 +231,7 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		bw := spec.TotalL2Bytes() / sec / 1e9
 		class := x.Th.Classify(gflops, bw)
 		x.profiles[spec.Name] = &execProfile{class: class, soloSec: sec}
-		x.record(fmt.Sprintf("profile %s: class=%v solo=%.3fms", spec.Name, class, sec*1e3))
+		x.record(decision{kind: decProfile, name: spec.Name, class: class, sec: sec})
 		x.cond.Broadcast()
 		onProfile := x.OnProfile
 		x.mu.Unlock()
@@ -210,21 +263,17 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	x.noteRunLocked(spec.Name)
 	x.rebalanceLocked()
 	if len(x.running) == 2 {
-		x.record(fmt.Sprintf("corun %s(%d workers) + %s(%d workers)",
-			x.running[0].spec.Name, x.running[0].target, x.running[1].spec.Name, x.running[1].target))
+		a, b := x.running[0], x.running[1]
+		x.record(decision{kind: decCorun, name: a.spec.Name, n: a.target, other: b.spec.Name, m: b.target})
 	} else {
-		x.record(fmt.Sprintf("solo %s(%d workers)", spec.Name, task.target))
+		x.record(decision{kind: decSolo, name: spec.Name, n: task.target})
 	}
 	initialWorkers := task.target
 	x.mu.Unlock()
 
 	// Drive the dispatch loop: relaunch after every retreat with the
-	// freshly assigned worker count, carrying the queue cursor. It runs on
-	// its own goroutine so the containment deadline can abandon the launch
-	// without waiting on a wedged kernel body.
-	runDone := make(chan struct{})
-	go func() {
-		defer close(runDone)
+	// freshly assigned worker count, carrying the queue cursor.
+	timedOut := !x.contain(func() {
 		transform.RunToCompletion(tr, task.queue, initialWorkers,
 			func(int) int {
 				x.mu.Lock()
@@ -236,12 +285,8 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 				return w
 			},
 			trap.wrap(spec))
-	}()
-	var timedOut bool
-	select {
-	case <-runDone:
-	case <-x.deadline():
-		timedOut = true
+	})
+	if timedOut {
 		x.mu.Lock()
 		task.abandoned = true
 		x.mu.Unlock()
@@ -257,14 +302,13 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	}
 	x.rebalanceLocked()
 	if timedOut {
-		x.record(fmt.Sprintf("timeout %s: abandoned after %.1fs, %d of %d blocks claimed",
-			spec.Name, x.MaxRunSeconds, task.queue.Progress(), tr.NumBlocks))
+		x.record(decision{kind: decTimeout, name: spec.Name, sec: x.MaxRunSeconds, n: task.queue.Progress(), m: tr.NumBlocks})
 		x.cond.Broadcast()
 		x.mu.Unlock()
 		return fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
 	}
 	if perr := trap.err(); perr != nil {
-		x.record(fmt.Sprintf("panic %s: %v", spec.Name, perr))
+		x.record(decision{kind: decPanic, name: spec.Name, other: perr.Error()})
 		x.cond.Broadcast()
 		x.mu.Unlock()
 		return perr
@@ -274,13 +318,29 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	return nil
 }
 
-// deadline returns a channel firing at the containment deadline, or nil
-// (never fires) when unbounded.
-func (x *Executor) deadline() <-chan time.Time {
+// contain runs fn under the containment deadline and reports whether it
+// finished. With a deadline, fn gets its own goroutine so the launch can be
+// abandoned without waiting on a wedged kernel body (false: the deadline
+// passed and fn may still be running). Without one nothing can abandon the
+// launch, so fn runs on the calling goroutine: no spawn, no channel.
+func (x *Executor) contain(fn func()) bool {
 	if x.MaxRunSeconds <= 0 {
-		return nil
+		fn()
+		return true
 	}
-	return time.After(time.Duration(x.MaxRunSeconds * float64(time.Second)))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	deadline := time.NewTimer(time.Duration(x.MaxRunSeconds * float64(time.Second)))
+	defer deadline.Stop()
+	select {
+	case <-done:
+		return true
+	case <-deadline.C:
+		return false
+	}
 }
 
 // RunVanilla executes spec through the plain hardware-scheduler path: no
@@ -322,17 +382,10 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-x.deadline():
+	if !x.contain(wg.Wait) {
 		abort.Store(true)
 		x.mu.Lock()
-		x.record(fmt.Sprintf("timeout %s: vanilla launch abandoned after %.1fs", spec.Name, x.MaxRunSeconds))
+		x.record(decision{kind: decTimeoutVanilla, name: spec.Name, sec: x.MaxRunSeconds})
 		x.mu.Unlock()
 		return fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
 	}
@@ -343,8 +396,17 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 // after an injection/compilation failure) in the decision log.
 func (x *Executor) NoteFallback(name, reason string) {
 	x.mu.Lock()
-	x.record(fmt.Sprintf("fallback %s: vanilla path (%s)", name, reason))
+	x.record(decision{kind: decFallback, name: name, other: reason})
 	x.mu.Unlock()
+}
+
+// Fallbacks reports how many graceful-degradation decisions NoteFallback has
+// recorded since start — exact however long the daemon has run, unlike a
+// count over Decisions, which holds the recent ones only.
+func (x *Executor) Fallbacks() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.fallbacks
 }
 
 func (x *Executor) maxConcurrent() int {
@@ -411,8 +473,36 @@ func (x *Executor) rebalanceLocked() {
 	}
 }
 
-func (x *Executor) record(s string) {
-	x.Decisions = append(x.Decisions, s)
+// record appends to the decision log, overwriting the oldest entry once the
+// ring is full. Caller holds x.mu.
+func (x *Executor) record(d decision) {
+	if len(x.log) < decisionLogCap {
+		x.log = append(x.log, d)
+	} else {
+		x.log[x.logged%decisionLogCap] = d
+	}
+	x.logged++
+	if d.kind == decFallback {
+		x.fallbacks++
+	}
+}
+
+// Decisions renders the decision log — corun/solo choices, profiles,
+// fallbacks, containment — oldest first. It holds the most recent
+// decisionLogCap decisions; older ones have been dropped.
+func (x *Executor) Decisions() []string {
+	x.mu.Lock()
+	ring := append([]decision(nil), x.log...)
+	oldest := 0
+	if len(ring) == decisionLogCap {
+		oldest = int(x.logged % decisionLogCap)
+	}
+	x.mu.Unlock()
+	out := make([]string, 0, len(ring))
+	for i := range ring {
+		out = append(out, ring[(oldest+i)%len(ring)].String())
+	}
+	return out
 }
 
 // RunningCount reports the live kernel count (for tests).

@@ -220,13 +220,13 @@ func TestCompileFailureDegradesToVanillaPath(t *testing.T) {
 		t.Fatalf("vanilla-path execution failed: %v", err)
 	}
 	found := false
-	for _, d := range srv.Exec.Decisions {
+	for _, d := range srv.Exec.Decisions() {
 		if strings.HasPrefix(d, "fallback src:k") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no fallback decision recorded; decisions = %v", srv.Exec.Decisions)
+		t.Fatalf("no fallback decision recorded; decisions = %v", srv.Exec.Decisions())
 	}
 	// The failure was transient and was not cached: with the hook gone the
 	// same unit compiles, and that launch runs the Slate path.

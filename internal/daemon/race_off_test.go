@@ -1,0 +1,5 @@
+//go:build !race
+
+package daemon_test
+
+const raceEnabled = false

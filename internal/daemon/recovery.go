@@ -102,7 +102,8 @@ type resumeState struct {
 	// MaxOp is the highest accepted op ID; anything at or below it is a
 	// duplicate.
 	MaxOp uint64 `json:"max_op,omitempty"`
-	// Window is the bounded dedup FIFO, oldest first.
+	// Window is the bounded dedup FIFO, oldest first, in ascending op order.
+	// Once push owns it, it is a view that slides through slab.
 	Window []*dedupEntry `json:"window,omitempty"`
 	// PoisonErr/PoisonCode persist sticky session poisoning (kernel panic or
 	// containment timeout) across a restart.
@@ -114,12 +115,17 @@ type resumeState struct {
 	LostErr string `json:"lost,omitempty"`
 
 	attached bool // bound to a live connection (runtime only)
+	// slab is the 2×DedupWindow array a full Window slides through (runtime
+	// only; allocated by the first push that evicts): the view reaches its end
+	// once per DedupWindow pushes, and only then are entries copied.
+	slab []*dedupEntry
 }
 
-// entry returns the window entry for op, if still present.
+// entry returns the window entry for op, if still present. The search runs
+// from the newest end: completions and re-sends name recent ops.
 func (st *resumeState) entry(op uint64) *dedupEntry {
-	for _, e := range st.Window {
-		if e.OpID == op {
+	for i := len(st.Window) - 1; i >= 0; i-- {
+		if e := st.Window[i]; e.OpID == op {
 			return e
 		}
 	}
@@ -138,6 +144,7 @@ func (e *dedupEntry) clone() *dedupEntry {
 // for the same reason.
 func (st *resumeState) clone() *resumeState {
 	cp := *st
+	cp.slab = nil // the copy's window is its own slice, not a view of ours
 	cp.Window = make([]*dedupEntry, len(st.Window))
 	for i, e := range st.Window {
 		cp.Window[i] = e.clone()
@@ -145,12 +152,27 @@ func (st *resumeState) clone() *resumeState {
 	return &cp
 }
 
-// push appends a window entry, evicting the oldest beyond DedupWindow.
+// push appends a window entry, evicting the oldest beyond DedupWindow, in
+// amortised constant time and, once the window has filled, without
+// allocating. A filling window grows like any slice; a full one drops its
+// oldest entry by moving the view's start, and when that leaves no room
+// behind the newest entry the live entries move to the front of slab. It
+// takes Window as it finds it — decoded from a checkpoint, handed over by
+// adoption — so nothing else has to know about the slab.
 func (st *resumeState) push(e *dedupEntry) {
-	st.Window = append(st.Window, e)
-	if n := len(st.Window) - DedupWindow; n > 0 {
-		st.Window = append([]*dedupEntry(nil), st.Window[n:]...)
+	if n := len(st.Window) - DedupWindow + 1; n > 0 {
+		clear(st.Window[:n]) // evicted entries must not stay reachable
+		st.Window = st.Window[n:]
+		if len(st.Window) == cap(st.Window) {
+			if st.slab == nil {
+				st.slab = make([]*dedupEntry, 2*DedupWindow)
+			}
+			n := copy(st.slab, st.Window)
+			clear(st.slab[n:])
+			st.Window = st.slab[:n]
+		}
 	}
+	st.Window = append(st.Window, e)
 	if e.OpID > st.MaxOp {
 		st.MaxOp = e.OpID
 	}

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -27,6 +29,105 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 	if st.entry(uint64(total)) == nil || st.entry(uint64(total-DedupWindow+1)) == nil {
 		t.Fatal("in-window ops missing")
+	}
+}
+
+// refPush is the window as it was first written — append, then copy the
+// last DedupWindow entries into a fresh slice — kept as the reference the
+// sliding window is compared against.
+func refPush(w []*dedupEntry, e *dedupEntry) []*dedupEntry {
+	w = append(w, e)
+	if n := len(w) - DedupWindow; n > 0 {
+		w = append([]*dedupEntry(nil), w[n:]...)
+	}
+	return w
+}
+
+// The sliding window is the reference window at every step of 10 000
+// pushes: the same entries in op order, the same watermark, the same
+// checkpoint JSON from a clone; entry finds exactly the ops still inside;
+// and a full window pushes without allocating. Starting points cover the
+// slices push can be handed: none, and ones decoded from a checkpoint short
+// of, at, and beyond the bound.
+func TestDedupWindowSlidesLikeTheReference(t *testing.T) {
+	for _, seeded := range []int{0, 50, DedupWindow, DedupWindow + 40} {
+		st := &resumeState{Sess: 1, Token: 0xabc, Proc: "w"}
+		var ref []*dedupEntry
+		op := uint64(0)
+		if seeded > 0 {
+			for i := 0; i < seeded; i++ {
+				op += 1 + op%3 // op IDs ascend with gaps, as re-stamped retries leave them
+				ref = append(ref, &dedupEntry{OpID: op, Kernel: "seed"})
+			}
+			blob, err := json.Marshal(&resumeState{Sess: 1, Token: 0xabc, Proc: "w", MaxOp: op, Window: ref})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st = &resumeState{}
+			if err := json.Unmarshal(blob, st); err != nil {
+				t.Fatal(err)
+			}
+			ref = append([]*dedupEntry(nil), st.Window...)
+		}
+		for i := 0; i < 10000; i++ {
+			op += 1 + op%3
+			e := &dedupEntry{OpID: op, Kernel: "k", Entries: []string{fmt.Sprint(op)}, Done: i%2 == 0}
+			st.push(e)
+			ref = refPush(ref, e)
+			if i%97 != 0 && i < 9990 {
+				continue
+			}
+			if st.MaxOp != op {
+				t.Fatalf("seeded=%d push %d: MaxOp = %d, want %d", seeded, i, st.MaxOp, op)
+			}
+			if len(st.Window) != len(ref) || len(ref) > DedupWindow+seeded {
+				t.Fatalf("seeded=%d push %d: window holds %d entries, reference %d", seeded, i, len(st.Window), len(ref))
+			}
+			for j, e := range ref {
+				if st.Window[j] != e {
+					t.Fatalf("seeded=%d push %d: window[%d] is op %d, reference op %d", seeded, i, j, st.Window[j].OpID, e.OpID)
+				}
+				if st.entry(e.OpID) != e {
+					t.Fatalf("seeded=%d push %d: entry(%d) missed an in-window op", seeded, i, e.OpID)
+				}
+			}
+			for _, gone := range []uint64{0, ref[0].OpID - 1, op + 1} {
+				if st.entry(gone) != nil {
+					t.Fatalf("seeded=%d push %d: entry(%d) found an op outside the window", seeded, i, gone)
+				}
+			}
+			got, err := json.Marshal(st.clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(&resumeState{Sess: 1, Token: 0xabc, Proc: "w", MaxOp: op, Window: ref})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seeded=%d push %d: checkpoint JSON of the clone differs from the reference", seeded, i)
+			}
+		}
+		if len(st.Window) != DedupWindow {
+			t.Fatalf("seeded=%d: window holds %d entries after 10000 pushes, want %d", seeded, len(st.Window), DedupWindow)
+		}
+		// A clone owns its window: pushing to it must not touch the original.
+		cp, last := st.clone(), st.Window[len(st.Window)-1]
+		for i := 0; i < 2*DedupWindow; i++ {
+			op++
+			cp.push(&dedupEntry{OpID: op})
+		}
+		if st.Window[len(st.Window)-1] != last || st.Window[0] != ref[0] {
+			t.Fatalf("seeded=%d: pushing to a clone moved the original's window", seeded)
+		}
+		e := &dedupEntry{}
+		if allocs := testing.AllocsPerRun(4*DedupWindow, func() {
+			op++
+			e.OpID = op
+			st.push(e)
+		}); allocs != 0 {
+			t.Fatalf("seeded=%d: a push into a full window allocates %.2f times", seeded, allocs)
+		}
 	}
 }
 

@@ -1,0 +1,104 @@
+package daemon_test
+
+import (
+	"testing"
+
+	"slate/internal/client"
+	"slate/internal/daemon"
+	"slate/internal/kern"
+)
+
+const specBatchKernel = "bench_noop"
+
+// specBatchSession is the launch_batch workload's set-up at test scale: an
+// in-process daemon that journals every accept and completion without
+// waiting for the disk (no fsync, no compaction) and one client session on
+// the pipe transport. The returned op is that workload's op — a batch of 32
+// launches of a no-op one-task kernel, Submit, every ack checked,
+// Synchronize.
+func specBatchSession(tb testing.TB) (srv *daemon.Server, op func(), closeSession func()) {
+	tb.Helper()
+	srv, dial := daemon.NewLocal(4)
+	if _, err := srv.EnableDurability(daemon.Durability{Dir: tb.TempDir(), NoSync: true, CompactEvery: 1 << 30}); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { srv.CloseDurability() })
+	cli, err := client.Local(srv, dial, "bench")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec := &kern.Spec{
+		Name: specBatchKernel, Grid: kern.D1(4), BlockDim: kern.D1(32),
+		FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
+		ComputeEff: 0.5,
+		Exec:       func(int) {},
+	}
+	op = func() {
+		batch := cli.NewBatch()
+		for j := 0; j < 32; j++ {
+			if err := batch.Launch(spec, 4); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		acks, err := batch.Submit()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, a := range acks {
+			if a.Code != 0 || a.Dup {
+				tb.Fatalf("ack %+v, want a fresh accept", a)
+			}
+		}
+		if err := cli.Synchronize(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	closeSession = func() {
+		if err := cli.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return srv, op, closeSession
+}
+
+// BenchmarkLaunchSpecBatch32 is one op of the launch_batch workload, so the
+// durable launch path can be profiled with one command (-cpuprofile,
+// -memprofile). It fails unless the executor ran every launch exactly once;
+// CI runs it for that check, not for the time.
+func BenchmarkLaunchSpecBatch32(b *testing.B) {
+	srv, op, closeSession := specBatchSession(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	closeSession()
+	if got := srv.Exec.Runs(specBatchKernel); got != 32*b.N {
+		b.Fatalf("executor ran %d launches, %d were acked", got, 32*b.N)
+	}
+	if hits := srv.DedupHits(); hits != 0 {
+		b.Fatalf("%d dedup hits on a run that never re-sent", hits)
+	}
+}
+
+// specBatchAllocBudget is what a warmed spec batch of 32 may allocate,
+// client, wire and daemon together. It was 990 before the launch path lost
+// its per-launch reflection, window copy, Sprintf and goroutines, and
+// measures 458 since (go1.24, amd64); the budget leaves room for another
+// toolchain's gob and is there so that cost cannot come back unnoticed.
+const specBatchAllocBudget = 700
+
+func TestLaunchBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	_, op, closeSession := specBatchSession(t)
+	for i := 0; i < 64; i++ { // past the profiling run and a full dedup window
+		op()
+	}
+	if got := testing.AllocsPerRun(200, op); got > specBatchAllocBudget {
+		t.Fatalf("a spec batch of 32 allocates %.0f times, budget %d", got, specBatchAllocBudget)
+	}
+	closeSession()
+}

@@ -43,11 +43,21 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendFrame appends one encoded frame for payload to dst and returns the
 // extended slice.
 func AppendFrame(dst, payload []byte) []byte {
+	start := len(dst)
 	var hdr [FrameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	dst = append(append(dst, hdr[:]...), payload...)
+	SealFrame(dst[start:])
+	return dst
+}
+
+// SealFrame fills in the header of a frame built in place: frame is
+// FrameHeaderSize reserved bytes followed by the payload, so an encoder can
+// write the payload straight behind the header's slot and seal it afterwards
+// instead of copying it out of a buffer of its own.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
 // WriteFrame writes one frame to w.

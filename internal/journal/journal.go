@@ -153,8 +153,8 @@ type AdoptedOp struct {
 }
 
 // Writer is the append-only journal. Safe for concurrent appenders; each
-// record is framed, written, and fsynced under one lock so the on-disk
-// record order is the append order.
+// record is encoded, framed, written, and fsynced under one lock so the
+// on-disk record order is the append order.
 type Writer struct {
 	// CrashHook, when set, simulates process death at the journal's named
 	// crash sites (fault.SiteJournalAppendPre/Post). Install before the
@@ -168,6 +168,9 @@ type Writer struct {
 	path    string
 	records int
 	dead    bool
+	// buf is the encode buffer every append reuses: header and payload of
+	// each frame are built in it and written from it, under mu.
+	buf []byte
 }
 
 // OpenWriter opens (creating if absent) the journal at path for appending.
@@ -196,62 +199,18 @@ func (w *Writer) Path() string { return w.path }
 // record MAY be durable, and because the error propagates before any ack,
 // a re-sending client settles it to exactly one execution either way.
 func (w *Writer) Append(rec *Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: encode: %w", err)
-	}
-	frame := ipc.AppendFrame(nil, payload)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
 		return fault.ErrCrash
 	}
-	if w.CrashHook != nil {
-		if err := w.CrashHook(fault.SiteJournalAppendPre); err != nil {
-			// Death mid-write: half the frame reaches the file.
-			_, _ = w.f.Write(frame[:len(frame)/2])
-			w.dead = true
-			return err
-		}
-		if err := w.CrashHook(fault.SiteJournalWriteErr); err != nil {
-			// The write errors outright: no byte lands, fail-stop.
-			w.dead = true
-			return err
-		}
-		if err := w.CrashHook(fault.SiteJournalWriteShort); err != nil {
-			// Short write: a torn prefix lands, fail-stop.
-			_, _ = w.f.Write(frame[:len(frame)/2])
-			w.dead = true
-			return err
-		}
+	buf, err := appendFrame(w.buf[:0], rec)
+	if err != nil {
+		return fmt.Errorf("journal: encode: %w", err)
 	}
-	if _, err := w.f.Write(frame); err != nil {
-		w.dead = true
-		return fmt.Errorf("journal: append: %w", err)
-	}
-	if w.CrashHook != nil {
-		if err := w.CrashHook(fault.SiteJournalSyncErr); err != nil {
-			// fsync fails after a complete write: the record may or may not
-			// be durable, and no ack may follow — fail-stop (fsyncgate).
-			w.dead = true
-			return err
-		}
-	}
-	if !w.NoSync {
-		if err := w.f.Sync(); err != nil {
-			w.dead = true
-			return fmt.Errorf("journal: sync: %w", err)
-		}
-	}
-	w.records++
-	if w.CrashHook != nil {
-		if err := w.CrashHook(fault.SiteJournalAppendPost); err != nil {
-			// Death after durability, before the ack.
-			w.dead = true
-			return err
-		}
-	}
-	return nil
+	w.buf = buf
+	// Death mid-write: half the frame reaches the file.
+	return w.commit(1, fault.SiteJournalAppendPre, fault.SiteJournalAppendPost, len(buf)/2)
 }
 
 // AppendBatch is the group-commit path: it frames every record, writes them
@@ -267,44 +226,58 @@ func (w *Writer) AppendBatch(recs []*Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	frames := make([][]byte, len(recs))
-	var buf []byte
-	for i, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("journal: encode: %w", err)
-		}
-		frames[i] = ipc.AppendFrame(nil, payload)
-		buf = append(buf, frames[i]...)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
 		return fault.ErrCrash
 	}
+	// Death mid-batch: the first ⌈n/2⌉ records land whole, the next frame is
+	// torn in half (when there is one).
+	keep := (len(recs) + 1) / 2
+	buf, torn := w.buf[:0], 0
+	for i, rec := range recs {
+		start := len(buf)
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return fmt.Errorf("journal: encode: %w", err)
+		}
+		switch {
+		case i < keep:
+			torn = len(buf)
+		case i == keep:
+			torn += (len(buf) - start) / 2
+		}
+	}
+	w.buf = buf
+	return w.commit(len(recs), fault.SiteJournalBatchMid, fault.SiteJournalBatchPost, torn)
+}
+
+// keepBufCap is the largest encode buffer a Writer holds on to between
+// appends; a group that needed more gives its buffer back when it commits.
+const keepBufCap = 64 << 10
+
+// commit writes the n frames encoded in w.buf in one write and one fsync,
+// firing the crash hook at pre (death mid-write: buf[:torn] is what reaches
+// the file), the disk-fault sites, and post (durable, un-acked). Caller
+// holds w.mu and has checked w.dead.
+func (w *Writer) commit(n int, pre, post string, torn int) error {
+	buf := w.buf
+	if cap(buf) > keepBufCap {
+		w.buf = nil // a one-off large group must not pin its buffer forever
+	}
 	if w.CrashHook != nil {
-		if err := w.CrashHook(fault.SiteJournalBatchMid); err != nil {
-			// Death mid-batch: the first ⌈n/2⌉ records land whole, the next
-			// frame is torn in half (when there is one), nothing is synced.
-			keep := (len(recs) + 1) / 2
-			var torn []byte
-			for i := 0; i < keep; i++ {
-				torn = append(torn, frames[i]...)
-			}
-			if keep < len(frames) {
-				torn = append(torn, frames[keep][:len(frames[keep])/2]...)
-			}
-			_, _ = w.f.Write(torn)
+		if err := w.CrashHook(pre); err != nil {
+			_, _ = w.f.Write(buf[:torn])
 			w.dead = true
 			return err
 		}
 		if err := w.CrashHook(fault.SiteJournalWriteErr); err != nil {
-			// The group write errors outright: no byte lands, fail-stop.
+			// The write errors outright: no byte lands, fail-stop.
 			w.dead = true
 			return err
 		}
 		if err := w.CrashHook(fault.SiteJournalWriteShort); err != nil {
-			// Short write of the group buffer: a torn prefix lands, fail-stop.
+			// Short write: a torn prefix lands, nothing is synced, fail-stop.
 			_, _ = w.f.Write(buf[:len(buf)/2])
 			w.dead = true
 			return err
@@ -312,12 +285,12 @@ func (w *Writer) AppendBatch(recs []*Record) error {
 	}
 	if _, err := w.f.Write(buf); err != nil {
 		w.dead = true
-		return fmt.Errorf("journal: batch append: %w", err)
+		return fmt.Errorf("journal: append: %w", err)
 	}
 	if w.CrashHook != nil {
 		if err := w.CrashHook(fault.SiteJournalSyncErr); err != nil {
-			// Group fsync fails after a complete write: no item may be
-			// acked — fail-stop (fsyncgate).
+			// fsync fails after a complete write: the records may or may not
+			// be durable, and no ack may follow — fail-stop (fsyncgate).
 			w.dead = true
 			return err
 		}
@@ -325,13 +298,13 @@ func (w *Writer) AppendBatch(recs []*Record) error {
 	if !w.NoSync {
 		if err := w.f.Sync(); err != nil {
 			w.dead = true
-			return fmt.Errorf("journal: batch sync: %w", err)
+			return fmt.Errorf("journal: sync: %w", err)
 		}
 	}
-	w.records += len(recs)
+	w.records += n
 	if w.CrashHook != nil {
-		if err := w.CrashHook(fault.SiteJournalBatchPost); err != nil {
-			// Death after durability, before any item's ack.
+		if err := w.CrashHook(post); err != nil {
+			// Death after durability, before the ack.
 			w.dead = true
 			return err
 		}

@@ -158,39 +158,66 @@ type RunResult struct {
 	NextIdx int
 }
 
-// RunParallel executes fn for every user block using `workers` persistent
-// goroutines pulling tasks from q. Within a task, blocks run in order with
-// the increment-with-rollover reconstruction. Workers check the retreat flag
+// RunParallel executes fn for every user block using persistent workers
+// pulling tasks from q. Within a task, blocks run in order with the
+// increment-with-rollover reconstruction. Workers check the retreat flag
 // between pulls, exactly like the injected do-while of Listing 2: a claimed
 // task always completes, so q.Progress() is a safe resume cursor.
+//
+// No more workers start than the queue has tasks left — one beyond that
+// could only pull an empty queue — and the caller is the last of them, so a
+// launch of one task starts no goroutine at all. A queue with at least
+// `workers` tasks left runs exactly as `workers` goroutines would.
 func RunParallel(t *Transformed, q *Queue, workers int, fn func(glob int, id kern.Dim3)) RunResult {
-	if workers < 1 {
-		workers = 1
+	if left := (t.NumBlocks - q.Progress() + t.TaskSize - 1) / t.TaskSize; workers > left {
+		workers = left
 	}
-	var wg sync.WaitGroup
-	var executed atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !q.Retreating() {
-				glob, iters, ok := q.Pull()
-				if !ok {
-					return
-				}
-				t.WalkTask(glob, iters, fn)
-				executed.Add(int64(iters))
-			}
-		}()
+	var executed int
+	if workers <= 1 {
+		executed = drain(t, q, fn)
+	} else {
+		executed = drainParallel(t, q, workers, fn)
 	}
-	wg.Wait()
-
 	return RunResult{
-		BlocksExecuted: int(executed.Load()),
+		BlocksExecuted: executed,
 		Atomics:        q.Atomics(),
 		Interrupted:    q.Retreating() && !q.Done(),
 		NextIdx:        q.Progress(),
 	}
+}
+
+// drain is one persistent worker: pull, walk the task, check the retreat
+// flag, until the queue is empty. It returns the blocks it executed.
+func drain(t *Transformed, q *Queue, fn func(glob int, id kern.Dim3)) int {
+	executed := 0
+	for !q.Retreating() {
+		glob, iters, ok := q.Pull()
+		if !ok {
+			break
+		}
+		t.WalkTask(glob, iters, fn)
+		executed += iters
+	}
+	return executed
+}
+
+// drainParallel runs `workers` workers, the caller being one of them, and
+// returns once all have stopped. It is a function of its own so that the
+// WaitGroup and counter its goroutines share escape to the heap here and not
+// in RunParallel, where a one-worker launch would pay for them too.
+func drainParallel(t *Transformed, q *Queue, workers int, fn func(glob int, id kern.Dim3)) int {
+	var wg sync.WaitGroup
+	var executed atomic.Int64
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			executed.Add(int64(drain(t, q, fn)))
+		}()
+	}
+	own := drain(t, q, fn)
+	wg.Wait()
+	return own + int(executed.Load())
 }
 
 // RunToCompletion repeatedly launches worker sets until the queue drains,

@@ -316,6 +316,72 @@ func TestPropertyRunParallelExactlyOnce(t *testing.T) {
 	}
 }
 
+// A launch with fewer tasks than workers starts one worker per task, not one
+// per worker: every worker that starts ends on exactly one empty pull, so
+// pulls beyond the tasks themselves count the workers started. Every block
+// still runs exactly once, and a retreat raised mid-run still leaves NextIdx
+// a cursor a relaunch finishes from.
+func TestRunParallelStartsNoMoreWorkersThanTasks(t *testing.T) {
+	const taskSize, workers = 4, 8
+	for tasks := 1; tasks <= 3; tasks++ {
+		for _, retreat := range []bool{false, true} {
+			tr := mustTransform(t, kern.D1(tasks*taskSize-1), taskSize) // a short last task
+			q := NewQueue(tr)
+			counts := make([]atomic.Int32, tr.NumBlocks)
+			fn := func(glob int, id kern.Dim3) {
+				counts[glob].Add(1)
+				if id != tr.BlockID(glob) {
+					t.Errorf("block %d got id %v", glob, id)
+				}
+				if retreat && glob == 0 {
+					q.Retreat()
+				}
+			}
+			res := RunParallel(tr, q, workers, fn)
+			if started := res.Atomics - int64((res.NextIdx+taskSize-1)/taskSize); started > int64(tasks) {
+				t.Fatalf("tasks=%d retreat=%v: %d workers started (%d pulls for %d claimed blocks)",
+					tasks, retreat, started, res.Atomics, res.NextIdx)
+			}
+			if res.BlocksExecuted != res.NextIdx {
+				t.Fatalf("tasks=%d retreat=%v: executed %d blocks but the cursor is %d", tasks, retreat, res.BlocksExecuted, res.NextIdx)
+			}
+			if res.Interrupted != (res.NextIdx < tr.NumBlocks) {
+				t.Fatalf("tasks=%d retreat=%v: Interrupted=%v at cursor %d of %d", tasks, retreat, res.Interrupted, res.NextIdx, tr.NumBlocks)
+			}
+			if !retreat && res.Interrupted {
+				t.Fatalf("tasks=%d: uninterrupted run reported interruption", tasks)
+			}
+			// The cursor is a valid resume point: a relaunch runs what is left.
+			q.Resume()
+			retreat = false
+			rest := RunParallel(tr, q, workers, fn)
+			if res.BlocksExecuted+rest.BlocksExecuted != tr.NumBlocks || rest.Interrupted || rest.NextIdx != tr.NumBlocks {
+				t.Fatalf("tasks=%d: relaunch from %d ran %d more of %d blocks (%+v)", tasks, res.NextIdx, rest.BlocksExecuted, tr.NumBlocks, rest)
+			}
+			for i := range counts {
+				if n := counts[i].Load(); n != 1 {
+					t.Fatalf("tasks=%d: block %d executed %d times", tasks, i, n)
+				}
+			}
+		}
+	}
+}
+
+// With at least as many tasks as workers the worker rule changes nothing:
+// one pull per task plus one empty pull per worker.
+func TestRunParallelAtomicsUnchangedWithEnoughTasks(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, tasks := range []int{workers, workers + 1, 10 * workers} {
+			tr := mustTransform(t, kern.D1(tasks*3), 3)
+			res := RunParallel(tr, NewQueue(tr), workers, func(int, kern.Dim3) {})
+			if want := int64(tasks + workers); res.Atomics != want || res.BlocksExecuted != tr.NumBlocks {
+				t.Fatalf("workers=%d tasks=%d: %d atomics, %d blocks; want %d and %d",
+					workers, tasks, res.Atomics, res.BlocksExecuted, want, tr.NumBlocks)
+			}
+		}
+	}
+}
+
 func TestAtomicsScaleInverselyWithTaskSize(t *testing.T) {
 	// The §V-D1 overhead argument: task grouping divides queue atomics.
 	blocks := 1000
