@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"slate/internal/client"
@@ -51,8 +52,9 @@ const (
 	flBurstTarget = "gpu0"
 	// flMaxPending is each daemon's accepted-unfinished launch cap.
 	flMaxPending = 128
-	// flBurstClients is the concurrent burst width — far past flMaxPending,
-	// so backpressure sheds are effectively guaranteed.
+	// flBurstClients is the concurrent burst width. The burst arrives while
+	// gated launches hold the target at flMaxPending, so every one of these
+	// clients is shed at least once before anything is admitted.
 	flBurstClients = 256
 	// flExpiredProbes is how many deterministic pre-expired launches the
 	// degraded leg sends: a 1ns launch deadline has always passed by
@@ -403,7 +405,7 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	flRunWorkers(sessions, func(i int) {
 		c := clients[i].c
 		start := time.Now()
-		ok, sheds := flLaunchWithRetry(c, src, kernel, flSessionBound)
+		ok, sheds := flLaunchWithRetry(c, src, kernel, flSessionBound, nil)
 		mu.Lock()
 		bpSheds += sheds
 		if ok {
@@ -481,7 +483,7 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	// must equal the successful launches exactly — a shed launch never ran,
 	// a completed one ran once, nothing ran twice.
 	for _, m := range sup.Members() {
-		st.runs += m.Srv().Exec.Runs("src:" + kernel)
+		st.runs += m.Srv().Exec.Runs("src:"+kernel) + m.Srv().Exec.Runs(flPlugKernel)
 	}
 	if st.runs != st.launches {
 		return st, fmt.Errorf("exactly-once violated: %d executions for %d successful launches", st.runs, st.launches)
@@ -508,11 +510,50 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	return st, nil
 }
 
+// flPlugKernel names the gated kernel that holds the burst target at its cap.
+const flPlugKernel = "fl_plug"
+
+// flPlug fills the member's daemon-wide admission cap with launches that
+// block on gate, from as many in-process sessions as the per-session quota
+// makes necessary. A no-op launch finishes in well under a microsecond, so a
+// burst only meets a full daemon if something holds it full on purpose. The
+// returned sessions are closed by the caller once the gate is open.
+func flPlug(m *fleet.Member, gate <-chan struct{}) ([]*client.Client, error) {
+	srv, spec := m.Srv(), oGated(flPlugKernel, gate)
+	var plugs []*client.Client
+	for held := 0; held < flMaxPending; {
+		if len(plugs) == flMaxPending {
+			return plugs, fmt.Errorf("plug stuck at %d of %d held launches", held, flMaxPending)
+		}
+		nc, err := m.Dial()()
+		if err != nil {
+			return plugs, err
+		}
+		c, err := client.New(nc, fmt.Sprintf("fl-plug-%d", len(plugs)),
+			client.WithShared(srv.Registry, srv.Specs), client.WithTimeout(60*time.Second))
+		if err != nil {
+			return plugs, err
+		}
+		plugs = append(plugs, c)
+		for held < flMaxPending {
+			if err := c.Launch(spec, 1); errors.Is(err, client.ErrBackpressure) {
+				break // this session's own quota is spent: open another
+			} else if err != nil {
+				return plugs, err
+			}
+			held++
+		}
+	}
+	return plugs, nil
+}
+
 // flBurst drives the overload bursts against one healthy member: first the
 // deterministic pre-expired probes (a 1ns launch deadline has always passed
 // by admission — exactly flExpiredProbes EXPIRED sheds), then a concurrent
-// burst far past the admission cap, every client retrying its shed launch
-// until admitted (the aging override makes that bounded).
+// burst against a daemon plugged to its admission cap: the plug is released
+// once every burst client has been shed, and every client retries its shed
+// launch until admitted (the aging override makes that bounded whether or not
+// the plug is still in).
 func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegStats) error {
 	m := sup.MemberByName(flBurstTarget)
 	if m == nil {
@@ -543,12 +584,18 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 	}
 	st.expiredShed = expired
 
-	// Concurrent overload: flBurstClients × one launch against a cap of
-	// flMaxPending, all genuinely concurrent (no worker-pool bound — the
-	// burst must overwhelm the cap, not trickle under it). Every launch
-	// must eventually complete (zero starved).
+	// Concurrent overload: flBurstClients × one launch against a daemon held
+	// at flMaxPending, all genuinely concurrent (no worker-pool bound). Every
+	// launch must eventually complete (zero starved).
+	gate := make(chan struct{})
+	plugs, err := flPlug(m, gate)
+	if err != nil {
+		close(gate)
+		return fmt.Errorf("plugging %s: %w", flBurstTarget, err)
+	}
 	var mu sync.Mutex
 	var sheds int64
+	var shedClients atomic.Int64
 	var firstErr error
 	var wg sync.WaitGroup
 	burstOne := func(i int) {
@@ -558,7 +605,13 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 			var c *client.Client
 			c, err = client.New(nc, fmt.Sprintf("fl-burst-%d", i), client.WithTimeout(60*time.Second))
 			if err == nil {
-				ok, s := flLaunchWithRetry(c, src, kernel, flSessionBound)
+				shedBefore := false
+				ok, s := flLaunchWithRetry(c, src, kernel, flSessionBound, func() {
+					if !shedBefore && shedClients.Add(1) == flBurstClients {
+						close(gate) // the whole burst has met the full daemon
+					}
+					shedBefore = true
+				})
 				if !ok {
 					err = errors.New("burst session starved")
 				}
@@ -583,14 +636,27 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 		go burstOne(i)
 	}
 	wg.Wait()
+	if n := shedClients.Load(); n < flBurstClients {
+		close(gate) // a client failed before it was shed: the plug must still drain
+		if firstErr == nil {
+			firstErr = fmt.Errorf("%d of %d burst clients were admitted by a daemon plugged to its cap of %d — the overload shed is not engaging",
+				flBurstClients-n, flBurstClients, flMaxPending)
+		}
+	}
+	for _, c := range plugs {
+		if err := c.Synchronize(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("plug sync: %w", err)
+		}
+		if err := c.Close(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("plug close: %w", err)
+		}
+	}
 	if firstErr != nil {
 		return firstErr
 	}
-	if sheds == 0 {
-		return fmt.Errorf("burst of %d against cap %d produced zero backpressure sheds — the overload shed is not engaging", flBurstClients, flMaxPending)
-	}
 	st.bpSheds += int(sheds)
-	st.launches += flBurstClients
+	// The plug's launches ran exactly once too: they are in the ledger.
+	st.launches += flBurstClients + flMaxPending
 	st.completed += flBurstClients
 	return nil
 }
@@ -598,8 +664,9 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 // flLaunchWithRetry launches the leg's kernel once and syncs, retrying
 // admission backpressure and deadline expiry (both mean: the launch did NOT
 // run) with a small backoff, bounded by deadline. Returns success and how
-// many backpressure sheds were absorbed.
-func flLaunchWithRetry(c *client.Client, src, kernel string, bound time.Duration) (bool, int64) {
+// many backpressure sheds were absorbed; onShed, when set, observes each one
+// as it happens.
+func flLaunchWithRetry(c *client.Client, src, kernel string, bound time.Duration, onShed func()) (bool, int64) {
 	dead := time.Now().Add(bound)
 	var sheds int64
 	for time.Now().Before(dead) {
@@ -607,6 +674,9 @@ func flLaunchWithRetry(c *client.Client, src, kernel string, bound time.Duration
 		if err != nil {
 			if errors.Is(err, client.ErrBackpressure) {
 				sheds++
+				if onShed != nil {
+					onShed()
+				}
 				time.Sleep(5 * time.Millisecond)
 				continue
 			}

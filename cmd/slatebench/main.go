@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|dispatch|simbench|fleetload")
+	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|simbench|fleetload")
 	loop := flag.Float64("loop", 3.0, "solo kernel loop target in seconds (paper used ~30)")
 	seed := flag.Int64("seed", 1, "trace-model and chaos-driver seed (same seed = same tables)")
 	chaosSessions := flag.Int("chaos-sessions", 12, "hostile client sessions per faults chaos run")
@@ -37,7 +37,6 @@ func main() {
 		"intra-simulation worker count: sharded sub-simulations and engine fan (byte-identical at any value; 1 = serial)")
 	benchOut := flag.String("bench-out", "BENCH_harness.json", "file the parbench experiment writes its record to")
 	modelBenchOut := flag.String("model-bench-out", "BENCH_model.json", "file the modelbench experiment writes its record to")
-	dispatchBenchOut := flag.String("dispatch-bench-out", "BENCH_dispatch.json", "file the dispatch experiment writes its record to")
 	simBenchOut := flag.String("sim-bench-out", "BENCH_sim.json", "file the simbench experiment writes its record to")
 	fleetBenchOut := flag.String("fleet-bench-out", "BENCH_fleet.json", "file the fleetload experiment writes its record to")
 	fleetSessions := flag.Int("fleet-sessions", 100_000, "concurrent sessions per fleetload leg (CI smoke uses a reduced count)")
@@ -95,16 +94,6 @@ func main() {
 		// over (the byte-identical double run).
 		if err := runFleetLoad(*seed, *fleetSessions, *fleetBenchOut); err != nil {
 			fmt.Fprintf(os.Stderr, "slatebench: fleetload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if selected == "dispatch" {
-		// Benchmark mode: not part of -exp all, because it times the launch
-		// path against a real-fsync durable daemon twice (single, batched).
-		if err := runDispatchBench(*dispatchBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: dispatch: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -82,6 +82,59 @@ func TestBackpressureRejectsFloodingSession(t *testing.T) {
 	})
 }
 
+// The daemon-wide cap counts the frame, like the per-session one: with one
+// slot left a batch of 8 is refused whole — nothing of it runs, the daemon
+// never holds more than the cap — and a single launch takes the slot.
+func TestDaemonWideAdmissionCountsTheFrame(t *testing.T) {
+	srv, dial := daemon.NewLocal(2)
+	srv.MaxTotalPending = 16
+	srv.AgingBound = time.Hour // no aging override inside this test
+	holder, err := client.Local(srv, dial, "holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	for i := 0; i < srv.MaxTotalPending-1; i++ {
+		if err := holder.Launch(gatedKernel("hold", gate), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cli, err := client.Local(srv, dial, "late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := cli.NewBatch()
+	for i := 0; i < 8; i++ {
+		if err := batch.Launch(quickKernel("batched"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acks, err := batch.Submit(); !errors.Is(err, client.ErrBackpressure) || acks != nil {
+		t.Fatalf("batch of 8 into one free slot: acks %v, err %v, want ErrBackpressure for the whole frame", acks, err)
+	}
+	if err := cli.Launch(quickKernel("single"), 1); err != nil {
+		t.Fatalf("single launch into the free slot: %v", err)
+	}
+	close(gate)
+	for _, c := range []*client.Client{holder, cli} {
+		if err := c.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := srv.Exec.Runs("batched"); got != 0 {
+		t.Fatalf("%d launches of the refused batch ran", got)
+	}
+	if got := srv.Exec.Runs("single"); got != 1 {
+		t.Fatalf("the admitted single ran %d times", got)
+	}
+	waitFor(t, "the refused batch's spec deposits to be taken back", func() bool {
+		return srv.Specs.Len() == 0
+	})
+}
+
 // A session over its device-memory quota gets ErrQuota; freeing restores
 // headroom.
 func TestQuotaBoundsSessionMemory(t *testing.T) {

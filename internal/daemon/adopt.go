@@ -135,7 +135,7 @@ func (s *Server) adoptSession(v *resumeState) (st *resumeState, dup bool, err er
 		Window: v.Window, PoisonErr: v.PoisonErr, PoisonCode: v.PoisonCode,
 		LostErr: v.LostErr,
 	}
-	if err := s.journalAppend(rec, func() {
+	if err := s.journalAppend([]*journal.Record{rec}, func() {
 		d.mu.Lock()
 		d.resume[st.Token] = st
 		d.bySess[st.Sess] = st

@@ -6,6 +6,7 @@ import (
 
 	"slate/internal/daemon"
 	"slate/internal/ipc"
+	"slate/internal/kern"
 )
 
 func batchSrcItem(opID uint64, kernel string) ipc.BatchItem {
@@ -63,6 +64,84 @@ func TestBatchAcceptAndRawResendDedup(t *testing.T) {
 	for _, k := range []string{"bk1", "bk2", "bk3"} {
 		if got := srv.Exec.Runs("src:" + k); got != 1 {
 			t.Fatalf("%s ran %d times, want exactly 1", k, got)
+		}
+	}
+}
+
+// Dedup comes first for both submission forms: on a poisoned session whose
+// quota is nearly spent, a re-sent op — alone or as a whole batch — is still
+// answered from the window, while any frame carrying fresh work gets the
+// sticky error.
+func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
+	srv, dial := daemon.NewLocal(2)
+	srv.MaxSessionPending = 3
+	if _, err := srv.EnableDurability(daemon.Durability{Dir: t.TempDir(), NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.CloseDurability()
+	conn := ipc.NewConn(dial())
+	defer conn.Close()
+	seq := uint64(0)
+	do := func(req *ipc.Request) *ipc.Reply {
+		t.Helper()
+		seq++
+		req.Seq = seq
+		return call(t, conn, req)
+	}
+	if rep := do(&ipc.Request{Op: ipc.OpHello, Proc: "poisoned"}); rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	gate := make(chan struct{})
+	item := func(op uint64, stream int, spec *kern.Spec) ipc.BatchItem {
+		return ipc.BatchItem{Token: srv.Specs.Put(spec), Stream: stream, OpID: op}
+	}
+	single := func(it ipc.BatchItem) *ipc.Request {
+		return &ipc.Request{Op: ipc.OpLaunch, Token: it.Token, Stream: it.Stream, OpID: it.OpID}
+	}
+	held1, held2 := item(1, 1, gatedKernel("held", gate)), item(2, 1, gatedKernel("held", gate))
+	bad := item(3, 2, panickingSpec("panicker"))
+	for _, it := range []ipc.BatchItem{held1, held2, bad} {
+		if rep := do(single(it)); rep.Err != "" {
+			t.Fatalf("op %d: %s", it.OpID, rep.Err)
+		}
+	}
+	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: 2}); rep.Code != ipc.CodeKernelPanic {
+		t.Fatalf("sync of the panicked stream = %+v, want CodeKernelPanic", rep)
+	}
+
+	// Poisoned, two of three quota units held. A fresh launch is refused...
+	if rep := do(single(item(4, 2, quickKernel("fresh")))); rep.Code != ipc.CodeKernelPanic {
+		t.Fatalf("fresh single on a poisoned session = %+v, want the sticky error", rep)
+	}
+	// ...a replayed single is answered from the window...
+	if rep := do(single(bad)); rep.Err != "" || !rep.Dup {
+		t.Fatalf("replayed single = %+v, want the stored ack with Dup", rep)
+	}
+	// ...and so is a replayed batch, although three items would not fit the quota.
+	rep := do(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{held1, held2, bad}})
+	if rep.Err != "" || len(rep.Acks) != 3 {
+		t.Fatalf("replayed batch = %+v, want three acks from the window", rep)
+	}
+	for i, a := range rep.Acks {
+		if a.Code != 0 || !a.Dup {
+			t.Fatalf("replayed ack %d = %+v, want the stored ack with Dup", i, a)
+		}
+	}
+	// One fresh item makes the frame fresh work: refused whole.
+	rep = do(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{bad, item(5, 2, quickKernel("fresh"))}})
+	if rep.Code != ipc.CodeKernelPanic || len(rep.Acks) != 0 {
+		t.Fatalf("batch with a fresh item on a poisoned session = %+v, want the sticky error and no acks", rep)
+	}
+	close(gate)
+	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: -1}); rep.Code != ipc.CodeKernelPanic {
+		t.Fatalf("device sync = %+v, want the sticky error", rep)
+	}
+	if got := srv.DedupHits(); got != 5 {
+		t.Fatalf("DedupHits = %d, want 5", got)
+	}
+	for name, want := range map[string]int{"held": 2, "panicker": 1, "fresh": 0} {
+		if got := srv.Exec.Runs(name); got != want {
+			t.Fatalf("%s ran %d times, want %d", name, got, want)
 		}
 	}
 }
@@ -157,9 +236,9 @@ func TestRecoveryReplaysBatchedRecords(t *testing.T) {
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch, Seq: 2}); rep.Err != "" {
 		t.Fatalf("batch: %v", rep.Err)
 	}
-	// Vanish without a synchronize; session teardown drains the dispatch
-	// loop, whose final flush group-commits the completions. The journal now
-	// holds only batch-written records for these ops.
+	// Vanish without a synchronize; session teardown drains the lane, which
+	// group-commits the completions before it retires. The journal now holds
+	// only batch-written records for these ops.
 	conn.Close()
 	waitIdle(t, srv1)
 	if err := srv1.CloseDurability(); err != nil {

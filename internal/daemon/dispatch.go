@@ -1,158 +1,179 @@
-// Batched dispatch (daemon side): a persistent per-session dispatch loop
-// pulling launches off a bounded ring queue. The single-launch path spawns a
-// goroutine per launch and pays one journal fsync per completion; the batch
-// path amortizes both — one loop goroutine serves the whole session, and
-// completion records are buffered and group-committed (one fsync) when the
-// ring drains or the buffer fills.
+// The back half of the launch pipeline (DESIGN.md §14): per-stream lanes.
+// Every accepted launch, whether it arrived alone or in a batch, is queued on
+// the lane of its CUDA stream (§III: "a queue for each process and CUDA
+// stream"). A lane is a FIFO plus the one goroutine that consumes it, so
+// launches on one stream run in submission order while different streams
+// meet the executor's corun logic independently. Completion records are
+// buffered per lane and group-committed — one journal append for everything
+// that finished while the lane had more to run.
 package daemon
 
 import (
+	"fmt"
 	"sync"
+
+	"slate/internal/kern"
 )
 
 // completionFlushThreshold bounds how many executed-but-not-yet-journaled
-// completions the dispatch loop buffers before forcing a group commit; the
-// loop also flushes whenever its ring runs dry. Buffering widens the window
-// where a crash loses a completion record — which the exactly-once contract
-// already tolerates (the launch re-executes on recovery replay) — in
-// exchange for one fsync per group instead of per launch.
+// completions a lane buffers before forcing a group commit; the lane also
+// flushes whenever it runs dry. Buffering widens the window where a crash
+// loses a completion record — which the exactly-once contract already
+// tolerates (the launch re-executes on recovery replay) — in exchange for one
+// fsync per group instead of per launch.
 const completionFlushThreshold = 16
 
-// dispatchItem is one accepted batched launch handed to the session's
-// dispatch loop: the stream-ordering tails it must respect, the execution
-// thunk, and the bookkeeping identities for completion journaling.
+// dispatchItem is one accepted launch queued on its stream's lane: what the
+// executor runs and the identity its completion is journaled under.
 type dispatchItem struct {
-	prev <-chan struct{} // the stream's previous tail; wait before running
-	next chan struct{}   // this launch's tail; closed when it finishes
-	run  func() error
-	opID uint64
-	st   *resumeState
-	ss   *session
-	wg   *sync.WaitGroup // the session's pending WaitGroup (teardown/sync)
+	stream int
+	spec   *kern.Spec
+	task   int
+	// vanilla routes a degraded source launch to the hardware-scheduler path.
+	vanilla bool
+	// deadline is the frame's propagated deadline (0 = none), checked again
+	// when the launch reaches the head of its lane.
+	deadline int64
+	st       *resumeState
+	opID     uint64
 }
 
-// ranItem is an executed item awaiting its group-committed completion record.
-type ranItem struct {
-	it  dispatchItem
-	err error
+// lane is one stream's queue. It exists — in dispatcher.lanes, and as a
+// goroutine — exactly while the stream has queued, running or unflushed work.
+type lane struct {
+	queue []dispatchItem // FIFO from head; consumed slots are zeroed
+	head  int
+	done  []launchOutcome // ran, completion record not yet journaled
 }
 
-// dispatcher is the per-session dispatch loop. Items are pushed from the
-// session's ServeConn goroutine (which already did admission, dedup, and the
-// group-commit accept journaling) and consumed by one persistent goroutine.
-// The ring is bounded by admission — a session can never have more than
-// MaxSessionPending accepted-unfinished launches — and grows only on
-// unbounded (volatile, MaxSessionPending=0) daemons.
+// dispatcher is one session's set of lanes. Launches are pushed from the
+// session's ServeConn goroutine, after admission and the accept commit, and
+// that goroutine is also the only one that waits for lanes to retire.
 type dispatcher struct {
-	s *Server
+	s  *Server
+	ss *session
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []dispatchItem
-	head   int
-	count  int
-	closed bool
+	mu      sync.Mutex
+	retired sync.Cond // signalled each time a lane retires
+	lanes   map[int]*lane
+	// spare is the last retired lane, kept for its buffers: a stream that
+	// runs dry between launches gets its lane back without allocating.
+	spare *lane
 
-	done chan struct{} // closed when the loop has drained and flushed
+	// Frame scratch, confined to the session's ServeConn goroutine and reused
+	// from one launchFrame to the next.
+	fresh []int
+	ready []dispatchItem
 }
 
-// newDispatcher starts a session's dispatch loop with the given ring
-// capacity (<=0 selects DefaultMaxSessionPending).
-func newDispatcher(s *Server, capacity int) *dispatcher {
-	if capacity <= 0 {
-		capacity = DefaultMaxSessionPending
-	}
-	dp := &dispatcher{s: s, ring: make([]dispatchItem, capacity), done: make(chan struct{})}
-	dp.cond = sync.NewCond(&dp.mu)
-	go dp.loop()
+func newDispatcher(s *Server, ss *session) *dispatcher {
+	dp := &dispatcher{s: s, ss: ss, lanes: map[int]*lane{}}
+	dp.retired.L = &dp.mu
 	return dp
 }
 
-// push enqueues one accepted launch. Never blocks: admission bounds the ring
-// on configured daemons, and the ring doubles for unbounded ones.
-func (dp *dispatcher) push(it dispatchItem) {
+// push queues a frame's accepted launches on their streams' lanes, starting a
+// lane for each stream that was idle, and charges them to the pending
+// counters until their completions are journaled. The whole frame is queued
+// before any lane can take from it, so launches that arrived together on a
+// stream settle in one group. Never blocks: admission bounds what a session
+// can have queued.
+func (dp *dispatcher) push(frame []dispatchItem) {
+	dp.ss.pending.Add(int64(len(frame)))
+	dp.s.totalPending.Add(int64(len(frame)))
 	dp.mu.Lock()
-	if dp.count == len(dp.ring) {
-		grown := make([]dispatchItem, 2*len(dp.ring))
-		for i := 0; i < dp.count; i++ {
-			grown[i] = dp.ring[(dp.head+i)%len(dp.ring)]
-		}
-		dp.ring, dp.head = grown, 0
-	}
-	dp.ring[(dp.head+dp.count)%len(dp.ring)] = it
-	dp.count++
-	dp.mu.Unlock()
-	dp.cond.Signal()
-}
-
-// close tells the loop no more items are coming; it drains the ring, flushes
-// buffered completions, and exits. The session's pending WaitGroup observes
-// every item's completion, so teardown's pending.Wait() covers the drain.
-func (dp *dispatcher) close() {
-	dp.mu.Lock()
-	dp.closed = true
-	dp.mu.Unlock()
-	dp.cond.Signal()
-}
-
-// loop is the persistent dispatch goroutine: pop, respect stream order, run,
-// buffer the completion, group-commit when idle or full. Completion
-// bookkeeping order matters: the journal flush happens BEFORE the pending
-// counters drop, so a Synchronize that saw pending.Wait() return knows every
-// finished launch's completion record is durable; the stream tail closes
-// right after the run, so stream chaining is not serialized behind fsyncs.
-func (dp *dispatcher) loop() {
-	var buffered []ranItem
-	flush := func() {
-		if len(buffered) == 0 {
-			return
-		}
-		outs := make([]launchOutcome, 0, len(buffered))
-		for _, r := range buffered {
-			outs = append(outs, launchOutcome{st: r.it.st, opID: r.it.opID, err: r.err})
-		}
-		dp.s.completeLaunches(outs)
-		for _, r := range buffered {
-			if r.err != nil {
-				r.it.ss.recordLaunch(r.err)
+	defer dp.mu.Unlock()
+	for _, it := range frame {
+		l := dp.lanes[it.stream]
+		if l == nil {
+			if l = dp.spare; l != nil {
+				dp.spare = nil
+			} else {
+				l = &lane{}
 			}
-			dp.s.totalPending.Add(-1)
-			r.it.ss.pending.Add(-1)
-			r.it.wg.Done()
+			dp.lanes[it.stream] = l
+			go dp.run(it.stream, l)
 		}
-		buffered = buffered[:0]
+		if l.head > 0 && len(l.queue) == cap(l.queue) {
+			// Slide the queued items over the consumed slots rather than grow.
+			n := copy(l.queue, l.queue[l.head:])
+			clear(l.queue[n:])
+			l.queue, l.head = l.queue[:n], 0
+		}
+		l.queue = append(l.queue, it)
 	}
+}
+
+// wait blocks until the stream's lane has retired — every launch queued on it
+// ran and its completion record is in the journal — or, for a negative
+// stream, until every lane of the session has (device synchronize, teardown).
+// A stream with no lane is idle and returns at once.
+func (dp *dispatcher) wait(stream int) {
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	for stream >= 0 && dp.lanes[stream] != nil || stream < 0 && len(dp.lanes) > 0 {
+		dp.retired.Wait()
+	}
+}
+
+// run is a lane's goroutine: while the queue has a head and the buffer has
+// room, run it and buffer its outcome; otherwise settle what is buffered; and
+// with the queue dry and nothing left to settle, retire. Whoever saw the lane
+// gone therefore knows its launches ran and their completion records were
+// appended.
+func (dp *dispatcher) run(stream int, l *lane) {
+	dp.mu.Lock()
 	for {
-		dp.mu.Lock()
-		for dp.count == 0 && !dp.closed {
-			if len(buffered) > 0 {
-				// Ring ran dry: group-commit what has finished before
-				// sleeping (flush does journal IO, so drop the lock).
-				dp.mu.Unlock()
-				flush()
-				dp.mu.Lock()
-				continue
-			}
-			dp.cond.Wait()
-		}
-		if dp.count == 0 {
+		if l.head < len(l.queue) && len(l.done) < completionFlushThreshold {
+			it := l.queue[l.head]
+			l.queue[l.head] = dispatchItem{}
+			l.head++
 			dp.mu.Unlock()
-			flush()
-			close(dp.done)
-			return
+			l.done = append(l.done, launchOutcome{st: it.st, opID: it.opID, err: dp.exec(&it)})
+			dp.mu.Lock()
+			continue
 		}
-		it := dp.ring[dp.head]
-		dp.ring[dp.head] = dispatchItem{}
-		dp.head = (dp.head + 1) % len(dp.ring)
-		dp.count--
+		if len(l.done) == 0 {
+			break
+		}
 		dp.mu.Unlock()
+		dp.settle(l.done)
+		clear(l.done)
+		l.done = l.done[:0]
+		dp.mu.Lock()
+	}
+	l.queue, l.head = l.queue[:0], 0
+	delete(dp.lanes, stream)
+	dp.spare = l
+	dp.mu.Unlock()
+	dp.retired.Broadcast()
+}
 
-		<-it.prev
-		err := it.run()
-		close(it.next)
-		buffered = append(buffered, ranItem{it: it, err: err})
-		if len(buffered) >= completionFlushThreshold {
-			flush()
+// exec runs one launch, unless its deadline passed while it waited its turn:
+// then it is shed at the queue head — never executed, its completion still
+// journaled, with CodeExpired.
+func (dp *dispatcher) exec(it *dispatchItem) error {
+	switch {
+	case expired(it.deadline):
+		return fmt.Errorf("%w: deadline passed at queue head", ErrExpired)
+	case it.vanilla:
+		return dp.s.Exec.RunVanilla(it.spec, it.task)
+	default:
+		return dp.s.Exec.Run(it.spec, it.task)
+	}
+}
+
+// settle group-commits the completion records of finished launches and only
+// then releases their pending quota: a client whose synchronize returned, or
+// whose launch was admitted into the freed quota, knows the records are in
+// the journal.
+func (dp *dispatcher) settle(done []launchOutcome) {
+	dp.s.journalCompletions(done)
+	for i := range done {
+		if err := done[i].err; err != nil {
+			dp.ss.recordLaunch(err)
 		}
 	}
+	dp.s.totalPending.Add(-int64(len(done)))
+	dp.ss.pending.Add(-int64(len(done)))
 }

@@ -290,7 +290,7 @@ func TestSeededFaultRoundTripIsReproducible(t *testing.T) {
 	}
 }
 
-// Stream tails are pruned once their launches drain: cycling through many
+// A stream's lane is gone once its launches settle: cycling through many
 // stream IDs cannot grow per-session daemon state without bound.
 func TestManyStreamsDoNotWedgeSession(t *testing.T) {
 	srv, dial := daemon.NewLocal(2)

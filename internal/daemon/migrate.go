@@ -108,9 +108,9 @@ func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*Migrate
 		// Step 2: tombstone the source copy. Runs for conflicts too — a
 		// conflict means an earlier (crashed) handoff already landed this
 		// token on dst, and the stale source copy must still die.
-		if err := s.journalAppend(&journal.Record{
+		if err := s.journalAppend([]*journal.Record{{
 			Kind: journal.KindSessionMigrate, Sess: v.Sess, Token: v.Token,
-		}, func() {
+		}}, func() {
 			d.mu.Lock()
 			if cur, ok := d.resume[v.Token]; ok {
 				delete(d.resume, v.Token)

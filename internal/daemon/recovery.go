@@ -132,6 +132,19 @@ func (st *resumeState) entry(op uint64) *dedupEntry {
 	return nil
 }
 
+// acceptedEntry is the window entry a launch-accept record describes; the
+// live accept and recovery replay both build theirs from the record, so the
+// window a restart rebuilds is the one the daemon was serving from.
+func acceptedEntry(rec *journal.Record) *dedupEntry {
+	return &dedupEntry{
+		OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
+		Degraded: rec.Degraded, Entries: rec.Entries,
+		Src: rec.Src, Kernel: rec.Kernel,
+		GridX: rec.GridX, GridY: rec.GridY, BlockX: rec.BlockX, BlockY: rec.BlockY,
+		TaskSize: rec.TaskSize, Stream: rec.Stream,
+	}
+}
+
 // clone deep-copies the entry so a checkpoint snapshot can be marshaled
 // outside the daemon's locks.
 func (e *dedupEntry) clone() *dedupEntry {
@@ -302,13 +315,7 @@ func (ls *loadedState) apply(rec *journal.Record) error {
 		if !ok || rec.OpID == 0 || rec.OpID <= st.MaxOp {
 			return nil // closed session, unstamped op, or re-delivery
 		}
-		st.push(&dedupEntry{
-			OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
-			Degraded: rec.Degraded, Entries: rec.Entries,
-			Src: rec.Src, Kernel: rec.Kernel,
-			GridX: rec.GridX, GridY: rec.GridY, BlockX: rec.BlockX, BlockY: rec.BlockY,
-			TaskSize: rec.TaskSize, Stream: rec.Stream,
-		})
+		st.push(acceptedEntry(rec))
 	case journal.KindLaunchComplete:
 		if st, ok := ls.bySess[rec.Sess]; ok {
 			if e := st.entry(rec.OpID); e != nil {
@@ -510,9 +517,9 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 		// No apply: the executor installed the profile in memory (under its
 		// own lock) before invoking this hook, so a compaction snapshot
 		// already sees it.
-		_ = s.journalAppend(&journal.Record{
+		_ = s.journalAppend([]*journal.Record{{
 			Kind: journal.KindProfile, Kernel: name, Class: int(class), SoloSec: soloSec,
-		}, nil)
+		}}, nil)
 	}
 
 	// Exactly-once launch replay: accepted-but-incomplete source launches
@@ -579,14 +586,11 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 				p.st.LostErr = msg
 			}
 			d.mu.Unlock()
-			s.completeLaunch(p.st, p.e.OpID, errors.New(msg))
+			s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: errors.New(msg)}})
 			lost++
 			continue
 		}
-		spec := synthesizeSourceSpec(&ipc.Request{
-			Kernel: p.e.Kernel,
-			GridX:  p.e.GridX, GridY: p.e.GridY, BlockX: p.e.BlockX, BlockY: p.e.BlockY,
-		})
+		spec := synthesizeSourceSpec(p.e.Kernel, p.e.GridX, p.e.GridY, p.e.BlockX, p.e.BlockY)
 		var err error
 		if spec == nil {
 			err = fmt.Errorf("daemon: replay op %d: invalid journaled geometry", p.e.OpID)
@@ -595,7 +599,7 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 		} else {
 			err = s.Exec.Run(spec, p.e.TaskSize)
 		}
-		s.completeLaunch(p.st, p.e.OpID, err)
+		s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
 		replayed++
 	}
 	return replayed, lost
@@ -659,28 +663,38 @@ func (s *Server) crash() {
 // completion concurrently with the adopter re-executing the same launch.
 func (s *Server) Kill() { s.crash() }
 
-// journalAppend writes one record through the WAL and — still under the
-// compaction lock — runs apply, the record's in-memory effect. Append and
-// apply are atomic with respect to compaction: a record is either absent
-// from both journal and memory (append died) or present in both before any
-// checkpoint can snapshot, so compaction never erases a record whose effect
-// the checkpoint missed. When the log is due afterwards it is folded into
-// the checkpoint before the lock is released. A fired crash site kills the
-// daemon (conns close, no ack escapes) and surfaces fault.ErrCrash to the
-// caller; apply does not run — the record may be durable, but recovery
-// replay rebuilds its effect. Any OTHER append failure — a write error, a
-// short write, a failed fsync — kills the daemon too: the policy is
-// fail-stop, because a record whose durability is unknown must never be
-// followed by an ack (fsyncgate), and a journal that can no longer write
-// cannot uphold write-ahead for anything that follows.
-func (s *Server) journalAppend(rec *journal.Record, apply func()) error {
-	if s.durable == nil {
+// journalAppend writes a group of records through the WAL — one write and one
+// fsync, a lone record with journal.Append and a larger group with
+// journal.AppendBatch, whose bytes are those of len(recs) sequential Appends,
+// so replay, adoption and migration read the log with no notion of groups —
+// and, still under the compaction lock, runs apply, the group's in-memory
+// effect in record order. Append and apply are atomic with respect to
+// compaction: a record is either absent from both journal and memory (append
+// died) or present in both before any checkpoint can snapshot, so compaction
+// never erases a record whose effect the checkpoint missed. When the log is
+// due afterwards it is folded into the checkpoint before the lock is
+// released. A fired crash site kills the daemon (conns close, no ack escapes)
+// and surfaces fault.ErrCrash to the caller; apply does not run — the records
+// may be durable, but recovery replay rebuilds their effect. Any OTHER append
+// failure — a write error, a short write, a failed fsync — kills the daemon
+// too: the policy is fail-stop, because a record whose durability is unknown
+// must never be followed by an ack (fsyncgate) — of any item of its group —
+// and a journal that can no longer write cannot uphold write-ahead for
+// anything that follows.
+func (s *Server) journalAppend(recs []*journal.Record, apply func()) error {
+	if s.durable == nil || len(recs) == 0 {
 		return nil
 	}
 	d := s.durable
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
-	if err := d.w.Append(rec); err != nil {
+	var err error
+	if len(recs) == 1 {
+		err = d.w.Append(recs[0])
+	} else {
+		err = d.w.AppendBatch(recs)
+	}
+	if err != nil {
 		s.crash()
 		return err
 	}
@@ -737,9 +751,9 @@ func (s *Server) openSession(ss *session, proc string) (*resumeState, error) {
 	}
 	st := &resumeState{Sess: ss.id, Token: tokenFor(ss.id, s.TokenSeed), Proc: proc, attached: true}
 	d := s.durable
-	if err := s.journalAppend(&journal.Record{
+	if err := s.journalAppend([]*journal.Record{{
 		Kind: journal.KindSessionOpen, Sess: st.Sess, Token: st.Token, Proc: proc,
-	}, func() {
+	}}, func() {
 		d.mu.Lock()
 		d.resume[st.Token] = st
 		d.bySess[st.Sess] = st
@@ -786,7 +800,7 @@ func (s *Server) closeSession(st *resumeState) {
 		return
 	}
 	d := s.durable
-	_ = s.journalAppend(&journal.Record{Kind: journal.KindSessionClose, Sess: st.Sess}, func() {
+	_ = s.journalAppend([]*journal.Record{{Kind: journal.KindSessionClose, Sess: st.Sess}}, func() {
 		d.mu.Lock()
 		delete(d.resume, st.Token)
 		delete(d.bySess, st.Sess)
@@ -794,132 +808,17 @@ func (s *Server) closeSession(st *resumeState) {
 	})
 }
 
-// dedupCheck answers a replayed launch from the session's dedup window.
-// Returns true when the request was handled (rep filled with the original
-// ack, or a CodeDuplicateOp rejection) and must not execute.
-func (s *Server) dedupCheck(st *resumeState, req *ipc.Request, rep *ipc.Reply) bool {
-	if s.durable == nil || st == nil || req.OpID == 0 {
-		return false
-	}
-	d := s.durable
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if req.OpID > st.MaxOp {
-		return false
-	}
-	d.dedupHits++
-	if e := st.entry(req.OpID); e != nil {
-		rep.Code, rep.Err = ipc.ErrCode(e.Code), e.Err
-		rep.Degraded, rep.Entries = e.Degraded, e.Entries
-		rep.Dup = true
-		return true
-	}
-	rep.Code = ipc.CodeDuplicateOp
-	rep.Err = fmt.Sprintf("daemon: op %d already accepted, outcome outside dedup window", req.OpID)
-	return true
-}
+// recsOnStack sizes the array a commit group's record pointers start in: a
+// frame of 32, or a lane's full buffer of completions with a strike behind
+// each, is gathered without a heap allocation, and a larger group grows out
+// of it like any slice.
+const recsOnStack = 2 * completionFlushThreshold
 
-// acceptLaunch journals a launch's accept record — write-ahead of the ack —
-// and installs its dedup entry. src carries the replay geometry. A fired
-// crash site returns fault.ErrCrash: the caller dies without acking.
-func (s *Server) acceptLaunch(st *resumeState, req *ipc.Request, rep *ipc.Reply, src bool) error {
-	if s.durable == nil || st == nil || req.OpID == 0 {
-		return nil
-	}
-	rec := &journal.Record{
-		Kind: journal.KindLaunchAccept, Sess: st.Sess, OpID: req.OpID,
-		Code: uint8(rep.Code), Err: rep.Err, Degraded: rep.Degraded, Entries: rep.Entries,
-		Src: src, Kernel: req.Kernel,
-		GridX: req.GridX, GridY: req.GridY, BlockX: req.BlockX, BlockY: req.BlockY,
-		TaskSize: req.TaskSize, Stream: req.Stream,
-	}
-	d := s.durable
-	return s.journalAppend(rec, func() {
-		d.mu.Lock()
-		st.push(&dedupEntry{
-			OpID: req.OpID, Code: uint8(rep.Code), Err: rep.Err,
-			Degraded: rep.Degraded, Entries: rep.Entries,
-			Src: src, Kernel: req.Kernel,
-			GridX: req.GridX, GridY: req.GridY, BlockX: req.BlockX, BlockY: req.BlockY,
-			TaskSize: req.TaskSize, Stream: req.Stream,
-		})
-		d.mu.Unlock()
-	})
-}
-
-// completeLaunch journals a launch's terminal outcome and marks its dedup
-// entry done; a session-poisoning outcome (panic, containment timeout) also
-// journals the strike so a restart keeps the session poisoned.
-func (s *Server) completeLaunch(st *resumeState, opID uint64, err error) {
-	if s.durable == nil || st == nil || opID == 0 {
-		return
-	}
-	rec := &journal.Record{Kind: journal.KindLaunchComplete, Sess: st.Sess, OpID: opID}
-	if err != nil {
-		rep := &ipc.Reply{}
-		fail(rep, err)
-		rec.Code, rec.Err = uint8(rep.Code), rep.Err
-	}
-	d := s.durable
-	if aerr := s.journalAppend(rec, func() {
-		d.mu.Lock()
-		if e := st.entry(opID); e != nil {
-			e.Done = true
-		}
-		d.mu.Unlock()
-	}); aerr != nil {
-		return // simulated death: nothing after this record is durable
-	}
-	if errors.Is(err, ErrKernelPanic) || errors.Is(err, ErrKernelTimeout) {
-		rep := &ipc.Reply{}
-		fail(rep, err)
-		// The poison must land on the in-memory state too, not just the
-		// journal: a later compaction snapshots memory and discards the
-		// strike record, and the checkpoint must still carry the poison.
-		_ = s.journalAppend(&journal.Record{
-			Kind: journal.KindStrike, Sess: st.Sess, Action: "poison",
-			Code: uint8(rep.Code), Err: rep.Err,
-		}, func() {
-			d.mu.Lock()
-			st.PoisonErr, st.PoisonCode = rep.Err, uint8(rep.Code)
-			d.mu.Unlock()
-		})
-	}
-}
-
-// journalAppendBatch is journalAppend for a group commit: every record in
-// recs reaches the file in one write and one fsync (journal.AppendBatch), and
-// apply — the combined in-memory effect, in record order — runs under the
-// same compaction lock. The on-disk bytes are identical to len(recs)
-// sequential Appends, so recovery replay, adoption, and migration consume
-// batched records with no format awareness. A fired crash site kills the
-// daemon and surfaces fault.ErrCrash exactly like the single-record path;
-// any other failure (write error, short write, failed fsync) is fail-stop
-// the same way — no item of a group whose commit failed may ever be acked.
-func (s *Server) journalAppendBatch(recs []*journal.Record, apply func()) error {
-	if s.durable == nil || len(recs) == 0 {
-		return nil
-	}
-	d := s.durable
-	d.compactMu.Lock()
-	defer d.compactMu.Unlock()
-	if err := d.w.AppendBatch(recs); err != nil {
-		s.crash()
-		return err
-	}
-	if apply != nil {
-		apply()
-	}
-	if d.w.Records() >= d.compactEvery {
-		s.compactLocked()
-	}
-	return nil
-}
-
-// dedupCheckItem is dedupCheck for one batched launch: same window semantics
-// (in-window → original ack replayed with Dup set; at-or-below MaxOp but aged
-// out → CodeDuplicateOp), answered into the item's BatchAck.
-func (s *Server) dedupCheckItem(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
+// dedup answers a replayed launch from the session's dedup window, into its
+// ack: an op still in the window gets its original ack back with Dup set, one
+// at or below MaxOp that has aged out gets CodeDuplicateOp. False means the
+// op is fresh (or carries no dedup identity) and must go on to admission.
+func (s *Server) dedup(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
 	if s.durable == nil || st == nil || opID == 0 {
 		return false
 	}
@@ -941,22 +840,26 @@ func (s *Server) dedupCheckItem(st *resumeState, opID uint64, ack *ipc.BatchAck)
 	return true
 }
 
-// acceptLaunchBatch journals the accept records for every accepted item of a
-// batch — write-ahead of the single batch ack — in one group commit, and
+// acceptFrame journals the accept records for every accepted item of a frame
+// — write-ahead of the ack, with the ack's contents and, for source launches,
+// the geometry recovery needs to re-execute them — in one group commit, and
 // installs their dedup entries in op-ID order. idxs selects the accepted
-// items (per-item rejections are acked but never journaled, mirroring the
-// single-launch path where a failed prepare is a definite rejection). A fired
-// crash site returns fault.ErrCrash: the caller dies without acking, so
-// either no item of the batch is durable (torn prefix truncates on replay) or
-// all are (durable, un-acked; the dedup window absorbs the re-send).
-func (s *Server) acceptLaunchBatch(st *resumeState, batch []ipc.BatchItem, acks []ipc.BatchAck, idxs []int) error {
-	if s.durable == nil || st == nil || len(idxs) == 0 {
+// items (per-item rejections are acked but never journaled); an unstamped one
+// has no identity to journal under. A fired crash site returns
+// fault.ErrCrash: the caller dies without acking, so either no item of the
+// frame is durable (torn prefix truncates on replay) or all are (durable,
+// un-acked; the dedup window absorbs the re-send).
+func (s *Server) acceptFrame(st *resumeState, items []ipc.BatchItem, acks []ipc.BatchAck, idxs []int) error {
+	if s.durable == nil || st == nil {
 		return nil
 	}
-	recs := make([]*journal.Record, 0, len(idxs))
-	entries := make([]*dedupEntry, 0, len(idxs))
+	var buf [recsOnStack]*journal.Record
+	recs := buf[:0]
 	for _, i := range idxs {
-		it, a := &batch[i], &acks[i]
+		it, a := &items[i], &acks[i]
+		if it.OpID == 0 {
+			continue
+		}
 		recs = append(recs, &journal.Record{
 			Kind: journal.KindLaunchAccept, Sess: st.Sess, OpID: it.OpID,
 			Code: uint8(a.Code), Err: a.Err, Degraded: a.Degraded, Entries: a.Entries,
@@ -964,86 +867,76 @@ func (s *Server) acceptLaunchBatch(st *resumeState, batch []ipc.BatchItem, acks 
 			GridX: it.GridX, GridY: it.GridY, BlockX: it.BlockX, BlockY: it.BlockY,
 			TaskSize: it.TaskSize, Stream: it.Stream,
 		})
-		entries = append(entries, &dedupEntry{
-			OpID: it.OpID, Code: uint8(a.Code), Err: a.Err,
-			Degraded: a.Degraded, Entries: a.Entries,
-			Src: it.Src, Kernel: it.Kernel,
-			GridX: it.GridX, GridY: it.GridY, BlockX: it.BlockX, BlockY: it.BlockY,
-			TaskSize: it.TaskSize, Stream: it.Stream,
-		})
 	}
 	d := s.durable
-	return s.journalAppendBatch(recs, func() {
+	return s.journalAppend(recs, func() {
 		d.mu.Lock()
-		for _, e := range entries {
-			st.push(e)
+		for _, rec := range recs {
+			st.push(acceptedEntry(rec))
 		}
 		d.mu.Unlock()
 	})
 }
 
-// launchOutcome is one finished launch awaiting its completion record; the
-// dispatch loop collects these and completeLaunches group-commits them.
+// launchOutcome is one finished launch awaiting its completion record.
 type launchOutcome struct {
 	st   *resumeState
 	opID uint64
 	err  error
 }
 
-// completeLaunches is completeLaunch for a group of finished launches: every
-// completion record — and, for session-poisoning outcomes, the strike record
-// ordered right after its completion — lands in one fsync. Per-record order
-// inside the batch matches what sequential completeLaunch calls would have
-// written, so replay sees an identical log. A simulated death drops the whole
-// group: none of the completions is durable and recovery re-executes them,
-// which the exactly-once contract permits (completion loss, not duplication).
-func (s *Server) completeLaunches(outs []launchOutcome) {
+// poisons reports whether a launch outcome is sticky for its session.
+func poisons(err error) bool {
+	return errors.Is(err, ErrKernelPanic) || errors.Is(err, ErrKernelTimeout)
+}
+
+// journalCompletions journals the terminal outcomes of a group of finished
+// launches and marks their dedup entries done; a session-poisoning outcome
+// (panic, containment timeout) also journals the strike, ordered right after
+// its completion, so a restart keeps the session poisoned. The whole group
+// lands in one commit. A simulated death drops it: none of the completions is
+// durable and recovery re-executes them, which the exactly-once contract
+// permits (completion loss, not duplication).
+func (s *Server) journalCompletions(outs []launchOutcome) {
 	if s.durable == nil {
 		return
 	}
-	d := s.durable
-	recs := make([]*journal.Record, 0, len(outs))
-	applies := make([]func(), 0, len(outs))
+	var buf [recsOnStack]*journal.Record
+	recs := buf[:0]
 	for _, o := range outs {
 		if o.st == nil || o.opID == 0 {
 			continue
 		}
 		rec := &journal.Record{Kind: journal.KindLaunchComplete, Sess: o.st.Sess, OpID: o.opID}
 		if o.err != nil {
-			rep := &ipc.Reply{}
-			fail(rep, o.err)
-			rec.Code, rec.Err = uint8(rep.Code), rep.Err
+			rec.Code, rec.Err = uint8(codeFor(o.err)), o.err.Error()
 		}
 		recs = append(recs, rec)
-		st, op := o.st, o.opID
-		applies = append(applies, func() {
-			d.mu.Lock()
-			if e := st.entry(op); e != nil {
-				e.Done = true
-			}
-			d.mu.Unlock()
-		})
-		if errors.Is(o.err, ErrKernelPanic) || errors.Is(o.err, ErrKernelTimeout) {
-			rep := &ipc.Reply{}
-			fail(rep, o.err)
+		if poisons(o.err) {
 			recs = append(recs, &journal.Record{
-				Kind: journal.KindStrike, Sess: st.Sess, Action: "poison",
-				Code: uint8(rep.Code), Err: rep.Err,
-			})
-			code, msg := uint8(rep.Code), rep.Err
-			applies = append(applies, func() {
-				d.mu.Lock()
-				st.PoisonErr, st.PoisonCode = msg, code
-				d.mu.Unlock()
+				Kind: journal.KindStrike, Sess: o.st.Sess, Action: "poison",
+				Code: rec.Code, Err: rec.Err,
 			})
 		}
 	}
-	if len(recs) == 0 {
-		return
-	}
-	_ = s.journalAppendBatch(recs, func() {
-		for _, f := range applies {
-			f()
+	d := s.durable
+	_ = s.journalAppend(recs, func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		for _, o := range outs {
+			if o.st == nil || o.opID == 0 {
+				continue
+			}
+			if e := o.st.entry(o.opID); e != nil {
+				e.Done = true
+			}
+			if poisons(o.err) {
+				// The poison must land on the in-memory state too, not just
+				// the journal: a later compaction snapshots memory and
+				// discards the strike record, and the checkpoint must still
+				// carry the poison.
+				o.st.PoisonErr, o.st.PoisonCode = o.err.Error(), uint8(codeFor(o.err))
+			}
 		}
 	})
 }

@@ -131,9 +131,9 @@ func TestDedupWindowSlidesLikeTheReference(t *testing.T) {
 	}
 }
 
-// dedupCheck's three verdicts: fresh op falls through, in-window replay
-// returns the stored ack verbatim with Dup set, and an evicted-but-accepted
-// op gets the typed CodeDuplicateOp rejection.
+// dedup's three verdicts: fresh op falls through, in-window replay returns
+// the stored ack verbatim with Dup set, and an evicted-but-accepted op gets
+// the typed CodeDuplicateOp rejection.
 func TestDedupCheckVerdicts(t *testing.T) {
 	srv := NewServer(1)
 	if _, err := srv.EnableDurability(Durability{Dir: t.TempDir(), NoSync: true}); err != nil {
@@ -147,35 +147,42 @@ func TestDedupCheckVerdicts(t *testing.T) {
 	}
 
 	// Fresh op: not handled.
-	rep := &ipc.Reply{}
-	if srv.dedupCheck(st, &ipc.Request{OpID: st.MaxOp + 1}, rep) {
+	ack := &ipc.BatchAck{}
+	if srv.dedup(st, st.MaxOp+1, ack) {
 		t.Fatal("fresh op flagged as duplicate")
 	}
 	// Unstamped op (volatile client): never deduped.
-	if srv.dedupCheck(st, &ipc.Request{OpID: 0}, rep) {
+	if srv.dedup(st, 0, ack) {
 		t.Fatal("unstamped op flagged as duplicate")
 	}
 
 	// In-window replay: the original ack, verbatim.
-	rep = &ipc.Reply{}
-	if !srv.dedupCheck(st, &ipc.Request{OpID: st.MaxOp}, rep) {
+	ack = &ipc.BatchAck{}
+	if !srv.dedup(st, st.MaxOp, ack) {
 		t.Fatal("in-window replay not handled")
 	}
-	if !rep.Dup || !rep.Degraded || len(rep.Entries) != 1 || rep.Entries[0] != fmt.Sprintf("ack-%d", st.MaxOp) {
-		t.Fatalf("in-window replay = %+v, want the stored ack with Dup", rep)
+	if !ack.Dup || !ack.Degraded || len(ack.Entries) != 1 || ack.Entries[0] != fmt.Sprintf("ack-%d", st.MaxOp) {
+		t.Fatalf("in-window replay = %+v, want the stored ack with Dup", ack)
 	}
 
 	// Evicted op: accepted once, outcome gone — the typed rejection.
-	rep = &ipc.Reply{}
-	if !srv.dedupCheck(st, &ipc.Request{OpID: 2}, rep) {
+	ack = &ipc.BatchAck{}
+	if !srv.dedup(st, 2, ack) {
 		t.Fatal("evicted duplicate not handled")
 	}
-	if rep.Code != ipc.CodeDuplicateOp || rep.Dup {
-		t.Fatalf("evicted duplicate = %+v, want CodeDuplicateOp without Dup", rep)
+	if ack.Code != ipc.CodeDuplicateOp || ack.Dup {
+		t.Fatalf("evicted duplicate = %+v, want CodeDuplicateOp without Dup", ack)
 	}
 	if srv.DedupHits() != 2 {
 		t.Fatalf("DedupHits = %d, want 2", srv.DedupHits())
 	}
+}
+
+// acceptOne commits the accept record of one source launch as a group of one,
+// the way a single launch reaches the journal.
+func acceptOne(srv *Server, st *resumeState, op uint64) error {
+	items := []ipc.BatchItem{{Src: true, OpID: op, Kernel: "k"}}
+	return srv.acceptFrame(st, items, []ipc.BatchAck{{OpID: op}}, []int{0})
 }
 
 // Session poisoning survives a compaction: the strike record is folded into
@@ -192,11 +199,10 @@ func TestPoisonSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := &ipc.Reply{}
-	if err := srv.acceptLaunch(st, &ipc.Request{OpID: 1, Kernel: "k"}, rep, true); err != nil {
+	if err := acceptOne(srv, st, 1); err != nil {
 		t.Fatal(err)
 	}
-	srv.completeLaunch(st, 1, fmt.Errorf("kernel k: %w", ErrKernelPanic))
+	srv.journalCompletions([]launchOutcome{{st: st, opID: 1, err: fmt.Errorf("kernel k: %w", ErrKernelPanic)}})
 
 	// Fold everything into the checkpoint and reset the journal: the strike
 	// record is gone, only the checkpoint can carry the poison now.
@@ -245,11 +251,11 @@ func TestConcurrentAppendsDuringCompaction(t *testing.T) {
 				return
 			}
 			for op := uint64(1); op <= ops; op++ {
-				if err := srv.acceptLaunch(st, &ipc.Request{OpID: op, Kernel: "k"}, &ipc.Reply{}, true); err != nil {
+				if err := acceptOne(srv, st, op); err != nil {
 					t.Error(err)
 					return
 				}
-				srv.completeLaunch(st, op, nil)
+				srv.journalCompletions([]launchOutcome{{st: st, opID: op}})
 			}
 		}(g)
 	}

@@ -113,11 +113,6 @@ func (t *SpecTable) Len() int {
 	return len(t.specs)
 }
 
-// maxStreamTails bounds the per-session stream-ordering map: beyond it,
-// tails whose launches already drained are pruned, so a client cycling
-// through stream IDs cannot grow daemon memory without bound.
-const maxStreamTails = 64
-
 // Server is the Slate daemon: it accepts client sessions, proxies the CUDA
 // API (§IV-A), funnels every client's kernels into the shared executor
 // (context funneling), and runs the injection/compilation pipeline for
@@ -276,7 +271,7 @@ type session struct {
 	// restart.
 	resume *resumeState
 	// pending counts accepted-but-unfinished launches (the backpressure
-	// measure); bumped on the session goroutine, dropped by launch workers.
+	// measure); bumped on the session goroutine, dropped by its lanes.
 	pending atomic.Int64
 
 	mu     sync.Mutex
@@ -296,7 +291,7 @@ func (ss *session) recordLaunch(err error) {
 	if ss.launch == nil {
 		ss.launch = err
 	}
-	if errors.Is(err, ErrKernelPanic) || errors.Is(err, ErrKernelTimeout) {
+	if poisons(err) {
 		ss.sticky = true
 	}
 	ss.mu.Unlock()
@@ -338,69 +333,81 @@ func (s *Server) checkVersion(reqVersion uint32) error {
 	return nil
 }
 
-// fail marks a reply failed, classifying the error so clients recover
-// typed sentinels.
-func fail(rep *ipc.Reply, err error) {
-	rep.Err = err.Error()
+// codeFor classifies an error onto the wire so clients recover typed
+// sentinels.
+func codeFor(err error) ipc.ErrCode {
 	switch {
 	case errors.Is(err, ipc.ErrDeviceOOM):
-		rep.Code = ipc.CodeOOM
+		return ipc.CodeOOM
 	case errors.Is(err, ErrKernelPanic):
-		rep.Code = ipc.CodeKernelPanic
+		return ipc.CodeKernelPanic
 	case errors.Is(err, ErrKernelTimeout):
-		rep.Code = ipc.CodeKernelTimeout
+		return ipc.CodeKernelTimeout
 	case errors.Is(err, ErrBackpressure):
-		rep.Code = ipc.CodeBackpressure
+		return ipc.CodeBackpressure
 	case errors.Is(err, ErrQuota):
-		rep.Code = ipc.CodeQuota
+		return ipc.CodeQuota
 	case errors.Is(err, ErrDraining):
-		rep.Code = ipc.CodeDraining
+		return ipc.CodeDraining
 	case errors.Is(err, ErrVersionSkew):
-		rep.Code = ipc.CodeVersionSkew
+		return ipc.CodeVersionSkew
 	case errors.Is(err, ErrExpired):
-		rep.Code = ipc.CodeExpired
+		return ipc.CodeExpired
 	case errors.Is(err, ipc.ErrMalformed):
-		rep.Code = ipc.CodeMalformed
+		return ipc.CodeMalformed
 	default:
-		rep.Code = ipc.CodeGeneric
+		return ipc.CodeGeneric
 	}
 }
 
-// admitTotal applies the daemon-wide overload bound: once the daemon as a
-// whole holds MaxTotalPending accepted-but-unfinished launches, new
-// launches are shed with ErrBackpressure regardless of per-session
-// headroom — EXCEPT for a session the shed has been rejecting continuously
-// for longer than AgingBound, which is granted one admission over the cap.
-// That override is the scheduler's aging bound (sched.DefaultAgingBound)
+// fail marks a reply failed; refuse does the same for one item's ack.
+func fail(rep *ipc.Reply, err error)      { rep.Code, rep.Err = codeFor(err), err.Error() }
+func refuse(ack *ipc.BatchAck, err error) { ack.Code, ack.Err = codeFor(err), err.Error() }
+
+// admit gates a frame's n fresh launches, all or none: on drain mode, on the
+// frame's propagated deadline (already-expired work is shed before any quota
+// is spent), on the session's pending-launch quota, and on the daemon-wide
+// overload bound. That last one sheds a frame that would take the daemon as a
+// whole past MaxTotalPending accepted-but-unfinished launches, regardless of
+// per-session headroom — EXCEPT for a session the shed has been rejecting
+// continuously for longer than AgingBound, whose frame is admitted over the
+// cap. That override is the scheduler's aging bound (sched.DefaultAgingBound)
 // extended daemon-wide: under a sustained overload burst every session
 // still makes progress at least once per bound, so shedding can never
 // starve anyone.
-func (s *Server) admitTotal(ss *session) error {
+func (s *Server) admit(ss *session, n int, deadline int64) error {
+	if s.Draining() {
+		return ErrDraining
+	}
+	if expired(deadline) {
+		return fmt.Errorf("%w: deadline passed before admission", ErrExpired)
+	}
+	if have := ss.pending.Load(); s.MaxSessionPending > 0 && have+int64(n) > int64(s.MaxSessionPending) {
+		return fmt.Errorf("%w: %d pending + %d launching (max %d)", ErrBackpressure, have, n, s.MaxSessionPending)
+	}
 	if s.MaxTotalPending <= 0 {
 		return nil
 	}
-	if s.totalPending.Load() < int64(s.MaxTotalPending) {
-		ss.mu.Lock()
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	total := s.totalPending.Load()
+	if total+int64(n) <= int64(s.MaxTotalPending) {
 		ss.shedSince = time.Time{}
-		ss.mu.Unlock()
 		return nil
 	}
 	bound := s.AgingBound
 	if bound <= 0 {
 		bound = time.Duration(sched.DefaultAgingBound)
 	}
-	now := time.Now()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.shedSince.IsZero() {
+	if now := time.Now(); ss.shedSince.IsZero() {
 		ss.shedSince = now
 	} else if now.Sub(ss.shedSince) >= bound {
 		// Aged past the bound: admit over the cap and restart the clock.
 		ss.shedSince = time.Time{}
 		return nil
 	}
-	return fmt.Errorf("%w: daemon overloaded (%d total pending, max %d)",
-		ErrBackpressure, s.totalPending.Load(), s.MaxTotalPending)
+	return fmt.Errorf("%w: daemon overloaded (%d total pending + %d launching, max %d)",
+		ErrBackpressure, total, n, s.MaxTotalPending)
 }
 
 // ServeConn runs one client session to completion. Whatever way the session
@@ -424,15 +431,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 	ss := &session{id: s.nextSess, owned: map[uint64]int64{}}
 	s.mu.Unlock()
 
-	var pending sync.WaitGroup
-	// disp is the session's batched-dispatch loop, started lazily on the
-	// first OpLaunchBatch; nil for sessions that never batch.
-	var disp *dispatcher
+	// disp holds the session's accepted launches, one lane per CUDA stream.
+	disp := newDispatcher(s, ss)
 	defer func() {
-		if disp != nil {
-			disp.close() // drain the ring, group-commit buffered completions
-		}
-		pending.Wait()
+		disp.wait(-1)              // in-flight launches drain and journal their completions
 		s.detachSession(ss.resume) // a vanished client may resume later
 		for h := range ss.owned {
 			_ = s.Registry.Release(h)
@@ -443,47 +445,6 @@ func (s *Server) ServeConn(nc net.Conn) {
 		delete(s.conns, nc)
 		s.mu.Unlock()
 	}()
-
-	// Stream ordering (§III, "a queue for each process and CUDA stream"):
-	// launches on one stream chain behind each other; different streams run
-	// concurrently and meet the executor's corun logic independently. The
-	// tracker bounds its map by pruning retired streams LRU-first.
-	streams := newStreamTracker(maxStreamTails)
-	// enqueue chains a launch behind the stream's tail and runs it through
-	// the given execution path, holding one unit of the session's pending
-	// quota until the launch finishes.
-	enqueue := func(stream int, run func() error) {
-		prev, next := streams.push(stream)
-		ss.pending.Add(1)
-		s.totalPending.Add(1)
-		pending.Add(1)
-		go func() {
-			defer pending.Done()
-			defer s.totalPending.Add(-1)
-			defer ss.pending.Add(-1)
-			defer close(next)
-			<-prev // in-order within the stream
-			if err := run(); err != nil {
-				ss.recordLaunch(err)
-			}
-		}()
-	}
-	// admitLaunch gates new launches on drain mode, the propagated per-op
-	// deadline (already-expired work is shed before any quota is spent),
-	// the session's pending-launch quota, and the daemon-wide overload
-	// bound.
-	admitLaunch := func(deadline int64) error {
-		if s.Draining() {
-			return ErrDraining
-		}
-		if expired(deadline) {
-			return fmt.Errorf("%w: deadline passed before admission", ErrExpired)
-		}
-		if n := ss.pending.Load(); s.MaxSessionPending > 0 && n >= int64(s.MaxSessionPending) {
-			return fmt.Errorf("%w: %d launches pending (max %d)", ErrBackpressure, n, s.MaxSessionPending)
-		}
-		return s.admitTotal(ss)
-	}
 
 	for {
 		req, err := conn.RecvRequest()
@@ -622,76 +583,55 @@ func (s *Server) ServeConn(nc net.Conn) {
 				}
 				rep.Data = append([]byte(nil), src[:n]...)
 			}
-		case ipc.OpLaunch:
-			if s.dedupCheck(ss.resume, req, rep) {
-				break // replayed op: original ack (or typed duplicate), no re-execution
-			}
-			if err := ss.stickyErr(); err != nil {
-				fail(rep, err)
-				break
-			}
-			if err := admitLaunch(req.Deadline); err != nil {
-				fail(rep, err)
-				break
-			}
-			spec, ok := s.Specs.Take(req.Token)
-			if !ok {
-				fail(rep, fmt.Errorf("daemon: unknown kernel token %d", req.Token))
-				break
-			}
-			if err := s.acceptLaunch(ss.resume, req, rep, false); err != nil {
+		case ipc.OpLaunch, ipc.OpLaunchSource:
+			// A single launch is a frame of one; an unstamped one (OpID 0)
+			// runs with no dedup identity and no journal record.
+			items := [1]ipc.BatchItem{{
+				Src: req.Op == ipc.OpLaunchSource, Token: req.Token,
+				TaskSize: req.TaskSize, Stream: req.Stream, OpID: req.OpID,
+				Source: req.Source, Kernel: req.Kernel,
+				GridX: req.GridX, GridY: req.GridY, BlockX: req.BlockX, BlockY: req.BlockY,
+			}}
+			acks := [1]ipc.BatchAck{{OpID: req.OpID}}
+			died, refusal := s.launchFrame(disp, items[:], acks[:], req.Deadline)
+			if died {
 				return // journal died pre-ack: the accept never happened
 			}
-			task, opID, st, deadline := req.TaskSize, req.OpID, ss.resume, req.Deadline
-			enqueue(req.Stream, func() error {
-				var err error
-				if expired(deadline) {
-					// Queue-head shed: the client's deadline passed while the
-					// launch waited its turn — spend nothing executing it.
-					err = fmt.Errorf("%w: deadline passed at queue head", ErrExpired)
-				} else {
-					err = s.Exec.Run(spec, task)
-				}
-				s.completeLaunch(st, opID, err)
-				return err
-			})
-		case ipc.OpLaunchSource:
-			if s.dedupCheck(ss.resume, req, rep) {
+			if refusal != nil {
+				fail(rep, refusal)
 				break
 			}
-			if err := ss.stickyErr(); err != nil {
-				fail(rep, err)
-				break
-			}
-			if err := admitLaunch(req.Deadline); err != nil {
-				fail(rep, err)
-				break
-			}
-			run := s.prepareSource(req, rep)
-			if run == nil {
-				break // rep already failed
-			}
-			if err := s.acceptLaunch(ss.resume, req, rep, true); err != nil {
-				return
-			}
-			opID, st, deadline := req.OpID, ss.resume, req.Deadline
-			enqueue(req.Stream, func() error {
-				var err error
-				if expired(deadline) {
-					err = fmt.Errorf("%w: deadline passed at queue head", ErrExpired)
-				} else {
-					err = run()
-				}
-				s.completeLaunch(st, opID, err)
-				return err
-			})
+			a := &acks[0]
+			rep.Code, rep.Err, rep.Degraded, rep.Entries, rep.Dup = a.Code, a.Err, a.Degraded, a.Entries, a.Dup
 		case ipc.OpLaunchBatch:
-			if disp == nil {
-				disp = newDispatcher(s, s.MaxSessionPending)
+			// What only a received frame can get wrong is checked here: it is
+			// empty, a source ref is bad (the whole frame is refused before
+			// anything else looks at it), or an item is unstamped (refused in
+			// its own ack; the rest of the frame goes on).
+			if len(req.Batch) == 0 {
+				fail(rep, fmt.Errorf("daemon: empty launch batch"))
+				break
 			}
-			if s.handleLaunchBatch(ss, streams, &pending, disp, req, rep) {
+			if err := ipc.ResolveSrcRefs(req.Batch); err != nil {
+				fail(rep, fmt.Errorf("daemon: launch batch refused: %w", err))
+				break
+			}
+			acks := make([]ipc.BatchAck, len(req.Batch))
+			for i := range req.Batch {
+				if acks[i].OpID = req.Batch[i].OpID; acks[i].OpID == 0 {
+					acks[i].Code = ipc.CodeGeneric
+					acks[i].Err = "daemon: batched launches must carry op IDs"
+				}
+			}
+			died, refusal := s.launchFrame(disp, req.Batch, acks, req.Deadline)
+			if died {
 				return // journal died pre-ack: no item of the batch was acked
 			}
+			if refusal != nil {
+				fail(rep, refusal)
+				break
+			}
+			rep.Acks = acks
 		case ipc.OpPing:
 			// Fleet heartbeat: touches no session state, answers with the
 			// daemon's load. The probing connection itself was counted on
@@ -707,16 +647,13 @@ func (s *Server) ServeConn(nc net.Conn) {
 				fail(rep, ErrDraining)
 			}
 		case ipc.OpSynchronize:
-			if req.Stream >= 0 {
-				<-streams.tailOf(req.Stream) // cudaStreamSynchronize
-			} else {
-				pending.Wait() // cudaDeviceSynchronize
-			}
+			// cudaStreamSynchronize, or cudaDeviceSynchronize for stream -1.
+			disp.wait(req.Stream)
 			if err := ss.takeLaunch(); err != nil {
 				fail(rep, err)
 			}
 		case ipc.OpClose:
-			pending.Wait()
+			disp.wait(-1)
 			// Surface a pending async launch failure to clients that exit
 			// without a final Synchronize.
 			if err := ss.takeLaunch(); err != nil {
@@ -748,51 +685,56 @@ func errFromCode(code uint8, msg string) error {
 	}
 }
 
-// prepareSource runs the injection + runtime-compilation pipeline for one
-// OpLaunchSource and returns the execution thunk the caller schedules (nil
-// when rep was failed instead). The pipeline is the compiler's source-keyed
-// cache: the first launch of a translation unit under a task size injects
-// and compiles it, every later one is a lookup. When injection or
-// compilation fails for a source whose requested kernel is otherwise valid
-// CUDA, the launch degrades to the untransformed vanilla hardware-scheduler
-// path instead of failing — the paper's transparency contract — and the
-// downgrade is recorded in the executor's decision log. Failures are never
-// cached, so a transient one degrades that launch only.
-func (s *Server) prepareSource(req *ipc.Request, rep *ipc.Reply) func() error {
-	want := "slate_" + req.Kernel
-	img, pipeErr := s.Compiler.CompileSource(req.Source, inject.Options{TaskSize: req.TaskSize, EmitDispatcher: true})
+// prepare resolves one admitted item to the spec the executor will run and
+// fills in the accept-time half of its ack; nil means the item was refused in
+// its ack instead (a definite rejection, never journaled). A spec item takes
+// its deposited spec. A source item goes through the injection +
+// runtime-compilation pipeline, which is the compiler's source-keyed cache:
+// the first launch of a translation unit under a task size injects and
+// compiles it, every later one is a lookup. When injection or compilation
+// fails for a source whose requested kernel is otherwise valid CUDA, the
+// launch degrades to the untransformed vanilla hardware-scheduler path
+// instead of failing — the paper's transparency contract — and the downgrade
+// is recorded in the executor's decision log. Failures are never cached, so a
+// transient one degrades that launch only.
+func (s *Server) prepare(it *ipc.BatchItem, ack *ipc.BatchAck) *kern.Spec {
+	if !it.Src {
+		spec, ok := s.Specs.Take(it.Token)
+		if !ok {
+			refuse(ack, fmt.Errorf("daemon: unknown kernel token %d", it.Token))
+		}
+		return spec
+	}
+	img, pipeErr := s.Compiler.CompileSource(it.Source, inject.Options{TaskSize: it.TaskSize, EmitDispatcher: true})
+	var entries []string
 	if pipeErr == nil {
-		if !img.HasEntry(want) {
-			fail(rep, fmt.Errorf("daemon: kernel %q not found after injection", req.Kernel))
+		if !img.HasEntry("slate_" + it.Kernel) {
+			refuse(ack, fmt.Errorf("daemon: kernel %q not found after injection", it.Kernel))
 			return nil
 		}
-		rep.Entries = img.Entries
+		entries = img.Entries
 	} else {
 		// Degradation is only for kernels that would have run without
 		// Slate: the original source must itself define the kernel.
-		if !sourceHasKernel(req.Source, req.Kernel) {
-			fail(rep, pipeErr)
+		if !sourceHasKernel(it.Source, it.Kernel) {
+			refuse(ack, pipeErr)
 			return nil
 		}
-		rep.Degraded = true
-		rep.Entries = []string{req.Kernel}
-		s.Exec.NoteFallback("src:"+req.Kernel, pipeErr.Error())
+		entries = []string{it.Kernel}
+		s.Exec.NoteFallback("src:"+it.Kernel, pipeErr.Error())
 	}
 	// Execute through the scheduler with a synthesized work model (this
 	// host cannot run CUDA device code; the placeholder body preserves the
 	// scheduling path so remote clients get end-to-end launch/synchronize
 	// semantics).
-	spec := synthesizeSourceSpec(req)
+	spec := synthesizeSourceSpec(it.Kernel, it.GridX, it.GridY, it.BlockX, it.BlockY)
 	if spec == nil {
-		fail(rep, fmt.Errorf("daemon: launchSource %q: invalid geometry grid=(%d,%d) block=(%d,%d)",
-			req.Kernel, req.GridX, req.GridY, req.BlockX, req.BlockY))
+		refuse(ack, fmt.Errorf("daemon: launchSource %q: invalid geometry grid=(%d,%d) block=(%d,%d)",
+			it.Kernel, it.GridX, it.GridY, it.BlockX, it.BlockY))
 		return nil
 	}
-	task := req.TaskSize
-	if rep.Degraded {
-		return func() error { return s.Exec.RunVanilla(spec, task) }
-	}
-	return func() error { return s.Exec.Run(spec, task) }
+	ack.Degraded, ack.Entries = pipeErr != nil, entries
+	return spec
 }
 
 // sourceHasKernel reports whether the raw, untransformed source defines the
@@ -812,15 +754,13 @@ func sourceHasKernel(source, kernel string) bool {
 
 // synthesizeSourceSpec builds an executable placeholder spec for a
 // source-kernel launch: the declared geometry with a no-op body. Nil when
-// the request carries no runnable geometry.
-func synthesizeSourceSpec(req *ipc.Request) *kern.Spec {
-	gx, gy := req.GridX, req.GridY
-	bx, by := req.BlockX, req.BlockY
+// the geometry is not runnable.
+func synthesizeSourceSpec(kernel string, gx, gy, bx, by int) *kern.Spec {
 	if gx < 1 || gy < 1 || bx < 1 || by < 1 || bx*by > 1024 {
 		return nil
 	}
 	spec := &kern.Spec{
-		Name:            "src:" + req.Kernel,
+		Name:            "src:" + kernel,
 		Grid:            kern.D2(gx, gy),
 		BlockDim:        kern.D2(bx, by),
 		FLOPsPerBlock:   float64(bx * by),
@@ -835,152 +775,65 @@ func synthesizeSourceSpec(req *ipc.Request) *kern.Spec {
 	return spec
 }
 
-// batchItemRequest synthesizes the single-launch request one batched item
-// describes, so the prepare pipeline (prepareSource, spec synthesis) is
-// shared verbatim between the two paths.
-func batchItemRequest(it *ipc.BatchItem) *ipc.Request {
-	r := &ipc.Request{TaskSize: it.TaskSize, Stream: it.Stream, OpID: it.OpID}
-	if it.Src {
-		r.Op = ipc.OpLaunchSource
-		r.Source, r.Kernel = it.Source, it.Kernel
-		r.GridX, r.GridY, r.BlockX, r.BlockY = it.GridX, it.GridY, it.BlockX, it.BlockY
-	} else {
-		r.Op = ipc.OpLaunch
-		r.Token = it.Token
-	}
-	return r
-}
-
-// handleLaunchBatch serves one OpLaunchBatch: source refs resolved (a bad one
-// refuses the whole frame before anything else looks at it), per-item dedup,
-// whole-batch admission, per-item prepare, ONE group-commit journal append
-// for every accepted item (write-ahead of the single batch ack), then
-// hand-off to the session's persistent dispatch loop. Order matters:
+// launchFrame is the daemon's one launch path. OpLaunchBatch hands it the
+// frame it received, OpLaunch and OpLaunchSource a frame of one. acks arrives
+// with every item's OpID filled in; an item the caller's own validation
+// already refused (Code set) is left alone. Order matters:
 //
 //  1. dedup first — replayed items are answered from the window and consume
-//     no admission quota;
-//  2. admission on the fresh count, whole-batch — a batch either fits under
-//     MaxSessionPending entirely or is refused entirely (a typed
-//     ErrBackpressure at the reply level, so the client's retry loop treats
-//     it exactly like a single launch's definite rejection and re-stamps);
-//  3. prepare per item — a failed prepare is a definite per-item rejection,
-//     acked in the item's BatchAck and never journaled, mirroring the single
-//     path;
-//  4. one acceptLaunchBatch group commit, then enqueue. The stream tails are
-//     pushed here, on the session goroutine, because streamTracker is
-//     confined to it by design.
+//     no admission quota; a frame with no fresh item is answered entirely
+//     from the window, whatever state the session is in;
+//  2. a poisoned session takes no fresh work: the frame is refused with the
+//     sticky error;
+//  3. admission on the fresh count, whole-frame — a frame either fits under
+//     both caps entirely or is refused entirely (a typed refusal, so the
+//     client's retry loop re-stamps and re-sends);
+//  4. prepare per item — a failed prepare is a definite per-item rejection,
+//     answered in the item's ack and never journaled;
+//  5. one accept commit for every accepted item, write-ahead of the ack;
+//  6. the accepted items are pushed onto their streams' lanes, as one frame.
 //
-// Returns true when the journal died mid-append: the caller must vanish
-// without acking (crash semantics — either a torn prefix that replay
-// truncates, or a fully durable batch the dedup window answers on re-send).
-func (s *Server) handleLaunchBatch(ss *session, streams *streamTracker, wg *sync.WaitGroup, disp *dispatcher, req *ipc.Request, rep *ipc.Reply) bool {
-	n := len(req.Batch)
-	if n == 0 {
-		fail(rep, fmt.Errorf("daemon: empty launch batch"))
-		return false
+// died means the journal died mid-commit: the caller must vanish without
+// acking (crash semantics — either a torn prefix that replay truncates, or a
+// fully durable group the dedup window answers on re-send). A non-nil refusal
+// means nothing was accepted and the caller fails the whole reply with it.
+func (s *Server) launchFrame(disp *dispatcher, items []ipc.BatchItem, acks []ipc.BatchAck, deadline int64) (died bool, refusal error) {
+	ss := disp.ss
+	st := ss.resume
+	fresh := disp.fresh[:0]
+	for i := range items {
+		if acks[i].Code == 0 && !s.dedup(st, items[i].OpID, &acks[i]) {
+			fresh = append(fresh, i)
+		}
 	}
-	if err := ipc.ResolveSrcRefs(req.Batch); err != nil {
-		fail(rep, fmt.Errorf("daemon: launch batch refused: %w", err))
-		return false
+	disp.fresh = fresh
+	if len(fresh) == 0 {
+		return false, nil
 	}
 	if err := ss.stickyErr(); err != nil {
-		fail(rep, err)
-		return false
+		return false, err
 	}
-	acks := make([]ipc.BatchAck, n)
-	fresh := make([]int, 0, n)
-	for i := range req.Batch {
-		it := &req.Batch[i]
-		acks[i].OpID = it.OpID
-		if it.OpID == 0 {
-			acks[i].Code = ipc.CodeGeneric
-			acks[i].Err = "daemon: batched launches must carry op IDs"
-			continue
-		}
-		if s.dedupCheckItem(ss.resume, it.OpID, &acks[i]) {
-			continue
-		}
-		fresh = append(fresh, i)
+	if err := s.admit(ss, len(fresh), deadline); err != nil {
+		return false, err
 	}
-	if len(fresh) > 0 {
-		if s.Draining() {
-			fail(rep, ErrDraining)
-			return false
-		}
-		if expired(req.Deadline) {
-			// The whole batch rode one frame under one deadline: shed it
-			// entirely before any quota is spent.
-			fail(rep, fmt.Errorf("%w: deadline passed before admission", ErrExpired))
-			return false
-		}
-		if have := ss.pending.Load(); s.MaxSessionPending > 0 && have+int64(len(fresh)) > int64(s.MaxSessionPending) {
-			fail(rep, fmt.Errorf("%w: %d pending + %d batched (max %d)",
-				ErrBackpressure, have, len(fresh), s.MaxSessionPending))
-			return false
-		}
-		if err := s.admitTotal(ss); err != nil {
-			fail(rep, err)
-			return false
-		}
-	}
-	type preparedItem struct {
-		idx int
-		run func() error
-	}
-	accepted := make([]preparedItem, 0, len(fresh))
-	acceptedIdx := make([]int, 0, len(fresh))
+	// accepted compacts fresh in place; ready[k] is what runs for accepted[k].
+	accepted, ready := fresh[:0], disp.ready[:0]
 	for _, i := range fresh {
-		it := &req.Batch[i]
-		ireq := batchItemRequest(it)
-		var run func() error
-		if it.Src {
-			irep := &ipc.Reply{}
-			run = s.prepareSource(ireq, irep)
-			if run == nil {
-				acks[i].Code, acks[i].Err = irep.Code, irep.Err
-				continue
-			}
-			acks[i].Degraded, acks[i].Entries = irep.Degraded, irep.Entries
-		} else {
-			spec, ok := s.Specs.Take(it.Token)
-			if !ok {
-				acks[i].Code = ipc.CodeGeneric
-				acks[i].Err = fmt.Sprintf("daemon: unknown kernel token %d", it.Token)
-				continue
-			}
-			task := it.TaskSize
-			run = func() error { return s.Exec.Run(spec, task) }
+		if spec := s.prepare(&items[i], &acks[i]); spec != nil {
+			accepted = append(accepted, i)
+			ready = append(ready, dispatchItem{
+				stream: items[i].Stream, spec: spec, task: items[i].TaskSize, vanilla: acks[i].Degraded,
+				deadline: deadline, st: st, opID: items[i].OpID,
+			})
 		}
-		accepted = append(accepted, preparedItem{idx: i, run: run})
-		acceptedIdx = append(acceptedIdx, i)
 	}
-	if err := s.acceptLaunchBatch(ss.resume, req.Batch, acks, acceptedIdx); err != nil {
-		return true
+	if err := s.acceptFrame(st, items, acks, accepted); err != nil {
+		return true, nil
 	}
-	st := ss.resume
-	for _, p := range accepted {
-		it := &req.Batch[p.idx]
-		prev, next := streams.push(it.Stream)
-		ss.pending.Add(1)
-		s.totalPending.Add(1)
-		wg.Add(1)
-		run := p.run
-		if dl := req.Deadline; dl != 0 {
-			inner := run
-			run = func() error {
-				if expired(dl) {
-					// Queue-head shed inside the dispatch loop: the item's
-					// completion is still journaled (with CodeExpired), it
-					// just never executes.
-					return fmt.Errorf("%w: deadline passed at queue head", ErrExpired)
-				}
-				return inner()
-			}
-		}
-		disp.push(dispatchItem{prev: prev, next: next, run: run, opID: it.OpID, st: st, ss: ss, wg: wg})
-	}
-	rep.Acks = acks
-	return false
+	disp.push(ready)
+	clear(ready) // the lanes own the specs now
+	disp.ready = ready
+	return false, nil
 }
 
 // NewLocal builds an in-process daemon and returns it with a dial function

@@ -10,13 +10,11 @@ import (
 
 const specBatchKernel = "bench_noop"
 
-// specBatchSession is the launch_batch workload's set-up at test scale: an
-// in-process daemon that journals every accept and completion without
-// waiting for the disk (no fsync, no compaction) and one client session on
-// the pipe transport. The returned op is that workload's op — a batch of 32
-// launches of a no-op one-task kernel, Submit, every ack checked,
-// Synchronize.
-func specBatchSession(tb testing.TB) (srv *daemon.Server, op func(), closeSession func()) {
+// specSession is the launch workloads' set-up at test scale: an in-process
+// daemon that journals every accept and completion without waiting for the
+// disk (no fsync, no compaction), one client session on the pipe transport,
+// and a no-op one-task kernel.
+func specSession(tb testing.TB) (*daemon.Server, *client.Client, *kern.Spec) {
 	tb.Helper()
 	srv, dial := daemon.NewLocal(4)
 	if _, err := srv.EnableDurability(daemon.Durability{Dir: tb.TempDir(), NoSync: true, CompactEvery: 1 << 30}); err != nil {
@@ -27,12 +25,19 @@ func specBatchSession(tb testing.TB) (srv *daemon.Server, op func(), closeSessio
 	if err != nil {
 		tb.Fatal(err)
 	}
-	spec := &kern.Spec{
+	return srv, cli, &kern.Spec{
 		Name: specBatchKernel, Grid: kern.D1(4), BlockDim: kern.D1(32),
 		FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
 		ComputeEff: 0.5,
 		Exec:       func(int) {},
 	}
+}
+
+// specBatchSession returns the launch_batch workload's op on a specSession —
+// a batch of 32 launches, Submit, every ack checked, Synchronize.
+func specBatchSession(tb testing.TB) (srv *daemon.Server, op func(), closeSession func()) {
+	tb.Helper()
+	srv, cli, spec := specSession(tb)
 	op = func() {
 		batch := cli.NewBatch()
 		for j := 0; j < 32; j++ {
@@ -101,4 +106,46 @@ func TestLaunchBatchAllocBudget(t *testing.T) {
 		t.Fatalf("a spec batch of 32 allocates %.0f times, budget %d", got, specBatchAllocBudget)
 	}
 	closeSession()
+}
+
+// singleLaunchAllocBudget is what one warmed client.Launch may allocate,
+// client, wire and daemon together: the count of the goroutine-per-launch
+// path this pipeline replaced (go1.24, amd64). A single launch is a frame of
+// one, and the budget is there so that a frame's bookkeeping — scratch
+// slices, a lane, a completion group — stays free for it.
+const singleLaunchAllocBudget = 22
+
+func TestSingleLaunchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	srv, cli, spec := specSession(t)
+	// The launch_single workload's op: 32 launches, then Synchronize, whose
+	// own allocations are counted against the launches' budget.
+	const per = 32
+	op := func() {
+		for j := 0; j < per; j++ {
+			if err := cli.Launch(spec, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // past the profiling run and a full dedup window
+		op()
+	}
+	const runs = 100
+	got := testing.AllocsPerRun(runs, op) / per
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.2f allocations per single launch", got)
+	if got > singleLaunchAllocBudget {
+		t.Fatalf("a single launch allocates %.2f times, budget %d", got, singleLaunchAllocBudget)
+	}
+	if ran, want := srv.Exec.Runs(specBatchKernel), per*(8+runs+1); ran != want {
+		t.Fatalf("executor ran %d launches, %d were acked", ran, want)
+	}
 }

@@ -2,67 +2,219 @@ package daemon
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"slate/internal/ipc"
 	"slate/internal/kern"
+	"slate/internal/leakcheck"
 )
 
-// Regression: pruning must evict the least-recently-used drained tail, not
-// an arbitrary map-iteration victim — recently touched streams keep their
-// bookkeeping while cold retired ones go first.
-func TestStreamTrackerPrunesLRUDrained(t *testing.T) {
-	st := newStreamTracker(4)
-	for id := 1; id <= 4; id++ {
-		_, next := st.push(id)
-		close(next) // stream retires immediately
+// serveRaw runs one session of srv over a pipe and returns its client end,
+// a call function that numbers requests and fails the test on any refusal,
+// and a channel closed when ServeConn has returned.
+func serveRaw(t *testing.T, srv *Server) (*ipc.Conn, func(*ipc.Request) *ipc.Reply, <-chan struct{}) {
+	clientSide, serverSide := net.Pipe()
+	served := make(chan struct{})
+	go func() { srv.ServeConn(serverSide); close(served) }()
+	conn, seq := ipc.NewConn(clientSide), uint64(0)
+	return conn, func(req *ipc.Request) *ipc.Reply {
+		t.Helper()
+		seq++
+		req.Seq = seq
+		if err := conn.SendRequest(req); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := conn.RecvReply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Err != "" {
+			t.Fatalf("%v: %s", req.Op, rep.Err)
+		}
+		return rep
+	}, served
+}
+
+// Lanes are bound by the streams that have work, not by the streams a session
+// has ever used: while launches are held there is exactly one lane per busy
+// stream, and once they settle there is none — after
+// 1 000 distinct stream IDs the session holds no lane, no lane goroutine and
+// no pending quota, and every completion is in the journal.
+func TestLanesRetire(t *testing.T) {
+	srv := NewServer(2)
+	if _, err := srv.EnableDurability(Durability{Dir: t.TempDir(), NoSync: true}); err != nil {
+		t.Fatal(err)
 	}
-	// Touch streams 1 and 3: they become the most recently used.
-	st.tailOf(1)
-	st.tailOf(3)
-	// A fifth stream overflows the bound; the coldest drained tail
-	// (stream 2, never touched since retiring) must be the victim.
-	_, next := st.push(5)
-	close(next)
-	if st.len() != 4 {
-		t.Fatalf("tracker holds %d tails, want 4", st.len())
+	defer srv.CloseDurability()
+	ss := &session{id: 1}
+	st, err := srv.openSession(ss, "lanes")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range []int{1, 3, 5} {
-		if _, ok := st.tails[id]; !ok {
-			t.Fatalf("recently used stream %d was evicted", id)
+	ss.resume = st
+	dp := newDispatcher(srv, ss)
+	base := leakcheck.Snapshot()
+
+	gate := make(chan struct{})
+	spec := slowKernel("lane-kernel", 1, 0)
+	spec.Exec = func(int) { <-gate }
+	const streams, perFrame = 1000, 40
+	op := uint64(0)
+	submit := func(first int) {
+		t.Helper()
+		items, acks := make([]ipc.BatchItem, perFrame), make([]ipc.BatchAck, perFrame)
+		for i := range items {
+			op++
+			items[i] = ipc.BatchItem{Token: srv.Specs.Put(spec), Stream: first + i, OpID: op}
+			acks[i].OpID = op
+		}
+		if died, refusal := srv.launchFrame(dp, items, acks, 0); refusal != nil || died {
+			t.Fatalf("frame at stream %d: refusal %v, died %v", first, refusal, died)
 		}
 	}
-	if _, ok := st.tails[2]; ok {
-		t.Fatal("LRU victim (stream 2) survived pruning")
+
+	// Held launches: one lane per busy stream.
+	submit(0)
+	dp.mu.Lock()
+	held := len(dp.lanes)
+	dp.mu.Unlock()
+	if held != perFrame {
+		t.Fatalf("%d lanes for %d busy streams", held, perFrame)
 	}
-	// An evicted retired stream still synchronizes correctly: its tail is
-	// the closed channel.
-	select {
-	case <-st.tailOf(2):
-	default:
-		t.Fatal("evicted stream's tail is not closed")
+	if got := ss.pending.Load(); got != perFrame {
+		t.Fatalf("pending = %d with %d launches held", got, perFrame)
+	}
+	close(gate)
+	dp.wait(-1)
+
+	for first := perFrame; first < streams; first += perFrame {
+		submit(first)
+		dp.wait(-1)
+	}
+	if n := len(dp.lanes); n != 0 {
+		t.Fatalf("%d lanes left after a device synchronize", n)
+	}
+	leakcheck.Check(t, base)
+	if p, tot := ss.pending.Load(), srv.totalPending.Load(); p != 0 || tot != 0 {
+		t.Fatalf("pending quota not released: session %d, daemon %d", p, tot)
+	}
+	if got := srv.Exec.Runs("lane-kernel"); got != streams {
+		t.Fatalf("executor ran %d of %d launches", got, streams)
+	}
+	if st.MaxOp != streams || len(st.Window) != DedupWindow {
+		t.Fatalf("window: MaxOp %d, %d entries", st.MaxOp, len(st.Window))
+	}
+	for _, e := range st.Window {
+		if !e.Done {
+			t.Fatalf("op %d: lane retired before its completion was journaled", e.OpID)
+		}
 	}
 }
 
-// Live tails are never evicted — the bound yields to ordering correctness —
-// and pruning catches up once they drain.
-func TestStreamTrackerNeverEvictsLiveTails(t *testing.T) {
-	st := newStreamTracker(2)
-	var live []chan struct{}
-	for id := 0; id < 5; id++ {
-		_, next := st.push(id)
-		live = append(live, next)
+// An abrupt disconnect with work queued on three lanes: teardown drains every
+// lane, the completions reach the journal, and nothing is left behind.
+func TestLanesDrainOnDisconnect(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(2)
+	if _, err := srv.EnableDurability(Durability{Dir: dir, NoSync: true}); err != nil {
+		t.Fatal(err)
 	}
-	if st.len() != 5 {
-		t.Fatalf("live tails pruned: %d of 5 left", st.len())
+	base := leakcheck.Snapshot()
+	conn, call, served := serveRaw(t, srv)
+	call(&ipc.Request{Op: ipc.OpHello, Proc: "vanishes"})
+
+	gate := make(chan struct{})
+	spec := slowKernel("orphan-kernel", 1, 0)
+	spec.Exec = func(int) { <-gate }
+	var batch []ipc.BatchItem
+	for op := uint64(1); op <= 6; op++ { // two launches on each of streams 1, 2, 3
+		batch = append(batch, ipc.BatchItem{Token: srv.Specs.Put(spec), Stream: 1 + int(op%3), OpID: op})
 	}
-	for _, ch := range live {
-		close(ch)
+	call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
+	call(&ipc.Request{Op: ipc.OpLaunch, Token: srv.Specs.Put(spec), Stream: 3, OpID: 7})
+	conn.Close()
+	close(gate)
+	<-served
+
+	if n := srv.Sessions(); n != 0 {
+		t.Fatalf("%d sessions after teardown", n)
 	}
-	_, next := st.push(9)
-	close(next)
-	if st.len() > 2 {
-		t.Fatalf("tracker holds %d tails after drain, want <= 2", st.len())
+	if tot := srv.totalPending.Load(); tot != 0 {
+		t.Fatalf("%d launches still pending daemon-wide", tot)
+	}
+	if got := srv.Exec.Runs("orphan-kernel"); got != 7 {
+		t.Fatalf("executor ran %d of 7 queued launches", got)
+	}
+	leakcheck.Check(t, base)
+	if err := srv.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	ls, _, _, err := loadDurableState(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := ls.bySess[1]
+	if got == nil || len(got.Window) != 7 {
+		t.Fatalf("recovered session = %+v, want 7 journaled launches", got)
+	}
+	for _, e := range got.Window {
+		if !e.Done {
+			t.Fatalf("op %d has no completion record: teardown did not drain its lane", e.OpID)
+		}
+	}
+}
+
+// What a stream synchronize promises, for both submission forms: when it has
+// returned, every launch on that stream ran and its completion record is in
+// the journal. The daemon fsyncs for real here, so a lane that let the sync
+// return ahead of its group commit would be caught with the commit in flight.
+func TestSynchronizeStreamMeansJournaled(t *testing.T) {
+	const src = `__global__ void sk(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }`
+	const launches = 5
+	for _, form := range []string{"singles", "batch"} {
+		t.Run(form, func(t *testing.T) {
+			srv := NewServer(2)
+			if _, err := srv.EnableDurability(Durability{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+			defer srv.CloseDurability()
+			conn, call, _ := serveRaw(t, srv)
+			defer conn.Close()
+			sess := call(&ipc.Request{Op: ipc.OpHello, Proc: form}).Session
+			var batch []ipc.BatchItem
+			for op := uint64(1); op <= launches; op++ {
+				batch = append(batch, ipc.BatchItem{
+					Src: true, Source: src, Kernel: "sk", Stream: 7, OpID: op,
+					GridX: 4, GridY: 1, BlockX: 32, BlockY: 1, TaskSize: 4,
+				})
+			}
+			if form == "batch" {
+				call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
+			} else {
+				for _, it := range batch {
+					call(&ipc.Request{
+						Op: ipc.OpLaunchSource, Source: it.Source, Kernel: it.Kernel, Stream: it.Stream, OpID: it.OpID,
+						GridX: it.GridX, GridY: it.GridY, BlockX: it.BlockX, BlockY: it.BlockY, TaskSize: it.TaskSize,
+					})
+				}
+			}
+			call(&ipc.Request{Op: ipc.OpSynchronize, Stream: 7})
+
+			d := srv.durable
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			st := d.bySess[sess]
+			if st == nil || len(st.Window) != launches {
+				t.Fatalf("session state = %+v, want %d journaled launches", st, launches)
+			}
+			for _, e := range st.Window {
+				if !e.Done {
+					t.Fatalf("stream sync returned before op %d's completion record was journaled", e.OpID)
+				}
+			}
+		})
 	}
 }
 
