@@ -22,7 +22,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"slate/internal/client"
@@ -35,83 +34,68 @@ import (
 	"slate/internal/profile"
 )
 
-// ccResult is one (site, seed) cell of the crashchaos matrix.
-type ccResult struct {
-	site     string
-	seed     int64
+// ccRow is what one crashchaos leg reports. Only fired is fixed by the script:
+// completions journal concurrently with the serve loop, so which record the
+// armed hit lands on, and with it every count below, moves from run to run.
+type ccRow struct {
 	fired    bool  // the armed crash point actually fired
 	acked    int   // launches the first incarnation acked before dying
 	replayed int   // accepted-incomplete launches recovery re-executed
 	deduped  int   // duplicate sends the dedup window absorbed
-	trunc    int64 // torn-tail bytes replay cut from the journal
-	err      error
+	torn     int64 // torn-tail bytes replay cut from the journal
 }
 
-// runCrashChaos drives the full matrix: every crash site, two consecutive
-// seeds.
-func runCrashChaos(seed int64) (string, error) {
-	var rows []ccResult
-	for _, s := range []int64{seed, seed + 1} {
+// crashChaos is the full matrix: every crash site, two consecutive seeds.
+var crashChaos = &scenario{
+	name:  "crashchaos",
+	title: "Crash-chaos matrix (kill at site, restart, verify recovery)",
+	keys:  []string{"site"},
+	cols: []column{{name: "fired"}, {name: "acked", printedOnly: true}, {name: "replayed", printedOnly: true},
+		{name: "deduped", printedOnly: true}, {name: "torn", printedOnly: true}},
+	seeds: 2,
+	cells: func(seed int64) []cell {
+		var cells []cell
 		for _, site := range fault.CrashSites() {
-			var r ccResult
-			switch site {
-			case fault.SiteProfileRenameMid:
-				r = profileCrashLeg(s)
-			case fault.SiteJournalBatchMid, fault.SiteJournalBatchPost:
-				r = batchCrashLeg(s, site)
-			default:
-				r = daemonCrashLeg(s, site)
-			}
-			r.site, r.seed = site, s
-			rows = append(rows, r)
+			cells = append(cells, cell{key: []string{site}, leg: func() (row, error) {
+				var r ccRow
+				var err error
+				if site == fault.SiteProfileRenameMid {
+					r, err = profileCrashLeg(seed)
+				} else {
+					r, err = journalCrashLeg(seed, site)
+				}
+				return row{vals: []any{r.fired, r.acked, r.replayed, r.deduped, r.torn}}, err
+			}})
 		}
-	}
-
-	var b strings.Builder
-	b.WriteString("Crash-chaos matrix (kill at site, restart, verify recovery)\n")
-	fmt.Fprintf(&b, "%-22s %-5s %-6s %-6s %-8s %-7s %-6s %s\n",
-		"site", "seed", "fired", "acked", "replayed", "deduped", "torn", "verdict")
-	var firstErr error
-	for _, r := range rows {
-		verdict := "PASS"
-		if r.err != nil {
-			verdict = "FAIL: " + r.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s seed=%d: %w", r.site, r.seed, r.err)
-			}
-		}
-		fmt.Fprintf(&b, "%-22s %-5d %-6v %-6d %-8d %-7d %-6d %s\n",
-			r.site, r.seed, r.fired, r.acked, r.replayed, r.deduped, r.trunc, verdict)
-	}
-	if firstErr != nil {
-		return b.String(), firstErr
-	}
-	b.WriteString("\nall crash sites recovered: exactly-once launches, idempotent replay, clean drain\n")
-	return b.String(), nil
+		return cells
+	},
+	upheld: "all crash sites recovered: exactly-once launches, idempotent replay, clean drain",
 }
 
-// ccKernelName builds a per-(site,seed,index) kernel identifier so every
-// scripted launch is countable on its own.
-func ccKernelName(site string, seed int64, i int) string {
-	return fmt.Sprintf("cc_%s_%d_%d", strings.NewReplacer(".", "_", "-", "_").Replace(site), seed, i)
-}
+// ccLaunches is the scripted workload of a journal crash leg: eight launches,
+// sent one by one or as two batches of four.
+const ccLaunches, ccPerBatch = 8, 4
 
-// ccSource wraps a kernel name in minimal CUDA source the injection
-// pipeline accepts.
-func ccSource(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
-}
-
-// daemonCrashLeg runs the journal/checkpoint crash sites: incarnation one
+// journalCrashLeg runs the journal and checkpoint crash sites: incarnation one
 // dies at the armed site mid-workload, incarnation two recovers the same
-// state directory, the client resumes, and the exactly-once invariant is
-// checked per launch.
-func daemonCrashLeg(seed int64, site string) ccResult {
-	var r ccResult
+// state directory, the client resumes, and the exactly-once ledger is
+// audited per launch.
+//
+// The group-commit sites (journal.batch.*) submit the workload as
+// OpLaunchBatch frames, so the armed site fires inside journal.AppendBatch —
+// either mid-write (a torn prefix of the group: some accept records whole,
+// the next frame cut, nothing acked) or post-sync (the whole group durable,
+// the batch ack lost). The daemon's AppendBatch call order is deterministic
+// there — accept(batch1), completions(batch1, forced by the interleaved
+// Synchronize), accept(batch2), completions(batch2) — so the seed-varied hit
+// walks the death across all four, and the client can hold a whole set of
+// pending ops (the in-flight batch), all of which Resume must replay under
+// their original IDs.
+func journalCrashLeg(seed int64, site string) (ccRow, error) {
+	var r ccRow
 	dir, err := os.MkdirTemp("", "crashchaos")
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -120,58 +104,44 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 	// the checkpoint site arms an early compaction (the log compacts every
 	// 4 records, so later hits would need a longer script). Varying the hit
 	// with the seed moves the death around the script.
-	hit := uint64(2 + seed%3)
-	if site == fault.SiteCheckpointMid {
+	batched := site == fault.SiteJournalBatchMid || site == fault.SiteJournalBatchPost
+	hit, compactEvery, proc := uint64(2+seed%3), 4, "crashchaos"
+	switch {
+	case batched:
+		hit, compactEvery, proc = uint64(seed%4), 64, "crashchaos-batch"
+	case site == fault.SiteCheckpointMid:
 		hit = uint64(seed % 2)
 	}
 	srv1, dial1 := daemon.NewLocal(4)
 	crasher := fault.NewCrasher(site, hit)
 	if _, err := srv1.EnableDurability(daemon.Durability{
-		Dir: dir, CompactEvery: 4, Crash: crasher.Hook(), NoSync: true,
+		Dir: dir, CompactEvery: compactEvery, Crash: crasher.Hook(), NoSync: true,
 	}); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
-	cli, err := client.New(dial1(), "crashchaos", client.WithTimeout(5*time.Second))
+	cli, err := client.New(dial1(), proc, client.WithTimeout(5*time.Second))
 	if err != nil {
-		r.err = fmt.Errorf("incarnation 1 handshake: %w", err)
-		return r
+		return r, fmt.Errorf("incarnation 1 handshake: %w", err)
 	}
 
-	const launches = 8
-	acked := map[string]bool{}
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		_, _, lerr := cli.LaunchSourceDegraded(ccSource(name), name, kern.D1(4), kern.D1(32), 4)
-		switch {
-		case lerr == nil:
-			acked[name] = true
-		case errors.Is(lerr, client.ErrDaemonDown) || errors.Is(lerr, client.ErrTimeout):
-			// The simulated process died under (or before) this call; the
-			// client may hold it as the pending op Resume will replay.
-		default:
-			r.err = fmt.Errorf("launch %s: unexpected %v", name, lerr)
-			return r
-		}
-		if i%2 == 1 {
-			// Interleave syncs so some launches have durable completion
-			// records when the crash lands.
-			_ = cli.Synchronize()
-		}
+	names := make([]string, ccLaunches)
+	for i := range names {
+		names[i] = kernelName("cc", site, seed, i)
+	}
+	led := newLedger(names)
+	workload := ccSingles
+	if batched {
+		workload = ccBatches
+	}
+	if err := workload(cli, led); err != nil {
+		return r, err
 	}
 	if !crasher.Fired() {
-		r.err = fmt.Errorf("crash site never fired (armed hit %d)", hit)
-		return r
+		return r, fmt.Errorf("crash site never fired (armed hit %d)", hit)
 	}
-	// Launch i carried op ID i+1, so the client's held pending op (the one
-	// call that was actually in flight when the transport died) maps back
-	// to its kernel name.
-	var pendingName string
-	if op := cli.PendingOp(); op >= 1 && op <= launches {
-		pendingName = ccKernelName(site, seed, int(op-1))
-	}
+	led.holdPending(cli)
 	r.fired = true
-	r.acked = len(acked)
+	r.acked = len(led.acked)
 	// Let incarnation 1's teardown settle: its conns are closed, and every
 	// in-flight launch either finished (journaling to a dead writer, a
 	// no-op) or never will.
@@ -182,361 +152,120 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 	// crash left, before the digest passes re-read the file.
 	jstats, err := journal.Replay(filepath.Join(dir, daemon.JournalFile), func(*journal.Record) error { return nil })
 	if err != nil {
-		r.err = fmt.Errorf("journal replay: %w", err)
-		return r
+		return r, fmt.Errorf("journal replay: %w", err)
 	}
-	r.trunc = jstats.TruncatedBytes
-
-	// Replay idempotence: two consecutive digests of the directory must
-	// match (the first one also truncates any torn tail, which must not
-	// change what the second sees).
-	d1, err := daemon.StateDigest(dir)
+	r.torn = jstats.TruncatedBytes
+	digest, err := stableDigest(dir)
 	if err != nil {
-		r.err = fmt.Errorf("digest 1: %w", err)
-		return r
+		return r, err
 	}
-	d2, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 2: %w", err)
-		return r
-	}
-	if d1 != d2 {
-		r.err = errors.New("state digest changed between consecutive replays")
-		return r
-	}
-	durable := parseDigestOps(d1)
 
 	// Incarnation 2: recover, resume, verify.
 	srv2, dial2 := daemon.NewLocal(4)
 	stats, err := srv2.EnableDurability(daemon.Durability{Dir: dir, NoSync: true})
 	if err != nil {
-		r.err = fmt.Errorf("recovery: %w", err)
-		return r
+		return r, fmt.Errorf("recovery: %w", err)
 	}
 	r.replayed = stats.Replayed
 
 	recovered, err := cli.Resume(func() (net.Conn, error) { return dial2(), nil }, client.RetryConfig{Attempts: 3})
 	if err != nil {
-		r.err = fmt.Errorf("resume: %w", err)
-		return r
+		return r, fmt.Errorf("resume: %w", err)
 	}
 	if !recovered {
-		r.err = errors.New("resume reported state lost; the journal should have held this session")
-		return r
+		return r, errors.New("resume reported state lost; the journal should have held this session")
 	}
 	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-resume sync: %w", err)
-		return r
+		return r, fmt.Errorf("post-resume sync: %w", err)
+	}
+	if _, err := led.audit(durableOps(digest), func(k string) int { return srv2.Exec.Runs("src:" + k) }); err != nil {
+		return r, err
 	}
 
-	// Exactly-once: for every launch with a durable accept record — plus
-	// the pending one the client re-sent — executions in incarnation 2 and
-	// durable completions from incarnation 1 sum to one. (Incarnation 1
-	// executions without a durable completion died with the device.) A
-	// launch with neither a durable accept nor a client re-send must not
-	// have run at all.
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		runs2 := srv2.Exec.Runs("src:" + name)
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done1 := 0
-			if ent.done {
-				done1 = 1
-			}
-			if runs2+done1 != 1 {
-				r.err = fmt.Errorf("%s: runs2=%d + durable-complete=%d, want exactly 1", name, runs2, done1)
-				return r
-			}
-		case name == pendingName:
-			if runs2 != 1 {
-				r.err = fmt.Errorf("%s: re-sent pending op ran %d times, want 1", name, runs2)
-				return r
-			}
-		default:
-			if runs2 != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs2)
-				return r
-			}
+	// Liveness after recovery: a fresh launch (a fresh batch, on the
+	// group-commit sites) on the resumed session must accept and run.
+	live := kernelName("cc", site, seed, 99)
+	if batched {
+		lb := cli.NewBatch()
+		if err := lb.LaunchSource(cudaSource(live), live, kern.D1(4), kern.D1(32), 4); err != nil {
+			return r, fmt.Errorf("post-recovery batch build: %v", err)
 		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but its accept record is not durable (write-ahead violated)", name)
-			return r
-		}
+		_, err = lb.Submit()
+	} else {
+		err = launchNamed(cli, live)
 	}
-
-	// Liveness after recovery: a fresh launch on the resumed session.
-	live := ccKernelName(site, seed, 99)
-	if _, _, err := cli.LaunchSourceDegraded(ccSource(live), live, kern.D1(4), kern.D1(32), 4); err != nil {
-		r.err = fmt.Errorf("post-recovery launch: %w", err)
-		return r
+	if err != nil {
+		return r, fmt.Errorf("post-recovery launch: %w", err)
 	}
 	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-recovery sync: %w", err)
-		return r
+		return r, fmt.Errorf("post-recovery sync: %w", err)
 	}
 	r.deduped = srv2.DedupHits()
 	if err := cli.Close(); err != nil {
-		r.err = fmt.Errorf("close: %w", err)
-		return r
+		return r, fmt.Errorf("close: %w", err)
 	}
 
 	// Drain-after-recovery must terminate.
 	if err := srv2.Drain(5 * time.Second); err != nil {
-		r.err = fmt.Errorf("drain after recovery: %w", err)
-		return r
+		return r, fmt.Errorf("drain after recovery: %w", err)
 	}
 	_ = srv2.CloseDurability()
-	return r
+	return r, nil
 }
 
-// batchCrashLeg runs the group-commit crash sites: the scripted workload
-// submits its launches as OpLaunchBatch frames, so the armed site fires
-// inside journal.AppendBatch — either mid-write (a torn prefix of the group:
-// some accept records whole, the next frame cut, nothing acked) or post-sync
-// (the whole group durable, the batch ack lost). The daemon's AppendBatch
-// call order is deterministic here — accept(batch1), completions(batch1,
-// forced by the interleaved Synchronize), accept(batch2), completions(batch2)
-// — so the seed-varied hit walks the death across all four. Verification is
-// the same exactly-once ledger as daemonCrashLeg, except the client can hold
-// a whole SET of pending ops (the in-flight batch), all of which Resume must
-// replay under their original IDs.
-func batchCrashLeg(seed int64, site string) ccResult {
-	var r ccResult
-	dir, err := os.MkdirTemp("", "crashchaos-batch")
-	if err != nil {
-		r.err = err
-		return r
+// ccSingles sends the workload one launch at a time.
+func ccSingles(cli *client.Client, led *ledger) error {
+	for i, name := range led.names {
+		// A dead daemon means the simulated process died under (or before)
+		// this call; the client may hold it as the pending op Resume replays.
+		if err := led.launched(name, launchNamed(cli, name)); err != nil {
+			return err
+		}
+		if i%2 == 1 {
+			// Interleave syncs so some launches have durable completion
+			// records when the crash lands.
+			_ = cli.Synchronize()
+		}
 	}
-	defer os.RemoveAll(dir)
+	return nil
+}
 
-	hit := uint64(seed % 4)
-	srv1, dial1 := daemon.NewLocal(4)
-	crasher := fault.NewCrasher(site, hit)
-	if _, err := srv1.EnableDurability(daemon.Durability{
-		Dir: dir, CompactEvery: 64, Crash: crasher.Hook(), NoSync: true,
-	}); err != nil {
-		r.err = err
-		return r
-	}
-	cli, err := client.New(dial1(), "crashchaos-batch", client.WithTimeout(5*time.Second))
-	if err != nil {
-		r.err = fmt.Errorf("incarnation 1 handshake: %w", err)
-		return r
-	}
-
-	const batches, perBatch = 2, 4
-	const launches = batches * perBatch
-	acked := map[string]bool{}
-	for bi := 0; bi < batches; bi++ {
+// ccBatches sends the workload as OpLaunchBatch frames.
+func ccBatches(cli *client.Client, led *ledger) error {
+	for at := 0; at < len(led.names); at += ccPerBatch {
+		names := led.names[at : at+ccPerBatch]
 		b := cli.NewBatch()
-		names := make([]string, 0, perBatch)
-		for j := 0; j < perBatch; j++ {
-			name := ccKernelName(site, seed, bi*perBatch+j)
-			names = append(names, name)
-			if err := b.LaunchSource(ccSource(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-				r.err = fmt.Errorf("batch build %s: %v", name, err)
-				return r
+		for _, name := range names {
+			if err := b.LaunchSource(cudaSource(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+				return fmt.Errorf("batch build %s: %v", name, err)
 			}
 		}
-		acks, serr := b.Submit()
-		switch {
-		case serr == nil:
-			for i, a := range acks {
-				if a.Code == 0 {
-					acked[names[i]] = true
-				}
+		// A daemon that died did so with the batch in flight: every item is
+		// now a pending op Resume will replay.
+		acks, err := b.Submit()
+		if err != nil && !died(err) {
+			return fmt.Errorf("batch at launch %d: unexpected %v", at, err)
+		}
+		for i, a := range acks {
+			if a.Code == 0 {
+				led.acked[names[i]] = true
 			}
-		case errors.Is(serr, client.ErrDaemonDown) || errors.Is(serr, client.ErrTimeout):
-			// The simulated process died with the batch in flight; every item
-			// is now a pending op Resume will replay.
-		default:
-			r.err = fmt.Errorf("batch %d: unexpected %v", bi, serr)
-			return r
 		}
 		// Force the completion group commit between batches so the journal's
 		// AppendBatch sequence is deterministic.
 		_ = cli.Synchronize()
 	}
-	if !crasher.Fired() {
-		r.err = fmt.Errorf("crash site never fired (armed hit %d)", hit)
-		return r
-	}
-	// Batched item j of batch bi carried op ID bi*perBatch+j+1, so the
-	// client's pending set maps back to kernel names.
-	pendingNames := map[string]bool{}
-	for _, op := range cli.PendingOps() {
-		if op >= 1 && op <= launches {
-			pendingNames[ccKernelName(site, seed, int(op-1))] = true
-		}
-	}
-	r.fired = true
-	r.acked = len(acked)
-	waitSessions(srv1, 5*time.Second)
-	_ = srv1.CloseDurability()
-
-	jstats, err := journal.Replay(filepath.Join(dir, daemon.JournalFile), func(*journal.Record) error { return nil })
-	if err != nil {
-		r.err = fmt.Errorf("journal replay: %w", err)
-		return r
-	}
-	r.trunc = jstats.TruncatedBytes
-
-	d1, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 1: %w", err)
-		return r
-	}
-	d2, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 2: %w", err)
-		return r
-	}
-	if d1 != d2 {
-		r.err = errors.New("state digest changed between consecutive replays")
-		return r
-	}
-	durable := parseDigestOps(d1)
-
-	srv2, dial2 := daemon.NewLocal(4)
-	stats, err := srv2.EnableDurability(daemon.Durability{Dir: dir, NoSync: true})
-	if err != nil {
-		r.err = fmt.Errorf("recovery: %w", err)
-		return r
-	}
-	r.replayed = stats.Replayed
-
-	recovered, err := cli.Resume(func() (net.Conn, error) { return dial2(), nil }, client.RetryConfig{Attempts: 3})
-	if err != nil {
-		r.err = fmt.Errorf("resume: %w", err)
-		return r
-	}
-	if !recovered {
-		r.err = errors.New("resume reported state lost; the journal should have held this session")
-		return r
-	}
-	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-resume sync: %w", err)
-		return r
-	}
-
-	// Exactly-once over the whole batched workload: durable accepts settle to
-	// one execution total; re-sent pending items (the in-flight batch,
-	// expanded by Resume into per-item replays) run exactly once; everything
-	// else never ran.
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		runs2 := srv2.Exec.Runs("src:" + name)
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done1 := 0
-			if ent.done {
-				done1 = 1
-			}
-			if runs2+done1 != 1 {
-				r.err = fmt.Errorf("%s: runs2=%d + durable-complete=%d, want exactly 1", name, runs2, done1)
-				return r
-			}
-		case pendingNames[name]:
-			if runs2 != 1 {
-				r.err = fmt.Errorf("%s: re-sent batched op ran %d times, want 1", name, runs2)
-				return r
-			}
-		default:
-			if runs2 != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs2)
-				return r
-			}
-		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but its accept record is not durable (group commit broke write-ahead)", name)
-			return r
-		}
-	}
-
-	// Liveness: a fresh batch on the resumed session must accept and run.
-	live := ccKernelName(site, seed, 99)
-	lb := cli.NewBatch()
-	if err := lb.LaunchSource(ccSource(live), live, kern.D1(4), kern.D1(32), 4); err != nil {
-		r.err = fmt.Errorf("post-recovery batch build: %v", err)
-		return r
-	}
-	if _, err := lb.Submit(); err != nil {
-		r.err = fmt.Errorf("post-recovery batch: %w", err)
-		return r
-	}
-	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-recovery sync: %w", err)
-		return r
-	}
-	r.deduped = srv2.DedupHits()
-	if err := cli.Close(); err != nil {
-		r.err = fmt.Errorf("close: %w", err)
-		return r
-	}
-	if err := srv2.Drain(5 * time.Second); err != nil {
-		r.err = fmt.Errorf("drain after recovery: %w", err)
-		return r
-	}
-	_ = srv2.CloseDurability()
-	return r
-}
-
-// digestOp is one parsed dedup-window line of a state digest.
-type digestOp struct {
-	done bool
-}
-
-// parseDigestOps extracts the source-launch window entries from a
-// StateDigest by kernel name (accept-time successes only).
-func parseDigestOps(digest string) map[string]digestOp {
-	out := map[string]digestOp{}
-	for _, line := range strings.Split(digest, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "op=") {
-			continue
-		}
-		var kernel string
-		var done, okCode, src bool
-		for _, f := range strings.Fields(line) {
-			switch {
-			case strings.HasPrefix(f, "kernel="):
-				kernel = strings.TrimPrefix(f, "kernel=")
-			case f == "done=true":
-				done = true
-			case f == "code=0":
-				okCode = true
-			case f == "src=true":
-				src = true
-			}
-		}
-		if kernel != "" && okCode && src {
-			out[kernel] = digestOp{done: done}
-		}
-	}
-	return out
-}
-
-// waitSessions polls until the server's live-session count reaches zero or
-// the deadline passes.
-func waitSessions(srv *daemon.Server, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	return nil
 }
 
 // profileCrashLeg runs the profile.rename.mid site: a crash between the
 // durable temp write and the rename must leave the previous table intact,
 // and the post-restart save must be byte-identical to a clean run's.
-func profileCrashLeg(seed int64) ccResult {
-	var r ccResult
+func profileCrashLeg(seed int64) (ccRow, error) {
+	var r ccRow
 	dir, err := os.MkdirTemp("", "crashchaos-prof")
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -567,18 +296,15 @@ func profileCrashLeg(seed int64) ccResult {
 	// The clean run: the bytes recovery must converge to.
 	clean := newProf()
 	if err := measure(clean, true); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	cleanPath := filepath.Join(dir, "clean.profiles")
 	if err := clean.SaveFile(cleanPath, nil); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	cleanBytes, err := os.ReadFile(cleanPath)
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 
 	// The crashing run: publish a first (smaller) table, then die mid-rename
@@ -586,37 +312,30 @@ func profileCrashLeg(seed int64) ccResult {
 	path := filepath.Join(dir, "daemon.profiles")
 	victim := newProf()
 	if err := measure(victim, false); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	if err := victim.SaveFile(path, nil); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	before, err := os.ReadFile(path)
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	if err := measure(victim, true); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	crasher := fault.NewCrasher(fault.SiteProfileRenameMid, 0)
 	err = victim.SaveFile(path, crasher.Hook())
 	if !errors.Is(err, fault.ErrCrash) {
-		r.err = fmt.Errorf("crashing save returned %v, want ErrCrash", err)
-		return r
+		return r, fmt.Errorf("crashing save returned %v, want ErrCrash", err)
 	}
 	r.fired = crasher.Fired()
 	after, err := os.ReadFile(path)
 	if err != nil {
-		r.err = fmt.Errorf("table vanished under a mid-rename crash: %w", err)
-		return r
+		return r, fmt.Errorf("table vanished under a mid-rename crash: %w", err)
 	}
 	if !bytes.Equal(before, after) {
-		r.err = errors.New("mid-rename crash tore the published table")
-		return r
+		return r, errors.New("mid-rename crash tore the published table")
 	}
 
 	// Restart: load what survived, re-measure, save cleanly. The result
@@ -624,34 +343,27 @@ func profileCrashLeg(seed int64) ccResult {
 	restarted := newProf()
 	st, err := restarted.LoadFile(path)
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	if st.Quarantined != 0 || st.TruncatedTail != 0 {
-		r.err = fmt.Errorf("recovered table reported damage: %+v", st)
-		return r
+		return r, fmt.Errorf("recovered table reported damage: %+v", st)
 	}
 	r.acked = st.Loaded
 	if err := measure(restarted, true); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	if err := restarted.SaveFile(path, nil); err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	if !bytes.Equal(got, cleanBytes) {
-		r.err = errors.New("recovered profile table differs from a clean run's bytes")
-		return r
+		return r, errors.New("recovered profile table differs from a clean run's bytes")
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		r.err = errors.New("crashed publish left a temp file behind after recovery")
-		return r
+		return r, errors.New("crashed publish left a temp file behind after recovery")
 	}
-	return r
+	return r, nil
 }

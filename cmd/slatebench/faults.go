@@ -2,10 +2,10 @@
 // runtime. It runs a deterministic script of hostile sessions — spurious
 // OOMs, transient compiler failures, connection resets and torn frames,
 // panicking kernel bodies, clients that vanish without closing — against one
-// live daemon, twice with the same seed, and verifies the fault-tolerance
-// contract: the daemon never crashes, every session-owned resource (shared
-// buffers, orphaned kernel specs) is reclaimed, and both runs produce the
-// identical failure sequence.
+// live daemon and verifies the fault-tolerance contract: the daemon never
+// crashes, every session-owned resource (shared buffers, orphaned kernel
+// specs) is reclaimed, and the runner's second run with the same seed
+// produces the identical fault sequence and client-visible outcomes.
 package main
 
 import (
@@ -20,11 +20,8 @@ import (
 	"slate/internal/kern"
 )
 
-// chaosConfig shapes one chaos run.
-type chaosConfig struct {
-	seed     int64
-	sessions int
-}
+// chaosSessions is how many hostile client sessions one chaos run scripts.
+const chaosSessions = 12
 
 // chaosResult is everything a run produced that must be reproducible.
 type chaosResult struct {
@@ -33,13 +30,12 @@ type chaosResult struct {
 	registry   int      // live buffers after all sessions ended
 	specs      int      // orphaned spec-table entries after all sessions ended
 	sessions   int      // live sessions at the end (0 = clean drain)
-	fallbacks  int      // vanilla-path degradations recorded by the executor
 }
 
 // chaosScript runs the deterministic hostile-session script once.
-func chaosScript(cfg chaosConfig) (*chaosResult, error) {
+func chaosScript(seed int64) *chaosResult {
 	inj := fault.New(fault.Config{
-		Seed:              cfg.seed,
+		Seed:              seed,
 		ReadDelayProb:     0.05,
 		WriteResetProb:    0.04,
 		WriteTruncateProb: 0.03,
@@ -50,13 +46,13 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 	srv.Registry.AllocHook = inj.AllocHook()
 	srv.Compiler.FailHook = inj.CompileHook()
 
-	rng := rand.New(rand.NewSource(cfg.seed))
+	rng := rand.New(rand.NewSource(seed))
 	res := &chaosResult{}
 	note := func(sess int, format string, args ...any) {
 		res.outcomes = append(res.outcomes, fmt.Sprintf("s%02d %s", sess, fmt.Sprintf(format, args...)))
 	}
 
-	for s := 0; s < cfg.sessions; s++ {
+	for s := 0; s < chaosSessions; s++ {
 		nc := inj.WrapConn(dial())
 		cli, err := client.New(nc, fmt.Sprintf("chaos-%d", s),
 			client.WithShared(srv.Registry, srv.Specs),
@@ -112,10 +108,8 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 			// A unique source kernel per session defeats the compile cache,
 			// so the compiler fault site keeps rolling; compile failures
 			// degrade to the vanilla path instead of failing the launch.
-			src := fmt.Sprintf(
-				"__global__ void k%d(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = %d.0f; }", s, s)
-			_, degraded, err := cli.LaunchSourceDegraded(src, fmt.Sprintf("k%d", s),
-				kern.D1(8), kern.D1(32), 4)
+			name := fmt.Sprintf("k%d", s)
+			_, degraded, err := cli.LaunchSourceDegraded(cudaSource(name), name, kern.D1(8), kern.D1(32), 4)
 			switch {
 			case err != nil:
 				note(s, "launchSource: %v", err)
@@ -146,95 +140,57 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 	}
 
 	// Every session's teardown (including abrupt ones) must drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSessions(srv, 10*time.Second)
 	res.sessions = srv.Sessions()
 	res.registry = srv.Registry.Len()
 	res.specs = srv.Specs.Len()
 	res.faultTrace = inj.Trace()
-	res.fallbacks = srv.Exec.Fallbacks()
-	return res, nil
+	return res
 }
 
-// runFaults executes the chaos script twice with the same seed and renders
-// the verdict.
-func runFaults(seed int64, sessions int) (string, error) {
-	if sessions <= 0 {
-		sessions = 12
-	}
-	first, err := chaosScript(chaosConfig{seed: seed, sessions: sessions})
-	if err != nil {
-		return "", err
-	}
-	second, err := chaosScript(chaosConfig{seed: seed, sessions: sessions})
-	if err != nil {
-		return "", err
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos run: seed=%d sessions=%d\n\n", seed, sessions)
-
-	kinds := map[string]int{}
-	for _, e := range firstEvents(first) {
-		kinds[e]++
-	}
-	fmt.Fprintf(&b, "injected faults: %d\n", len(firstEvents(first)))
-	for _, k := range []string{"delay", "reset", "truncate", "oom", "compile-fail"} {
-		if kinds[k] > 0 {
-			fmt.Fprintf(&b, "  %-13s %d\n", k, kinds[k])
+// faultsInvariants are the scenario's rows: the contract one run of the
+// script must uphold. The last two carry what must reproduce — the injector's
+// fired-fault trace, the client-visible outcomes — as their detail, and the
+// runner's double run is what compares it.
+var faultsInvariants = []invariant[*chaosResult]{
+	{"daemon survived (sessions drained)", func(r *chaosResult) (row, error) {
+		return observed(r.sessions == 0, "%d live", r.sessions)
+	}},
+	{"buffer registry drained", func(r *chaosResult) (row, error) {
+		return observed(r.registry == 0, "%d buffers", r.registry)
+	}},
+	{"spec table drained", func(r *chaosResult) (row, error) {
+		return observed(r.specs == 0, "%d specs", r.specs)
+	}},
+	{"same seed, same fault sequence", func(r *chaosResult) (row, error) {
+		events := strings.Fields(r.faultTrace)
+		kinds := map[string]int{}
+		for _, e := range events {
+			kinds[e[strings.LastIndexByte(e, ':')+1:]]++
 		}
-	}
-	fmt.Fprintf(&b, "client-visible outcomes: %d\n", len(first.outcomes))
-	for _, o := range first.outcomes {
-		fmt.Fprintf(&b, "  %s\n", o)
-	}
-	fmt.Fprintf(&b, "vanilla-path degradations: %d\n\n", first.fallbacks)
-
-	type check struct {
-		name string
-		ok   bool
-		got  string
-	}
-	checks := []check{
-		{"daemon survived (sessions drained)", first.sessions == 0 && second.sessions == 0,
-			fmt.Sprintf("%d/%d live", first.sessions, second.sessions)},
-		{"buffer registry drained", first.registry == 0 && second.registry == 0,
-			fmt.Sprintf("%d/%d buffers", first.registry, second.registry)},
-		{"spec table drained", first.specs == 0 && second.specs == 0,
-			fmt.Sprintf("%d/%d specs", first.specs, second.specs)},
-		{"same seed, same fault sequence", first.faultTrace == second.faultTrace,
-			fmt.Sprintf("%d vs %d events", len(firstEvents(first)), len(firstEvents(second)))},
-		{"same seed, same outcomes", strings.Join(first.outcomes, "\n") == strings.Join(second.outcomes, "\n"),
-			fmt.Sprintf("%d vs %d lines", len(first.outcomes), len(second.outcomes))},
-	}
-	failed := 0
-	for _, c := range checks {
-		mark := "PASS"
-		if !c.ok {
-			mark = "FAIL"
-			failed++
+		tally := fmt.Sprintf("%d injected:", len(events))
+		for _, k := range []string{"delay", "reset", "truncate", "oom", "compile-fail"} {
+			if kinds[k] > 0 {
+				tally += fmt.Sprintf(" %s %d", k, kinds[k])
+			}
 		}
-		fmt.Fprintf(&b, "[%s] %-36s (%s)\n", mark, c.name, c.got)
-	}
-	if failed > 0 {
-		return b.String(), fmt.Errorf("chaos: %d invariant(s) violated", failed)
-	}
-	return b.String(), nil
+		return row{vals: []any{tally}, detail: events}, nil
+	}},
+	{"same seed, same outcomes", func(r *chaosResult) (row, error) {
+		return row{vals: []any{fmt.Sprintf("%d client-visible", len(r.outcomes))}, detail: r.outcomes}, nil
+	}},
 }
 
-// firstEvents splits a run's fault trace into its event kinds.
-func firstEvents(r *chaosResult) []string {
-	if r.faultTrace == "" {
-		return nil
-	}
-	lines := strings.Split(strings.TrimSpace(r.faultTrace), "\n")
-	kinds := make([]string, 0, len(lines))
-	for _, l := range lines {
-		if i := strings.LastIndexByte(l, ':'); i >= 0 {
-			kinds = append(kinds, l[i+1:])
-		}
-	}
-	return kinds
+// faults is the scenario: one script per run, the invariants above as its
+// rows.
+var faults = &scenario{
+	name:  "faults",
+	title: fmt.Sprintf("Chaos run: %d hostile sessions against one daemon", chaosSessions),
+	keys:  []string{"invariant"},
+	cols:  []column{{name: "observed"}},
+	seeds: 1,
+	cells: func(seed int64) []cell {
+		return invariantCells(func() (*chaosResult, error) { return chaosScript(seed), nil }, faultsInvariants)
+	},
+	upheld: "daemon survived every hostile session; every buffer and spec reclaimed",
 }

@@ -15,7 +15,7 @@
 //     its original token and completes new work; surviving sessions never
 //     notice; DrainAll terminates;
 //   - determinism: the whole matrix, run twice in-process with the same
-//     seed, renders byte-identically.
+//     seed, reproduces every column the script fixes.
 package main
 
 import (
@@ -23,14 +23,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"slate/internal/client"
 	"slate/internal/daemon"
 	"slate/internal/fault"
 	"slate/internal/fleet"
-	"slate/internal/kern"
 )
 
 // fcFaults lists the injected fleet faults: a daemon death at each journal
@@ -46,100 +44,53 @@ func fcFaults() []string {
 }
 
 const (
-	fcMembers        = 3
 	fcVictimLaunches = 5
 	fcOtherLaunches  = 3
 )
 
-// fcResult is one (fault, victim, seed) cell.
-type fcResult struct {
-	site     string
-	victim   string
-	seed     int64
+// fcRow is what one fleetchaos leg reports.
+type fcRow struct {
 	fired    bool // the injected fault actually landed
 	acked    int  // launches the victim's client had acked
 	synced   int  // launches synced (completion durable) before the fault
 	replayed int  // incomplete launches the adopter re-executed
-	err      error
 }
 
-// runFleetChaos drives the matrix twice and demands byte-identical output.
-func runFleetChaos(seed int64) (string, error) {
-	out1, err := fleetChaosMatrix(seed)
-	if err != nil {
-		return out1, err
-	}
-	out2, err := fleetChaosMatrix(seed)
-	if err != nil {
-		return out2, err
-	}
-	if out1 != out2 {
-		return out1 + "\n--- second run differed ---\n" + out2,
-			errors.New("fleetchaos: double run not byte-identical")
-	}
-	return out1 + "\ndouble run byte-identical: true\n", nil
-}
-
-func fleetChaosMatrix(seed int64) (string, error) {
-	var rows []fcResult
-	for _, s := range []int64{seed, seed + 1} {
-		for v := 0; v < fcMembers; v++ {
+// fleetChaos is the matrix: every member × every fault, two consecutive
+// seeds. acked is printed only: a crash at an accept append races the
+// victim's death against the ack of the very launch that triggered it.
+var fleetChaos = &scenario{
+	name:  "fleetchaos",
+	title: "Fleet-chaos matrix (fault the member, detect, fail over, verify)",
+	keys:  []string{"fault", "victim"},
+	cols:  []column{{name: "fired"}, {name: "acked", printedOnly: true}, {name: "synced"}, {name: "replayed"}},
+	seeds: 2,
+	cells: func(seed int64) []cell {
+		var cells []cell
+		for v := 0; v < fleetMembers; v++ {
 			for _, site := range fcFaults() {
-				r := fleetChaosLeg(s, v, site)
-				r.site, r.victim, r.seed = site, fmt.Sprintf("gpu%d", v), s
-				rows = append(rows, r)
+				cells = append(cells, cell{key: []string{site, fmt.Sprintf("gpu%d", v)}, leg: func() (row, error) {
+					r, err := fleetChaosLeg(seed, v, site)
+					return row{vals: []any{r.fired, r.acked, r.synced, r.replayed}}, err
+				}})
 			}
 		}
-	}
-	var b strings.Builder
-	b.WriteString("Fleet-chaos matrix (fault the member, detect, fail over, verify)\n")
-	fmt.Fprintf(&b, "%-22s %-7s %-5s %-6s %-6s %-7s %-8s %s\n",
-		"fault", "victim", "seed", "fired", "acked", "synced", "replayed", "verdict")
-	var firstErr error
-	for _, r := range rows {
-		verdict := "PASS"
-		if r.err != nil {
-			verdict = "FAIL: " + r.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s victim=%s seed=%d: %w", r.site, r.victim, r.seed, r.err)
-			}
-		}
-		fmt.Fprintf(&b, "%-22s %-7s %-5d %-6v %-6d %-7d %-8d %s\n",
-			r.site, r.victim, r.seed, r.fired, r.acked, r.synced, r.replayed, verdict)
-	}
-	if firstErr != nil {
-		return b.String(), firstErr
-	}
-	b.WriteString("\nall fleet faults recovered: exactly-once fleet-wide, no lost completions, no starved session\n")
-	return b.String(), nil
-}
-
-// fcKernel names one scripted launch so executions are countable per cell.
-func fcKernel(site string, seed int64, member, i int) string {
-	return fmt.Sprintf("fc_%s_%d_m%d_%d",
-		strings.NewReplacer(".", "_", "-", "_").Replace(site), seed, member, i)
+		return cells
+	},
+	upheld: "all fleet faults recovered: exactly-once fleet-wide, no lost completions, no starved session",
 }
 
 // fleetChaosLeg runs one cell: build a three-member durable fleet, place one
 // session per member, run the workload, inject the fault into the victim,
 // drive detection and failover, then audit every invariant.
-func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
-	var r fcResult
+func fleetChaosLeg(seed int64, victimIdx int, site string) (fcRow, error) {
+	var r fcRow
 	base, err := os.MkdirTemp("", "fleetchaos")
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	defer os.RemoveAll(base)
 
-	sup := fleet.New(fleet.Config{
-		HeartbeatEvery: 500 * time.Millisecond,
-		PingTimeout:    2 * time.Second,
-		MinStd:         50 * time.Millisecond,
-		AutoFailover:   true,
-		RoundRobin:     true, // deterministic placement: the double-run must re-home identically
-		PartitionMode:  fault.PartitionReject,
-	})
 	// The victim gets the armed crash point (when the fault is a crash
 	// site) and an aggressive compaction cadence so the checkpoint site is
 	// reachable within the scripted workload.
@@ -153,45 +104,29 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 		crasher = fault.NewCrasher(site, hit)
 	}
 	victimName := fmt.Sprintf("gpu%d", victimIdx)
-	for i := 0; i < fcMembers; i++ {
-		dur := &daemon.Durability{Dir: filepath.Join(base, fmt.Sprintf("m%d", i)), NoSync: true}
-		if err := os.MkdirAll(dur.Dir, 0o755); err != nil {
-			r.err = err
-			return r
-		}
-		if i == victimIdx && crasher != nil {
-			dur.Crash = crasher.Hook()
-			dur.CompactEvery = 4
-		}
-		if _, err := sup.AddMember(fleet.MemberSpec{
-			Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i],
-		Durability: dur}); err != nil {
-			r.err = err
-			return r
-		}
+	sup, err := newFleet(fleet.Config{HeartbeatEvery: 500 * time.Millisecond, AutoFailover: true}, base,
+		func(i int, dur *daemon.Durability) {
+			if i == victimIdx && crasher != nil {
+				dur.Crash = crasher.Hook()
+				dur.CompactEvery = 4
+			}
+		})
+	if err != nil {
+		return r, err
 	}
 	t0 := time.Unix(100_000, 0)
 	sup.Tick(t0) // prime every detector with a healthy beat
 
 	// One session per member, placed round-robin: client i lands on gpu<i>.
-	clients := make([]*client.Client, fcMembers)
+	clients := make([]*client.Client, fleetMembers)
 	for i := range clients {
 		m, err := sup.Route("")
 		if err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
-		nc, err := m.Dial()()
-		if err != nil {
-			r.err = err
-			return r
+		if clients[i], err = openOn(m, fmt.Sprintf("fc-sess-%d", i), client.WithTimeout(5*time.Second)); err != nil {
+			return r, err
 		}
-		c, err := client.New(nc, fmt.Sprintf("fc-sess-%d", i), client.WithTimeout(5*time.Second))
-		if err != nil {
-			r.err = fmt.Errorf("handshake on %s: %w", m.Name, err)
-			return r
-		}
-		clients[i] = c
 	}
 	victim := sup.MemberByName(victimName)
 	vc := clients[victimIdx]
@@ -200,23 +135,20 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 	// Victim workload: sync after every launch, so the journal append
 	// sequence (and therefore the armed crash point) is deterministic, and
 	// so "synced" exactly identifies launches with durable completions.
-	acked := map[string]bool{}
-	synced := map[string]bool{}
-	for i := 0; i < fcVictimLaunches; i++ {
-		name := fcKernel(site, seed, victimIdx, i)
-		_, _, lerr := vc.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4)
-		switch {
-		case lerr == nil:
-			acked[name] = true
-		case errors.Is(lerr, client.ErrDaemonDown) || errors.Is(lerr, client.ErrTimeout):
-			// The victim died under this call; Resume may replay it.
-		default:
-			r.err = fmt.Errorf("victim launch %s: %v", name, lerr)
-			return r
+	names := make([]string, fcVictimLaunches)
+	for i := range names {
+		names[i] = fcKernel(site, seed, victimIdx, i)
+	}
+	led := newLedger(names)
+	for _, name := range names {
+		// A dead daemon means the victim died under this call; Resume may
+		// replay it.
+		if err := led.launched(name, launchNamed(vc, name)); err != nil {
+			return r, err
 		}
 		if serr := vc.Synchronize(); serr == nil {
-			for n := range acked {
-				synced[n] = true
+			for n := range led.acked {
+				led.synced[n] = true
 			}
 		}
 	}
@@ -228,179 +160,113 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 		}
 		for j := 0; j < fcOtherLaunches; j++ {
 			name := fcKernel(site, seed, i, j)
-			if _, _, err := c.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-				r.err = fmt.Errorf("bystander launch %s: %v", name, err)
-				return r
+			if err := launchNamed(c, name); err != nil {
+				return r, fmt.Errorf("bystander launch %s: %v", name, err)
 			}
 		}
 		if err := c.Synchronize(); err != nil {
-			r.err = fmt.Errorf("bystander sync: %v", err)
-			return r
+			return r, fmt.Errorf("bystander sync: %v", err)
 		}
 	}
-	r.acked, r.synced = len(acked), len(synced)
+	r.acked, r.synced = len(led.acked), len(led.synced)
 
 	// Inject the fault and drive detection.
 	switch {
 	case isCrashSite:
 		if !crasher.Fired() {
-			r.err = errors.New("armed crash site never fired")
-			return r
+			return r, errors.New("armed crash site never fired")
 		}
 		r.fired = true
 		// The daemon died silently: only the failure detector notices.
 		sup.Tick(t0.Add(700 * time.Millisecond))
 		if st := victim.State(); st != fleet.StateSuspect {
-			r.err = fmt.Errorf("after one missed beat: state=%v, want suspect", st)
-			return r
+			return r, fmt.Errorf("after one missed beat: state=%v, want suspect", st)
 		}
 		sup.Tick(t0.Add(900 * time.Millisecond))
 	case site == "partition":
 		if err := sup.CutMember(victimName); err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 		r.fired = true
 		sup.Tick(t0.Add(900 * time.Millisecond))
 	default: // operator kill: immediate fence + failover, no detection lag
 		if err := sup.KillMember(victimName); err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 		r.fired = true
 	}
 	if st := victim.State(); st != fleet.StateDown {
-		r.err = fmt.Errorf("victim state=%v, want down", st)
-		return r
+		return r, fmt.Errorf("victim state=%v, want down", st)
 	}
 
 	// The session re-homed; resume it there with the original token.
-	var pendingName string
-	if op := vc.PendingOp(); op >= 1 && op <= fcVictimLaunches {
-		pendingName = fcKernel(site, seed, victimIdx, int(op-1))
-	}
+	led.holdPending(vc)
 	adopterName, lerr := sup.Locate(token, victimName)
 	if !errors.Is(lerr, fleet.ErrRehomed) {
-		r.err = fmt.Errorf("Locate = %q, %v; want ErrRehomed", adopterName, lerr)
-		return r
+		return r, fmt.Errorf("Locate = %q, %v; want ErrRehomed", adopterName, lerr)
 	}
 	dialer := sup.NewDialer()
 	recovered, err := vc.Resume(dialer.DialFor(adopterName), client.RetryConfig{Attempts: 3})
 	if err != nil {
-		r.err = fmt.Errorf("resume at %s: %w", adopterName, err)
-		return r
+		return r, fmt.Errorf("resume at %s: %w", adopterName, err)
 	}
 	if !recovered {
-		r.err = errors.New("resume reported state lost; adoption should have carried this session")
-		return r
+		return r, errors.New("resume reported state lost; adoption should have carried this session")
 	}
 	if err := vc.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-failover sync: %v", err)
-		return r
+		return r, fmt.Errorf("post-failover sync: %v", err)
 	}
 
-	// Audit against the victim's tombstoned journal. Digesting twice also
-	// proves replay idempotence over the adopted segment.
-	tomb := filepath.Join(victim.StateDir(), "adopted")
-	d1, err := daemon.StateDigest(tomb)
+	// Audit against the victim's tombstoned journal: exactly-once fleet-wide,
+	// and no completed launch lost. Executions on the victim itself without a
+	// durable completion died with the device, so only survivors count.
+	digest, err := stableDigest(filepath.Join(victim.StateDir(), "adopted"))
 	if err != nil {
-		r.err = fmt.Errorf("tombstone digest: %w", err)
-		return r
+		return r, fmt.Errorf("tombstone: %w", err)
 	}
-	d2, err := daemon.StateDigest(tomb)
-	if err != nil {
-		r.err = err
-		return r
-	}
-	if d1 != d2 {
-		r.err = errors.New("tombstone digest changed between consecutive replays")
-		return r
-	}
-	durable := parseDigestOps(d1)
-
-	// Exactly-once fleet-wide, and no completed launch lost.
-	for i := 0; i < fcVictimLaunches; i++ {
-		name := fcKernel(site, seed, victimIdx, i)
+	r.replayed, err = led.audit(durableOps(digest), func(k string) int {
 		runs := 0
 		for _, m := range sup.Members() {
-			if m.Name == victimName {
-				continue // non-durable victim executions died with the device
-			}
-			runs += m.Srv().Exec.Runs("src:" + name)
-		}
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done := 0
-			if ent.done {
-				done = 1
-			}
-			if runs+done != 1 {
-				r.err = fmt.Errorf("%s: survivor-runs=%d + victim-durable-done=%d, want exactly 1", name, runs, done)
-				return r
-			}
-			if !ent.done {
-				r.replayed++
-			}
-		case name == pendingName:
-			if runs != 1 {
-				r.err = fmt.Errorf("%s: re-sent pending op ran %d times on survivors, want 1", name, runs)
-				return r
-			}
-		default:
-			if runs != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs)
-				return r
+			if m.Name != victimName {
+				runs += m.Srv().Exec.Runs("src:" + k)
 			}
 		}
-		if synced[name] && (!inJournal || !ent.done) {
-			r.err = fmt.Errorf("%s: synced before the fault but its completion is not durable (lost complete)", name)
-			return r
-		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but accept record not durable (write-ahead violated)", name)
-			return r
-		}
+		return runs
+	})
+	if err != nil {
+		return r, err
 	}
 
 	// A healed partition must not resurrect the fenced victim.
 	if site == "partition" {
 		if err := sup.HealMember(victimName); err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 		if !victim.Srv().Crashed() {
-			r.err = errors.New("healed victim was not fenced — split brain")
-			return r
+			return r, errors.New("healed victim was not fenced — split brain")
 		}
 	}
 
 	// No session starves: the re-homed session and every bystander complete
 	// fresh work and close cleanly.
 	for i, c := range clients {
-		name := fcKernel(site, seed, i, 90)
-		if _, _, err := c.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-			r.err = fmt.Errorf("liveness launch session %d: %v", i, err)
-			return r
+		if err := launchNamed(c, fcKernel(site, seed, i, 90)); err != nil {
+			return r, fmt.Errorf("liveness launch session %d: %v", i, err)
 		}
 		if err := c.Synchronize(); err != nil {
-			r.err = fmt.Errorf("liveness sync session %d: %v", i, err)
-			return r
+			return r, fmt.Errorf("liveness sync session %d: %v", i, err)
 		}
 		if err := c.Close(); err != nil {
-			r.err = fmt.Errorf("close session %d: %v", i, err)
-			return r
+			return r, fmt.Errorf("close session %d: %v", i, err)
 		}
 	}
 	if err := sup.DrainAll(5 * time.Second); err != nil {
-		r.err = fmt.Errorf("drain: %v", err)
-		return r
+		return r, fmt.Errorf("drain: %v", err)
 	}
-	return r
+	return r, nil
 }
 
-// srcForFc wraps a kernel name in minimal CUDA source, like ccSource but
-// kept separate so the two chaos drivers stay independently editable.
-func srcForFc(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
+// fcKernel names one scripted launch so executions are countable per cell.
+func fcKernel(site string, seed int64, member, i int) string {
+	return kernelName("fc", site, seed, fmt.Sprintf("m%d", member), i)
 }

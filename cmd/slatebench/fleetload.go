@@ -1,8 +1,8 @@
-// The fleetload benchmark: gray-failure tolerance at 100k-session scale.
+// The fleetload experiment: gray-failure tolerance at 100k-session scale.
 // It drives two legs, each a three-member fleet serving `-fleet-sessions`
 // lightweight concurrent sessions:
 //
-//   - baseline: every member healthy — the latency and goodput reference;
+//   - baseline: every member healthy;
 //   - degraded: one member is made gray (fault.Degrade: seeded per-op
 //     stalls plus flaky drops — it still answers every ping), the
 //     latency-accrual SlowDetector must eject it from placement, the whole
@@ -16,22 +16,16 @@
 // aging override guarantees shedding cannot starve), exactly-once
 // accounting (fleet-wide executions equal successful launches exactly; a
 // shed launch never ran), ejection and re-admission both observed, and no
-// leaked goroutines after teardown. The rendered summary contains only
-// deterministic counts and booleans, so the whole benchmark run twice must
-// render byte-identically; wall-clock figures (tail latencies, goodput) go
-// to BENCH_fleet.json, where the fail-if-slower gate compares against the
-// previous record — skipped with a NOTICE on single-core runners, like
-// simbench.
+// leaked goroutines after teardown. Every compared column is a deterministic
+// count or boolean, so the runner's double run must reproduce them; the one
+// timing-dependent count (how many backpressure sheds the storm absorbed) is
+// printed only.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,12 +33,10 @@ import (
 	"slate/internal/client"
 	"slate/internal/fault"
 	"slate/internal/fleet"
-	"slate/internal/kern"
 	"slate/internal/leakcheck"
 )
 
 const (
-	flMembers = 3
 	// flDegraded is the member made gray in the degraded leg.
 	flDegraded = "gpu2"
 	// flBurstTarget takes the overload burst (a healthy member: the burst
@@ -67,40 +59,7 @@ const (
 	flTickBound = 400
 )
 
-// flRecord is the schema of BENCH_fleet.json.
-type flRecord struct {
-	Experiment string `json:"experiment"`
-	Sessions   int    `json:"sessions"`
-	Members    int    `json:"members"`
-	Seed       int64  `json:"seed"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	// Baseline leg: all members healthy.
-	BaselineP50us float64 `json:"baseline_p50_us"`
-	BaselineP99us float64 `json:"baseline_p99_us"`
-	BaselineSec   float64 `json:"baseline_sec"`
-	GoodputBase   float64 `json:"goodput_base_sessions_per_sec"`
-	// Degraded leg: one gray member ejected, overload bursts shed.
-	DegradedP50us   float64 `json:"degraded_healthy_p50_us"`
-	DegradedP99us   float64 `json:"degraded_healthy_p99_us"`
-	DegradedSec     float64 `json:"degraded_sec"`
-	GoodputDegraded float64 `json:"goodput_degraded_sessions_per_sec"`
-	// P99Ratio is degraded-leg healthy-member tail over baseline tail —
-	// the ejection payoff: a gray third of the fleet must not blow up the
-	// healthy members' tail.
-	P99Ratio float64 `json:"p99_ratio"`
-	// Identical is the byte-comparison of the two full renders.
-	Identical bool `json:"identical"`
-}
-
-// flP99Bound caps the degraded/baseline healthy-member p99 ratio on
-// multi-core runners. Generous: the degraded leg carries the same session
-// count on one fewer member plus the burst, so some inflation is physics;
-// a gray member leaking into placement shows up as far more.
-const flP99Bound = 8.0
-
-// flLegStats is one leg's outcome: deterministic counts for the render,
-// wall-clock figures for the JSON record.
+// flLegStats is one leg's outcome.
 type flLegStats struct {
 	completed    int // sessions whose work fully completed
 	launches     int // successful (acked and synced) launches, total
@@ -110,131 +69,45 @@ type flLegStats struct {
 	runs         int // fleet-wide executions of the leg's kernel
 	ejected      bool
 	readmitted   bool
-	wallSec      float64
-	latencies    []time.Duration // healthy-member session op latencies
 	leakFree     bool
-	eventKinds   map[string]bool // structured event kinds observed
 	slowActions  map[string]bool // slow-event actions observed (eject/readmit)
 	degradeSeen  map[string]bool // degrade-event actions observed (on/off)
 	routedToGray int             // sessions placed on the degraded member (must be 0)
 }
 
-// runFleetLoad drives the benchmark twice, demands byte-identical renders,
-// writes BENCH_fleet.json, and applies the gates.
-func runFleetLoad(seed int64, sessions int, benchOut string) error {
+// fleetLoad is the scenario at a session count: the two legs as its cells,
+// one seed. The columns from ejected on belong to the degraded leg alone.
+func fleetLoad(sessions int) *scenario {
 	if sessions <= 0 {
 		sessions = 100_000
 	}
-
-	var prior *flRecord
-	if data, err := os.ReadFile(benchOut); err == nil {
-		var p flRecord
-		if json.Unmarshal(data, &p) == nil && p.Experiment != "" {
-			prior = &p
-		}
+	return &scenario{
+		name: "fleetload",
+		title: fmt.Sprintf("Fleet load: members=%d sessions=%d burst=%d expired_probes=%d max_pending=%d",
+			fleetMembers, sessions, flBurstClients, flExpiredProbes, flMaxPending),
+		keys: []string{"leg"},
+		cols: []column{{name: "completed"}, {name: "launches"}, {name: "starved"}, {name: "exactly_once"}, {name: "leak_free"},
+			{name: "ejected"}, {name: "readmitted"}, {name: "expired_shed"}, {name: "backpressure_shed"},
+			{name: "routed_to_gray"}, {name: "events"}, {name: "sheds", printedOnly: true}},
+		seeds: 1,
+		cells: func(seed int64) []cell {
+			var cells []cell
+			for _, leg := range []string{"baseline", "degraded"} {
+				cells = append(cells, cell{key: []string{leg}, leg: func() (row, error) {
+					st, err := fleetLoadLeg(seed, sessions, leg == "degraded")
+					vals := []any{st.completed, st.launches, st.starved, st.runs == st.launches, st.leakFree}
+					if leg == "degraded" {
+						events := fmt.Sprintf("slow_eject=%v slow_readmit=%v degrade_on=%v degrade_off=%v",
+							st.slowActions["eject"], st.slowActions["readmit"], st.degradeSeen["on"], st.degradeSeen["off"])
+						vals = append(vals, st.ejected, st.readmitted, st.expiredShed, st.bpSheds > 0, st.routedToGray, events, st.bpSheds)
+					}
+					return row{vals: vals}, err
+				}})
+			}
+			return cells
+		},
+		upheld: "zero starved sessions, exactly-once accounting, gray member ejected and re-admitted",
 	}
-
-	out1, rec, err := fleetLoadOnce(seed, sessions)
-	if err != nil {
-		fmt.Print(out1)
-		return err
-	}
-	out2, _, err := fleetLoadOnce(seed, sessions)
-	if err != nil {
-		fmt.Print(out2)
-		return err
-	}
-	rec.Identical = out1 == out2
-	fmt.Print(out1)
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(benchOut, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("fleetload: baseline %.1fs (p99 %.0fµs), degraded %.1fs (healthy p99 %.0fµs, ratio %.2fx), goodput %.0f → %.0f sessions/s, identical=%v\n",
-		rec.BaselineSec, rec.BaselineP99us, rec.DegradedSec, rec.DegradedP99us, rec.P99Ratio,
-		rec.GoodputBase, rec.GoodputDegraded, rec.Identical)
-	fmt.Printf("wrote %s\n", benchOut)
-
-	if !rec.Identical {
-		return errors.New("fleetload: double run not byte-identical — determinism contract broken")
-	}
-	eff := effectiveParallelism()
-	if eff < 2 {
-		fmt.Printf("fleetload: NOTICE — effective parallelism %d < 2, latency/goodput gates skipped (single-core runner)\n", eff)
-		return nil
-	}
-	if rec.P99Ratio > flP99Bound {
-		return fmt.Errorf("fleetload: healthy-member p99 blew up %.2fx over baseline (bound %.1fx) — the gray member is leaking into the serving path",
-			rec.P99Ratio, flP99Bound)
-	}
-	if prior != nil && prior.GOMAXPROCS >= 2 && prior.NumCPU >= 2 &&
-		prior.Sessions == rec.Sessions && prior.GoodputDegraded > 0 {
-		floor := prior.GoodputDegraded * regressTolerance
-		if rec.GoodputDegraded < floor {
-			return fmt.Errorf("fleetload: degraded-leg goodput %.0f sessions/s fell below %.0f (%.0f%% of recorded %.0f) — fleet throughput regressed",
-				rec.GoodputDegraded, floor, regressTolerance*100, prior.GoodputDegraded)
-		}
-	}
-	return nil
-}
-
-// fleetLoadOnce runs both legs once and renders the deterministic summary.
-func fleetLoadOnce(seed int64, sessions int) (string, flRecord, error) {
-	rec := flRecord{
-		Experiment: "fleetload",
-		Sessions:   sessions,
-		Members:    flMembers,
-		Seed:       seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fleet load: members=%d sessions=%d burst=%d expired_probes=%d max_pending=%d seed=%d\n",
-		flMembers, sessions, flBurstClients, flExpiredProbes, flMaxPending, seed)
-
-	base, err := fleetLoadLeg(seed, sessions, false)
-	if err != nil {
-		return b.String(), rec, fmt.Errorf("baseline leg: %w", err)
-	}
-	fmt.Fprintf(&b, "baseline: completed=%d launches=%d starved=%d exactly_once=%v leak_free=%v\n",
-		base.completed, base.launches, base.starved, base.runs == base.launches, base.leakFree)
-
-	degr, err := fleetLoadLeg(seed, sessions, true)
-	if err != nil {
-		return b.String(), rec, fmt.Errorf("degraded leg: %w", err)
-	}
-	fmt.Fprintf(&b, "degraded: completed=%d launches=%d starved=%d exactly_once=%v ejected=%v readmitted=%v expired_shed=%d backpressure_shed=%v routed_to_gray=%d leak_free=%v\n",
-		degr.completed, degr.launches, degr.starved, degr.runs == degr.launches,
-		degr.ejected, degr.readmitted, degr.expiredShed, degr.bpSheds > 0, degr.routedToGray, degr.leakFree)
-	fmt.Fprintf(&b, "events: slow_eject=%v slow_readmit=%v degrade_on=%v degrade_off=%v\n",
-		degr.slowActions["eject"], degr.slowActions["readmit"], degr.degradeSeen["on"], degr.degradeSeen["off"])
-	b.WriteString("invariants: zero starved sessions, exactly-once accounting, gray member ejected and re-admitted\n")
-
-	rec.BaselineSec, rec.DegradedSec = base.wallSec, degr.wallSec
-	rec.BaselineP50us, rec.BaselineP99us = flQuantileUS(base.latencies, 0.5), flQuantileUS(base.latencies, 0.99)
-	rec.DegradedP50us, rec.DegradedP99us = flQuantileUS(degr.latencies, 0.5), flQuantileUS(degr.latencies, 0.99)
-	if base.wallSec > 0 {
-		rec.GoodputBase = float64(base.completed) / base.wallSec
-	}
-	if degr.wallSec > 0 {
-		rec.GoodputDegraded = float64(degr.completed) / degr.wallSec
-	}
-	if rec.BaselineP99us > 0 {
-		rec.P99Ratio = rec.DegradedP99us / rec.BaselineP99us
-	}
-	return b.String(), rec, nil
-}
-
-// flSource wraps the leg's kernel in minimal CUDA source. One name per leg:
-// every session launches the same kernel, so the compile caches stay warm
-// and fleet-wide executions are countable with one Exec.Runs key.
-func flSource(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
 }
 
 // flWorkers bounds in-flight session operations: enough to keep every core
@@ -253,20 +126,12 @@ func flWorkers() int {
 
 // fleetLoadLeg drives one leg end to end and audits every invariant.
 func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) {
-	st := &flLegStats{
-		eventKinds:  map[string]bool{},
-		slowActions: map[string]bool{},
-		degradeSeen: map[string]bool{},
-	}
+	st := &flLegStats{slowActions: map[string]bool{}, degradeSeen: map[string]bool{}}
 	gBase := leakcheck.Snapshot()
 
 	var evMu sync.Mutex
-	sup := fleet.New(fleet.Config{
+	sup, err := newFleet(fleet.Config{
 		HeartbeatEvery: 50 * time.Millisecond,
-		PingTimeout:    2 * time.Second,
-		MinStd:         50 * time.Millisecond,
-		RoundRobin:     true,
-		PartitionMode:  fault.PartitionReject,
 		SlowWindow:     16,
 		SlowMinSamples: 4,
 		SlowRecover:    3,
@@ -276,7 +141,6 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 				return
 			}
 			evMu.Lock()
-			st.eventKinds[kind] = true
 			if kind == "slow" && fields["member"] == flDegraded {
 				st.slowActions[fields["action"]] = true
 			}
@@ -285,14 +149,11 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 			}
 			evMu.Unlock()
 		},
-	})
-	for i := 0; i < flMembers; i++ {
-		m, err := sup.AddMember(fleet.MemberSpec{
-			Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i],
-		})
-		if err != nil {
-			return st, err
-		}
+	}, "", nil)
+	if err != nil {
+		return st, err
+	}
+	for _, m := range sup.Members() {
 		// Daemon-wide overload shed: past the cap, admission refuses with
 		// BACKPRESSURE, except for a session already shed past the aging
 		// bound. Set before any traffic.
@@ -311,8 +172,10 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	if degraded {
 		legTag = "degr"
 	}
-	kernel := fmt.Sprintf("fl_%s_%d", legTag, seed)
-	src := flSource(kernel)
+	// One name per leg: every session launches the same kernel, so the
+	// compile caches stay warm and fleet-wide executions are countable with
+	// one Exec.Runs key.
+	kernel := kernelName("fl", legTag, seed)
 
 	if degraded {
 		// Make gpu2 gray: persistent seeded stalls plus flaky drops — it
@@ -343,8 +206,6 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 		}
 	}
 
-	legStart := time.Now()
-
 	// Open every session concurrently (bounded workers): Route skips the
 	// ejected gray member, so the whole storm lands on healthy members.
 	type sess struct {
@@ -357,18 +218,9 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	flRunWorkers(sessions, func(i int) {
 		m, err := sup.Route("")
 		if err == nil {
-			conn, derr := m.Dial()()
-			if derr != nil {
-				err = derr
-			} else {
-				c, cerr := client.New(conn, fmt.Sprintf("fl-%s-%d", legTag, i),
-					client.WithTimeout(60*time.Second), client.WithLaunchDeadline(30*time.Second))
-				if cerr != nil {
-					err = cerr
-				} else {
-					clients[i] = sess{c: c, member: m.Name}
-				}
-			}
+			clients[i].member = m.Name
+			clients[i].c, err = openOn(m, fmt.Sprintf("fl-%s-%d", legTag, i),
+				client.WithTimeout(60*time.Second), client.WithLaunchDeadline(30*time.Second))
 		}
 		if err != nil {
 			mu.Lock()
@@ -391,7 +243,7 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	}
 
 	if degraded {
-		if err := flBurst(sup, seed, src, kernel, st); err != nil {
+		if err := flBurst(sup, kernel, st); err != nil {
 			return st, err
 		}
 	}
@@ -400,32 +252,18 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	// (backpressure at admission, expiry at the queue head) with backoff —
 	// the aging override guarantees an aged session is eventually admitted,
 	// so a session that still cannot finish within the bound is starved.
-	lats := make([]time.Duration, sessions)
-	var starved, completed, launches, bpSheds int64
 	flRunWorkers(sessions, func(i int) {
-		c := clients[i].c
-		start := time.Now()
-		ok, sheds := flLaunchWithRetry(c, src, kernel, flSessionBound, nil)
+		ok, sheds := flLaunchWithRetry(clients[i].c, kernel, flSessionBound, nil)
 		mu.Lock()
-		bpSheds += sheds
+		st.bpSheds += int(sheds)
 		if ok {
-			completed++
-			launches++
-			lats[i] = time.Since(start)
+			st.completed++
+			st.launches++
 		} else {
-			starved++
+			st.starved++
 		}
 		mu.Unlock()
 	})
-	st.completed += int(completed)
-	st.starved += int(starved)
-	st.launches += int(launches)
-	st.bpSheds += int(bpSheds)
-	for _, d := range lats {
-		if d > 0 {
-			st.latencies = append(st.latencies, d)
-		}
-	}
 	if st.starved > 0 {
 		return st, fmt.Errorf("%d sessions starved (no completion within %v)", st.starved, flSessionBound)
 	}
@@ -434,7 +272,6 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	flRunWorkers(sessions, func(i int) {
 		_ = clients[i].c.Close()
 	})
-	st.wallSec = time.Since(legStart).Seconds()
 
 	if degraded {
 		// Recovery: turn the gray failure off and drive re-admission —
@@ -457,16 +294,11 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 		}
 		// And it serves again: place a session directly on it and complete
 		// real work over the now-clean link.
-		m := sup.MemberByName(flDegraded)
-		nc, err := m.Dial()()
+		c, err := openOn(sup.MemberByName(flDegraded), "fl-verify", client.WithTimeout(60*time.Second))
 		if err != nil {
-			return st, fmt.Errorf("post-recovery dial: %w", err)
+			return st, fmt.Errorf("post-recovery: %w", err)
 		}
-		c, err := client.New(nc, "fl-verify", client.WithTimeout(60*time.Second))
-		if err != nil {
-			return st, fmt.Errorf("post-recovery handshake: %w", err)
-		}
-		if _, _, err := c.LaunchSourceDegraded(src, kernel, kern.D1(4), kern.D1(32), 4); err != nil {
+		if err := launchNamed(c, kernel); err != nil {
 			return st, fmt.Errorf("post-recovery launch: %w", err)
 		}
 		if err := c.Synchronize(); err != nil {
@@ -525,11 +357,7 @@ func flPlug(m *fleet.Member, gate <-chan struct{}) ([]*client.Client, error) {
 		if len(plugs) == flMaxPending {
 			return plugs, fmt.Errorf("plug stuck at %d of %d held launches", held, flMaxPending)
 		}
-		nc, err := m.Dial()()
-		if err != nil {
-			return plugs, err
-		}
-		c, err := client.New(nc, fmt.Sprintf("fl-plug-%d", len(plugs)),
+		c, err := openOn(m, fmt.Sprintf("fl-plug-%d", len(plugs)),
 			client.WithShared(srv.Registry, srv.Specs), client.WithTimeout(60*time.Second))
 		if err != nil {
 			return plugs, err
@@ -554,7 +382,7 @@ func flPlug(m *fleet.Member, gate <-chan struct{}) ([]*client.Client, error) {
 // once every burst client has been shed, and every client retries its shed
 // launch until admitted (the aging override makes that bounded whether or not
 // the plug is still in).
-func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegStats) error {
+func flBurst(sup *fleet.Supervisor, kernel string, st *flLegStats) error {
 	m := sup.MemberByName(flBurstTarget)
 	if m == nil {
 		return fmt.Errorf("burst target %s missing", flBurstTarget)
@@ -563,16 +391,12 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 	// Deterministic deadline sheds.
 	expired := 0
 	for i := 0; i < flExpiredProbes; i++ {
-		nc, err := m.Dial()()
-		if err != nil {
-			return err
-		}
-		c, err := client.New(nc, fmt.Sprintf("fl-exp-%d", i),
+		c, err := openOn(m, fmt.Sprintf("fl-exp-%d", i),
 			client.WithTimeout(60*time.Second), client.WithLaunchDeadline(time.Nanosecond))
 		if err != nil {
 			return err
 		}
-		_, _, lerr := c.LaunchSourceDegraded(src, kernel, kern.D1(4), kern.D1(32), 4)
+		lerr := launchNamed(c, kernel)
 		if errors.Is(lerr, client.ErrExpired) {
 			expired++
 		} else {
@@ -600,27 +424,23 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 	var wg sync.WaitGroup
 	burstOne := func(i int) {
 		defer wg.Done()
-		nc, err := m.Dial()()
+		c, err := openOn(m, fmt.Sprintf("fl-burst-%d", i), client.WithTimeout(60*time.Second))
 		if err == nil {
-			var c *client.Client
-			c, err = client.New(nc, fmt.Sprintf("fl-burst-%d", i), client.WithTimeout(60*time.Second))
-			if err == nil {
-				shedBefore := false
-				ok, s := flLaunchWithRetry(c, src, kernel, flSessionBound, func() {
-					if !shedBefore && shedClients.Add(1) == flBurstClients {
-						close(gate) // the whole burst has met the full daemon
-					}
-					shedBefore = true
-				})
-				if !ok {
-					err = errors.New("burst session starved")
+			shedBefore := false
+			ok, s := flLaunchWithRetry(c, kernel, flSessionBound, func() {
+				if !shedBefore && shedClients.Add(1) == flBurstClients {
+					close(gate) // the whole burst has met the full daemon
 				}
-				mu.Lock()
-				sheds += s
-				mu.Unlock()
-				if cerr := c.Close(); err == nil && cerr != nil {
-					err = cerr
-				}
+				shedBefore = true
+			})
+			if !ok {
+				err = errors.New("burst session starved")
+			}
+			mu.Lock()
+			sheds += s
+			mu.Unlock()
+			if cerr := c.Close(); err == nil && cerr != nil {
+				err = cerr
 			}
 		}
 		if err != nil {
@@ -666,12 +486,11 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 // run) with a small backoff, bounded by deadline. Returns success and how
 // many backpressure sheds were absorbed; onShed, when set, observes each one
 // as it happens.
-func flLaunchWithRetry(c *client.Client, src, kernel string, bound time.Duration, onShed func()) (bool, int64) {
+func flLaunchWithRetry(c *client.Client, kernel string, bound time.Duration, onShed func()) (bool, int64) {
 	dead := time.Now().Add(bound)
 	var sheds int64
 	for time.Now().Before(dead) {
-		_, _, err := c.LaunchSourceDegraded(src, kernel, kern.D1(4), kern.D1(32), 4)
-		if err != nil {
+		if err := launchNamed(c, kernel); err != nil {
 			if errors.Is(err, client.ErrBackpressure) {
 				sheds++
 				if onShed != nil {
@@ -722,21 +541,4 @@ func flRunWorkers(n int, f func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// flQuantileUS is the q-th nearest-rank quantile of ds, in microseconds.
-func flQuantileUS(ds []time.Duration, q float64) float64 {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx]) / float64(time.Microsecond)
 }

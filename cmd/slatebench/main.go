@@ -9,11 +9,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,89 +25,46 @@ import (
 	"slate/internal/profile"
 )
 
+// experiment is one row of the -exp table.
+type experiment struct {
+	name string
+	run  func() (string, string, error) // render, csv
+	svg  func() (string, error)
+	// heavy keeps the experiment out of -exp all: it is run by name only.
+	heavy bool
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|simbench|fleetload")
-	loop := flag.Float64("loop", 3.0, "solo kernel loop target in seconds (paper used ~30)")
-	seed := flag.Int64("seed", 1, "trace-model and chaos-driver seed (same seed = same tables)")
-	chaosSessions := flag.Int("chaos-sessions", 12, "hostile client sessions per faults chaos run")
-	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
-	svgDir := flag.String("svg", "", "directory to write SVG figures into (optional)")
-	devName := flag.String("device", "titanxp", "device preset: titanxp|p100|v100|jetson")
-	profileTable := flag.String("profiles", "", "profile-table JSON: loaded if present, saved after table2")
-	parallel := flag.Int("parallel", runtime.NumCPU(),
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it returns the exit status (2 for a usage error, 1 for
+// a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slatebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	loop := fs.Float64("loop", 3.0, "solo kernel loop target in seconds (paper used ~30)")
+	seed := fs.Int64("seed", 1, "trace-model and chaos-scenario seed (same seed = same tables)")
+	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
+	svgDir := fs.String("svg", "", "directory to write SVG figures into (optional)")
+	devName := fs.String("device", "titanxp", "device preset: titanxp|p100|v100|jetson")
+	profileTable := fs.String("profiles", "", "profile-table JSON: loaded if present, saved after table2")
+	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"worker-pool width for experiment cells (output is byte-identical at any value; 1 = serial)")
-	simWorkers := flag.Int("sim-workers", runtime.NumCPU(),
+	simWorkers := fs.Int("sim-workers", runtime.NumCPU(),
 		"intra-simulation worker count: sharded sub-simulations and engine fan (byte-identical at any value; 1 = serial)")
-	benchOut := flag.String("bench-out", "BENCH_harness.json", "file the parbench experiment writes its record to")
-	modelBenchOut := flag.String("model-bench-out", "BENCH_model.json", "file the modelbench experiment writes its record to")
-	simBenchOut := flag.String("sim-bench-out", "BENCH_sim.json", "file the simbench experiment writes its record to")
-	fleetBenchOut := flag.String("fleet-bench-out", "BENCH_fleet.json", "file the fleetload experiment writes its record to")
-	fleetSessions := flag.Int("fleet-sessions", 100_000, "concurrent sessions per fleetload leg (CI smoke uses a reduced count)")
-	flag.Parse()
+	fleetSessions := fs.Int("fleet-sessions", 100_000, "concurrent sessions per fleetload leg (the test and CI use 2000)")
 
+	// The experiments close over the harness and the device, which exist once
+	// the flags are parsed; the table exists before, so -exp's help and the
+	// unknown-experiment message are read off it.
+	var h *harness.Harness
 	var dev *gpu.Device
-	switch strings.ToLower(*devName) {
-	case "titanxp":
-		dev = gpu.TitanXp()
-	case "p100":
-		dev = gpu.TeslaP100()
-	case "v100":
-		dev = gpu.TeslaV100()
-	case "jetson":
-		dev = gpu.JetsonTX2()
-	default:
-		fmt.Fprintf(os.Stderr, "slatebench: unknown device %q\n", *devName)
-		os.Exit(2)
-	}
-	fmt.Printf("device: %s\n\n", dev.Name)
-
-	selected := strings.ToLower(*exp)
-	if selected == "parbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the heaviest sweep twice (cold serial, cold parallel).
-		if err := runParbench(dev, *loop, *seed, *parallel, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: parbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if selected == "modelbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// every cold model build twice (legacy path, one-pass path).
-		if err := runModelbench(dev, *seed, *modelBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: modelbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if selected == "simbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the heaviest cell twice (cold serial, cold sharded).
-		if err := runSimbench(dev, *loop, *seed, *simWorkers, *simBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: simbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if selected == "fleetload" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the 100k-session storm twice (baseline leg, degraded leg) twice
-		// over (the byte-identical double run).
-		if err := runFleetLoad(*seed, *fleetSessions, *fleetBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: fleetload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	h := harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel, SimWorkers: *simWorkers})
-
-	type experiment struct {
-		name string
-		run  func() (string, string, error) // render, csv
-		svg  func() (string, error)
+	chaos := func(sc *scenario) experiment {
+		return experiment{name: sc.name, run: func() (string, string, error) {
+			r, err := sc.run(*seed)
+			return r, "", err
+		}}
 	}
 	experiments := []experiment{
 		{name: "fig1", run: func() (string, string, error) {
@@ -132,7 +92,7 @@ func main() {
 						return "", "", err
 					}
 					f.Close()
-					fmt.Printf("loaded profile table %s (%d entries)\n", *profileTable, prof.Len())
+					fmt.Fprintf(stdout, "loaded profile table %s (%d entries)\n", *profileTable, prof.Len())
 				}
 			}
 			r, err := h.TableIIWith(prof)
@@ -148,7 +108,7 @@ func main() {
 				if err := prof.Save(f); err != nil {
 					return "", "", err
 				}
-				fmt.Printf("saved profile table %s (%d entries)\n", *profileTable, prof.Len())
+				fmt.Fprintf(stdout, "saved profile table %s (%d entries)\n", *profileTable, prof.Len())
 			}
 			return r.Render(), r.CSV(), nil
 		}},
@@ -254,74 +214,88 @@ func main() {
 			}
 			return r.Render(), "", nil
 		}},
-		{name: "faults", run: func() (string, string, error) {
-			r, err := runFaults(*seed, *chaosSessions)
+		chaos(faults), chaos(overload), chaos(crashChaos), chaos(fleetChaos), chaos(rollingChaos),
+		// Not part of -exp all: it deliberately runs a 100k-session storm four
+		// times (two legs, and the double run).
+		{name: "fleetload", heavy: true, run: func() (string, string, error) {
+			r, err := fleetLoad(*fleetSessions).run(*seed)
 			return r, "", err
 		}},
-		{name: "overload", run: func() (string, string, error) {
-			r, err := runOverload(*seed)
-			return r, "", err
-		}},
-		{name: "crashchaos", run: func() (string, string, error) {
-			r, err := runCrashChaos(*seed)
-			return r, "", err
-		}},
-		{name: "fleetchaos", run: func() (string, string, error) {
-			r, err := runFleetChaos(*seed)
-			return r, "", err
-		}},
-		{name: "rollingchaos", run: func() (string, string, error) {
-			r, err := runRollingChaos(*seed)
-			return r, "", err
-		}},
+	}
+	var names, byNameOnly []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+		if e.heavy {
+			byNameOnly = append(byNameOnly, e.name)
+		}
+	}
+	table := "all|" + strings.Join(names, "|")
+	exp := fs.String("exp", "all", "experiment: "+table+" (all leaves out "+strings.Join(byNameOnly, ", ")+")")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	selected := strings.ToLower(*exp)
+	if selected != "all" && !slices.Contains(names, selected) {
+		fmt.Fprintf(stderr, "slatebench: unknown experiment %q (have %s)\n", *exp, table)
+		return 2
 	}
 
-	ran := 0
+	switch strings.ToLower(*devName) {
+	case "titanxp":
+		dev = gpu.TitanXp()
+	case "p100":
+		dev = gpu.TeslaP100()
+	case "v100":
+		dev = gpu.TeslaV100()
+	case "jetson":
+		dev = gpu.JetsonTX2()
+	default:
+		fmt.Fprintf(stderr, "slatebench: unknown device %q\n", *devName)
+		return 2
+	}
+	fmt.Fprintf(stdout, "device: %s\n\n", dev.Name)
+	h = harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel, SimWorkers: *simWorkers})
+
 	for _, e := range experiments {
-		if selected != "all" && selected != e.name {
+		if selected != e.name && (selected != "all" || e.heavy) {
 			continue
 		}
-		ran++
 		start := time.Now()
 		render, csv, err := e.run()
+		if render != "" {
+			fmt.Fprintln(stdout, render) // a failed chaos run still shows its table
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: %s: %v\n", e.name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println(render)
-		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		write := func(dir, ext, content string) error {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return err
+			}
+			path := filepath.Join(dir, e.name+ext)
+			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n\n", path)
+			return nil
+		}
 		if *csvDir != "" && csv != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*csvDir, e.name+".csv")
-			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
+			err = write(*csvDir, ".csv", csv)
 		}
-		if *svgDir != "" && e.svg != nil {
-			if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
+		if err == nil && *svgDir != "" && e.svg != nil {
+			var svg string
+			if svg, err = e.svg(); err == nil { // results are cached inside the harness
+				err = write(*svgDir, ".svg", svg)
 			}
-			svg, err := e.svg() // results are cached inside the harness
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %s svg: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*svgDir, e.name+".svg")
-			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)
+			return 1
 		}
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "slatebench: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
+	return 0
 }

@@ -11,14 +11,15 @@
 // circuit opens, a kernel that overruns the wall-clock deadline, and a
 // SIGTERM-style drain raced against in-flight work.
 //
-// Each seed runs twice and the traces must match exactly; on top of PR 1's
-// invariants (daemon survives, registries drain, seeds reproduce) it checks
-// three containment invariants: no queued kernel waits forever, a
-// quarantined offender never occupies more than one partition again, and
-// drain always terminates.
+// The runner sweeps two seeds twice and the traces must match exactly; on
+// top of the faults invariants (daemon survives, registries drain, seeds
+// reproduce) it checks three containment invariants: no queued kernel waits
+// forever, a quarantined offender never occupies more than one partition
+// again, and drain always terminates.
 package main
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -372,10 +373,7 @@ func overloadPhaseB(seed int64, res *overloadResult) error {
 	}
 
 	// Teardown runs after the close replies; wait for the tables to settle.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSessions(srv, 10*time.Second)
 	res.sessions = srv.Sessions()
 	res.registry = srv.Registry.Len()
 	res.specs = srv.Specs.Len()
@@ -393,73 +391,62 @@ func overloadRun(seed int64) (*overloadResult, error) {
 	return res, nil
 }
 
-// runOverload executes the overload script at two seeds, twice each, and
-// renders the verdict.
-func runOverload(seed int64) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overload run: seeds=%d,%d (each twice)\n\n", seed, seed+1)
-
-	failed := 0
-	verdict := func(name string, ok bool, format string, args ...any) {
-		mark := "PASS"
-		if !ok {
-			mark = "FAIL"
-			failed++
-		}
-		fmt.Fprintf(&b, "[%s] %-44s (%s)\n", mark, name, fmt.Sprintf(format, args...))
-	}
-
-	for _, s := range []int64{seed, seed + 1} {
-		first, err := overloadRun(s)
-		if err != nil {
-			return b.String(), err
-		}
-		second, err := overloadRun(s)
-		if err != nil {
-			return b.String(), err
-		}
-
-		fmt.Fprintf(&b, "seed %d: %d kernels submitted (virtual), %d scheduler decisions, %d daemon outcomes\n",
-			s, first.submitted, len(first.decisions), len(first.outcomes))
-		for _, o := range first.outcomes {
-			fmt.Fprintf(&b, "  %s\n", o)
-		}
-
-		onceEach := len(first.completions) == first.submitted
-		for _, n := range first.completions {
+// overloadInvariants are the scenario's rows, per seed: what one run of the
+// script must uphold. The last two carry what must reproduce — the
+// scheduler's full decision trace as a digest, the daemon outcomes as detail
+// — and the runner's double run is what compares it.
+var overloadInvariants = []invariant[*overloadResult]{
+	{"every virtual kernel heard back exactly once", func(r *overloadResult) (row, error) {
+		onceEach := len(r.completions) == r.submitted
+		for _, n := range r.completions {
 			if n != 1 {
 				onceEach = false
 			}
 		}
-		verdict("every virtual kernel heard back exactly once", onceEach,
-			"%d submitted, %d completed", first.submitted, len(first.completions))
-		verdict("scheduler and engine drained", first.schedQueued == 0 && first.schedRunning == 0 && first.engineRunning == 0,
-			"queued=%d running=%d engine=%d", first.schedQueued, first.schedRunning, first.engineRunning)
-		verdict("both runaways quarantined", len(first.quarantined) == 2,
-			"quarantined=%v", first.quarantined)
-		verdict("no partition occupancy after quarantine", len(first.corunAfterQtn) == 0,
-			"violators=%v", first.corunAfterQtn)
-		verdict("no queued kernel starved (aging bound)", len(first.starvedKernels) == 0,
-			"starved=%v", first.starvedKernels)
-		verdict("daemon sessions drained", first.sessions == 0 && second.sessions == 0,
-			"%d/%d live", first.sessions, second.sessions)
-		verdict("buffer registry and spec table drained",
-			first.registry == 0 && first.specs == 0 && second.registry == 0 && second.specs == 0,
-			"%d/%d buffers, %d/%d specs", first.registry, second.registry, first.specs, second.specs)
-		verdict("drain terminated cleanly (politely, not by force)",
-			first.drainClean && second.drainClean && first.drainMillis < 5000 && second.drainMillis < 5000,
-			"%.0fms/%.0fms", first.drainMillis, second.drainMillis)
-		verdict("same seed, same decision trace",
-			strings.Join(first.decisions, "\n") == strings.Join(second.decisions, "\n"),
-			"%d vs %d decisions", len(first.decisions), len(second.decisions))
-		verdict("same seed, same outcomes",
-			strings.Join(first.outcomes, "\n") == strings.Join(second.outcomes, "\n"),
-			"%d vs %d lines", len(first.outcomes), len(second.outcomes))
-		fmt.Fprintln(&b)
-	}
+		return observed(onceEach, "%d submitted, %d completed", r.submitted, len(r.completions))
+	}},
+	{"scheduler and engine drained", func(r *overloadResult) (row, error) {
+		return observed(r.schedQueued == 0 && r.schedRunning == 0 && r.engineRunning == 0,
+			"queued=%d running=%d engine=%d", r.schedQueued, r.schedRunning, r.engineRunning)
+	}},
+	{"both runaways quarantined", func(r *overloadResult) (row, error) {
+		return observed(len(r.quarantined) == 2, "quarantined=%v", r.quarantined)
+	}},
+	{"no partition occupancy after quarantine", func(r *overloadResult) (row, error) {
+		return observed(len(r.corunAfterQtn) == 0, "violators=%v", r.corunAfterQtn)
+	}},
+	{"no queued kernel starved (aging bound)", func(r *overloadResult) (row, error) {
+		return observed(len(r.starvedKernels) == 0, "starved=%v", r.starvedKernels)
+	}},
+	{"daemon sessions drained", func(r *overloadResult) (row, error) {
+		return observed(r.sessions == 0, "%d live", r.sessions)
+	}},
+	{"buffer registry and spec table drained", func(r *overloadResult) (row, error) {
+		return observed(r.registry == 0 && r.specs == 0, "%d buffers, %d specs", r.registry, r.specs)
+	}},
+	{"drain terminated cleanly (politely, not by force)", func(r *overloadResult) (row, error) {
+		out, err := observed(r.drainClean && r.drainMillis < 5000, "clean=%v", r.drainClean)
+		out.vals = append(out.vals, r.drainMillis)
+		return out, err
+	}},
+	{"same seed, same decision trace", func(r *overloadResult) (row, error) {
+		return observed(true, "%d decisions, sha256 %.8x", len(r.decisions), sha256.Sum256([]byte(strings.Join(r.decisions, "\n"))))
+	}},
+	{"same seed, same outcomes", func(r *overloadResult) (row, error) {
+		return row{vals: []any{fmt.Sprintf("%d daemon outcomes", len(r.outcomes))}, detail: r.outcomes}, nil
+	}},
+}
 
-	if failed > 0 {
-		return b.String(), fmt.Errorf("overload: %d invariant(s) violated", failed)
-	}
-	return b.String(), nil
+// overload is the scenario: one script per seed and run, the invariants above
+// as its rows.
+var overload = &scenario{
+	name:  "overload",
+	title: "Overload run: containment ladder (virtual time), then admission, breaker, kernel timeout and drain on a live daemon",
+	keys:  []string{"invariant"},
+	cols:  []column{{name: "observed"}, {name: "drain_ms", printedOnly: true}},
+	seeds: 2,
+	cells: func(seed int64) []cell {
+		return invariantCells(func() (*overloadResult, error) { return overloadRun(seed) }, overloadInvariants)
+	},
+	upheld: "containment, admission and drain upheld at both seeds",
 }

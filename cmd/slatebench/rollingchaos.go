@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +38,6 @@ import (
 	"slate/internal/daemon"
 	"slate/internal/fault"
 	"slate/internal/fleet"
-	"slate/internal/kern"
 )
 
 // rcFaults lists the injected faults: the clean path, a source death at
@@ -55,93 +53,50 @@ func rcFaults() []string {
 	}
 }
 
-const (
-	rcMembers     = 3
-	rcPreLaunches = 2
-)
+const rcPreLaunches = 2
 
-// rcResult is one (fault, seed) cell.
-type rcResult struct {
-	site     string
-	seed     int64
+// rcRow is what one rollingchaos leg reports.
+type rcRow struct {
 	fired    bool // the armed crash actually landed (crash sites only)
 	fallback bool // the first victim was recovered by fence-adopt
-	err      error
 }
 
-// runRollingChaos drives the matrix twice and demands byte-identical output.
-func runRollingChaos(seed int64) (string, error) {
-	out1, err := rollingChaosMatrix(seed)
-	if err != nil {
-		return out1, err
-	}
-	out2, err := rollingChaosMatrix(seed)
-	if err != nil {
-		return out2, err
-	}
-	if out1 != out2 {
-		return out1 + "\n--- second run differed ---\n" + out2,
-			errors.New("rollingchaos: double run not byte-identical")
-	}
-	return out1 + "\ndouble run byte-identical: true\n", nil
-}
-
-func rollingChaosMatrix(seed int64) (string, error) {
-	var rows []rcResult
-	for _, s := range []int64{seed, seed + 1} {
+// rollingChaos is the matrix: every fault, two consecutive seeds.
+var rollingChaos = &scenario{
+	name:  "rollingchaos",
+	title: "Rolling-chaos matrix (migrate, restart, inject, verify — full fleet, one member at a time)",
+	keys:  []string{"fault"},
+	cols:  []column{{name: "fired"}, {name: "fallback"}},
+	seeds: 2,
+	cells: func(seed int64) []cell {
+		var cells []cell
 		for _, site := range rcFaults() {
-			r := rollingChaosLeg(s, site)
-			r.site, r.seed = site, s
-			rows = append(rows, r)
+			cells = append(cells, cell{key: []string{site}, leg: func() (row, error) {
+				r, err := rollingChaosLeg(seed, site)
+				return row{vals: []any{r.fired, r.fallback}}, err
+			}})
 		}
-	}
-	var b strings.Builder
-	b.WriteString("Rolling-chaos matrix (migrate, restart, inject, verify — full fleet, one member at a time)\n")
-	fmt.Fprintf(&b, "%-22s %-5s %-6s %-9s %s\n", "fault", "seed", "fired", "fallback", "verdict")
-	var firstErr error
-	for _, r := range rows {
-		verdict := "PASS"
-		if r.err != nil {
-			verdict = "FAIL: " + r.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s seed=%d: %w", r.site, r.seed, r.err)
-			}
-		}
-		fmt.Fprintf(&b, "%-22s %-5d %-6v %-9v %s\n", r.site, r.seed, r.fired, r.fallback, verdict)
-	}
-	if firstErr != nil {
-		return b.String(), firstErr
-	}
-	b.WriteString("\nall rolling restarts upheld: exactly-once, zero lost completions, no starved session\n")
-	return b.String(), nil
+		return cells
+	},
+	upheld: "all rolling restarts upheld: exactly-once, zero lost completions, no starved session",
 }
 
 // rcKernel names one launch so executions are countable per cell.
 func rcKernel(site string, seed int64, who string, i int) string {
-	return fmt.Sprintf("rc_%s_%d_%s_%d",
-		strings.NewReplacer(".", "_", "-", "_").Replace(site), seed, who, i)
+	return kernelName("rc", site, seed, who, i)
 }
 
 // rollingChaosLeg runs one cell: build the fleet, place one session per
 // member, keep two of them launching continuously, roll the whole fleet
 // with the fault armed against the first victim, then audit.
-func rollingChaosLeg(seed int64, site string) rcResult {
-	var r rcResult
+func rollingChaosLeg(seed int64, site string) (rcRow, error) {
+	var r rcRow
 	base, err := os.MkdirTemp("", "rollingchaos")
 	if err != nil {
-		r.err = err
-		return r
+		return r, err
 	}
 	defer os.RemoveAll(base)
 
-	sup := fleet.New(fleet.Config{
-		HeartbeatEvery: 500 * time.Millisecond,
-		PingTimeout:    2 * time.Second,
-		MinStd:         50 * time.Millisecond,
-		AutoFailover:   true,
-		RoundRobin:     true, // deterministic placement: the double-run must re-home identically
-		PartitionMode:  fault.PartitionReject,
-	})
 	// The first member restarted (gpu0) is the fault's victim. Crash sites
 	// arm against its journal behind a gate the driver flips just before the
 	// roll, so the crash fires at a migration-time append — the handoff and
@@ -150,13 +105,11 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	isCrashSite := site != "none" && site != "partition"
 	var crasher *fault.Crasher
 	var gate atomic.Bool
-	for i := 0; i < rcMembers; i++ {
-		dur := &daemon.Durability{Dir: filepath.Join(base, fmt.Sprintf("m%d", i)), NoSync: true}
-		if err := os.MkdirAll(dur.Dir, 0o755); err != nil {
-			r.err = err
-			return r
-		}
-		if i == 0 && isCrashSite {
+	sup, err := newFleet(fleet.Config{HeartbeatEvery: 500 * time.Millisecond, AutoFailover: true}, base,
+		func(i int, dur *daemon.Durability) {
+			if i != 0 || !isCrashSite {
+				return
+			}
 			crasher = fault.NewCrasher(site, 0)
 			hook := crasher.Hook()
 			dur.Crash = func(s string) error {
@@ -171,13 +124,9 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 				// straight into the checkpoint crash site.
 				dur.CompactEvery = 1
 			}
-		}
-		if _, err := sup.AddMember(fleet.MemberSpec{
-			Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i],
-			Durability: dur}); err != nil {
-			r.err = err
-			return r
-		}
+		})
+	if err != nil {
+		return r, err
 	}
 	t0 := time.Unix(200_000, 0)
 	sup.Tick(t0) // prime every detector with a healthy beat
@@ -187,12 +136,11 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	// gpu0's own migration, so the armed crash deterministically lands on
 	// the handoff, not a racing workload append); sessions 1 and 2 pump
 	// launches continuously through every migration window.
-	sessions := make([]*fleet.Session, rcMembers)
+	sessions := make([]*fleet.Session, fleetMembers)
 	for i := range sessions {
 		s, err := sup.OpenSession(fmt.Sprintf("rc-sess-%d", i), client.WithTimeout(5*time.Second))
 		if err != nil {
-			r.err = fmt.Errorf("open session %d: %w", i, err)
-			return r
+			return r, fmt.Errorf("open session %d: %w", i, err)
 		}
 		sessions[i] = s
 	}
@@ -200,15 +148,13 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	for i, s := range sessions {
 		for j := 0; j < rcPreLaunches; j++ {
 			name := rcKernel(site, seed, fmt.Sprintf("s%d_pre", i), j)
-			if _, _, err := s.LaunchSourceDegraded(srcForRc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-				r.err = fmt.Errorf("pre launch %s: %v", name, err)
-				return r
+			if err := launchNamed(s, name); err != nil {
+				return r, fmt.Errorf("pre launch %s: %v", name, err)
 			}
 			launched = append(launched, name)
 		}
 		if err := s.Synchronize(); err != nil {
-			r.err = fmt.Errorf("pre sync session %d: %v", i, err)
-			return r
+			return r, fmt.Errorf("pre sync session %d: %v", i, err)
 		}
 	}
 
@@ -216,7 +162,7 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	// now, the three restarted generations after the roll. Execution counts
 	// survive on the instance that ran them, fenced or not, so summing over
 	// all incarnations audits exactly-once without a blind spot.
-	incarnations := make([]*daemon.Server, 0, 2*rcMembers)
+	incarnations := make([]*daemon.Server, 0, 2*fleetMembers)
 	for _, m := range sup.Members() {
 		incarnations = append(incarnations, m.Srv())
 	}
@@ -231,14 +177,14 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 		pumpMu   sync.Mutex
 		pumpErrs []error
 	)
-	for p := 1; p < rcMembers; p++ {
+	for p := 1; p < fleetMembers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			s := sessions[p]
 			for i := 0; !stop.Load(); i++ {
 				name := rcKernel(site, seed, fmt.Sprintf("p%d", p), i)
-				if _, _, err := s.LaunchSourceDegraded(srcForRc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+				if err := launchNamed(s, name); err != nil {
 					pumpMu.Lock()
 					pumpErrs = append(pumpErrs, fmt.Errorf("pump %d launch %s: %w", p, name, err))
 					pumpMu.Unlock()
@@ -262,8 +208,7 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 		// moot, its clients must re-home blind, and the health gate can only
 		// pass after BeforeGate heals the link.
 		if err := sup.CutMember("gpu0"); err != nil {
-			r.err = err
-			return r
+			return r, err
 		}
 	}
 	gate.Store(true)
@@ -280,7 +225,7 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 			// member swap, before the next one begins.
 			name := rcKernel(site, seed, "s0_mid", mid)
 			mid++
-			if _, _, err := sessions[0].LaunchSourceDegraded(srcForRc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+			if err := launchNamed(sessions[0], name); err != nil {
 				pumpMu.Lock()
 				pumpErrs = append(pumpErrs, fmt.Errorf("mid-roll launch after %s: %w", m.Name, err))
 				pumpMu.Unlock()
@@ -300,12 +245,10 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	stop.Store(true)
 	wg.Wait()
 	if rerr != nil {
-		r.err = fmt.Errorf("rolling restart: %w", rerr)
-		return r
+		return r, fmt.Errorf("rolling restart: %w", rerr)
 	}
 	if len(pumpErrs) > 0 {
-		r.err = fmt.Errorf("a session observed the restart: %v", pumpErrs[0])
-		return r
+		return r, fmt.Errorf("a session observed the restart: %v", pumpErrs[0])
 	}
 
 	// The fault landed the way the leg intended, and the recovery mode
@@ -315,28 +258,23 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	r.fallback = victimOrig.Crashed()
 	if isCrashSite {
 		if !crasher.Fired() {
-			r.err = errors.New("armed crash site never fired")
-			return r
+			return r, errors.New("armed crash site never fired")
 		}
 		r.fired = true
 		if !r.fallback {
-			r.err = errors.New("crashed source was not fenced")
-			return r
+			return r, errors.New("crashed source was not fenced")
 		}
 	} else if r.fallback {
-		r.err = errors.New("clean migration fell back to fence-adopt")
-		return r
+		return r, errors.New("clean migration fell back to fence-adopt")
 	}
 
 	// Clean generations: every member rolled exactly once and is placeable.
 	for _, m := range sup.Members() {
 		if m.State() != fleet.StateUp {
-			r.err = fmt.Errorf("%s state=%v after the roll, want up", m.Name, m.State())
-			return r
+			return r, fmt.Errorf("%s state=%v after the roll, want up", m.Name, m.State())
 		}
 		if m.Gen() != 1 {
-			r.err = fmt.Errorf("%s gen=%d after the roll, want 1", m.Name, m.Gen())
-			return r
+			return r, fmt.Errorf("%s gen=%d after the roll, want 1", m.Name, m.Gen())
 		}
 		incarnations = append(incarnations, m.Srv())
 	}
@@ -345,22 +283,18 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 	// durable identity through every re-home, completes fresh work, closes.
 	for i, s := range sessions {
 		if s.Degraded() {
-			r.err = fmt.Errorf("session %d resumed degraded — durable state lost in a planned restart", i)
-			return r
+			return r, fmt.Errorf("session %d resumed degraded — durable state lost in a planned restart", i)
 		}
 		name := rcKernel(site, seed, fmt.Sprintf("s%d_post", i), 0)
-		if _, _, err := s.LaunchSourceDegraded(srcForRc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-			r.err = fmt.Errorf("post launch session %d: %v", i, err)
-			return r
+		if err := launchNamed(s, name); err != nil {
+			return r, fmt.Errorf("post launch session %d: %v", i, err)
 		}
 		launched = append(launched, name)
 		if err := s.Synchronize(); err != nil {
-			r.err = fmt.Errorf("post sync session %d: %v", i, err)
-			return r
+			return r, fmt.Errorf("post sync session %d: %v", i, err)
 		}
 		if err := s.Close(); err != nil {
-			r.err = fmt.Errorf("close session %d: %v", i, err)
-			return r
+			return r, fmt.Errorf("close session %d: %v", i, err)
 		}
 	}
 
@@ -375,40 +309,20 @@ func rollingChaosLeg(seed int64, site string) rcResult {
 			runs += srv.Exec.Runs("src:" + name)
 		}
 		if runs != 1 {
-			r.err = fmt.Errorf("%s: ran %d times across %d incarnations, want exactly 1", name, runs, len(incarnations))
-			return r
+			return r, fmt.Errorf("%s: ran %d times across %d incarnations, want exactly 1", name, runs, len(incarnations))
 		}
 	}
 
 	// On fallback legs the victim's journal was tombstoned by the adopt;
 	// digesting it twice proves replay idempotence over the fenced segment.
 	if r.fallback {
-		tomb := filepath.Join(victimDir, "adopted")
-		d1, err := daemon.StateDigest(tomb)
-		if err != nil {
-			r.err = fmt.Errorf("tombstone digest: %w", err)
-			return r
-		}
-		d2, err := daemon.StateDigest(tomb)
-		if err != nil {
-			r.err = err
-			return r
-		}
-		if d1 != d2 {
-			r.err = errors.New("tombstone digest changed between consecutive replays")
-			return r
+		if _, err := stableDigest(filepath.Join(victimDir, "adopted")); err != nil {
+			return r, fmt.Errorf("tombstone: %w", err)
 		}
 	}
 
 	if err := sup.DrainAll(5 * time.Second); err != nil {
-		r.err = fmt.Errorf("drain: %v", err)
-		return r
+		return r, fmt.Errorf("drain: %v", err)
 	}
-	return r
-}
-
-// srcForRc wraps a kernel name in minimal CUDA source, kept separate from
-// the other chaos drivers so each stays independently editable.
-func srcForRc(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
+	return r, nil
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // HeaviestPairIndex returns the index (into workloads.Pairs()) of the Fig. 7
-// pairing with the most simulation work — the cell simbench times serial vs
-// sharded. "Work" is estimated statically from the kernel specs: event count
+// pairing with the most simulation work — the cell the benchmark's
+// harness.cell_cold_s / cell_warm_s probes time and the sharded determinism
+// test renders both ways. "Work" is estimated statically from the kernel specs: event count
 // scales with the launch count of the ~30s loop, which is the loop target
 // over the roofline-estimated solo time. The estimate is a pure function of
-// the specs and the device, so every invocation benches the same cell.
+// the specs and the device, so every invocation picks the same cell.
 func (h *Harness) HeaviestPairIndex() int {
 	est := func(a *workloads.App) float64 {
 		k := a.Kernel
@@ -60,7 +61,7 @@ func (h *Harness) SimBenchCell(p int) (string, error) {
 	for i, s := range Scheds() {
 		mean[s] = meanAppSec(all[i])
 	}
-	out := fmt.Sprintf("simbench cell — pair %s (Fig. 7 row)\n", name)
+	out := fmt.Sprintf("heaviest cell — pair %s (Fig. 7 row)\n", name)
 	var rows [][]string
 	for _, s := range Scheds() {
 		rows = append(rows, []string{

@@ -25,7 +25,7 @@
 //
 // The set-associative simulator (SimulateTrace / MissRatioCurve) remains
 // the validation oracle: the property tests in mrc_test.go and the
-// `slatebench -exp modelbench` driver bound the per-point deviation (see
+// engine/workloads parity suites bound the per-point deviation (see
 // MRCDeviationBound).
 package cache
 
@@ -38,9 +38,9 @@ import (
 
 // MRCDeviationBound is the documented absolute per-point deviation between
 // the one-pass reuse-distance MRC and the set-associative oracle (TitanXpL2
-// geometry), asserted by the property tests in this package, the
-// engine/workloads parity suites, and `slatebench -exp modelbench` across
-// every workload pattern. See DESIGN.md §10 for the measured maxima.
+// geometry), asserted by the property tests in this package and the
+// engine/workloads parity suites across every workload pattern. See
+// DESIGN.md §10 for the measured maxima.
 const MRCDeviationBound = 0.04
 
 // mrcScratch is the per-pass working memory: the position bitmap, the

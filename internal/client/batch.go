@@ -99,7 +99,8 @@ func (b *Batch) LaunchSourceStream(source, kernel string, grid, block kern.Dim3,
 // nil acks. Items the daemon rejected individually carry their verdict in
 // their BatchAck (Code/Err); accepted items execute asynchronously, and their
 // failures surface at Synchronize. The specs of refused items leave the shared
-// table again; after a transport failure they stay, for Resume's re-send.
+// table again, as do those of a batch that was never sent; after a transport
+// failure under a sent batch they stay, for Resume's re-send.
 func (b *Batch) Submit() ([]ipc.BatchAck, error) {
 	if b.submitted {
 		return nil, fmt.Errorf("client: batch already submitted")

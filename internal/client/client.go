@@ -77,6 +77,10 @@ type opError struct {
 	op   ipc.Op
 	msg  string
 	kind error
+	// unsent marks a call that failed fast on an already broken transport:
+	// nothing was stamped, sent or noted pending, so Resume will never
+	// replay it.
+	unsent bool
 }
 
 func (e *opError) Error() string { return fmt.Sprintf("client: %s: %s", e.op, e.msg) }
@@ -546,7 +550,7 @@ func (c *Client) doCall(req *ipc.Request, stamp bool) (*ipc.Reply, error) {
 	c.mu.Lock()
 	if c.broken != nil {
 		c.mu.Unlock()
-		return nil, &opError{op: req.Op, msg: c.broken.Error(), kind: ErrDaemonDown}
+		return nil, &opError{op: req.Op, msg: c.broken.Error(), kind: ErrDaemonDown, unsent: true}
 	}
 	if stamp {
 		if req.Op == ipc.OpLaunchBatch {
@@ -979,12 +983,18 @@ func (c *Client) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
 	return err
 }
 
-// refused reports whether a launch error is a definite refusal — a reply
-// carrying a non-OK code, or the local breaker declining to send — after
-// which the daemon will never take the spec the launch deposited, so the
-// client takes it back. A transport failure is not one: the op's fate is
-// unknown and Resume re-sends it under the same token.
+// refused reports whether a launch error means the daemon will never take
+// the spec the launch deposited, so the client takes it back: a reply
+// carrying a non-OK code, the local breaker declining to send, or a call that
+// was never sent because the transport was already broken. A transport
+// failure under a sent launch is not one: the op is pending, its fate is
+// unknown, and Resume re-sends it under the same token. So a deposit outlives
+// a failed launch exactly while its op is in c.pending.
 func refused(err error) bool {
+	var oe *opError
+	if errors.As(err, &oe) && oe.unsent {
+		return true
+	}
 	return err != nil && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrDaemonDown)
 }
 

@@ -141,3 +141,107 @@ func TestTransportFailureKeepsTheSpec(t *testing.T) {
 		t.Fatalf("%d specs after a transport failure, want the deposit kept for Resume", n)
 	}
 }
+
+// A launch on a transport that is already broken is never stamped, sent or
+// noted pending, so Resume will never replay it and nothing will ever take
+// its deposit: the client takes it back, on the single path and on the batch
+// path. (This is the spec the faults chaos script used to leak.)
+func TestUnsentLaunchTakesItsSpecBack(t *testing.T) {
+	_, dial := daemon.NewLocal(2)
+	conn := dial()
+	specs := daemon.NewSpecTable()
+	c, err := New(conn, "unsent", WithShared(nil, specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	// Break the transport under a call that is not a launch, so nothing is
+	// pending when the launches arrive.
+	if err := c.Synchronize(); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("synchronize on a dead transport = %v, want ErrDaemonDown", err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := c.Launch(quickSpec("unsent"), 4); !errors.Is(err, ErrDaemonDown) {
+			t.Fatalf("launch %d on a broken client = %v, want ErrDaemonDown", i, err)
+		}
+	}
+	if n := specs.Len(); n != 0 {
+		t.Fatalf("ten launches that were never sent left %d specs in the table", n)
+	}
+	b := c.NewBatch()
+	for i := 0; i < 10; i++ {
+		if err := b.Launch(quickSpec("unsent"), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Submit(); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("batch on a broken client = %v, want ErrDaemonDown", err)
+	}
+	if n := specs.Len(); n != 0 {
+		t.Fatalf("a batch of ten that was never sent left %d specs in the table", n)
+	}
+	if pend := c.PendingOps(); len(pend) != 0 {
+		t.Fatalf("pending ops %v: nothing was ever sent", pend)
+	}
+}
+
+// A launch whose send succeeded and whose reply was lost is pending: its
+// deposit stays, and Resume re-sends it under its original op ID and token.
+func TestLostReplyKeepsTheSpecForResume(t *testing.T) {
+	// A scripted daemon: the first incarnation answers the handshake and dies
+	// on the launch it has read; the second recovers the session and records
+	// what Resume replays.
+	replayed := make(chan *ipc.Request, 1)
+	serve := func(nc net.Conn, dieOnLaunch bool) {
+		conn := ipc.NewConn(nc)
+		defer conn.Close()
+		for {
+			req, err := conn.RecvRequest()
+			if err != nil {
+				return
+			}
+			if req.Op == ipc.OpLaunch {
+				if dieOnLaunch {
+					return
+				}
+				replayed <- req
+			}
+			if err := conn.SendReply(&ipc.Reply{Seq: req.Seq, Session: 1, Token: 7, Recovered: req.Op == ipc.OpResume}); err != nil {
+				return
+			}
+		}
+	}
+	a, b := net.Pipe()
+	go serve(b, true)
+	specs := daemon.NewSpecTable()
+	c, err := New(a, "lost-reply", WithShared(nil, specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Launch(quickSpec("lost"), 4); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("launch whose reply was lost = %v, want ErrDaemonDown", err)
+	}
+	if n, pend := specs.Len(), c.PendingOps(); n != 1 || len(pend) != 1 || pend[0] != 1 {
+		t.Fatalf("after a lost reply: %d specs, pending %v; want the deposit kept and op 1 pending", n, pend)
+	}
+	// A second launch meets the broken transport and is never sent: its
+	// deposit goes, the pending one's stays.
+	if err := c.Launch(quickSpec("unsent"), 4); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("launch on a broken client = %v, want ErrDaemonDown", err)
+	}
+	if n := specs.Len(); n != 1 {
+		t.Fatalf("%d specs after an unsent launch beside a pending one, want 1", n)
+	}
+	recovered, err := c.Resume(func() (net.Conn, error) {
+		a, b := net.Pipe()
+		go serve(b, false)
+		return a, nil
+	}, RetryConfig{Attempts: 1})
+	if err != nil || !recovered {
+		t.Fatalf("resume = %v, %v", recovered, err)
+	}
+	req := <-replayed
+	if _, ok := specs.Take(req.Token); req.OpID != 1 || !ok {
+		t.Fatalf("resume replayed op %d with token %d (deposit present: %v), want op 1 and its kept deposit", req.OpID, req.Token, ok)
+	}
+}

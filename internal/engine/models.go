@@ -93,8 +93,8 @@ type TraceModel struct {
 	BuildWorkers int
 	// LegacyMRC selects the pre-version-2 path: one full set-associative
 	// LRU simulation per capacity point. It is the validation oracle the
-	// property tests and `slatebench -exp modelbench` compare the one-pass
-	// engine against; production builds leave it false.
+	// property tests compare the one-pass engine against; production builds
+	// leave it false.
 	LegacyMRC bool
 
 	mu    sync.RWMutex
@@ -243,8 +243,7 @@ func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) Locality {
 
 // legacyMRC is the version-1 model's miss-ratio curve: one full
 // set-associative simulation per capacity point, BuildWorkers fanning the
-// independent points. Kept as the validation oracle and the modelbench
-// comparison baseline.
+// independent points. Kept as the validation oracle.
 func (m *TraceModel) legacyMRC(trace []uint64) []float64 {
 	missRate := make([]float64, len(mrcSizes))
 	simAt := func(i int) {
@@ -287,9 +286,8 @@ func (m *TraceModel) Locality(spec *kern.Spec, mode Mode, taskSize int) *Localit
 }
 
 // MissRatioCurve returns a copy of the memoized capacity points and miss
-// ratios for spec. Exposed so validation drivers (slatebench -exp
-// modelbench) can compare the one-pass engine against the legacy oracle
-// point by point.
+// ratios for spec. Exposed so the parity suites can compare the one-pass
+// engine against the legacy oracle point by point.
 func (m *TraceModel) MissRatioCurve(spec *kern.Spec, mode Mode, taskSize int) (sizes []int, missRate []float64) {
 	loc := m.Locality(spec, mode, taskSize)
 	return append([]int(nil), mrcSizes...), append([]float64(nil), loc.MissRatio...)
