@@ -134,9 +134,13 @@ type Client struct {
 	// proc is the client-reported process name, replayed on Resume so a
 	// fresh session (state lost) keeps its identity.
 	proc string
-	// bp is the backpressure retry + circuit-breaker state (nil = launches
-	// surface ErrBackpressure directly).
-	bp *breaker
+	// bp is the circuit that retry-exhausted launches feed (nil = launches
+	// surface ErrBackpressure directly); backoff shapes the retries before
+	// that, and rng, guarded by rngMu, draws their jitter.
+	bp      *Breaker
+	backoff BackoffConfig
+	rngMu   sync.Mutex
+	rng     *rand.Rand
 	// ctx, when set via WithContext, cancels waits inside retry backoff
 	// loops (backpressure retries, DialRetryContext, Resume redials).
 	ctx context.Context
@@ -275,94 +279,27 @@ func (bc BackoffConfig) withDefaults() BackoffConfig {
 	return bc
 }
 
-// breaker is the client-side resilience state for backpressured launches:
-// capped jittered exponential backoff per call, and a circuit that opens
-// after TripAfter consecutive retry-exhausted calls so a saturated daemon
-// is not hammered (fail fast with ErrCircuitOpen until the cooldown
-// elapses; the next launch then probes, closing the circuit on success).
-type breaker struct {
-	cfg BackoffConfig
-
-	mu       sync.Mutex
-	rng      *rand.Rand
-	fails    int // consecutive retry-exhausted launches
-	openedAt time.Time
-	open     bool
-	// probing marks the single half-open probe in flight: an open circuit
-	// past its cooldown admits exactly one launch, and every admit must be
-	// balanced by settle (the probe's verdict) or cancel (released without a
-	// verdict, e.g. the caller's context was canceled mid-backoff). A leaked
-	// probe would wedge the breaker: nothing could ever close it again.
-	probing bool
-}
-
 // WithBackpressureRetry makes launches retry ErrBackpressure rejections
 // with capped jittered exponential backoff, and opens a circuit breaker
-// after repeated exhausted retries.
+// after repeated exhausted retries: launches then fail fast with
+// ErrCircuitOpen, so a saturated daemon is not hammered, until the cooldown
+// elapses and one launch probes.
 func WithBackpressureRetry(bc BackoffConfig) Option {
 	bc = bc.withDefaults()
 	return func(c *Client) {
-		// Options run after the client's proc is set, so the breaker's
-		// jitter decorrelates across clients the same way dial retries do.
-		c.bp = &breaker{cfg: bc, rng: rand.New(rand.NewSource(jitterSeed(bc.Seed, c.proc)))}
+		c.bp = NewBreaker(bc.TripAfter, bc.Cooldown)
+		c.backoff = bc
+		// Options run after the client's proc is set, so the launch jitter
+		// decorrelates across clients the same way dial retries do.
+		c.rng = rand.New(rand.NewSource(jitterSeed(bc.Seed, c.proc)))
 	}
 }
 
-// admit reports whether a launch may proceed, failing fast while the
-// circuit is open and its cooldown has not elapsed.
-func (b *breaker) admit() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return nil
-	}
-	if b.probing || time.Since(b.openedAt) < b.cfg.Cooldown {
-		return ErrCircuitOpen
-	}
-	// Half-open: let exactly this launch probe the daemon.
-	b.probing = true
-	return nil
-}
-
-// backoff waits the jittered exponential delay before retry `attempt`
-// (1-based), or returns early with ctx.Err() if the context is canceled
-// mid-backoff.
-func (b *breaker) backoff(ctx context.Context, attempt int) error {
-	delay := b.cfg.BaseDelay << (attempt - 1)
-	if delay > b.cfg.MaxDelay || delay <= 0 {
-		delay = b.cfg.MaxDelay
-	}
-	b.mu.Lock()
-	jitter := time.Duration(b.rng.Int63n(int64(delay)/2 + 1))
-	b.mu.Unlock()
-	return sleepCtx(ctx, delay/2+jitter)
-}
-
-// settle records a launch outcome: a non-backpressure result closes the
-// circuit, an exhausted retry loop counts toward (or re-trips) it.
-func (b *breaker) settle(stillBackpressured bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if !stillBackpressured {
-		b.fails = 0
-		b.open = false
-		return
-	}
-	b.fails++
-	if b.fails >= b.cfg.TripAfter {
-		b.open = true
-		b.openedAt = time.Now()
-	}
-}
-
-// cancel releases an admit without judging the daemon: the launch ended for
-// a reason (context cancellation) that says nothing about the daemon's load,
-// so the circuit state is untouched and a half-open probe slot is returned.
-func (b *breaker) cancel() {
-	b.mu.Lock()
-	b.probing = false
-	b.mu.Unlock()
+// launchWait draws the wait before launch retry `attempt` (1-based).
+func (c *Client) launchWait(attempt int) time.Duration {
+	c.rngMu.Lock()
+	defer c.rngMu.Unlock()
+	return backoffWait(c.rng, c.backoff.BaseDelay, c.backoff.MaxDelay, attempt)
 }
 
 // WithTimeout bounds every command round trip: a call that has not received
@@ -460,14 +397,8 @@ func jitterSeed(seed int64, proc string) int64 {
 func retryWaits(rc RetryConfig, proc string) []time.Duration {
 	rng := rand.New(rand.NewSource(jitterSeed(rc.Seed, proc)))
 	waits := make([]time.Duration, 0, rc.Attempts)
-	delay := rc.BaseDelay
 	for attempt := 1; attempt < rc.Attempts; attempt++ {
-		jitter := time.Duration(rng.Int63n(int64(delay)/2 + 1))
-		waits = append(waits, delay/2+jitter)
-		delay *= 2
-		if delay > rc.MaxDelay {
-			delay = rc.MaxDelay
-		}
+		waits = append(waits, backoffWait(rng, rc.BaseDelay, rc.MaxDelay, attempt))
 	}
 	return waits
 }
@@ -718,41 +649,6 @@ func (c *Client) finish(req *ipc.Request, res callResult) (*ipc.Reply, error) {
 	return res.rep, nil
 }
 
-// callOn is one command round trip on an explicit transport — the resume
-// handshake path, probing a fresh connection before it is spliced into the
-// client. Same deadline handling and error mapping as call, but it never
-// reads or writes c.conn or the sticky broken state: a failed probe leaves
-// the client exactly as broken as it was.
-func (c *Client) callOn(conn *ipc.Conn, req *ipc.Request) (*ipc.Reply, error) {
-	c.mu.Lock()
-	c.seq++
-	req.Seq = c.seq
-	c.mu.Unlock()
-	if err := conn.SendRequest(req); err != nil {
-		return nil, &opError{op: req.Op, msg: err.Error(), kind: ErrDaemonDown}
-	}
-	if c.timeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(c.timeout))
-	}
-	rep, err := conn.RecvReply()
-	if c.timeout > 0 {
-		_ = conn.SetReadDeadline(time.Time{})
-	}
-	if err != nil {
-		if isTimeout(err) {
-			return nil, &opError{op: req.Op, msg: fmt.Sprintf("no reply within %v", c.timeout), kind: ErrTimeout}
-		}
-		return nil, &opError{op: req.Op, msg: err.Error(), kind: ErrDaemonDown}
-	}
-	if rep.Seq != req.Seq {
-		return nil, fmt.Errorf("client: reply %d for request %d", rep.Seq, req.Seq)
-	}
-	if rep.Err != "" {
-		return rep, &opError{op: req.Op, msg: rep.Err, kind: sentinelFor(rep.Code)}
-	}
-	return rep, nil
-}
-
 // sentinelFor maps a wire error code to its typed sentinel (nil for plain
 // rejections).
 func sentinelFor(code ipc.ErrCode) error {
@@ -790,22 +686,22 @@ func (c *Client) callLaunch(req *ipc.Request) (*ipc.Reply, error) {
 	if c.bp == nil {
 		return c.callStamped(req)
 	}
-	if err := c.bp.admit(); err != nil {
+	if !c.bp.Admit() {
 		return nil, &opError{op: req.Op, msg: "launch rejected locally", kind: ErrCircuitOpen}
 	}
 	rep, err := c.callStamped(req)
-	for attempt := 1; attempt <= c.bp.cfg.Attempts && errors.Is(err, ErrBackpressure); attempt++ {
-		if serr := c.bp.backoff(c.ctx, attempt); serr != nil {
+	for attempt := 1; attempt <= c.backoff.Attempts && errors.Is(err, ErrBackpressure); attempt++ {
+		if serr := sleepCtx(c.ctx, c.launchWait(attempt)); serr != nil {
 			// Canceled mid-backoff: surface the cancellation without judging
 			// the daemon — and release the breaker's admit, or repeated
 			// cancellations would leak half-open probe slots and wedge the
 			// circuit permanently open.
-			c.bp.cancel()
+			c.bp.Cancel()
 			return rep, &opError{op: req.Op, msg: "canceled during backpressure backoff", kind: serr}
 		}
 		rep, err = c.callStamped(req)
 	}
-	c.bp.settle(errors.Is(err, ErrBackpressure))
+	c.bp.Settle(!errors.Is(err, ErrBackpressure))
 	return rep, err
 }
 
@@ -1075,6 +971,10 @@ func (c *Client) Resume(dial func() (net.Conn, error), rc RetryConfig) (recovere
 	}
 	ctx := c.ctx
 	old := c.conn
+	// One Seq serves every handshake attempt: each runs alone on its own
+	// fresh connection.
+	c.seq++
+	seq := c.seq
 	c.mu.Unlock()
 	// The broken transport is dead either way. Closing it also unblocks any
 	// stale pumper still parked in RecvReply on it; the conn identity check
@@ -1098,9 +998,13 @@ func (c *Client) Resume(dial func() (net.Conn, error), rc RetryConfig) (recovere
 		// into the client: until it succeeds, c.conn and the sticky broken
 		// state stay untouched, so a concurrent caller keeps failing fast
 		// with the original transport error instead of racing onto a
-		// half-resumed (or already re-closed) connection.
+		// half-resumed (or already re-closed) connection. The timeout bounds
+		// the handshake's send as well as its reply: a peer that accepts and
+		// never reads must cost one timeout, not hang Resume.
 		hc := ipc.NewConn(nc)
-		rep, rerr := c.callOn(hc, &ipc.Request{Op: ipc.OpResume, SessionToken: token, Proc: c.proc, Version: ipc.ProtocolVersion})
+		req := &ipc.Request{Op: ipc.OpResume, Seq: seq, SessionToken: token, Proc: c.proc, Version: ipc.ProtocolVersion}
+		rep, rerr := hc.RoundTrip(req, c.timeout)
+		rep, rerr = c.finish(req, callResult{rep: rep, err: rerr})
 		if rerr != nil {
 			hc.Close()
 			if errors.Is(rerr, ErrDraining) || errors.Is(rerr, ErrVersionSkew) {

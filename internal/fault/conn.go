@@ -12,13 +12,20 @@ import (
 // can tell injected failures from organic ones.
 var ErrInjected = errors.New("fault: injected transport failure")
 
-// Conn wraps a net.Conn with injected transport faults: reads may be
-// delayed, writes may be replaced by a connection reset or a torn
-// (truncated) frame followed by a reset. It models both a flaky link and a
-// client that crashes mid-command.
+// Conn is the one faulty net.Conn: reads may stall, writes may be replaced
+// by a connection reset or a torn (half-written) frame followed by a reset.
+// It models a flaky link, a gray member, and a client that crashes
+// mid-command alike; what differs between them is only who decides, so each
+// owner — Injector.WrapConn, Degrade.Wrap — hands it its two seeded
+// decisions and the mechanics live here once.
 type Conn struct {
 	net.Conn
-	inj *Injector
+	// stall draws this read's injected delay (0 = none).
+	stall func() time.Duration
+	// tear draws this write's fate: a nil error delivers it; otherwise the
+	// transport is closed and the error returned, after half the frame when
+	// torn is set.
+	tear func() (torn bool, err error)
 
 	mu           sync.Mutex
 	readDeadline time.Time
@@ -26,10 +33,32 @@ type Conn struct {
 
 // WrapConn attaches the injector's transport faults to a connection.
 func (i *Injector) WrapConn(c net.Conn) *Conn {
-	return &Conn{Conn: c, inj: i}
+	return &Conn{Conn: c, stall: i.readStall, tear: i.writeFate}
 }
 
-// SetReadDeadline records the deadline so injected delays honor it, then
+// readStall delays a read by up to DelayMax at ReadDelayProb.
+func (i *Injector) readStall() time.Duration {
+	if !i.fire(SiteReadDelay, i.cfg.ReadDelayProb, "delay") {
+		return 0
+	}
+	v, _ := i.roll(SiteReadDelay + ".len")
+	return time.Duration(v * float64(i.cfg.DelayMax))
+}
+
+// writeFate resets a write at WriteResetProb, else tears it at
+// WriteTruncateProb. A reset that fires skips the truncate roll, so each
+// site's counter advances exactly as the fired-fault trace says.
+func (i *Injector) writeFate() (torn bool, err error) {
+	if i.fire(SiteWriteReset, i.cfg.WriteResetProb, "reset") {
+		return false, ErrInjected
+	}
+	if i.fire(SiteWriteTruncate, i.cfg.WriteTruncateProb, "truncate") {
+		return true, ErrInjected
+	}
+	return false, nil
+}
+
+// SetReadDeadline records the deadline so injected stalls honor it, then
 // forwards to the wrapped connection.
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
@@ -39,7 +68,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 }
 
 // SetDeadline sets both read and write deadlines; the read half is recorded
-// for delay capping like SetReadDeadline.
+// for stall capping like SetReadDeadline.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDeadline = t
@@ -47,28 +76,26 @@ func (c *Conn) SetDeadline(t time.Time) error {
 	return c.Conn.SetDeadline(t)
 }
 
-// Read delivers bytes, possibly after an injected delay. The delay respects
-// any read deadline: sleeping never overshoots it, and a delay that would
-// cross it returns os.ErrDeadlineExceeded exactly like a slow peer would —
-// before the fix, an injected delay could stall a Read far past the
-// deadline the caller set, defeating client-side timeouts.
+// Read delivers bytes, possibly after an injected stall. The stall respects
+// any read deadline: sleeping never overshoots it, and a stall that would
+// cross it returns os.ErrDeadlineExceeded exactly like a peer that answered
+// too late — an injected fault slows callers down, it must not defeat their
+// timeouts.
 func (c *Conn) Read(p []byte) (int, error) {
-	if c.inj.fire(SiteReadDelay, c.inj.cfg.ReadDelayProb, "delay") {
-		v, _ := c.inj.roll(SiteReadDelay + ".len")
-		delay := time.Duration(v * float64(c.inj.cfg.DelayMax))
+	if stall := c.stall(); stall > 0 {
 		c.mu.Lock()
 		deadline := c.readDeadline
 		c.mu.Unlock()
 		if !deadline.IsZero() {
 			remain := time.Until(deadline)
-			if delay >= remain {
+			if stall >= remain {
 				if remain > 0 {
 					time.Sleep(remain)
 				}
 				return 0, os.ErrDeadlineExceeded
 			}
 		}
-		time.Sleep(delay)
+		time.Sleep(stall)
 	}
 	return c.Conn.Read(p)
 }
@@ -77,16 +104,13 @@ func (c *Conn) Read(p []byte) (int, error) {
 // underlying connection is closed: every later operation fails, exactly like
 // a peer whose process died.
 func (c *Conn) Write(p []byte) (int, error) {
-	if c.inj.fire(SiteWriteReset, c.inj.cfg.WriteResetProb, "reset") {
-		c.Conn.Close()
-		return 0, ErrInjected
+	torn, err := c.tear()
+	if err == nil {
+		return c.Conn.Write(p)
 	}
-	if c.inj.fire(SiteWriteTruncate, c.inj.cfg.WriteTruncateProb, "truncate") {
-		if len(p) > 1 {
-			_, _ = c.Conn.Write(p[:len(p)/2])
-		}
-		c.Conn.Close()
-		return 0, ErrInjected
+	if torn && len(p) > 1 {
+		_, _ = c.Conn.Write(p[:len(p)/2])
 	}
-	return c.Conn.Write(p)
+	c.Conn.Close()
+	return 0, err
 }

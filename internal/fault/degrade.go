@@ -3,8 +3,7 @@ package fault
 import (
 	"errors"
 	"net"
-	"os"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,9 +45,7 @@ type DegradeConfig struct {
 type Degrade struct {
 	cfg DegradeConfig
 	inj *Injector
-
-	mu sync.Mutex
-	on bool
+	on  atomic.Bool
 }
 
 // NewDegrade builds an inactive degrade injector.
@@ -64,120 +61,55 @@ func NewDegrade(cfg DegradeConfig) *Degrade {
 
 // Degrade turns the gray failure on: subsequent ops on wrapped conns stall
 // and drop per the config.
-func (d *Degrade) Degrade() {
-	d.mu.Lock()
-	d.on = true
-	d.mu.Unlock()
-}
+func (d *Degrade) Degrade() { d.on.Store(true) }
 
 // Recover turns the gray failure off; already-dropped conns stay dead
 // (recovering hardware does not resurrect torn TCP streams).
-func (d *Degrade) Recover() {
-	d.mu.Lock()
-	d.on = false
-	d.mu.Unlock()
-}
+func (d *Degrade) Recover() { d.on.Store(false) }
 
 // Active reports whether the member is currently degraded.
-func (d *Degrade) Active() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.on
-}
-
-// Events returns every stall/drop fired so far, in firing order.
-func (d *Degrade) Events() []Event { return d.inj.Events() }
-
-// Stalls counts the per-op stalls injected so far.
-func (d *Degrade) Stalls() int { return d.countKind("stall") }
-
-// Drops counts the flaky partial drops injected so far.
-func (d *Degrade) Drops() int { return d.countKind("drop") }
-
-func (d *Degrade) countKind(kind string) int {
-	n := 0
-	for _, e := range d.inj.Events() {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
+func (d *Degrade) Active() bool { return d.on.Load() }
 
 // Wrap composes the degradation over a member's dialer (typically already
 // wrapped by a Partition): while active, returned conns stall reads and
-// occasionally tear writes.
+// occasionally drop an op.
 func (d *Degrade) Wrap(dial func() (net.Conn, error)) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		c, err := dial()
 		if err != nil {
 			return nil, err
 		}
-		return &degradedConn{Conn: c, d: d}, nil
+		return &Conn{Conn: c, stall: d.opStall, tear: d.opDrop}, nil
 	}
 }
 
-// degradedConn injects the per-op stalls and drops. Like fault.Conn, an
-// injected stall honors the caller's read deadline — a degraded member
-// slows callers down, it must not defeat their timeouts.
-type degradedConn struct {
-	net.Conn
-	d *Degrade
-
-	mu           sync.Mutex
-	readDeadline time.Time
-}
-
-func (c *degradedConn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
-	return c.Conn.SetReadDeadline(t)
-}
-
-func (c *degradedConn) SetDeadline(t time.Time) error {
-	c.mu.Lock()
-	c.readDeadline = t
-	c.mu.Unlock()
-	return c.Conn.SetDeadline(t)
-}
-
-// Read delivers bytes after a possible injected stall. A stall that would
-// cross the read deadline sleeps up to it and returns
-// os.ErrDeadlineExceeded, exactly like a peer that answered too late.
-func (c *degradedConn) Read(p []byte) (int, error) {
-	d := c.d
-	if d.Active() && d.inj.fire(SiteDegradeStall, d.cfg.StallProb, "stall") {
-		v, _ := d.inj.roll(SiteDegradeStall + ".len")
-		stall := d.cfg.StallMin + time.Duration(v*float64(d.cfg.StallMax-d.cfg.StallMin))
-		c.mu.Lock()
-		deadline := c.readDeadline
-		c.mu.Unlock()
-		if !deadline.IsZero() {
-			remain := time.Until(deadline)
-			if stall >= remain {
-				if remain > 0 {
-					time.Sleep(remain)
-				}
-				return 0, os.ErrDeadlineExceeded
-			}
-		}
-		time.Sleep(stall)
+// hit draws site's next decision at probability p while the member is
+// degraded. It rolls exactly when Injector.fire would (never for p <= 0),
+// so the verdicts are fire's for the same seed; nothing reads a Degrade's
+// fired-fault log, so unlike fire it records none.
+func (d *Degrade) hit(site string, p float64) bool {
+	if !d.Active() || p <= 0 {
+		return false
 	}
-	return c.Conn.Read(p)
+	v, _ := d.inj.roll(site)
+	return v < p
 }
 
-// Write sends bytes, or flakily drops the op: a torn prefix lands, the
-// conn dies, and the caller sees ErrDegraded — the client must redial and
-// replay, exactly as with a crashing peer.
-func (c *degradedConn) Write(p []byte) (int, error) {
-	d := c.d
-	if d.Active() && d.inj.fire(SiteDegradeDrop, d.cfg.DropProb, "drop") {
-		if len(p) > 1 {
-			_, _ = c.Conn.Write(p[:len(p)/2])
-		}
-		c.Conn.Close()
-		return 0, ErrDegraded
+// opStall stalls a read for StallMin..StallMax at StallProb while active.
+func (d *Degrade) opStall() time.Duration {
+	if !d.hit(SiteDegradeStall, d.cfg.StallProb) {
+		return 0
 	}
-	return c.Conn.Write(p)
+	v, _ := d.inj.roll(SiteDegradeStall + ".len")
+	return d.cfg.StallMin + time.Duration(v*float64(d.cfg.StallMax-d.cfg.StallMin))
+}
+
+// opDrop flakily drops a write at DropProb while active: a torn prefix
+// lands, the conn dies, and the caller sees ErrDegraded — the client must
+// redial and replay, exactly as with a crashing peer.
+func (d *Degrade) opDrop() (torn bool, err error) {
+	if d.hit(SiteDegradeDrop, d.cfg.DropProb) {
+		return true, ErrDegraded
+	}
+	return false, nil
 }

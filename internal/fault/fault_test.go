@@ -81,8 +81,52 @@ func TestSiteIsolation(t *testing.T) {
 	}
 }
 
+// connOwners builds the one faulty Conn through each of its two owners, the
+// fault certain, so every mechanical property below is checked for both: an
+// Injector's wrapped conn and a Degrade's dialed one.
+var connOwners = []struct {
+	name string
+	// stalling wraps c so that every read stalls for up to max (a Degrade
+	// for at least max/10).
+	stalling func(c net.Conn, max time.Duration) net.Conn
+	// tearing wraps c so that every write is torn; tornErr is what the
+	// writer is told.
+	tearing func(c net.Conn) net.Conn
+	tornErr error
+}{
+	{
+		name: "injector",
+		stalling: func(c net.Conn, max time.Duration) net.Conn {
+			return New(Config{Seed: 1, ReadDelayProb: 1, DelayMax: max}).WrapConn(c)
+		},
+		tearing: func(c net.Conn) net.Conn {
+			return New(Config{Seed: 1, WriteTruncateProb: 1}).WrapConn(c)
+		},
+		tornErr: ErrInjected,
+	},
+	{
+		name: "degrade",
+		stalling: func(c net.Conn, max time.Duration) net.Conn {
+			return degraded(c, DegradeConfig{Seed: 1, StallProb: 1, StallMin: max / 10, StallMax: max})
+		},
+		tearing: func(c net.Conn) net.Conn {
+			return degraded(c, DegradeConfig{Seed: 1, DropProb: 1})
+		},
+		tornErr: ErrDegraded,
+	},
+}
+
+// degraded dials c through an active Degrade.
+func degraded(c net.Conn, cfg DegradeConfig) net.Conn {
+	d := NewDegrade(cfg)
+	d.Degrade()
+	dc, _ := d.Wrap(func() (net.Conn, error) { return c, nil })()
+	return dc
+}
+
 // A reset-injected write closes the transport so the peer observes EOF, the
-// same signature as a crashed client.
+// same signature as a crashed client. (Only an Injector resets; a Degrade's
+// one write fault is the torn drop below.)
 func TestConnResetFault(t *testing.T) {
 	i := New(Config{Seed: 1, WriteResetProb: 1})
 	a, b := net.Pipe()
@@ -93,8 +137,8 @@ func TestConnResetFault(t *testing.T) {
 		_, err := b.Read(buf)
 		done <- err
 	}()
-	if _, err := fc.Write([]byte("hello")); err == nil {
-		t.Fatal("reset-injected write succeeded")
+	if _, err := fc.Write([]byte("hello")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("reset-injected write = %v, want ErrInjected", err)
 	}
 	select {
 	case err := <-done:
@@ -109,77 +153,148 @@ func TestConnResetFault(t *testing.T) {
 	}
 }
 
-// A truncate-injected write delivers a torn frame prefix and then closes.
+// A torn write delivers a frame prefix, tells the writer its owner's error,
+// and closes the transport: every later operation fails, like a peer whose
+// process died.
 func TestConnTruncateFault(t *testing.T) {
-	i := New(Config{Seed: 1, WriteTruncateProb: 1})
-	a, b := net.Pipe()
-	fc := i.WrapConn(a)
-	got := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, 64)
-		n, _ := b.Read(buf)
-		got <- buf[:n]
-	}()
-	payload := []byte("0123456789abcdef")
-	if _, err := fc.Write(payload); err == nil {
-		t.Fatal("truncate-injected write reported success")
-	}
-	select {
-	case torn := <-got:
-		if len(torn) == 0 || len(torn) >= len(payload) {
-			t.Fatalf("torn frame length %d of %d", len(torn), len(payload))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("peer never saw the torn prefix")
+	for _, o := range connOwners {
+		t.Run(o.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			fc := o.tearing(a)
+			got := make(chan []byte, 1)
+			go func() {
+				buf := make([]byte, 64)
+				n, _ := b.Read(buf)
+				got <- buf[:n]
+			}()
+			payload := []byte("0123456789abcdef")
+			if _, err := fc.Write(payload); !errors.Is(err, o.tornErr) {
+				t.Fatalf("torn write = %v, want %v", err, o.tornErr)
+			}
+			select {
+			case torn := <-got:
+				if len(torn) == 0 || len(torn) >= len(payload) {
+					t.Fatalf("torn frame length %d of %d", len(torn), len(payload))
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("peer never saw the torn prefix")
+			}
+			if _, err := a.Write(payload); err == nil {
+				t.Fatal("transport still open after a torn write")
+			}
+		})
 	}
 }
 
-// An injected read delay must honor the caller's read deadline: the Read
+// An injected read stall must honor the caller's read deadline: the Read
 // returns os.ErrDeadlineExceeded at (or before) the deadline instead of
-// sleeping out the full injected delay. Before the fix, a delay drawn near
-// DelayMax stalled the Read far past the deadline, defeating the client's
-// per-operation timeout.
+// sleeping out the full stall, however the deadline was set. An injected
+// fault slows callers down; it must not defeat their per-operation timeout.
 func TestReadDelayHonorsDeadline(t *testing.T) {
-	i := New(Config{Seed: 1, ReadDelayProb: 1, DelayMax: 10 * time.Second})
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	fc := i.WrapConn(a)
-	if err := fc.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err := fc.Read(make([]byte, 8))
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("read succeeded with nothing to read")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("injected delay ignored the deadline: read blocked %v", elapsed)
+	for _, o := range connOwners {
+		for _, set := range []string{"SetReadDeadline", "SetDeadline"} {
+			t.Run(o.name+"/"+set, func(t *testing.T) {
+				a, b := net.Pipe()
+				defer a.Close()
+				defer b.Close()
+				fc := o.stalling(a, 10*time.Second)
+				setDeadline := fc.SetReadDeadline
+				if set == "SetDeadline" { // what ipc.Conn.RoundTrip calls
+					setDeadline = fc.SetDeadline
+				}
+				if err := setDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+				start := time.Now()
+				_, err := fc.Read(make([]byte, 8))
+				elapsed := time.Since(start)
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("err = %v, want deadline exceeded", err)
+				}
+				if elapsed > time.Second {
+					t.Fatalf("injected stall ignored the deadline: read blocked %v", elapsed)
+				}
+			})
+		}
 	}
 }
 
-// A delay that fits inside the deadline still delivers the bytes.
+// A stall that fits inside the deadline still delivers the bytes.
 func TestReadDelayWithinDeadlineDelivers(t *testing.T) {
-	i := New(Config{Seed: 2, ReadDelayProb: 1, DelayMax: time.Millisecond})
+	for _, o := range connOwners {
+		t.Run(o.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			fc := o.stalling(a, time.Millisecond)
+			if err := fc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			go func() { _, _ = b.Write([]byte("ping")) }()
+			buf := make([]byte, 16)
+			n, err := fc.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(buf[:n]) != "ping" {
+				t.Fatalf("read %q, want ping", buf[:n])
+			}
+		})
+	}
+}
+
+// An inactive Degrade is transparent: nothing stalls, nothing is torn, and
+// turning it on takes effect on connections dialed while it was off.
+func TestDegradeInactiveIsTransparent(t *testing.T) {
+	d := NewDegrade(DegradeConfig{Seed: 1, DropProb: 1})
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	fc := i.WrapConn(a)
-	if err := fc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	go func() { _, _ = b.Write([]byte("ping")) }()
-	buf := make([]byte, 16)
-	n, err := fc.Read(buf)
+	fc, err := d.Wrap(func() (net.Conn, error) { return a, nil })()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:n]) != "ping" {
-		t.Fatalf("read %q, want ping", buf[:n])
+	go func() { _, _ = b.Read(make([]byte, 8)) }()
+	if _, err := fc.Write([]byte("ok")); err != nil {
+		t.Fatalf("write through an inactive Degrade: %v", err)
+	}
+	d.Degrade()
+	go func() { _, _ = b.Read(make([]byte, 8)) }()
+	if _, err := fc.Write([]byte("dropped")); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("write after Degrade() = %v, want ErrDegraded", err)
+	}
+}
+
+// A Degrade decides from the same seeded stream an Injector's fire would —
+// same seed and site, same verdicts, and a zero probability draws nothing —
+// but keeps no fired-fault log: nothing reads one.
+func TestDegradeDrawsMatchInjectorWithoutLogging(t *testing.T) {
+	const seed, p = 7, 0.3
+	d := NewDegrade(DegradeConfig{Seed: seed, DropProb: p})
+	d.Degrade()
+	ref := New(Config{Seed: seed})
+	fired := 0
+	for n := 0; n < 500; n++ {
+		if d.hit(SiteDegradeStall, 0) {
+			t.Fatal("zero-probability site fired")
+		}
+		_, err := d.opDrop()
+		want := ref.fire(SiteDegradeDrop, p, "drop")
+		if (err != nil) != want {
+			t.Fatalf("decision %d: degrade dropped=%v, injector fired=%v", n, err != nil, want)
+		}
+		if want {
+			fired++
+		}
+	}
+	if fired == 0 || fired == 500 {
+		t.Fatalf("degenerate stream: %d of 500 fired", fired)
+	}
+	if got := d.inj.counters[SiteDegradeStall]; got != 0 {
+		t.Fatalf("zero-probability site drew %d decisions", got)
+	}
+	if got := len(d.inj.Events()); got != 0 {
+		t.Fatalf("degrade logged %d events nobody reads", got)
 	}
 }
 

@@ -99,13 +99,6 @@ func (p *Partition) track(c net.Conn) net.Conn {
 	return c
 }
 
-// Forget stops tracking a connection the caller closed itself.
-func (p *Partition) Forget(c net.Conn) {
-	p.mu.Lock()
-	delete(p.conns, c)
-	p.mu.Unlock()
-}
-
 // Dial wraps a transport dialer with the partition: healthy dials are
 // tracked (so Cut severs them); cut dials fail per the mode.
 func (p *Partition) Dial(dial func() net.Conn) func() (net.Conn, error) {

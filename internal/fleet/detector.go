@@ -10,6 +10,25 @@ import (
 // operator configures sits far below the cap.
 const maxPhi = 64
 
+// window is the bounded sample history under both accrual detectors: the
+// newest size samples in seconds, oldest first, so a sum over vals adds in
+// arrival order whichever detector takes it. It is just a bounded slice —
+// the detectors read vals and size directly; what the type owns is the
+// eviction rule (push), written once.
+type window struct {
+	size int
+	vals []float64
+}
+
+func (w *window) push(v float64) {
+	w.vals = append(w.vals, v)
+	if n := len(w.vals) - w.size; n > 0 {
+		w.vals = append(w.vals[:0], w.vals[n:]...)
+	}
+}
+
+func (w *window) reset() { w.vals = w.vals[:0] }
+
 // Detector is a phi-accrual failure detector (Hayashibara et al.) over one
 // member's heartbeat stream. Instead of a fixed timeout it keeps a bounded
 // history of heartbeat inter-arrival times and scores the current silence
@@ -21,14 +40,13 @@ const maxPhi = 64
 //
 // Not goroutine-safe; the supervisor serializes access under its own lock.
 type Detector struct {
-	window int
-	minStd float64 // seconds; floor so a too-regular history cannot make
+	intervals window  // heartbeat inter-arrival times
+	minStd    float64 // seconds; floor so a too-regular history cannot make
 	// the model infinitely confident (std→0 would turn any
 	// microsecond of lateness into phi=∞)
 
-	intervals []float64 // seconds, ring-buffered oldest-first
-	last      time.Time
-	seen      bool
+	last time.Time
+	seen bool
 }
 
 // DefaultWindow is the inter-arrival history bound.
@@ -39,23 +57,23 @@ const DefaultMinStd = 50 * time.Millisecond
 
 // NewDetector builds a detector with the given history bound and std floor
 // (0 → defaults).
-func NewDetector(window int, minStd time.Duration) *Detector {
-	if window <= 0 {
-		window = DefaultWindow
+func NewDetector(size int, minStd time.Duration) *Detector {
+	if size <= 0 {
+		size = DefaultWindow
 	}
 	if minStd <= 0 {
 		minStd = DefaultMinStd
 	}
-	return &Detector{window: window, minStd: minStd.Seconds()}
+	return &Detector{intervals: window{size: size}, minStd: minStd.Seconds()}
 }
 
 // Prime seeds the history with the expected heartbeat interval, so the
 // detector is decisive from the first silence instead of needing a warm-up
 // epoch of real arrivals. Real intervals then displace the synthetic ones.
 func (d *Detector) Prime(expected time.Duration, at time.Time) {
-	d.intervals = d.intervals[:0]
-	for i := 0; i < d.window/4+1; i++ {
-		d.intervals = append(d.intervals, expected.Seconds())
+	d.intervals.reset()
+	for i := 0; i < d.intervals.size/4+1; i++ {
+		d.intervals.push(expected.Seconds())
 	}
 	d.last = at
 	d.seen = true
@@ -66,10 +84,7 @@ func (d *Detector) Heartbeat(now time.Time) {
 	if d.seen {
 		iv := now.Sub(d.last).Seconds()
 		if iv > 0 {
-			d.intervals = append(d.intervals, iv)
-			if n := len(d.intervals) - d.window; n > 0 {
-				d.intervals = append(d.intervals[:0], d.intervals[n:]...)
-			}
+			d.intervals.push(iv)
 		}
 	}
 	d.last = now
@@ -80,7 +95,7 @@ func (d *Detector) Heartbeat(now time.Time) {
 // rising as the gap since the last heartbeat stretches past what the
 // history makes plausible. Capped at maxPhi.
 func (d *Detector) Phi(now time.Time) float64 {
-	if !d.seen || len(d.intervals) == 0 {
+	if !d.seen || len(d.intervals.vals) == 0 {
 		return 0
 	}
 	elapsed := now.Sub(d.last).Seconds()
@@ -105,19 +120,20 @@ func (d *Detector) Phi(now time.Time) float64 {
 }
 
 // Samples reports how many inter-arrival samples the history holds.
-func (d *Detector) Samples() int { return len(d.intervals) }
+func (d *Detector) Samples() int { return len(d.intervals.vals) }
 
 func (d *Detector) stats() (mean, std float64) {
-	for _, v := range d.intervals {
+	vals := d.intervals.vals
+	for _, v := range vals {
 		mean += v
 	}
-	mean /= float64(len(d.intervals))
+	mean /= float64(len(vals))
 	var varsum float64
-	for _, v := range d.intervals {
+	for _, v := range vals {
 		dlt := v - mean
 		varsum += dlt * dlt
 	}
-	std = math.Sqrt(varsum / float64(len(d.intervals)))
+	std = math.Sqrt(varsum / float64(len(vals)))
 	if std < d.minStd {
 		std = d.minStd
 	}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -81,5 +82,54 @@ func TestPhiCappedAndFloored(t *testing.T) {
 	}
 	if phi := NewDetector(0, 0).Phi(t0); phi != 0 {
 		t.Fatalf("no history: phi=%.2f, want 0", phi)
+	}
+}
+
+// The one window under both detectors: a fixed 200-sample sequence that
+// wraps the phi history (64) three times and the latency window (32) six,
+// with every score equal — by float64 bits and by Duration — to the values
+// the two hand-written windows produced before they became one type.
+// Samples 115–146 are quiet and 147–149 stalled, so at 150 the p90 tail is
+// still small and Score takes the EWMA side; elsewhere it takes the tail.
+func TestAccrualGoldenAcrossWindowWraps(t *testing.T) {
+	golden := []struct {
+		n                     int
+		phi                   uint64
+		ewma, quantile, score time.Duration
+	}{
+		{50, 0x4005b246ade3a006, 157074322, 226385000, 226385000},
+		{100, 0x400046c6d29ede31, 113137761, 232010000, 232010000},
+		{150, 0x40008df1c9027971, 118201047, 2000000, 118201047},
+		{200, 0x3fff2661fca8e0e7, 163336154, 214704000, 214704000},
+	}
+	det, lat := NewDetector(0, 0), NewSlowDetector(0)
+	now := time.Unix(1000, 0)
+	det.Prime(100*time.Millisecond, now)
+	x, next := uint64(20), 0
+	for i := 0; i < 200; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		d := time.Duration(1000+(x>>33)%249000) * time.Microsecond
+		switch {
+		case i >= 115 && i < 147:
+			d = 2 * time.Millisecond
+		case i >= 147 && i < 150:
+			d = 240 * time.Millisecond
+		}
+		now = now.Add(d)
+		det.Heartbeat(now)
+		lat.Observe(d)
+		if g := golden[next]; i+1 == g.n {
+			next++
+			if phi := math.Float64bits(det.Phi(now.Add(300 * time.Millisecond))); phi != g.phi {
+				t.Errorf("after %d samples: Phi bits = %#x, recorded %#x", g.n, phi, g.phi)
+			}
+			if e, q, sc := lat.EWMA(), lat.Quantile(0.9), lat.Score(); e != g.ewma || q != g.quantile || sc != g.score {
+				t.Errorf("after %d samples: EWMA, Quantile(0.9), Score = %d, %d, %d; recorded %d, %d, %d",
+					g.n, e, q, sc, g.ewma, g.quantile, g.score)
+			}
+		}
+	}
+	if det.Samples() != DefaultWindow || lat.Samples() != DefaultSlowWindow {
+		t.Fatalf("windows hold %d and %d samples, want %d and %d", det.Samples(), lat.Samples(), DefaultWindow, DefaultSlowWindow)
 	}
 }

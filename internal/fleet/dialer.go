@@ -1,46 +1,39 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"slate/internal/ipc"
+	"slate/internal/client"
 )
 
+// maxHedges caps the extra candidates one Connect may race beyond the first.
+const maxHedges = 2
+
 // Dialer is the client side of the fleet: placement-aware connection
-// establishment with capped hedged probes and a per-member circuit breaker.
-// A Connect probes the preferred member first; if the probe has not
-// answered within Hedge, the next candidate is probed concurrently (up to
-// MaxHedges extras), and the first member to answer gets the real
-// connection. Members that keep failing probes trip their breaker and are
-// skipped until a cooldown — a dead member costs one timeout, not one per
-// connect.
+// establishment with a capped hedged race (Connect) and a circuit breaker
+// per member. A member that keeps failing trips its breaker and is skipped
+// until a cooldown, after which one Connect probes it once — a dead member
+// costs one timeout per cooldown, not one per connect.
 type Dialer struct {
 	sup *Supervisor
 
-	// Hedge is how long to wait on a probe before also trying the next
+	// Hedge is how long to wait on a ping before also trying the next
 	// candidate (default 25ms).
 	Hedge time.Duration
-	// MaxHedges caps the extra candidates per Connect (default 2).
-	MaxHedges int
-	// ProbeTimeout bounds one member probe (default: supervisor's
+	// ProbeTimeout bounds one member ping (default: supervisor's
 	// PingTimeout).
 	ProbeTimeout time.Duration
-	// TripAfter consecutive probe failures open a member's breaker
-	// (default 3); Cooldown is how long it stays open (default 250ms).
+	// TripAfter consecutive failed attempts open a member's breaker
+	// (default 3); Cooldown is how long it stays open (default 250ms). Each
+	// breaker is built on first use, so set them before the first Connect.
 	TripAfter int
 	Cooldown  time.Duration
 
 	mu  sync.Mutex
-	brk map[string]*dialBreaker
-}
-
-type dialBreaker struct {
-	fails     int
-	openUntil time.Time
+	brk map[string]*client.Breaker
 }
 
 // NewDialer builds a fleet-aware dialer over this supervisor's directory.
@@ -48,11 +41,10 @@ func (s *Supervisor) NewDialer() *Dialer {
 	return &Dialer{
 		sup:          s,
 		Hedge:        25 * time.Millisecond,
-		MaxHedges:    2,
 		ProbeTimeout: s.cfg.PingTimeout,
 		TripAfter:    3,
 		Cooldown:     250 * time.Millisecond,
-		brk:          map[string]*dialBreaker{},
+		brk:          map[string]*client.Breaker{},
 	}
 }
 
@@ -71,24 +63,54 @@ func (d *Dialer) DialFor(name string) func() (net.Conn, error) {
 
 // Connect opens a transport to a healthy fleet member, preferring the named
 // one (""= no preference, pure placement order). Returns the connection and
-// the name of the member it reached; all probes failing is
+// the name of the member it reached; every attempt failing is
 // ErrFleetUnavailable.
+//
+// It is the fleet's one hedged race: the first candidate is pinged, the next
+// joins whenever Hedge passes in silence or an attempt fails, and the first
+// ping to answer wins a fresh dial (the ping's connection carried ping
+// traffic and is closed; the gob stream the caller layers on the returned
+// one must start clean). Each attempt settles its member's breaker once,
+// with its final outcome — a good ping whose dial then failed is a failure.
+// A candidate never launched gives its admit back: a race that ended early
+// is no evidence about it. One still in flight when another won keeps its
+// admit — a half-open member's single probe stays single — and settles with
+// its ping's own outcome when that returns, at most ProbeTimeout later.
 func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 	cands := d.candidates(prefer)
 	if len(cands) == 0 {
 		return nil, "", fmt.Errorf("fleet: connect: %w", ErrFleetUnavailable)
 	}
-	type probeRes struct {
+	type pinged struct {
 		m   *Member
 		err error
 	}
-	resCh := make(chan probeRes, len(cands))
+	resCh := make(chan pinged, len(cands)) // buffered: no attempt ever blocks on it
 	idx, active := 0, 0
+	defer func() {
+		for _, m := range cands[idx:] {
+			d.breaker(m.Name).Cancel()
+		}
+		if active > 0 {
+			go func(inFlight int) {
+				for ; inFlight > 0; inFlight-- {
+					r := <-resCh
+					d.breaker(r.m.Name).Settle(r.err == nil)
+				}
+			}(active)
+		}
+	}()
 	launch := func() {
 		m := cands[idx]
 		idx++
 		active++
-		go func() { resCh <- probeRes{m, d.probe(m)} }()
+		go func() {
+			res, err := d.sup.ping(m, d.ProbeTimeout)
+			if err == nil && res.draining {
+				err = fmt.Errorf("fleet: probe %s: draining", m.Name)
+			}
+			resCh <- pinged{m, err}
+		}()
 	}
 	launch()
 	timer := time.NewTimer(d.Hedge)
@@ -98,19 +120,16 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 		select {
 		case r := <-resCh:
 			active--
-			if r.err == nil {
-				// Winner: hand back a fresh transport (the probe's conn
-				// carried ping traffic and is already closed).
-				d.settle(r.m.Name, true)
-				nc, err := r.m.Dial()()
-				if err == nil {
-					return nc, r.m.Name, nil
-				}
-				lastErr = err // cut between probe and dial; keep going
-			} else {
-				lastErr = r.err
+			m, err := r.m, r.err
+			var nc net.Conn
+			if err == nil {
+				nc, err = m.Dial()() // may be cut between ping and dial
 			}
-			d.settle(r.m.Name, r.err == nil)
+			d.breaker(m.Name).Settle(err == nil)
+			if err == nil {
+				return nc, m.Name, nil
+			}
+			lastErr = err
 			if idx < len(cands) {
 				launch()
 				timer.Reset(d.Hedge)
@@ -125,188 +144,35 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 }
 
 // candidates orders the members a Connect may try: the preferred member
-// first, then routing order, skipping unhealthy members and open breakers,
-// capped at 1+MaxHedges.
+// first, then routing order, skipping unhealthy members and members whose
+// breaker does not admit the attempt, capped at 1+maxHedges. Every member
+// returned holds an admit that Connect must settle or cancel.
 func (d *Dialer) candidates(prefer string) []*Member {
-	now := time.Now()
 	var out []*Member
-	seen := map[string]bool{}
 	add := func(m *Member) {
-		if m == nil || seen[m.Name] || len(out) > d.MaxHedges {
-			return
+		if m != nil && len(out) <= maxHedges && m.State() == StateUp && d.breaker(m.Name).Admit() {
+			out = append(out, m)
 		}
-		if m.State() != StateUp || d.open(m.Name, now) {
-			return
-		}
-		seen[m.Name] = true
-		out = append(out, m)
 	}
 	if prefer != "" {
 		add(d.sup.MemberByName(prefer))
 	}
 	for _, m := range d.sup.Members() {
-		add(m)
+		if m.Name != prefer { // judged once: Admit may hand out the probe slot
+			add(m)
+		}
 	}
 	return out
 }
 
-// probe round-trips one ping on a throwaway connection, bounded by
-// ProbeTimeout. The real connection is dialed only for the winner, so the
-// gob stream the caller layers on it starts clean.
-func (d *Dialer) probe(m *Member) error {
-	nc, err := m.Dial()()
-	if err != nil {
-		return err
-	}
-	conn := ipc.NewConn(nc)
-	defer conn.Close()
-	_ = nc.SetReadDeadline(time.Now().Add(d.ProbeTimeout))
-	if err := conn.SendRequest(&ipc.Request{Op: ipc.OpPing, Seq: 1}); err != nil {
-		return err
-	}
-	rep, err := conn.RecvReply()
-	if err != nil {
-		return err
-	}
-	if rep.Err != "" {
-		return fmt.Errorf("fleet: probe %s: %s", m.Name, rep.Err)
-	}
-	return nil
-}
-
-// HedgedCall races ONE idempotent request across up to 1+MaxHedges healthy
-// members on the existing hedged-dial machinery: the preferred member is
-// tried first, the next candidate joins after Hedge of silence, and the
-// first reply wins. Losing attempts are canceled — their connections are
-// closed the moment a winner lands, and their late outcomes neither settle
-// the breaker nor feed the latency accrual (a cancellation artifact is not
-// evidence). Only for idempotent ops (ping, locate, the resume/attach
-// handshake): a hedged op may execute on several members, so it must be
-// harmless everywhere but the winner. mk builds a fresh request per attempt
-// (each attempt has its own connection and sequence space).
-func (d *Dialer) HedgedCall(prefer string, mk func() *ipc.Request) (*ipc.Reply, string, error) {
-	cands := d.candidates(prefer)
-	if len(cands) == 0 {
-		return nil, "", fmt.Errorf("fleet: hedged call: %w", ErrFleetUnavailable)
-	}
-	type callRes struct {
-		m   *Member
-		rep *ipc.Reply
-		rtt time.Duration
-		err error
-	}
-	resCh := make(chan callRes, len(cands))
-	var mu sync.Mutex
-	var open []net.Conn
-	canceled := false
-	idx, active := 0, 0
-	launch := func() {
-		m := cands[idx]
-		idx++
-		active++
-		go func() {
-			start := time.Now()
-			nc, err := m.Dial()()
-			if err != nil {
-				resCh <- callRes{m: m, err: err}
-				return
-			}
-			mu.Lock()
-			if canceled {
-				mu.Unlock()
-				nc.Close()
-				resCh <- callRes{m: m, err: errors.New("fleet: hedge canceled")}
-				return
-			}
-			open = append(open, nc)
-			mu.Unlock()
-			conn := ipc.NewConn(nc)
-			defer conn.Close()
-			_ = nc.SetReadDeadline(start.Add(d.ProbeTimeout))
-			if err := conn.SendRequest(mk()); err != nil {
-				resCh <- callRes{m: m, err: err}
-				return
-			}
-			rep, err := conn.RecvReply()
-			if err != nil {
-				resCh <- callRes{m: m, err: err}
-				return
-			}
-			if rep.Err != "" && rep.Code != ipc.CodeDraining {
-				resCh <- callRes{m: m, err: errors.New(rep.Err)}
-				return
-			}
-			resCh <- callRes{m: m, rep: rep, rtt: time.Since(start)}
-		}()
-	}
-	launch()
-	timer := time.NewTimer(d.Hedge)
-	defer timer.Stop()
-	var lastErr error
-	for active > 0 {
-		select {
-		case r := <-resCh:
-			active--
-			if r.err == nil {
-				// Winner: cancel the losers and feed the real round-trip
-				// into the winner's latency accrual.
-				mu.Lock()
-				canceled = true
-				for _, c := range open {
-					c.Close()
-				}
-				mu.Unlock()
-				d.settle(r.m.Name, true)
-				d.sup.observeRTT(r.m, r.rtt)
-				return r.rep, r.m.Name, nil
-			}
-			lastErr = r.err
-			d.settle(r.m.Name, false)
-			if idx < len(cands) {
-				launch()
-				timer.Reset(d.Hedge)
-			}
-		case <-timer.C:
-			if idx < len(cands) {
-				launch()
-			}
-		}
-	}
-	return nil, "", fmt.Errorf("fleet: hedged call: %v: %w", lastErr, ErrFleetUnavailable)
-}
-
-// HedgedPing races a heartbeat ping across healthy members and returns the
-// winner's reply (load, load sequence) and name — the latency-tolerant way
-// to read fleet load when one member may be gray.
-func (d *Dialer) HedgedPing(prefer string) (*ipc.Reply, string, error) {
-	return d.HedgedCall(prefer, func() *ipc.Request {
-		return &ipc.Request{Op: ipc.OpPing, Seq: 1}
-	})
-}
-
-func (d *Dialer) open(name string, now time.Time) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	b := d.brk[name]
-	return b != nil && now.Before(b.openUntil)
-}
-
-func (d *Dialer) settle(name string, ok bool) {
+// breaker returns the named member's circuit, built on first use.
+func (d *Dialer) breaker(name string) *client.Breaker {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	b := d.brk[name]
 	if b == nil {
-		b = &dialBreaker{}
+		b = client.NewBreaker(d.TripAfter, d.Cooldown)
 		d.brk[name] = b
 	}
-	if ok {
-		b.fails = 0
-		b.openUntil = time.Time{}
-		return
-	}
-	b.fails++
-	if b.fails >= d.TripAfter {
-		b.openUntil = time.Now().Add(d.Cooldown)
-		b.fails = 0
-	}
+	return b
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,7 +148,146 @@ func TestDialerBreakerHalfOpenRecovery(t *testing.T) {
 	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
 		t.Fatalf("connect after re-cut: %v, want ErrFleetUnavailable", err)
 	}
-	if !d.open("gpu0", time.Now()) {
+	if d.breaker("gpu0").Admit() {
 		t.Fatal("breaker did not re-trip after recovery + fresh failure")
+	}
+}
+
+// deadDial replaces a member's transport with one whose every dial returns
+// an already-closed pipe — the ping fails at once — and counts the dials.
+func deadDial(m *Member) *atomic.Int32 {
+	var dials atomic.Int32
+	m.rawDial = func() net.Conn {
+		dials.Add(1)
+		a, b := net.Pipe()
+		b.Close()
+		return a
+	}
+	return &dials
+}
+
+// A tripped member that is still dead costs one probe per cooldown: the
+// single half-open probe's failure re-opens the circuit at once, it does not
+// buy the member TripAfter fresh probes.
+func TestDialerBreakerOneProbePerCooldown(t *testing.T) {
+	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	dials := deadDial(sup.MemberByName("gpu0"))
+	d := sup.NewDialer()
+	d.Cooldown = 200 * time.Millisecond
+	connect := func() {
+		t.Helper()
+		nc, name, err := d.Connect("gpu0")
+		if err != nil || name != "gpu1" {
+			t.Fatalf("connect = %q, %v; want fallback gpu1", name, err)
+		}
+		nc.Close()
+	}
+	for i := 0; i < d.TripAfter; i++ {
+		connect()
+	}
+	if got := dials.Load(); got != int32(d.TripAfter) {
+		t.Fatalf("tripping took %d probes of gpu0, want %d", got, d.TripAfter)
+	}
+	connect() // inside the cooldown: skipped, not probed
+	if got := dials.Load(); got != int32(d.TripAfter) {
+		t.Fatalf("open breaker still probed gpu0 (%d dials)", got)
+	}
+	time.Sleep(d.Cooldown + 20*time.Millisecond)
+	for i := 0; i < 5; i++ {
+		connect()
+	}
+	if got := dials.Load() - int32(d.TripAfter); got != 1 {
+		t.Fatalf("%d probes of the still-dead member after one cooldown, want 1", got)
+	}
+}
+
+// An attempt settles once, with its final outcome: a member that answered
+// the ping and then failed the real dial has failed.
+func TestDialerPingOkDialFailsIsAFailure(t *testing.T) {
+	sup := testFleet(t, &eventLog{}, 1, fault.PartitionReject)
+	m := sup.MemberByName("gpu0")
+	serve := m.rawDial
+	cut := false
+	m.rawDial = func() net.Conn {
+		if !cut {
+			cut = true
+			m.part.Cut() // the ping's own conn is not tracked yet and survives
+		}
+		return serve()
+	}
+	d := sup.NewDialer()
+	d.TripAfter = 1
+	d.Cooldown = time.Hour
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
+		t.Fatalf("connect with the link cut between ping and dial: %v, want ErrFleetUnavailable", err)
+	}
+	_ = sup.HealMember("gpu0")
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
+		t.Fatalf("connect after heal: %v; the failed attempt was settled as a success", err)
+	}
+}
+
+// A candidate that was listed but never tried — an earlier one won — gives
+// its admit back: a half-open member's probe slot must not leak to a race it
+// took no part in.
+func TestDialerUntriedCandidateReturnsProbeSlot(t *testing.T) {
+	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	d := sup.NewDialer()
+	d.TripAfter = 1
+	d.Cooldown = time.Millisecond
+	d.Hedge = time.Hour // gpu1 is listed behind gpu0 and never launched
+	d.breaker("gpu1").Settle(false)
+	time.Sleep(5 * time.Millisecond) // gpu1 is half-open now
+	nc, name, err := d.Connect("gpu0")
+	if err != nil || name != "gpu0" {
+		t.Fatalf("connect = %q, %v; want gpu0", name, err)
+	}
+	nc.Close()
+	if !d.breaker("gpu1").Admit() {
+		t.Fatal("untried candidate kept gpu1's half-open probe slot")
+	}
+}
+
+// A candidate whose ping is still in flight when another wins keeps its
+// admit until that ping returns, then settles with the ping's own outcome: a
+// half-open member's single probe is not handed out a second time while the
+// first is still running, and the probe's late failure re-opens the circuit
+// for a fresh cooldown instead of being dropped.
+func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
+	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	// gpu0 accepts and then says nothing until the test hangs up on it.
+	peers := make(chan net.Conn, 1)
+	sup.MemberByName("gpu0").rawDial = func() net.Conn {
+		a, b := net.Pipe()
+		peers <- b
+		return a
+	}
+	d := sup.NewDialer()
+	d.TripAfter = 1
+	d.Cooldown = 200 * time.Millisecond
+	d.Hedge = 5 * time.Millisecond
+	d.ProbeTimeout = 5 * time.Second
+	d.breaker("gpu0").Settle(false)
+	time.Sleep(d.Cooldown + 10*time.Millisecond) // gpu0 is half-open now
+
+	nc, name, err := d.Connect("gpu0")
+	if err != nil || name != "gpu1" {
+		t.Fatalf("connect = %q, %v; want the hedge gpu1", name, err)
+	}
+	nc.Close()
+	if d.breaker("gpu0").Admit() {
+		t.Fatal("gpu0's probe slot was handed out again while its first probe was still in flight")
+	}
+
+	(<-peers).Close() // the in-flight ping fails now
+	released := time.Now()
+	for !d.breaker("gpu0").Admit() {
+		if time.Since(released) > 5*time.Second {
+			t.Fatal("the in-flight loser never gave its probe slot back")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if waited := time.Since(released); waited < d.Cooldown/2 {
+		t.Fatalf("gpu0 re-admitted %v after its probe failed: the late failure did not re-open the circuit (cooldown %v)", waited, d.Cooldown)
 	}
 }

@@ -42,7 +42,7 @@ type MemberState int
 const (
 	// StateUp: heartbeats arriving, phi below the suspect threshold.
 	StateUp MemberState = iota
-	// StateSuspect: phi crossed SuspectPhi — silence longer than the
+	// StateSuspect: phi crossed suspectPhi — silence longer than the
 	// member's own history makes plausible. Routing avoids suspects; a
 	// heartbeat clears the suspicion.
 	StateSuspect
@@ -69,6 +69,10 @@ func (s MemberState) String() string {
 	}
 }
 
+// suspectPhi marks a member suspect: a one-in-10^4 silence. (Config.DownPhi,
+// which fences it, is the threshold callers tune.)
+const suspectPhi = 4
+
 // Config shapes the supervisor.
 type Config struct {
 	// HeartbeatEvery is the expected ping cadence; it paces Start's monitor
@@ -77,27 +81,16 @@ type Config struct {
 	// PingTimeout bounds one heartbeat round trip (default 250ms) — the
 	// escape hatch from a blackholed (drop-partitioned) member.
 	PingTimeout time.Duration
-	// SuspectPhi marks a member suspect (default 4: one-in-10^4 silence).
-	SuspectPhi float64
 	// DownPhi declares a member down and triggers failover (default 8).
 	DownPhi float64
 	// Window / MinStd tune the detectors (0 → detector defaults).
 	Window int
 	MinStd time.Duration
-	// SlowFactor marks a member Slow-Suspect when its accrued latency score
-	// exceeds SlowFactor × the healthy fleet's median (default 4).
-	SlowFactor float64
-	// SlowQuantile is the tail quantile the latency accrual scores
-	// (default 0.9).
-	SlowQuantile float64
 	// SlowWindow bounds each member's RTT sample window (default 32).
 	SlowWindow int
 	// SlowMinSamples guards slow scoring until a member's window holds this
 	// many round-trips (default 8).
 	SlowMinSamples int
-	// SlowFloor is the absolute latency below which no member is ejected as
-	// slow, however fast its peers are (default 2ms).
-	SlowFloor time.Duration
 	// SlowRecover is how many consecutive fast probes re-admit a
 	// Slow-Suspect (default 3).
 	SlowRecover int
@@ -120,26 +113,14 @@ func (c Config) withDefaults() Config {
 	if c.PingTimeout <= 0 {
 		c.PingTimeout = 250 * time.Millisecond
 	}
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = 4
-	}
 	if c.DownPhi <= 0 {
 		c.DownPhi = 8
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = DefaultSlowFactor
-	}
-	if c.SlowQuantile <= 0 || c.SlowQuantile > 1 {
-		c.SlowQuantile = DefaultSlowQuantile
 	}
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = DefaultSlowWindow
 	}
 	if c.SlowMinSamples <= 0 {
 		c.SlowMinSamples = DefaultSlowMinSamples
-	}
-	if c.SlowFloor <= 0 {
-		c.SlowFloor = DefaultSlowFloor
 	}
 	if c.SlowRecover <= 0 {
 		c.SlowRecover = DefaultSlowRecover
@@ -404,19 +385,23 @@ func (s *Supervisor) emit(kind string, kv ...string) {
 }
 
 // pingResult is one heartbeat round trip: the member's reported load, the
-// daemon-side monotonic sequence it was stamped with (0 = unstamped), and
-// the real round-trip time feeding the latency accrual.
+// daemon-side monotonic sequence it was stamped with (0 = unstamped), the
+// real round-trip time feeding the latency accrual, and whether the member
+// answered with the draining refusal — alive for detection, closed for
+// placement.
 type pingResult struct {
-	load    int64
-	loadSeq uint64
-	rtt     time.Duration
+	load     int64
+	loadSeq  uint64
+	rtt      time.Duration
+	draining bool
 }
 
-// ping sends one heartbeat to a member over a throwaway connection,
-// returning the member's reported load and the round-trip time. Bounded by
-// PingTimeout: a blackholed member surfaces a deadline error, a dead one a
-// closed pipe.
-func (s *Supervisor) ping(m *Member) (pingResult, error) {
+// ping sends one heartbeat to a member over a throwaway connection, the
+// whole exchange bounded by timeout: a blackholed member, or one that
+// accepts and never reads, surfaces a deadline error; a dead one a closed
+// pipe. The monitor's heartbeat, the dialer's hedged probe and the rolling
+// restart's health gate are all this one call.
+func (s *Supervisor) ping(m *Member, timeout time.Duration) (pingResult, error) {
 	start := time.Now()
 	nc, err := m.Dial()()
 	if err != nil {
@@ -424,23 +409,17 @@ func (s *Supervisor) ping(m *Member) (pingResult, error) {
 	}
 	conn := ipc.NewConn(nc)
 	defer conn.Close()
-	_ = nc.SetReadDeadline(start.Add(s.cfg.PingTimeout))
-	if err := conn.SendRequest(&ipc.Request{Op: ipc.OpPing, Seq: 1}); err != nil {
-		return pingResult{}, err
-	}
-	rep, err := conn.RecvReply()
+	rep, err := conn.RoundTrip(&ipc.Request{Op: ipc.OpPing, Seq: 1}, timeout)
 	if err != nil {
 		return pingResult{}, err
 	}
-	res := pingResult{load: rep.Load, loadSeq: rep.LoadSeq, rtt: time.Since(start)}
-	if rep.Code == ipc.CodeDraining {
-		// Alive but refusing: healthy for detection, closed for placement.
-		return res, nil
-	}
-	if rep.Err != "" {
+	if rep.Err != "" && rep.Code != ipc.CodeDraining {
 		return pingResult{}, errors.New(rep.Err)
 	}
-	return res, nil
+	return pingResult{
+		load: rep.Load, loadSeq: rep.LoadSeq, rtt: time.Since(start),
+		draining: rep.Code == ipc.CodeDraining,
+	}, nil
 }
 
 // Tick runs one heartbeat round at the given instant: ping every tracked
@@ -464,7 +443,7 @@ func (s *Supervisor) Tick(now time.Time) {
 		}
 		s.mu.Unlock()
 
-		res, err := s.ping(m) // real I/O: outside the lock
+		res, err := s.ping(m, s.cfg.PingTimeout) // real I/O: outside the lock
 
 		if err == nil {
 			s.observeRTT(m, res.rtt)
@@ -496,7 +475,7 @@ func (s *Supervisor) Tick(now time.Time) {
 		switch {
 		case phi >= s.cfg.DownPhi:
 			next = StateDown
-		case phi >= s.cfg.SuspectPhi:
+		case phi >= suspectPhi:
 			next = StateSuspect
 		}
 		changed := next != m.state
@@ -627,18 +606,9 @@ func (s *Supervisor) Failover(victimName string) error {
 		s.emit("failover", "victim", victimName, "ok", "false", "reason", "no healthy member")
 		return fmt.Errorf("fleet: failover of %s: %w", victimName, ErrFleetUnavailable)
 	}
-	if victim.stateDir == "" {
-		s.emit("failover", "victim", victimName, "adopter", adopter.Name, "ok", "true", "sessions", "0", "reason", "volatile member")
-		return nil
-	}
-	stats, err := s.adoptInto(victim, adopter)
-	if err != nil {
-		s.emit("failover", "victim", victimName, "adopter", adopter.Name, "ok", "false", "reason", err.Error())
+	if err := s.adoptInto(victim, adopter, nil); err != nil {
 		return fmt.Errorf("fleet: failover of %s: %w", victimName, err)
 	}
-	s.emit("failover", "victim", victimName, "adopter", adopter.Name, "ok", "true",
-		"sessions", Fmt(stats.Sessions), "dedup_ops", Fmt(stats.DedupOps),
-		"replayed", Fmt(stats.Replayed), "lost", Fmt(stats.Lost), "conflicts", Fmt(stats.Conflicts))
 	return nil
 }
 
@@ -652,23 +622,40 @@ func (s *Supervisor) fence(victim *Member) {
 	_ = srv.CloseDurability()
 }
 
-// adoptInto ships a fenced victim's durable state into the adopter,
-// tombstones the victim's state files, and re-homes the moved tokens. The
-// victim must be fenced first.
-func (s *Supervisor) adoptInto(victim, adopter *Member) (*daemon.AdoptStats, error) {
-	stats, err := adopter.server().AdoptState(victim.stateDir)
-	if err != nil {
-		return nil, err
+// adoptInto is what follows the fence in Failover and in the
+// planned-migration fallback alike: ship the fenced victim's durable state
+// into the adopter, tombstone the victim's state files, re-home the adopted
+// tokens — and, once the state did ship, the tokens in also, which the
+// caller knows to be on the adopter already — and emit the one failover
+// event that says how it went. A volatile victim has nothing to ship and
+// re-homes nothing.
+func (s *Supervisor) adoptInto(victim, adopter *Member, also []uint64) error {
+	if victim.stateDir == "" {
+		s.emit("failover", "victim", victim.Name, "adopter", adopter.Name, "ok", "true", "sessions", "0", "reason", "volatile member")
+		return nil
 	}
-	if err := tombstone(victim.stateDir); err != nil {
-		return nil, fmt.Errorf("tombstone: %w", err)
+	stats, err := adopter.server().AdoptState(victim.stateDir)
+	if err == nil {
+		if terr := tombstone(victim.stateDir); terr != nil {
+			err = fmt.Errorf("tombstone: %w", terr)
+		}
+	}
+	if err != nil {
+		s.emit("failover", "victim", victim.Name, "adopter", adopter.Name, "ok", "false", "reason", err.Error())
+		return err
 	}
 	s.mu.Lock()
 	for _, tok := range stats.Tokens {
 		s.rehome[tok] = adopter.Name
 	}
+	for _, tok := range also {
+		s.rehome[tok] = adopter.Name
+	}
 	s.mu.Unlock()
-	return stats, nil
+	s.emit("failover", "victim", victim.Name, "adopter", adopter.Name, "ok", "true",
+		"sessions", Fmt(stats.Sessions), "dedup_ops", Fmt(stats.DedupOps),
+		"replayed", Fmt(stats.Replayed), "lost", Fmt(stats.Lost), "conflicts", Fmt(stats.Conflicts))
+	return nil
 }
 
 // pickAdopter returns the first healthy durable member other than the

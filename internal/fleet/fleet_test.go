@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -248,6 +249,45 @@ func TestDetectorDrivenFailover(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A heartbeat bounds its send, not just its reply: one member that accepts
+// the connection and never reads costs the round one PingTimeout, and the
+// members behind it still get their heartbeat.
+func TestTickSendIsBounded(t *testing.T) {
+	sup := New(Config{PingTimeout: 50 * time.Millisecond})
+	for _, name := range []string{"deaf", "gpu1"} {
+		if _, err := sup.AddMember(MemberSpec{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held []net.Conn // the far ends: open, never read
+	defer func() {
+		for _, nc := range held {
+			nc.Close()
+		}
+	}()
+	sup.MemberByName("deaf").rawDial = func() net.Conn {
+		a, b := net.Pipe()
+		held = append(held, b)
+		return a
+	}
+	now := time.Unix(9000, 0)
+	done := make(chan struct{})
+	go func() {
+		sup.Tick(now)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * sup.cfg.PingTimeout):
+		t.Fatalf("Tick still blocked after %v: the heartbeat send is unbounded", 20*sup.cfg.PingTimeout)
+	}
+	sup.mu.Lock()
+	defer sup.mu.Unlock()
+	if last := sup.byName["gpu1"].det.last; !last.Equal(now) {
+		t.Fatalf("the member behind the deaf one got no heartbeat this round (last = %v)", last)
 	}
 }
 

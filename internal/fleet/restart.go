@@ -120,27 +120,14 @@ func (s *Supervisor) migrateFallback(src, dst *Member, tokens []uint64, cause er
 		s.emit("migrate", "member", src.Name, "dst", dst.Name, "phase", "fallback", "token", Fmt(tok))
 	}
 	s.fence(src)
-	if src.stateDir == "" {
-		s.emit("failover", "victim", src.Name, "adopter", dst.Name, "ok", "true", "sessions", "0", "reason", "volatile member")
-		return fmt.Errorf("fleet: migrate %s → %s: %w: %v", src.Name, dst.Name, ErrMigrateFellBack, cause)
-	}
-	stats, err := s.adoptInto(src, dst)
-	if err != nil {
-		s.emit("failover", "victim", src.Name, "adopter", dst.Name, "ok", "false", "reason", err.Error())
+	// adoptInto re-homes the tokens it adopts, but a session handed off
+	// before the crash is a conflict there — already durable on dst, absent
+	// from the adopt stats. Once the adopt succeeds every session the source
+	// homed is on dst, one way or the other, so it re-homes the full
+	// pre-drain set too.
+	if err := s.adoptInto(src, dst, tokens); err != nil {
 		return fmt.Errorf("fleet: migrate %s → %s: fallback fence-adopt failed: %w (after %v)", src.Name, dst.Name, err, cause)
 	}
-	// adoptInto re-homed the tokens it adopted, but a session handed off
-	// before the crash is a conflict there — already durable on dst, absent
-	// from the adopt stats. Every session the source homed is on dst now,
-	// one way or the other, so re-home the full pre-drain set.
-	s.mu.Lock()
-	for _, tok := range tokens {
-		s.rehome[tok] = dst.Name
-	}
-	s.mu.Unlock()
-	s.emit("failover", "victim", src.Name, "adopter", dst.Name, "ok", "true",
-		"sessions", Fmt(stats.Sessions), "dedup_ops", Fmt(stats.DedupOps),
-		"replayed", Fmt(stats.Replayed), "lost", Fmt(stats.Lost), "conflicts", Fmt(stats.Conflicts))
 	return fmt.Errorf("fleet: migrate %s → %s: %w: %v", src.Name, dst.Name, ErrMigrateFellBack, cause)
 }
 
@@ -189,6 +176,13 @@ func (s *Supervisor) restartMember(m *Member, version uint32) error {
 	return nil
 }
 
+// The post-restart health gate: gateAttempts ping probes, gateEvery apart,
+// before the restart is declared failed.
+const (
+	gateAttempts = 500
+	gateEvery    = 2 * time.Millisecond
+)
+
 // RollingRestartOptions shapes one RollingRestart pass.
 type RollingRestartOptions struct {
 	// Budget is each member's migration budget — the polite-drain window
@@ -198,15 +192,6 @@ type RollingRestartOptions struct {
 	// (0 = this build's ipc.ProtocolVersion). Restarting with a different
 	// version makes the fleet refuse skewed Hello/Resume handshakes.
 	Version uint32
-	// GateAttempts bounds the post-restart health gate: how many ping
-	// probes before the restart is declared failed (default 500).
-	GateAttempts int
-	// GateEvery is the wait between gate probes (default 2ms).
-	GateEvery time.Duration
-	// Clock supplies the instant used to prime the restarted member's
-	// failure detector (default time.Now; chaos harnesses pass virtual
-	// time for determinism).
-	Clock func() time.Time
 	// BeforeGate, when set, runs after each member's restart and before
 	// its health gate — the hook where a chaos harness heals an injected
 	// partition so the gate can pass.
@@ -227,16 +212,6 @@ type RollingRestartOptions struct {
 func (s *Supervisor) RollingRestart(opts RollingRestartOptions) error {
 	if opts.Budget <= 0 {
 		opts.Budget = 5 * time.Second
-	}
-	if opts.GateAttempts <= 0 {
-		opts.GateAttempts = 500
-	}
-	if opts.GateEvery <= 0 {
-		opts.GateEvery = 2 * time.Millisecond
-	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = time.Now
 	}
 	for _, m := range s.Members() {
 		if m.State() == StateDown {
@@ -270,20 +245,20 @@ func (s *Supervisor) RollingRestart(opts RollingRestartOptions) error {
 		// Health gate: the next member must not drain until this one's new
 		// incarnation provably answers heartbeats.
 		passed := false
-		for i := 0; i < opts.GateAttempts; i++ {
-			if _, err := s.ping(m); err == nil {
+		for i := 0; i < gateAttempts; i++ {
+			if _, err := s.ping(m, s.cfg.PingTimeout); err == nil {
 				passed = true
 				break
 			}
-			time.Sleep(opts.GateEvery)
+			time.Sleep(gateEvery)
 		}
 		if !passed {
 			return fmt.Errorf("fleet: rolling restart of %s: health gate failed after %d probes: %w",
-				m.Name, opts.GateAttempts, ErrFleetUnavailable)
+				m.Name, gateAttempts, ErrFleetUnavailable)
 		}
 		// The gate proved liveness; prime the fresh detector's history and
 		// promote the member so it is placeable again.
-		now := clock()
+		now := time.Now()
 		s.mu.Lock()
 		m.det.Prime(s.cfg.HeartbeatEvery, now)
 		m.det.Heartbeat(now)

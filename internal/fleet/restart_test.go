@@ -103,7 +103,7 @@ func TestMigratePlannedMove(t *testing.T) {
 	if src.Gen() != 1 {
 		t.Fatalf("gen = %d, want 1", src.Gen())
 	}
-	if _, err := sup.ping(src); err != nil {
+	if _, err := sup.ping(src, sup.cfg.PingTimeout); err != nil {
 		t.Fatalf("restarted source not answering: %v", err)
 	}
 }
@@ -169,6 +169,30 @@ func TestMigrateWedgedFallsBack(t *testing.T) {
 	home, lerr := sup.Locate(token, "gpu0")
 	if !errors.Is(lerr, ErrRehomed) || home != "gpu1" {
 		t.Fatalf("Locate after fallback = %q, %v; want gpu1 + ErrRehomed", home, lerr)
+	}
+}
+
+// A volatile source that falls back has no durable state to ship, so nothing
+// is re-homed: its sessions are lost, and Locate must say so rather than
+// forward them to a destination that never received them.
+func TestMigrateFallbackVolatileSourceRehomesNothing(t *testing.T) {
+	log := &eventLog{}
+	sup := testFleet(t, log, 1, fault.PartitionReject)
+	dst := sup.MemberByName("gpu0")
+	src, err := sup.AddMember(MemberSpec{Name: "vol", Profile: "A100"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const token = 0xabc
+	ferr := sup.migrateFallback(src, dst, []uint64{token}, errors.New("source wedged"))
+	if !errors.Is(ferr, ErrMigrateFellBack) {
+		t.Fatalf("fallback of a volatile source = %v, want ErrMigrateFellBack", ferr)
+	}
+	if !log.has("failover", "victim", "vol", "adopter", "gpu0", "ok", "true", "sessions", "0", "reason", "volatile member") {
+		t.Fatalf("missing volatile-member failover event; log:\n%s", strings.Join(log.all(), "\n"))
+	}
+	if home, lerr := sup.Locate(token, "vol"); !errors.Is(lerr, ErrFleetUnavailable) || home != "" {
+		t.Fatalf("Locate of a lost volatile session = %q, %v; want ErrFleetUnavailable", home, lerr)
 	}
 }
 

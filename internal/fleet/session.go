@@ -2,8 +2,8 @@
 // invisible to user code. A raw client pinned to one member surfaces
 // ErrDraining/ErrDaemonDown when its home drains or restarts; the wrapper
 // catches those, consults Locate for the session's current home (which a
-// planned migration re-points with ErrRehomed), redials through the hedged
-// fleet dialer, Resumes the session by its token, and replays or retries
+// planned migration re-points with ErrRehomed), redials that home through
+// the fleet dialer, Resumes the session by its token, and replays or retries
 // the interrupted op — exactly once, because the resume path re-sends
 // in-flight ops under their original op IDs and the daemon's dedup window
 // settles them.

@@ -3,9 +3,9 @@
 // every heartbeat — but slowly, jittering through injected stalls or a sick
 // NIC — never grows a phi score, yet poisons every session placed on it.
 // Each member therefore also accrues LATENCY evidence: an EWMA plus a
-// windowed quantile over real op round-trips (heartbeat pings and hedged
-// probes). A member whose accrued score exceeds SlowFactor × the healthy
-// fleet's median is marked Slow-Suspect and ejected from Route placement —
+// windowed quantile over real op round-trips (the heartbeat pings). A member
+// whose accrued score exceeds slowFactor × the healthy fleet's median is
+// marked Slow-Suspect and ejected from Route placement —
 // but never below a quorum floor of routable members (bounded outlier
 // ejection: with most of the fleet "slow", the baseline is wrong, not the
 // fleet). A suspect is re-admitted after SlowRecover consecutive fast
@@ -24,18 +24,21 @@ const (
 	DefaultSlowWindow = 32
 	// DefaultSlowMinSamples guards against scoring a near-empty window.
 	DefaultSlowMinSamples = 8
-	// DefaultSlowFactor is the outlier multiple over the healthy median.
-	DefaultSlowFactor = 4.0
-	// DefaultSlowQuantile is the tail quantile scored (p90 catches jitter
-	// that an average would dilute).
-	DefaultSlowQuantile = 0.9
-	// DefaultSlowFloor is the absolute latency below which no member is ever
-	// slow — a 40µs member is not an outlier just because its peers take
-	// 10µs.
-	DefaultSlowFloor = 2 * time.Millisecond
 	// DefaultSlowRecover is how many consecutive fast probes re-admit a
 	// suspect.
 	DefaultSlowRecover = 3
+)
+
+// Slow-detection constants: no caller has needed another value.
+const (
+	// slowFactor is the outlier multiple over the healthy median.
+	slowFactor = 4.0
+	// slowQuantile is the tail quantile scored (p90 catches jitter that an
+	// average would dilute).
+	slowQuantile = 0.9
+	// slowFloor is the absolute latency below which no member is ever slow —
+	// a 40µs member is not an outlier just because its peers take 10µs.
+	slowFloor = 2 * time.Millisecond
 	// slowAlpha is the EWMA smoothing weight for new samples.
 	slowAlpha = 0.2
 )
@@ -45,18 +48,16 @@ const (
 // quantiles (the jitter signal). Not goroutine-safe; the supervisor
 // serializes access under its own lock, mirroring Detector.
 type SlowDetector struct {
-	window  int
-	samples []float64 // seconds, ring-buffered oldest-first
+	samples window // op round-trips
 	ewma    float64
-	seen    bool
 }
 
 // NewSlowDetector builds a detector with the given window (0 → default).
-func NewSlowDetector(window int) *SlowDetector {
-	if window <= 0 {
-		window = DefaultSlowWindow
+func NewSlowDetector(size int) *SlowDetector {
+	if size <= 0 {
+		size = DefaultSlowWindow
 	}
-	return &SlowDetector{window: window}
+	return &SlowDetector{samples: window{size: size}}
 }
 
 // Observe records one op round-trip.
@@ -65,16 +66,12 @@ func (d *SlowDetector) Observe(rtt time.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	if !d.seen {
+	if len(d.samples.vals) == 0 {
 		d.ewma = v
-		d.seen = true
 	} else {
 		d.ewma = slowAlpha*v + (1-slowAlpha)*d.ewma
 	}
-	d.samples = append(d.samples, v)
-	if n := len(d.samples) - d.window; n > 0 {
-		d.samples = append(d.samples[:0], d.samples[n:]...)
-	}
+	d.samples.push(v)
 }
 
 // EWMA returns the smoothed round-trip estimate.
@@ -85,10 +82,10 @@ func (d *SlowDetector) EWMA() time.Duration {
 // Quantile returns the q-th (0..1] nearest-rank quantile over the sample
 // window, 0 with no samples.
 func (d *SlowDetector) Quantile(q float64) time.Duration {
-	if len(d.samples) == 0 {
+	if len(d.samples.vals) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), d.samples...)
+	sorted := append([]float64(nil), d.samples.vals...)
 	sort.Float64s(sorted)
 	idx := int(q*float64(len(sorted))+0.5) - 1
 	if idx < 0 {
@@ -100,10 +97,10 @@ func (d *SlowDetector) Quantile(q float64) time.Duration {
 	return time.Duration(sorted[idx] * float64(time.Second))
 }
 
-// Score is the accrued slowness signal: the worse of the EWMA and the tail
-// quantile, so both persistent slowness and heavy jitter trip it.
-func (d *SlowDetector) Score(q float64) time.Duration {
-	e, t := d.EWMA(), d.Quantile(q)
+// Score is the accrued slowness signal: the worse of the EWMA and the
+// slowQuantile tail, so both persistent slowness and heavy jitter trip it.
+func (d *SlowDetector) Score() time.Duration {
+	e, t := d.EWMA(), d.Quantile(slowQuantile)
 	if t > e {
 		return t
 	}
@@ -111,14 +108,13 @@ func (d *SlowDetector) Score(q float64) time.Duration {
 }
 
 // Samples reports how many round-trips the window holds.
-func (d *SlowDetector) Samples() int { return len(d.samples) }
+func (d *SlowDetector) Samples() int { return len(d.samples.vals) }
 
 // Reset drops the history — used on re-admission so a recovered member's
 // stale stall samples cannot immediately re-eject it, and on restart.
 func (d *SlowDetector) Reset() {
-	d.samples = d.samples[:0]
+	d.samples.reset()
 	d.ewma = 0
-	d.seen = false
 }
 
 // Slow reports whether the member is currently Slow-Suspect: alive and
@@ -127,14 +123,6 @@ func (m *Member) Slow() bool {
 	m.sup.mu.Lock()
 	defer m.sup.mu.Unlock()
 	return m.slow
-}
-
-// Latency exposes the member's slow detector (tests and benches).
-// The caller must not mutate it concurrently with a running supervisor.
-func (m *Member) Latency() *SlowDetector {
-	m.sup.mu.Lock()
-	defer m.sup.mu.Unlock()
-	return m.lat
 }
 
 // SlowSuspects returns the names of the currently Slow-Suspect members, in
@@ -175,7 +163,7 @@ func (s *Supervisor) quorumFloorLocked() int {
 }
 
 // slowCheck runs one slow-detection round: score every Up member's latency
-// accrual against SlowFactor × the healthy median, eject new outliers
+// accrual against slowFactor × the healthy median, eject new outliers
 // worst-first down to (never below) the quorum floor, and re-admit suspects
 // that accumulated SlowRecover consecutive fast probes. Called from Tick
 // after the heartbeat round. Emits one "slow" event per transition.
@@ -194,7 +182,7 @@ func (s *Supervisor) slowCheck() {
 		if m.state != StateUp || m.lat.Samples() < cfg.SlowMinSamples {
 			continue
 		}
-		sc := m.lat.Score(cfg.SlowQuantile).Seconds()
+		sc := m.lat.Score().Seconds()
 		all = append(all, scored{m, sc})
 		if !m.slow {
 			healthy = append(healthy, sc)
@@ -214,8 +202,8 @@ func (s *Supervisor) slowCheck() {
 		}
 	}
 	med := median(base)
-	thr := cfg.SlowFactor * med
-	if floor := cfg.SlowFloor.Seconds(); thr < floor {
+	thr := slowFactor * med
+	if floor := slowFloor.Seconds(); thr < floor {
 		thr = floor
 	}
 	s.slowThr = thr

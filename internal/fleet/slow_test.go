@@ -61,7 +61,7 @@ func TestSlowDetectorAccrualAndReset(t *testing.T) {
 	if q := d.Quantile(0.9); q != 100*time.Millisecond {
 		t.Fatalf("p90 after a stall = %v, want 100ms", q)
 	}
-	if sc := d.Score(0.9); sc != 100*time.Millisecond {
+	if sc := d.Score(); sc != 100*time.Millisecond {
 		t.Fatalf("Score = %v, want the quantile side (100ms)", sc)
 	}
 	d.Reset()
@@ -197,7 +197,7 @@ func TestSlowCheckReadmitAfterRecovery(t *testing.T) {
 	if !log.has("slow", "member", "gpu2", "action", "readmit") {
 		t.Fatalf("missing readmit event; log:\n%v", log.all())
 	}
-	if n := gray.Latency().Samples(); n != 0 {
+	if n := gray.lat.Samples(); n != 0 {
 		t.Fatalf("window not reset on readmit: %d stale samples", n)
 	}
 	// The very next check must not re-eject from the emptied window.

@@ -360,6 +360,32 @@ func (c *Conn) RecvReply() (*Reply, error) {
 	return &r, nil
 }
 
+// RoundTrip is the one-shot request/reply for a connection with exactly one
+// call in flight — a handshake on a fresh transport, a heartbeat on a
+// throwaway one. A positive timeout bounds the whole exchange, the send as
+// well as the receive (a peer that accepts and never reads blocks a sender
+// just as a silent one blocks a receiver), and is cleared on return. A reply
+// carrying another call's Seq is an error: the framing is desynchronized.
+// Errors are the transport's own; mapping them and Reply.Err to typed causes
+// stays with the caller. Pipelined callers route replies by Seq themselves.
+func (c *Conn) RoundTrip(req *Request, timeout time.Duration) (*Reply, error) {
+	if timeout > 0 {
+		_ = c.c.SetDeadline(time.Now().Add(timeout))
+		defer func() { _ = c.c.SetDeadline(time.Time{}) }()
+	}
+	if err := c.SendRequest(req); err != nil {
+		return nil, err
+	}
+	rep, err := c.RecvReply()
+	if err != nil {
+		return nil, err
+	}
+	if rep.Seq != req.Seq {
+		return nil, fmt.Errorf("ipc: reply %d for request %d", rep.Seq, req.Seq)
+	}
+	return rep, nil
+}
+
 // SetReadDeadline bounds the next Recv on the transport; a zero time clears
 // it. Clients use it for per-operation deadlines.
 func (c *Conn) SetReadDeadline(t time.Time) error {

@@ -94,3 +94,77 @@ func TestConnReadDeadline(t *testing.T) {
 		t.Fatal("read deadline never fired")
 	}
 }
+
+// RoundTrip is the one bounded request/reply: against each way a peer can
+// fail to answer it returns inside the timeout with a timeout error, a reply
+// for another call is refused, and a good exchange leaves no deadline behind.
+func TestRoundTrip(t *testing.T) {
+	const timeout = 30 * time.Millisecond
+	// serve answers each request with reply(req); a nil reply is silence.
+	serve := func(b net.Conn, reply func(*Request) *Reply) {
+		peer := NewConn(b)
+		for {
+			req, err := peer.RecvRequest()
+			if err != nil {
+				return
+			}
+			if rep := reply(req); rep != nil {
+				if err := peer.SendReply(rep); err != nil {
+					return
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		peer func(b net.Conn) // nil: the far end is held open and never read
+	}{
+		{"never reads", nil},
+		{"never answers", func(b net.Conn) { serve(b, func(*Request) *Reply { return nil }) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			defer b.Close()
+			if tc.peer != nil {
+				go tc.peer(b)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := NewConn(a).RoundTrip(&Request{Op: OpPing, Seq: 1}, timeout)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var ne net.Error
+				if !errors.As(err, &ne) || !ne.Timeout() {
+					t.Fatalf("err = %v, want a timeout", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("RoundTrip outlived its timeout")
+			}
+		})
+	}
+
+	a, b := net.Pipe()
+	defer a.Close()
+	go serve(b, func(req *Request) *Reply {
+		if req.Op == OpPing {
+			return &Reply{Seq: req.Seq + 7}
+		}
+		return &Reply{Seq: req.Seq, Load: 3}
+	})
+	conn := NewConn(a)
+	if _, err := conn.RoundTrip(&Request{Op: OpPing, Seq: 1}, timeout); err == nil {
+		t.Fatal("a reply for another call's Seq was accepted")
+	}
+	rep, err := conn.RoundTrip(&Request{Op: OpHello, Seq: 2}, timeout)
+	if err != nil || rep.Load != 3 {
+		t.Fatalf("RoundTrip = %+v, %v", rep, err)
+	}
+	// The deadlines were cleared: an exchange long after them still works.
+	time.Sleep(2 * timeout)
+	if _, err := conn.RoundTrip(&Request{Op: OpHello, Seq: 3}, 0); err != nil {
+		t.Fatalf("exchange after the cleared deadline: %v", err)
+	}
+}
