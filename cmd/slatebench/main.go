@@ -28,10 +28,31 @@ import (
 // experiment is one row of the -exp table.
 type experiment struct {
 	name string
-	run  func() (string, string, error) // render, csv
-	svg  func() (string, error)
+	run  func() (output, error)
 	// heavy keeps the experiment out of -exp all: it is run by name only.
 	heavy bool
+}
+
+// output is everything one run of an experiment can be written as; csv and
+// svg are empty when the experiment has no series or no figure.
+type output struct {
+	render, csv, svg string
+}
+
+// artifacts renders a harness result every way its type can be rendered, so
+// -csv and -svg are written from the result -exp computed once.
+func artifacts(r interface{ Render() string }, err error) (output, error) {
+	if err != nil {
+		return output{}, err
+	}
+	out := output{render: r.Render()}
+	if c, ok := r.(interface{ CSV() string }); ok {
+		out.csv = c.CSV()
+	}
+	if f, ok := r.(interface{ SVG() string }); ok {
+		out.svg = f.SVG()
+	}
+	return out, nil
 }
 
 func main() {
@@ -48,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
 	svgDir := fs.String("svg", "", "directory to write SVG figures into (optional)")
 	devName := fs.String("device", "titanxp", "device preset: titanxp|p100|v100|jetson")
-	profileTable := fs.String("profiles", "", "profile-table JSON: loaded if present, saved after table2")
+	profileTable := fs.String("profiles", "", "profile-table file, a cache: loaded if present, saved after table2 (a file in the old JSON format loads no entries and is rewritten by the same run)")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"worker-pool width for experiment cells (output is byte-identical at any value; 1 = serial)")
 	simWorkers := fs.Int("sim-workers", runtime.NumCPU(),
@@ -61,165 +82,51 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var h *harness.Harness
 	var dev *gpu.Device
 	chaos := func(sc *scenario) experiment {
-		return experiment{name: sc.name, run: func() (string, string, error) {
+		return experiment{name: sc.name, run: func() (output, error) {
 			r, err := sc.run(*seed)
-			return r, "", err
+			return output{render: r}, err // a failed chaos run still shows its table
 		}}
 	}
 	experiments := []experiment{
-		{name: "fig1", run: func() (string, string, error) {
-			r, err := h.Fig1()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig1()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "table1", run: func() (string, string, error) {
-			return harness.TableIRender(), "", nil
-		}},
-		{name: "table2", run: func() (string, string, error) {
+		{name: "fig1", run: func() (output, error) { return artifacts(h.Fig1()) }},
+		{name: "table1", run: func() (output, error) { return output{render: harness.TableIRender()}, nil }},
+		{name: "table2", run: func() (output, error) {
 			prof := profile.New(dev, h.Model)
 			if *profileTable != "" {
-				if f, err := os.Open(*profileTable); err == nil {
-					if err := prof.Load(f); err != nil {
-						f.Close()
-						return "", "", err
-					}
-					f.Close()
-					fmt.Fprintf(stdout, "loaded profile table %s (%d entries)\n", *profileTable, prof.Len())
+				st, err := prof.LoadFile(*profileTable)
+				if err != nil {
+					return output{}, err
 				}
+				fmt.Fprintf(stdout, "loaded profile table %s (%d entries)\n", *profileTable, st.Loaded)
 			}
 			r, err := h.TableIIWith(prof)
-			if err != nil {
-				return "", "", err
-			}
-			if *profileTable != "" {
-				f, err := os.Create(*profileTable)
-				if err != nil {
-					return "", "", err
+			if err == nil && *profileTable != "" {
+				if err = prof.SaveFile(*profileTable, nil); err == nil {
+					fmt.Fprintf(stdout, "saved profile table %s (%d entries)\n", *profileTable, prof.Len())
 				}
-				defer f.Close()
-				if err := prof.Save(f); err != nil {
-					return "", "", err
-				}
-				fmt.Fprintf(stdout, "saved profile table %s (%d entries)\n", *profileTable, prof.Len())
 			}
-			return r.Render(), r.CSV(), nil
+			return artifacts(r, err)
 		}},
-		{name: "table3", run: func() (string, string, error) {
-			r, err := h.TableIII()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
+		{name: "table3", run: func() (output, error) { return artifacts(h.TableIII()) }},
+		{name: "table4", run: func() (output, error) { return artifacts(h.TableIV()) }},
+		{name: "table5", run: func() (output, error) { return artifacts(h.TableV()) }},
+		{name: "fig5", run: func() (output, error) { return artifacts(h.Fig5()) }},
+		{name: "fig6", run: func() (output, error) { return artifacts(h.Fig6()) }},
+		{name: "fig7", run: func() (output, error) { return artifacts(h.Fig7()) }},
+		{name: "ablation", run: func() (output, error) { return artifacts(h.Ablations()) }},
+		{name: "staticmerge", run: func() (output, error) { return artifacts(h.StaticMerge()) }},
+		{name: "triples", run: func() (output, error) { return artifacts(h.Triples()) }},
+		{name: "cloud", run: func() (output, error) {
+			return artifacts(h.CloudTrace(harness.CloudTraceConfig{Jobs: 10, Seed: 1}))
 		}},
-		{name: "table4", run: func() (string, string, error) {
-			r, err := h.TableIV()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "table5", run: func() (string, string, error) {
-			r, err := h.TableV()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "fig5", run: func() (string, string, error) {
-			r, err := h.Fig5()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig5()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "fig6", run: func() (string, string, error) {
-			r, err := h.Fig6()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig6()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "fig7", run: func() (string, string, error) {
-			r, err := h.Fig7()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig7()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "ablation", run: func() (string, string, error) {
-			r, err := h.Ablations()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "staticmerge", run: func() (string, string, error) {
-			r, err := h.StaticMerge()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "triples", run: func() (string, string, error) {
-			r, err := h.Triples()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "cloud", run: func() (string, string, error) {
-			r, err := h.CloudTrace(harness.CloudTraceConfig{Jobs: 10, Seed: 1})
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "extpairs", run: func() (string, string, error) {
-			r, err := h.ExtendedPairs()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "sensitivity", run: func() (string, string, error) {
-			r, err := h.Sensitivity()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
+		{name: "extpairs", run: func() (output, error) { return artifacts(h.ExtendedPairs()) }},
+		{name: "sensitivity", run: func() (output, error) { return artifacts(h.Sensitivity()) }},
 		chaos(faults), chaos(overload), chaos(crashChaos), chaos(fleetChaos), chaos(rollingChaos),
 		// Not part of -exp all: it deliberately runs a 100k-session storm four
 		// times (two legs, and the double run).
-		{name: "fleetload", heavy: true, run: func() (string, string, error) {
+		{name: "fleetload", heavy: true, run: func() (output, error) {
 			r, err := fleetLoad(*fleetSessions).run(*seed)
-			return r, "", err
+			return output{render: r}, err
 		}},
 	}
 	var names, byNameOnly []string
@@ -263,9 +170,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		start := time.Now()
-		render, csv, err := e.run()
-		if render != "" {
-			fmt.Fprintln(stdout, render) // a failed chaos run still shows its table
+		out, err := e.run()
+		if out.render != "" {
+			fmt.Fprintln(stdout, out.render)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)
@@ -283,14 +190,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "wrote %s\n\n", path)
 			return nil
 		}
-		if *csvDir != "" && csv != "" {
-			err = write(*csvDir, ".csv", csv)
+		if *csvDir != "" && out.csv != "" {
+			err = write(*csvDir, ".csv", out.csv)
 		}
-		if err == nil && *svgDir != "" && e.svg != nil {
-			var svg string
-			if svg, err = e.svg(); err == nil { // results are cached inside the harness
-				err = write(*svgDir, ".svg", svg)
-			}
+		if err == nil && *svgDir != "" && out.svg != "" {
+			err = write(*svgDir, ".svg", out.svg)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)

@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"slate/gpu"
+	"slate/internal/profile"
 )
 
 // TestScenarios runs every chaos and load scenario at the seeds CI has always
@@ -77,5 +82,58 @@ func TestCLI(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "both runaways quarantined") || !strings.Contains(stdout.String(), "[overload completed in") {
 		t.Fatalf("-exp overload printed:\n%s", stdout.String())
+	}
+}
+
+// -profiles reads and writes the profile table's one file form: a document in
+// the JSON format the flag wrote before is a cold cache, rewritten by the
+// same run, and the next run is served from it with the same table.
+func TestCLIProfileTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "profiles.tbl")
+	if err := os.WriteFile(path, []byte("{\n  \"3f2a\": {\n    \"kernel\": \"GS\"\n  }\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	table2 := func(wantLoaded int) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-exp", "table2", "-loop", "0.05", "-profiles", path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("table2 exited %d: %s", code, stderr.String())
+		}
+		out := stdout.String()
+		for _, want := range []string{
+			fmt.Sprintf("loaded profile table %s (%d entries)\n", path, wantLoaded),
+			fmt.Sprintf("saved profile table %s (5 entries)\n", path),
+		} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("table2 output lacks %q:\n%s", want, out)
+			}
+		}
+		return out[strings.Index(out, "saved profile table"):strings.Index(out, "[table2 completed")]
+	}
+	cold := table2(0)
+	st, err := profile.New(gpu.TitanXp(), nil).LoadFile(path)
+	if err != nil || st != (profile.LoadStats{Loaded: 5}) {
+		t.Fatalf("the saved table loads as %+v (err %v), want 5 clean entries", st, err)
+	}
+	if warm := table2(5); warm != cold {
+		t.Fatalf("table2 from the loaded table differs from the measured one:\n%s\nvs\n%s", warm, cold)
+	}
+}
+
+// -csv and -svg are written from the result the run computed.
+func TestCLIWritesSeriesAndFigure(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig1", "-loop", "0.05", "-csv", dir, "-svg", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("fig1 exited %d: %s", code, stderr.String())
+	}
+	for name, prefix := range map[string]string{"fig1.csv": "", "fig1.svg": "<svg"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || len(b) == 0 || !strings.HasPrefix(string(b), prefix) {
+			t.Fatalf("%s: %d bytes, err %v, want a file starting %q", name, len(b), err, prefix)
+		}
+		if !strings.Contains(stdout.String(), "wrote "+filepath.Join(dir, name)) {
+			t.Fatalf("stdout does not report %s:\n%s", name, stdout.String())
+		}
 	}
 }

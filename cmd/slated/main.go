@@ -20,7 +20,9 @@
 // With -adopt-state <dir> a durable daemon additionally adopts a dead or
 // drained peer's state directory at startup — the migration-destination
 // half of a planned handoff: the peer's sessions resume here under their
-// original tokens, each logged as `event=migrate` lifecycle lines.
+// original tokens, each logged as `event=migrate` lifecycle lines, and the
+// peer's journal and checkpoint move into <dir>/adopted/, so restarting the
+// peer over <dir> recovers none of them.
 //
 // Every lifecycle transition (journal/recovery/listening/drain/drained) is
 // logged as a single structured `event=<kind> key=value ...` line,
@@ -45,7 +47,7 @@ func main() {
 	budget := flag.Int("budget", 8, "executor worker budget (the host 'SM pool')")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long drain waits for sessions before force-closing them")
 	stateDir := flag.String("state-dir", "", "directory for the durable journal + checkpoint (empty = volatile daemon)")
-	adoptState := flag.String("adopt-state", "", "dead or drained peer's state dir to adopt at startup (requires -state-dir); its sessions resume here")
+	adoptState := flag.String("adopt-state", "", "dead or drained peer's state dir to adopt at startup (requires -state-dir); its sessions resume here and its journal and checkpoint move to <dir>/adopted/")
 	maxPending := flag.Int("max-pending", 0, "daemon-wide accepted-unfinished launch cap; past it admission sheds with BACKPRESSURE (0 = unlimited)")
 	agingBound := flag.Duration("aging-bound", 0, "how long a session may be shed continuously before it is granted one admission over the cap (0 = scheduler default)")
 	flag.Parse()

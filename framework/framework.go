@@ -71,7 +71,7 @@ type (
 	RecoveryStats = daemon.RecoveryStats
 	// AdoptStats summarizes a Daemon.AdoptState call — sessions re-homed
 	// into this daemon from a dead or drained peer's state directory.
-	AdoptStats = daemon.AdoptStats
+	AdoptStats = daemon.RehomeStats
 	// FaultConfig sets seeded fault-injection probabilities.
 	FaultConfig = fault.Config
 	// FaultInjector deterministically perturbs the transport, allocator,

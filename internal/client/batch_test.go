@@ -111,8 +111,8 @@ func TestConcurrentLaunchesSingleAndBatched(t *testing.T) {
 	}
 
 	const (
-		singles     = 4 // goroutines launching one at a time
-		batchers    = 4 // goroutines submitting batches
+		singles      = 4 // goroutines launching one at a time
+		batchers     = 4 // goroutines submitting batches
 		perGoroutine = 8
 	)
 	var wg sync.WaitGroup

@@ -52,7 +52,7 @@ var (
 	// ErrDuplicateOp: the daemon already accepted this op, but its outcome
 	// has aged out of the dedup window; the launch ran exactly once, the
 	// original reply is gone.
-	ErrDuplicateOp = errors.New("op already accepted, outcome unavailable")
+	ErrDuplicateOp = ipc.ErrDuplicateOp
 	// ErrSessionLost: the daemon restarted without durable state (or the
 	// resume token is unknown); the session restarts fresh and in-flight
 	// work from the old incarnation is gone.
@@ -644,38 +644,9 @@ func (c *Client) finish(req *ipc.Request, res callResult) (*ipc.Reply, error) {
 		return nil, &opError{op: req.Op, msg: res.err.Error(), kind: ErrDaemonDown}
 	}
 	if res.rep.Err != "" {
-		return res.rep, &opError{op: req.Op, msg: res.rep.Err, kind: sentinelFor(res.rep.Code)}
+		return res.rep, &opError{op: req.Op, msg: res.rep.Err, kind: ipc.Sentinel(res.rep.Code)}
 	}
 	return res.rep, nil
-}
-
-// sentinelFor maps a wire error code to its typed sentinel (nil for plain
-// rejections).
-func sentinelFor(code ipc.ErrCode) error {
-	switch code {
-	case ipc.CodeOOM:
-		return ErrDeviceOOM
-	case ipc.CodeKernelPanic:
-		return ErrKernelPanic
-	case ipc.CodeKernelTimeout:
-		return ErrKernelTimeout
-	case ipc.CodeBackpressure:
-		return ErrBackpressure
-	case ipc.CodeQuota:
-		return ErrQuota
-	case ipc.CodeDraining:
-		return ErrDraining
-	case ipc.CodeDuplicateOp:
-		return ErrDuplicateOp
-	case ipc.CodeVersionSkew:
-		return ErrVersionSkew
-	case ipc.CodeExpired:
-		return ErrExpired
-	case ipc.CodeMalformed:
-		return ErrMalformed
-	default:
-		return nil
-	}
 }
 
 // callLaunch issues a launch command through the backpressure policy: a

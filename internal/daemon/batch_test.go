@@ -12,8 +12,8 @@ import (
 func batchSrcItem(opID uint64, kernel string) ipc.BatchItem {
 	return ipc.BatchItem{
 		Src: true, OpID: opID, Kernel: kernel,
-		Source:   "__global__ void " + kernel + "(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }",
-		GridX:    4, GridY: 1, BlockX: 32, BlockY: 1, TaskSize: 4,
+		Source: "__global__ void " + kernel + "(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }",
+		GridX:  4, GridY: 1, BlockX: 32, BlockY: 1, TaskSize: 4,
 	}
 }
 

@@ -222,34 +222,31 @@ func TestExecutorRebalanceBiasesByClass(t *testing.T) {
 	}
 	// Corun: the compute-classified kernel runs first and the memory-heavy
 	// kernel joins (Table I: H_C × H_M → corun); the decision log must
-	// show an uneven split favoring the non-memory kernel. The launches
-	// are staggered so arrival order is deterministic.
-	heavy := func(name string, counter *atomic.Int64, memHeavy bool) *kern.Spec {
-		spec := busyKernel(name, 4000, counter, memHeavy)
-		spec.Exec = func(int) {
-			counter.Add(1)
-			s := 0.0
-			for i := 0; i < 40000; i++ {
-				s += float64(i)
-			}
-			_ = s
-		}
-		return spec
+	// show an uneven split favoring the non-memory kernel. Arrival order is
+	// forced, not timed: the first kernel's blocks wait until the second has
+	// been admitted beside it and run a block of its own.
+	lowIn, memIn := make(chan struct{}), make(chan struct{})
+	var lowOnce, memOnce sync.Once
+	lowLong := busyKernel("low-int", 4000, &nLow, false)
+	lowLong.Exec = func(int) {
+		lowOnce.Do(func() { close(lowIn) })
+		<-memIn
+		nLow.Add(1)
 	}
-	lowLong := heavy("low-int", &nLow, false)
-	memLong := heavy("mem-heavy", &nMem, true)
+	memLong := busyKernel("mem-heavy", 4000, &nMem, true)
+	memLong.Exec = func(int) {
+		memOnce.Do(func() { close(memIn) })
+		nMem.Add(1)
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	started := make(chan struct{})
 	go func() {
 		defer wg.Done()
-		close(started)
 		_ = x.Run(lowLong, 4)
 	}()
 	go func() {
 		defer wg.Done()
-		<-started
-		time.Sleep(2 * time.Millisecond)
+		<-lowIn
 		_ = x.Run(memLong, 4)
 	}()
 	wg.Wait()

@@ -1,13 +1,12 @@
 package daemon
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"slate/internal/ipc"
 	"slate/internal/kern"
 	"slate/internal/policy"
 	"slate/internal/transform"
@@ -18,7 +17,7 @@ import (
 // launching session (later launches fail immediately) but never the daemon:
 // the panic is recovered inside the worker, the offending kernel's remaining
 // blocks drain, and other sessions' kernels keep running.
-var ErrKernelPanic = errors.New("daemon: kernel panicked")
+var ErrKernelPanic = ipc.ErrKernelPanic
 
 // ErrKernelTimeout is the typed cause of a launch abandoned by the
 // executor's wall-clock containment deadline. Like ErrKernelPanic it is
@@ -26,7 +25,7 @@ var ErrKernelPanic = errors.New("daemon: kernel panicked")
 // blocked *inside* a kernel body is stranded (a contained leak: it holds
 // only its queue and spec); every worker between pulls, and the launch
 // itself, stops promptly.
-var ErrKernelTimeout = errors.New("daemon: kernel exceeded wall-clock deadline")
+var ErrKernelTimeout = ipc.ErrKernelTimeout
 
 // panicTrap contains panics escaping user kernel bodies: the first one is
 // recorded, every one is recovered, and the surrounding launch turns into an
@@ -553,24 +552,15 @@ func (x *Executor) RestoreProfile(name string, class policy.Class, soloSec float
 	x.profiles[name] = &execProfile{class: class, soloSec: soloSec}
 }
 
-// ProfileEntry is one recorded first-run classification, exported so the
-// fleet can ship warm profiles along with migrating sessions.
-type ProfileEntry struct {
-	Name    string
-	Class   policy.Class
-	SoloSec float64
-}
-
-// Profiles snapshots every recorded classification, sorted by kernel name
-// for deterministic iteration.
-func (x *Executor) Profiles() []ProfileEntry {
+// snapshotProfiles copies every recorded classification, in the form the
+// checkpoint holds and a migration ships.
+func (x *Executor) snapshotProfiles() map[string]profileSnap {
 	x.mu.Lock()
-	out := make([]ProfileEntry, 0, len(x.profiles))
+	defer x.mu.Unlock()
+	out := make(map[string]profileSnap, len(x.profiles))
 	for name, p := range x.profiles {
-		out = append(out, ProfileEntry{Name: name, Class: p.class, SoloSec: p.soloSec})
+		out[name] = profileSnap{Class: int(p.class), SoloSec: p.soloSec}
 	}
-	x.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -1,12 +1,13 @@
 // Planned session migration: the cooperative half of the fleet's re-homing
-// machinery. Where adoption (adopt.go) rescues sessions from a *fenced,
-// dead* member by reading its state-dir off disk, migration moves them off
-// a *live, quiesced* member one durable step at a time:
+// machinery. Where adoption rescues sessions from a *fenced, dead* member by
+// reading its state-dir off disk, migration moves them off a *live,
+// quiesced* member through the same loop (rehome, adopt.go), one durable
+// step at a time:
 //
-//	1. the destination journals a KindSessionAdopt record (the adopted copy
-//	   is durable on the destination FIRST), then
-//	2. the source journals a KindSessionMigrate tombstone (the session is
-//	   no longer recoverable here).
+//  1. the destination journals a KindSessionAdopt record (the adopted copy
+//     is durable on the destination FIRST), then
+//  2. the source journals a KindSessionMigrate tombstone (the session is
+//     no longer recoverable here).
 //
 // That order is what makes every crash window safe. Die before step 1 and
 // the session is intact on the source — failure-style fence-adopt recovers
@@ -30,35 +31,6 @@ import (
 	"slate/internal/journal"
 )
 
-// MigrateStats summarizes one MigrateSessions call.
-type MigrateStats struct {
-	// Sessions is how many sessions were handed to the destination.
-	Sessions int
-	// DedupOps is how many dedup-window entries moved with them.
-	DedupOps int
-	// Conflicts is how many sessions were already present on the
-	// destination (a retried migration after a mid-handoff crash); their
-	// source copies are still tombstoned — the destination's copy wins.
-	Conflicts int
-	// Replayed is how many accepted-but-incomplete source launches the
-	// destination re-executed (exactly once, fleet-wide).
-	Replayed int
-	// Lost is how many accepted launches could not be re-executed on the
-	// destination (in-process kernels whose closures are not portable).
-	Lost int
-	// Profiles is how many warm kernel classifications travelled along.
-	Profiles int
-	// Tokens lists the migrated sessions' resume tokens, in migration order.
-	Tokens []uint64
-}
-
-// LogLine renders the one-line migration summary the supervisor logs.
-func (ms *MigrateStats) LogLine() string {
-	return fmt.Sprintf(
-		"migrate: sessions=%d dedup-ops=%d replayed=%d lost=%d conflicts=%d profiles=%d",
-		ms.Sessions, ms.DedupOps, ms.Replayed, ms.Lost, ms.Conflicts, ms.Profiles)
-}
-
 // MigrateSessions cooperatively hands every resumable session on this
 // (drained, durable) daemon to dst. Both daemons must be durable; the
 // caller must have quiesced this one first (Drain), so sessions sit at a
@@ -69,25 +41,15 @@ func (ms *MigrateStats) LogLine() string {
 // On error the migration stops mid-list: sessions already handed off live
 // on dst (and are tombstoned here); the rest still live here, recoverable
 // by a failure-style fence-adopt onto the same dst.
-func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*MigrateStats, error) {
+func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*RehomeStats, error) {
 	if s.durable == nil || dst == nil || dst.durable == nil {
 		return nil, errors.New("daemon: migration requires durability on both ends (EnableDurability first)")
 	}
 	if dst == s {
 		return nil, errors.New("daemon: cannot migrate sessions onto the same daemon")
 	}
-	stats := &MigrateStats{}
-
-	// Warm profiles travel too; RestoreProfile keeps existing entries, so
-	// the destination's own measurements win on conflict.
-	for _, p := range s.Exec.Profiles() {
-		dst.Exec.RestoreProfile(p.Name, p.Class, p.SoloSec)
-		stats.Profiles++
-	}
-
-	// Deterministic handoff order: this daemon's session IDs. Snapshot
-	// clones under the lock; the handoff itself journals on both ends and
-	// must not hold it.
+	// Snapshot clones under the lock; the handoff itself journals on both
+	// ends and must not hold it.
 	d := s.durable
 	d.mu.Lock()
 	victims := make([]*resumeState, 0, len(d.resume))
@@ -95,16 +57,10 @@ func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*Migrate
 		victims = append(victims, st.clone())
 	}
 	d.mu.Unlock()
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Sess < victims[j].Sess })
 
-	var adopted []*resumeState
-	for _, v := range victims {
-		// Step 1: durable on the destination. A crash before this leaves the
-		// session here, untouched.
-		st, dup, err := dst.adoptSession(v)
-		if err != nil {
-			return stats, fmt.Errorf("daemon: migrate handoff of session %x: %w", v.Token, err)
-		}
+	// Step 1, each victim durable on the destination, is the loop's; a crash
+	// before it leaves the session here, untouched. Step 2 follows it here.
+	return dst.rehome("migrate", victims, s.Exec.snapshotProfiles(), func(v *resumeState, dup bool) error {
 		// Step 2: tombstone the source copy. Runs for conflicts too — a
 		// conflict means an earlier (crashed) handoff already landed this
 		// token on dst, and the stale source copy must still die.
@@ -118,24 +74,13 @@ func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*Migrate
 			}
 			d.mu.Unlock()
 		}); err != nil {
-			return stats, fmt.Errorf("daemon: migrate tombstone of session %x: %w", v.Token, err)
+			return fmt.Errorf("daemon: migrate tombstone of session %x: %w", v.Token, err)
 		}
-		if dup {
-			stats.Conflicts++
-			continue
+		if !dup && note != nil {
+			note(v.Token)
 		}
-		stats.Sessions++
-		stats.DedupOps += len(st.Window)
-		stats.Tokens = append(stats.Tokens, st.Token)
-		adopted = append(adopted, st)
-		if note != nil {
-			note(st.Token)
-		}
-	}
-	// Settle re-homed in-flight work through the one exactly-once replay
-	// path. Completions journal on the destination.
-	stats.Replayed, stats.Lost = dst.replaySessions(adopted)
-	return stats, nil
+		return nil
+	})
 }
 
 // ResumeTokens lists the resumable sessions currently homed on this daemon,

@@ -2,6 +2,7 @@ package daemon_test
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -47,6 +48,9 @@ func TestMigrateSessionsMovesDurableImage(t *testing.T) {
 	if stats.Sessions != 1 || stats.DedupOps != 1 || stats.Conflicts != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
+	if got, want := stats.LogLine(), "migrate: sessions=1 dedup-ops=1 replayed=0 lost=0 conflicts=0 profiles=1"; got != want {
+		t.Fatalf("summary line = %q, want %q", got, want)
+	}
 	if len(handed) != 1 || handed[0] != hello.Token {
 		t.Fatalf("handoff notes = %x, want [%x]", handed, hello.Token)
 	}
@@ -80,6 +84,65 @@ func TestMigrateSessionsMovesDurableImage(t *testing.T) {
 	defer srv2.CloseDurability()
 	if rstats.Sessions != 0 || rstats.Replayed != 0 {
 		t.Fatalf("restarted source recovers %+v — double-home risk", rstats)
+	}
+}
+
+// Adoption tombstones what it adopts. Once AdoptState returns, the sessions
+// have one home: a daemon restarted over the adopted directory recovers none
+// of them, whoever called AdoptState (the fleet supervisor, or slated
+// -adopt-state), and the moved files still digest for audit.
+func TestAdoptStateTombstonesTheDir(t *testing.T) {
+	srcDir, dstDir := t.TempDir(), t.TempDir()
+	src, sdial, _ := durableServer(t, srcDir, 2)
+	conn := ipc.NewConn(sdial())
+	hello := call(t, conn, &ipc.Request{Op: ipc.OpHello, Proc: "adopt", Seq: 1})
+	if hello.Err != "" || hello.Token == 0 {
+		t.Fatalf("hello = %+v", hello)
+	}
+	launch := sourceLaunch(1)
+	launch.Seq = 2
+	if rep := call(t, conn, launch); rep.Err != "" {
+		t.Fatalf("launch: %v", rep.Err)
+	}
+	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
+		t.Fatalf("sync: %v", rep.Err)
+	}
+	conn.Close()
+	waitIdle(t, src)
+	src.Kill() // the fence adoption requires
+	if err := src.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := daemon.StateDigest(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst, _, _ := durableServer(t, dstDir, 2)
+	dst.TokenSeed = 7
+	defer dst.CloseDurability()
+	stats, err := dst.AdoptState(srcDir)
+	if err != nil {
+		t.Fatalf("adopt: %v", err)
+	}
+	if got, want := stats.LogLine(), "adopt: sessions=1 dedup-ops=1 replayed=0 lost=0 conflicts=0 profiles=1"; got != want {
+		t.Fatalf("summary line = %q, want %q", got, want)
+	}
+	if got := dst.ResumeTokens(); len(got) != 1 || got[0] != hello.Token {
+		t.Fatalf("adopter homes %x, want [%x]", got, hello.Token)
+	}
+
+	restarted, _, rstats := durableServer(t, srcDir, 2)
+	defer restarted.CloseDurability()
+	if rstats.Sessions != 0 || rstats.DedupOps != 0 {
+		t.Fatalf("a restart over the adopted dir recovers %+v — token %x homed twice", rstats, hello.Token)
+	}
+	after, err := daemon.StateDigest(filepath.Join(srcDir, "adopted"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatalf("tombstoned files no longer digest as the victim's state\n got:\n%s\nwant:\n%s", after, before)
 	}
 }
 

@@ -68,30 +68,6 @@ type Durability struct {
 	NoSync bool
 }
 
-// dedupEntry is one journaled launch in a session's replay window: the
-// accept-time ack a re-sending client gets back, plus the geometry recovery
-// needs to re-execute a source launch.
-type dedupEntry struct {
-	OpID uint64 `json:"op"`
-	// Accept-time ack, replayed verbatim on a duplicate send.
-	Code     uint8    `json:"code,omitempty"`
-	Err      string   `json:"err,omitempty"`
-	Degraded bool     `json:"deg,omitempty"`
-	Entries  []string `json:"entries,omitempty"`
-	// Done marks the launch's completion record as journaled; recovery
-	// re-executes only accepted-incomplete launches.
-	Done bool `json:"done,omitempty"`
-	// Replay material (source launches).
-	Src      bool   `json:"src,omitempty"`
-	Kernel   string `json:"kernel,omitempty"`
-	GridX    int    `json:"gx,omitempty"`
-	GridY    int    `json:"gy,omitempty"`
-	BlockX   int    `json:"bx,omitempty"`
-	BlockY   int    `json:"by,omitempty"`
-	TaskSize int    `json:"task,omitempty"`
-	Stream   int    `json:"stream,omitempty"`
-}
-
 // resumeState is one session's durable, resumable identity: what survives a
 // daemon restart and reattaches on OpResume. Exported fields persist in the
 // checkpoint.
@@ -104,7 +80,7 @@ type resumeState struct {
 	MaxOp uint64 `json:"max_op,omitempty"`
 	// Window is the bounded dedup FIFO, oldest first, in ascending op order.
 	// Once push owns it, it is a view that slides through slab.
-	Window []*dedupEntry `json:"window,omitempty"`
+	Window []*journal.AdoptedOp `json:"window,omitempty"`
 	// PoisonErr/PoisonCode persist sticky session poisoning (kernel panic or
 	// containment timeout) across a restart.
 	PoisonErr  string `json:"poison,omitempty"`
@@ -118,12 +94,12 @@ type resumeState struct {
 	// slab is the 2×DedupWindow array a full Window slides through (runtime
 	// only; allocated by the first push that evicts): the view reaches its end
 	// once per DedupWindow pushes, and only then are entries copied.
-	slab []*dedupEntry
+	slab []*journal.AdoptedOp
 }
 
 // entry returns the window entry for op, if still present. The search runs
 // from the newest end: completions and re-sends name recent ops.
-func (st *resumeState) entry(op uint64) *dedupEntry {
+func (st *resumeState) entry(op uint64) *journal.AdoptedOp {
 	for i := len(st.Window) - 1; i >= 0; i-- {
 		if e := st.Window[i]; e.OpID == op {
 			return e
@@ -135,8 +111,8 @@ func (st *resumeState) entry(op uint64) *dedupEntry {
 // acceptedEntry is the window entry a launch-accept record describes; the
 // live accept and recovery replay both build theirs from the record, so the
 // window a restart rebuilds is the one the daemon was serving from.
-func acceptedEntry(rec *journal.Record) *dedupEntry {
-	return &dedupEntry{
+func acceptedEntry(rec *journal.Record) *journal.AdoptedOp {
+	return &journal.AdoptedOp{
 		OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
 		Degraded: rec.Degraded, Entries: rec.Entries,
 		Src: rec.Src, Kernel: rec.Kernel,
@@ -145,22 +121,16 @@ func acceptedEntry(rec *journal.Record) *dedupEntry {
 	}
 }
 
-// clone deep-copies the entry so a checkpoint snapshot can be marshaled
-// outside the daemon's locks.
-func (e *dedupEntry) clone() *dedupEntry {
-	cp := *e
-	cp.Entries = append([]string(nil), e.Entries...)
-	return &cp
-}
-
 // clone deep-copies the session's resumable state (window entries included)
-// for the same reason.
+// so a checkpoint snapshot can be marshaled outside the daemon's locks.
 func (st *resumeState) clone() *resumeState {
 	cp := *st
 	cp.slab = nil // the copy's window is its own slice, not a view of ours
-	cp.Window = make([]*dedupEntry, len(st.Window))
+	cp.Window = make([]*journal.AdoptedOp, len(st.Window))
 	for i, e := range st.Window {
-		cp.Window[i] = e.clone()
+		ecp := *e
+		ecp.Entries = append([]string(nil), e.Entries...)
+		cp.Window[i] = &ecp
 	}
 	return &cp
 }
@@ -172,13 +142,13 @@ func (st *resumeState) clone() *resumeState {
 // behind the newest entry the live entries move to the front of slab. It
 // takes Window as it finds it — decoded from a checkpoint, handed over by
 // adoption — so nothing else has to know about the slab.
-func (st *resumeState) push(e *dedupEntry) {
+func (st *resumeState) push(e *journal.AdoptedOp) {
 	if n := len(st.Window) - DedupWindow + 1; n > 0 {
 		clear(st.Window[:n]) // evicted entries must not stay reachable
 		st.Window = st.Window[n:]
 		if len(st.Window) == cap(st.Window) {
 			if st.slab == nil {
-				st.slab = make([]*dedupEntry, 2*DedupWindow)
+				st.slab = make([]*journal.AdoptedOp, 2*DedupWindow)
 			}
 			n := copy(st.slab, st.Window)
 			clear(st.slab[n:])
@@ -339,14 +309,10 @@ func (ls *loadedState) apply(rec *journal.Record) error {
 			Sess: rec.Sess, Token: rec.Token, Proc: rec.Proc,
 			PoisonErr: rec.Err, PoisonCode: rec.Code, LostErr: rec.Lost,
 		}
-		for _, a := range rec.AdoptOps {
-			st.push(&dedupEntry{
-				OpID: a.OpID, Code: a.Code, Err: a.Err,
-				Degraded: a.Degraded, Entries: a.Entries, Done: a.Done,
-				Src: a.Src, Kernel: a.Kernel,
-				GridX: a.GridX, GridY: a.GridY, BlockX: a.BlockX, BlockY: a.BlockY,
-				TaskSize: a.TaskSize, Stream: a.Stream,
-			})
+		for _, e := range rec.AdoptOps {
+			if e != nil { // a "null" element decodes to nil
+				st.push(e)
+			}
 		}
 		// The explicit watermark wins over what the (possibly trimmed) window
 		// implies: ops that aged out of the window must stay duplicates.
@@ -558,7 +524,7 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 	d := s.durable
 	type pending struct {
 		st *resumeState
-		e  *dedupEntry
+		e  *journal.AdoptedOp
 	}
 	var todo []pending
 	d.mu.Lock()
@@ -718,7 +684,7 @@ func (s *Server) journalAppend(recs []*journal.Record, apply func()) error {
 func (s *Server) compactLocked() {
 	d := s.durable
 	d.mu.Lock()
-	ck := &checkpointState{Profiles: map[string]profileSnap{}}
+	ck := &checkpointState{}
 	for _, st := range d.resume {
 		ck.Sessions = append(ck.Sessions, st.clone())
 	}
@@ -727,11 +693,7 @@ func (s *Server) compactLocked() {
 	s.mu.Lock()
 	ck.NextSess = s.nextSess
 	s.mu.Unlock()
-	s.Exec.mu.Lock()
-	for name, p := range s.Exec.profiles {
-		ck.Profiles[name] = profileSnap{Class: int(p.class), SoloSec: p.soloSec}
-	}
-	s.Exec.mu.Unlock()
+	ck.Profiles = s.Exec.snapshotProfiles()
 
 	if err := journal.WriteCheckpoint(d.ckptPath, ck, d.crash); err != nil {
 		if errors.Is(err, fault.ErrCrash) {
@@ -909,7 +871,7 @@ func (s *Server) journalCompletions(outs []launchOutcome) {
 		}
 		rec := &journal.Record{Kind: journal.KindLaunchComplete, Sess: o.st.Sess, OpID: o.opID}
 		if o.err != nil {
-			rec.Code, rec.Err = uint8(codeFor(o.err)), o.err.Error()
+			rec.Code, rec.Err = uint8(ipc.CodeOf(o.err)), o.err.Error()
 		}
 		recs = append(recs, rec)
 		if poisons(o.err) {
@@ -935,7 +897,7 @@ func (s *Server) journalCompletions(outs []launchOutcome) {
 				// the journal: a later compaction snapshots memory and
 				// discards the strike record, and the checkpoint must still
 				// carry the poison.
-				o.st.PoisonErr, o.st.PoisonCode = o.err.Error(), uint8(codeFor(o.err))
+				o.st.PoisonErr, o.st.PoisonCode = o.err.Error(), uint8(ipc.CodeOf(o.err))
 			}
 		}
 	})

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"slate/internal/ipc"
+	"slate/internal/journal"
 )
 
 // The dedup window is a bounded FIFO: pushing past DedupWindow evicts the
@@ -16,7 +19,7 @@ func TestDedupWindowEviction(t *testing.T) {
 	st := &resumeState{Sess: 1, Token: 0xabc}
 	total := DedupWindow + 10
 	for i := 1; i <= total; i++ {
-		st.push(&dedupEntry{OpID: uint64(i)})
+		st.push(&journal.AdoptedOp{OpID: uint64(i)})
 	}
 	if len(st.Window) != DedupWindow {
 		t.Fatalf("window holds %d entries, want the %d bound", len(st.Window), DedupWindow)
@@ -35,10 +38,10 @@ func TestDedupWindowEviction(t *testing.T) {
 // refPush is the window as it was first written — append, then copy the
 // last DedupWindow entries into a fresh slice — kept as the reference the
 // sliding window is compared against.
-func refPush(w []*dedupEntry, e *dedupEntry) []*dedupEntry {
+func refPush(w []*journal.AdoptedOp, e *journal.AdoptedOp) []*journal.AdoptedOp {
 	w = append(w, e)
 	if n := len(w) - DedupWindow; n > 0 {
-		w = append([]*dedupEntry(nil), w[n:]...)
+		w = append([]*journal.AdoptedOp(nil), w[n:]...)
 	}
 	return w
 }
@@ -52,12 +55,12 @@ func refPush(w []*dedupEntry, e *dedupEntry) []*dedupEntry {
 func TestDedupWindowSlidesLikeTheReference(t *testing.T) {
 	for _, seeded := range []int{0, 50, DedupWindow, DedupWindow + 40} {
 		st := &resumeState{Sess: 1, Token: 0xabc, Proc: "w"}
-		var ref []*dedupEntry
+		var ref []*journal.AdoptedOp
 		op := uint64(0)
 		if seeded > 0 {
 			for i := 0; i < seeded; i++ {
 				op += 1 + op%3 // op IDs ascend with gaps, as re-stamped retries leave them
-				ref = append(ref, &dedupEntry{OpID: op, Kernel: "seed"})
+				ref = append(ref, &journal.AdoptedOp{OpID: op, Kernel: "seed"})
 			}
 			blob, err := json.Marshal(&resumeState{Sess: 1, Token: 0xabc, Proc: "w", MaxOp: op, Window: ref})
 			if err != nil {
@@ -67,11 +70,11 @@ func TestDedupWindowSlidesLikeTheReference(t *testing.T) {
 			if err := json.Unmarshal(blob, st); err != nil {
 				t.Fatal(err)
 			}
-			ref = append([]*dedupEntry(nil), st.Window...)
+			ref = append([]*journal.AdoptedOp(nil), st.Window...)
 		}
 		for i := 0; i < 10000; i++ {
 			op += 1 + op%3
-			e := &dedupEntry{OpID: op, Kernel: "k", Entries: []string{fmt.Sprint(op)}, Done: i%2 == 0}
+			e := &journal.AdoptedOp{OpID: op, Kernel: "k", Entries: []string{fmt.Sprint(op)}, Done: i%2 == 0}
 			st.push(e)
 			ref = refPush(ref, e)
 			if i%97 != 0 && i < 9990 {
@@ -115,12 +118,12 @@ func TestDedupWindowSlidesLikeTheReference(t *testing.T) {
 		cp, last := st.clone(), st.Window[len(st.Window)-1]
 		for i := 0; i < 2*DedupWindow; i++ {
 			op++
-			cp.push(&dedupEntry{OpID: op})
+			cp.push(&journal.AdoptedOp{OpID: op})
 		}
 		if st.Window[len(st.Window)-1] != last || st.Window[0] != ref[0] {
 			t.Fatalf("seeded=%d: pushing to a clone moved the original's window", seeded)
 		}
-		e := &dedupEntry{}
+		e := &journal.AdoptedOp{}
 		if allocs := testing.AllocsPerRun(4*DedupWindow, func() {
 			op++
 			e.OpID = op
@@ -143,7 +146,7 @@ func TestDedupCheckVerdicts(t *testing.T) {
 
 	st := &resumeState{Sess: 1, Token: 0xabc}
 	for i := 1; i <= DedupWindow+5; i++ {
-		st.push(&dedupEntry{OpID: uint64(i), Degraded: true, Entries: []string{fmt.Sprintf("ack-%d", i)}})
+		st.push(&journal.AdoptedOp{OpID: uint64(i), Degraded: true, Entries: []string{fmt.Sprintf("ack-%d", i)}})
 	}
 
 	// Fresh op: not handled.
@@ -281,5 +284,71 @@ func TestConcurrentAppendsDuringCompaction(t *testing.T) {
 				t.Fatalf("session %d op %d lost its completion across compaction", 100+g, e.OpID)
 			}
 		}
+	}
+}
+
+// testdata/pr20_state is a state dir written by the PR 20 tree, when the
+// window entry was two types copied field by field: a checkpoint holding an
+// adopted session's window, then a journal with a session-adopt record and an
+// accept/complete pair over that window; digest.txt is that tree's
+// StateDigest of it. One type must read the same state out of those bytes,
+// and write the same bytes back.
+func TestPR20StateDirDecodesAndReencodesTheSame(t *testing.T) {
+	fixture := filepath.Join("testdata", "pr20_state")
+	dir := t.TempDir() // loading may repair a dir; never the fixture
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, name := range []string{JournalFile, CheckpointFile} {
+		if err := os.WriteFile(filepath.Join(dir, name), read(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := StateDigest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(read("digest.txt")); got != want {
+		t.Fatalf("state decoded from the PR 20 bytes differs\n got:\n%s\nwant:\n%s", got, want)
+	}
+
+	var ck checkpointState
+	if ok, err := journal.ReadCheckpoint(filepath.Join(dir, CheckpointFile), &ck); err != nil || !ok {
+		t.Fatalf("read checkpoint: ok=%v err=%v", ok, err)
+	}
+	again := filepath.Join(t.TempDir(), CheckpointFile)
+	if err := journal.WriteCheckpoint(again, &ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(again); !bytes.Equal(b, read(CheckpointFile)) {
+		t.Fatal("the checkpoint, decoded and written again, is not the PR 20 bytes")
+	}
+
+	again = filepath.Join(t.TempDir(), JournalFile)
+	w, err := journal.OpenWriter(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.NoSync = true
+	adopts := 0
+	if _, err := journal.Replay(filepath.Join(dir, JournalFile), func(rec *journal.Record) error {
+		if rec.Kind == journal.KindSessionAdopt {
+			adopts++
+		}
+		return w.Append(rec)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if adopts == 0 {
+		t.Fatal("fixture journal holds no session-adopt record")
+	}
+	if b, _ := os.ReadFile(again); !bytes.Equal(b, read(JournalFile)) {
+		t.Fatal("the journal, decoded and appended again, is not the PR 20 bytes")
 	}
 }

@@ -20,20 +20,20 @@ import (
 var (
 	// ErrBackpressure rejects a launch because the session already has its
 	// full quota of accepted-but-unfinished launches; back off and retry.
-	ErrBackpressure = errors.New("daemon: session launch queue full")
+	ErrBackpressure = ipc.ErrBackpressure
 	// ErrQuota rejects an allocation that would exceed the session's device
 	// memory quota.
-	ErrQuota = errors.New("daemon: session quota exceeded")
+	ErrQuota = ipc.ErrQuota
 	// ErrDraining rejects new work while the daemon shuts down gracefully.
-	ErrDraining = errors.New("daemon: draining, not accepting new work")
+	ErrDraining = ipc.ErrDraining
 	// ErrVersionSkew rejects a Hello/Resume whose protocol version differs
 	// from the daemon's: mixed-version fleets must refuse skew, not trade
 	// frames the other side misreads.
-	ErrVersionSkew = errors.New("daemon: protocol version skew")
+	ErrVersionSkew = ipc.ErrVersionSkew
 	// ErrExpired sheds a launch whose client-propagated deadline had
 	// already passed — at admission or at the queue head. The launch did
 	// not execute; nobody was waiting for it anyway.
-	ErrExpired = errors.New("daemon: deadline expired before execution")
+	ErrExpired = ipc.ErrExpired
 )
 
 // expired reports whether a propagated per-op deadline (Unix nanoseconds,
@@ -333,36 +333,9 @@ func (s *Server) checkVersion(reqVersion uint32) error {
 	return nil
 }
 
-// codeFor classifies an error onto the wire so clients recover typed
-// sentinels.
-func codeFor(err error) ipc.ErrCode {
-	switch {
-	case errors.Is(err, ipc.ErrDeviceOOM):
-		return ipc.CodeOOM
-	case errors.Is(err, ErrKernelPanic):
-		return ipc.CodeKernelPanic
-	case errors.Is(err, ErrKernelTimeout):
-		return ipc.CodeKernelTimeout
-	case errors.Is(err, ErrBackpressure):
-		return ipc.CodeBackpressure
-	case errors.Is(err, ErrQuota):
-		return ipc.CodeQuota
-	case errors.Is(err, ErrDraining):
-		return ipc.CodeDraining
-	case errors.Is(err, ErrVersionSkew):
-		return ipc.CodeVersionSkew
-	case errors.Is(err, ErrExpired):
-		return ipc.CodeExpired
-	case errors.Is(err, ipc.ErrMalformed):
-		return ipc.CodeMalformed
-	default:
-		return ipc.CodeGeneric
-	}
-}
-
 // fail marks a reply failed; refuse does the same for one item's ack.
-func fail(rep *ipc.Reply, err error)      { rep.Code, rep.Err = codeFor(err), err.Error() }
-func refuse(ack *ipc.BatchAck, err error) { ack.Code, ack.Err = codeFor(err), err.Error() }
+func fail(rep *ipc.Reply, err error)      { rep.Code, rep.Err = ipc.CodeOf(err), err.Error() }
+func refuse(ack *ipc.BatchAck, err error) { ack.Code, ack.Err = ipc.CodeOf(err), err.Error() }
 
 // admit gates a frame's n fresh launches, all or none: on drain mode, on the
 // frame's propagated deadline (already-expired work is shed before any quota
@@ -675,14 +648,10 @@ func (s *Server) ServeConn(nc net.Conn) {
 // errFromCode rebuilds a typed daemon error from its journaled wire code,
 // so a resumed session's restored poison still satisfies errors.Is.
 func errFromCode(code uint8, msg string) error {
-	switch ipc.ErrCode(code) {
-	case ipc.CodeKernelPanic:
-		return fmt.Errorf("%w (recovered): %s", ErrKernelPanic, msg)
-	case ipc.CodeKernelTimeout:
-		return fmt.Errorf("%w (recovered): %s", ErrKernelTimeout, msg)
-	default:
-		return errors.New(msg)
+	if sentinel := ipc.Sentinel(ipc.ErrCode(code)); sentinel != nil {
+		return fmt.Errorf("%w (recovered): %s", sentinel, msg)
 	}
+	return errors.New(msg)
 }
 
 // prepare resolves one admitted item to the spec the executor will run and

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -585,8 +583,8 @@ func (s *Supervisor) KillMember(name string) error {
 
 // Failover fences the named member and re-homes its durable sessions onto a
 // healthy adopter: fence (Kill) → wait for the victim's session goroutines
-// to unwind → close its journal → adopter.AdoptState(victim dir) →
-// tombstone the victim's state files → update the re-homing table. The
+// to unwind → close its journal → adopter.AdoptState(victim dir), which
+// tombstones the victim's state files → update the re-homing table. The
 // fence is what upgrades at-least-once to exactly-once: after Kill, nothing
 // the victim does becomes durable, so the adopter's replay of an incomplete
 // launch cannot race a late completion.
@@ -624,22 +622,17 @@ func (s *Supervisor) fence(victim *Member) {
 
 // adoptInto is what follows the fence in Failover and in the
 // planned-migration fallback alike: ship the fenced victim's durable state
-// into the adopter, tombstone the victim's state files, re-home the adopted
-// tokens — and, once the state did ship, the tokens in also, which the
-// caller knows to be on the adopter already — and emit the one failover
-// event that says how it went. A volatile victim has nothing to ship and
-// re-homes nothing.
+// into the adopter (AdoptState tombstones the victim's state files), re-home
+// the adopted tokens — and, once the state did ship, the tokens in also,
+// which the caller knows to be on the adopter already — and emit the one
+// failover event that says how it went. A volatile victim has nothing to
+// ship and re-homes nothing.
 func (s *Supervisor) adoptInto(victim, adopter *Member, also []uint64) error {
 	if victim.stateDir == "" {
 		s.emit("failover", "victim", victim.Name, "adopter", adopter.Name, "ok", "true", "sessions", "0", "reason", "volatile member")
 		return nil
 	}
 	stats, err := adopter.server().AdoptState(victim.stateDir)
-	if err == nil {
-		if terr := tombstone(victim.stateDir); terr != nil {
-			err = fmt.Errorf("tombstone: %w", terr)
-		}
-	}
 	if err != nil {
 		s.emit("failover", "victim", victim.Name, "adopter", adopter.Name, "ok", "false", "reason", err.Error())
 		return err
@@ -684,29 +677,6 @@ func waitIdle(srv *daemon.Server, timeout time.Duration) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// tombstone moves the victim's durable state files into an "adopted/"
-// subdirectory. The sessions now live in the adopter's journal; a naive
-// restart of the dead daemon over its old state-dir must find nothing to
-// recover, or the same launches could replay on two members. The files
-// survive (not deleted) for audit — StateDigest over the subdirectory still
-// works.
-func tombstone(dir string) error {
-	ad := filepath.Join(dir, "adopted")
-	if err := os.MkdirAll(ad, 0o755); err != nil {
-		return err
-	}
-	for _, f := range []string{daemon.JournalFile, daemon.CheckpointFile} {
-		src := filepath.Join(dir, f)
-		if _, err := os.Stat(src); err != nil {
-			continue
-		}
-		if err := os.Rename(src, filepath.Join(ad, f)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Route picks a member for a new session. Suspect, down, draining, and

@@ -38,7 +38,7 @@ var ErrMigrateFellBack = errors.New("MIGRATE_FELL_BACK: planned migration recove
 // Per-session lifecycle is emitted as structured events:
 //
 //	event=migrate member=<src> dst=<dst> phase=begin|handoff|done|fallback token=<tok>
-func (s *Supervisor) Migrate(srcName, dstName string, budget time.Duration) (*daemon.MigrateStats, error) {
+func (s *Supervisor) Migrate(srcName, dstName string, budget time.Duration) (*daemon.RehomeStats, error) {
 	src := s.MemberByName(srcName)
 	dst := s.MemberByName(dstName)
 	if src == nil || dst == nil {
@@ -79,7 +79,7 @@ func (s *Supervisor) Migrate(srcName, dstName string, budget time.Duration) (*da
 	if src.stateDir == "" {
 		// A volatile member has no durable sessions to move; the drain alone
 		// is the whole migration.
-		return &daemon.MigrateStats{}, nil
+		return &daemon.RehomeStats{}, nil
 	}
 
 	stats, err := srcSrv.MigrateSessions(dstSrv, func(tok uint64) {

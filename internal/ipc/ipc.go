@@ -75,7 +75,64 @@ const (
 	// CodeMalformed refuses a request whose fields are inconsistent
 	// (ErrMalformed). Nothing was admitted, journaled or executed.
 	CodeMalformed
+
+	numCodes // one past the last code: what the round-trip test walks up to
 )
+
+// The typed sentinels the wire codes stand for. They are defined here, beside
+// the codes, so the one table below can pair them; the daemon and the client
+// export them under their own names, where each is documented for its side.
+var (
+	ErrKernelPanic   = errors.New("daemon: kernel panicked")
+	ErrBackpressure  = errors.New("daemon: session launch queue full")
+	ErrQuota         = errors.New("daemon: session quota exceeded")
+	ErrDraining      = errors.New("daemon: draining, not accepting new work")
+	ErrKernelTimeout = errors.New("daemon: kernel exceeded wall-clock deadline")
+	ErrDuplicateOp   = errors.New("op already accepted, outcome unavailable")
+	ErrVersionSkew   = errors.New("daemon: protocol version skew")
+	ErrExpired       = errors.New("daemon: deadline expired before execution")
+)
+
+// wireErrors pairs every typed code with its sentinel — the one table the
+// daemon (error → code, journaled code → error) and the client (code →
+// sentinel) all read. CodeOK and CodeGeneric stand for no sentinel.
+var wireErrors = [...]struct {
+	code ErrCode
+	err  error
+}{
+	{CodeOOM, ErrDeviceOOM},
+	{CodeKernelPanic, ErrKernelPanic},
+	{CodeKernelTimeout, ErrKernelTimeout},
+	{CodeBackpressure, ErrBackpressure},
+	{CodeQuota, ErrQuota},
+	{CodeDraining, ErrDraining},
+	{CodeDuplicateOp, ErrDuplicateOp},
+	{CodeVersionSkew, ErrVersionSkew},
+	{CodeExpired, ErrExpired},
+	{CodeMalformed, ErrMalformed},
+}
+
+// CodeOf classifies an error for the wire: the code of the sentinel it wraps,
+// CodeGeneric when it wraps none.
+func CodeOf(err error) ErrCode {
+	for _, w := range wireErrors {
+		if errors.Is(err, w.err) {
+			return w.code
+		}
+	}
+	return CodeGeneric
+}
+
+// Sentinel returns the typed error a wire code stands for, nil for a code
+// that stands for none (CodeOK, CodeGeneric, or one this build does not know).
+func Sentinel(code ErrCode) error {
+	for _, w := range wireErrors {
+		if w.code == code {
+			return w.err
+		}
+	}
+	return nil
+}
 
 // ProtocolVersion is the wire protocol generation this build speaks. Clients
 // stamp it on Hello/Resume; daemons refuse a mismatched, non-zero version

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -218,5 +219,36 @@ func TestSrcRefOnTheWire(t *testing.T) {
 	}
 	if len(got.Batch) != 2 || got.Batch[0].Source != text || got.Batch[1].Source != "" || got.Batch[1].SrcRef != 1 {
 		t.Fatalf("decoded items = %+v", got.Batch)
+	}
+}
+
+// Every wire code round-trips through the one table: a typed code names a
+// sentinel, and an error wrapping that sentinel classifies back to the code.
+// A code added to the const block and not to wireErrors fails here.
+func TestEveryCodeRoundTrips(t *testing.T) {
+	for _, c := range []ErrCode{CodeOK, CodeGeneric, numCodes} {
+		if s := Sentinel(c); s != nil {
+			t.Fatalf("code %d stands for sentinel %v, want none", c, s)
+		}
+	}
+	if c := CodeOf(errors.New("plain rejection")); c != CodeGeneric {
+		t.Fatalf("an untyped error classifies as %d, want CodeGeneric", c)
+	}
+	seen := map[error]ErrCode{}
+	for c := CodeGeneric + 1; c < numCodes; c++ {
+		s := Sentinel(c)
+		if s == nil {
+			t.Fatalf("code %d has no sentinel in wireErrors", c)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("codes %d and %d share sentinel %v", prev, c, s)
+		}
+		seen[s] = c
+		if got := CodeOf(fmt.Errorf("daemon: op 7: %w", s)); got != c {
+			t.Fatalf("error wrapping %v classifies as %d, want %d", s, got, c)
+		}
+	}
+	if len(seen) != len(wireErrors) {
+		t.Fatalf("wireErrors has %d rows for %d typed codes", len(wireErrors), len(seen))
 	}
 }

@@ -104,9 +104,9 @@ func randomRecord(rng *rand.Rand) *Record {
 		r.SoloSec = []float64{1e-9, 1e21, 1e-7, math.Copysign(0, -1), math.MaxFloat64, 0.001}[rng.Intn(6)]
 	}
 	if rng.Intn(8) == 0 {
-		r.AdoptOps = make([]AdoptedOp, rng.Intn(3)) // empty slice included
+		r.AdoptOps = make([]*AdoptedOp, rng.Intn(3)) // empty slice included
 		for i := range r.AdoptOps {
-			r.AdoptOps[i] = AdoptedOp{
+			r.AdoptOps[i] = &AdoptedOp{
 				OpID: randomUint(rng), Code: uint8(rng.Intn(256)), Err: randomString(rng, tame),
 				Entries: randomEntries(rng, tame), Done: rng.Intn(2) == 0, Kernel: randomString(rng, tame),
 				GridX: randomInt(rng), TaskSize: randomInt(rng),
@@ -205,7 +205,7 @@ func FuzzAppendRecord(f *testing.F) {
 			r.Entries = append(r.Entries, entry+strings.Repeat("x", i))
 		}
 		if flags&4 != 0 {
-			r.AdoptOps = []AdoptedOp{{OpID: op, Err: errS, Entries: r.Entries, Kernel: kernel, GridX: geom}}
+			r.AdoptOps = []*AdoptedOp{{OpID: op, Err: errS, Entries: r.Entries, Kernel: kernel, GridX: geom}}
 		}
 		checkAgainstMarshal(t, r)
 	})

@@ -127,29 +127,36 @@ type Record struct {
 	SoloSec float64 `json:"solo_sec,omitempty"`
 	// Re-homed session segment (session-adopt): the dedup watermark, the
 	// loss mark, and the full window. Poison rides on Code/Err above.
-	MaxOp    uint64      `json:"max_op,omitempty"`
-	Lost     string      `json:"lost,omitempty"`
-	AdoptOps []AdoptedOp `json:"adopt_ops,omitempty"`
+	MaxOp    uint64       `json:"max_op,omitempty"`
+	Lost     string       `json:"lost,omitempty"`
+	AdoptOps []*AdoptedOp `json:"adopt_ops,omitempty"`
 }
 
-// AdoptedOp is one dedup-window entry inside a session-adopt record: the
-// accept-time ack plus the replay material the adopting daemon needs to
-// re-execute an accepted-but-incomplete source launch exactly once.
+// AdoptedOp is one journaled launch in a session's dedup window, in every
+// place the window lives: the daemon's live per-session window, the
+// checkpoint's copy of it, and the AdoptOps of a session-adopt record. It
+// holds the accept-time ack a re-sending client gets back, plus the geometry
+// recovery — or an adopting daemon — needs to re-execute an
+// accepted-but-incomplete source launch exactly once.
 type AdoptedOp struct {
-	OpID     uint64   `json:"op"`
+	OpID uint64 `json:"op"`
+	// Accept-time ack, replayed verbatim on a duplicate send.
 	Code     uint8    `json:"code,omitempty"`
 	Err      string   `json:"err,omitempty"`
 	Degraded bool     `json:"deg,omitempty"`
 	Entries  []string `json:"entries,omitempty"`
-	Done     bool     `json:"done,omitempty"`
-	Src      bool     `json:"src,omitempty"`
-	Kernel   string   `json:"kernel,omitempty"`
-	GridX    int      `json:"gx,omitempty"`
-	GridY    int      `json:"gy,omitempty"`
-	BlockX   int      `json:"bx,omitempty"`
-	BlockY   int      `json:"by,omitempty"`
-	TaskSize int      `json:"task,omitempty"`
-	Stream   int      `json:"stream,omitempty"`
+	// Done marks the launch's completion record as journaled; only
+	// accepted-incomplete launches are re-executed.
+	Done bool `json:"done,omitempty"`
+	// Replay material (source launches).
+	Src      bool   `json:"src,omitempty"`
+	Kernel   string `json:"kernel,omitempty"`
+	GridX    int    `json:"gx,omitempty"`
+	GridY    int    `json:"gy,omitempty"`
+	BlockX   int    `json:"bx,omitempty"`
+	BlockY   int    `json:"by,omitempty"`
+	TaskSize int    `json:"task,omitempty"`
+	Stream   int    `json:"stream,omitempty"`
 }
 
 // Writer is the append-only journal. Safe for concurrent appenders; each
@@ -427,8 +434,7 @@ func truncateTail(f *os.File, good, size int64, stats ReplayStats) (ReplayStats,
 
 // WriteCheckpoint atomically replaces the checkpoint at path with the JSON
 // encoding of v, framed with a CRC32C so a torn or rotted checkpoint is
-// detectable: temp file in the same directory, write, fsync, rename, fsync
-// directory. A fired crash hook at fault.SiteCheckpointMid dies after a
+// detectable. A fired crash hook at fault.SiteCheckpointMid dies after a
 // partial temp write — the rename never happens, and recovery must ignore
 // the orphan temp file.
 func WriteCheckpoint(path string, v any, crashHook func(site string) error) error {
@@ -436,34 +442,56 @@ func WriteCheckpoint(path string, v any, crashHook func(site string) error) erro
 	if err != nil {
 		return fmt.Errorf("journal: checkpoint encode: %w", err)
 	}
-	frame := ipc.AppendFrame(nil, payload)
+	return Publish(path, ipc.AppendFrame(nil, payload), crashHook, fault.SiteCheckpointMid, "")
+}
+
+// Publish atomically replaces the file at path with data: temp file in the
+// same directory, write, fsync, close, rename, fsync the directory. A crash
+// leaves the old file or the new one, never a blend, and at worst an orphan
+// path+".tmp" for the next reader to remove. The checkpoint and the profile
+// table both publish through it.
+//
+// crash (nil in production) simulates process death at the caller's named
+// site: tornSite is asked before the temp is written, and a fired hook leaves
+// half of data in it; wholeSite is asked once the temp is durable, before the
+// rename. Either way path is untouched. An empty site is never asked.
+func Publish(path string, data []byte, crash func(site string) error, tornSite, wholeSite string) error {
+	died := func(site string) error {
+		if crash == nil || site == "" {
+			return nil
+		}
+		return crash(site)
+	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("journal: checkpoint temp: %w", err)
+		return fmt.Errorf("journal: publish: %w", err)
 	}
-	if crashHook != nil {
-		if err := crashHook(fault.SiteCheckpointMid); err != nil {
-			_, _ = f.Write(frame[:len(frame)/2]) // death mid-checkpoint
-			f.Close()
-			return err
-		}
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: checkpoint write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
+	if err := died(tornSite); err != nil {
+		_, _ = f.Write(data[:len(data)/2])
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: publish: %w", err)
+	}
+	if err := died(wholeSite); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: checkpoint publish: %w", err)
+		return fmt.Errorf("journal: publish: %w", err)
 	}
-	return syncDir(filepath.Dir(path))
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("journal: publish: %w", err)
+	}
+	return nil
 }
 
 // ReadCheckpoint loads the checkpoint at path into v. Absent → (false, nil).
@@ -507,9 +535,8 @@ func ReadCheckpoint(path string, v any) (bool, error) {
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil // best-effort: some filesystems refuse directory opens
+		return err
 	}
 	defer d.Close()
-	_ = d.Sync()
-	return nil
+	return d.Sync()
 }

@@ -1,13 +1,14 @@
 package profile
 
 import (
-	"bytes"
-	"fmt"
-	"strings"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"slate/internal/engine"
+	"slate/internal/ipc"
 )
 
 // Renamed instances of one kernel must share a single measurement — the
@@ -66,47 +67,73 @@ func TestGetConcurrentSingleFlight(t *testing.T) {
 	}
 }
 
-// Load must refuse entries measured on another device or model generation.
+// restamped rewrites the table at path with edit applied to every entry,
+// re-framed the way SaveFile frames it, and returns the new file's path.
+func restamped(t *testing.T, path string, edit func(*Profile)) string {
+	t.Helper()
+	rest, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for len(rest) > 0 {
+		var payload []byte
+		if payload, rest, err = ipc.DecodeFrame(rest); err != nil {
+			t.Fatal(err)
+		}
+		var ent persistEntry
+		if err := json.Unmarshal(payload, &ent); err != nil {
+			t.Fatal(err)
+		}
+		edit(ent.Profile)
+		enc, err := encodeEntry(ent.Key, ent.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, enc...)
+	}
+	edited := filepath.Join(t.TempDir(), "edited.slate")
+	if err := os.WriteFile(edited, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return edited
+}
+
+// LoadFile must refuse entries measured on another device or model
+// generation.
 func TestLoadSkipsMismatchedEntries(t *testing.T) {
-	p := newProfiler()
-	if _, err := p.Get(testSpec("k1", 240, 1e8, 1e4)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, path := savedTable(t, "k1")
 	// Corrupt the stamp two ways and confirm each is skipped.
-	wrongDev := strings.Replace(buf.String(), p.Dev.Name, "FakeGPU 9000", 1)
 	fresh := newProfiler()
-	if err := fresh.Load(strings.NewReader(wrongDev)); err != nil {
+	st, err := fresh.LoadFile(restamped(t, path, func(pr *Profile) { pr.Device = "FakeGPU 9000" }))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Len() != 0 {
-		t.Fatalf("loaded %d foreign-device profiles, want 0", fresh.Len())
-	}
-	curStamp := fmt.Sprintf(`"model_version": %d`, engine.ModelVersion)
-	wrongVer := strings.Replace(buf.String(), curStamp, `"model_version": 999`, 1)
-	if wrongVer == buf.String() {
-		t.Fatalf("model_version stamp missing from saved table (engine.ModelVersion=%d):\n%s",
-			engine.ModelVersion, buf.String())
+	if fresh.Len() != 0 || st.Skipped != 1 {
+		t.Fatalf("loaded %d foreign-device profiles (stats %+v), want 0", fresh.Len(), st)
 	}
 	fresh2 := newProfiler()
-	if err := fresh2.Load(strings.NewReader(wrongVer)); err != nil {
+	st, err = fresh2.LoadFile(restamped(t, path, func(pr *Profile) {
+		if pr.ModelVersion != engine.ModelVersion {
+			t.Fatalf("saved table stamped model_version %d, want engine.ModelVersion=%d", pr.ModelVersion, engine.ModelVersion)
+		}
+		pr.ModelVersion = 999
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh2.Len() != 0 {
-		t.Fatalf("loaded %d stale-model profiles, want 0", fresh2.Len())
+	if fresh2.Len() != 0 || st.Skipped != 1 {
+		t.Fatalf("loaded %d stale-model profiles (stats %+v), want 0", fresh2.Len(), st)
 	}
 	// The untouched table loads and serves Get without re-measuring.
 	ok := newProfiler()
-	if err := ok.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := ok.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if ok.Len() != 1 {
 		t.Fatalf("loaded %d profiles, want 1", ok.Len())
 	}
-	pr, err := ok.Get(testSpec("k1@99", 240, 1e8, 1e4))
+	pr, err := ok.Get(testSpec("k1@99", 2400, 1e8, 1e4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +149,9 @@ func TestLoadInvalidatesModelVersion1Tables(t *testing.T) {
 	if engine.ModelVersion <= 1 {
 		t.Skip("current model is still version 1")
 	}
-	p := newProfiler()
-	if _, err := p.Get(testSpec("v1", 240, 1e8, 1e4)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := strings.Replace(buf.String(),
-		fmt.Sprintf(`"model_version": %d`, engine.ModelVersion), `"model_version": 1`, 1)
+	_, path := savedTable(t, "v1")
 	fresh := newProfiler()
-	if err := fresh.Load(strings.NewReader(v1)); err != nil {
+	if _, err := fresh.LoadFile(restamped(t, path, func(pr *Profile) { pr.ModelVersion = 1 })); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Len() != 0 {

@@ -1,21 +1,20 @@
-// Durable profile-table persistence. The in-memory Save/Load pair streams
-// one JSON document; the file pair here adds what a crash-safe daemon
-// needs: per-entry CRC32C framing so one flipped bit costs one entry
-// instead of the whole table, torn-tail tolerance so a crash mid-write
-// loses only the tail, and an atomic temp+fsync+rename publish so readers
-// never observe a half-written table.
+// Profile-table persistence — the persistent lookup table of Table V's
+// "offline" row. One file format: per-entry CRC32C framing so one flipped
+// bit costs one entry instead of the whole table, torn-tail tolerance so a
+// crash mid-write loses only the tail, and the journal's atomic publish so
+// readers never observe a half-written table.
 package profile
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"slate/internal/engine"
 	"slate/internal/fault"
 	"slate/internal/ipc"
+	"slate/internal/journal"
 )
 
 // persistEntry is one framed record of the on-disk profile table.
@@ -35,12 +34,11 @@ type LoadStats struct {
 }
 
 // SaveFile atomically writes the completed profile table to path: entries
-// are framed individually (sorted by key, so the bytes are deterministic),
-// written to a temp file, fsynced, and renamed into place — a crash leaves
-// either the old table or the new one, never a blend. crash is the
-// crash-point hook for chaos tests (nil in production): it fires at
-// fault.SiteProfileRenameMid, after the temp file is durable but before
-// the rename publishes it.
+// are framed individually (sorted by key, so the bytes are deterministic)
+// and published with journal.Publish — a crash leaves either the old table
+// or the new one, never a blend. crash is the crash-point hook for chaos
+// tests (nil in production): it fires at fault.SiteProfileRenameMid, after
+// the temp file is durable but before the rename publishes it.
 func (p *Profiler) SaveFile(path string, crash func(site string) error) error {
 	p.mu.Lock()
 	entries := make([]persistEntry, 0, len(p.table))
@@ -60,43 +58,18 @@ func (p *Profiler) SaveFile(path string, crash func(site string) error) error {
 		}
 		buf = ipc.AppendFrame(buf, b)
 	}
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if crash != nil {
-		// The window a crash-mid-publish test targets: temp durable, table
-		// not yet swapped.
-		if err := crash(fault.SiteProfileRenameMid); err != nil {
-			return err
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return journal.Publish(path, buf, crash, "", fault.SiteProfileRenameMid)
 }
 
 // LoadFile merges a table written by SaveFile. Damage is contained per
 // entry: a frame failing its checksum, or one that no longer parses, is
 // copied to a `.bad` sidecar and skipped; a torn tail (the partial frame a
-// crash mid-write leaves) stops the walk; entries stamped for a different
-// device or model generation are skipped exactly as Load skips them. A
-// leftover temp file from a crashed publish is removed. A missing file is
-// not an error — the daemon simply starts cold.
+// crash mid-write leaves) stops the walk, and so does a file in any other
+// format, which loads nothing; entries stamped for a different device or
+// model generation are skipped — their numbers would be wrong here — while
+// legacy unstamped entries load as-is. Loaded entries satisfy Get without
+// re-measuring. A leftover temp file from a crashed publish is removed. A
+// missing file is not an error — the table simply starts cold.
 func (p *Profiler) LoadFile(path string) (LoadStats, error) {
 	var st LoadStats
 	os.Remove(path + ".tmp") // crashed publish: the temp was never the table
@@ -172,15 +145,4 @@ func (p *Profiler) mergeLocked(key string, v *Profile) bool {
 	close(e.ready)
 	p.table[key] = e
 	return true
-}
-
-// syncDir fsyncs a directory so a just-renamed file is durable in its
-// parent.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -7,9 +7,7 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 
 	"slate/internal/device"
@@ -29,9 +27,9 @@ type Profile struct {
 	// measured spec — the cache key. Persisted so a loaded table keeps
 	// serving renamed instances of the same kernel.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Device and ModelVersion stamp the measurement context; Load discards
-	// entries from a different device or model generation rather than
-	// serving stale numbers.
+	// Device and ModelVersion stamp the measurement context; LoadFile
+	// discards entries from a different device or model generation rather
+	// than serving stale numbers.
 	Device       string `json:"device,omitempty"`
 	ModelVersion int    `json:"model_version,omitempty"`
 	// Solo full-device counters (the Table II columns).
@@ -221,39 +219,4 @@ func (p *Profiler) run(spec *kern.Spec, opts engine.LaunchOpts) (engine.Metrics,
 		return engine.Metrics{}, fmt.Errorf("profile: kernel %q did not complete", spec.Name)
 	}
 	return h.Metrics(), nil
-}
-
-// Save writes the completed profile table as JSON keyed by fingerprint —
-// the persistent lookup table of Table V's "offline" row. Map keys are
-// emitted sorted, so the bytes are deterministic for a given table.
-func (p *Profiler) Save(w io.Writer) error {
-	p.mu.Lock()
-	out := make(map[string]*Profile, len(p.table))
-	for fp, e := range p.table {
-		if e.done() && e.p != nil {
-			out[fp] = e.p
-		}
-	}
-	p.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// Load merges a previously saved table; loaded entries satisfy Get without
-// re-measuring. Entries stamped with a different device or model version
-// are skipped — their numbers would be wrong here — as are entries for a
-// device/version they don't declare when ours mismatches nothing (legacy
-// unstamped entries load as-is).
-func (p *Profiler) Load(r io.Reader) error {
-	var table map[string]*Profile
-	if err := json.NewDecoder(r).Decode(&table); err != nil {
-		return fmt.Errorf("profile: corrupt table: %w", err)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k, v := range table {
-		p.mergeLocked(k, v)
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 package profile
 
 import (
-	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"slate/internal/device"
@@ -101,37 +101,45 @@ func TestGetCaches(t *testing.T) {
 	}
 }
 
+// A loaded table serves the numbers that were measured, not just the names.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	p := newProfiler()
-	if _, err := p.Get(testSpec("k1", 240, 1e8, 1e4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Get(testSpec("k2", 240, 1e5, 1<<20)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
+	p, path := savedTable(t, "k1", "k2")
 	fresh := newProfiler()
-	if err := fresh.Load(&buf); err != nil {
+	if _, err := fresh.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Len() != 2 {
 		t.Fatalf("loaded %d profiles, want 2", fresh.Len())
 	}
-	orig, _ := p.Lookup("k1")
-	got, ok := fresh.Lookup("k1")
-	if !ok || got.GFLOPS != orig.GFLOPS || got.Class != orig.Class {
-		t.Fatalf("round trip mangled profile: %+v vs %+v", got, orig)
+	for _, name := range []string{"k1", "k2"} {
+		orig, _ := p.Lookup(name)
+		got, ok := fresh.Lookup(name)
+		if !ok || *got != *orig {
+			t.Fatalf("round trip mangled profile %s: %+v vs %+v", name, got, orig)
+		}
 	}
 }
 
+// The table is a cache: a file that is not a framed table — garbage, or the
+// JSON document -profiles wrote before the file form — loads nothing, fails
+// nothing and quarantines nothing; the next save replaces it.
 func TestLoadCorrupt(t *testing.T) {
-	p := newProfiler()
-	if err := p.Load(strings.NewReader("{nope")); err == nil {
-		t.Fatal("corrupt JSON accepted")
+	for _, content := range []string{"{nope", "{}\n", "{\n  \"3f2a\": {\n    \"kernel\": \"GS\",\n    \"gflops\": 12.5\n  }\n}\n"} {
+		path := filepath.Join(t.TempDir(), "profiles.json")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p := newProfiler()
+		st, err := p.LoadFile(path)
+		if err != nil {
+			t.Fatalf("%q: %v", content, err)
+		}
+		if want := (LoadStats{TruncatedTail: len(content)}); st != want || p.Len() != 0 {
+			t.Fatalf("%q: stats %+v with %d entries, want %+v and an empty table", content, st, p.Len(), want)
+		}
+		if _, err := os.Stat(path + ".bad"); !os.IsNotExist(err) {
+			t.Fatalf("%q: a foreign file left a .bad sidecar", content)
+		}
 	}
 }
 
