@@ -6,6 +6,7 @@
 package slate_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -138,12 +139,13 @@ func BenchmarkFig7Pairings(b *testing.B) {
 }
 
 // fig7Cold runs the full Fig. 7 sweep on a fresh harness each iteration, so
-// the benchmark measures the cold-cache cost the CLI user pays. Comparing
-// the Serial and Parallel variants gives the worker-pool speedup on this
-// machine (bounded above by GOMAXPROCS).
-func fig7Cold(b *testing.B, parallel int) {
+// the benchmark measures the cold-cache cost the CLI user pays: slatebench
+// sets both worker knobs, so both are set here. Comparing the Serial and
+// Parallel variants gives the worker-pool speedup on this machine (bounded
+// above by GOMAXPROCS).
+func fig7Cold(b *testing.B, parallel, simWorkers int) {
 	for i := 0; i < b.N; i++ {
-		fresh := harness.New(harness.Config{LoopSeconds: 1.0, Parallel: parallel})
+		fresh := harness.New(harness.Config{LoopSeconds: 1.0, Parallel: parallel, SimWorkers: simWorkers})
 		r, err := fresh.Fig7()
 		if err != nil {
 			b.Fatal(err)
@@ -154,12 +156,13 @@ func fig7Cold(b *testing.B, parallel int) {
 
 // BenchmarkFig7SweepColdSerial is the serial baseline for the parallel
 // harness: every cell runs in submission order on one goroutine.
-func BenchmarkFig7SweepColdSerial(b *testing.B) { fig7Cold(b, 1) }
+func BenchmarkFig7SweepColdSerial(b *testing.B) { fig7Cold(b, 1, 1) }
 
 // BenchmarkFig7SweepColdParallel8 runs the same sweep on an 8-wide worker
-// pool; output is byte-identical (see harness/parallel_test.go), only the
+// pool with SimWorkers where slatebench (and benchmark/fig7.go) puts it;
+// output is byte-identical (see harness/parallel_test.go), only the
 // wall-clock changes.
-func BenchmarkFig7SweepColdParallel8(b *testing.B) { fig7Cold(b, 8) }
+func BenchmarkFig7SweepColdParallel8(b *testing.B) { fig7Cold(b, 8, runtime.NumCPU()) }
 
 // BenchmarkAblations regenerates the scheduler design-choice ablation
 // (policy, split, grace variants against MPS).

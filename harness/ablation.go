@@ -83,16 +83,19 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	np := len(ablationPairs)
 	keys := make([]string, np)
 	baseline := make([]float64, np)
+	pairs := make([][]*workloads.App, np)
 	for p, pc := range ablationPairs {
 		keys[p] = pc[0] + "-" + pc[1]
 		res.Pairs = append(res.Pairs, keys[p])
-	}
-	err := h.forEachCell(np, func(p int) error {
-		pair, err := h.pairApps(ablationPairs[p])
+		pair, err := appsByCode(pc[0], pc[1])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rs, err := h.runApps(MPS, pair)
+		pairs[p] = pair
+	}
+	h.calibrate(sweepShapes, pairs...)
+	err := h.forEachCell(np, func(p int) error {
+		rs, err := h.runApps(MPS, pairs[p])
 		if err != nil {
 			return err
 		}
@@ -112,11 +115,7 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	}
 	err = h.forEachCell(len(variants)*np, func(c int) error {
 		v, p := c/np, c%np
-		pair, err := h.pairApps(ablationPairs[p])
-		if err != nil {
-			return err
-		}
-		mean, err := h.runSlateVariant(pair, variants[v].mut)
+		mean, err := h.runSlateVariant(pairs[p], variants[v].mut)
 		if err != nil {
 			return fmt.Errorf("ablation %s on %s: %w", variants[v].name, keys[p], err)
 		}
@@ -137,19 +136,6 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 		res.Variants = append(res.Variants, av)
 	}
 	return res, nil
-}
-
-// pairApps resolves a pair of application codes into fresh instances.
-func (h *Harness) pairApps(pc [2]string) ([]*workloads.App, error) {
-	a, err := workloads.ByCode(pc[0])
-	if err != nil {
-		return nil, err
-	}
-	b, err := workloads.ByCode(pc[1])
-	if err != nil {
-		return nil, err
-	}
-	return []*workloads.App{a, b}, nil
 }
 
 // runSlateVariant runs a pair under a mutated Slate daemon.

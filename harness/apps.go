@@ -5,7 +5,6 @@ import (
 
 	"slate/internal/cudart"
 	"slate/internal/daemon"
-	"slate/internal/kern"
 	"slate/internal/mps"
 	"slate/internal/run"
 	"slate/internal/sched"
@@ -49,14 +48,22 @@ func (h *Harness) runApps(s Sched, apps []*workloads.App) ([]run.Result, error) 
 	return h.runJobs(s, jobs)
 }
 
-// jobsFor builds the ~30s-loop jobs for the given applications, calibrating
-// solo times first (sharded across SimWorkers when enabled).
-func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
-	specs := make([]*kern.Spec, len(apps))
-	for i, app := range apps {
-		specs[i] = app.Kernel
+// appsByCode resolves application codes into fresh instances.
+func appsByCode(codes ...string) ([]*workloads.App, error) {
+	apps := make([]*workloads.App, len(codes))
+	for i, code := range codes {
+		app, err := workloads.ByCode(code)
+		if err != nil {
+			return nil, err
+		}
+		apps[i] = app
 	}
-	h.preheatSolos(specs)
+	return apps, nil
+}
+
+// jobsFor builds the ~30s-loop jobs for the given applications from their
+// solo times.
+func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
 	jobs := make([]run.Job, len(apps))
 	for i, app := range apps {
 		solo, err := h.soloKernelSec(app.Kernel)

@@ -91,6 +91,15 @@ func (h *Harness) CloudTrace(cfg CloudTraceConfig) (*CloudTraceResult, error) {
 		soloApp[code] = soloAppByCode[ci]
 	}
 
+	// The solo cells above each built their own code's hardware-order entry;
+	// the Slate cell below would build the sampled codes' Slate-order entries
+	// one after another, so the calibration pass builds them side by side.
+	mix, err := appsByCode(res.Mix...)
+	if err != nil {
+		return nil, err
+	}
+	h.calibrate(sweepShapes, mix)
+
 	// One cell per scheduler; each builds its own fresh app instances and
 	// jobs, so nothing mutable crosses cells.
 	scheds := Scheds()

@@ -39,23 +39,24 @@ var extendedPairs = [][2]string{
 // decision-log run inside).
 func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 	res := &ExtendedPairsResult{Rows: make([]ExtPairRow, len(extendedPairs))}
-	err := h.forEachCell(len(extendedPairs), func(p int) error {
-		pc := extendedPairs[p]
-		a, err := workloads.ByCode(pc[0])
+	pairs := make([][]*workloads.App, len(extendedPairs))
+	for p, pc := range extendedPairs {
+		pair, err := appsByCode(pc[0], pc[1])
 		if err != nil {
-			return err
-		}
-		b, err := workloads.ByCode(pc[1])
-		if err != nil {
-			return err
+			return nil, err
 		}
 		if pc[0] == pc[1] {
-			b.Kernel.Name = b.Kernel.Name + "@2"
+			pair[1].Kernel.Name += "@2"
 		}
+		pairs[p] = pair
+	}
+	h.calibrate(sweepShapes, pairs...)
+	err := h.forEachCell(len(extendedPairs), func(p int) error {
+		pc := extendedPairs[p]
 		row := ExtPairRow{Pair: pc[0] + "-" + pc[1]}
 		var mean [3]float64
 		for _, s := range Scheds() {
-			rs, err := h.runApps(s, []*workloads.App{a, b})
+			rs, err := h.runApps(s, pairs[p])
 			if err != nil {
 				return fmt.Errorf("extended pair %s under %v: %w", row.Pair, s, err)
 			}
@@ -66,7 +67,7 @@ func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 		}
 		// Decision recorded from a direct Slate run.
 		jobs := make([]run.Job, 2)
-		for i, app := range []*workloads.App{a, b} {
+		for i, app := range pairs[p] {
 			solo, err := h.soloKernelSec(app.Kernel)
 			if err != nil {
 				return err

@@ -30,6 +30,11 @@ func (h *Harness) Fig5() (*Fig5Result, error) {
 	for i, app := range apps {
 		res.Rows[i] = Fig5Row{Code: app.Code, Seconds: make([]float64, nts)}
 	}
+	shapes := make([]modelShape, nts)
+	for i, ts := range res.TaskSizes {
+		shapes[i] = modelShape{engine.SlateSched, ts}
+	}
+	h.calibrate(shapes, apps)
 	err := h.forEachCell(len(apps)*nts, func(c int) error {
 		ai, ti := c/nts, c%nts
 		m, err := h.soloRun(apps[ai].Kernel, engine.LaunchOpts{
@@ -112,6 +117,7 @@ func (h *Harness) Fig6() (*Fig6Result, error) {
 	apps := workloads.Apps()
 	scheds := Scheds()
 	res := &Fig6Result{Rows: make([]Fig6Row, len(apps)*len(scheds))}
+	h.calibrate(sweepShapes, apps)
 	err := h.forEachCell(len(res.Rows), func(c int) error {
 		app, s := apps[c/len(scheds)], scheds[c%len(scheds)]
 		rs, err := h.runApps(s, []*workloads.App{app})
@@ -213,17 +219,21 @@ type Fig7Result struct {
 	WorstGain float64
 }
 
-// Fig7 runs every pairing under every scheduler. Each (pairing, scheduler)
-// combination is an independent cell — 45 on the pool — and the headline
-// aggregates (means, best/worst pair) are computed afterwards in pairing
-// order, exactly as the serial loop accumulated them.
+// Fig7 runs every pairing under every scheduler. After the calibration pass
+// over the pairings' kernels, each (pairing, scheduler) combination is an
+// independent cell — 45 on the pool — and the headline aggregates (means,
+// best/worst pair) are computed afterwards in pairing order, exactly as the
+// serial loop accumulated them.
 func (h *Harness) Fig7() (*Fig7Result, error) {
 	pairs := workloads.Pairs()
 	scheds := Scheds()
 	res := &Fig7Result{Rows: make([]Fig7Row, len(pairs))}
+	var apps []*workloads.App
 	for p, pair := range pairs {
 		res.Rows[p].Pair = pair[0].Code + "-" + pair[1].Code
+		apps = append(apps, pair[0], pair[1])
 	}
+	h.calibrate(sweepShapes, apps)
 	err := h.forEachCell(len(pairs)*len(scheds), func(c int) error {
 		p, s := c/len(scheds), scheds[c%len(scheds)]
 		rs, err := h.runApps(s, []*workloads.App{pairs[p][0], pairs[p][1]})

@@ -13,12 +13,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"slate/internal/device"
 	"slate/internal/engine"
 	"slate/internal/kern"
 	"slate/internal/profile"
 	"slate/internal/vtime"
+	"slate/workloads"
 )
 
 // Config parameterizes the harness.
@@ -35,12 +37,11 @@ type Config struct {
 	// index-assigned slots and aggregates are computed in a serial-order
 	// post-pass, never from arrival order.
 	Parallel int
-	// SimWorkers parallelizes INSIDE a single experiment cell: solo
-	// calibration runs execute as shards of a vtime.ShardedClock, the
-	// per-cell scheduler simulations shard the same way (SimBenchCell),
-	// engines fan the static pass of their rate fixpoint across kernels
-	// (engine.Workers), and the trace model's LegacyMRC oracle fans its
-	// capacity-point simulations (TraceModel.BuildWorkers).
+	// SimWorkers parallelizes INSIDE a single experiment cell: the per-cell
+	// scheduler simulations execute as shards of a vtime.ShardedClock
+	// (SimBenchCell), engines fan the static pass of their rate fixpoint
+	// across kernels (engine.Workers), and the trace model's LegacyMRC
+	// oracle fans its capacity-point simulations (TraceModel.BuildWorkers).
 	// 0 or 1 keeps every simulation strictly serial. Output is
 	// byte-identical at every setting — see DESIGN.md §15.
 	SimWorkers int
@@ -68,6 +69,12 @@ type Harness struct {
 
 	mu   sync.Mutex
 	solo map[string]*soloEntry // kernel fingerprint → solo-time slot
+
+	// calibrated is Model.Len() as the last calibration pass returned. The
+	// cells that follow should leave it there: an entry built after the pass
+	// is one the pass did not know the cells would ask for
+	// (TestCalibrationPassCoversTheSweep).
+	calibrated atomic.Int64
 }
 
 // soloEntry is one single-flight solo measurement; ready is closed once
@@ -108,9 +115,9 @@ func New(cfg Config) *Harness {
 }
 
 // simWindow is the conservative window width for the harness's sharded
-// sub-simulations. The shards (solo calibrations, per-scheduler cell runs)
-// never exchange events, so any width is correct; a finite window keeps the
-// barrier machinery exercised on every run.
+// sub-simulations. The shards (per-scheduler cell runs) never exchange
+// events, so any width is correct; a finite window keeps the barrier
+// machinery exercised on every run.
 const simWindow = vtime.Millisecond
 
 // soloKernelSec returns one launch's solo duration under the hardware
@@ -164,73 +171,47 @@ func (h *Harness) soloRun(spec *kern.Spec, opts engine.LaunchOpts) (engine.Metri
 	return hd.Metrics(), nil
 }
 
-// preheatSolos fills the solo-time cache for the given kernels by running
-// the uncached ones as shards of one ShardedClock — the solo calibrations
-// are mutually independent simulations, so they are the natural shard key
-// for a cell's setup phase. Claims follow the same single-flight protocol
-// as soloKernelSec: concurrent callers of an already-claimed kernel block on
-// its entry rather than re-simulating. A no-op when SimWorkers <= 1 (the
-// serial path measures lazily) or everything is already cached.
-func (h *Harness) preheatSolos(specs []*kern.Spec) {
-	if h.simWorkers <= 1 {
-		return
-	}
-	type claim struct {
-		spec *kern.Spec
-		e    *soloEntry
-	}
-	var claims []claim
-	h.mu.Lock()
-	for _, spec := range specs {
-		fp := spec.Fingerprint()
-		if _, ok := h.solo[fp]; ok {
-			continue
-		}
-		e := &soloEntry{ready: make(chan struct{})}
-		h.solo[fp] = e
-		claims = append(claims, claim{spec, e})
-	}
-	h.mu.Unlock()
-	if len(claims) == 0 {
-		return
-	}
+// modelShape is the (mode, task size) half of a trace-model key.
+type modelShape struct {
+	mode     engine.Mode
+	taskSize int
+}
 
-	sc := vtime.NewSharded(len(claims), simWindow)
-	sc.Workers = h.simWorkers
-	handles := make([]*engine.Handle, len(claims))
-	errs := make([]error, len(claims))
-	for i, cl := range claims {
-		i, cl := i, cl
-		eng := engine.New(h.Dev, sc.Shard(i), h.Model)
-		// Launch inside the shard's first event, not here: Launch performs
-		// the initial recompute — including any cold model build — and that
-		// work must land on the shard to run in parallel.
-		sc.Shard(i).At(0, func(vtime.Time) {
-			handles[i], errs[i] = eng.Launch(cl.spec, engine.LaunchOpts{Mode: engine.HardwareSched})
-		})
-	}
-	limit := 5_000_000 * len(claims)
-	converged := sc.Run(limit) < limit
-	for i, cl := range claims {
-		switch {
-		case errs[i] != nil:
-			cl.e.err = errs[i]
-		case !converged:
-			cl.e.err = fmt.Errorf("harness: solo run of %q did not converge", cl.spec.Name)
-		case handles[i] == nil || !handles[i].Done():
-			cl.e.err = fmt.Errorf("harness: kernel %q incomplete", cl.spec.Name)
-		default:
-			cl.e.sec = handles[i].Metrics().Duration().Seconds()
-		}
-		close(cl.e.ready)
-		if cl.e.err != nil {
-			h.mu.Lock()
-			if h.solo[cl.spec.Fingerprint()] == cl.e {
-				delete(h.solo, cl.spec.Fingerprint())
+// sweepShapes are the two entries every kernel of a scheduler comparison
+// needs: hardware order for CUDA, MPS, solo calibration and the profiler's
+// solo run, and Slate order at the default task size for the profiler's
+// scaling pair and every launch the Slate scheduler makes.
+var sweepShapes = []modelShape{
+	{engine.HardwareSched, 1},
+	{engine.SlateSched, engine.DefaultTaskSize},
+}
+
+// calibrate is the calibration pass an experiment runs before it fans its
+// cells out: it builds the trace-model entries the cells will ask for —
+// every distinct kernel among the groups of apps (by content fingerprint)
+// under every shape — as independent items on the cell pool. Left to the
+// cells, the builds are discovered lazily and the cells queue behind each
+// other's single-flight builds (Fig. 7: 45 cells colliding on 10 entries).
+// An entry is a pure function of its key, so building it early, and in
+// whatever order the pool takes the items, cannot change a byte; on a warm
+// model an item is one read-locked map hit.
+func (h *Harness) calibrate(shapes []modelShape, groups ...[]*workloads.App) {
+	var specs []*kern.Spec
+	seen := map[string]bool{}
+	for _, apps := range groups {
+		for _, app := range apps {
+			if fp := app.Kernel.Fingerprint(); !seen[fp] {
+				seen[fp] = true
+				specs = append(specs, app.Kernel)
 			}
-			h.mu.Unlock()
 		}
 	}
+	_ = h.forEachCell(len(specs)*len(shapes), func(i int) error {
+		sh := shapes[i%len(shapes)]
+		h.Model.Locality(specs[i/len(shapes)], sh.mode, sh.taskSize)
+		return nil
+	})
+	h.calibrated.Store(int64(h.Model.Len()))
 }
 
 // table renders rows as a fixed-width text table.

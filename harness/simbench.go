@@ -36,12 +36,12 @@ func (h *Harness) HeaviestPairIndex() int {
 	return best
 }
 
-// SimBenchCell runs one Fig. 7 pairing end to end — solo calibration plus
-// the pair under all three schedulers — and returns the rendered row plus
-// CSV. With SimWorkers > 1 the constituent simulations execute as shards of
-// a ShardedClock (solos first, then the three scheduler co-runs) and the
-// engines fan their per-event hot path; the rendered bytes are identical to
-// the serial path's at every worker count.
+// SimBenchCell runs one Fig. 7 pairing end to end — the calibration pass for
+// the pair, solo calibration, then the pair under all three schedulers — and
+// returns the rendered row plus CSV. With SimWorkers > 1 the three scheduler
+// co-runs execute as shards of a ShardedClock and the engines fan their
+// per-event hot path; the rendered bytes are identical to the serial path's
+// at every worker count.
 func (h *Harness) SimBenchCell(p int) (string, error) {
 	pairs := workloads.Pairs()
 	if p < 0 || p >= len(pairs) {
@@ -49,7 +49,8 @@ func (h *Harness) SimBenchCell(p int) (string, error) {
 	}
 	pair := pairs[p]
 	name := pair[0].Code + "-" + pair[1].Code
-	jobs, err := h.jobsFor([]*workloads.App{pair[0], pair[1]})
+	h.calibrate(sweepShapes, pair[:])
+	jobs, err := h.jobsFor(pair[:])
 	if err != nil {
 		return "", err
 	}

@@ -36,17 +36,18 @@ type StaticMergeResult struct {
 func (h *Harness) StaticMerge() (*StaticMergeResult, error) {
 	pairs := [][2]string{{"BS", "RG"}, {"GS", "RG"}, {"MM", "RG"}, {"TR", "RG"}}
 	res := &StaticMergeResult{Rows: make([]StaticMergeRow, len(pairs))}
+	apps := make([][]*workloads.App, len(pairs))
+	for p, pc := range pairs {
+		pair, err := appsByCode(pc[0], pc[1])
+		if err != nil {
+			return nil, err
+		}
+		apps[p] = pair
+	}
+	h.calibrate(sweepShapes, apps...)
 	err := h.forEachCell(len(pairs), func(p int) error {
-		pc := pairs[p]
-		a, err := workloads.ByCode(pc[0])
-		if err != nil {
-			return err
-		}
-		b, err := workloads.ByCode(pc[1])
-		if err != nil {
-			return err
-		}
-		row := StaticMergeRow{Pair: pc[0] + "-" + pc[1]}
+		a, b := apps[p][0], apps[p][1]
+		row := StaticMergeRow{Pair: a.Code + "-" + b.Code}
 
 		soloA, err := h.soloKernelSec(a.Kernel)
 		if err != nil {
@@ -98,13 +99,13 @@ func (h *Harness) corunMakespan(a, b *workloads.App, split int, grow bool, _ int
 	clk := vtime.NewClock()
 	e := engine.New(h.Dev, clk, h.Model)
 	ha, err := e.Launch(a.Kernel, engine.LaunchOpts{
-		Mode: engine.SlateSched, TaskSize: 10, SMLow: 0, SMHigh: split - 1,
+		Mode: engine.SlateSched, TaskSize: engine.DefaultTaskSize, SMLow: 0, SMHigh: split - 1,
 	})
 	if err != nil {
 		return 0, err
 	}
 	hb, err := e.Launch(b.Kernel, engine.LaunchOpts{
-		Mode: engine.SlateSched, TaskSize: 10, SMLow: split, SMHigh: h.Dev.NumSMs - 1,
+		Mode: engine.SlateSched, TaskSize: engine.DefaultTaskSize, SMLow: split, SMHigh: h.Dev.NumSMs - 1,
 	})
 	if err != nil {
 		return 0, err

@@ -24,20 +24,17 @@ type TableIVResult struct {
 // TableIV runs the BS-RG pairing under MPS and Slate and aggregates the
 // pair's device counters.
 func (h *Harness) TableIV() (*TableIVResult, error) {
-	bs, err := workloads.ByCode("BS")
+	pair, err := appsByCode("BS", "RG")
 	if err != nil {
 		return nil, err
 	}
-	rg, err := workloads.ByCode("RG")
-	if err != nil {
-		return nil, err
-	}
+	h.calibrate(sweepShapes, pair)
 	res := &TableIVResult{}
 	var mean [2]float64
 	scheds := []Sched{MPS, Slate}
 	err = h.forEachCell(len(scheds), func(i int) error {
 		s := scheds[i]
-		rs, err := h.runApps(s, []*workloads.App{bs, rg})
+		rs, err := h.runApps(s, pair)
 		if err != nil {
 			return fmt.Errorf("BS-RG under %v: %w", s, err)
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 
 	"slate/internal/run"
 	"slate/internal/vtime"
@@ -35,28 +36,24 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 	}
 	// Each mix is an independent cell; the cross-mix mean is a post-pass.
 	res := &TriplesResult{Rows: make([]TripleRow, len(mixes))}
-	err := h.forEachCell(len(mixes), func(mi int) error {
-		mix := mixes[mi]
-		apps := make([]*workloads.App, 3)
-		names := ""
-		for i, code := range mix {
-			app, err := workloads.ByCode(code)
-			if err != nil {
-				return err
-			}
-			// Distinct kernel names for self-repeats so the scheduler and
-			// engine treat them as separate clients' kernels; the
-			// content-addressed caches still share their locality and solo
-			// measurements.
-			if i > 0 {
-				app.Kernel.Name = fmt.Sprintf("%s#%d", app.Kernel.Name, i)
-			}
-			apps[i] = app
-			if i > 0 {
-				names += "-"
-			}
-			names += code
+	mixApps := make([][]*workloads.App, len(mixes))
+	for mi, mix := range mixes {
+		apps, err := appsByCode(mix[:]...)
+		if err != nil {
+			return nil, err
 		}
+		// Distinct kernel names for self-repeats so the scheduler and engine
+		// treat them as separate clients' kernels; the content-addressed
+		// caches still share their locality and solo measurements.
+		for i := 1; i < len(apps); i++ {
+			apps[i].Kernel.Name = fmt.Sprintf("%s#%d", apps[i].Kernel.Name, i)
+		}
+		mixApps[mi] = apps
+	}
+	h.calibrate(sweepShapes, mixApps...)
+	err := h.forEachCell(len(mixes), func(mi int) error {
+		apps := mixApps[mi]
+		names := strings.Join(mixes[mi][:], "-")
 		row := TripleRow{Triple: names}
 
 		jobs := make([]run.Job, len(apps))

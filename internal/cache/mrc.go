@@ -47,12 +47,14 @@ const MRCDeviationBound = 0.04
 // Fenwick tree over its word popcounts, the open-addressing line table and
 // the distance histogram. Pooled because the harness builds hundreds of
 // entries. At the default trace length (10⁶ accesses) the bitmap and tree
-// are under 200 KB, the histogram is 4 MB and the line table 8 MB, all
-// cleared per build (~1 ms). The table stores only each line's last
-// position: the line itself is read back from the trace at that position, so
-// there is no key array. It is sized for the all-distinct worst case and not
-// from a distinct-line bound: only the trace crosses ReuseDistanceMRC's
-// signature, and counting distinct lines would be a pass of its own.
+// are under 200 KB and the line table 8 MB, cleared per build; the 4 MB
+// histogram is cleared by the pass that filled it, over the bins it touched
+// only, so it is all zero whenever it sits in the pool. The table stores
+// only each line's last position: the line itself is read back from the
+// trace at that position, so there is no key array. It is sized for the
+// all-distinct worst case and not from a distinct-line bound: only the trace
+// crosses ReuseDistanceMRC's signature, and counting distinct lines would be
+// a pass of its own.
 type mrcScratch struct {
 	words []uint64 // bit i set while position i is some line's most recent access
 	tree  []int32  // Fenwick tree, 1-based over words: popcounts of completed words
@@ -63,7 +65,7 @@ type mrcScratch struct {
 var mrcPool = sync.Pool{New: func() any { return new(mrcScratch) }}
 
 // grow resizes and zeroes the scratch for a trace of n accesses with an
-// m-slot line table.
+// m-slot line table. hist is zero already (see mrcScratch).
 func (s *mrcScratch) grow(n, m int) {
 	nw := (n + 63) / 64
 	if cap(s.words) < nw {
@@ -87,7 +89,6 @@ func (s *mrcScratch) grow(n, m int) {
 		s.hist = make([]int32, n)
 	} else {
 		s.hist = s.hist[:n]
-		clear(s.hist)
 	}
 }
 
@@ -140,8 +141,9 @@ func ReuseDistanceMRC(cfg Config, trace []uint64, sizesBytes []int) []float64 {
 		panic(fmt.Sprintf("cache: ReuseDistanceMRC trace length %d exceeds int32 positions", n))
 	}
 
+	// No deferred Put: a pass that panics leaves its histogram dirty, and that
+	// scratch must not reach the pool.
 	s := mrcPool.Get().(*mrcScratch)
-	defer mrcPool.Put(s)
 	cold, maxd := s.reuseDistances(trace, uint(bits.TrailingZeros(uint(cfg.LineBytes))))
 
 	// Phase 2: fold the histogram through every capacity point's miss
@@ -166,6 +168,8 @@ func ReuseDistanceMRC(cfg Config, trace []uint64, sizesBytes []int) []float64 {
 	for j := range out {
 		out[j] = (float64(cold) + reuse[j]) / float64(n)
 	}
+	clear(s.hist[:maxd+1])
+	mrcPool.Put(s)
 	return out
 }
 

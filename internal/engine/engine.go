@@ -89,10 +89,17 @@ type PerfModel interface {
 	Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality
 }
 
+// DefaultTaskSize is the SLATE_ITERS grouping a launch, the scheduler and the
+// profiler use when none is given (Fig. 5 puts the best all-round value
+// there). One name, because the model entry a sweep will ask for is keyed by
+// it: the harness's calibration pass builds that entry ahead of the cells.
+const DefaultTaskSize = 10
+
 // LaunchOpts configures a kernel instance.
 type LaunchOpts struct {
 	Mode Mode
-	// TaskSize is the SLATE_ITERS grouping (Slate mode; <=0 selects 10).
+	// TaskSize is the SLATE_ITERS grouping (Slate mode; <=0 selects
+	// DefaultTaskSize).
 	TaskSize int
 	// SMLow and SMHigh bound the designated SM range, inclusive (Slate
 	// mode). Hardware mode ignores them and competes for the whole device.
@@ -382,7 +389,7 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 		return nil, err
 	}
 	if opts.TaskSize <= 0 {
-		opts.TaskSize = 10
+		opts.TaskSize = DefaultTaskSize
 	}
 	if opts.Mode == SlateSched {
 		if opts.SMLow < 0 || opts.SMHigh >= e.Dev.NumSMs || opts.SMLow > opts.SMHigh {

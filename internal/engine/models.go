@@ -238,6 +238,8 @@ func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) Locality {
 		// Single pass over the trace answers every capacity at once.
 		loc.MissRatio = cache.ReuseDistanceMRC(m.Dev.L2, trace, mrcSizes)
 	}
+	// Nothing of the trace survives in loc: the next build may have it.
+	traces.Release(trace)
 	return loc
 }
 
@@ -283,6 +285,19 @@ func (m *TraceModel) legacyMRC(trace []uint64) []float64 {
 // same shared value.
 func (m *TraceModel) Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality {
 	return &m.entry(spec, mode, taskSize).loc
+}
+
+// Len returns the number of built entries.
+func (m *TraceModel) Len() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for _, e := range m.cache {
+		if e.built.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // MissRatioCurve returns a copy of the memoized capacity points and miss

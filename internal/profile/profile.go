@@ -173,13 +173,13 @@ func (p *Profiler) measure(spec *kern.Spec) (*Profile, error) {
 	// isolates SM scaling. Comparing against the hardware-scheduled solo
 	// would fold Slate's locality gains into the curve.
 	slateSolo, err := p.run(spec, engine.LaunchOpts{
-		Mode: engine.SlateSched, SMLow: 0, SMHigh: p.Dev.NumSMs - 1, TaskSize: 10,
+		Mode: engine.SlateSched, SMLow: 0, SMHigh: p.Dev.NumSMs - 1, TaskSize: engine.DefaultTaskSize,
 	})
 	if err != nil {
 		return nil, err
 	}
 	restricted, err := p.run(spec, engine.LaunchOpts{
-		Mode: engine.SlateSched, SMLow: 0, SMHigh: ScalingSMs - 1, TaskSize: 10,
+		Mode: engine.SlateSched, SMLow: 0, SMHigh: ScalingSMs - 1, TaskSize: engine.DefaultTaskSize,
 	})
 	if err != nil {
 		return nil, err

@@ -92,7 +92,7 @@ func New(dev *device.Device, eng *engine.Engine, prof *profile.Profiler) *Schedu
 		Eng:              eng,
 		Prof:             prof,
 		MaxConcurrent:    2,
-		DefaultTaskSize:  10,
+		DefaultTaskSize:  engine.DefaultTaskSize,
 		GrowGraceSeconds: 200e-6,
 	}
 }

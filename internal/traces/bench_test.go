@@ -26,8 +26,10 @@ func benchPatterns() map[string]BlockPattern {
 // BenchmarkAssemble measures trace assembly (the other half of a model
 // build beside the MRC) with allocation counts: the preallocated queue,
 // stream, and output buffers should keep allocs flat in trace length. The
-// "+stats" cases run the fused entry a model build calls; what they cost
-// over plain assembly is the run-statistics pass alone.
+// "+stats" cases run the fused entry a model build calls and, like the
+// build, hand the trace back when done, so their B/op is what a build
+// allocates with both buffers recycled; what they cost over plain assembly
+// in time is the run-statistics pass alone.
 func BenchmarkAssemble(b *testing.B) {
 	for _, order := range []struct {
 		name string
@@ -51,6 +53,7 @@ func BenchmarkAssemble(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					trace, rs := AssembleWithRunStats(p, order.cfg)
 					sink = len(trace) + rs.Runs
+					Release(trace)
 				}
 				_ = sink
 			})

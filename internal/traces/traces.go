@@ -15,6 +15,7 @@ package traces
 import (
 	"math/bits"
 	"math/rand"
+	"sync"
 
 	"slate/internal/cache"
 )
@@ -200,28 +201,52 @@ func (r Random) AppendBlock(dst []uint64, b int) []uint64 {
 	return r.blockAppender()(dst, b)
 }
 
-// blockAppender returns AppendBlock bound to one rand source that is
-// re-seeded per block. Seed resets the source's whole state, so the draws are
-// those of a fresh rand.NewSource(r.Seed+b); what is saved is the 4.9 KB
-// source a fresh one allocates, once per block of a model-scale expansion.
+// blockAppender returns AppendBlock for a whole expansion. Block b's table
+// reads are the draws of a fresh rand.NewSource(r.Seed+b), and seeding one is
+// what an RG-shaped expansion costs, once per block. Where Intn is exactly one
+// draw — a power-of-two line count no larger than Int31n takes — and the block
+// stays inside the draws that read seeded words only, they are computed
+// straight from the seed (see skipahead.go); any other shape re-seeds one
+// shared source per block, which resets its whole state.
 func (r Random) blockAppender() func(dst []uint64, b int) []uint64 {
-	src := rand.NewSource(0)
-	rng := rand.New(src)
 	lines := r.TableBytes / r.LineBytes
 	if lines < 1 {
 		lines = 1
 	}
-	return func(dst []uint64, b int) []uint64 {
-		src.Seed(r.Seed + int64(b))
-		start := r.Base + uint64(b)*uint64(r.BytesPerBlock)
-		for off := 0; off < r.BytesPerBlock; off += r.LineBytes {
-			dst = append(dst, start+uint64(off))
+	if lines&(lines-1) == 0 && lines <= 1<<30 && r.TableReads <= rngTap {
+		t := skipAhead()
+		mask := uint64(lines - 1)
+		return func(dst []uint64, b int) []uint64 {
+			dst = r.appendPrivate(dst, b)
+			seed := normSeed(r.Seed + int64(b))
+			for k := 0; k < r.TableReads; k++ {
+				// Intn of a power of two is Int31() & (n-1), and Int31 is
+				// bits 32..62 of one draw.
+				line := (t.draw(seed, k) & rngMask) >> 32 & mask
+				dst = append(dst, r.TableBase+line*uint64(r.LineBytes))
+			}
+			return dst
 		}
+	}
+	src := rand.NewSource(0)
+	rng := rand.New(src)
+	return func(dst []uint64, b int) []uint64 {
+		dst = r.appendPrivate(dst, b)
+		src.Seed(r.Seed + int64(b))
 		for k := 0; k < r.TableReads; k++ {
 			dst = append(dst, r.TableBase+uint64(rng.Intn(lines))*uint64(r.LineBytes))
 		}
 		return dst
 	}
+}
+
+// appendPrivate appends the lines of block b's private region.
+func (r Random) appendPrivate(dst []uint64, b int) []uint64 {
+	start := r.Base + uint64(b)*uint64(r.BytesPerBlock)
+	for off := 0; off < r.BytesPerBlock; off += r.LineBytes {
+		dst = append(dst, start+uint64(off))
+	}
+	return dst
 }
 
 // Order identifies a block-execution order for trace assembly.
@@ -257,9 +282,11 @@ type AssembleConfig struct {
 }
 
 // Assemble builds a single interleaved address trace from the pattern under
-// the given execution order.
+// the given execution order. The trace belongs to the caller, who may hand it
+// back with Release once done with it.
 func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
-	streams, cfg := expand(p, cfg)
+	streams, buf, cfg := expand(p, cfg)
+	defer Release(buf)
 	return interleave(streams, cfg)
 }
 
@@ -267,15 +294,43 @@ func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
 // the same arguments from one dealing and one expansion of the pattern — the
 // pair a model build needs.
 func AssembleWithRunStats(p BlockPattern, cfg AssembleConfig) ([]uint64, RunStats) {
-	streams, cfg := expand(p, cfg)
+	streams, buf, cfg := expand(p, cfg)
+	defer Release(buf)
 	return interleave(streams, cfg), runStats(streams)
+}
+
+// bufPool recycles the two model-scale buffers of an assembly: the expanded
+// streams and the interleaved trace, 8 MB each at the model's default cap.
+// Both are filled through append and never read past their length, so a
+// recycled one needs no clearing — what is saved is allocating and zeroing
+// 16 MB per model build.
+var bufPool sync.Pool // of *[]uint64
+
+// getBuf returns an empty buffer of capacity at least n.
+func getBuf(n int) []uint64 {
+	if b, _ := bufPool.Get().(*[]uint64); b != nil && cap(*b) >= n {
+		return (*b)[:0]
+	}
+	return make([]uint64, 0, n)
+}
+
+// Release recycles a trace returned by Assemble or AssembleWithRunStats into
+// a later assembly. The caller must not use it afterwards; a trace that is
+// never released is simply garbage-collected.
+func Release(trace []uint64) {
+	if cap(trace) > 0 {
+		trace = trace[:0]
+		bufPool.Put(&trace)
+	}
 }
 
 // expand is the one dealing and expansion routine: it normalizes cfg, deals
 // the sampled blocks to worker queues under cfg.Order, and expands every
 // queue into that worker's access stream. Assemble interleaves the streams,
-// StreamRunStats measures them. The returned cfg is the normalized one.
-func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, AssembleConfig) {
+// StreamRunStats measures them. The streams are windows of the returned
+// buffer, which the caller releases once it is done with them; the returned
+// cfg is the normalized one.
+func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, []uint64, AssembleConfig) {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -290,7 +345,7 @@ func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, AssembleConfig) {
 	per := accessesPerBlock(p)
 	n := sampleBlocksFor(p, per, cfg.MaxAccesses)
 	if n == 0 {
-		return nil, cfg
+		return nil, nil, cfg
 	}
 	if cfg.Workers > n {
 		cfg.Workers = n
@@ -334,9 +389,9 @@ func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, AssembleConfig) {
 	// hint, so append never reallocates for a SizedPattern.
 	appendBlock := p.AppendBlock
 	if r, ok := p.(Random); ok {
-		appendBlock = r.blockAppender() // one rand source for the whole expansion
+		appendBlock = r.blockAppender() // one seed table or rand source for the whole expansion
 	}
-	buf := make([]uint64, 0, n*per)
+	buf := getBuf(n * per)
 	streams := make([][]uint64, cfg.Workers)
 	for w, q := range queues {
 		start := len(buf)
@@ -345,7 +400,7 @@ func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, AssembleConfig) {
 		}
 		streams[w] = buf[start:]
 	}
-	return streams, cfg
+	return streams, buf, cfg
 }
 
 // interleave merges the streams chunk-by-chunk with a deterministic shuffle
@@ -361,7 +416,7 @@ func interleave(streams [][]uint64, cfg AssembleConfig) []uint64 {
 		}
 		total += len(s)
 	}
-	out := make([]uint64, 0, total)
+	out := getBuf(total)
 	for len(live) > 0 && len(out) < total {
 		i := rng.Intn(len(live))
 		w := live[i]
@@ -446,7 +501,8 @@ type RunStats struct {
 // StreamRunStats computes RunStats for the pattern under the given execution
 // order without interleaving (runs are a per-stream property).
 func StreamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
-	streams, _ := expand(p, cfg)
+	streams, buf, _ := expand(p, cfg)
+	defer Release(buf)
 	return runStats(streams)
 }
 

@@ -330,7 +330,7 @@ func TestAssembleWithRunStatsMatchesSeparateCalls(t *testing.T) {
 // mapRunStats is the reference for the epoch-stamped first-touch table: one
 // Go map per worker stream.
 func mapRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
-	streams, _ := expand(p, cfg)
+	streams, _, _ := expand(p, cfg)
 	var runs, cold int
 	for _, s := range streams {
 		seen := map[uint64]bool{}
