@@ -10,8 +10,11 @@ import (
 // TestSteadyStateRecomputeDoesNotAllocate is the allocation gate for the
 // event loop's hot path: with every handle's locality resolved and nobody
 // finishing, a recompute — progress integration, SM allocation, the rate
-// fixpoint and the completion/checkpoint reschedule — allocates nothing.
-// RescheduleEveryEvent forces the cancel-and-reschedule of every pending
+// fixpoint and the completion/checkpoint reschedule — allocates nothing. At a
+// fixed instant every recompute after the first is a rate-memo hit, and the
+// test checks that it is: a hit encodes its key into reused scratch and looks
+// it up without allocating.
+// rescheduleEveryEvent forces the cancel-and-reschedule of every pending
 // event, which the reschedule skip would otherwise hide from the count.
 func TestSteadyStateRecomputeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
@@ -23,7 +26,7 @@ func TestSteadyStateRecomputeDoesNotAllocate(t *testing.T) {
 	for _, rescheduleEvery := range []bool{false, true} {
 		clk := vtime.NewClock()
 		e := New(dev, clk, model)
-		e.RescheduleEveryEvent = rescheduleEvery
+		e.rescheduleEveryEvent = rescheduleEvery
 		specs := paritySpecs()
 		launch := func(i int, opts LaunchOpts) {
 			if _, err := e.Launch(specs[i], opts); err != nil {
@@ -43,8 +46,13 @@ func TestSteadyStateRecomputeDoesNotAllocate(t *testing.T) {
 			t.Fatalf("%d kernels running, want 4", e.Running())
 		}
 		now := clk.Now()
+		solved, reused := e.memo.solved, e.memo.reused
 		if allocs := testing.AllocsPerRun(200, func() { e.recompute(now) }); allocs != 0 {
-			t.Errorf("RescheduleEveryEvent=%v: steady-state recompute allocates %v times per call, want 0", rescheduleEvery, allocs)
+			t.Errorf("rescheduleEveryEvent=%v: steady-state recompute allocates %v times per call, want 0", rescheduleEvery, allocs)
+		}
+		if e.memo.solved != solved || e.memo.reused < reused+200 {
+			t.Errorf("rescheduleEveryEvent=%v: memo solved %d→%d, reused %d→%d; want every recompute a hit",
+				rescheduleEvery, solved, e.memo.solved, reused, e.memo.reused)
 		}
 	}
 }

@@ -83,6 +83,8 @@ func (l *Locality) HitRate(l2Bytes float64) float64 {
 // several still-unresolved handles resolve on separate goroutines, and
 // engines running different simulations share one model. TraceModel's
 // single-flight entry cache and the stateless StaticModel both satisfy this.
+// Locality must be a pure function of its arguments: the engine's rate memo
+// reuses a solve without asking the model again. Both models are.
 type PerfModel interface {
 	// Locality returns the kernel's locality under the given mode and task
 	// size.
@@ -177,6 +179,7 @@ func (m Metrics) IPC(clockHz float64) float64 {
 type Handle struct {
 	id         int
 	spec       *kern.Spec
+	specID     uint64 // the spec's rate-memo ID on this engine
 	opts       LaunchOpts
 	numBlocks  float64
 	blocksDone float64
@@ -241,8 +244,8 @@ type Engine struct {
 	Model PerfModel
 
 	// Workers bounds the goroutines used to fan per-kernel work inside a
-	// single event. Two things fan: the once-per-recompute static pass of
-	// computeRates (locality resolution plus the share-independent rate
+	// single event. Two things fan: the static pass of a rate solve that
+	// missed the memo (locality resolution plus the share-independent rate
 	// ceilings), when the kernel set is wide or several handles still need a
 	// possibly cold model build, and the advanceProgress integration over a
 	// wide kernel set. The fixpoint iterations themselves — an interpolation
@@ -253,13 +256,16 @@ type Engine struct {
 	// a pure wall-clock knob.
 	Workers int
 
-	// RescheduleEveryEvent disables the completion-event reschedule skip
+	// rescheduleEveryEvent disables the completion-event reschedule skip
 	// so tests can measure the event churn it removes.
-	RescheduleEveryEvent bool
+	rescheduleEveryEvent bool
 
 	nextID     int
 	running    []*Handle
 	lastUpdate vtime.Time
+
+	// memo holds every rate solve this engine has made (rateMemo).
+	memo rateMemo
 
 	// scratch holds the per-recompute working buffers. recompute runs on
 	// every simulation event, and without reuse these allocations dominate
@@ -276,11 +282,11 @@ type Engine struct {
 // callback only if its user detaches it first (finished); the rest are
 // written and consumed inside allocate/computeRates, which run no callbacks.
 type engineScratch struct {
-	alloc, shares, demands, grants, accessRates []float64
-	terms                                       []rateTerms
-	snaps                                       []rateSnap
-	order                                       []int
-	finished                                    []*Handle
+	alloc, active, shares, demands, grants, accessRates []float64
+	terms                                               []rateTerms
+	snaps                                               []rateSnap
+	order                                               []int
+	finished                                            []*Handle
 }
 
 // rateTerms is the part of one kernel's rate that does not depend on its L2
@@ -408,6 +414,7 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 	h := &Handle{
 		id:            e.nextID,
 		spec:          spec,
+		specID:        e.memo.specID(spec),
 		opts:          opts,
 		numBlocks:     float64(spec.NumBlocks()),
 		warpsPerBlock: float64(spec.Shape().Warps()),
@@ -634,7 +641,7 @@ func (e *Engine) recompute(now vtime.Time) {
 		// the pending completion's absolute time (now + remaining/rate) is
 		// invariant, so a bitwise-unchanged (rate, allocation) pair means
 		// the pending events still describe the correct schedule.
-		if !e.RescheduleEveryEvent && h.completion != nil &&
+		if !e.rescheduleEveryEvent && h.completion != nil &&
 			h.rate == h.schedRate && h.smAlloc == h.schedAlloc {
 			continue
 		}
@@ -735,7 +742,9 @@ func (e *Engine) allocate(now vtime.Time) []float64 {
 }
 
 // computeRates runs the coupled rate/L2-share fixpoint and stores each
-// running kernel's snapshot. Only three quantities depend on a kernel's L2
+// running kernel's snapshot. A configuration this engine solved before is
+// read from the memo (rateMemo) instead; allocate runs either way, because
+// the key needs its output. Only three quantities depend on a kernel's L2
 // share — its hit rate, hence its DRAM bytes per block, hence its bus demand
 // — so everything else (rateTerms) is computed once, before the iterations;
 // that static pass is also where a handle's locality is resolved, and so
@@ -751,6 +760,20 @@ func (e *Engine) computeRates(now vtime.Time) {
 	alloc := e.allocate(now)
 
 	sc := &e.scratch
+	sc.active = f64Scratch(sc.active, n)
+	active := sc.active
+	for i, h := range e.running {
+		active[i] = 0
+		if alloc[i] > 0 {
+			active[i] = h.activeWorkers(alloc[i])
+		}
+	}
+	e.memo.encode(e.running, alloc, active)
+	if snaps := e.memo.lookup(n); snaps != nil {
+		e.storeRates(snaps, alloc)
+		return
+	}
+
 	sc.shares = f64Scratch(sc.shares, n)
 	sc.demands = f64Scratch(sc.demands, n)
 	sc.grants = f64Scratch(sc.grants, n)
@@ -774,10 +797,10 @@ func (e *Engine) computeRates(now vtime.Time) {
 	}
 	corun := sharers > 1
 	if e.Workers > 1 && n > 1 && (n >= rateFanKernels || unresolved > 1) {
-		e.fanKernels(n, func(i int) { terms[i] = e.staticTerms(e.running[i], alloc[i], corun) })
+		e.fanKernels(n, func(i int) { terms[i] = e.staticTerms(e.running[i], alloc[i], active[i], corun) })
 	} else {
 		for i, h := range e.running {
-			terms[i] = e.staticTerms(h, alloc[i], corun)
+			terms[i] = e.staticTerms(h, alloc[i], active[i], corun)
 		}
 	}
 
@@ -832,6 +855,13 @@ func (e *Engine) computeRates(now vtime.Time) {
 		}
 	}
 
+	e.memo.insert(snaps)
+	e.storeRates(snaps, alloc)
+}
+
+// storeRates writes each running kernel's snapshot and allocation into its
+// handle.
+func (e *Engine) storeRates(snaps []rateSnap, alloc []float64) {
 	for i, h := range e.running {
 		h.rate = snaps[i].rate
 		h.dramPerBlk = snaps[i].dramPB
@@ -841,17 +871,16 @@ func (e *Engine) computeRates(now vtime.Time) {
 	}
 }
 
-// staticTerms returns the share-independent rate terms of h on s SMs,
-// resolving h's locality first if this is the first time it holds any. corun
-// reports that more than one kernel holds SMs.
-func (e *Engine) staticTerms(h *Handle, s float64, corun bool) rateTerms {
+// staticTerms returns the share-independent rate terms of h on s SMs with
+// active workers, resolving h's locality first if this is the first time it
+// holds any. corun reports that more than one kernel holds SMs.
+func (e *Engine) staticTerms(h *Handle, s, active float64, corun bool) rateTerms {
 	if s <= 0 {
 		return rateTerms{}
 	}
 	if h.loc == nil {
 		h.loc = e.Model.Locality(h.spec, h.opts.Mode, h.opts.TaskSize)
 	}
-	active := h.activeWorkers(s)
 	// Active workers spread across the allocated SMs; once fewer
 	// workers than SMs remain, each active block has an SM to
 	// itself and the kernel effectively occupies only `occ` SMs.

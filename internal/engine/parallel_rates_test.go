@@ -23,7 +23,7 @@ func corunFingerprint(t *testing.T, workers int, rescheduleEvery bool, fanGate i
 	dev := device.TitanXp()
 	e := New(dev, clk, NewTraceModel(dev))
 	e.Workers = workers
-	e.RescheduleEveryEvent = rescheduleEvery
+	e.rescheduleEveryEvent = rescheduleEvery
 
 	sg := workloads.SGEMMApp().Kernel
 	tr := workloads.TransposeApp().Kernel
@@ -48,6 +48,9 @@ func corunFingerprint(t *testing.T, workers int, rescheduleEvery bool, fanGate i
 		t.Fatal(err)
 	}
 	run(t, clk)
+	if e.memo.solved == 0 || e.memo.reused == 0 {
+		t.Fatalf("memo solved %d and reused %d rate fixpoints; want a mix of misses and hits", e.memo.solved, e.memo.reused)
+	}
 
 	out := ""
 	for _, h := range []*Handle{a, b, c, d} {
@@ -65,7 +68,9 @@ func corunFingerprint(t *testing.T, workers int, rescheduleEvery bool, fanGate i
 // TestEngineWorkersBitIdentical is the §15 contract at the engine layer:
 // fanning computeRates' static pass and advanceProgress across goroutines
 // must not change a single bit of any metric or the dispatched-event count.
-// fanGate=2 forces both fans on every recompute with two or more kernels.
+// fanGate=2 forces both fans on every recompute with two or more kernels;
+// the static pass fans on rate-memo misses, and each run mixes misses and
+// hits.
 func TestEngineWorkersBitIdentical(t *testing.T) {
 	ref, refFired := corunFingerprint(t, 1, false, 2)
 	for _, workers := range []int{2, 8} {
@@ -90,7 +95,7 @@ func TestRescheduleSkipReducesEvents(t *testing.T) {
 		clk := vtime.NewClock()
 		dev := device.TitanXp()
 		e := New(dev, clk, NewTraceModel(dev))
-		e.RescheduleEveryEvent = rescheduleEvery
+		e.rescheduleEveryEvent = rescheduleEvery
 
 		sg := workloads.SGEMMApp().Kernel
 		tr := workloads.TransposeApp().Kernel

@@ -249,7 +249,10 @@ func TestRateFixpointMatchesReference(t *testing.T) {
 
 // checkRatesAgainstReference launches a random kernel set, then for a few
 // rounds perturbs progress, pauses and resolution state and compares
-// computeRates with referenceRates at that instant.
+// computeRates with referenceRates at that instant — twice per round, the
+// second call a memo hit with the same handles unresolved again. A last round
+// returns to the first round's configuration after the others, which the
+// memo must serve without solving.
 func checkRatesAgainstReference(t *testing.T, rng *rand.Rand, dev *device.Device, m PerfModel, workers int, pool []*kern.Spec) {
 	t.Helper()
 	clk := vtime.NewClock()
@@ -272,39 +275,127 @@ func checkRatesAgainstReference(t *testing.T, rng *rand.Rand, dev *device.Device
 	}
 
 	now := clk.Now()
-	for round := 0; round < 4; round++ {
-		for _, h := range e.running {
+	const rounds = 4
+	firstDone := make([]float64, len(e.running))
+	firstPaused := make([]vtime.Time, len(e.running))
+	unresolve := make([]bool, len(e.running))
+	for round := 0; round <= rounds; round++ {
+		for i, h := range e.running {
 			if h.resident != float64(dev.ResidentBlocks(h.spec.Shape())) {
 				t.Fatalf("%s: cached resident %v, device says %d", h.spec.Name, h.resident, dev.ResidentBlocks(h.spec.Shape()))
 			}
-			switch rng.Intn(4) {
-			case 0:
-				h.blocksDone = 0
-			case 1:
-				h.blocksDone = math.Floor(rng.Float64() * h.numBlocks)
-			case 2: // deep in the tail
-				h.blocksDone = h.numBlocks - 1 - float64(rng.Intn(8))
+			if round == rounds {
+				h.blocksDone, h.pausedUntil = firstDone[i], firstPaused[i]
+			} else {
+				switch rng.Intn(4) {
+				case 0:
+					h.blocksDone = 0
+				case 1:
+					h.blocksDone = math.Floor(rng.Float64() * h.numBlocks)
+				case 2: // deep in the tail
+					h.blocksDone = h.numBlocks - 1 - float64(rng.Intn(8))
+				}
+				h.pausedUntil = 0
+				if rng.Intn(6) == 0 {
+					h.pausedUntil = now.Add(1000)
+				}
 			}
-			h.pausedUntil = 0
-			if rng.Intn(6) == 0 {
-				h.pausedUntil = now.Add(1000)
+			if round == 0 {
+				firstDone[i], firstPaused[i] = h.blocksDone, h.pausedUntil
 			}
-			if rng.Intn(3) == 0 {
-				h.loc = nil
-			}
+			unresolve[i] = rng.Intn(3) == 0
 		}
 		want, wantAlloc := referenceRates(e, now)
-		e.computeRates(now)
-		for i, h := range e.running {
-			got := [5]float64{h.rate, h.dramPerBlk, h.hitRate, h.memThrottle, h.smAlloc}
-			ref := [5]float64{want[i].rate, want[i].dramPB, want[i].hit, want[i].throttle, wantAlloc[i]}
-			for f, name := range [5]string{"rate", "dramPerBlk", "hitRate", "memThrottle", "smAlloc"} {
-				if math.Float64bits(got[f]) != math.Float64bits(ref[f]) {
-					t.Fatalf("round %d kernel %d/%d (%s, %v, task %d, alloc %v): %s = %v (%#x), reference %v (%#x)",
-						round, i, len(e.running), h.spec.Name, h.opts.Mode, h.opts.TaskSize, wantAlloc[i],
-						name, got[f], math.Float64bits(got[f]), ref[f], math.Float64bits(ref[f]))
+		for call := 0; call < 2; call++ {
+			for i, h := range e.running {
+				if unresolve[i] {
+					h.loc = nil
+				}
+			}
+			solved, reused := e.memo.solved, e.memo.reused
+			e.computeRates(now)
+			if (call == 1 || round == rounds) && (e.memo.solved != solved || e.memo.reused != reused+1) {
+				t.Fatalf("round %d call %d: memo solved %d→%d, reused %d→%d; want a hit", round, call, solved, e.memo.solved, reused, e.memo.reused)
+			}
+			for i, h := range e.running {
+				if call == 1 && unresolve[i] && h.loc != nil {
+					t.Fatalf("round %d kernel %d: a memo hit resolved the handle's locality", round, i)
+				}
+				got := [5]float64{h.rate, h.dramPerBlk, h.hitRate, h.memThrottle, h.smAlloc}
+				ref := [5]float64{want[i].rate, want[i].dramPB, want[i].hit, want[i].throttle, wantAlloc[i]}
+				for f, name := range [5]string{"rate", "dramPerBlk", "hitRate", "memThrottle", "smAlloc"} {
+					if math.Float64bits(got[f]) != math.Float64bits(ref[f]) {
+						t.Fatalf("round %d call %d kernel %d/%d (%s, %v, task %d, alloc %v): %s = %v (%#x), reference %v (%#x)",
+							round, call, i, len(e.running), h.spec.Name, h.opts.Mode, h.opts.TaskSize, wantAlloc[i],
+							name, got[f], math.Float64bits(got[f]), ref[f], math.Float64bits(ref[f]))
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestRateMemoBounded launches more distinct specs on one engine than the
+// memo holds — one long-lived kernel plus a rotating second, each rotation a
+// fresh spec — and checks that the memo never exceeds its bound, that spec
+// IDs keep counting across the clears, and that every solve, the long-lived
+// kernel's included, still matches the reference bit for bit.
+func TestRateMemoBounded(t *testing.T) {
+	dev := device.TitanXp()
+	static := &StaticModel{DefaultHit: 0.4, DefaultRunBytes: 512, SlateHitBonus: 0.1, SlateRunFactor: 4}
+	e := New(dev, vtime.NewClock(), static)
+	check := func(step int) {
+		t.Helper()
+		want, wantAlloc := referenceRates(e, e.Clock.Now())
+		for i, h := range e.running {
+			got := [5]float64{h.rate, h.dramPerBlk, h.hitRate, h.memThrottle, h.smAlloc}
+			ref := [5]float64{want[i].rate, want[i].dramPB, want[i].hit, want[i].throttle, wantAlloc[i]}
+			for f := range got {
+				if math.Float64bits(got[f]) != math.Float64bits(ref[f]) {
+					t.Fatalf("step %d kernel %d (%s): field %d = %v, reference %v", step, i, h.spec.Name, f, got[f], ref[f])
+				}
+			}
+		}
+		if len(e.memo.index) > rateMemoCap || len(e.memo.specIDs) > rateMemoCap {
+			t.Fatalf("step %d: memo holds %d entries and %d spec IDs, cap %d", step, len(e.memo.index), len(e.memo.specIDs), rateMemoCap)
+		}
+	}
+
+	mid := dev.NumSMs / 2
+	longSpec := paritySpecs()[0]
+	if _, err := e.Launch(longSpec, LaunchOpts{Mode: SlateSched, SMLow: 0, SMHigh: mid - 1}); err != nil {
+		t.Fatal(err)
+	}
+	const launches = rateMemoCap + 500
+	for step := 0; step < launches; step++ {
+		spec := paritySpecs()[step%5]
+		spec.L2BytesPerBlock = float64(1+step%97) * 1e3
+		h, err := e.Launch(spec, LaunchOpts{Mode: SlateSched, TaskSize: 1 + step%7, SMLow: mid, SMHigh: mid + step%(dev.NumSMs-mid)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(step)
+		if step%1000 == 999 {
+			// A second handle on the long-lived spec, launched after the IDs
+			// were cleared, must not alias anything it should not.
+			again, err := e.Launch(longSpec, LaunchOpts{Mode: HardwareSched})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(step)
+			if _, err := e.Evict(again); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Evict(h); err != nil {
+			t.Fatal(err)
+		}
+		check(step)
+	}
+	if e.memo.nextSpecID <= rateMemoCap {
+		t.Fatalf("%d spec IDs assigned for %d distinct specs", e.memo.nextSpecID, launches+1)
+	}
+	if e.memo.solved <= rateMemoCap {
+		t.Fatalf("%d solves never filled the %d-entry memo", e.memo.solved, rateMemoCap)
 	}
 }
