@@ -111,7 +111,6 @@ const fleetMembers = 3
 // member's durability before it starts.
 func newFleet(cfg fleet.Config, base string, arm func(i int, dur *daemon.Durability)) (*fleet.Supervisor, error) {
 	cfg.PingTimeout = 2 * time.Second
-	cfg.MinStd = 50 * time.Millisecond
 	cfg.RoundRobin = true
 	cfg.PartitionMode = fault.PartitionReject
 	sup := fleet.New(cfg)

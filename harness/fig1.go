@@ -30,7 +30,7 @@ func (h *Harness) Fig1() (*Fig1Result, error) {
 	err := h.forEachCell(h.Dev.NumSMs, func(i int) error {
 		sms := i + 1
 		m, err := h.soloRun(spec, engine.LaunchOpts{
-			Mode: engine.SlateSched, TaskSize: 10, SMLow: 0, SMHigh: sms - 1,
+			Mode: engine.SlateSched, TaskSize: engine.DefaultTaskSize, SMLow: 0, SMHigh: sms - 1,
 		})
 		if err != nil {
 			return err

@@ -12,12 +12,12 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"slate/internal/device"
 	"slate/internal/engine"
 	"slate/internal/kern"
+	"slate/internal/memo"
 	"slate/internal/profile"
 	"slate/internal/vtime"
 	"slate/workloads"
@@ -67,22 +67,13 @@ type Harness struct {
 	simWorkers int
 	seed       int64
 
-	mu   sync.Mutex
-	solo map[string]*soloEntry // kernel fingerprint → solo-time slot
+	solo memo.Map[string, float64] // kernel fingerprint → solo seconds
 
 	// calibrated is Model.Len() as the last calibration pass returned. The
 	// cells that follow should leave it there: an entry built after the pass
 	// is one the pass did not know the cells would ask for
 	// (TestCalibrationPassCoversTheSweep).
 	calibrated atomic.Int64
-}
-
-// soloEntry is one single-flight solo measurement; ready is closed once
-// sec/err are final.
-type soloEntry struct {
-	ready chan struct{}
-	sec   float64
-	err   error
 }
 
 // New builds a harness.
@@ -110,7 +101,6 @@ func New(cfg Config) *Harness {
 		par:        cfg.Parallel,
 		simWorkers: cfg.SimWorkers,
 		seed:       seed,
-		solo:       map[string]*soloEntry{},
 	}
 }
 
@@ -126,31 +116,10 @@ const simWindow = vtime.Millisecond
 // renamed instances of one kernel share one. Concurrent callers of an
 // uncached kernel single-flight behind the first measurement.
 func (h *Harness) soloKernelSec(spec *kern.Spec) (float64, error) {
-	fp := spec.Fingerprint()
-	h.mu.Lock()
-	if e, ok := h.solo[fp]; ok {
-		h.mu.Unlock()
-		<-e.ready
-		return e.sec, e.err
-	}
-	e := &soloEntry{ready: make(chan struct{})}
-	h.solo[fp] = e
-	h.mu.Unlock()
-	m, err := h.soloRun(spec, engine.LaunchOpts{Mode: engine.HardwareSched})
-	if err != nil {
-		e.err = err
-	} else {
-		e.sec = m.Duration().Seconds()
-	}
-	close(e.ready)
-	if e.err != nil {
-		h.mu.Lock()
-		if h.solo[fp] == e {
-			delete(h.solo, fp)
-		}
-		h.mu.Unlock()
-	}
-	return e.sec, e.err
+	return h.solo.Get(spec.Fingerprint(), func() (float64, error) {
+		m, err := h.soloRun(spec, engine.LaunchOpts{Mode: engine.HardwareSched})
+		return m.Duration().Seconds(), err
+	})
 }
 
 // soloRun executes one launch on a scratch clock.

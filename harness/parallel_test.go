@@ -117,9 +117,7 @@ func TestSoloCacheKeyedByContent(t *testing.T) {
 	if renamed != small {
 		t.Fatalf("renamed identical kernel re-measured differently: %v vs %v", renamed, small)
 	}
-	h.mu.Lock()
-	entries := len(h.solo)
-	h.mu.Unlock()
+	entries := h.solo.Len()
 	if entries != 2 {
 		t.Fatalf("solo cache holds %d entries, want 2 (content-addressed)", entries)
 	}

@@ -127,7 +127,7 @@ func (h *Harness) TableIII() (*TableIIIResult, error) {
 	spec := workloads.GS()
 	opts := []engine.LaunchOpts{
 		{Mode: engine.HardwareSched},
-		{Mode: engine.SlateSched, TaskSize: 10, SMLow: 0, SMHigh: h.Dev.NumSMs - 1},
+		{Mode: engine.SlateSched, TaskSize: engine.DefaultTaskSize, SMLow: 0, SMHigh: h.Dev.NumSMs - 1},
 	}
 	var ms [2]engine.Metrics
 	err := h.forEachCell(len(opts), func(i int) error {

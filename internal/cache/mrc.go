@@ -34,6 +34,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"slate/internal/memo"
 )
 
 // MRCDeviationBound is the documented absolute per-point deviation between
@@ -307,39 +309,29 @@ func (s *mrcScratch) reuseDistances(trace []uint64, lineShift uint) (cold int64,
 // hashed into its set (Hill & Smith's conflict model) — for every d where it
 // is not numerically 0 or 1.
 type tailTable struct {
-	once sync.Once
 	dLo  int32     // below dLo the tail is 0
 	tail []float64 // tail[d-dLo]; past its end the tail is 1
 }
 
 // tailTables memoizes one tailTable per (sets, ways). The table depends on
-// nothing in the trace, so it is built once per process and geometry
-// (single-flight through the entry's Once) and read-only afterwards. A
-// device model asks for its eight capacity points only; for the 64 KiB–6 MiB
-// ladder at 64-byte lines and 16 ways (every device preset) that is 0.83 M
-// entries, 6.6 MB, in total, the 6 MiB point alone 3.1 MB.
-var tailTables = struct {
-	mu sync.Mutex
-	m  map[[2]int]*tailTable
-}{m: map[[2]int]*tailTable{}}
+// nothing in the trace, so it is built once per process and geometry and
+// read-only afterwards. A device model asks for its eight capacity points
+// only; for the 64 KiB–6 MiB ladder at 64-byte lines and 16 ways (every
+// device preset) that is 0.83 M entries, 6.6 MB, in total, the 6 MiB point
+// alone 3.1 MB.
+var tailTables memo.Map[[2]int, *tailTable]
 
 func tailTableFor(sets, ways int) *tailTable {
-	key := [2]int{sets, ways}
-	tailTables.mu.Lock()
-	t := tailTables.m[key]
-	if t == nil {
-		t = new(tailTable)
-		tailTables.m[key] = t
-	}
-	tailTables.mu.Unlock()
-	t.once.Do(func() { t.build(sets, ways) })
+	t, _ := tailTables.Get([2]int{sets, ways}, func() (*tailTable, error) {
+		return newTailTable(sets, ways), nil
+	})
 	return t
 }
 
-// build fills the table by advancing the binomial pmf one d at a time over
-// the window where the tail is distinguishable from its clamp, so cost and
-// size are O(window × ways) and O(window).
-func (t *tailTable) build(sets, ways int) {
+// newTailTable builds the table by advancing the binomial pmf one d at a
+// time over the window where the tail is distinguishable from its clamp, so
+// cost and size are O(window × ways) and O(window).
+func newTailTable(sets, ways int) *tailTable {
 	q := 1.0 / float64(sets)
 	// The tail transitions near d ≈ sets·ways with width ~ sets·sqrt(ways);
 	// ±12 widths put the clamp error below 1e-30.
@@ -360,8 +352,7 @@ func (t *tailTable) build(sets, ways int) {
 		lgdk, _ := math.Lgamma(d - float64(k) + 1)
 		pmf[k] = math.Exp(lgd - lgk - lgdk + float64(k)*lq + (d-float64(k))*l1q)
 	}
-	t.dLo = dLo
-	t.tail = make([]float64, 0, int(dHi)-int(dLo)+1)
+	t := &tailTable{dLo: dLo, tail: make([]float64, 0, int(dHi)-int(dLo)+1)}
 	for di := dLo; float64(di) <= dHi; di++ {
 		hit := 0.0
 		for _, p := range pmf {
@@ -377,4 +368,5 @@ func (t *tailTable) build(sets, ways int) {
 		}
 		pmf[0] *= 1 - q
 	}
+	return t
 }

@@ -52,8 +52,6 @@ type SimBackend struct {
 	Sched *sched.Scheduler
 	Prof  *profile.Profiler
 	Costs Costs
-	// TaskSize is the SLATE_ITERS default handed to the scheduler.
-	TaskSize int
 
 	compiled map[string]bool
 }
@@ -78,7 +76,6 @@ func NewSimWith(dev *device.Device, clock *vtime.Clock, model engine.PerfModel, 
 		Sched:    sched.New(dev, eng, prof),
 		Prof:     prof,
 		Costs:    DefaultCosts(),
-		TaskSize: 10,
 		compiled: map[string]bool{},
 	}
 }
@@ -109,5 +106,5 @@ func (b *SimBackend) TransferSeconds(n int64) float64 { return b.Dev.PCIe.Transf
 // Submit implements run.Backend by handing the kernel to the
 // workload-aware scheduler.
 func (b *SimBackend) Submit(spec *kern.Spec, done func(vtime.Time, engine.Metrics)) error {
-	return b.Sched.Submit(spec, b.TaskSize, done)
+	return b.Sched.Submit(spec, engine.DefaultTaskSize, done)
 }

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"slate/internal/cache"
 	"slate/internal/device"
 	"slate/internal/kern"
+	"slate/internal/memo"
 	"slate/internal/traces"
 )
 
@@ -97,26 +97,13 @@ type TraceModel struct {
 	// leave it false.
 	LegacyMRC bool
 
-	mu    sync.RWMutex
-	cache map[traceKey]*traceEntry
+	cache memo.Map[traceKey, *Locality]
 }
 
 type traceKey struct {
 	fp       string
 	mode     Mode
 	taskSize int
-}
-
-type traceEntry struct {
-	// ready is closed once loc is final, or once the build has panicked;
-	// concurrent requesters of an in-flight key block on it instead of
-	// re-building.
-	ready chan struct{}
-	// built is set just before ready closes unless the build panicked, in
-	// which case the entry has been forgotten by then and the requester takes
-	// its own turn. A requester that loads true never touches ready.
-	built atomic.Bool
-	loc   Locality
 }
 
 // mrcSizes are the L2 capacities at which miss ratios are sampled;
@@ -137,70 +124,17 @@ var (
 
 // NewTraceModel builds a trace-driven model for the device.
 func NewTraceModel(dev *device.Device) *TraceModel {
-	return &TraceModel{Dev: dev, MaxAccesses: 1_000_000, Seed: 1, cache: map[traceKey]*traceEntry{}}
+	return &TraceModel{Dev: dev, MaxAccesses: 1_000_000, Seed: 1}
 }
 
-func (m *TraceModel) entry(spec *kern.Spec, mode Mode, taskSize int) *traceEntry {
-	if mode == HardwareSched {
-		taskSize = 1 // irrelevant under hardware scheduling
-	}
-	// Content addressing: renamed instances of one kernel (the multi-tenant
-	// harness runs "BS@3", "RG#1", …) hash to the same fingerprint and
-	// share the memoized entry by construction.
-	key := traceKey{spec.Fingerprint(), mode, taskSize}
-	var e *traceEntry
-	for {
-		// Warm path: a shared lock and one atomic load.
-		m.mu.RLock()
-		inflight, ok := m.cache[key]
-		m.mu.RUnlock()
-		if !ok {
-			m.mu.Lock()
-			if _, raced := m.cache[key]; raced {
-				m.mu.Unlock()
-				continue
-			}
-			e = &traceEntry{ready: make(chan struct{})}
-			m.cache[key] = e
-			m.mu.Unlock()
-			break
-		}
-		if inflight.built.Load() {
-			return inflight
-		}
-		<-inflight.ready
-		if inflight.built.Load() {
-			return inflight
-		}
-	}
-	// A build that panics (a custom device the MRC rejects, recovered by a
-	// caller's panic isolation) must not leave its entry behind with ready
-	// open: every later request for the key would block forever. Forget the
-	// entry first, then release the waiters, who retry and get the panic from
-	// their own build.
-	defer func() {
-		if !e.built.Load() {
-			m.mu.Lock()
-			delete(m.cache, key)
-			m.mu.Unlock()
-		}
-		close(e.ready)
-	}()
-	// Build outside the map lock so distinct keys build concurrently — the
-	// trace simulations dominate harness wall-clock.
-	e.loc = m.build(spec, mode, taskSize)
-	e.built.Store(true)
-	return e
-}
-
-func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) Locality {
+func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) *Locality {
 	p := spec.Pattern
 	if p == nil {
 		// No pattern: pure streaming with block-sized private chunks.
 		bytesPerBlock := int(spec.L2BytesPerBlock)
 		if bytesPerBlock < 64 {
 			// Effectively no memory traffic; locality irrelevant.
-			return Locality{Capacities: mrcCapacities, MissRatio: ones(len(mrcSizes)), RunBytes: 64}
+			return &Locality{Capacities: mrcCapacities, MissRatio: ones(len(mrcSizes)), RunBytes: 64}
 		}
 		blocks := spec.NumBlocks()
 		if blocks > 4096 {
@@ -231,7 +165,7 @@ func (m *TraceModel) build(spec *kern.Spec, mode Mode, taskSize int) Locality {
 	// One dealing and expansion of the pattern yields both the interleaved
 	// trace and the per-stream run statistics.
 	trace, runs := traces.AssembleWithRunStats(p, acfg)
-	loc := Locality{Capacities: mrcCapacities, RunBytes: runs.MeanRunBytes}
+	loc := &Locality{Capacities: mrcCapacities, RunBytes: runs.MeanRunBytes}
 	if m.LegacyMRC {
 		loc.MissRatio = m.legacyMRC(trace)
 	} else {
@@ -284,21 +218,22 @@ func (m *TraceModel) legacyMRC(trace []uint64) []float64 {
 // fingerprint, mode, taskSize) builds the entry; every later one returns the
 // same shared value.
 func (m *TraceModel) Locality(spec *kern.Spec, mode Mode, taskSize int) *Locality {
-	return &m.entry(spec, mode, taskSize).loc
+	if mode == HardwareSched {
+		taskSize = 1 // irrelevant under hardware scheduling
+	}
+	// Content addressing: renamed instances of one kernel (the multi-tenant
+	// harness runs "BS@3", "RG#1", …) hash to the same fingerprint and
+	// share the memoized entry by construction. The build runs outside the
+	// memo's lock, so distinct keys build concurrently — the trace
+	// simulations dominate harness wall-clock.
+	loc, _ := m.cache.Get(traceKey{spec.Fingerprint(), mode, taskSize}, func() (*Locality, error) {
+		return m.build(spec, mode, taskSize), nil
+	})
+	return loc
 }
 
 // Len returns the number of built entries.
-func (m *TraceModel) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	n := 0
-	for _, e := range m.cache {
-		if e.built.Load() {
-			n++
-		}
-	}
-	return n
-}
+func (m *TraceModel) Len() int { return m.cache.Len() }
 
 // MissRatioCurve returns a copy of the memoized capacity points and miss
 // ratios for spec. Exposed so the parity suites can compare the one-pass

@@ -6,7 +6,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -117,14 +116,4 @@ func Fmt(v interface{}) string {
 	default:
 		return fmt.Sprint(v)
 	}
-}
-
-// SortedKeys is a test helper: the field names of a parsed event, sorted.
-func SortedKeys(fields map[string]string) []string {
-	keys := make([]string, 0, len(fields))
-	for k := range fields {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -44,7 +44,7 @@ const (
 	// member's own history makes plausible. Routing avoids suspects; a
 	// heartbeat clears the suspicion.
 	StateSuspect
-	// StateDown: phi crossed DownPhi (or the member was killed explicitly).
+	// StateDown: phi crossed downPhi (or the member was killed explicitly).
 	// Terminal: the member is fenced and its sessions fail over.
 	StateDown
 	// StateDraining: graceful shutdown; no new placements, no more pings
@@ -67,9 +67,12 @@ func (s MemberState) String() string {
 	}
 }
 
-// suspectPhi marks a member suspect: a one-in-10^4 silence. (Config.DownPhi,
-// which fences it, is the threshold callers tune.)
-const suspectPhi = 4
+// suspectPhi marks a member suspect: a one-in-10^4 silence. downPhi declares
+// it down and triggers failover.
+const (
+	suspectPhi = 4
+	downPhi    = 8
+)
 
 // Config shapes the supervisor.
 type Config struct {
@@ -79,11 +82,6 @@ type Config struct {
 	// PingTimeout bounds one heartbeat round trip (default 250ms) — the
 	// escape hatch from a blackholed (drop-partitioned) member.
 	PingTimeout time.Duration
-	// DownPhi declares a member down and triggers failover (default 8).
-	DownPhi float64
-	// Window / MinStd tune the detectors (0 → detector defaults).
-	Window int
-	MinStd time.Duration
 	// SlowWindow bounds each member's RTT sample window (default 32).
 	SlowWindow int
 	// SlowMinSamples guards slow scoring until a member's window holds this
@@ -110,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PingTimeout <= 0 {
 		c.PingTimeout = 250 * time.Millisecond
-	}
-	if c.DownPhi <= 0 {
-		c.DownPhi = 8
 	}
 	if c.SlowWindow <= 0 {
 		c.SlowWindow = DefaultSlowWindow
@@ -332,7 +327,7 @@ func (s *Supervisor) AddMember(spec MemberSpec) (*Member, error) {
 		Name: spec.Name, Profile: spec.Profile, Capacity: spec.Capacity,
 		sup: s, srv: srv, budget: spec.Budget,
 		part:  fault.NewPartition(s.cfg.PartitionMode),
-		det:   NewDetector(s.cfg.Window, s.cfg.MinStd),
+		det:   NewDetector(DefaultWindow, DefaultMinStd),
 		lat:   NewSlowDetector(s.cfg.SlowWindow),
 		state: StateUp,
 	}
@@ -471,7 +466,7 @@ func (s *Supervisor) Tick(now time.Time) {
 		phi := m.det.Phi(now)
 		next := m.state
 		switch {
-		case phi >= s.cfg.DownPhi:
+		case phi >= downPhi:
 			next = StateDown
 		case phi >= suspectPhi:
 			next = StateSuspect

@@ -58,7 +58,6 @@ func testFleet(t *testing.T, log *eventLog, n int, mode fault.PartitionMode) *Su
 	sup := New(Config{
 		HeartbeatEvery: 500 * time.Millisecond,
 		PingTimeout:    200 * time.Millisecond,
-		MinStd:         50 * time.Millisecond,
 		AutoFailover:   true,
 		RoundRobin:     true,
 		PartitionMode:  mode,

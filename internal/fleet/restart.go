@@ -161,7 +161,7 @@ func (s *Supervisor) restartMember(m *Member, version uint32) error {
 	}
 	s.mu.Lock()
 	m.srv = srv
-	m.det = NewDetector(s.cfg.Window, s.cfg.MinStd)
+	m.det = NewDetector(DefaultWindow, DefaultMinStd)
 	m.primed = false
 	m.load = 0
 	// The new incarnation's ping sequence restarts at 1, and its latency

@@ -17,7 +17,6 @@ func slowFleet(t *testing.T, log *eventLog, n int) *Supervisor {
 	sup := New(Config{
 		HeartbeatEvery: 500 * time.Millisecond,
 		PingTimeout:    200 * time.Millisecond,
-		MinStd:         50 * time.Millisecond,
 		RoundRobin:     true,
 		SlowWindow:     8,
 		SlowMinSamples: 4,

@@ -81,9 +81,10 @@ type Compiler struct {
 	// without poisoning the cache (fault injection).
 	FailHook func(src string) error
 
-	// Compiles and CacheHits are counters for the overhead analysis.
-	Compiles  int
-	CacheHits int
+	// compiles and cacheHits are counters for the overhead analysis, read
+	// through Stats.
+	compiles  int
+	cacheHits int
 }
 
 // New constructs an empty-cache compiler.
@@ -119,7 +120,7 @@ func (c *Compiler) cached(k unitKey) (*Compiled, error) {
 			}
 			c.mu.Lock()
 		}
-		c.CacheHits++
+		c.cacheHits++
 		c.mu.Unlock()
 		return u.img, nil
 	}
@@ -135,7 +136,7 @@ func (c *Compiler) cached(k unitKey) (*Compiled, error) {
 		delete(c.units, k)
 	} else {
 		u.img = img
-		c.Compiles++
+		c.compiles++
 		c.storeLocked(k)
 	}
 	c.mu.Unlock()
@@ -225,5 +226,5 @@ func compile(src string) (*Compiled, error) {
 func (c *Compiler) Stats() (int, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.Compiles, c.CacheHits
+	return c.compiles, c.cacheHits
 }

@@ -40,14 +40,11 @@ type LoadStats struct {
 // tests (nil in production): it fires at fault.SiteProfileRenameMid, after
 // the temp file is durable but before the rename publishes it.
 func (p *Profiler) SaveFile(path string, crash func(site string) error) error {
-	p.mu.Lock()
-	entries := make([]persistEntry, 0, len(p.table))
-	for fp, e := range p.table {
-		if e.done() && e.p != nil {
-			entries = append(entries, persistEntry{Key: fp, Profile: e.p})
-		}
-	}
-	p.mu.Unlock()
+	var entries []persistEntry
+	p.table.Range(func(fp string, pr *Profile) bool {
+		entries = append(entries, persistEntry{Key: fp, Profile: pr})
+		return true
+	})
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 
 	var buf []byte
@@ -104,10 +101,7 @@ func (p *Profiler) LoadFile(path string) (LoadStats, error) {
 			rest = next
 			continue
 		}
-		p.mu.Lock()
-		merged := p.mergeLocked(ent.Key, ent.Profile)
-		p.mu.Unlock()
-		if merged {
+		if p.merge(ent.Key, ent.Profile) {
 			st.Loaded++
 		} else {
 			st.Skipped++
@@ -122,10 +116,10 @@ func (p *Profiler) LoadFile(path string) (LoadStats, error) {
 	return st, nil
 }
 
-// mergeLocked installs one loaded entry under the shared device/version
-// rules (caller holds p.mu): entries stamped with a different device or
-// model generation are rejected, legacy unstamped entries load as-is.
-func (p *Profiler) mergeLocked(key string, v *Profile) bool {
+// merge installs one loaded entry under the shared device/version rules:
+// entries stamped with a different device or model generation are rejected,
+// legacy unstamped entries load as-is.
+func (p *Profiler) merge(key string, v *Profile) bool {
 	if v == nil {
 		return false
 	}
@@ -141,8 +135,6 @@ func (p *Profiler) mergeLocked(key string, v *Profile) bool {
 	if key == "" {
 		return false
 	}
-	e := &profEntry{ready: make(chan struct{}), p: v}
-	close(e.ready)
-	p.table[key] = e
+	p.table.Put(key, v)
 	return true
 }

@@ -8,11 +8,11 @@ package profile
 
 import (
 	"fmt"
-	"sync"
 
 	"slate/internal/device"
 	"slate/internal/engine"
 	"slate/internal/kern"
+	"slate/internal/memo"
 	"slate/internal/policy"
 	"slate/internal/vtime"
 )
@@ -70,26 +70,7 @@ type Profiler struct {
 	Model engine.PerfModel
 	Th    policy.Thresholds
 
-	mu    sync.Mutex
-	table map[string]*profEntry // fingerprint → entry
-}
-
-// profEntry is one single-flight measurement slot; ready is closed once
-// p/err are final.
-type profEntry struct {
-	ready chan struct{}
-	p     *Profile
-	err   error
-}
-
-// done reports whether the entry has finished measuring, without blocking.
-func (e *profEntry) done() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
+	table memo.Map[string, *Profile] // fingerprint → profile
 }
 
 // New constructs a profiler for the device using the given performance
@@ -99,68 +80,41 @@ func New(dev *device.Device, model engine.PerfModel) *Profiler {
 		Dev:   dev,
 		Model: model,
 		Th:    policy.DefaultThresholds(),
-		table: map[string]*profEntry{},
 	}
 }
 
 // Get returns the cached profile for spec, measuring it on first request —
-// the paper's "profiles kernels at their first time run".
+// the paper's "profiles kernels at their first time run". A failed
+// measurement is not cached: the next request measures again.
 func (p *Profiler) Get(spec *kern.Spec) (*Profile, error) {
 	fp := spec.Fingerprint()
-	p.mu.Lock()
-	if e, ok := p.table[fp]; ok {
-		p.mu.Unlock()
-		<-e.ready
-		return e.p, e.err
-	}
-	e := &profEntry{ready: make(chan struct{})}
-	p.table[fp] = e
-	p.mu.Unlock()
-
-	e.p, e.err = p.measure(spec)
-	if e.p != nil {
-		e.p.Fingerprint = fp
-		e.p.Device = p.Dev.Name
-		e.p.ModelVersion = engine.ModelVersion
-	}
-	close(e.ready)
-	if e.err != nil {
-		// Drop failed measurements so a later request may retry.
-		p.mu.Lock()
-		if p.table[fp] == e {
-			delete(p.table, fp)
+	return p.table.Get(fp, func() (*Profile, error) {
+		pr, err := p.measure(spec)
+		if pr != nil {
+			pr.Fingerprint = fp
+			pr.Device = p.Dev.Name
+			pr.ModelVersion = engine.ModelVersion
 		}
-		p.mu.Unlock()
-	}
-	return e.p, e.err
+		return pr, err
+	})
 }
 
 // Lookup returns a cached profile by kernel name without measuring. Names
 // are labels rather than identities (the cache is keyed by content), so
 // this scans the table; it exists for inspection and tests.
 func (p *Profiler) Lookup(name string) (*Profile, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.table {
-		if e.done() && e.p != nil && e.p.Kernel == name {
-			return e.p, true
+	var found *Profile
+	p.table.Range(func(_ string, pr *Profile) bool {
+		if pr.Kernel == name {
+			found = pr
 		}
-	}
-	return nil, false
+		return found == nil
+	})
+	return found, found != nil
 }
 
 // Len returns the number of completed cached profiles.
-func (p *Profiler) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, e := range p.table {
-		if e.done() && e.p != nil {
-			n++
-		}
-	}
-	return n
-}
+func (p *Profiler) Len() int { return p.table.Len() }
 
 func (p *Profiler) measure(spec *kern.Spec) (*Profile, error) {
 	solo, err := p.run(spec, engine.LaunchOpts{Mode: engine.HardwareSched})
