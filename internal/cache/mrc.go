@@ -46,29 +46,41 @@ import (
 const MRCDeviationBound = 0.04
 
 // mrcScratch is the per-pass working memory: the position bitmap, the
-// Fenwick tree over its word popcounts, the open-addressing line table and
-// the distance histogram. Pooled because the harness builds hundreds of
-// entries. At the default trace length (10⁶ accesses) the bitmap and tree
-// are under 200 KB and the line table 8 MB, cleared per build; the 4 MB
-// histogram is cleared by the pass that filled it, over the bins it touched
-// only, so it is all zero whenever it sits in the pool. The table stores
-// only each line's last position: the line itself is read back from the
-// trace at that position, so there is no key array. It is sized for the
-// all-distinct worst case and not from a distinct-line bound: only the trace
-// crosses ReuseDistanceMRC's signature, and counting distinct lines would be
-// a pass of its own.
+// Fenwick tree over its word popcounts, the paged line table and the
+// distance histogram. Pooled because the harness builds hundreds of entries.
+// At the default trace length (10⁶ accesses) the bitmap and tree are under
+// 200 KB and the page directory about 100 KB; the arena holds one page per
+// page of lines the trace touches, so it follows the trace's footprint, and
+// never exceeds 2n slots (see reuseDistances). The 4 MB histogram is cleared
+// by the pass that filled it, over the bins it touched only, so it is all
+// zero whenever it sits in the pool.
 type mrcScratch struct {
 	words []uint64 // bit i set while position i is some line's most recent access
 	tree  []int32  // Fenwick tree, 1-based over words: popcounts of completed words
-	last  []int32  // line table: 1-based position of the slot's line's last access, 0 = empty
-	hist  []int32
+	// The line table. A line's slot is page[line&pageMask] of the page numbered
+	// line>>pageBits; a slot is the 1-based position of its line's last
+	// access, 0 = not touched yet.
+	arena   []int32  // the pages, back to back, in the order the pass first touched them
+	dirKey  []uint64 // page directory, open-addressed: page number of an occupied entry
+	dirPage []int32  // 1 + the entry's page index into arena, 0 = empty entry
+	hist    []int32
 }
 
 var mrcPool = sync.Pool{New: func() any { return new(mrcScratch) }}
 
-// grow resizes and zeroes the scratch for a trace of n accesses with an
-// m-slot line table. hist is zero already (see mrcScratch).
-func (s *mrcScratch) grow(n, m int) {
+// Page sizes of the line table, in lines: a pass starts at 1<<maxPageBits
+// and, if the trace's pages would not fit the arena's budget, starts over
+// pageBitsStep bits smaller, down to one line per page, which always fits.
+const (
+	maxPageBits  = 9
+	pageBitsStep = 3
+)
+
+// grow resizes and zeroes the scratch for a pass over a trace of n accesses
+// at 1<<pageBits lines per page whose arena may hold budget slots. hist is
+// zero already (see mrcScratch); the arena is emptied, and each page is
+// zeroed when the pass takes it.
+func (s *mrcScratch) grow(n, budget int, pageBits uint) {
 	nw := (n + 63) / 64
 	if cap(s.words) < nw {
 		s.words = make([]uint64, nw)
@@ -79,12 +91,24 @@ func (s *mrcScratch) grow(n, m int) {
 		clear(s.words)
 		clear(s.tree)
 	}
-	if cap(s.last) < m {
-		s.last = make([]int32, m)
-	} else {
-		s.last = s.last[:m]
-		clear(s.last)
+	// A pass takes no more pages than the trace has distinct lines, nor
+	// more than the budget admits: the directory is sized to a <=50% load
+	// factor at that bound. A key means something only where its page is
+	// non-zero, so only the pages are cleared.
+	maxPages := min(n, budget>>pageBits)
+	m := 16
+	for m < 2*maxPages {
+		m <<= 1
 	}
+	if cap(s.dirPage) < m {
+		s.dirKey = make([]uint64, m)
+		s.dirPage = make([]int32, m)
+	} else {
+		s.dirKey = s.dirKey[:m]
+		s.dirPage = s.dirPage[:m]
+		clear(s.dirPage)
+	}
+	s.arena = s.arena[:0]
 	// A reuse distance counts distinct lines other than the accessed one,
 	// so it is below n.
 	if cap(s.hist) < n {
@@ -92,6 +116,26 @@ func (s *mrcScratch) grow(n, m int) {
 	} else {
 		s.hist = s.hist[:n]
 	}
+}
+
+// newPage takes and zeroes the next arena page for page number pg, whose
+// directory entry is the empty entry h, and returns its arena offset. It
+// reports false if the page would take the arena past budget slots.
+func (s *mrcScratch) newPage(h int, pg uint64, pageBits uint, budget int) (int, bool) {
+	off, size := len(s.arena), 1<<pageBits
+	if off+size > budget {
+		return 0, false
+	}
+	if off+size > cap(s.arena) {
+		// Double, but never past the budget.
+		grown := make([]int32, off, min(max(2*cap(s.arena), off+size, 64<<pageBits), budget))
+		copy(grown, s.arena)
+		s.arena = grown
+	}
+	s.arena = s.arena[:off+size]
+	clear(s.arena[off:])
+	s.dirKey[h], s.dirPage[h] = pg, int32(off>>pageBits)+1
+	return off, true
 }
 
 // mrcGeometry is one capacity point's derived set-associative shape,
@@ -217,22 +261,55 @@ func ReuseDistanceMRCWorkers(cfg Config, trace []uint64, sizesBytes []int, worke
 // every access's reuse distance into s.hist, and returns the number of cold
 // (first-touch) accesses and the largest distance seen (-1 if no line was
 // reused).
+//
+// The line table's arena may hold 2n slots, the budget the all-distinct
+// worst case needs in an open-addressed table at a <=50% load factor. A
+// trace whose pages would take more — lines so sparse that few share a page
+// — is passed again at a smaller page size; at one line per page it needs
+// at most n slots. Every pass finds each access's previous position, so the
+// histogram does not depend on the page size.
 func (s *mrcScratch) reuseDistances(trace []uint64, lineShift uint) (cold int64, maxd int32) {
-	n := len(trace)
-	// Line table sized to a <=50% load factor at the worst case (all
-	// accesses distinct).
-	m := 16
-	for m < 2*n {
-		m <<= 1
+	if len(trace) == 0 {
+		return 0, -1
 	}
-	s.grow(n, m)
-	words, tree, last, hist := s.words, s.tree, s.last, s.hist
-	mask := uint64(m - 1)
-	// Locality-preserving slots: eight line-consecutive addresses hash as one
-	// group and keep their low three bits as the offset inside it, so a
-	// streaming kernel's neighbouring lines probe one cache line of the
-	// table instead of eight random ones.
-	groupShift := uint(64 - bits.TrailingZeros(uint(m/8)))
+	budget := 2 * len(trace)
+	pageBits := uint(maxPageBits)
+	for pageBits > 0 && 1<<pageBits > budget {
+		pageBits -= pageBitsStep
+	}
+	for {
+		cold, maxd, ok := s.pass(trace, lineShift, pageBits, budget)
+		if ok || pageBits == 0 {
+			return cold, maxd
+		}
+		clear(s.hist[:maxd+1])
+		pageBits -= pageBitsStep
+	}
+}
+
+// pass is one attempt of reuseDistances at 1<<pageBits lines per page. It
+// stops and reports false, with the histogram filled up to maxd, as soon as
+// the trace needs more than budget arena slots.
+func (s *mrcScratch) pass(trace []uint64, lineShift, pageBits uint, budget int) (cold int64, maxd int32, ok bool) {
+	n := len(trace)
+	s.grow(n, budget, pageBits)
+	words, tree, hist := s.words, s.tree, s.hist
+	pageSize, pageMask := 1<<pageBits, uint64(1)<<pageBits-1
+	dirKey, dirPage := s.dirKey, s.dirPage
+	dirMask := len(dirPage) - 1
+	dirShift := uint(64 - bits.TrailingZeros(uint(len(dirPage))))
+	// lookup returns the arena offset of page pg, taking a new page on its
+	// first touch.
+	lookup := func(pg uint64) (int, bool) {
+		h := int((pg * 0x9E3779B97F4A7C15) >> dirShift)
+		for dirPage[h] != 0 && dirKey[h] != pg {
+			h = (h + 1) & dirMask
+		}
+		if q := dirPage[h]; q != 0 {
+			return int(q-1) << pageBits, true
+		}
+		return s.newPage(h, pg, pageBits, budget)
+	}
 
 	nw := len(words)
 	treeAdd := func(i int, v int32) {
@@ -248,59 +325,65 @@ func (s *mrcScratch) reuseDistances(trace []uint64, lineShift uint) (cold int64,
 		return sum
 	}
 
+	// The last page: while the trace stays in it, no directory lookup.
+	curPage := trace[0] >> lineShift >> pageBits
+	off, _ := lookup(curPage) // the first page always fits
+	cur := s.arena[off : off+pageSize]
+
 	maxd = -1
 	var active int32 // distinct lines seen so far = set bits in words
-	for i, addr := range trace {
-		cw := i >> 6 // the word being filled; it is not in the tree yet
-		bit := uint64(1) << (uint(i) & 63)
-		if i&63 == 0 && i > 0 {
+	for w0 := 0; w0 < n; w0 += 64 {
+		cw := w0 >> 6 // the word being filled; it is not in the tree yet
+		if cw > 0 {
 			// The previous word is complete: its population enters the tree.
 			if c := bits.OnesCount64(words[cw-1]); c > 0 {
 				treeAdd(cw, int32(c))
 			}
 		}
-		line := addr >> lineShift
-		h := ((line>>3)*0x9E3779B97F4A7C15)>>groupShift<<3 | line&7
-		for {
-			p := last[h]
+		for j, addr := range trace[w0:min(w0+64, n)] {
+			i, bit := w0+j, uint64(1)<<uint(j) // position i is bit j of words[cw]
+			line := addr >> lineShift
+			if pg := line >> pageBits; pg != curPage {
+				if off, ok = lookup(pg); !ok {
+					return int64(active), maxd, false
+				}
+				curPage, cur = pg, s.arena[off:off+pageSize]
+			}
+			slot := &cur[line&pageMask]
+			p := *slot
+			*slot = int32(i + 1)
 			if p == 0 { // cold: first touch of this line
-				last[h] = int32(i + 1)
 				words[cw] |= bit
 				active++
-				cold++
-				break
+				continue
 			}
-			// The slot's line is whatever the trace holds at its position.
-			if trace[p-1]>>lineShift == line {
-				// Reuse distance: distinct lines whose most recent access
-				// came after prev — the set positions strictly beyond it.
-				prev := int(p - 1)
-				pw := prev >> 6
-				pbit := uint64(1) << (uint(prev) & 63)
-				upTo := pbit<<1 - 1 // bits at or below prev (all ones when prev is bit 63)
-				var d int32
-				if pw == cw {
-					// prev is in the word being filled, which holds every
-					// position after it.
-					d = int32(bits.OnesCount64(words[cw] &^ upTo))
-					words[cw] = words[cw]&^pbit | bit
-				} else {
-					d = active - treePrefix(pw) - int32(bits.OnesCount64(words[pw]&upTo))
-					words[pw] &^= pbit
-					treeAdd(pw+1, -1)
-					words[cw] |= bit
-				}
-				last[h] = int32(i + 1)
-				hist[d]++
-				if d > maxd {
-					maxd = d
-				}
-				break
+			// Reuse distance: distinct lines whose most recent access came
+			// after prev — the set positions strictly beyond it.
+			prev := int(p - 1)
+			pw := prev >> 6
+			pbit := uint64(1) << (uint(prev) & 63)
+			upTo := pbit<<1 - 1 // bits at or below prev (all ones when prev is bit 63)
+			var d int32
+			if pw == cw {
+				// prev is in the word being filled, which holds every
+				// position after it.
+				d = int32(bits.OnesCount64(words[cw] &^ upTo))
+				words[cw] = words[cw]&^pbit | bit
+			} else {
+				d = active - treePrefix(pw) - int32(bits.OnesCount64(words[pw]&upTo))
+				words[pw] &^= pbit
+				treeAdd(pw+1, -1)
+				words[cw] |= bit
 			}
-			h = (h + 1) & mask
+			hist[d]++
+			if d > maxd {
+				maxd = d
+			}
 		}
 	}
-	return cold, maxd
+	// Every cold access added one distinct line.
+	cold = int64(active)
+	return cold, maxd, true
 }
 
 // tailTable holds P[Binomial(d, 1/sets) >= ways] — the probability that an

@@ -327,8 +327,9 @@ func differentialTraces() map[string][]uint64 {
 	}
 	lastBit[63], lastBit[64], lastBit[127], lastBit[290] = x, x, x, x
 	out["prev-is-last-bit"] = lastBit
-	// A stride of eight lines keeps the low three line bits constant, so
-	// every line of the trace asks for the same offset inside its slot group.
+	// A stride of eight lines spans eight times the slots it touches at every
+	// page size but one line, more than the arena's budget: the pass restarts
+	// down the whole ladder.
 	strided8 := make([]uint64, 5000)
 	for i := range strided8 {
 		strided8[i] = uint64(i%3000) * 8 * 64
@@ -337,32 +338,130 @@ func differentialTraces() map[string][]uint64 {
 	return out
 }
 
-// The bitmap + word-level Fenwick extraction must produce the reference's
-// distance histogram exactly, and the curve built from it must be the same
-// float64s — fully associative and through the binomial tail tables.
+// differentialSizes are the capacities the differential tests compare at:
+// small ones, which short traces reach, and the engine's ladder.
+var differentialSizes = append([]int{16, 1 << 10, 4 << 10, 16 << 10}, mrcTestSizes...)
+
+// matchesReference asserts that the paged line table and the bitmap +
+// word-level Fenwick extraction produce the reference's distance histogram
+// exactly, and that the curves built from it are the same float64s — fully
+// associative and through the binomial tail tables. It returns the scratch
+// the extraction ran on.
+func matchesReference(t *testing.T, name string, trace []uint64) *mrcScratch {
+	t.Helper()
+	wantCold, wantHist := refReuseDistances(trace, 6)
+	s := new(mrcScratch)
+	cold, maxd := s.reuseDistances(trace, 6)
+	if cold != wantCold || int(maxd) != len(wantHist)-1 {
+		t.Fatalf("%s: cold %d maxd %d, reference cold %d maxd %d", name, cold, maxd, wantCold, len(wantHist)-1)
+	}
+	for d, want := range wantHist {
+		if s.hist[d] != want {
+			t.Fatalf("%s: hist[%d] = %d, reference %d", name, d, s.hist[d], want)
+		}
+	}
+	for _, cfg := range []Config{faCfg, TitanXpL2()} {
+		got, want := ReuseDistanceMRC(cfg, trace, differentialSizes), refMRC(cfg, trace, differentialSizes)
+		for i, size := range differentialSizes {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s ways=%d @ %d B: %v (%016x) != reference %v (%016x)", name, cfg.Ways, size,
+					got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	return s
+}
+
 func TestReuseDistanceMRCMatchesFenwickReference(t *testing.T) {
-	sizes := append([]int{16, 1 << 10, 4 << 10, 16 << 10}, mrcTestSizes...)
 	for name, trace := range differentialTraces() {
-		wantCold, wantHist := refReuseDistances(trace, 6)
-		s := new(mrcScratch)
-		cold, maxd := s.reuseDistances(trace, 6)
-		if cold != wantCold || int(maxd) != len(wantHist)-1 {
-			t.Fatalf("%s: cold %d maxd %d, reference cold %d maxd %d", name, cold, maxd, wantCold, len(wantHist)-1)
+		matchesReference(t, name, trace)
+	}
+}
+
+// fuzzTrace decodes b into a trace of at most 1<<14 accesses. Each op byte's
+// low two bits pick what follows: a dense run of line-consecutive addresses;
+// a line just below, at or just above a page boundary (k·page−1, k·page,
+// k·page+1) for a page size of the line table's ladder; a repeat of an
+// earlier access; or an arbitrary 64-bit address.
+func fuzzTrace(b []byte) []uint64 {
+	next := func() uint64 {
+		if len(b) == 0 {
+			return 0
 		}
-		for d, want := range wantHist {
-			if s.hist[d] != want {
-				t.Fatalf("%s: hist[%d] = %d, reference %d", name, d, s.hist[d], want)
+		c := b[0]
+		b = b[1:]
+		return uint64(c)
+	}
+	var trace []uint64
+	for len(b) > 0 && len(trace) < 1<<14 {
+		op := next()
+		switch op & 3 {
+		case 0:
+			start := next()<<8 | next()
+			for l := range op>>2 + 1 {
+				trace = append(trace, (start+l)<<6)
 			}
-		}
-		for _, cfg := range []Config{faCfg, TitanXpL2()} {
-			got, want := ReuseDistanceMRC(cfg, trace, sizes), refMRC(cfg, trace, sizes)
-			for i := range sizes {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Errorf("%s ways=%d @ %d B: %v (%016x) != reference %v (%016x)", name, cfg.Ways, sizes[i],
-						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-				}
+		case 1:
+			page := uint64(1) << (maxPageBits - pageBitsStep*(next()%3))
+			line := (next()+1)*page + (op>>2)%3 - 1
+			trace = append(trace, line<<6|op>>4) // op>>4 < 64: an offset inside the line
+		case 2:
+			if len(trace) > 0 {
+				trace = append(trace, trace[(next()<<8|next())%uint64(len(trace))])
 			}
+		case 3:
+			var a uint64
+			for range 8 {
+				a = a<<8 | next()
+			}
+			trace = append(trace, a)
 		}
+	}
+	return trace
+}
+
+// The paged line table against the per-position reference on decoded
+// traces: page-boundary neighbours, runs that cross pages, repeats, and
+// arbitrary addresses sparse enough to restart the pass at smaller pages.
+func FuzzReuseDistanceMatchesReference(f *testing.F) {
+	f.Add([]byte{0xfc, 0, 0, 0x01, 0, 0, 0x05, 1, 1, 0x09, 2, 0, 0x02, 0, 0, 0x02, 0, 5})
+	f.Add([]byte{0x03, 1, 2, 3, 4, 5, 6, 7, 8, 0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0, 0x02, 0, 1})
+	f.Add([]byte{0x01, 0, 0, 0x05, 0, 0, 0x09, 0, 0, 0x01, 1, 0, 0x05, 1, 0, 0x09, 1, 0, 0x02, 0, 0, 0x02, 0, 3, 0x02, 0, 6})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		matchesReference(t, fmt.Sprintf("%x", b), fuzzTrace(b))
+	})
+}
+
+// A trace whose every line sits alone in its page at every page size but
+// one line restarts the pass down the whole ladder. It must still be exact,
+// and the table must stay inside its budget: an arena of at most 2n slots
+// and a directory at most half full.
+func TestReuseDistanceSparseTraceStaysBounded(t *testing.T) {
+	const lines = 200_000
+	page := 1 << maxPageBits
+	rng := rand.New(rand.NewSource(3))
+	trace := make([]uint64, 0, 2*lines)
+	for k := 0; k < lines; k++ {
+		trace = append(trace, uint64(k*page+rng.Intn(page))<<6)
+	}
+	for _, k := range rng.Perm(lines) {
+		trace = append(trace, trace[k])
+	}
+	s := matchesReference(t, "sparse", trace)
+	if n := len(trace); cap(s.arena) > 2*n {
+		t.Errorf("arena capacity %d slots for %d accesses, budget %d", cap(s.arena), n, 2*n)
+	}
+	if len(s.arena) != lines {
+		t.Errorf("arena holds %d slots for %d lines, want one line per page", len(s.arena), lines)
+	}
+	used := 0
+	for _, q := range s.dirPage {
+		if q != 0 {
+			used++
+		}
+	}
+	if 2*used > len(s.dirPage) {
+		t.Errorf("directory holds %d pages in %d entries, over half full", used, len(s.dirPage))
 	}
 }
 

@@ -14,6 +14,10 @@ import (
 type Map[K comparable, V any] struct {
 	mu sync.RWMutex
 	m  map[K]*entry[V]
+	// waits counts the requests that found their key's build in flight and
+	// waited for it. The package's tests read it to know that all their
+	// requesters are waiting before they let a build finish.
+	waits atomic.Int64
 }
 
 // entry is one key's slot. ready is closed once the build has returned or
@@ -51,6 +55,7 @@ func (m *Map[K, V]) Get(k K, build func() (V, error)) (V, error) {
 		if e.done.Load() {
 			return e.v, e.err
 		}
+		m.waits.Add(1)
 		<-e.ready
 		if e.done.Load() {
 			return e.v, e.err

@@ -2,29 +2,28 @@ package memo
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// gate holds a build open until n requesters have arrived at Get, plus a
-// grace period for the last of them to block on the in-flight entry.
+// gate holds a build open until the other n-1 requesters are waiting on it,
+// as the map's own waiter count says.
 type gate struct {
-	arrived sync.WaitGroup
+	waits *atomic.Int64
+	until int64 // *waits once they all wait
 }
 
-func newGate(n int) *gate {
-	g := &gate{}
-	g.arrived.Add(n)
-	return g
+func newGate(waits *atomic.Int64, n int) *gate {
+	return &gate{waits: waits, until: waits.Load() + int64(n-1)}
 }
-
-func (g *gate) arrive() { g.arrived.Done() }
 
 func (g *gate) hold() {
-	g.arrived.Wait()
-	time.Sleep(20 * time.Millisecond)
+	for g.waits.Load() < g.until {
+		runtime.Gosched()
+	}
 }
 
 // TestConcurrentColdRequestsRunOneBuild: N goroutines asking for one cold key
@@ -33,14 +32,13 @@ func TestConcurrentColdRequestsRunOneBuild(t *testing.T) {
 	const n = 16
 	var m Map[string, int]
 	var builds atomic.Int32
-	g := newGate(n)
+	g := newGate(&m.waits, n)
 	got := make([]int, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g.arrive()
 			v, err := m.Get("k", func() (int, error) {
 				builds.Add(1)
 				g.hold()
@@ -74,14 +72,13 @@ func TestErrorIsSharedThenRetried(t *testing.T) {
 	var m Map[string, int]
 	fail := errors.New("transient")
 	var builds atomic.Int32
-	g := newGate(n)
+	g := newGate(&m.waits, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g.arrive()
 			_, errs[i] = m.Get("k", func() (int, error) {
 				builds.Add(1)
 				g.hold()
@@ -115,12 +112,11 @@ func TestPanicMakesEveryWaiterBuild(t *testing.T) {
 	const n = 8
 	var m Map[string, int]
 	var builds atomic.Int32
-	g := newGate(n)
+	g := newGate(&m.waits, n)
 	panicked := make(chan bool, n)
 	for i := 0; i < n; i++ {
 		go func() {
 			defer func() { panicked <- recover() != nil }()
-			g.arrive()
 			m.Get("k", func() (int, error) {
 				if builds.Add(1) == 1 {
 					g.hold()

@@ -512,32 +512,75 @@ func StreamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
 // byte addresses and does not expose the step it generated them at.
 const runStatsLineBytes = 64
 
+// seenSet is runStats' open-addressed set of lines. A slot belongs to the
+// current worker only while its stamp equals that worker's epoch, so moving
+// to the next worker — or to the next call — empties the set without
+// clearing it. Epochs only grow, so whatever a slot holds from an earlier
+// worker or call is stale; the stamps are cleared only when the epoch wraps.
+type seenSet struct {
+	lines  []uint64
+	stamps []uint32
+	epoch  uint32
+}
+
+// seenPool recycles seen-sets across model builds: BS in Slate order needs
+// 512k slots, 6 MB, that would otherwise be allocated and zeroed per build.
+var seenPool = sync.Pool{New: func() any { return new(seenSet) }}
+
+// resize makes the set's window size slots, reallocating only if its
+// capacity is smaller.
+func (s *seenSet) resize(size int) {
+	if cap(s.stamps) < size {
+		s.lines = make([]uint64, size)
+		s.stamps = make([]uint32, size)
+		s.epoch = 0
+		return
+	}
+	s.lines = s.lines[:size]
+	s.stamps = s.stamps[:size]
+}
+
+// next returns a fresh epoch: no slot is stamped with it.
+func (s *seenSet) next() uint32 {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamps[:cap(s.stamps)])
+		s.epoch = 1
+	}
+	return s.epoch
+}
+
 // runStats measures runs over each worker's first-touch lines only: repeat
 // accesses (hot shared data like GS's pivot row) are served by the L2 and
 // neither extend nor break a DRAM access run.
 func runStats(streams [][]uint64) RunStats {
+	set := seenPool.Get().(*seenSet)
+	defer seenPool.Put(set)
+	return set.runStats(streams)
+}
+
+// runStats measures the streams through this seen-set.
+func (set *seenSet) runStats(streams [][]uint64) RunStats {
 	longest := 0
 	for _, s := range streams {
 		if len(s) > longest {
 			longest = len(s)
 		}
 	}
-	// One open-addressed seen-set serves every worker: a slot belongs to the
-	// current worker only while its stamp equals that worker's epoch, so
-	// moving to the next worker empties the table without clearing it. Sized
-	// for a <=50% load factor on the longest stream.
+	// One seen-set serves every worker, sized for a <=50% load factor on the
+	// longest stream.
 	size := 16
 	for size < 2*longest {
 		size <<= 1
 	}
 	mask := uint64(size - 1)
 	shift := uint(64 - bits.TrailingZeros(uint(size)))
-	lines := make([]uint64, size)
-	stamps := make([]uint32, size)
+	set.resize(size)
+	lines, stamps := set.lines, set.stamps
 
 	var runs, coldLines int
-	for w, s := range streams {
-		epoch := uint32(w + 1)
+	for _, s := range streams {
+		epoch := set.next()
 		havePrev := false
 		var prev uint64
 		for _, a := range s {

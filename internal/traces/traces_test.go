@@ -1,6 +1,7 @@
 package traces
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -322,6 +323,37 @@ func TestAssembleWithRunStatsMatchesSeparateCalls(t *testing.T) {
 			if ref := mapRunStats(p, cfg); stats != ref || StreamRunStats(p, cfg) != ref {
 				t.Fatalf("%s %v: fused stats %+v, StreamRunStats %+v, map reference %+v",
 					name, cfg.Order, stats, StreamRunStats(p, cfg), ref)
+			}
+		}
+	}
+}
+
+// One seen-set reused across calls — larger windows, then smaller ones
+// that inherit their stale slots — and across the wrap of its epoch counter
+// must give every call the statistics of a fresh set.
+func TestRunStatsReusedSeenSetMatchesReference(t *testing.T) {
+	patterns := []BlockPattern{
+		Streaming{Blocks: 600, BytesPerBlock: 4096, LineBytes: 64, WriteStride: 4096, WriteBytes: 512, WriteBase: 1 << 30},
+		RowSweep{Blocks: 300, PivotBytes: 1024, SliceBytes: 2048, SliceOverlap: 512, LineBytes: 64, RowBase: 1 << 22},
+		Tiled{GridX: 16, GridY: 16, PanelBytes: 1024, LineBytes: 64, BBase: 1 << 30},
+		Random{Blocks: 300, BytesPerBlock: 1024, TableBytes: 4096, TableReads: 8, LineBytes: 64, Seed: 11, TableBase: 1 << 34},
+	}
+	set := &seenSet{}
+	for _, startEpoch := range []uint32{0, math.MaxUint32 - 5} {
+		for _, p := range patterns {
+			for _, cfg := range []AssembleConfig{
+				{Order: SlateOrder, Workers: 3, TaskSize: 10, Chunk: 8, Seed: 3},
+				{Order: HardwareOrder, Workers: 7, Chunk: 8, Seed: 3, MaxAccesses: 4000},
+			} {
+				if startEpoch != 0 {
+					set.epoch = startEpoch // the next call's workers wrap the counter
+				}
+				streams, buf, _ := expand(p, cfg)
+				got := set.runStats(streams)
+				Release(buf)
+				if want := mapRunStats(p, cfg); got != want {
+					t.Fatalf("%T %v from epoch %d: %+v, map reference %+v", p, cfg.Order, startEpoch, got, want)
+				}
 			}
 		}
 	}
