@@ -25,36 +25,6 @@ import (
 	"slate/internal/profile"
 )
 
-// experiment is one row of the -exp table.
-type experiment struct {
-	name string
-	run  func() (output, error)
-	// heavy keeps the experiment out of -exp all: it is run by name only.
-	heavy bool
-}
-
-// output is everything one run of an experiment can be written as; csv and
-// svg are empty when the experiment has no series or no figure.
-type output struct {
-	render, csv, svg string
-}
-
-// artifacts renders a harness result every way its type can be rendered, so
-// -csv and -svg are written from the result -exp computed once.
-func artifacts(r interface{ Render() string }, err error) (output, error) {
-	if err != nil {
-		return output{}, err
-	}
-	out := output{render: r.Render()}
-	if c, ok := r.(interface{ CSV() string }); ok {
-		out.csv = c.CSV()
-	}
-	if f, ok := r.(interface{ SVG() string }); ok {
-		out.svg = f.SVG()
-	}
-	return out, nil
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -71,73 +41,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 	devName := fs.String("device", "titanxp", "device preset: titanxp|p100|v100|jetson")
 	profileTable := fs.String("profiles", "", "profile-table file, a cache: loaded if present, saved after table2 (a file in the old JSON format loads no entries and is rewritten by the same run)")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
-		"worker-pool width for experiment cells (output is byte-identical at any value; 1 = serial)")
-	simWorkers := fs.Int("sim-workers", runtime.NumCPU(),
-		"intra-simulation worker count: sharded sub-simulations and engine fan (byte-identical at any value; 1 = serial)")
+		"worker count for experiment cells and inside each simulation (output is byte-identical at any value; 1 = serial)")
 	fleetSessions := fs.Int("fleet-sessions", 100_000, "concurrent sessions per fleetload leg (the test and CI use 2000)")
 
-	// The experiments close over the harness and the device, which exist once
-	// the flags are parsed; the table exists before, so -exp's help and the
-	// unknown-experiment message are read off it.
-	var h *harness.Harness
-	var dev *gpu.Device
-	chaos := func(sc *scenario) experiment {
-		return experiment{name: sc.name, run: func() (output, error) {
+	// The -exp table is the harness's experiments, then the chaos and load
+	// scenarios. It exists before the flags are parsed, so -exp's help and
+	// the unknown-experiment message are read off it; the scenarios read
+	// their flags when they run.
+	chaos := func(sc *scenario) harness.Experiment {
+		return harness.Experiment{Name: sc.name, Run: func(*harness.Harness) (harness.Output, error) {
 			r, err := sc.run(*seed)
-			return output{render: r}, err // a failed chaos run still shows its table
+			return harness.Output{Render: r}, err // a failed chaos run still shows its table
 		}}
 	}
-	experiments := []experiment{
-		{name: "fig1", run: func() (output, error) { return artifacts(h.Fig1()) }},
-		{name: "table1", run: func() (output, error) { return output{render: harness.TableIRender()}, nil }},
-		{name: "table2", run: func() (output, error) {
-			prof := profile.New(dev, h.Model)
-			if *profileTable != "" {
-				st, err := prof.LoadFile(*profileTable)
-				if err != nil {
-					return output{}, err
-				}
-				fmt.Fprintf(stdout, "loaded profile table %s (%d entries)\n", *profileTable, st.Loaded)
-			}
-			r, err := h.TableIIWith(prof)
-			if err == nil && *profileTable != "" {
-				if err = prof.SaveFile(*profileTable, nil); err == nil {
-					fmt.Fprintf(stdout, "saved profile table %s (%d entries)\n", *profileTable, prof.Len())
-				}
-			}
-			return artifacts(r, err)
-		}},
-		{name: "table3", run: func() (output, error) { return artifacts(h.TableIII()) }},
-		{name: "table4", run: func() (output, error) { return artifacts(h.TableIV()) }},
-		{name: "table5", run: func() (output, error) { return artifacts(h.TableV()) }},
-		{name: "fig5", run: func() (output, error) { return artifacts(h.Fig5()) }},
-		{name: "fig6", run: func() (output, error) { return artifacts(h.Fig6()) }},
-		{name: "fig7", run: func() (output, error) { return artifacts(h.Fig7()) }},
-		{name: "ablation", run: func() (output, error) { return artifacts(h.Ablations()) }},
-		{name: "staticmerge", run: func() (output, error) { return artifacts(h.StaticMerge()) }},
-		{name: "triples", run: func() (output, error) { return artifacts(h.Triples()) }},
-		{name: "cloud", run: func() (output, error) {
-			return artifacts(h.CloudTrace(harness.CloudTraceConfig{Jobs: 10, Seed: 1}))
-		}},
-		{name: "extpairs", run: func() (output, error) { return artifacts(h.ExtendedPairs()) }},
-		{name: "sensitivity", run: func() (output, error) { return artifacts(h.Sensitivity()) }},
+	experiments := append(harness.Experiments(),
 		chaos(faults), chaos(overload), chaos(crashChaos), chaos(fleetChaos), chaos(rollingChaos),
-		// Not part of -exp all: it deliberately runs a 100k-session storm four
-		// times (two legs, and the double run).
-		{name: "fleetload", heavy: true, run: func() (output, error) {
+		harness.Experiment{Name: byNameOnly, Run: func(*harness.Harness) (harness.Output, error) {
 			r, err := fleetLoad(*fleetSessions).run(*seed)
-			return output{render: r}, err
+			return harness.Output{Render: r}, err
 		}},
-	}
-	var names, byNameOnly []string
+	)
+	var names []string
 	for _, e := range experiments {
-		names = append(names, e.name)
-		if e.heavy {
-			byNameOnly = append(byNameOnly, e.name)
-		}
+		names = append(names, e.Name)
 	}
 	table := "all|" + strings.Join(names, "|")
-	exp := fs.String("exp", "all", "experiment: "+table+" (all leaves out "+strings.Join(byNameOnly, ", ")+")")
+	exp := fs.String("exp", "all", "experiment: "+table+" (all leaves out "+byNameOnly+")")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -149,6 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	var dev *gpu.Device
 	switch strings.ToLower(*devName) {
 	case "titanxp":
 		dev = gpu.TitanXp()
@@ -163,43 +93,69 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stdout, "device: %s\n\n", dev.Name)
-	h = harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel, SimWorkers: *simWorkers})
+	h := harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel, SimWorkers: *parallel})
 
 	for _, e := range experiments {
-		if selected != e.name && (selected != "all" || e.heavy) {
+		if selected != e.Name && (selected != "all" || e.Name == byNameOnly) {
 			continue
 		}
 		start := time.Now()
-		out, err := e.run()
-		if out.render != "" {
-			fmt.Fprintln(stdout, out.render)
+		runExp := e.Run
+		if e.Name == "table2" && *profileTable != "" {
+			runExp = func(h *harness.Harness) (harness.Output, error) { return profiledTableII(h, *profileTable, stdout) }
+		}
+		out, err := runExp(h)
+		if out.Render != "" {
+			fmt.Fprintln(stdout, out.Render)
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)
+			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.Name, err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", e.Name, time.Since(start).Seconds())
 		write := func(dir, ext, content string) error {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return err
 			}
-			path := filepath.Join(dir, e.name+ext)
+			path := filepath.Join(dir, e.Name+ext)
 			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 				return err
 			}
 			fmt.Fprintf(stdout, "wrote %s\n\n", path)
 			return nil
 		}
-		if *csvDir != "" && out.csv != "" {
-			err = write(*csvDir, ".csv", out.csv)
+		if *csvDir != "" && out.CSV != "" {
+			err = write(*csvDir, ".csv", out.CSV)
 		}
-		if err == nil && *svgDir != "" && out.svg != "" {
-			err = write(*svgDir, ".svg", out.svg)
+		if err == nil && *svgDir != "" && out.SVG != "" {
+			err = write(*svgDir, ".svg", out.SVG)
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.name, err)
+			fmt.Fprintf(stderr, "slatebench: %s: %v\n", e.Name, err)
 			return 1
 		}
 	}
 	return 0
+}
+
+// byNameOnly is left out of -exp all: it deliberately runs a 100k-session
+// storm four times (two legs, and the double run).
+const byNameOnly = "fleetload"
+
+// profiledTableII is table2 against the -profiles file: the table is loaded
+// when present and saved after the run.
+func profiledTableII(h *harness.Harness, path string, stdout io.Writer) (harness.Output, error) {
+	prof := profile.New(h.Dev, h.Model)
+	st, err := prof.LoadFile(path)
+	if err != nil {
+		return harness.Output{}, err
+	}
+	fmt.Fprintf(stdout, "loaded profile table %s (%d entries)\n", path, st.Loaded)
+	r, err := h.TableIIWith(prof)
+	if err == nil {
+		if err = prof.SaveFile(path, nil); err == nil {
+			fmt.Fprintf(stdout, "saved profile table %s (%d entries)\n", path, prof.Len())
+		}
+	}
+	return harness.OutputOf(r, err)
 }

@@ -6,9 +6,7 @@ import (
 	"slate/internal/daemon"
 	"slate/internal/policy"
 	"slate/internal/profile"
-	"slate/internal/run"
 	"slate/internal/sched"
-	"slate/internal/vtime"
 	"slate/workloads"
 )
 
@@ -43,9 +41,6 @@ var ablationPairs = [][2]string{
 	{"GS", "GS"}, // consecutive, software-scheduling gain
 }
 
-// mutator adjusts the simulated daemon before a variant run.
-type mutator func(*daemon.SimBackend)
-
 // Ablations evaluates scheduler-design variants against the same MPS
 // baseline:
 //
@@ -60,7 +55,7 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 		name, desc string
 		mut        mutator
 	}{
-		{"table-i", "paper's policy + scaling split + grace", func(b *daemon.SimBackend) {}},
+		{"table-i", "paper's policy + scaling split + grace", nil},
 		{"always-corun", "corun every pair (no workload awareness)", func(b *daemon.SimBackend) {
 			b.Sched.CorunFn = func(policy.Class, policy.Class) bool { return true }
 		}},
@@ -115,11 +110,15 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	}
 	err = h.forEachCell(len(variants)*np, func(c int) error {
 		v, p := c/np, c%np
-		mean, err := h.runSlateVariant(pairs[p], variants[v].mut)
+		jobs, err := h.jobsFor(pairs[p])
+		if err != nil {
+			return err
+		}
+		rs, _, err := h.runSlate(jobs, variants[v].mut)
 		if err != nil {
 			return fmt.Errorf("ablation %s on %s: %w", variants[v].name, keys[p], err)
 		}
-		gains[v][p] = baseline[p]/mean - 1
+		gains[v][p] = baseline[p]/meanAppSec(rs) - 1
 		return nil
 	})
 	if err != nil {
@@ -136,26 +135,6 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 		res.Variants = append(res.Variants, av)
 	}
 	return res, nil
-}
-
-// runSlateVariant runs a pair under a mutated Slate daemon.
-func (h *Harness) runSlateVariant(apps []*workloads.App, mut mutator) (float64, error) {
-	jobs := make([]run.Job, len(apps))
-	for i, app := range apps {
-		solo, err := h.soloKernelSec(app.Kernel)
-		if err != nil {
-			return 0, err
-		}
-		jobs[i] = run.Job{App: app, Reps: run.Reps30s(solo, h.Loop)}
-	}
-	clk := vtime.NewClock()
-	sim := h.newSlateSim(clk)
-	mut(sim)
-	rs, err := run.NewDriver(clk, sim).Run(jobs)
-	if err != nil {
-		return 0, err
-	}
-	return meanAppSec(rs), nil
 }
 
 // Render prints the variant × pair gain matrix.

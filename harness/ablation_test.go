@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"slate/internal/daemon"
-	"slate/internal/run"
 	"slate/internal/sched"
-	"slate/internal/vtime"
-	"slate/workloads"
 )
 
 // The design-choice ablation: each mechanism the scheduler relies on must
@@ -106,48 +103,32 @@ func TestANTTPredictVariant(t *testing.T) {
 // On the Table-I blind spot (KM-KM), the predictive policy chooses solo
 // while the default table coruns.
 func TestANTTPredictFixesLinearSelfPair(t *testing.T) {
-	makeJobs := func() []run.Job {
-		km1, err := workloads.ByCode("KM")
+	decide := func(mut mutator) string {
+		pair, err := appsByCode("KM", "KM")
 		if err != nil {
 			t.Fatal(err)
 		}
-		km2, err := workloads.ByCode("KM")
+		pair[1].Kernel.Name = "KM@2"
+		jobs, err := testHarness.jobsFor(pair)
 		if err != nil {
 			t.Fatal(err)
 		}
-		km2.Kernel.Name = "KM@2"
-		jobs := make([]run.Job, 0, 2)
-		for _, app := range []*workloads.App{km1, km2} {
-			solo, err := testHarness.soloKernelSec(app.Kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, run.Job{App: app, Reps: run.Reps30s(solo, testHarness.Loop)})
-		}
-		return jobs
-	}
-	decide := func(predictive bool) string {
-		clk := vtime.NewClock()
-		sim := daemon.NewSim(testHarness.Dev, clk, testHarness.Model)
-		sim.Costs.InjectSeconds *= testHarness.Loop / 30
-		sim.Costs.CompileSeconds *= testHarness.Loop / 30
-		if predictive {
-			sim.Sched.CorunProfiledFn = sched.ANTTPredictCorun(sim.Sched, 0.10)
-		}
-		if _, err := run.NewDriver(clk, sim).Run(makeJobs()); err != nil {
+		_, decisions, err := testHarness.runSlate(jobs, mut)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range sim.Sched.Decisions() {
+		for _, d := range decisions {
 			if d.Action == "corun" {
 				return "corun"
 			}
 		}
 		return "solo"
 	}
-	if got := decide(false); got != "corun" {
+	predictive := func(b *daemon.SimBackend) { b.Sched.CorunProfiledFn = sched.ANTTPredictCorun(b.Sched, 0.10) }
+	if got := decide(nil); got != "corun" {
 		t.Fatalf("Table I on KM-KM decided %s, expected its blind-spot corun", got)
 	}
-	if got := decide(true); got != "solo" {
+	if got := decide(predictive); got != "solo" {
 		t.Fatalf("antt-predict on KM-KM decided %s; predicted speeds sum to ≈1, want solo", got)
 	}
 }

@@ -62,7 +62,7 @@ func appsByCode(codes ...string) ([]*workloads.App, error) {
 }
 
 // jobsFor builds the ~30s-loop jobs for the given applications from their
-// solo times.
+// solo times; it is the one place a job list is made.
 func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
 	jobs := make([]run.Job, len(apps))
 	for i, app := range apps {
@@ -75,15 +75,37 @@ func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
 	return jobs, nil
 }
 
-// runJobs executes caller-prepared jobs (custom reps/arrival delays) under
-// one scheduler on a fresh clock.
+// runJobs executes prepared jobs under one scheduler on a fresh clock.
 func (h *Harness) runJobs(s Sched, jobs []run.Job) ([]run.Result, error) {
+	if s == Slate {
+		rs, _, err := h.runSlate(jobs, nil)
+		return rs, err
+	}
 	clk := vtime.NewClock()
 	backend, err := h.newBackend(s, clk)
 	if err != nil {
 		return nil, err
 	}
 	return run.NewDriver(clk, backend).Run(jobs)
+}
+
+// mutator adjusts a simulated Slate daemon before its run.
+type mutator func(*daemon.SimBackend)
+
+// runSlate is the one runner of a Slate cell: it runs jobs under a fresh
+// Slate daemon, adjusted by mut when mut is not nil, and returns the results
+// and the scheduler's decision log.
+func (h *Harness) runSlate(jobs []run.Job, mut mutator) ([]run.Result, []sched.Decision, error) {
+	clk := vtime.NewClock()
+	sim := h.newSlateSim(clk)
+	if mut != nil {
+		mut(sim)
+	}
+	rs, err := run.NewDriver(clk, sim).Run(jobs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rs, sim.Sched.Decisions(), nil
 }
 
 // newBackend builds one scheduler's backend on the given clock, plumbing the
@@ -161,18 +183,6 @@ func (h *Harness) runJobsAllScheds(jobs []run.Job) ([][]run.Result, error) {
 		out[i] = rs
 	}
 	return out, nil
-}
-
-// runSlateWithDecisions runs jobs under a fresh Slate daemon and returns
-// both results and the scheduler's decision log.
-func (h *Harness) runSlateWithDecisions(jobs []run.Job) ([]run.Result, []sched.Decision, error) {
-	clk := vtime.NewClock()
-	sim := h.newSlateSim(clk)
-	rs, err := run.NewDriver(clk, sim).Run(jobs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rs, sim.Sched.Decisions(), nil
 }
 
 // meanAppSec averages the applications' execution times.

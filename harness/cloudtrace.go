@@ -5,7 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"slate/internal/run"
+	"slate/internal/policy"
 	"slate/workloads"
 )
 
@@ -73,9 +73,6 @@ func (h *Harness) CloudTrace(cfg CloudTraceConfig) (*CloudTraceResult, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := h.soloKernelSec(app.Kernel); err != nil {
-			return err
-		}
 		rs, err := h.runApps(CUDA, []*workloads.App{app})
 		if err != nil {
 			return err
@@ -105,47 +102,46 @@ func (h *Harness) CloudTrace(cfg CloudTraceConfig) (*CloudTraceResult, error) {
 	scheds := Scheds()
 	err = h.forEachCell(len(scheds), func(si int) error {
 		s := scheds[si]
-		jobs := make([]run.Job, len(specs))
+		// Distinct instance names per job so repeated codes behave as
+		// separate clients; the content-addressed caches keep sharing their
+		// locality and solo measurements.
+		apps := make([]*workloads.App, len(specs))
 		for i, js := range specs {
 			app, err := workloads.ByCode(js.code)
 			if err != nil {
 				return err
 			}
-			solo, err := h.soloKernelSec(app.Kernel)
-			if err != nil {
-				return err
-			}
-			// Distinct instance names per job so repeated codes behave as
-			// separate clients; the content-addressed caches keep sharing
-			// their locality and solo measurements.
 			app.Kernel.Name = fmt.Sprintf("%s@%d", app.Kernel.Name, i)
-			jobs[i] = run.Job{
-				App:           app,
-				Reps:          run.Reps30s(solo, h.Loop),
-				StartDelaySec: js.delay,
-			}
+			apps[i] = app
+		}
+		jobs, err := h.jobsFor(apps)
+		if err != nil {
+			return err
+		}
+		for i := range jobs {
+			jobs[i].StartDelaySec = specs[i].delay
 		}
 		rs, err := h.runJobs(s, jobs)
 		if err != nil {
 			return fmt.Errorf("cloud trace under %v: %w", s, err)
 		}
-		var antt, stp, makespan float64
-		ntts := make([]float64, 0, len(rs))
+		turns, solos := make([]float64, len(rs)), make([]float64, len(rs))
+		var stp, makespan float64
 		for i, r := range rs {
-			turn := r.AppSec()
-			solo := soloApp[specs[i].code]
-			if solo <= 0 || turn <= 0 {
+			turns[i], solos[i] = r.AppSec(), soloApp[specs[i].code]
+			if solos[i] <= 0 || turns[i] <= 0 {
 				return fmt.Errorf("cloud trace: degenerate times for %s", r.Code)
 			}
-			ntt := turn / solo
-			ntts = append(ntts, ntt)
-			antt += ntt
-			stp += solo / turn
+			stp += solos[i] / turns[i]
 			if end := float64(r.End) / 1e9; end > makespan {
 				makespan = end
 			}
 		}
-		res.ANTT[s] = antt / float64(len(rs))
+		ntts := make([]float64, len(rs))
+		for i := range ntts {
+			ntts[i] = turns[i] / solos[i]
+		}
+		res.ANTT[s] = policy.ANTT(turns, solos)
 		res.STP[s] = stp
 		res.MakespanSec[s] = makespan
 		sort.Float64s(ntts)

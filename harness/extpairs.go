@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"slate/internal/run"
 	"slate/workloads"
 )
 
@@ -35,8 +34,8 @@ var extendedPairs = [][2]string{
 }
 
 // ExtendedPairs runs the extended pairings under the three schedulers.
-// Each pairing is an independent cell (three scheduler runs plus a
-// decision-log run inside).
+// Each pairing is an independent cell; its Slate run also gives the
+// decision.
 func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 	res := &ExtendedPairsResult{Rows: make([]ExtPairRow, len(extendedPairs))}
 	pairs := make([][]*workloads.App, len(extendedPairs))
@@ -55,28 +54,25 @@ func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 		pc := extendedPairs[p]
 		row := ExtPairRow{Pair: pc[0] + "-" + pc[1]}
 		var mean [3]float64
-		for _, s := range Scheds() {
+		for _, s := range []Sched{CUDA, MPS} {
 			rs, err := h.runApps(s, pairs[p])
 			if err != nil {
 				return fmt.Errorf("extended pair %s under %v: %w", row.Pair, s, err)
 			}
 			mean[s] = meanAppSec(rs)
 		}
-		for _, s := range Scheds() {
-			row.Norm[s] = mean[s] / mean[CUDA]
-		}
-		// Decision recorded from a direct Slate run.
-		jobs := make([]run.Job, 2)
-		for i, app := range pairs[p] {
-			solo, err := h.soloKernelSec(app.Kernel)
-			if err != nil {
-				return err
-			}
-			jobs[i] = run.Job{App: app, Reps: run.Reps30s(solo, h.Loop)}
-		}
-		_, decisions, err := h.runSlateWithDecisions(jobs)
+		// The Slate run gives both its times and its decision.
+		jobs, err := h.jobsFor(pairs[p])
 		if err != nil {
 			return err
+		}
+		rs, decisions, err := h.runSlate(jobs, nil)
+		if err != nil {
+			return fmt.Errorf("extended pair %s under %v: %w", row.Pair, Slate, err)
+		}
+		mean[Slate] = meanAppSec(rs)
+		for _, s := range Scheds() {
+			row.Norm[s] = mean[s] / mean[CUDA]
 		}
 		row.Decided = "solo"
 		for _, d := range decisions {

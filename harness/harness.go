@@ -43,7 +43,8 @@ type Config struct {
 	// across kernels (engine.Workers), and the trace model's LegacyMRC
 	// oracle fans its capacity-point simulations (TraceModel.BuildWorkers).
 	// 0 or 1 keeps every simulation strictly serial. Output is
-	// byte-identical at every setting — see DESIGN.md §15.
+	// byte-identical at every setting — see DESIGN.md §15. slatebench's one
+	// worker flag, -parallel, sets this and Parallel to the same value.
 	SimWorkers int
 	// Seed drives trace-assembly determinism; 0 selects the calibrated
 	// default of 1.

@@ -60,25 +60,23 @@ func TestTableIVParallelMatchesSerial(t *testing.T) {
 }
 
 // TestHarnessRunTwiceIdempotent verifies repeated runs inside one process
-// reuse the warm caches without drifting: no experiment may leave shared
-// model state (cache warmth, device counters) behind that changes a rerun.
+// reuse the warm caches without drifting: no experiment of Experiments() may
+// leave shared model state (cache warmth, device counters) behind that
+// changes a rerun on the same harness, byte for byte.
 func TestHarnessRunTwiceIdempotent(t *testing.T) {
 	h := New(Config{LoopSeconds: 0.5, Parallel: 4})
-	out := func() string {
-		f, err := h.Fig7()
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range Experiments() {
+		var runs [2]Output
+		for i := range runs {
+			o, err := e.Run(h)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			runs[i] = o
 		}
-		tiv, err := h.TableIV()
-		if err != nil {
-			t.Fatal(err)
+		if runs[0] != runs[1] {
+			t.Errorf("%s: second run in the same process diverged:\n%+v\nvs\n%+v", e.Name, runs[0], runs[1])
 		}
-		return f.Render() + f.CSV() + tiv.Render()
-	}
-	first := out()
-	second := out()
-	if first != second {
-		t.Fatalf("second run in the same process diverged:\n%s\nvs\n%s", first, second)
 	}
 }
 

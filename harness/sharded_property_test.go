@@ -5,115 +5,26 @@ import (
 	"testing"
 )
 
-// experimentOutputs renders every experiment the harness reproduces —
-// figures, tables, and extension studies — for one fresh harness, folding
-// each artifact's full rendered table (and CSV where one exists) into a
-// single string so byte comparison covers every reported digit.
+// experimentOutputs renders every experiment of Experiments(), and the
+// heaviest Fig. 7 cell the benchmark times, for one fresh harness, folding
+// each one's rendered table, CSV and SVG into a single string so byte
+// comparison covers every reported digit.
 func experimentOutputs(t *testing.T, cfg Config) map[string]string {
 	t.Helper()
 	h := New(cfg)
 	out := map[string]string{}
-	add := func(name string, render func() (string, error)) {
-		s, err := render()
+	for _, e := range Experiments() {
+		o, err := e.Run(h)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", e.Name, err)
 		}
-		out[name] = s
+		out[e.Name] = o.Render + o.CSV + o.SVG
 	}
-	add("fig1", func() (string, error) {
-		r, err := h.Fig1()
-		if err != nil {
-			return "", err
-		}
-		return r.Render() + r.CSV(), nil
-	})
-	add("fig5", func() (string, error) {
-		r, err := h.Fig5()
-		if err != nil {
-			return "", err
-		}
-		return r.Render() + r.CSV(), nil
-	})
-	add("fig6", func() (string, error) {
-		r, err := h.Fig6()
-		if err != nil {
-			return "", err
-		}
-		return r.Render() + r.CSV(), nil
-	})
-	add("fig7", func() (string, error) {
-		r, err := h.Fig7()
-		if err != nil {
-			return "", err
-		}
-		return r.Render() + r.CSV(), nil
-	})
-	add("tableII", func() (string, error) {
-		r, err := h.TableII()
-		if err != nil {
-			return "", err
-		}
-		return r.Render() + r.CSV(), nil
-	})
-	add("tableIII", func() (string, error) {
-		r, err := h.TableIII()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("tableIV", func() (string, error) {
-		r, err := h.TableIV()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("sensitivity", func() (string, error) {
-		r, err := h.Sensitivity()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("ablation", func() (string, error) {
-		r, err := h.Ablations()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("triples", func() (string, error) {
-		r, err := h.Triples()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("extpairs", func() (string, error) {
-		r, err := h.ExtendedPairs()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("cloudtrace", func() (string, error) {
-		r, err := h.CloudTrace(CloudTraceConfig{Jobs: 5, MeanInterArrivalSec: 0.3, Seed: cfg.Seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("staticmerge", func() (string, error) {
-		r, err := h.StaticMerge()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	})
-	add("simbench-cell", func() (string, error) {
-		return h.SimBenchCell(h.HeaviestPairIndex())
-	})
+	cell, err := h.SimBenchCell(h.HeaviestPairIndex())
+	if err != nil {
+		t.Fatalf("simbench-cell: %v", err)
+	}
+	out["simbench-cell"] = cell
 	return out
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"slate/internal/engine"
-	"slate/internal/profile"
+	"slate/internal/sched"
 	"slate/internal/vtime"
 	"slate/workloads"
 )
@@ -61,7 +61,7 @@ func (h *Harness) StaticMerge() (*StaticMergeResult, error) {
 
 		// Static merge: fixed even halves, no resizing.
 		half := h.Dev.NumSMs / 2
-		merged, err := h.corunMakespan(a, b, half, false, nil)
+		merged, err := h.corunMakespan(a, b, half, false)
 		if err != nil {
 			return fmt.Errorf("static merge %s: %w", row.Pair, err)
 		}
@@ -76,8 +76,8 @@ func (h *Harness) StaticMerge() (*StaticMergeResult, error) {
 		if err != nil {
 			return err
 		}
-		split := bestSplit(h.Dev.NumSMs, pa, pb)
-		slate, err := h.corunMakespan(a, b, split, true, nil)
+		split := sched.SplitFor(h.Dev.NumSMs, pa, pb)
+		slate, err := h.corunMakespan(a, b, split, true)
 		if err != nil {
 			return fmt.Errorf("slate corun %s: %w", row.Pair, err)
 		}
@@ -95,7 +95,7 @@ func (h *Harness) StaticMerge() (*StaticMergeResult, error) {
 // [split,N-1] under Slate scheduling and returns the makespan. With grow
 // set, the survivor is resized to the whole device when its partner
 // completes.
-func (h *Harness) corunMakespan(a, b *workloads.App, split int, grow bool, _ interface{}) (float64, error) {
+func (h *Harness) corunMakespan(a, b *workloads.App, split int, grow bool) (float64, error) {
 	clk := vtime.NewClock()
 	e := engine.New(h.Dev, clk, h.Model)
 	ha, err := e.Launch(a.Kernel, engine.LaunchOpts{
@@ -130,26 +130,6 @@ func (h *Harness) corunMakespan(a, b *workloads.App, split int, grow bool, _ int
 		end = hb.Metrics().Completed
 	}
 	return vtime.Duration(end).Seconds(), nil
-}
-
-// bestSplit mirrors the scheduler's minimax optimizer for a standalone
-// kernel-level experiment.
-func bestSplit(numSMs int, a, b *profile.Profile) int {
-	best, bestScore := numSMs/2, 1e18
-	for sA := 3; sA <= numSMs-3; sA++ {
-		spA, spB := a.SpeedAt(sA), b.SpeedAt(numSMs-sA)
-		if spA <= 0 || spB <= 0 {
-			continue
-		}
-		score := 1 / spA
-		if 1/spB > score {
-			score = 1 / spB
-		}
-		if score < bestScore {
-			bestScore, best = score, sA
-		}
-	}
-	return best
 }
 
 // Render prints the comparison with speedups over serial.

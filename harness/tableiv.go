@@ -131,14 +131,3 @@ func (r *TableVResult) Render() string {
 	return "Table V — Slate-introduced operations and their scope\n" + table(
 		[]string{"Scope", "Operation", "Measured"}, rows)
 }
-
-// EnsureResults is a tiny helper for callers that want all results or an
-// error at once.
-func EnsureResults(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"slate/internal/run"
-	"slate/internal/vtime"
+	"slate/internal/daemon"
 	"slate/workloads"
 )
 
@@ -56,15 +55,6 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 		names := strings.Join(mixes[mi][:], "-")
 		row := TripleRow{Triple: names}
 
-		jobs := make([]run.Job, len(apps))
-		for i, app := range apps {
-			solo, err := h.soloKernelSec(app.Kernel)
-			if err != nil {
-				return err
-			}
-			jobs[i] = run.Job{App: app, Reps: run.Reps30s(solo, h.Loop)}
-		}
-
 		for _, s := range []Sched{CUDA, MPS} {
 			rs, err := h.runApps(s, apps)
 			if err != nil {
@@ -74,16 +64,17 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 		}
 
 		// Slate with 3-way sharing enabled.
-		clk := vtime.NewClock()
-		sim := h.newSlateSim(clk)
-		sim.Sched.MaxConcurrent = 3
-		rs, err := run.NewDriver(clk, sim).Run(jobs)
+		jobs, err := h.jobsFor(apps)
+		if err != nil {
+			return err
+		}
+		rs, decisions, err := h.runSlate(jobs, func(b *daemon.SimBackend) { b.Sched.MaxConcurrent = 3 })
 		if err != nil {
 			return fmt.Errorf("triple %s under slate: %w", names, err)
 		}
 		row.MeanSec[Slate] = meanAppSec(rs)
-		for _, d := range sim.Sched.Decisions() {
-			if d.Action == "corun" && len(d.Partner) > 0 && containsPlus(d.Partner) {
+		for _, d := range decisions {
+			if d.Action == "corun" && strings.Contains(d.Partner, "+") {
 				row.Coruns3++
 			}
 		}
@@ -99,15 +90,6 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 	}
 	res.SlateVsMPS = sum / float64(len(res.Rows))
 	return res, nil
-}
-
-func containsPlus(s string) bool {
-	for _, r := range s {
-		if r == '+' {
-			return true
-		}
-	}
-	return false
 }
 
 // Render prints the triple results.

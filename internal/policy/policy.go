@@ -1,7 +1,6 @@
 // Package policy implements Slate's workload-aware scheduling heuristics:
 // the intensity classification of §III-B2, the corun/solo decision table
-// (Table I), and the ANTT throughput criterion used to define
-// complementarity.
+// (Table I), and the ANTT multiprogram metric.
 package policy
 
 import "fmt"
@@ -91,18 +90,6 @@ func Corun(a, b Class) bool {
 	return corunTable[a][b]
 }
 
-// Table returns a copy of the full decision table for reporting (the
-// harness prints it as the Table I reproduction).
-func Table() [5][5]bool {
-	var out [5][5]bool
-	for i := Class(0); i < numClasses; i++ {
-		for j := Class(0); j < numClasses; j++ {
-			out[i][j] = corunTable[i][j]
-		}
-	}
-	return out
-}
-
 // ANTT computes the average normalized turnaround time of a set of jobs:
 // mean over jobs of (turnaround under the evaluated scheduler) / (solo
 // execution time). Lower is better; 1.0 is solo speed.
@@ -118,24 +105,4 @@ func ANTT(turnaround, solo []float64) float64 {
 		sum += turnaround[i] / solo[i]
 	}
 	return sum / float64(len(turnaround))
-}
-
-// ConsecutiveANTT returns the §III-B throughput baseline for two kernels
-// run back to back: T = T_a + T_b.
-func ConsecutiveANTT(ta, tb float64) float64 { return ta + tb }
-
-// ConcurrentANTT returns the §III-B throughput for two kernels co-running:
-// T' = max(T'_a, T'_b).
-func ConcurrentANTT(ta, tb float64) float64 {
-	if ta > tb {
-		return ta
-	}
-	return tb
-}
-
-// Complementary implements the paper's definition: two kernels are
-// complementary if their concurrent execution has higher system throughput
-// than their consecutive execution, i.e. max(T'a, T'b) < Ta + Tb.
-func Complementary(soloA, soloB, corunA, corunB float64) bool {
-	return ConcurrentANTT(corunA, corunB) < ConsecutiveANTT(soloA, soloB)
 }

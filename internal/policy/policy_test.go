@@ -85,17 +85,6 @@ func TestCorunOutOfRange(t *testing.T) {
 	}
 }
 
-func TestTableCopy(t *testing.T) {
-	tab := Table()
-	if !tab[0][0] || tab[2][2] {
-		t.Fatal("Table() contents wrong")
-	}
-	tab[0][0] = false
-	if !Corun(LC, LC) {
-		t.Fatal("Table() exposed internal state")
-	}
-}
-
 func TestANTT(t *testing.T) {
 	if got := ANTT([]float64{2, 4}, []float64{1, 2}); got != 2 {
 		t.Fatalf("ANTT = %v, want 2", got)
@@ -108,19 +97,6 @@ func TestANTT(t *testing.T) {
 	}
 	if got := ANTT([]float64{1}, []float64{0}); got != 0 {
 		t.Fatalf("zero solo time should yield 0, got %v", got)
-	}
-}
-
-func TestComplementaryDefinition(t *testing.T) {
-	// Paper §III-B: corun wins if max(T'a,T'b) < Ta+Tb.
-	if !Complementary(1.0, 1.0, 1.3, 1.4) {
-		t.Fatal("1.4 < 2.0 should be complementary")
-	}
-	if Complementary(1.0, 0.2, 1.3, 0.3) {
-		t.Fatal("1.3 > 1.2 should not be complementary")
-	}
-	if ConsecutiveANTT(1, 2) != 3 || ConcurrentANTT(1, 2) != 2 || ConcurrentANTT(3, 2) != 3 {
-		t.Fatal("ANTT composition helpers wrong")
 	}
 }
 

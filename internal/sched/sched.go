@@ -60,7 +60,7 @@ type Scheduler struct {
 	// policy that implements §III-B's complementarity definition directly.
 	CorunProfiledFn func(running, arrival *profile.Profile) bool
 	// SplitFn sizes the partition for a corun (SMs granted to the running
-	// kernel); nil selects the measured-scaling minimax optimizer.
+	// kernel); nil selects the measured-scaling minimax optimizer, SplitFor.
 	SplitFn func(running, arrival *profile.Profile) int
 
 	running     []*entry
@@ -395,7 +395,7 @@ func (s *Scheduler) corunProfiles(a, b *profile.Profile) bool {
 // on pairs of linearly-scaling kernels (for which corun is a wash).
 func ANTTPredictCorun(s *Scheduler, margin float64) func(a, b *profile.Profile) bool {
 	return func(a, b *profile.Profile) bool {
-		sA := s.splitFor(a, b)
+		sA := SplitFor(s.Dev.NumSMs, a, b)
 		spA := a.SpeedAt(sA)
 		spB := b.SpeedAt(s.Dev.NumSMs - sA)
 		// Bus contention: if the pair's combined DRAM demand at those
@@ -412,7 +412,7 @@ func ANTTPredictCorun(s *Scheduler, margin float64) func(a, b *profile.Profile) 
 }
 
 func (s *Scheduler) split(a, b *profile.Profile) int {
-	sR := s.splitFor(a, b)
+	sR := SplitFor(s.Dev.NumSMs, a, b)
 	if s.SplitFn != nil {
 		sR = s.SplitFn(a, b)
 	}
@@ -425,14 +425,13 @@ func (s *Scheduler) split(a, b *profile.Profile) int {
 	return sR
 }
 
-// splitFor sizes the partition between a running kernel (low range) and an
-// arrival (high range): choose the split minimizing the worst predicted
-// slowdown, using each kernel's measured SM-scaling profile.
-func (s *Scheduler) splitFor(a, b *profile.Profile) int {
-	n := s.Dev.NumSMs
-	best, bestScore := n/2, 1e18
-	for sA := 3; sA <= n-3; sA++ {
-		spA, spB := a.SpeedAt(sA), b.SpeedAt(n-sA)
+// SplitFor sizes the partition of numSMs between a running kernel (low
+// range) and an arrival (high range): choose the split minimizing the worst
+// predicted slowdown, using each kernel's measured SM-scaling profile.
+func SplitFor(numSMs int, a, b *profile.Profile) int {
+	best, bestScore := numSMs/2, 1e18
+	for sA := 3; sA <= numSMs-3; sA++ {
+		spA, spB := a.SpeedAt(sA), b.SpeedAt(numSMs-sA)
 		if spA <= 0 || spB <= 0 {
 			continue
 		}

@@ -207,14 +207,14 @@ func TestSplitSizesFromScalingProfiles(t *testing.T) {
 	}
 	// Memory kernel keeps full speed at 10 SMs; the split should hand it
 	// roughly the knee and give the rest to the partner.
-	split := r.sched.splitFor(pm, pl)
+	split := SplitFor(r.sched.Dev.NumSMs, pm, pl)
 	if split < 6 || split > 14 {
 		t.Fatalf("split = %d SMs for the memory kernel, want near the knee (6-14)", split)
 	}
 	// Two compute-bound kernels split evenly.
 	pc1, _ := r.sched.Prof.Get(computeK("c1", 2400))
 	pc2, _ := r.sched.Prof.Get(computeK("c2", 2400))
-	even := r.sched.splitFor(pc1, pc2)
+	even := SplitFor(r.sched.Dev.NumSMs, pc1, pc2)
 	if even < 13 || even > 17 {
 		t.Fatalf("compute-compute split = %d, want ≈15", even)
 	}
