@@ -93,7 +93,7 @@ func overloadPhaseA(seed int64, res *overloadResult) error {
 	eng := engine.New(dev, clk, model)
 	prof := profile.New(dev, model)
 	s := sched.New(dev, eng, prof)
-	s.EnableContainment(sched.ContainConfig{AgingBound: 2 * vtime.Millisecond})
+	s.EnableContainment(2 * vtime.Millisecond)
 
 	res.completions = map[string]int{}
 	rng := rand.New(rand.NewSource(seed))

@@ -21,7 +21,7 @@ func TestScenarios(t *testing.T) {
 		seeds []int64
 		rows  int // cells per run: a scenario that lost a row is a lost check
 	}{
-		{faults, []int64{1, 7}, 5},
+		{faults, []int64{1, 7, 11, 42}, 5},
 		{overload, []int64{1, 42}, 2 * 10},
 		{crashChaos, []int64{1, 42}, 2 * 9},
 		{fleetChaos, []int64{1}, 2 * 3 * 5},

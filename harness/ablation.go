@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"slate/internal/daemon"
-	"slate/internal/policy"
 	"slate/internal/profile"
 	"slate/internal/sched"
 	"slate/workloads"
@@ -41,8 +40,8 @@ var ablationPairs = [][2]string{
 	{"GS", "GS"}, // consecutive, software-scheduling gain
 }
 
-// Ablations evaluates scheduler-design variants against the same MPS
-// baseline:
+// ablationVariants are the scheduler-design variants, each a mutator of
+// the simulated Slate daemon (nil is the default scheduler):
 //
 //   - table-i (default): Table I policy + measured-scaling split + grace.
 //   - always-corun: pair anything with anything (no workload awareness).
@@ -50,29 +49,32 @@ var ablationPairs = [][2]string{
 //   - even-split: ignore scaling profiles, always split 15/15.
 //   - no-grace: grow the survivor immediately on every completion
 //     (partition thrash on looped kernels).
-func (h *Harness) Ablations() (*AblationResult, error) {
-	variants := []struct {
-		name, desc string
-		mut        mutator
-	}{
-		{"table-i", "paper's policy + scaling split + grace", nil},
-		{"always-corun", "corun every pair (no workload awareness)", func(b *daemon.SimBackend) {
-			b.Sched.CorunFn = func(policy.Class, policy.Class) bool { return true }
-		}},
-		{"never-corun", "serialize every pair (software scheduling only)", func(b *daemon.SimBackend) {
-			b.Sched.CorunFn = func(policy.Class, policy.Class) bool { return false }
-		}},
-		{"even-split", "fixed 15/15 partition (no scaling profiles)", func(b *daemon.SimBackend) {
-			b.Sched.SplitFn = func(*profile.Profile, *profile.Profile) int { return b.Dev.NumSMs / 2 }
-		}},
-		{"no-grace", "grow survivor immediately (partition thrash)", func(b *daemon.SimBackend) {
-			b.Sched.GrowGraceSeconds = 0
-		}},
-		{"antt-predict", "§III-B ANTT criterion from scaling profiles", func(b *daemon.SimBackend) {
-			b.Sched.CorunProfiledFn = sched.ANTTPredictCorun(b.Sched, 0.10)
-		}},
-	}
+//   - antt-predict: §III-B's ANTT criterion from the scaling profiles.
+var ablationVariants = []struct {
+	name, desc string
+	mut        mutator
+}{
+	{"table-i", "paper's policy + scaling split + grace", nil},
+	{"always-corun", "corun every pair (no workload awareness)", func(b *daemon.SimBackend) {
+		b.Sched.CorunFn = func(*profile.Profile, *profile.Profile) bool { return true }
+	}},
+	{"never-corun", "serialize every pair (software scheduling only)", func(b *daemon.SimBackend) {
+		b.Sched.CorunFn = func(*profile.Profile, *profile.Profile) bool { return false }
+	}},
+	{"even-split", "fixed 15/15 partition (no scaling profiles)", func(b *daemon.SimBackend) {
+		b.Sched.SplitFn = func(*profile.Profile, *profile.Profile) int { return b.Dev.NumSMs / 2 }
+	}},
+	{"no-grace", "grow survivor immediately (partition thrash)", func(b *daemon.SimBackend) {
+		b.Sched.GrowGraceSeconds = 0
+	}},
+	{"antt-predict", "§III-B ANTT criterion from scaling profiles", func(b *daemon.SimBackend) {
+		b.Sched.CorunFn = sched.ANTTPredictCorun(b.Sched, 0.10)
+	}},
+}
 
+// Ablations evaluates every ablationVariants entry against the same MPS
+// baseline.
+func (h *Harness) Ablations() (*AblationResult, error) {
 	res := &AblationResult{}
 	// MPS baselines per pair, computed once — one cell per pair.
 	np := len(ablationPairs)
@@ -104,19 +106,19 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	// Variant × pair matrix: every combination is an independent cell (each
 	// builds its own mutated daemon); the gain maps and means assemble
 	// afterwards in declaration order.
-	gains := make([][]float64, len(variants))
-	for v := range variants {
+	gains := make([][]float64, len(ablationVariants))
+	for v := range ablationVariants {
 		gains[v] = make([]float64, np)
 	}
-	err = h.forEachCell(len(variants)*np, func(c int) error {
+	err = h.forEachCell(len(ablationVariants)*np, func(c int) error {
 		v, p := c/np, c%np
 		jobs, err := h.jobsFor(pairs[p])
 		if err != nil {
 			return err
 		}
-		rs, _, err := h.runSlate(jobs, variants[v].mut)
+		rs, _, err := h.runSlate(jobs, ablationVariants[v].mut)
 		if err != nil {
-			return fmt.Errorf("ablation %s on %s: %w", variants[v].name, keys[p], err)
+			return fmt.Errorf("ablation %s on %s: %w", ablationVariants[v].name, keys[p], err)
 		}
 		gains[v][p] = baseline[p]/meanAppSec(rs) - 1
 		return nil
@@ -124,7 +126,7 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for v, vd := range variants {
+	for v, vd := range ablationVariants {
 		av := AblationVariant{Name: vd.name, Desc: vd.desc, GainVsMPS: map[string]float64{}}
 		sum := 0.0
 		for p := range ablationPairs {

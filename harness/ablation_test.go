@@ -124,7 +124,7 @@ func TestANTTPredictFixesLinearSelfPair(t *testing.T) {
 		}
 		return "solo"
 	}
-	predictive := func(b *daemon.SimBackend) { b.Sched.CorunProfiledFn = sched.ANTTPredictCorun(b.Sched, 0.10) }
+	predictive := func(b *daemon.SimBackend) { b.Sched.CorunFn = sched.ANTTPredictCorun(b.Sched, 0.10) }
 	if got := decide(nil); got != "corun" {
 		t.Fatalf("Table I on KM-KM decided %s, expected its blind-spot corun", got)
 	}

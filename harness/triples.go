@@ -26,33 +26,47 @@ type TriplesResult struct {
 	SlateVsMPS float64
 }
 
+// tripleMixes are the three-application workloads of the N-way extension.
+var tripleMixes = [][3]string{
+	{"BS", "RG", "RG"}, // bandwidth kernel + two low-intensity partners
+	{"GS", "RG", "BS"}, // the two flagship corun partners together
+	{"MM", "RG", "TR"}, // compute + low + bandwidth
+}
+
+// threeWay is the Slate daemon of the triples: 3-way sharing enabled.
+var threeWay mutator = func(b *daemon.SimBackend) { b.Sched.MaxConcurrent = 3 }
+
+// tripleApps resolves a mix into fresh applications. Self-repeats get
+// distinct kernel names so the scheduler and engine treat them as separate
+// clients' kernels; the content-addressed caches still share their
+// locality and solo measurements.
+func tripleApps(mix [3]string) ([]*workloads.App, error) {
+	apps, err := appsByCode(mix[:]...)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < len(apps); i++ {
+		apps[i].Kernel.Name = fmt.Sprintf("%s#%d", apps[i].Kernel.Name, i)
+	}
+	return apps, nil
+}
+
 // Triples runs three-application mixes under CUDA, MPS, and 3-way Slate.
 func (h *Harness) Triples() (*TriplesResult, error) {
-	mixes := [][3]string{
-		{"BS", "RG", "RG"}, // bandwidth kernel + two low-intensity partners
-		{"GS", "RG", "BS"}, // the two flagship corun partners together
-		{"MM", "RG", "TR"}, // compute + low + bandwidth
-	}
 	// Each mix is an independent cell; the cross-mix mean is a post-pass.
-	res := &TriplesResult{Rows: make([]TripleRow, len(mixes))}
-	mixApps := make([][]*workloads.App, len(mixes))
-	for mi, mix := range mixes {
-		apps, err := appsByCode(mix[:]...)
+	res := &TriplesResult{Rows: make([]TripleRow, len(tripleMixes))}
+	mixApps := make([][]*workloads.App, len(tripleMixes))
+	for mi, mix := range tripleMixes {
+		apps, err := tripleApps(mix)
 		if err != nil {
 			return nil, err
-		}
-		// Distinct kernel names for self-repeats so the scheduler and engine
-		// treat them as separate clients' kernels; the content-addressed
-		// caches still share their locality and solo measurements.
-		for i := 1; i < len(apps); i++ {
-			apps[i].Kernel.Name = fmt.Sprintf("%s#%d", apps[i].Kernel.Name, i)
 		}
 		mixApps[mi] = apps
 	}
 	h.calibrate(sweepShapes, mixApps...)
-	err := h.forEachCell(len(mixes), func(mi int) error {
+	err := h.forEachCell(len(tripleMixes), func(mi int) error {
 		apps := mixApps[mi]
-		names := strings.Join(mixes[mi][:], "-")
+		names := strings.Join(tripleMixes[mi][:], "-")
 		row := TripleRow{Triple: names}
 
 		for _, s := range []Sched{CUDA, MPS} {
@@ -68,7 +82,7 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 		if err != nil {
 			return err
 		}
-		rs, decisions, err := h.runSlate(jobs, func(b *daemon.SimBackend) { b.Sched.MaxConcurrent = 3 })
+		rs, decisions, err := h.runSlate(jobs, threeWay)
 		if err != nil {
 			return fmt.Errorf("triple %s under slate: %w", names, err)
 		}

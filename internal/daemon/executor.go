@@ -75,8 +75,6 @@ type Executor struct {
 	// ErrKernelTimeout: its workers stop at the next queue pull, its budget
 	// share is rebalanced to the survivors, and the daemon stays up.
 	MaxRunSeconds float64
-	// Th classifies first-run profiles.
-	Th policy.Thresholds
 	// OnProfile, when set, observes every first-run classification — the
 	// daemon's durability layer journals these so a restart keeps the warm
 	// profile table instead of re-measuring every kernel. Called without the
@@ -172,7 +170,7 @@ func NewExecutor(budget int) *Executor {
 	if budget <= 0 {
 		budget = 8
 	}
-	x := &Executor{Budget: budget, MaxConcurrent: 2, Th: policy.DefaultThresholds(),
+	x := &Executor{Budget: budget, MaxConcurrent: 2,
 		profiles: map[string]*execProfile{}, runs: map[string]int{}}
 	x.cond = sync.NewCond(&x.mu)
 	return x
@@ -228,7 +226,7 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		}
 		gflops := spec.TotalFLOPs() / sec / 1e9
 		bw := spec.TotalL2Bytes() / sec / 1e9
-		class := x.Th.Classify(gflops, bw)
+		class := policy.Classify(gflops, bw)
 		x.profiles[spec.Name] = &execProfile{class: class, soloSec: sec}
 		x.record(decision{kind: decProfile, name: spec.Name, class: class, sec: sec})
 		x.cond.Broadcast()

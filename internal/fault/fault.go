@@ -10,6 +10,7 @@ package fault
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -129,10 +130,19 @@ func (i *Injector) Events() []Event {
 	return append([]Event(nil), i.events...)
 }
 
-// Trace renders the fired-fault sequence as one line per event — the replay
-// fingerprint two same-seed runs must agree on.
+// Trace renders the fired faults as one line per event, sorted by site and
+// then by the site-local index — the replay fingerprint two same-seed runs
+// must agree on. Each site's sequence is a pure function of (seed, site, n);
+// the interleaving across sites is not (goroutines on different connections
+// reach different sites in either order), so the trace leaves it out.
 func (i *Injector) Trace() string {
 	evs := i.Events()
+	sort.Slice(evs, func(a, b int) bool {
+		if evs[a].Site != evs[b].Site {
+			return evs[a].Site < evs[b].Site
+		}
+		return evs[a].N < evs[b].N
+	})
 	var b strings.Builder
 	for _, e := range evs {
 		b.WriteString(e.String())

@@ -317,3 +317,22 @@ func TestDisabledSitesAreSilent(t *testing.T) {
 		t.Fatal("trace not empty")
 	}
 }
+
+// The trace is the per-site sequences, not the interleaving across sites:
+// two runs whose goroutines reach the sites in different orders render the
+// same trace, while Events keeps each run's firing order.
+func TestTraceIgnoresCrossSiteInterleaving(t *testing.T) {
+	cfg := Config{Seed: 3, AllocFailProb: 1, CompileFailProb: 1}
+	a, b := New(cfg), New(cfg)
+	allocA, compA := a.AllocHook(), a.CompileHook()
+	allocB, compB := b.AllocHook(), b.CompileHook()
+	_, _, _ = allocA(8), compA("x"), allocA(8)
+	_, _, _ = compB("x"), allocB(8), allocB(8)
+	if a.Events()[0].Site == b.Events()[0].Site {
+		t.Fatal("Events lost the firing order")
+	}
+	want := "nvrtc.compile#0:compile-fail\nregistry.alloc#0:oom\nregistry.alloc#1:oom\n"
+	if a.Trace() != want || b.Trace() != want {
+		t.Fatalf("traces\n%s\n%s\nwant\n%s", a.Trace(), b.Trace(), want)
+	}
+}

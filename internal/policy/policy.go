@@ -38,31 +38,24 @@ func (c Class) String() string {
 	}
 }
 
-// Thresholds delimit the low/medium/high intensity bands, derived from the
-// Table II profiles: RG (4.2 GF/s, 71.6 GB/s) must classify low on both
-// axes, TR (568 GB/s) high-memory, MM (1525 GF/s) high-compute.
-type Thresholds struct {
-	// ComputeMed and ComputeHigh are GFLOP/s boundaries.
-	ComputeMed, ComputeHigh float64
-	// MemoryMed and MemoryHigh are GB/s boundaries of access bandwidth.
-	MemoryMed, MemoryHigh float64
-}
-
-// DefaultThresholds returns the band boundaries used in the evaluation.
-func DefaultThresholds() Thresholds {
-	return Thresholds{ComputeMed: 100, ComputeHigh: 1000, MemoryMed: 150, MemoryHigh: 450}
-}
+// The intensity bands' boundaries, derived from the Table II profiles: RG
+// (4.2 GF/s, 71.6 GB/s) must classify low on both axes, TR (568 GB/s)
+// high-memory, MM (1525 GF/s) high-compute.
+const (
+	computeMed, computeHigh = 100, 1000 // GFLOP/s
+	memoryMed, memoryHigh   = 150, 450  // GB/s of access bandwidth
+)
 
 // Classify maps a kernel profile (GFLOP/s, access GB/s) to its class.
-func (t Thresholds) Classify(gflops, accessGBs float64) Class {
+func Classify(gflops, accessGBs float64) Class {
 	switch {
-	case accessGBs >= t.MemoryHigh:
+	case accessGBs >= memoryHigh:
 		return HM
-	case accessGBs >= t.MemoryMed:
+	case accessGBs >= memoryMed:
 		return MM
-	case gflops >= t.ComputeHigh:
+	case gflops >= computeHigh:
 		return HC
-	case gflops >= t.ComputeMed:
+	case gflops >= computeMed:
 		return MC
 	default:
 		return LC

@@ -3,7 +3,6 @@ package policy
 import "testing"
 
 func TestClassifyTableIIProfiles(t *testing.T) {
-	th := DefaultThresholds()
 	cases := []struct {
 		name       string
 		gflops, bw float64
@@ -18,19 +17,18 @@ func TestClassifyTableIIProfiles(t *testing.T) {
 		{"hypothetical M_C", 500, 100, MC},
 	}
 	for _, c := range cases {
-		if got := th.Classify(c.gflops, c.bw); got != c.want {
+		if got := Classify(c.gflops, c.bw); got != c.want {
 			t.Errorf("%s: Classify(%v, %v) = %v, want %v", c.name, c.gflops, c.bw, got, c.want)
 		}
 	}
 }
 
 func TestMemoryPriorityOverCompute(t *testing.T) {
-	th := DefaultThresholds()
 	// High compute + medium memory → M_M (memory wins).
-	if got := th.Classify(5000, 300); got != MM {
+	if got := Classify(5000, 300); got != MM {
 		t.Fatalf("high-compute med-memory = %v, want M_M", got)
 	}
-	if got := th.Classify(5000, 500); got != HM {
+	if got := Classify(5000, 500); got != HM {
 		t.Fatalf("high-compute high-memory = %v, want H_M", got)
 	}
 }
@@ -57,7 +55,6 @@ func TestCorunTableI(t *testing.T) {
 // The evaluation's observed decisions: Slate coruns RG with every
 // application and runs every non-RG pair consecutively.
 func TestPolicyMatchesPaperDecisions(t *testing.T) {
-	th := DefaultThresholds()
 	profiles := map[string][2]float64{
 		"BS": {161.3, 401.49},
 		"GS": {19.6, 290},
@@ -68,8 +65,8 @@ func TestPolicyMatchesPaperDecisions(t *testing.T) {
 	names := []string{"BS", "GS", "MM", "RG", "TR"}
 	for _, a := range names {
 		for _, b := range names {
-			ca := th.Classify(profiles[a][0], profiles[a][1])
-			cb := th.Classify(profiles[b][0], profiles[b][1])
+			ca := Classify(profiles[a][0], profiles[a][1])
+			cb := Classify(profiles[b][0], profiles[b][1])
 			got := Corun(ca, cb)
 			want := a == "RG" || b == "RG"
 			if got != want {

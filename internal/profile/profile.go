@@ -68,7 +68,6 @@ func (p *Profile) SpeedAt(s int) float64 {
 type Profiler struct {
 	Dev   *device.Device
 	Model engine.PerfModel
-	Th    policy.Thresholds
 
 	table memo.Map[string, *Profile] // fingerprint → profile
 }
@@ -79,7 +78,6 @@ func New(dev *device.Device, model engine.PerfModel) *Profiler {
 	return &Profiler{
 		Dev:   dev,
 		Model: model,
-		Th:    policy.DefaultThresholds(),
 	}
 }
 
@@ -154,7 +152,7 @@ func (p *Profiler) measure(spec *kern.Spec) (*Profile, error) {
 		SoloSec:  soloSec,
 		Speed10:  speed10,
 	}
-	pr.Class = p.Th.Classify(pr.GFLOPS, pr.AccessBW)
+	pr.Class = policy.Classify(pr.GFLOPS, pr.AccessBW)
 	return pr, nil
 }
 

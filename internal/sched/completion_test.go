@@ -29,7 +29,7 @@ func TestEveryKernelCompletesExactlyOnce(t *testing.T) {
 func testCompletionProperty(t *testing.T, seed int64, withContain bool) {
 	r := newRig()
 	if withContain {
-		r.sched.EnableContainment(ContainConfig{AgingBound: 2 * vtime.Millisecond})
+		r.sched.EnableContainment(2 * vtime.Millisecond)
 	}
 	rng := rand.New(rand.NewSource(seed))
 

@@ -18,61 +18,32 @@ import (
 // possible and the hardware leftover policy cannot offer (§III-§IV).
 
 // DefaultAgingBound is the queue-aging bound EnableContainment installs
-// when none is configured: how long a waiter may be passed over before the
+// when given none: how long a waiter may be passed over before the
 // scheduler prioritizes it. It is exported because the daemon's fleet-wide
 // overload shed reuses the same bound (as wall-clock time) so "shedding
 // never starves an aged session" is the scheduler's own no-starvation
 // invariant, extended daemon- and fleet-wide.
 const DefaultAgingBound = 100 * vtime.Millisecond
 
-// ContainConfig tunes the containment machinery. Zero fields take the
-// documented defaults.
-type ContainConfig struct {
-	// CheckInterval is the watchdog poll period in virtual time
-	// (default 500µs).
-	CheckInterval vtime.Duration
-	// StallChecks is how many consecutive zero-progress polls constitute a
-	// stall (default 4).
-	StallChecks int
-	// OverrunFactor bounds a kernel's runtime at factor × its
-	// profile-predicted duration on its granted SM range (default 8; the
-	// slack absorbs corun interference and profile noise).
-	OverrunFactor float64
-	// MinBudget floors the overrun deadline so short kernels are not
-	// evicted on poll granularity (default 5ms).
-	MinBudget vtime.Duration
-	// AgingBound is how long a queued kernel may wait before it is
-	// prioritized: no arrival or younger queue entry may jump ahead of an
-	// aged waiter, and the next idle window is reserved for it
-	// (default DefaultAgingBound of virtual time).
-	AgingBound vtime.Duration
-	// MaxStrikes is the eviction count at which a kernel's profile is
-	// quarantined (default 2). One further strike after quarantine abandons
-	// the launch, reporting partial metrics to the submitter.
-	MaxStrikes int
-}
-
-func (c ContainConfig) withDefaults() ContainConfig {
-	if c.CheckInterval <= 0 {
-		c.CheckInterval = 500 * vtime.Microsecond
-	}
-	if c.StallChecks <= 0 {
-		c.StallChecks = 4
-	}
-	if c.OverrunFactor <= 0 {
-		c.OverrunFactor = 8
-	}
-	if c.MinBudget <= 0 {
-		c.MinBudget = 5 * vtime.Millisecond
-	}
-	if c.AgingBound <= 0 {
-		c.AgingBound = DefaultAgingBound
-	}
-	if c.MaxStrikes <= 0 {
-		c.MaxStrikes = 2
-	}
-	return c
-}
+// The containment machinery's fixed settings.
+const (
+	// checkInterval is the watchdog poll period in virtual time.
+	checkInterval = 500 * vtime.Microsecond
+	// stallChecks is how many consecutive zero-progress polls constitute a
+	// stall.
+	stallChecks = 4
+	// overrunFactor bounds a kernel's runtime at factor × its
+	// profile-predicted duration on its granted SM range; the slack absorbs
+	// corun interference and profile noise.
+	overrunFactor = 8
+	// minBudget floors the overrun deadline so short kernels are not
+	// evicted on poll granularity.
+	minBudget = 5 * vtime.Millisecond
+	// maxStrikes is the eviction count at which a kernel's profile is
+	// quarantined. One further strike after quarantine abandons the launch,
+	// reporting partial metrics to the submitter.
+	maxStrikes = 2
+)
 
 // offender tracks a kernel's containment record across launches, keyed by
 // kernel name (the same key the profiler uses — a runaway usually is a
@@ -82,14 +53,20 @@ type offender struct {
 	quarantined bool
 }
 
-// EnableContainment arms the watchdog/eviction/quarantine machinery with
-// the given configuration. Call it before the first Submit.
-func (s *Scheduler) EnableContainment(cfg ContainConfig) {
-	s.contain = cfg.withDefaults()
+// EnableContainment arms the watchdog/eviction/quarantine machinery. The
+// aging bound is how long a queued kernel may wait before it is
+// prioritized: no arrival or younger queue entry may jump ahead of an aged
+// waiter, and the next idle window is reserved for it; agingBound <= 0
+// selects DefaultAgingBound. Call it before the first Submit.
+func (s *Scheduler) EnableContainment(agingBound vtime.Duration) {
+	if agingBound <= 0 {
+		agingBound = DefaultAgingBound
+	}
+	s.agingBound = agingBound
 	s.offenders = map[string]*offender{}
 	s.watchdog = engine.NewWatchdog(s.Eng)
-	s.watchdog.Interval = s.contain.CheckInterval
-	s.watchdog.StallChecks = s.contain.StallChecks
+	s.watchdog.Interval = checkInterval
+	s.watchdog.StallChecks = stallChecks
 	s.watchdog.OnViolation = s.onViolation
 }
 
@@ -141,7 +118,7 @@ func (s *Scheduler) oldestAged(now vtime.Time) *entry {
 	}
 	var oldest *entry
 	for _, en := range s.queue {
-		if now.Sub(en.enqueuedAt) >= s.contain.AgingBound {
+		if now.Sub(en.enqueuedAt) >= s.agingBound {
 			if oldest == nil || en.enqueuedAt < oldest.enqueuedAt {
 				oldest = en
 			}
@@ -152,7 +129,7 @@ func (s *Scheduler) oldestAged(now vtime.Time) *entry {
 
 // watch arms the watchdog for a freshly launched entry. The overrun budget
 // scales the profile-predicted solo duration by the granted SM range's
-// predicted slowdown, times the configured overrun factor. Kernels on
+// predicted slowdown, times overrunFactor. Kernels on
 // probation get the same hard deadline — solo, there is no interference
 // left to excuse them.
 func (s *Scheduler) watch(en *entry) {
@@ -164,9 +141,9 @@ func (s *Scheduler) watch(en *entry) {
 	if sp < 0.05 {
 		sp = 0.05
 	}
-	budget := vtime.FromSeconds(en.prof.SoloSec / sp * s.contain.OverrunFactor)
-	if budget < s.contain.MinBudget {
-		budget = s.contain.MinBudget
+	budget := vtime.FromSeconds(en.prof.SoloSec / sp * overrunFactor)
+	if budget < minBudget {
+		budget = minBudget
 	}
 	s.watchdog.Watch(en.handle, budget)
 }
@@ -215,7 +192,7 @@ func (s *Scheduler) onViolation(now vtime.Time, h *engine.Handle, reason string)
 		if en.onDone != nil {
 			en.onDone(now, m)
 		}
-	case o.strikes >= s.contain.MaxStrikes:
+	case o.strikes >= maxStrikes:
 		o.quarantined = true
 		s.record(Decision{
 			At: now, Kernel: en.spec.Name, Action: "quarantine",

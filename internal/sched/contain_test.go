@@ -29,7 +29,7 @@ func stallForever(r *rig, kernel string, stop *bool) {
 // submitter always hears back exactly once, and the experiment terminates.
 func TestStrikeLadderEvictQuarantineAbandon(t *testing.T) {
 	r := newRig()
-	r.sched.EnableContainment(ContainConfig{})
+	r.sched.EnableContainment(0)
 
 	doneCount := 0
 	stop := false
@@ -75,7 +75,7 @@ func TestStrikeLadderEvictQuarantineAbandon(t *testing.T) {
 // alone, finishes too; one completion callback each.
 func TestEvictedOffenderCoRunnerCompletes(t *testing.T) {
 	r := newRig()
-	r.sched.EnableContainment(ContainConfig{})
+	r.sched.EnableContainment(0)
 
 	finished := map[string]int{}
 	submit := func(spec *kern.Spec) {
@@ -130,7 +130,7 @@ func TestEvictedOffenderCoRunnerCompletes(t *testing.T) {
 // same ladder to quarantine and abandonment.
 func TestStaleProfileOverrunQuarantines(t *testing.T) {
 	r := newRig()
-	r.sched.EnableContainment(ContainConfig{})
+	r.sched.EnableContainment(0)
 
 	var small bool
 	if err := r.sched.Submit(computeK("k", 2400), 10, func(vtime.Time, engine.Metrics) {
@@ -190,7 +190,7 @@ func TestStaleProfileOverrunQuarantines(t *testing.T) {
 // complete untouched by the watchdog.
 func TestSameNameLargerGridGetsFreshProfile(t *testing.T) {
 	r := newRig()
-	r.sched.EnableContainment(ContainConfig{})
+	r.sched.EnableContainment(0)
 
 	for _, blocks := range []int{2400, 24000} {
 		done := false
@@ -216,7 +216,7 @@ func TestSameNameLargerGridGetsFreshProfile(t *testing.T) {
 // the aged waiter takes the next idle window.
 func TestAgedWaiterBlocksQueueJumping(t *testing.T) {
 	r := newRig()
-	r.sched.EnableContainment(ContainConfig{AgingBound: vtime.Millisecond})
+	r.sched.EnableContainment(vtime.Millisecond)
 
 	finished := map[string]int{}
 	track := func(name string) func(vtime.Time, engine.Metrics) {

@@ -44,15 +44,10 @@ func TestCorunHookPrecedence(t *testing.T) {
 	if r.sched.corunProfiles(a, b) {
 		t.Fatal("table decision wrong")
 	}
-	// Class hook overrides.
-	r.sched.CorunFn = func(policy.Class, policy.Class) bool { return true }
+	// The hook overrides.
+	r.sched.CorunFn = func(*profile.Profile, *profile.Profile) bool { return true }
 	if !r.sched.corunProfiles(a, b) {
 		t.Fatal("CorunFn ignored")
-	}
-	// Profile hook outranks the class hook.
-	r.sched.CorunProfiledFn = func(*profile.Profile, *profile.Profile) bool { return false }
-	if r.sched.corunProfiles(a, b) {
-		t.Fatal("CorunProfiledFn not given precedence")
 	}
 }
 

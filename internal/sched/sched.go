@@ -43,24 +43,19 @@ type Scheduler struct {
 
 	// MaxConcurrent bounds spatial sharing; the paper evaluates pairs.
 	MaxConcurrent int
-	// DefaultTaskSize is the SLATE_ITERS grouping used when the submission
-	// does not specify one.
-	DefaultTaskSize int
 	// GrowGraceSeconds delays the survivor's grow after a partner kernel
 	// completes: looped applications relaunch within tens of microseconds,
 	// and growing into SMs that are about to be reclaimed would thrash the
 	// retreat/relaunch machinery on every iteration.
 	GrowGraceSeconds float64
-	// CorunFn decides whether two workload classes may share the device;
-	// nil selects Table I (policy.Corun). Ablations substitute always/never
-	// variants here.
-	CorunFn func(running, arrival policy.Class) bool
-	// CorunProfiledFn, when set, takes precedence over CorunFn and decides
-	// from full profiles rather than classes — e.g. the ANTT-predictive
-	// policy that implements §III-B's complementarity definition directly.
-	CorunProfiledFn func(running, arrival *profile.Profile) bool
-	// SplitFn sizes the partition for a corun (SMs granted to the running
-	// kernel); nil selects the measured-scaling minimax optimizer, SplitFor.
+	// CorunFn decides whether an arrival may share the device with a
+	// running kernel; nil selects Table I over the two classes
+	// (policy.Corun). Ablations substitute always/never variants and the
+	// ANTT-predictive policy (ANTTPredictCorun) here.
+	CorunFn func(running, arrival *profile.Profile) bool
+	// SplitFn sizes the partition when two kernels share the device (SMs
+	// granted to the lower-range kernel); nil selects the measured-scaling
+	// minimax optimizer, SplitFor.
 	SplitFn func(running, arrival *profile.Profile) int
 
 	running     []*entry
@@ -69,9 +64,9 @@ type Scheduler struct {
 	pendingGrow *vtime.Event
 
 	// Containment state (nil/empty unless EnableContainment was called).
-	watchdog  *engine.Watchdog
-	contain   ContainConfig
-	offenders map[string]*offender
+	watchdog   *engine.Watchdog
+	agingBound vtime.Duration
+	offenders  map[string]*offender
 }
 
 type entry struct {
@@ -92,7 +87,6 @@ func New(dev *device.Device, eng *engine.Engine, prof *profile.Profiler) *Schedu
 		Eng:              eng,
 		Prof:             prof,
 		MaxConcurrent:    2,
-		DefaultTaskSize:  engine.DefaultTaskSize,
 		GrowGraceSeconds: 200e-6,
 	}
 }
@@ -107,10 +101,11 @@ func (s *Scheduler) Running() int { return len(s.running) }
 func (s *Scheduler) Queued() int { return len(s.queue) }
 
 // Submit hands a kernel to the scheduler. onDone fires when the kernel
-// completes, with its final metrics. taskSize <= 0 selects the default.
+// completes, with its final metrics. taskSize <= 0 selects
+// engine.DefaultTaskSize.
 func (s *Scheduler) Submit(spec *kern.Spec, taskSize int, onDone func(vtime.Time, engine.Metrics)) error {
 	if taskSize <= 0 {
-		taskSize = s.DefaultTaskSize
+		taskSize = engine.DefaultTaskSize
 	}
 	pr, err := s.Prof.Get(spec)
 	if err != nil {
@@ -143,21 +138,10 @@ func (s *Scheduler) Submit(spec *kern.Spec, taskSize int, onDone func(vtime.Time
 			return nil
 		}
 		return s.dispatch(now, en)
-	case len(s.running) == 1 && s.MaxConcurrent >= 2:
-		r := s.running[0]
-		if s.corunEligible(en) && s.corunProfiles(r.prof, en.prof) {
-			return s.launchCorun(now, r, en)
-		}
-		s.enqueue(now, en)
-		return nil
-	case len(s.running) < s.MaxConcurrent:
-		// N-way spatial sharing: admit only if complementary to every
-		// running kernel.
-		if s.corunEligible(en) && s.corunsWithAll(en.prof) {
-			return s.admitNWay(now, en)
-		}
-		s.enqueue(now, en)
-		return nil
+	case len(s.running) < s.MaxConcurrent && s.corunEligible(en) && s.corunsWithAll(en.prof):
+		// Spatial sharing: admit only if complementary to every running
+		// kernel.
+		return s.admitCorun(now, en)
 	default:
 		s.enqueue(now, en)
 		return nil
@@ -215,38 +199,6 @@ func (s *Scheduler) launchSolo(now vtime.Time, en *entry) error {
 	return nil
 }
 
-// launchCorun partitions the device between the running kernel r and the
-// arrival en: r shrinks to the low range, en launches on the high range.
-// If r already sits at (or near) the target partition from a previous
-// corun, the partition is reused without a resize — the sticky-partition
-// optimization that keeps looped kernel streams from thrashing.
-func (s *Scheduler) launchCorun(now vtime.Time, r, en *entry) error {
-	sR := s.split(r.prof, en.prof)
-	if lo, hi := r.handle.SMRange(); lo == 0 && hi < s.Dev.NumSMs-1 && abs(hi-(sR-1)) <= 2 {
-		sR = hi + 1 // keep the existing partition
-	} else if err := s.Eng.Resize(r.handle, 0, sR-1); err != nil {
-		return fmt.Errorf("sched: shrinking %q: %w", r.spec.Name, err)
-	}
-	h, err := s.Eng.Launch(en.spec, engine.LaunchOpts{
-		Mode: engine.SlateSched, TaskSize: en.taskSize,
-		SMLow: sR, SMHigh: s.Dev.NumSMs - 1,
-	})
-	if err != nil {
-		// Roll the partner back to the full device.
-		_ = s.Eng.Resize(r.handle, 0, s.Dev.NumSMs-1)
-		return err
-	}
-	en.handle = h
-	s.running = append(s.running, en)
-	s.record(Decision{
-		At: now, Kernel: en.spec.Name, Action: "corun",
-		SMLow: sR, SMHigh: s.Dev.NumSMs - 1, Partner: r.spec.Name,
-	})
-	s.Eng.OnComplete(h, func(t vtime.Time) { s.onComplete(t, en) })
-	s.watch(en)
-	return nil
-}
-
 // tryPairFromQueue scans the queue for the first kernel complementary to
 // the running one and coruns it. An aged waiter takes precedence: if it can
 // corun it is chosen regardless of queue position, and if it cannot, nobody
@@ -255,28 +207,20 @@ func (s *Scheduler) tryPairFromQueue(now vtime.Time, running *entry) {
 	if len(s.running) >= s.MaxConcurrent {
 		return
 	}
-	if aged := s.oldestAged(now); aged != nil {
-		if !s.corunEligible(aged) || !s.corunProfiles(running.prof, aged.prof) {
-			return
-		}
-		s.unqueue(aged)
-		s.record(Decision{At: now, Kernel: aged.spec.Name, Action: "dequeue", Partner: running.spec.Name, Reason: "aged"})
-		if err := s.launchCorun(now, running, aged); err != nil {
-			s.requeueFront(aged)
-		}
+	cand, reason := s.oldestAged(now), "aged"
+	if cand == nil {
+		cand, reason = s.queuedPartner(running), ""
+	} else if !s.corunEligible(cand) || !s.corunProfiles(running.prof, cand.prof) {
 		return
 	}
-	for i, cand := range s.queue {
-		if s.corunEligible(cand) && s.corunProfiles(running.prof, cand.prof) {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			cand.queued = false
-			s.record(Decision{At: now, Kernel: cand.spec.Name, Action: "dequeue", Partner: running.spec.Name})
-			if err := s.launchCorun(now, running, cand); err != nil {
-				// Could not corun after all; put it back at the front.
-				s.requeueFront(cand)
-			}
-			return
-		}
+	if cand == nil {
+		return
+	}
+	s.unqueue(cand)
+	s.record(Decision{At: now, Kernel: cand.spec.Name, Action: "dequeue", Partner: running.spec.Name, Reason: reason})
+	if err := s.admitCorun(now, cand); err != nil {
+		// Could not corun after all; put it back at the front.
+		s.requeueFront(cand)
 	}
 }
 
@@ -325,9 +269,8 @@ func (s *Scheduler) afterDeparture(now vtime.Time) {
 		// otherwise the survivors grow after a short grace window, so that
 		// a looped partner relaunching within microseconds reclaims its
 		// partition without a retreat/relaunch cycle.
-		surv := s.running[0]
-		if len(s.running) == 1 && s.queueHasPartner(surv) {
-			s.tryPairFromQueue(now, surv)
+		if len(s.running) == 1 && s.queuedPartner(s.running[0]) != nil {
+			s.tryPairFromQueue(now, s.running[0])
 			return
 		}
 		nRunning := len(s.running)
@@ -336,20 +279,9 @@ func (s *Scheduler) afterDeparture(now vtime.Time) {
 		}
 		s.pendingGrow = s.Eng.Clock.After(vtime.FromSeconds(s.GrowGraceSeconds), func(t vtime.Time) {
 			s.pendingGrow = nil
-			if len(s.running) != nRunning {
-				return
+			if len(s.running) == nRunning {
+				s.regrowSurvivors(t)
 			}
-			if nRunning == 1 {
-				if s.running[0] != surv || surv.handle.Done() {
-					return
-				}
-				low, high := 0, s.Dev.NumSMs-1
-				if err := s.Eng.Resize(surv.handle, low, high); err == nil {
-					s.record(Decision{At: t, Kernel: surv.spec.Name, Action: "grow", SMLow: low, SMHigh: high})
-				}
-				return
-			}
-			s.regrowSurvivors(t)
 		})
 	}
 }
@@ -361,29 +293,24 @@ func abs(x int) int {
 	return x
 }
 
-func (s *Scheduler) queueHasPartner(running *entry) bool {
+// queuedPartner returns the first queued kernel that may corun with the
+// running kernel r, or nil.
+func (s *Scheduler) queuedPartner(r *entry) *entry {
 	for _, cand := range s.queue {
-		if s.corunEligible(cand) && s.corunProfiles(running.prof, cand.prof) {
-			return true
+		if s.corunEligible(cand) && s.corunProfiles(r.prof, cand.prof) {
+			return cand
 		}
 	}
-	return false
+	return nil
 }
 
-func (s *Scheduler) corun(a, b policy.Class) bool {
+// corunProfiles reports whether an arrival may share the device with a
+// running kernel: CorunFn when set, else Table I over the two classes.
+func (s *Scheduler) corunProfiles(running, arrival *profile.Profile) bool {
 	if s.CorunFn != nil {
-		return s.CorunFn(a, b)
+		return s.CorunFn(running, arrival)
 	}
-	return policy.Corun(a, b)
-}
-
-// corunProfiles applies the profile-level hook when present, else the
-// class-level decision.
-func (s *Scheduler) corunProfiles(a, b *profile.Profile) bool {
-	if s.CorunProfiledFn != nil {
-		return s.CorunProfiledFn(a, b)
-	}
-	return s.corun(a.Class, b.Class)
+	return policy.Corun(running.Class, arrival.Class)
 }
 
 // ANTTPredictCorun returns a profile-level corun policy that implements the
