@@ -82,6 +82,16 @@ func main() {
 
 	fmt.Println("\ndaemon scheduling decisions:")
 	for _, d := range srv.Exec.Decisions() {
-		fmt.Printf("  %s\n", d)
+		line := fmt.Sprintf("  %-12s %-7s", d.Kernel, d.Action)
+		if d.Action == "solo" || d.Action == "corun" {
+			line += fmt.Sprintf(" workers %d-%d", d.SMLow, d.SMHigh)
+		}
+		if d.Partner != "" {
+			line += " beside " + d.Partner
+		}
+		if d.Reason != "" {
+			line += " (" + d.Reason + ")"
+		}
+		fmt.Println(line)
 	}
 }

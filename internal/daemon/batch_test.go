@@ -7,6 +7,7 @@ import (
 	"slate/internal/daemon"
 	"slate/internal/ipc"
 	"slate/internal/kern"
+	"slate/internal/policy"
 )
 
 func batchSrcItem(opID uint64, kernel string) ipc.BatchItem {
@@ -79,6 +80,10 @@ func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.CloseDurability()
+	// Profiled as L_C, the held kernel and the panicker corun by Table I; a
+	// first run would run alone, and the panicker would wait on the gate.
+	srv.Exec.RestoreProfile("held", policy.LC, 1e-3)
+	srv.Exec.RestoreProfile("panicker", policy.LC, 1e-3)
 	conn := ipc.NewConn(dial())
 	defer conn.Close()
 	seq := uint64(0)

@@ -12,7 +12,9 @@ import (
 	"slate/internal/engine"
 	"slate/internal/kern"
 	"slate/internal/policy"
+	"slate/internal/profile"
 	"slate/internal/run"
+	"slate/internal/sched"
 	"slate/internal/vtime"
 	"slate/workloads"
 )
@@ -203,9 +205,10 @@ func TestSimBackendIterativeApplication(t *testing.T) {
 	}
 }
 
-// The executor's corun split biases toward the compute-heavy partner when
-// a memory-heavy kernel shares the pool (the class-based rebalance).
-func TestExecutorRebalanceBiasesByClass(t *testing.T) {
+// The executor sizes a corun by sched.Layout: with the host's linear
+// scaling profiles, a compute-heavy and a memory-heavy kernel split a pool
+// of 6 evenly.
+func TestExecutorCorunSplitsByLayout(t *testing.T) {
 	x := NewExecutor(6)
 	var nLow, nMem atomic.Int64
 	low := busyKernel("low-int", 300, &nLow, false)
@@ -222,7 +225,7 @@ func TestExecutorRebalanceBiasesByClass(t *testing.T) {
 	}
 	// Corun: the compute-classified kernel runs first and the memory-heavy
 	// kernel joins (Table I: H_C × H_M → corun); the decision log must
-	// show an uneven split favoring the non-memory kernel. Arrival order is
+	// show the arrival on the upper half of the pool. Arrival order is
 	// forced, not timed: the first kernel's blocks wait until the second has
 	// been admitted beside it and run a block of its own.
 	lowIn, memIn := make(chan struct{}), make(chan struct{})
@@ -250,16 +253,14 @@ func TestExecutorRebalanceBiasesByClass(t *testing.T) {
 		_ = x.Run(memLong, 4)
 	}()
 	wg.Wait()
-	// Budget 6 with one memory-heavy partner → 4/2 split.
-	unEven := false
+	// Budget 6 → Layout's 3/3 split: the arrival takes workers 3..5.
+	want := sched.Decision{Kernel: "mem-heavy", Action: "corun", SMLow: 3, SMHigh: 5, Partner: "low-int"}
+	even := false
 	for _, d := range x.Decisions() {
-		if strings.HasPrefix(d, "corun ") &&
-			strings.Contains(d, "(4 workers)") && strings.Contains(d, "(2 workers)") {
-			unEven = true
-		}
+		even = even || d == want
 	}
-	if !unEven {
-		t.Fatalf("no uneven corun split recorded; decisions: %v", x.Decisions())
+	if !even {
+		t.Fatalf("no %+v recorded; decisions: %+v", want, x.Decisions())
 	}
 	if nLow.Load() != 4300 || nMem.Load() != 4300 {
 		t.Fatalf("block counts %d/%d, want 4300/4300", nLow.Load(), nMem.Load())
@@ -347,9 +348,8 @@ func TestExecutorThreeWay(t *testing.T) {
 }
 
 // The decision log is a ring: after 100 000 runs it holds the newest
-// decisionLogCap decisions in order, the fallback count is still exact, and
-// every sentence reads as it did when record took a formatted string.
-func TestDecisionLogIsBoundedAndFormatsOnRead(t *testing.T) {
+// decisionLogCap decisions in order, and the fallback count is still exact.
+func TestDecisionLogIsBounded(t *testing.T) {
 	x := NewExecutor(4)
 	noop := func(name string) *kern.Spec {
 		return &kern.Spec{
@@ -370,7 +370,7 @@ func TestDecisionLogIsBoundedAndFormatsOnRead(t *testing.T) {
 		}
 	}
 	last := noop("newest")
-	for i := 0; i < 2; i++ { // profile, then solo
+	for i := 0; i < 2; i++ { // a first run (solo, then profile), then a solo
 		if err := x.Run(last, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -379,12 +379,17 @@ func TestDecisionLogIsBoundedAndFormatsOnRead(t *testing.T) {
 	if len(got) != decisionLogCap {
 		t.Fatalf("log holds %d decisions after %d runs, want its capacity %d", len(got), runs, decisionLogCap)
 	}
-	if got[len(got)-1] != "solo newest(4 workers)" || !strings.HasPrefix(got[len(got)-2], "profile newest: class=") {
-		t.Fatalf("newest decisions = %q, want newest's profile and solo last", got[len(got)-2:])
+	solo := func(name string) sched.Decision {
+		return sched.Decision{Kernel: name, Action: "solo", SMHigh: 3}
 	}
-	for _, d := range got[:len(got)-2] {
-		if d != "solo noop(4 workers)" {
-			t.Fatalf("kept decision %q, want the most recent solos (fallbacks and the profile are long gone)", d)
+	newest := got[len(got)-3:]
+	if newest[0] != solo("newest") || newest[1].Kernel != "newest" || newest[1].Action != "profile" ||
+		!strings.HasPrefix(newest[1].Reason, "class=") || newest[2] != solo("newest") {
+		t.Fatalf("newest decisions = %+v, want newest's solo, profile and solo last", newest)
+	}
+	for _, d := range got[:len(got)-3] {
+		if d != solo("noop") {
+			t.Fatalf("kept decision %+v, want the most recent solos (fallbacks and the profile are long gone)", d)
 		}
 	}
 	if x.Fallbacks() != fallbacks {
@@ -393,23 +398,153 @@ func TestDecisionLogIsBoundedAndFormatsOnRead(t *testing.T) {
 	if x.Runs("noop") != runs {
 		t.Fatalf("Runs = %d, want %d", x.Runs("noop"), runs)
 	}
+}
 
-	perr := fmt.Errorf("%w: kernel %q at block %d: %v", ErrKernelPanic, "k", 3, "boom")
-	for _, c := range []struct {
-		d    decision
-		want string
-	}{
-		{decision{kind: decSolo, name: "a", n: 8}, "solo a(8 workers)"},
-		{decision{kind: decCorun, name: "a", n: 4, other: "b", m: 2}, "corun a(4 workers) + b(2 workers)"},
-		{decision{kind: decProfile, name: "a", class: policy.LC, sec: 0.0012345}, fmt.Sprintf("profile %s: class=%v solo=%.3fms", "a", policy.LC, 1.2345)},
-		{decision{kind: decPanic, name: "k", other: perr.Error()}, fmt.Sprintf("panic %s: %v", "k", perr)},
-		{decision{kind: decFallback, name: "src:k", other: "inject: boom"}, "fallback src:k: vanilla path (inject: boom)"},
-		{decision{kind: decTimeoutProfiling, name: "k", sec: 0.05}, "timeout k: abandoned during profiling after 0.1s"},
-		{decision{kind: decTimeout, name: "k", sec: 1.5, n: 40, m: 2000}, "timeout k: abandoned after 1.5s, 40 of 2000 blocks claimed"},
-		{decision{kind: decTimeoutVanilla, name: "k", sec: 2}, "timeout k: vanilla launch abandoned after 2.0s"},
-	} {
-		if got := c.d.String(); got != c.want {
-			t.Fatalf("decision renders %q, want %q", got, c.want)
+// A kernel's first run is alone on the pool: while a held first run of A
+// executes, neither an already-profiled B nor a first run of C runs a block,
+// and a second first run of A waits, then runs as profiled — A is profiled
+// once.
+func TestFirstRunRunsAlone(t *testing.T) {
+	x := NewExecutor(4)
+	var mu sync.Mutex
+	profiled := map[string]int{}
+	x.OnProfile = func(name string, _ policy.Class, _ float64) {
+		mu.Lock()
+		profiled[name]++
+		mu.Unlock()
+	}
+	gate, started := make(chan struct{}), make(chan struct{})
+	var startOnce sync.Once
+	var holding, intruded atomic.Bool
+	spec := func(name string, exec func(int)) *kern.Spec {
+		return &kern.Spec{
+			Name: name, Grid: kern.D1(8), BlockDim: kern.D1(32),
+			FLOPsPerBlock: 10, InstrPerBlock: 10, L2BytesPerBlock: 10,
+			ComputeEff: 0.5, Exec: exec,
 		}
+	}
+	// watched flags a block that runs while A's first run is held; a first
+	// run's block also flags any kernel beside it.
+	watched := func(name string, firstRun bool) *kern.Spec {
+		return spec(name, func(int) {
+			if holding.Load() || (firstRun && x.RunningCount() != 1) {
+				intruded.Store(true)
+			}
+		})
+	}
+	if err := x.Run(watched("B", true), 4); err != nil {
+		t.Fatal(err)
+	}
+	held := spec("A", func(int) {
+		startOnce.Do(func() {
+			holding.Store(true)
+			close(started)
+		})
+		<-gate
+	})
+	var wg sync.WaitGroup
+	launch := func(s *kern.Spec) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := x.Run(s, 4); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	launch(held)
+	<-started
+	launch(watched("B", false))
+	launch(watched("C", true))
+	launch(watched("A", false))
+	time.Sleep(50 * time.Millisecond) // time enough for a wrong admission to run
+	holding.Store(false)
+	close(gate)
+	wg.Wait()
+	if intruded.Load() {
+		t.Fatal("a kernel ran a block beside a first run")
+	}
+	profiles := 0
+	for _, d := range x.Decisions() {
+		if d.Kernel == "A" && d.Action == "profile" {
+			profiles++
+		}
+	}
+	if profiles != 1 || profiled["A"] != 1 {
+		t.Fatalf("A profiled %d times in the log and %d through OnProfile, want 1 and 1; decisions %+v",
+			profiles, profiled["A"], x.Decisions())
+	}
+	for name, want := range map[string]int{"A": 2, "B": 2, "C": 1} {
+		if got := x.Runs(name); got != want {
+			t.Fatalf("%s ran %d times, want %d", name, got, want)
+		}
+	}
+}
+
+// The executor decides as the simulator does (ROADMAP item 9): with the
+// simulator's profiles installed and a pool of one worker per SM, for every
+// Fig. 7 pair an arrival beside a running kernel coruns on the SM range the
+// simulated scheduler gives it, or waits where the simulator queues it.
+func TestExecutorMatchesSimulatorOnPairs(t *testing.T) {
+	dev := device.TitanXp()
+	model := engine.NewTraceModel(dev)
+	pf := profile.New(dev, model)
+	for _, pair := range workloads.Pairs() {
+		first, arrival := pair[0].Kernel, pair[1].Kernel
+		sim := NewSimWith(dev, vtime.NewClock(), model, pf)
+		for _, s := range []*kern.Spec{first, arrival} {
+			if err := sim.Sched.Submit(s, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := sim.Sched.Decisions()[1]
+		want.At = 0
+
+		x := NewExecutor(dev.NumSMs)
+		for _, s := range []*kern.Spec{first, arrival} {
+			p, err := pf.Get(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.profiles[s.Name] = p
+		}
+		gate, started := make(chan struct{}), make(chan struct{})
+		var startOnce sync.Once
+		stub := func(s *kern.Spec, exec func(int)) *kern.Spec {
+			return &kern.Spec{Name: s.Name, Grid: kern.D1(64), BlockDim: kern.D1(32), Exec: exec}
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_ = x.Run(stub(first, func(int) {
+				startOnce.Do(func() { close(started) })
+				<-gate
+			}), 0)
+		}()
+		<-started
+		go func() {
+			defer wg.Done()
+			_ = x.Run(stub(arrival, func(int) {}), 0)
+		}()
+		name := pair[0].Code + "-" + pair[1].Code
+		switch want.Action {
+		case "corun":
+			for giveUp := time.Now().Add(2 * time.Second); len(x.Decisions()) < 2 && time.Now().Before(giveUp); {
+				time.Sleep(time.Millisecond)
+			}
+			if got := x.Decisions(); len(got) != 2 || got[1] != want {
+				t.Errorf("%s: executor decided %+v, simulator %+v", name, got[1:], want)
+			}
+		case "queue":
+			time.Sleep(10 * time.Millisecond)
+			if got := x.Decisions(); len(got) != 1 {
+				t.Errorf("%s: simulator queues the arrival, executor decided %+v", name, got[1:])
+			}
+		default:
+			t.Fatalf("%s: simulator's arrival decision %+v", name, want)
+		}
+		close(gate)
+		wg.Wait()
 	}
 }

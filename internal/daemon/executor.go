@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"slate/internal/ipc"
 	"slate/internal/kern"
 	"slate/internal/policy"
+	"slate/internal/profile"
+	"slate/internal/sched"
 	"slate/internal/transform"
 )
 
@@ -60,15 +63,17 @@ func (p *panicTrap) err() error {
 
 // Executor runs registered Go kernels for real, with Slate's scheduling
 // semantics mapped onto host CPUs: the "SM" pool is a worker-goroutine
-// budget; a solo kernel owns the whole budget, complementary kernels split
-// it, and arrivals/completions resize running kernels through the retreat
-// signal and queue-cursor carry-over — the same machinery the injected
-// device code uses (Listings 2-3), exercised end to end.
+// budget, and admission, corun pairing and partition sizing are sched's
+// policy (Table I and sched.Layout). A kernel's first run is measured alone
+// and classified; later runs corun when Table I pairs them, and arrivals and
+// completions resize running kernels through the retreat signal and
+// queue-cursor carry-over — the same machinery the injected device code uses
+// (Listings 2-3), exercised end to end.
 type Executor struct {
 	// Budget is the total worker-goroutine pool (the host "SM count").
 	Budget int
-	// MaxConcurrent bounds how many kernels may share the pool (default 2,
-	// as in the paper's evaluation; raise for N-way sharing).
+	// MaxConcurrent bounds how many kernels may share the pool (2, as in the
+	// paper's evaluation; raise for N-way sharing).
 	MaxConcurrent int
 	// MaxRunSeconds is the wall-clock containment deadline per launch
 	// (0 = unbounded). A launch still running past it is abandoned with
@@ -84,13 +89,13 @@ type Executor struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	running  []*execTask
-	profiles map[string]*execProfile
+	profiles map[string]*profile.Profile
 	runs     map[string]int
 	// log is the decision log: a ring of the last decisionLogCap decisions,
 	// logged counting every one ever recorded (so log[logged%cap] is the
-	// oldest once the ring is full). fallbacks counts the fallback decisions
-	// among them exactly, whatever the ring has since dropped.
-	log       []decision
+	// oldest once the ring is full). fallbacks counts NoteFallback's vanilla
+	// decisions exactly, whatever the ring has since dropped.
+	log       []sched.Decision
 	logged    uint64
 	fallbacks int
 }
@@ -99,65 +104,9 @@ type Executor struct {
 // launch for as long as it runs, and observability needs the recent ones.
 const decisionLogCap = 1024
 
-// decisionKind selects the sentence a decision renders as.
-type decisionKind uint8
-
-const (
-	decSolo decisionKind = iota
-	decCorun
-	decProfile
-	decPanic
-	decFallback
-	decTimeoutProfiling
-	decTimeout
-	decTimeoutVanilla
-)
-
-// decision is one decision-log entry, kept as the values it was made from
-// and formatted only when somebody reads the log: recording one on the launch
-// path costs a struct copy, not a Sprintf.
-type decision struct {
-	kind decisionKind
-	// name is the deciding kernel; other is the corun partner's name, or the
-	// detail text of a panic or fallback.
-	name, other string
-	// n and m are the two worker counts (solo uses n), or the claimed and
-	// total block counts of a timeout.
-	n, m int
-	// sec is the solo time of a profile, or the deadline of a timeout.
-	sec   float64
-	class policy.Class
-}
-
-func (d decision) String() string {
-	switch d.kind {
-	case decSolo:
-		return fmt.Sprintf("solo %s(%d workers)", d.name, d.n)
-	case decCorun:
-		return fmt.Sprintf("corun %s(%d workers) + %s(%d workers)", d.name, d.n, d.other, d.m)
-	case decProfile:
-		return fmt.Sprintf("profile %s: class=%v solo=%.3fms", d.name, d.class, d.sec*1e3)
-	case decPanic:
-		return fmt.Sprintf("panic %s: %s", d.name, d.other)
-	case decFallback:
-		return fmt.Sprintf("fallback %s: vanilla path (%s)", d.name, d.other)
-	case decTimeoutProfiling:
-		return fmt.Sprintf("timeout %s: abandoned during profiling after %.1fs", d.name, d.sec)
-	case decTimeout:
-		return fmt.Sprintf("timeout %s: abandoned after %.1fs, %d of %d blocks claimed", d.name, d.sec, d.n, d.m)
-	default:
-		return fmt.Sprintf("timeout %s: vanilla launch abandoned after %.1fs", d.name, d.sec)
-	}
-}
-
-type execProfile struct {
-	class   policy.Class
-	soloSec float64
-}
-
 type execTask struct {
 	spec      *kern.Spec
-	class     policy.Class
+	prof      *profile.Profile // nil on the kernel's first run
 	queue     *transform.Queue
 	target    int // assigned workers; changed under Executor.mu
 	abandoned bool
@@ -171,14 +120,23 @@ func NewExecutor(budget int) *Executor {
 		budget = 8
 	}
 	x := &Executor{Budget: budget, MaxConcurrent: 2,
-		profiles: map[string]*execProfile{}, runs: map[string]int{}}
+		profiles: map[string]*profile.Profile{}, runs: map[string]int{}}
 	x.cond = sync.NewCond(&x.mu)
 	return x
 }
 
+// hostProfile is a host-measured profile: the class and solo time of a first
+// run, and a scaling curve linear over the pool — the host cannot measure one,
+// because re-running a kernel body is not idempotent.
+func (x *Executor) hostProfile(name string, class policy.Class, soloSec float64) *profile.Profile {
+	return &profile.Profile{Kernel: name, Class: class, SoloSec: soloSec,
+		Speed10: profile.ScalingSMs / float64(x.Budget)}
+}
+
 // Run executes every block of spec via persistent workers, blocking until
-// completion. The first run of a kernel is measured solo and classified;
-// later runs participate in workload-aware corunning.
+// completion. A kernel's first run is admitted only to an idle pool, runs
+// alone and is timed and classified; later runs corun where Table I pairs
+// them. Both go through the same admission, dispatch and containment.
 func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	if spec.Exec == nil {
 		return fmt.Errorf("daemon: kernel %q has no executable body", spec.Name)
@@ -193,78 +151,23 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 
 	trap := &panicTrap{}
 	x.mu.Lock()
-	prof, profiled := x.profiles[spec.Name]
-	if !profiled {
-		// First run: wait for an idle device, run solo, classify.
-		for len(x.running) > 0 {
-			x.cond.Wait()
-		}
-		x.noteRunLocked(spec.Name)
-		x.mu.Unlock()
-		start := time.Now()
-		q := transform.NewQueue(tr)
-		if !x.contain(func() { transform.RunParallel(tr, q, x.Budget, trap.wrap(spec)) }) {
-			q.Retreat()
-			x.mu.Lock()
-			x.record(decision{kind: decTimeoutProfiling, name: spec.Name, sec: x.MaxRunSeconds})
-			x.cond.Broadcast()
-			x.mu.Unlock()
-			return fmt.Errorf("daemon: profiling %q: %w", spec.Name, ErrKernelTimeout)
-		}
-		sec := time.Since(start).Seconds()
-		if sec <= 0 {
-			sec = 1e-9
-		}
-		x.mu.Lock()
-		if perr := trap.err(); perr != nil {
-			// A panicking first run is not classified; the next launch of
-			// the (presumably fixed) kernel profiles afresh.
-			x.record(decision{kind: decPanic, name: spec.Name, other: perr.Error()})
-			x.cond.Broadcast()
-			x.mu.Unlock()
-			return perr
-		}
-		gflops := spec.TotalFLOPs() / sec / 1e9
-		bw := spec.TotalL2Bytes() / sec / 1e9
-		class := policy.Classify(gflops, bw)
-		x.profiles[spec.Name] = &execProfile{class: class, soloSec: sec}
-		x.record(decision{kind: decProfile, name: spec.Name, class: class, sec: sec})
-		x.cond.Broadcast()
-		onProfile := x.OnProfile
-		x.mu.Unlock()
-		if onProfile != nil {
-			onProfile(spec.Name, class, sec)
-		}
-		return nil
-	}
-
-	// Admission: wait until we can run solo or corun with every current
-	// kernel (the Fig. 4 decision, applied pairwise for N-way pools).
-	for {
-		if len(x.running) == 0 {
-			break
-		}
-		if len(x.running) < x.maxConcurrent() && x.corunsWithAllLocked(prof.class) {
-			break
-		}
+	// The profile is re-read after every wait: a first run that queued
+	// behind another first run of the same kernel is admitted as profiled.
+	prof := x.profiles[spec.Name]
+	for !x.admitsLocked(prof) {
 		x.cond.Wait()
+		prof = x.profiles[spec.Name]
 	}
-
 	task := &execTask{
 		spec:    spec,
-		class:   prof.class,
+		prof:    prof,
 		queue:   transform.NewQueue(tr),
 		started: time.Now(),
 	}
 	x.running = append(x.running, task)
 	x.noteRunLocked(spec.Name)
 	x.rebalanceLocked()
-	if len(x.running) == 2 {
-		a, b := x.running[0], x.running[1]
-		x.record(decision{kind: decCorun, name: a.spec.Name, n: a.target, other: b.spec.Name, m: b.target})
-	} else {
-		x.record(decision{kind: decSolo, name: spec.Name, n: task.target})
-	}
+	x.recordAdmissionLocked(task)
 	initialWorkers := task.target
 	x.mu.Unlock()
 
@@ -283,6 +186,7 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 			},
 			trap.wrap(spec))
 	})
+	sec := time.Since(task.started).Seconds()
 	if timedOut {
 		x.mu.Lock()
 		task.abandoned = true
@@ -298,21 +202,66 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		}
 	}
 	x.rebalanceLocked()
-	if timedOut {
-		x.record(decision{kind: decTimeout, name: spec.Name, sec: x.MaxRunSeconds, n: task.queue.Progress(), m: tr.NumBlocks})
-		x.cond.Broadcast()
-		x.mu.Unlock()
-		return fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
+	var learned *profile.Profile
+	switch perr := trap.err(); {
+	case timedOut:
+		err = fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
+		x.record(sched.Decision{Kernel: spec.Name, Action: "abandon",
+			Reason: fmt.Sprintf("timeout after %.1fs, %d of %d blocks claimed", x.MaxRunSeconds, task.queue.Progress(), tr.NumBlocks)})
+	case perr != nil:
+		// A panicking first run is not classified; the next launch of the
+		// (presumably fixed) kernel profiles afresh.
+		err = perr
+		x.record(sched.Decision{Kernel: spec.Name, Action: "panic", Reason: perr.Error()})
+	case prof == nil:
+		sec = max(sec, 1e-9)
+		class := policy.Classify(spec.TotalFLOPs()/sec/1e9, spec.TotalL2Bytes()/sec/1e9)
+		learned = x.hostProfile(spec.Name, class, sec)
+		x.profiles[spec.Name] = learned
+		x.record(sched.Decision{Kernel: spec.Name, Action: "profile",
+			Reason: fmt.Sprintf("class=%v solo=%.3fms", class, sec*1e3)})
 	}
-	if perr := trap.err(); perr != nil {
-		x.record(decision{kind: decPanic, name: spec.Name, other: perr.Error()})
-		x.cond.Broadcast()
-		x.mu.Unlock()
-		return perr
-	}
+	onProfile := x.OnProfile
 	x.cond.Broadcast()
 	x.mu.Unlock()
-	return nil
+	if learned != nil && onProfile != nil {
+		onProfile(spec.Name, learned.Class, learned.SoloSec)
+	}
+	return err
+}
+
+// admitsLocked is the one admission rule: an idle pool starts anything; a
+// first run (nil profile) otherwise waits, and nothing joins one; a profiled
+// kernel joins up to MaxConcurrent kernels that Table I pairs it with.
+func (x *Executor) admitsLocked(prof *profile.Profile) bool {
+	if len(x.running) == 0 {
+		return true
+	}
+	if prof == nil || len(x.running) >= x.MaxConcurrent {
+		return false
+	}
+	for _, r := range x.running {
+		if r.prof == nil || !policy.Corun(r.prof.Class, prof.Class) {
+			return false
+		}
+	}
+	return true
+}
+
+// recordAdmissionLocked logs the launch of task, the newest of the running
+// set: solo, or corun beside the kernels ahead of it. Worker ranges are laid
+// out in running order, as sched lays out SM ranges.
+func (x *Executor) recordAdmissionLocked(task *execTask) {
+	d := sched.Decision{Kernel: task.spec.Name, Action: "solo", SMHigh: task.target - 1}
+	if others := x.running[:len(x.running)-1]; len(others) > 0 {
+		names := make([]string, len(others))
+		for i, t := range others {
+			d.SMLow += t.target
+			names[i] = t.spec.Name
+		}
+		d.Action, d.SMHigh, d.Partner = "corun", d.SMLow+task.target-1, strings.Join(names, "+")
+	}
+	x.record(d)
 }
 
 // contain runs fn under the containment deadline and reports whether it
@@ -382,7 +331,8 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 	if !x.contain(wg.Wait) {
 		abort.Store(true)
 		x.mu.Lock()
-		x.record(decision{kind: decTimeoutVanilla, name: spec.Name, sec: x.MaxRunSeconds})
+		x.record(sched.Decision{Kernel: spec.Name, Action: "abandon",
+			Reason: fmt.Sprintf("vanilla launch timed out after %.1fs", x.MaxRunSeconds)})
 		x.mu.Unlock()
 		return fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
 	}
@@ -393,7 +343,8 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 // after an injection/compilation failure) in the decision log.
 func (x *Executor) NoteFallback(name, reason string) {
 	x.mu.Lock()
-	x.record(decision{kind: decFallback, name: name, other: reason})
+	x.record(sched.Decision{Kernel: name, Action: "vanilla", Reason: reason})
+	x.fallbacks++
 	x.mu.Unlock()
 }
 
@@ -406,100 +357,57 @@ func (x *Executor) Fallbacks() int {
 	return x.fallbacks
 }
 
-func (x *Executor) maxConcurrent() int {
-	if x.MaxConcurrent < 1 {
-		return 2
-	}
-	return x.MaxConcurrent
-}
-
-func (x *Executor) corunsWithAllLocked(class policy.Class) bool {
-	for _, r := range x.running {
-		if !policy.Corun(r.class, class) {
-			return false
-		}
-	}
-	return true
-}
-
-// rebalanceLocked reassigns the worker budget to the running set and
-// signals retreats to kernels whose share changed — dynamic kernel resizing
-// (§III-C) on the host pool. Memory-heavy classes need fewer host workers
-// than compute-heavy ones in this analog, so they carry weight 1 against 2
-// for everyone else.
+// rebalanceLocked reassigns the worker budget to the running set by
+// sched.Layout and signals retreats to kernels whose share changed — dynamic
+// kernel resizing (§III-C) on the host pool. Every kernel keeps at least one
+// worker.
 func (x *Executor) rebalanceLocked() {
-	n := len(x.running)
-	if n == 0 {
-		return
+	switch n := len(x.running); n {
+	case 0: // an idle pool has nothing to size
+	case 1:
+		x.running[0].retarget(x.Budget)
+	default:
+		profs := make([]*profile.Profile, n)
+		for i, t := range x.running {
+			profs[i] = t.prof
+		}
+		for i, w := range sched.Layout(x.Budget, profs, nil) {
+			x.running[i].retarget(max(w, 1))
+		}
 	}
-	if n == 1 {
-		t := x.running[0]
-		if t.target != x.Budget {
-			t.target = x.Budget
-			t.queue.Retreat()
-		}
-		return
-	}
-	weights := make([]int, n)
-	totalW := 0
-	for i, t := range x.running {
-		w := 2
-		if t.class == policy.HM || t.class == policy.MM {
-			w = 1
-		}
-		weights[i] = w
-		totalW += w
-	}
-	assigned := 0
-	for i, t := range x.running {
-		w := x.Budget * weights[i] / totalW
-		if w < 1 {
-			w = 1
-		}
-		if i == n-1 {
-			w = x.Budget - assigned
-			if w < 1 {
-				w = 1
-			}
-		}
-		assigned += w
-		if t.target != w {
-			t.target = w
-			t.queue.Retreat()
-		}
+}
+
+// retarget assigns t its worker count, signalling a retreat on a change.
+func (t *execTask) retarget(w int) {
+	if t.target != w {
+		t.target = w
+		t.queue.Retreat()
 	}
 }
 
 // record appends to the decision log, overwriting the oldest entry once the
 // ring is full. Caller holds x.mu.
-func (x *Executor) record(d decision) {
+func (x *Executor) record(d sched.Decision) {
 	if len(x.log) < decisionLogCap {
 		x.log = append(x.log, d)
 	} else {
 		x.log[x.logged%decisionLogCap] = d
 	}
 	x.logged++
-	if d.kind == decFallback {
-		x.fallbacks++
-	}
 }
 
-// Decisions renders the decision log — corun/solo choices, profiles,
-// fallbacks, containment — oldest first. It holds the most recent
-// decisionLogCap decisions; older ones have been dropped.
-func (x *Executor) Decisions() []string {
+// Decisions returns the decision log — solo and corun admissions with their
+// worker ranges, profiles, panics, vanilla fallbacks and abandoned launches —
+// oldest first. It holds the most recent decisionLogCap decisions; older ones
+// have been dropped. At is zero: the executor runs on the wall clock.
+func (x *Executor) Decisions() []sched.Decision {
 	x.mu.Lock()
-	ring := append([]decision(nil), x.log...)
+	defer x.mu.Unlock()
 	oldest := 0
-	if len(ring) == decisionLogCap {
+	if len(x.log) == decisionLogCap {
 		oldest = int(x.logged % decisionLogCap)
 	}
-	x.mu.Unlock()
-	out := make([]string, 0, len(ring))
-	for i := range ring {
-		out = append(out, ring[(oldest+i)%len(ring)].String())
-	}
-	return out
+	return append(append([]sched.Decision(nil), x.log[oldest:]...), x.log[:oldest]...)
 }
 
 // RunningCount reports the live kernel count (for tests).
@@ -517,7 +425,7 @@ func (x *Executor) Profile(name string) (policy.Class, bool) {
 	if !ok {
 		return 0, false
 	}
-	return p.class, true
+	return p.Class, true
 }
 
 // noteRunLocked counts one execution of the named kernel — a dispatched
@@ -547,7 +455,7 @@ func (x *Executor) RestoreProfile(name string, class policy.Class, soloSec float
 	if _, ok := x.profiles[name]; ok {
 		return
 	}
-	x.profiles[name] = &execProfile{class: class, soloSec: soloSec}
+	x.profiles[name] = x.hostProfile(name, class, soloSec)
 }
 
 // snapshotProfiles copies every recorded classification, in the form the
@@ -557,7 +465,7 @@ func (x *Executor) snapshotProfiles() map[string]profileSnap {
 	defer x.mu.Unlock()
 	out := make(map[string]profileSnap, len(x.profiles))
 	for name, p := range x.profiles {
-		out[name] = profileSnap{Class: int(p.class), SoloSec: p.soloSec}
+		out[name] = profileSnap{Class: int(p.Class), SoloSec: p.SoloSec}
 	}
 	return out
 }
@@ -570,5 +478,5 @@ func (x *Executor) ProfileSoloSec(name string) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return p.soloSec, true
+	return p.SoloSec, true
 }

@@ -221,12 +221,12 @@ func TestCompileFailureDegradesToVanillaPath(t *testing.T) {
 	}
 	found := false
 	for _, d := range srv.Exec.Decisions() {
-		if strings.HasPrefix(d, "fallback src:k") {
+		if d.Kernel == "src:k" && d.Action == "vanilla" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no fallback decision recorded; decisions = %v", srv.Exec.Decisions())
+		t.Fatalf("no vanilla decision recorded; decisions = %+v", srv.Exec.Decisions())
 	}
 	// The failure was transient and was not cached: with the hook gone the
 	// same unit compiles, and that launch runs the Slate path.

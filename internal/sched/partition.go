@@ -14,37 +14,42 @@ import (
 // two-kernel case of the one layout; three or more kernels (MaxConcurrent
 // ≥ 3, a natural extension the paper leaves open) share by waterfill.
 
-// layout allocates the device's SMs across the entries. Two kernels get the
-// minimax split (split). Otherwise everyone starts at the 2-SM floor and
-// the remaining SMs go, one at a time, to whichever kernel the profiles
-// predict is currently slowed the most.
-func (s *Scheduler) layout(entries []*entry) []int {
-	n := len(entries)
+// Layout is the one partition policy: it sizes one contiguous range per
+// kernel for numSMs SMs shared by kernels with the given profiles, in order.
+// Two kernels get the minimax split (SplitFor, or splitFn when set), clamped
+// so each keeps an SM. Otherwise everyone starts at the 2-SM floor and the
+// remaining SMs go, one at a time, to whichever kernel the profiles predict
+// is currently slowed the most. The simulator's Scheduler and the host
+// daemon's executor both size through it.
+func Layout(numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
+	n := len(profs)
 	if n == 2 {
-		sA := s.split(entries[0].prof, entries[1].prof)
-		return []int{sA, s.Dev.NumSMs - sA}
+		var sA int
+		if splitFn != nil {
+			sA = splitFn(profs[0], profs[1])
+		} else {
+			sA = SplitFor(numSMs, profs[0], profs[1])
+		}
+		sA = min(max(sA, 1), numSMs-1)
+		return []int{sA, numSMs - sA}
 	}
 	widths := make([]int, n)
 	if n == 0 {
 		return widths
 	}
-	total := s.Dev.NumSMs
 	floor := 2
-	if floor*n > total {
-		floor = total / n
-		if floor < 1 {
-			floor = 1
-		}
+	if floor*n > numSMs {
+		floor = max(numSMs/n, 1)
 	}
 	used := 0
 	for i := range widths {
 		widths[i] = floor
 		used += floor
 	}
-	for used < total {
+	for used < numSMs {
 		worst, worstSlow := 0, -1.0
-		for i, e := range entries {
-			sp := e.prof.SpeedAt(widths[i])
+		for i, p := range profs {
+			sp := p.SpeedAt(widths[i])
 			if sp <= 0 {
 				sp = 1e-9
 			}
@@ -57,6 +62,15 @@ func (s *Scheduler) layout(entries []*entry) []int {
 		used++
 	}
 	return widths
+}
+
+// layout sizes the entries' partitions of the device by Layout.
+func (s *Scheduler) layout(entries []*entry) []int {
+	profs := make([]*profile.Profile, len(entries))
+	for i, e := range entries {
+		profs[i] = e.prof
+	}
+	return Layout(s.Dev.NumSMs, profs, s.SplitFn)
 }
 
 // admitCorun is the one corun admission: it repartitions the device for

@@ -55,13 +55,14 @@ func TestSplitFnClamped(t *testing.T) {
 	r := newRig()
 	a := fabProfile(policy.MM, 1, 400)
 	b := fabProfile(policy.LC, 1, 70)
-	r.sched.SplitFn = func(*profile.Profile, *profile.Profile) int { return -5 }
-	if got := r.sched.split(a, b); got != 1 {
-		t.Fatalf("negative split clamped to %d, want 1", got)
+	n := r.sched.Dev.NumSMs
+	negative := func(*profile.Profile, *profile.Profile) int { return -5 }
+	if got := Layout(n, []*profile.Profile{a, b}, negative); got[0] != 1 || got[1] != n-1 {
+		t.Fatalf("negative split laid out as %v, want [1 %d]", got, n-1)
 	}
-	r.sched.SplitFn = func(*profile.Profile, *profile.Profile) int { return 99 }
-	if got := r.sched.split(a, b); got != r.sched.Dev.NumSMs-1 {
-		t.Fatalf("oversized split clamped to %d", got)
+	oversized := func(*profile.Profile, *profile.Profile) int { return 99 }
+	if got := Layout(n, []*profile.Profile{a, b}, oversized); got[0] != n-1 || got[1] != 1 {
+		t.Fatalf("oversized split laid out as %v, want [%d 1]", got, n-1)
 	}
 }
 

@@ -23,9 +23,12 @@ type Decision struct {
 	Kernel string
 	// Action is "solo", "corun", "queue", "grow", "dequeue", "complete", or —
 	// with containment enabled — "evict", "requeue", "quarantine", "vanilla",
-	// or "abandon".
+	// or "abandon". The host daemon's executor also records "profile" (a
+	// first run classified; Reason holds the class and solo time) and "panic"
+	// (a kernel body panicked; Reason holds the error).
 	Action string
-	// SMLow and SMHigh are the designated range for launch/resize actions.
+	// SMLow and SMHigh are the designated range for launch/resize actions
+	// (a worker range on the host daemon's executor).
 	SMLow, SMHigh int
 	// Partner is the co-running kernel, if any.
 	Partner string
@@ -54,8 +57,8 @@ type Scheduler struct {
 	// ANTT-predictive policy (ANTTPredictCorun) here.
 	CorunFn func(running, arrival *profile.Profile) bool
 	// SplitFn sizes the partition when two kernels share the device (SMs
-	// granted to the lower-range kernel); nil selects the measured-scaling
-	// minimax optimizer, SplitFor.
+	// granted to the lower-range kernel, clamped by Layout); nil selects the
+	// measured-scaling minimax optimizer, SplitFor.
 	SplitFn func(running, arrival *profile.Profile) int
 
 	running     []*entry
@@ -336,20 +339,6 @@ func ANTTPredictCorun(s *Scheduler, margin float64) func(a, b *profile.Profile) 
 		}
 		return spA+spB > 1+margin
 	}
-}
-
-func (s *Scheduler) split(a, b *profile.Profile) int {
-	sR := SplitFor(s.Dev.NumSMs, a, b)
-	if s.SplitFn != nil {
-		sR = s.SplitFn(a, b)
-	}
-	if sR < 1 {
-		sR = 1
-	}
-	if sR > s.Dev.NumSMs-1 {
-		sR = s.Dev.NumSMs - 1
-	}
-	return sR
 }
 
 // SplitFor sizes the partition of numSMs between a running kernel (low
