@@ -83,7 +83,7 @@ func main() {
 	fmt.Println("\ndaemon scheduling decisions:")
 	for _, d := range srv.Exec.Decisions() {
 		line := fmt.Sprintf("  %-12s %-7s", d.Kernel, d.Action)
-		if d.Action == "solo" || d.Action == "corun" {
+		if d.Action == "solo" || d.Action == "corun" || d.Action == "grow" {
 			line += fmt.Sprintf(" workers %d-%d", d.SMLow, d.SMHigh)
 		}
 		if d.Partner != "" {

@@ -14,9 +14,9 @@ import (
 // tripAfter more failures) and whose success closes it. A client holds one
 // for backpressured launches; the fleet Dialer holds one per member.
 //
-// Every true Admit must be balanced by one Settle (the attempt's final
-// outcome) or one Cancel (it ended without a verdict): a leaked probe would
-// wedge the breaker, since nothing could ever close it again.
+// Every admitted attempt's Ticket must be given back once: to Settle (the
+// attempt's final outcome) or Cancel (it ended without a verdict). A leaked
+// probe would wedge the breaker, since nothing could ever close it again.
 type Breaker struct {
 	tripAfter int
 	cooldown  time.Duration
@@ -29,32 +29,40 @@ type Breaker struct {
 	probing  bool // the single half-open probe is in flight
 }
 
+// Ticket is one admitted attempt. Only the half-open probe's own ticket
+// releases the probe slot: an attempt admitted while the circuit was closed
+// and settled after it opened cannot let a second probe out.
+type Ticket struct{ probe bool }
+
 // NewBreaker builds a closed breaker.
 func NewBreaker(tripAfter int, cooldown time.Duration) *Breaker {
 	return &Breaker{tripAfter: tripAfter, cooldown: cooldown, now: time.Now}
 }
 
-// Admit reports whether an attempt may proceed: always while closed, never
-// inside an open circuit's cooldown, and once — the probe — after it.
-func (b *Breaker) Admit() bool {
+// Admit reports whether an attempt may proceed — always while closed, never
+// inside an open circuit's cooldown, and once, as the probe, after it — and
+// hands out the attempt's ticket.
+func (b *Breaker) Admit() (Ticket, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.open {
-		return true
+		return Ticket{}, true
 	}
 	if b.probing || b.now().Sub(b.openedAt) < b.cooldown {
-		return false
+		return Ticket{}, false
 	}
 	b.probing = true
-	return true
+	return Ticket{probe: true}, true
 }
 
 // Settle records an admitted attempt's final outcome: success closes the
 // circuit and clears the count, failure counts toward (or re-trips) it.
-func (b *Breaker) Settle(ok bool) {
+func (b *Breaker) Settle(t Ticket, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.probing = false
+	if t.probe {
+		b.probing = false
+	}
 	if ok {
 		b.fails = 0
 		b.open = false
@@ -67,11 +75,14 @@ func (b *Breaker) Settle(ok bool) {
 	}
 }
 
-// Cancel releases an admit without judging the peer: the attempt ended for a
-// reason that says nothing about it (the caller's context was canceled, or
+// Cancel gives a ticket back without judging the peer: the attempt ended for
+// a reason that says nothing about it (the caller's context was canceled, or
 // another candidate won before this one was tried), so the circuit state is
-// untouched and a half-open probe slot is returned.
-func (b *Breaker) Cancel() {
+// untouched and a probe's slot is returned.
+func (b *Breaker) Cancel(t Ticket) {
+	if !t.probe {
+		return
+	}
 	b.mu.Lock()
 	b.probing = false
 	b.mu.Unlock()

@@ -29,26 +29,27 @@ func TestBreakerStateMachine(t *testing.T) {
 			now := time.Unix(1000, 0)
 			b := NewBreaker(cfg.tripAfter, cfg.cooldown)
 			b.now = func() time.Time { return now }
-			admit := func(want bool, when string) {
+			admit := func(want bool, when string) Ticket {
 				t.Helper()
-				if got := b.Admit(); got != want {
+				tk, got := b.Admit()
+				if got != want {
 					t.Fatalf("%s: Admit = %v, want %v", when, got, want)
 				}
+				return tk
 			}
 
 			// Closed: failures short of tripAfter keep admitting, and one
 			// success clears the count.
 			for i := 0; i < cfg.tripAfter-1; i++ {
-				admit(true, "closed")
-				b.Settle(false)
+				b.Settle(admit(true, "closed"), false)
 			}
-			admit(true, "closed, one short of tripping")
-			b.Settle(true)
+			b.Settle(admit(true, "closed, one short of tripping"), true)
 
-			// Trip: tripAfter consecutive failures open it.
+			// Trip: tripAfter consecutive failures open it. Two more
+			// attempts, admitted while closed, are still in flight.
+			late1, late2 := admit(true, "closed, a late attempt"), admit(true, "closed, another")
 			for i := 0; i < cfg.tripAfter; i++ {
-				admit(true, "closed, counting up")
-				b.Settle(false)
+				b.Settle(admit(true, "closed, counting up"), false)
 			}
 			admit(false, "just tripped")
 			now = now.Add(cfg.cooldown - time.Nanosecond)
@@ -57,13 +58,15 @@ func TestBreakerStateMachine(t *testing.T) {
 			// Half-open: of any number of concurrent admits, one probes.
 			now = now.Add(time.Nanosecond)
 			var admitted atomic.Int32
+			var probe Ticket
 			var wg sync.WaitGroup
 			for i := 0; i < 16; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if b.Admit() {
+					if tk, ok := b.Admit(); ok {
 						admitted.Add(1)
+						probe = tk
 					}
 				}()
 			}
@@ -72,23 +75,30 @@ func TestBreakerStateMachine(t *testing.T) {
 				t.Fatalf("half-open admitted %d concurrent probes, want 1", n)
 			}
 
+			// Only the probe's own ticket frees its slot: the late attempts
+			// admitted before the trip end, one canceled and one failed, and
+			// no second probe goes out.
+			b.Cancel(late1)
+			admit(false, "a pre-trip attempt canceled while the probe is in flight")
+			b.Settle(late2, false)
+			now = now.Add(cfg.cooldown)
+			admit(false, "a pre-trip attempt failed while the probe is in flight")
+
 			// The probe fails: re-opened at once, for a fresh cooldown.
-			b.Settle(false)
+			b.Settle(probe, false)
 			admit(false, "probe failed")
 			now = now.Add(cfg.cooldown)
 
 			// Cancel returns the probe slot without a verdict: still open,
 			// and the next admit is the probe.
-			admit(true, "second cooldown over")
-			b.Cancel()
-			admit(true, "after a canceled probe")
+			b.Cancel(admit(true, "second cooldown over"))
+			probe = admit(true, "after a canceled probe")
 			admit(false, "while that probe is in flight")
 
 			// The probe succeeds: closed, count cleared.
-			b.Settle(true)
+			b.Settle(probe, true)
 			for i := 0; i < cfg.tripAfter-1; i++ {
-				admit(true, "closed again")
-				b.Settle(false)
+				b.Settle(admit(true, "closed again"), false)
 			}
 			admit(true, "closed again, one short of tripping")
 		})

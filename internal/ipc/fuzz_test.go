@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -79,6 +80,58 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if !bytes.Equal(back, payload) {
 				t.Fatal("re-encoded frame decoded to different payload")
+			}
+		}
+	})
+}
+
+// FuzzResolveSrcRefs resolves batches whose items carry arbitrary source
+// refs, as a frame from a client may. It must never panic, any out-of-range
+// ref must be an error, and a batch it accepts has every ref resolved to its
+// carrier's source.
+func FuzzResolveSrcRefs(f *testing.F) {
+	// Each byte is one item: bit 0 marks a source launch, bit 1 gives it a
+	// source text, and the high six bits are its SrcRef (-32..31).
+	f.Add([]byte{0x03, 0x05, 0x00, 0x03, 0x11, 0x05})
+	f.Add([]byte{0x09, 0x03})       // forward ref
+	f.Add([]byte{0x03, 0xFD})       // negative ref
+	f.Add([]byte{0x03, 0x05, 0x09}) // ref to a ref
+	f.Add([]byte{0x07})             // both a source and a ref
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64 {
+			data = data[:64]
+		}
+		items := make([]BatchItem, len(data))
+		outOfRange := false
+		for i, b := range data {
+			it := &items[i]
+			it.Src = b&1 != 0
+			if b&2 != 0 {
+				it.Source = fmt.Sprintf("source %d", i)
+			}
+			it.SrcRef = int(int8(b)) >> 2
+			if it.SrcRef != 0 && (it.SrcRef < 0 || it.SrcRef > i) {
+				outOfRange = true
+			}
+		}
+		orig := append([]BatchItem(nil), items...)
+		err := ResolveSrcRefs(items)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("unclassified error: %v", err)
+			}
+			return
+		}
+		if outOfRange {
+			t.Fatalf("accepted a batch with an out-of-range ref: %+v", orig)
+		}
+		for i, it := range items {
+			if it.SrcRef == 0 {
+				continue
+			}
+			carrier := orig[it.SrcRef-1]
+			if !carrier.Src || carrier.SrcRef != 0 || it.Source != carrier.Source {
+				t.Fatalf("item %d resolved to %q through item %d %+v", i, it.Source, it.SrcRef, carrier)
 			}
 		}
 	})

@@ -79,7 +79,7 @@ func TestThreeWayPartitionsAreDisjoint(t *testing.T) {
 		if err := r.sched.Submit(spec, 10, nil); err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, r.sched.running[len(r.sched.running)-1].handle)
+		handles = append(handles, r.sched.core.running[len(r.sched.core.running)-1].Owner.(*entry).handle)
 	}
 	submit(lowK("a", 9000))
 	submit(lowK("b", 9000))
@@ -104,7 +104,7 @@ func TestLayoutWaterfill(t *testing.T) {
 	r := newRig()
 	pm, _ := r.sched.Prof.Get(memK("mem", 2400))
 	pc, _ := r.sched.Prof.Get(computeK("cb", 2400))
-	widths := r.sched.layout([]*entry{{prof: pm}, {prof: pc}})
+	widths := r.sched.in().layout([]*Job{{Prof: pm}, {Prof: pc}})
 	if widths[0]+widths[1] != 30 {
 		t.Fatalf("widths %v do not sum to 30", widths)
 	}
@@ -114,10 +114,10 @@ func TestLayoutWaterfill(t *testing.T) {
 		t.Fatalf("compute kernel got %d SMs vs memory's %d; waterfill should favor the scaler", widths[1], widths[0])
 	}
 	// Degenerate cases.
-	if w := r.sched.layout(nil); len(w) != 0 {
+	if w := r.sched.in().layout(nil); len(w) != 0 {
 		t.Fatal("empty layout should be empty")
 	}
-	solo := r.sched.layout([]*entry{{prof: pm}})
+	solo := r.sched.in().layout([]*Job{{Prof: pm}})
 	if solo[0] != 30 {
 		t.Fatalf("solo layout = %v, want [30]", solo)
 	}

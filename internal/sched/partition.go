@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"slate/internal/engine"
 	"slate/internal/profile"
 	"slate/internal/vtime"
 )
@@ -19,8 +18,8 @@ import (
 // Two kernels get the minimax split (SplitFor, or splitFn when set), clamped
 // so each keeps an SM. Otherwise everyone starts at the 2-SM floor and the
 // remaining SMs go, one at a time, to whichever kernel the profiles predict
-// is currently slowed the most. The simulator's Scheduler and the host
-// daemon's executor both size through it.
+// is currently slowed the most. The admission core sizes through it for
+// both of its drivers.
 func Layout(numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
 	n := len(profs)
 	if n == 2 {
@@ -64,109 +63,76 @@ func Layout(numSMs int, profs []*profile.Profile, splitFn func(running, arrival 
 	return widths
 }
 
-// layout sizes the entries' partitions of the device by Layout.
-func (s *Scheduler) layout(entries []*entry) []int {
-	profs := make([]*profile.Profile, len(entries))
-	for i, e := range entries {
-		profs[i] = e.prof
+// layout sizes the partitions of the device for jobs by Layout.
+func (c *Core) layout(jobs []*Job) []int {
+	profs := make([]*profile.Profile, len(jobs))
+	for i, j := range jobs {
+		profs[i] = j.Prof
 	}
-	return Layout(s.Dev.NumSMs, profs, s.SplitFn)
+	return Layout(c.NumSMs, profs, c.SplitFn)
 }
 
 // admitCorun is the one corun admission: it repartitions the device for
-// running ∪ {en}. Running kernels are resized to their new contiguous
-// ranges (sticky within ±2 SMs) and the arrival launches on the final
-// range. If the arrival fails to launch, the running kernels regrow.
-func (s *Scheduler) admitCorun(now vtime.Time, en *entry) error {
-	entries := append(append([]*entry{}, s.running...), en)
-	widths := s.layout(entries)
+// running ∪ {j}. Running jobs are resized to their new contiguous ranges
+// (sticky within ±2 units) and the arrival launches on the final range,
+// absorbing any rounding. If the arrival fails to launch, the running jobs
+// regrow.
+func (c *Core) admitCorun(now vtime.Time, j *Job) error {
+	jobs := append(append([]*Job{}, c.running...), j)
+	widths := c.layout(jobs)
 
-	// Assign contiguous ranges in order; keep a running kernel's current
-	// range when it is within the sticky tolerance, propagating the
-	// boundary so ranges stay disjoint.
+	// Assign contiguous ranges in order; keep a running job's current range
+	// when it is within the sticky tolerance, propagating the boundary so
+	// ranges stay disjoint.
 	lo := 0
-	for i, e := range entries {
-		targetHi := lo + widths[i] - 1
-		if i == len(entries)-1 {
-			targetHi = s.Dev.NumSMs - 1 // the arrival absorbs rounding
-		}
-		if e == en {
-			h, err := s.Eng.Launch(en.spec, engine.LaunchOpts{
-				Mode: engine.SlateSched, TaskSize: en.taskSize,
-				SMLow: lo, SMHigh: targetHi,
-			})
-			if err != nil {
-				s.regrowSurvivors(now)
-				return err
-			}
-			en.handle = h
-			s.running = append(s.running, en)
-			s.record(Decision{
-				At: now, Kernel: en.spec.Name, Action: "corun",
-				SMLow: lo, SMHigh: targetHi, Partner: partnersOf(entries, en),
-			})
-			s.Eng.OnComplete(h, func(t vtime.Time) { s.onComplete(t, en) })
-			s.watch(en)
-			lo = targetHi + 1
+	for i, e := range c.running {
+		hi := lo + widths[i] - 1
+		if e.lo == lo && abs(e.hi-hi) <= 2 && e.hi < c.NumSMs-1 {
+			lo = e.hi + 1 // sticky: keep the existing boundary
 			continue
 		}
-		curLo, curHi := e.handle.SMRange()
-		if curLo == lo && abs(curHi-targetHi) <= 2 && curHi < s.Dev.NumSMs-1 {
-			lo = curHi + 1 // sticky: keep the existing boundary
-			continue
+		if err := c.Driver.Resize(e, lo, hi); err != nil {
+			return fmt.Errorf("sched: repartitioning %q: %w", e.Name, err)
 		}
-		if err := s.Eng.Resize(e.handle, lo, targetHi); err != nil {
-			return fmt.Errorf("sched: repartitioning %q: %w", e.spec.Name, err)
-		}
-		lo = targetHi + 1
+		e.lo, e.hi = lo, hi
+		lo = hi + 1
 	}
+	hi := c.NumSMs - 1
+	if err := c.Driver.Launch(j, lo, hi, false); err != nil {
+		c.regrowSurvivors(now)
+		return err
+	}
+	d := Decision{At: now, Kernel: j.Name, Action: "corun", SMLow: lo, SMHigh: hi}
+	for i, r := range c.running {
+		if i > 0 {
+			d.Partner += "+"
+		}
+		d.Partner += r.Name
+	}
+	j.lo, j.hi = lo, hi
+	c.running = append(c.running, j)
+	c.record(d)
 	return nil
-}
-
-// partnersOf names the co-runners of en for the decision log.
-func partnersOf(entries []*entry, en *entry) string {
-	out := ""
-	for _, e := range entries {
-		if e == en {
-			continue
-		}
-		if out != "" {
-			out += "+"
-		}
-		out += e.spec.Name
-	}
-	return out
-}
-
-// corunsWithAll reports whether the arrival is complementary to every
-// running kernel (the pairwise policy applied N ways).
-func (s *Scheduler) corunsWithAll(arrival *profile.Profile) bool {
-	for _, r := range s.running {
-		if !s.corunProfiles(r.prof, arrival) {
-			return false
-		}
-	}
-	return len(s.running) > 0
 }
 
 // regrowSurvivors repartitions the device across the current running set:
 // the one grow, after a departure and after a failed admission. A lone
 // survivor takes the whole device.
-func (s *Scheduler) regrowSurvivors(now vtime.Time) {
-	if len(s.running) == 0 {
+func (c *Core) regrowSurvivors(now vtime.Time) {
+	if len(c.running) == 0 {
 		return
 	}
-	widths := s.layout(s.running)
+	widths := c.layout(c.running)
 	lo := 0
-	for i, e := range s.running {
+	for i, e := range c.running {
 		hi := lo + widths[i] - 1
-		if i == len(s.running)-1 {
-			hi = s.Dev.NumSMs - 1
+		if i == len(c.running)-1 {
+			hi = c.NumSMs - 1
 		}
-		curLo, curHi := e.handle.SMRange()
-		if curLo != lo || curHi != hi {
-			if err := s.Eng.Resize(e.handle, lo, hi); err == nil {
-				s.record(Decision{At: now, Kernel: e.spec.Name, Action: "grow", SMLow: lo, SMHigh: hi})
+		if e.lo != lo || e.hi != hi {
+			if err := c.Driver.Resize(e, lo, hi); err == nil {
+				e.lo, e.hi = lo, hi
+				c.record(Decision{At: now, Kernel: e.Name, Action: "grow", SMLow: lo, SMHigh: hi})
 			}
 		}
 		lo = hi + 1

@@ -41,12 +41,12 @@ func TestCorunHookPrecedence(t *testing.T) {
 	a := fabProfile(policy.HM, 1, 400)
 	b := fabProfile(policy.HM, 1, 400)
 	// Default: Table I says H_M × H_M solo.
-	if r.sched.corunProfiles(a, b) {
+	if r.sched.in().corunProfiles(a, b) {
 		t.Fatal("table decision wrong")
 	}
 	// The hook overrides.
 	r.sched.CorunFn = func(*profile.Profile, *profile.Profile) bool { return true }
-	if !r.sched.corunProfiles(a, b) {
+	if !r.sched.in().corunProfiles(a, b) {
 		t.Fatal("CorunFn ignored")
 	}
 }
@@ -75,7 +75,7 @@ func TestThreeWaySurvivorsRegrow(t *testing.T) {
 		if err := r.sched.Submit(spec, 10, nil); err != nil {
 			t.Fatal(err)
 		}
-		h := r.sched.running[len(r.sched.running)-1].handle
+		h := r.sched.core.running[len(r.sched.core.running)-1].Owner.(*entry).handle
 		handles = append(handles, h)
 		return h
 	}

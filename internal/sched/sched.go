@@ -3,7 +3,8 @@
 // profiled on first sight, paired with a running kernel when Table I calls
 // them complementary, granted a disjoint SM partition sized from their
 // measured SM-scaling profiles, and dynamically resized when partners
-// arrive or complete.
+// arrive or complete. One admission core (Core) holds that policy;
+// Scheduler drives it on the simulated device.
 package sched
 
 import (
@@ -12,7 +13,6 @@ import (
 	"slate/internal/device"
 	"slate/internal/engine"
 	"slate/internal/kern"
-	"slate/internal/policy"
 	"slate/internal/profile"
 	"slate/internal/vtime"
 )
@@ -21,11 +21,12 @@ import (
 type Decision struct {
 	At     vtime.Time
 	Kernel string
-	// Action is "solo", "corun", "queue", "grow", "dequeue", "complete", or —
-	// with containment enabled — "evict", "requeue", "quarantine", "vanilla",
-	// or "abandon". The host daemon's executor also records "profile" (a
-	// first run classified; Reason holds the class and solo time) and "panic"
-	// (a kernel body panicked; Reason holds the error).
+	// Action is "solo", "corun", "queue", "dequeue", "grow" or "complete",
+	// or — with containment on, as it always is on the host — "evict",
+	// "requeue", "quarantine", "vanilla" or "abandon": the core emits these
+	// for both drivers. Only the host executor emits "profile" (a first run
+	// classified; Reason holds the class and solo time) and "panic" (Reason
+	// holds the error), and it notes a graceful degradation as "vanilla".
 	Action string
 	// SMLow and SMHigh are the designated range for launch/resize actions
 	// (a worker range on the host daemon's executor).
@@ -37,8 +38,36 @@ type Decision struct {
 	Reason string
 }
 
-// Scheduler is the daemon-side kernel scheduler. It is single-threaded by
-// construction: all entry points run inside virtual-clock callbacks.
+// Log is a decision log: every decision, or with Cap > 0 a ring of the most
+// recent Cap.
+type Log struct {
+	Cap  int
+	buf  []Decision
+	next int // a full ring's oldest slot
+}
+
+// Add appends d, overwriting the oldest decision once a ring is full.
+func (l *Log) Add(d Decision) {
+	if l.Cap == 0 || len(l.buf) < l.Cap {
+		l.buf = append(l.buf, d)
+		return
+	}
+	l.buf[l.next] = d
+	l.next = (l.next + 1) % l.Cap
+}
+
+// All returns the kept decisions, oldest first: the log's own slice when it
+// is in order.
+func (l *Log) All() []Decision {
+	if l.next == 0 {
+		return l.buf
+	}
+	return append(append([]Decision(nil), l.buf[l.next:]...), l.buf[:l.next]...)
+}
+
+// Scheduler drives the admission core on the engine, in virtual time. It is
+// single-threaded by construction: all entry points run inside
+// virtual-clock callbacks.
 type Scheduler struct {
 	Dev  *device.Device
 	Eng  *engine.Engine
@@ -61,47 +90,55 @@ type Scheduler struct {
 	// measured-scaling minimax optimizer, SplitFor.
 	SplitFn func(running, arrival *profile.Profile) int
 
-	running     []*entry
-	queue       []*entry
-	decisions   []Decision
+	core        Core
 	pendingGrow *vtime.Event
-
-	// Containment state (nil/empty unless EnableContainment was called).
-	watchdog   *engine.Watchdog
-	agingBound vtime.Duration
-	offenders  map[string]*offender
+	growFn      func(vtime.Time)
+	// watchdog is nil unless EnableContainment was called.
+	watchdog *engine.Watchdog
 }
 
+// entry is one submitted kernel: its core job plus what the engine needs.
 type entry struct {
+	job      Job
 	spec     *kern.Spec
 	taskSize int
-	prof     *profile.Profile
 	handle   *engine.Handle
 	onDone   func(vtime.Time, engine.Metrics)
-	// enqueuedAt is when the entry last entered the queue (aging clock).
-	enqueuedAt vtime.Time
-	queued     bool
 }
 
 // New constructs a scheduler driving the given engine.
 func New(dev *device.Device, eng *engine.Engine, prof *profile.Profiler) *Scheduler {
-	return &Scheduler{
+	s := &Scheduler{
 		Dev:              dev,
 		Eng:              eng,
 		Prof:             prof,
 		MaxConcurrent:    2,
 		GrowGraceSeconds: 200e-6,
 	}
+	s.core.Driver = (*simDriver)(s)
+	s.growFn = func(t vtime.Time) {
+		s.pendingGrow = nil
+		s.in().GraceExpired(t)
+	}
+	return s
+}
+
+// in returns the core with the scheduler's settable policy applied; every
+// input reaches the core through it.
+func (s *Scheduler) in() *Core {
+	c := &s.core
+	c.NumSMs, c.MaxConcurrent, c.CorunFn, c.SplitFn = s.Dev.NumSMs, s.MaxConcurrent, s.CorunFn, s.SplitFn
+	return c
 }
 
 // Decisions returns the recorded scheduling actions.
-func (s *Scheduler) Decisions() []Decision { return s.decisions }
+func (s *Scheduler) Decisions() []Decision { return s.core.Log.All() }
 
 // Running returns the number of currently executing kernels.
-func (s *Scheduler) Running() int { return len(s.running) }
+func (s *Scheduler) Running() int { return s.core.Running() }
 
 // Queued returns the number of kernels waiting for resources.
-func (s *Scheduler) Queued() int { return len(s.queue) }
+func (s *Scheduler) Queued() int { return len(s.core.queue) }
 
 // Submit hands a kernel to the scheduler. onDone fires when the kernel
 // completes, with its final metrics. taskSize <= 0 selects
@@ -114,178 +151,63 @@ func (s *Scheduler) Submit(spec *kern.Spec, taskSize int, onDone func(vtime.Time
 	if err != nil {
 		return fmt.Errorf("sched: profiling %q: %w", spec.Name, err)
 	}
-	en := &entry{spec: spec, taskSize: taskSize, prof: pr, onDone: onDone}
-
-	now := s.Eng.Clock.Now()
-	// A fresh arrival supersedes any pending survivor grow.
-	if s.pendingGrow != nil {
-		s.Eng.Clock.Cancel(s.pendingGrow)
-		s.pendingGrow = nil
-	}
-	// Aging: once a queued kernel has waited past the aging bound, no
-	// arrival may jump ahead of it — new work queues behind it so the
-	// starved kernel takes the next idle window.
-	if aged := s.oldestAged(now); aged != nil && len(s.running) > 0 {
-		s.enqueue(now, en)
-		return nil
-	}
-	switch {
-	case len(s.running) == 0:
-		if aged := s.oldestAged(now); aged != nil {
-			// An aged waiter owns the idle device; the arrival queues.
-			s.enqueue(now, en)
-			s.unqueue(aged)
-			if err := s.dispatch(now, aged); err != nil && aged.onDone != nil {
-				aged.onDone(now, engine.Metrics{})
-			}
-			return nil
-		}
-		return s.dispatch(now, en)
-	case len(s.running) < s.MaxConcurrent && s.corunEligible(en) && s.corunsWithAll(en.prof):
-		// Spatial sharing: admit only if complementary to every running
-		// kernel.
-		return s.admitCorun(now, en)
-	default:
-		s.enqueue(now, en)
-		return nil
-	}
+	en := &entry{spec: spec, taskSize: taskSize, onDone: onDone}
+	en.job = Job{Name: spec.Name, Prof: pr, Owner: en}
+	return s.in().Arrive(s.Eng.Clock.Now(), &en.job)
 }
 
-func (s *Scheduler) enqueue(now vtime.Time, en *entry) {
-	en.enqueuedAt = now
-	en.queued = true
-	s.queue = append(s.queue, en)
-	s.record(Decision{At: now, Kernel: en.spec.Name, Action: "queue"})
-}
+// simDriver is the Scheduler seen as the core's Driver.
+type simDriver Scheduler
 
-func (s *Scheduler) record(d Decision) { s.decisions = append(s.decisions, d) }
-
-// dispatch launches an entry that has the device to itself: through the
-// normal Slate solo path, or — for quarantined offenders — the vanilla
-// hardware-scheduler path.
-func (s *Scheduler) dispatch(now vtime.Time, en *entry) error {
-	en.queued = false
-	if s.isQuarantined(en.spec.Name) {
-		return s.launchVanilla(now, en)
+func (d *simDriver) Launch(j *Job, lo, hi int, vanilla bool) error {
+	s, en := (*Scheduler)(d), j.Owner.(*entry)
+	opts := engine.LaunchOpts{Mode: engine.SlateSched, TaskSize: en.taskSize, SMLow: lo, SMHigh: hi}
+	if vanilla {
+		opts = engine.LaunchOpts{Mode: engine.HardwareSched, TaskSize: en.taskSize}
 	}
-	return s.launchSolo(now, en)
-}
-
-// unqueue removes an entry from the wait queue, if present.
-func (s *Scheduler) unqueue(en *entry) {
-	for i, e := range s.queue {
-		if e == en {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
-	}
-	en.queued = false
-}
-
-// launchSolo runs a kernel on the entire device, then looks for a
-// complementary partner in the queue (Fig. 4: examine the next kernel, then
-// the rest of the queue).
-func (s *Scheduler) launchSolo(now vtime.Time, en *entry) error {
-	h, err := s.Eng.Launch(en.spec, engine.LaunchOpts{
-		Mode: engine.SlateSched, TaskSize: en.taskSize,
-		SMLow: 0, SMHigh: s.Dev.NumSMs - 1,
-	})
+	h, err := s.Eng.Launch(en.spec, opts)
+	en.handle = h // nil on failure: a failed launch reports zero metrics
 	if err != nil {
 		return err
 	}
-	en.handle = h
-	s.running = append(s.running, en)
-	s.record(Decision{At: now, Kernel: en.spec.Name, Action: "solo", SMLow: 0, SMHigh: s.Dev.NumSMs - 1})
-	s.Eng.OnComplete(h, func(t vtime.Time) { s.onComplete(t, en) })
-	s.watch(en)
-	s.tryPairFromQueue(now, en)
+	s.Eng.OnComplete(h, func(t vtime.Time) {
+		if s.watchdog != nil {
+			s.watchdog.Unwatch(h)
+		}
+		s.in().Depart(t, j)
+	})
+	s.watch(en, lo, hi)
 	return nil
 }
 
-// tryPairFromQueue scans the queue for the first kernel complementary to
-// the running one and coruns it. An aged waiter takes precedence: if it can
-// corun it is chosen regardless of queue position, and if it cannot, nobody
-// is paired — the next idle window belongs to it.
-func (s *Scheduler) tryPairFromQueue(now vtime.Time, running *entry) {
-	if len(s.running) >= s.MaxConcurrent {
-		return
-	}
-	cand, reason := s.oldestAged(now), "aged"
-	if cand == nil {
-		cand, reason = s.queuedPartner(running), ""
-	} else if !s.corunEligible(cand) || !s.corunProfiles(running.prof, cand.prof) {
-		return
-	}
-	if cand == nil {
-		return
-	}
-	s.unqueue(cand)
-	s.record(Decision{At: now, Kernel: cand.spec.Name, Action: "dequeue", Partner: running.spec.Name, Reason: reason})
-	if err := s.admitCorun(now, cand); err != nil {
-		// Could not corun after all; put it back at the front.
-		s.requeueFront(cand)
+func (d *simDriver) Resize(j *Job, lo, hi int) error {
+	return d.Eng.Resize(j.Owner.(*entry).handle, lo, hi)
+}
+
+func (d *simDriver) Evict(j *Job) error {
+	_, err := d.Eng.Evict(j.Owner.(*entry).handle)
+	return err
+}
+
+func (d *simDriver) Finish(now vtime.Time, j *Job) {
+	if en := j.Owner.(*entry); en.onDone != nil {
+		var m engine.Metrics
+		if en.handle != nil {
+			m = en.handle.Metrics()
+		}
+		en.onDone(now, m)
 	}
 }
 
-// requeueFront reinserts an entry at the head of the queue, preserving its
-// original aging clock.
-func (s *Scheduler) requeueFront(en *entry) {
-	en.queued = true
-	s.queue = append([]*entry{en}, s.queue...)
+func (d *simDriver) ArmGrow() {
+	d.CancelGrow()
+	d.pendingGrow = d.Eng.Clock.After(vtime.FromSeconds(d.GrowGraceSeconds), d.growFn)
 }
 
-// onComplete handles a kernel's completion: notify the owner, grow the
-// surviving partner to claim the freed SMs (§III-C), and admit queued work.
-func (s *Scheduler) onComplete(now vtime.Time, done *entry) {
-	for i, e := range s.running {
-		if e == done {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			break
-		}
-	}
-	s.unwatch(done)
-	lo, hi := done.handle.SMRange()
-	s.record(Decision{At: now, Kernel: done.spec.Name, Action: "complete", SMLow: lo, SMHigh: hi})
-	if done.onDone != nil {
-		done.onDone(now, done.handle.Metrics())
-	}
-	s.afterDeparture(now)
-}
-
-// afterDeparture redistributes the device after a kernel leaves the running
-// set — by completion or by eviction: dequeue waiting work when the device
-// idles, otherwise let the survivors grow into the freed SMs.
-func (s *Scheduler) afterDeparture(now vtime.Time) {
-	switch len(s.running) {
-	case 0:
-		// Oldest first: the queue is arrival-ordered, so the head is the
-		// longest waiter and the aging bound holds.
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			if err := s.dispatch(now, next); err != nil && next.onDone != nil {
-				next.onDone(now, engine.Metrics{})
-			}
-		}
-	default:
-		// A queued complementary kernel takes the freed SMs immediately;
-		// otherwise the survivors grow after a short grace window, so that
-		// a looped partner relaunching within microseconds reclaims its
-		// partition without a retreat/relaunch cycle.
-		if len(s.running) == 1 && s.queuedPartner(s.running[0]) != nil {
-			s.tryPairFromQueue(now, s.running[0])
-			return
-		}
-		nRunning := len(s.running)
-		if s.pendingGrow != nil {
-			s.Eng.Clock.Cancel(s.pendingGrow)
-		}
-		s.pendingGrow = s.Eng.Clock.After(vtime.FromSeconds(s.GrowGraceSeconds), func(t vtime.Time) {
-			s.pendingGrow = nil
-			if len(s.running) == nRunning {
-				s.regrowSurvivors(t)
-			}
-		})
+func (d *simDriver) CancelGrow() {
+	if d.pendingGrow != nil {
+		d.Eng.Clock.Cancel(d.pendingGrow)
+		d.pendingGrow = nil
 	}
 }
 
@@ -294,26 +216,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// queuedPartner returns the first queued kernel that may corun with the
-// running kernel r, or nil.
-func (s *Scheduler) queuedPartner(r *entry) *entry {
-	for _, cand := range s.queue {
-		if s.corunEligible(cand) && s.corunProfiles(r.prof, cand.prof) {
-			return cand
-		}
-	}
-	return nil
-}
-
-// corunProfiles reports whether an arrival may share the device with a
-// running kernel: CorunFn when set, else Table I over the two classes.
-func (s *Scheduler) corunProfiles(running, arrival *profile.Profile) bool {
-	if s.CorunFn != nil {
-		return s.CorunFn(running, arrival)
-	}
-	return policy.Corun(running.Class, arrival.Class)
 }
 
 // ANTTPredictCorun returns a profile-level corun policy that implements the
