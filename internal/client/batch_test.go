@@ -350,7 +350,7 @@ func TestWrongSeqPendingReplaysOnResume(t *testing.T) {
 	}
 }
 
-// Unsynchronized-read audit regression: Session, Token, PendingOp(s), and
+// Unsynchronized-read audit regression: Session, Token, PendingOps, and
 // launches race a concurrent Resume. Under -race this fails if any accessor
 // reads client state without the lock (Session() used to).
 func TestConcurrentAccessorsDuringResume(t *testing.T) {
@@ -386,7 +386,6 @@ func TestConcurrentAccessorsDuringResume(t *testing.T) {
 				}
 				_ = c.Session()
 				_ = c.Token()
-				_ = c.PendingOp()
 				_ = c.PendingOps()
 			}
 		}()

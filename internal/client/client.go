@@ -719,22 +719,6 @@ func (c *Client) notePendingLocked(req *ipc.Request) {
 	c.pending[req.OpID] = &cp
 }
 
-// PendingOp returns the lowest op ID among the stamped launches whose fates
-// a transport failure left unknown (0 = none). Resume replays them all;
-// single-op callers (the fleet session wrapper, chaos scripts) keep their
-// pre-batching semantics because a non-batched client has at most one.
-func (c *Client) PendingOp() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var min uint64
-	for op := range c.pending {
-		if min == 0 || op < min {
-			min = op
-		}
-	}
-	return min
-}
-
 // PendingOps returns every unsettled stamped op ID in ascending order —
 // the set Resume replays (empty = none).
 func (c *Client) PendingOps() []uint64 {

@@ -44,16 +44,6 @@ type RehomeStats struct {
 	Profiles int
 	// Tokens lists the re-homed sessions' resume tokens, in re-homing order.
 	Tokens []uint64
-
-	verb string // "adopt" or "migrate": which entry point produced it
-}
-
-// LogLine renders the one-line re-homing summary: "adopt: …" for AdoptState,
-// "migrate: …" for MigrateSessions.
-func (rs *RehomeStats) LogLine() string {
-	return fmt.Sprintf(
-		"%s: sessions=%d dedup-ops=%d replayed=%d lost=%d conflicts=%d profiles=%d",
-		rs.verb, rs.Sessions, rs.DedupOps, rs.Replayed, rs.Lost, rs.Conflicts, rs.Profiles)
 }
 
 // AdoptState re-homes every resumable session found in a dead daemon's
@@ -68,15 +58,15 @@ func (s *Server) AdoptState(dir string) (*RehomeStats, error) {
 	if s.durable == nil {
 		return nil, errors.New("daemon: adoption requires durability (EnableDurability first)")
 	}
-	ls, _, _, err := loadDurableState(dir)
+	tab, _, _, err := loadDurableState(dir)
 	if err != nil {
 		return nil, err
 	}
-	victims := make([]*resumeState, 0, len(ls.sessions))
-	for _, st := range ls.sessions {
+	victims := make([]*resumeState, 0, len(tab.sessions))
+	for _, st := range tab.sessions {
 		victims = append(victims, st)
 	}
-	stats, err := s.rehome("adopt", victims, ls.profiles, nil)
+	stats, err := s.rehome("adopt", victims, tab.profiles, nil)
 	if err != nil {
 		return stats, err
 	}
@@ -95,7 +85,7 @@ func (s *Server) AdoptState(dir string) (*RehomeStats, error) {
 // copy there. On error the loop stops mid-list with the stats so far.
 func (s *Server) rehome(verb string, victims []*resumeState, profiles map[string]profileSnap,
 	after func(v *resumeState, dup bool) error) (*RehomeStats, error) {
-	stats := &RehomeStats{verb: verb}
+	stats := &RehomeStats{}
 	// RestoreProfile keeps existing entries, so this daemon's own
 	// measurements win on conflict.
 	for name, p := range profiles {
@@ -130,12 +120,13 @@ func (s *Server) rehome(verb string, victims []*resumeState, profiles map[string
 }
 
 // adoptSession durably installs one victim session into this daemon under a
-// fresh local session ID, keeping the resume token. dup reports the token
-// already lives here (idempotent re-adoption).
+// fresh local session ID, keeping the resume token, and returns the session
+// the record's apply created. dup reports the token already lives here
+// (idempotent re-adoption).
 func (s *Server) adoptSession(v *resumeState) (st *resumeState, dup bool, err error) {
 	d := s.durable
 	d.mu.Lock()
-	_, dup = d.resume[v.Token]
+	_, dup = d.tab.sessions[v.Token]
 	d.mu.Unlock()
 	if dup {
 		return nil, true, nil
@@ -147,24 +138,16 @@ func (s *Server) adoptSession(v *resumeState) (st *resumeState, dup bool, err er
 	s.nextSess++
 	sess := s.nextSess
 	s.mu.Unlock()
-	st = &resumeState{
-		Sess: sess, Token: v.Token, Proc: v.Proc, MaxOp: v.MaxOp,
-		Window: v.Window, PoisonErr: v.PoisonErr, PoisonCode: v.PoisonCode,
-		LostErr: v.LostErr,
-	}
 	if err := s.journalAppend([]*journal.Record{{
 		Kind: journal.KindSessionAdopt, Sess: sess, Token: v.Token, Proc: v.Proc,
 		MaxOp: v.MaxOp, Code: v.PoisonCode, Err: v.PoisonErr, Lost: v.LostErr,
 		AdoptOps: v.Window,
-	}}, func() {
-		d.mu.Lock()
-		d.resume[st.Token] = st
-		d.bySess[st.Sess] = st
-		d.mu.Unlock()
-	}); err != nil {
+	}}); err != nil {
 		return nil, false, err
 	}
-	return st, false, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.tab.bySess[sess], false, nil
 }
 
 // tombstone moves an adopted state-dir's journal and checkpoint into an

@@ -52,8 +52,8 @@ func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*RehomeS
 	// ends and must not hold it.
 	d := s.durable
 	d.mu.Lock()
-	victims := make([]*resumeState, 0, len(d.resume))
-	for _, st := range d.resume {
+	victims := make([]*resumeState, 0, len(d.tab.sessions))
+	for _, st := range d.tab.sessions {
 		victims = append(victims, st.clone())
 	}
 	d.mu.Unlock()
@@ -66,14 +66,7 @@ func (s *Server) MigrateSessions(dst *Server, note func(token uint64)) (*RehomeS
 		// token on dst, and the stale source copy must still die.
 		if err := s.journalAppend([]*journal.Record{{
 			Kind: journal.KindSessionMigrate, Sess: v.Sess, Token: v.Token,
-		}}, func() {
-			d.mu.Lock()
-			if cur, ok := d.resume[v.Token]; ok {
-				delete(d.resume, v.Token)
-				delete(d.bySess, cur.Sess)
-			}
-			d.mu.Unlock()
-		}); err != nil {
+		}}); err != nil {
 			return fmt.Errorf("daemon: migrate tombstone of session %x: %w", v.Token, err)
 		}
 		if !dup && note != nil {
@@ -92,8 +85,8 @@ func (s *Server) ResumeTokens() []uint64 {
 	}
 	d := s.durable
 	d.mu.Lock()
-	out := make([]uint64, 0, len(d.resume))
-	for tok := range d.resume {
+	out := make([]uint64, 0, len(d.tab.sessions))
+	for tok := range d.tab.sessions {
 		out = append(out, tok)
 	}
 	d.mu.Unlock()

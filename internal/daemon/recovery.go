@@ -8,18 +8,26 @@
 //	launch       → journal launch-accept (pre-ack, with the ack's contents
 //	               and — for source launches — the geometry recovery needs
 //	               to re-execute it)
-//	launch done  → journal launch-complete (+ a strike record when the
-//	               outcome poisons the session)
+//	launch done  → journal launch-complete (+ a poison strike when the
+//	               outcome poisons the session, a lost strike when recovery
+//	               could not re-run it)
+//	resume       → journal a lost-surfaced strike when the session had a
+//	               loss to report
 //	profile      → journal the executor's first-run classification
 //	close        → journal session-close (resumable state discarded)
 //
-// Recovery loads the checkpoint, replays the journal idempotently over it
-// (records carry session/op identities; re-delivered identities are no-ops,
-// which a crash between checkpoint rename and journal reset depends on),
-// re-executes accepted-but-incomplete source launches exactly once, and
-// marks non-replayable in-process launches lost. A reconnecting client
-// presents its session token via OpResume and gets its dedup window,
-// poison state, and pending outcomes back.
+// The durable state is the checkpoint folded with the journal after it
+// through one function, sessionTable.apply. Recovery, adoption and
+// StateDigest fold what is on disk; a running daemon runs the same apply on
+// every record it appends, once the append succeeds, so the state it serves
+// from is the state a restart rebuilds. apply is idempotent by identity
+// (re-delivered records are no-ops, which a crash between checkpoint rename
+// and journal reset depends on). Recovery then re-executes
+// accepted-but-incomplete source launches exactly once and marks
+// non-replayable in-process launches lost — a lost strike after the
+// completion; a resumed session is told of the loss once, and that too is a
+// strike. A reconnecting client presents its session token via OpResume and
+// gets its dedup window, poison state, and pending outcomes back.
 package daemon
 
 import (
@@ -70,7 +78,8 @@ type Durability struct {
 
 // resumeState is one session's durable, resumable identity: what survives a
 // daemon restart and reattaches on OpResume. Exported fields persist in the
-// checkpoint.
+// checkpoint; only sessionTable.apply (and its helper push) writes the
+// durable ones.
 type resumeState struct {
 	Sess  uint64 `json:"sess"`
 	Token uint64 `json:"tok"`
@@ -106,19 +115,6 @@ func (st *resumeState) entry(op uint64) *journal.AdoptedOp {
 		}
 	}
 	return nil
-}
-
-// acceptedEntry is the window entry a launch-accept record describes; the
-// live accept and recovery replay both build theirs from the record, so the
-// window a restart rebuilds is the one the daemon was serving from.
-func acceptedEntry(rec *journal.Record) *journal.AdoptedOp {
-	return &journal.AdoptedOp{
-		OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
-		Degraded: rec.Degraded, Entries: rec.Entries,
-		Src: rec.Src, Kernel: rec.Kernel,
-		GridX: rec.GridX, GridY: rec.GridY, BlockX: rec.BlockX, BlockY: rec.BlockY,
-		TaskSize: rec.TaskSize, Stream: rec.Stream,
-	}
 }
 
 // clone deep-copies the session's resumable state (window entries included)
@@ -188,19 +184,15 @@ type durableState struct {
 
 	mu           sync.Mutex
 	w            *journal.Writer
-	jPath        string
 	ckptPath     string
 	compactEvery int
 	crash        func(site string) error
-	nosync       bool
-	resume       map[uint64]*resumeState // token → state
-	bySess       map[uint64]*resumeState
+	tab          *sessionTable // changed only by journalAppend's apply
 	dedupHits    int
-	stats        RecoveryStats
 }
 
 // RecoveryStats summarizes what EnableDurability found and rebuilt; slated
-// logs its LogLine at startup so operators can audit a restart.
+// logs it as its recovery event so operators can audit a restart.
 type RecoveryStats struct {
 	JournalPath      string
 	CheckpointPath   string
@@ -224,25 +216,20 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 }
 
-// LogLine renders the one-line recovery summary slated prints (and tests
-// assert).
-func (rs *RecoveryStats) LogLine() string {
-	return fmt.Sprintf(
-		"recovery: sessions=%d dedup-ops=%d profiles=%d replayed=%d lost=%d journal-records=%d truncated-bytes=%d",
-		rs.Sessions, rs.DedupOps, rs.Profiles, rs.Replayed, rs.Lost, rs.Records, rs.TruncatedBytes)
-}
-
-// loadedState is the pure result of checkpoint + journal replay, before it
-// is installed into a server.
-type loadedState struct {
+// sessionTable is the durable session state: a checkpoint (seed) folded
+// with the journal records after it (apply). nextSess and profiles are only
+// read when a table is loaded: a running daemon's checkpoint takes them from
+// Server.nextSess, which also counts volatile and ping connections, and from
+// the executor, which also holds profiles adoption restored without a record.
+type sessionTable struct {
 	nextSess uint64
 	sessions map[uint64]*resumeState // token → state
 	bySess   map[uint64]*resumeState
 	profiles map[string]profileSnap
 }
 
-func newLoadedState() *loadedState {
-	return &loadedState{
+func newSessionTable() *sessionTable {
+	return &sessionTable{
 		sessions: map[uint64]*resumeState{},
 		bySess:   map[uint64]*resumeState{},
 		profiles: map[string]profileSnap{},
@@ -250,60 +237,84 @@ func newLoadedState() *loadedState {
 }
 
 // seed installs a checkpoint snapshot as the replay baseline.
-func (ls *loadedState) seed(ck *checkpointState) {
-	ls.nextSess = ck.NextSess
+func (t *sessionTable) seed(ck *checkpointState) {
+	t.nextSess = ck.NextSess
 	for _, st := range ck.Sessions {
-		ls.sessions[st.Token] = st
-		ls.bySess[st.Sess] = st
+		t.sessions[st.Token] = st
+		t.bySess[st.Sess] = st
 	}
 	for k, v := range ck.Profiles {
-		ls.profiles[k] = v
+		t.profiles[k] = v
 	}
 }
 
-// apply folds one journal record into the state. Idempotent by identity:
+// Strike actions a session's KindStrike records carry.
+const (
+	// strikePoison: a kernel panic or containment timeout poisoned the
+	// session (Code/Err hold the sticky error).
+	strikePoison = "poison"
+	// strikeLost: recovery could not re-run an accepted launch (Lost holds
+	// the notice the session's next Synchronize reports).
+	strikeLost = "lost"
+	// strikeLostSurfaced: a resumed session was handed its loss notice.
+	strikeLostSurfaced = "lost-surfaced"
+)
+
+// apply folds one journal record into the table. Idempotent by identity:
 // re-delivered records (the checkpoint-rename-then-crash case) are no-ops.
-func (ls *loadedState) apply(rec *journal.Record) error {
+func (t *sessionTable) apply(rec *journal.Record) {
 	switch rec.Kind {
 	case journal.KindSessionOpen:
-		if _, ok := ls.sessions[rec.Token]; ok {
-			return nil
+		if _, ok := t.sessions[rec.Token]; ok {
+			return
 		}
-		st := &resumeState{Sess: rec.Sess, Token: rec.Token, Proc: rec.Proc}
-		ls.sessions[rec.Token] = st
-		ls.bySess[rec.Sess] = st
-		if rec.Sess >= ls.nextSess {
-			ls.nextSess = rec.Sess + 1
-		}
+		t.install(&resumeState{Sess: rec.Sess, Token: rec.Token, Proc: rec.Proc})
 	case journal.KindSessionClose:
-		if st, ok := ls.bySess[rec.Sess]; ok {
-			delete(ls.sessions, st.Token)
-			delete(ls.bySess, rec.Sess)
+		if st, ok := t.bySess[rec.Sess]; ok {
+			delete(t.sessions, st.Token)
+			delete(t.bySess, rec.Sess)
 		}
 	case journal.KindLaunchAccept:
-		st, ok := ls.bySess[rec.Sess]
+		st, ok := t.bySess[rec.Sess]
 		if !ok || rec.OpID == 0 || rec.OpID <= st.MaxOp {
-			return nil // closed session, unstamped op, or re-delivery
+			return // closed session, unstamped op, or re-delivery
 		}
-		st.push(acceptedEntry(rec))
+		st.push(&journal.AdoptedOp{
+			OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
+			Degraded: rec.Degraded, Entries: rec.Entries,
+			Src: rec.Src, Kernel: rec.Kernel,
+			GridX: rec.GridX, GridY: rec.GridY, BlockX: rec.BlockX, BlockY: rec.BlockY,
+			TaskSize: rec.TaskSize, Stream: rec.Stream,
+		})
 	case journal.KindLaunchComplete:
-		if st, ok := ls.bySess[rec.Sess]; ok {
+		if st, ok := t.bySess[rec.Sess]; ok {
 			if e := st.entry(rec.OpID); e != nil {
 				e.Done = true
 			}
 		}
 	case journal.KindStrike:
-		if st, ok := ls.bySess[rec.Sess]; ok && rec.Action == "poison" {
+		st, ok := t.bySess[rec.Sess]
+		if !ok {
+			return
+		}
+		switch rec.Action {
+		case strikePoison:
 			st.PoisonErr, st.PoisonCode = rec.Err, rec.Code
+		case strikeLost:
+			if st.LostErr == "" { // the first loss is the one reported
+				st.LostErr = rec.Lost
+			}
+		case strikeLostSurfaced:
+			st.LostErr = ""
 		}
 	case journal.KindProfile:
-		ls.profiles[rec.Kernel] = profileSnap{Class: rec.Class, SoloSec: rec.SoloSec}
+		t.profiles[rec.Kernel] = profileSnap{Class: rec.Class, SoloSec: rec.SoloSec}
 	case journal.KindSessionAdopt:
 		// A session re-homed from a dead fleet member: the record carries the
 		// whole durable segment. Idempotent by token (the session's fleet-wide
 		// identity), like every other record.
-		if _, ok := ls.sessions[rec.Token]; ok {
-			return nil
+		if _, ok := t.sessions[rec.Token]; ok {
+			return
 		}
 		st := &resumeState{
 			Sess: rec.Sess, Token: rec.Token, Proc: rec.Proc,
@@ -319,40 +330,47 @@ func (ls *loadedState) apply(rec *journal.Record) error {
 		if rec.MaxOp > st.MaxOp {
 			st.MaxOp = rec.MaxOp
 		}
-		ls.sessions[rec.Token] = st
-		ls.bySess[rec.Sess] = st
-		if rec.Sess >= ls.nextSess {
-			ls.nextSess = rec.Sess + 1
-		}
+		t.install(st)
 	case journal.KindSessionMigrate:
 		// Planned migration source tombstone: the destination made its adopted
 		// copy durable before this record was written, so the session is
 		// simply no longer ours. Idempotent like a close.
-		if st, ok := ls.sessions[rec.Token]; ok {
-			delete(ls.sessions, rec.Token)
-			delete(ls.bySess, st.Sess)
+		if st, ok := t.sessions[rec.Token]; ok {
+			delete(t.sessions, rec.Token)
+			delete(t.bySess, st.Sess)
 		}
 	}
-	return nil
 }
 
-// loadDurableState reads checkpoint + journal from dir and replays into a
-// fresh state. Torn tails are truncated (reported in stats, not errors).
-func loadDurableState(dir string) (*loadedState, journal.ReplayStats, bool, error) {
-	ls := newLoadedState()
+// install homes a new session under its token and session ID.
+func (t *sessionTable) install(st *resumeState) {
+	t.sessions[st.Token] = st
+	t.bySess[st.Sess] = st
+	if st.Sess >= t.nextSess {
+		t.nextSess = st.Sess + 1
+	}
+}
+
+// loadDurableState reads checkpoint + journal from dir and folds them into a
+// fresh table. Torn tails are truncated (reported in stats, not errors).
+func loadDurableState(dir string) (*sessionTable, journal.ReplayStats, bool, error) {
+	t := newSessionTable()
 	var ck checkpointState
 	ckLoaded, err := journal.ReadCheckpoint(filepath.Join(dir, CheckpointFile), &ck)
 	if err != nil {
 		return nil, journal.ReplayStats{}, false, err
 	}
 	if ckLoaded {
-		ls.seed(&ck)
+		t.seed(&ck)
 	}
-	stats, err := journal.Replay(filepath.Join(dir, JournalFile), ls.apply)
+	stats, err := journal.Replay(filepath.Join(dir, JournalFile), func(rec *journal.Record) error {
+		t.apply(rec)
+		return nil
+	})
 	if err != nil {
 		return nil, stats, ckLoaded, err
 	}
-	return ls, stats, ckLoaded, nil
+	return t, stats, ckLoaded, nil
 }
 
 // StateDigest deterministically fingerprints the durable state at dir —
@@ -360,19 +378,25 @@ func loadDurableState(dir string) (*loadedState, journal.ReplayStats, bool, erro
 // it into a server. Loading is idempotent, so two consecutive digests of the
 // same directory must match; the crashchaos harness asserts exactly that.
 func StateDigest(dir string) (string, error) {
-	ls, _, _, err := loadDurableState(dir)
+	t, _, _, err := loadDurableState(dir)
 	if err != nil {
 		return "", err
 	}
+	return t.digest(), nil
+}
+
+// digest renders the table deterministically: a next= line, a sess= line
+// per session followed by its window, then a profile= line per profile.
+func (t *sessionTable) digest() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "next=%d\n", ls.nextSess)
-	toks := make([]uint64, 0, len(ls.sessions))
-	for t := range ls.sessions {
-		toks = append(toks, t)
+	fmt.Fprintf(&b, "next=%d\n", t.nextSess)
+	toks := make([]uint64, 0, len(t.sessions))
+	for tok := range t.sessions {
+		toks = append(toks, tok)
 	}
 	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
-	for _, t := range toks {
-		st := ls.sessions[t]
+	for _, tok := range toks {
+		st := t.sessions[tok]
 		fmt.Fprintf(&b, "sess=%d tok=%x proc=%s max=%d poison=%q lost=%q\n",
 			st.Sess, st.Token, st.Proc, st.MaxOp, st.PoisonErr, st.LostErr)
 		for _, e := range st.Window {
@@ -381,16 +405,16 @@ func StateDigest(dir string) (string, error) {
 				e.GridX, e.GridY, e.BlockX, e.BlockY, e.TaskSize, e.Stream)
 		}
 	}
-	names := make([]string, 0, len(ls.profiles))
-	for n := range ls.profiles {
+	names := make([]string, 0, len(t.profiles))
+	for n := range t.profiles {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		p := ls.profiles[n]
+		p := t.profiles[n]
 		fmt.Fprintf(&b, "profile=%s class=%d solo=%.9f\n", n, p.Class, p.SoloSec)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // tokenSalt mixes session IDs into resume tokens. Tokens gate resumption of
@@ -435,7 +459,7 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 	jPath := filepath.Join(cfg.Dir, JournalFile)
 	ckptPath := filepath.Join(cfg.Dir, CheckpointFile)
 
-	ls, rstats, ckLoaded, err := loadDurableState(cfg.Dir)
+	tab, rstats, ckLoaded, err := loadDurableState(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -443,14 +467,16 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 		JournalPath:      jPath,
 		CheckpointPath:   ckptPath,
 		CheckpointLoaded: ckLoaded,
-		Sessions:         len(ls.sessions),
+		Sessions:         len(tab.sessions),
+		Profiles:         len(tab.profiles),
 		Records:          rstats.Records,
 		TruncatedBytes:   rstats.TruncatedBytes,
 	}
-	for _, st := range ls.sessions {
+	sts := make([]*resumeState, 0, len(tab.sessions))
+	for _, st := range tab.sessions {
 		stats.DedupOps += len(st.Window)
+		sts = append(sts, st)
 	}
-	stats.Profiles = len(ls.profiles)
 
 	w, err := journal.OpenWriter(jPath)
 	if err != nil {
@@ -459,60 +485,34 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 	w.CrashHook = cfg.Crash
 	w.NoSync = cfg.NoSync
 
-	d := &durableState{
+	s.mu.Lock()
+	if tab.nextSess > s.nextSess {
+		s.nextSess = tab.nextSess
+	}
+	s.mu.Unlock()
+	for name, p := range tab.profiles {
+		s.Exec.RestoreProfile(name, policy.Class(p.Class), p.SoloSec)
+	}
+	s.durable = &durableState{
 		w:            w,
-		jPath:        jPath,
 		ckptPath:     ckptPath,
 		compactEvery: cfg.CompactEvery,
 		crash:        cfg.Crash,
-		nosync:       cfg.NoSync,
-		resume:       ls.sessions,
-		bySess:       ls.bySess,
+		tab:          tab,
 	}
-
-	s.mu.Lock()
-	if ls.nextSess > s.nextSess {
-		s.nextSess = ls.nextSess
-	}
-	s.mu.Unlock()
-	for name, p := range ls.profiles {
-		s.Exec.RestoreProfile(name, policy.Class(p.Class), p.SoloSec)
-	}
-	s.durable = d
 	s.Exec.OnProfile = func(name string, class policy.Class, soloSec float64) {
-		// No apply: the executor installed the profile in memory (under its
-		// own lock) before invoking this hook, so a compaction snapshot
-		// already sees it.
 		_ = s.journalAppend([]*journal.Record{{
 			Kind: journal.KindProfile, Kernel: name, Class: int(class), SoloSec: soloSec,
-		}}, nil)
+		}})
 	}
 
 	// Exactly-once launch replay: accepted-but-incomplete source launches
 	// re-execute now (their geometry is in the journal); in-process launches
 	// cannot (their closures died with the old process) and are marked lost.
-	s.replayIncomplete(&stats)
-	d.mu.Lock()
-	d.stats = stats
-	d.mu.Unlock()
+	// It runs before the server accepts connections, so a resuming client
+	// observes fully settled state.
+	stats.Replayed, stats.Lost = s.replaySessions(sts)
 	return &stats, nil
-}
-
-// replayIncomplete re-executes every accepted source launch without a
-// completion record and marks non-replayable ones lost. Runs synchronously
-// before the server accepts connections, so a resuming client observes
-// fully settled state.
-func (s *Server) replayIncomplete(stats *RecoveryStats) {
-	d := s.durable
-	d.mu.Lock()
-	sts := make([]*resumeState, 0, len(d.resume))
-	for _, st := range d.resume {
-		sts = append(sts, st)
-	}
-	d.mu.Unlock()
-	replayed, lost := s.replaySessions(sts)
-	stats.Replayed += replayed
-	stats.Lost += lost
 }
 
 // replaySessions runs the exactly-once replay pass over the given sessions'
@@ -546,13 +546,8 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 	})
 	for _, p := range todo {
 		if !p.e.Src {
-			msg := fmt.Sprintf("daemon: launch op %d lost in crash (in-process kernel not replayable)", p.e.OpID)
-			d.mu.Lock()
-			if p.st.LostErr == "" {
-				p.st.LostErr = msg
-			}
-			d.mu.Unlock()
-			s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: errors.New(msg)}})
+			err := fmt.Errorf("daemon: launch op %d lost in crash (%w)", p.e.OpID, errNotReplayable)
+			s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
 			lost++
 			continue
 		}
@@ -569,18 +564,6 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 		replayed++
 	}
 	return replayed, lost
-}
-
-// RecoveryStatsSnapshot returns the stats EnableDurability produced (nil on
-// a volatile server).
-func (s *Server) RecoveryStatsSnapshot() *RecoveryStats {
-	if s.durable == nil {
-		return nil
-	}
-	s.durable.mu.Lock()
-	defer s.durable.mu.Unlock()
-	st := s.durable.stats
-	return &st
 }
 
 // DedupHits reports how many duplicate ops the dedup window absorbed since
@@ -633,21 +616,22 @@ func (s *Server) Kill() { s.crash() }
 // fsync, a lone record with journal.Append and a larger group with
 // journal.AppendBatch, whose bytes are those of len(recs) sequential Appends,
 // so replay, adoption and migration read the log with no notion of groups —
-// and, still under the compaction lock, runs apply, the group's in-memory
-// effect in record order. Append and apply are atomic with respect to
-// compaction: a record is either absent from both journal and memory (append
-// died) or present in both before any checkpoint can snapshot, so compaction
-// never erases a record whose effect the checkpoint missed. When the log is
-// due afterwards it is folded into the checkpoint before the lock is
-// released. A fired crash site kills the daemon (conns close, no ack escapes)
-// and surfaces fault.ErrCrash to the caller; apply does not run — the records
-// may be durable, but recovery replay rebuilds their effect. Any OTHER append
-// failure — a write error, a short write, a failed fsync — kills the daemon
-// too: the policy is fail-stop, because a record whose durability is unknown
-// must never be followed by an ack (fsyncgate) — of any item of its group —
-// and a journal that can no longer write cannot uphold write-ahead for
-// anything that follows.
-func (s *Server) journalAppend(recs []*journal.Record, apply func()) error {
+// and, still under the compaction lock, folds each record into the session
+// table with the apply recovery replays it with. This is the only way a
+// running daemon changes its durable state. Append and apply are atomic with
+// respect to compaction: a record is either absent from both journal and
+// memory (append died) or present in both before any checkpoint can snapshot,
+// so compaction never erases a record whose effect the checkpoint missed.
+// When the log is due afterwards it is folded into the checkpoint before the
+// lock is released. A fired crash site kills the daemon (conns close, no ack
+// escapes) and surfaces fault.ErrCrash to the caller; apply does not run —
+// the records may be durable, but recovery replay rebuilds their effect. Any
+// OTHER append failure — a write error, a short write, a failed fsync — kills
+// the daemon too: the policy is fail-stop, because a record whose durability
+// is unknown must never be followed by an ack (fsyncgate) — of any item of
+// its group — and a journal that can no longer write cannot uphold
+// write-ahead for anything that follows.
+func (s *Server) journalAppend(recs []*journal.Record) error {
 	if s.durable == nil || len(recs) == 0 {
 		return nil
 	}
@@ -664,9 +648,11 @@ func (s *Server) journalAppend(recs []*journal.Record, apply func()) error {
 		s.crash()
 		return err
 	}
-	if apply != nil {
-		apply()
+	d.mu.Lock()
+	for _, rec := range recs {
+		d.tab.apply(rec)
 	}
+	d.mu.Unlock()
 	if d.w.Records() >= d.compactEvery {
 		s.compactLocked()
 	}
@@ -685,7 +671,7 @@ func (s *Server) compactLocked() {
 	d := s.durable
 	d.mu.Lock()
 	ck := &checkpointState{}
-	for _, st := range d.resume {
+	for _, st := range d.tab.sessions {
 		ck.Sessions = append(ck.Sessions, st.clone())
 	}
 	d.mu.Unlock()
@@ -705,24 +691,24 @@ func (s *Server) compactLocked() {
 }
 
 // openSession mints a durable session identity for a fresh hello (or an
-// unknown resume token) and journals it pre-ack. Returns the resume state,
-// or an error when the append died (the caller must vanish without acking).
+// unknown resume token) and journals it pre-ack. Returns the resume state the
+// record created, attached, or an error when the append died (the caller must
+// vanish without acking).
 func (s *Server) openSession(ss *session, proc string) (*resumeState, error) {
 	if s.durable == nil {
 		return nil, nil
 	}
-	st := &resumeState{Sess: ss.id, Token: tokenFor(ss.id, s.TokenSeed), Proc: proc, attached: true}
-	d := s.durable
+	tok := tokenFor(ss.id, s.TokenSeed)
 	if err := s.journalAppend([]*journal.Record{{
-		Kind: journal.KindSessionOpen, Sess: st.Sess, Token: st.Token, Proc: proc,
-	}}, func() {
-		d.mu.Lock()
-		d.resume[st.Token] = st
-		d.bySess[st.Sess] = st
-		d.mu.Unlock()
-	}); err != nil {
+		Kind: journal.KindSessionOpen, Sess: ss.id, Token: tok, Proc: proc,
+	}}); err != nil {
 		return nil, err
 	}
+	d := s.durable
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.tab.sessions[tok]
+	st.attached = true
 	return st, nil
 }
 
@@ -737,7 +723,7 @@ func (s *Server) resumeSession(token uint64) (*resumeState, bool) {
 	d := s.durable
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st, ok := d.resume[token]
+	st, ok := d.tab.sessions[token]
 	if !ok || st.attached {
 		return nil, false
 	}
@@ -761,13 +747,7 @@ func (s *Server) closeSession(st *resumeState) {
 	if s.durable == nil || st == nil {
 		return
 	}
-	d := s.durable
-	_ = s.journalAppend([]*journal.Record{{Kind: journal.KindSessionClose, Sess: st.Sess}}, func() {
-		d.mu.Lock()
-		delete(d.resume, st.Token)
-		delete(d.bySess, st.Sess)
-		d.mu.Unlock()
-	})
+	_ = s.journalAppend([]*journal.Record{{Kind: journal.KindSessionClose, Sess: st.Sess}})
 }
 
 // recsOnStack sizes the array a commit group's record pointers start in: a
@@ -804,8 +784,8 @@ func (s *Server) dedup(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
 
 // acceptFrame journals the accept records for every accepted item of a frame
 // — write-ahead of the ack, with the ack's contents and, for source launches,
-// the geometry recovery needs to re-execute them — in one group commit, and
-// installs their dedup entries in op-ID order. idxs selects the accepted
+// the geometry recovery needs to re-execute them — in one group commit, whose
+// apply installs their dedup entries in op-ID order. idxs selects the accepted
 // items (per-item rejections are acked but never journaled); an unstamped one
 // has no identity to journal under. A fired crash site returns
 // fault.ErrCrash: the caller dies without acking, so either no item of the
@@ -830,14 +810,7 @@ func (s *Server) acceptFrame(st *resumeState, items []ipc.BatchItem, acks []ipc.
 			TaskSize: it.TaskSize, Stream: it.Stream,
 		})
 	}
-	d := s.durable
-	return s.journalAppend(recs, func() {
-		d.mu.Lock()
-		for _, rec := range recs {
-			st.push(acceptedEntry(rec))
-		}
-		d.mu.Unlock()
-	})
+	return s.journalAppend(recs)
 }
 
 // launchOutcome is one finished launch awaiting its completion record.
@@ -852,13 +825,18 @@ func poisons(err error) bool {
 	return errors.Is(err, ErrKernelPanic) || errors.Is(err, ErrKernelTimeout)
 }
 
+// errNotReplayable is why recovery reports an accepted in-process launch
+// lost: its closure died with the process that accepted it.
+var errNotReplayable = errors.New("in-process kernel not replayable")
+
 // journalCompletions journals the terminal outcomes of a group of finished
-// launches and marks their dedup entries done; a session-poisoning outcome
-// (panic, containment timeout) also journals the strike, ordered right after
-// its completion, so a restart keeps the session poisoned. The whole group
-// lands in one commit. A simulated death drops it: none of the completions is
-// durable and recovery re-executes them, which the exactly-once contract
-// permits (completion loss, not duplication).
+// launches, whose apply marks their dedup entries done. A session-poisoning
+// outcome (panic, containment timeout) also journals a poison strike, and a
+// launch recovery could not re-run a lost strike, right after its
+// completion, so a restart keeps the session poisoned or its loss still to
+// report. The whole group lands in one commit. A simulated death drops it:
+// none of the completions is durable and recovery re-executes them, which the
+// exactly-once contract permits (completion loss, not duplication).
 func (s *Server) journalCompletions(outs []launchOutcome) {
 	if s.durable == nil {
 		return
@@ -874,33 +852,20 @@ func (s *Server) journalCompletions(outs []launchOutcome) {
 			rec.Code, rec.Err = uint8(ipc.CodeOf(o.err)), o.err.Error()
 		}
 		recs = append(recs, rec)
-		if poisons(o.err) {
+		switch {
+		case o.err == nil:
+		case poisons(o.err):
 			recs = append(recs, &journal.Record{
-				Kind: journal.KindStrike, Sess: o.st.Sess, Action: "poison",
+				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikePoison,
 				Code: rec.Code, Err: rec.Err,
+			})
+		case errors.Is(o.err, errNotReplayable):
+			recs = append(recs, &journal.Record{
+				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikeLost, Lost: rec.Err,
 			})
 		}
 	}
-	d := s.durable
-	_ = s.journalAppend(recs, func() {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		for _, o := range outs {
-			if o.st == nil || o.opID == 0 {
-				continue
-			}
-			if e := o.st.entry(o.opID); e != nil {
-				e.Done = true
-			}
-			if poisons(o.err) {
-				// The poison must land on the in-memory state too, not just
-				// the journal: a later compaction snapshots memory and
-				// discards the strike record, and the checkpoint must still
-				// carry the poison.
-				o.st.PoisonErr, o.st.PoisonCode = o.err.Error(), uint8(ipc.CodeOf(o.err))
-			}
-		}
-	})
+	_ = s.journalAppend(recs)
 }
 
 // CloseDurability closes the journal writer (tests and shutdown).

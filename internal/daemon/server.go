@@ -10,6 +10,7 @@ import (
 
 	"slate/internal/inject"
 	"slate/internal/ipc"
+	"slate/internal/journal"
 	"slate/internal/kern"
 	"slate/internal/nvrtc"
 	"slate/internal/sched"
@@ -479,8 +480,15 @@ func (s *Server) ServeConn(nc net.Conn) {
 				ss.resume = st
 				s.durable.mu.Lock()
 				poisonErr, poisonCode, lost := st.PoisonErr, st.PoisonCode, st.LostErr
-				st.LostErr = "" // surfaced once, at the next Synchronize
 				s.durable.mu.Unlock()
+				// The loss is surfaced once, at the next Synchronize; that it
+				// was is journaled before the reply, so no restart surfaces it
+				// again.
+				if lost != "" && s.journalAppend([]*journal.Record{{
+					Kind: journal.KindStrike, Sess: st.Sess, Action: strikeLostSurfaced,
+				}}) != nil {
+					return // journal died pre-reply
+				}
 				ss.mu.Lock()
 				if poisonErr != "" {
 					ss.launch = errFromCode(poisonCode, poisonErr)
@@ -578,14 +586,19 @@ func (s *Server) ServeConn(nc net.Conn) {
 			rep.Code, rep.Err, rep.Degraded, rep.Entries, rep.Dup = a.Code, a.Err, a.Degraded, a.Entries, a.Dup
 		case ipc.OpLaunchBatch:
 			// What only a received frame can get wrong is checked here: it is
-			// empty, a source ref is bad (the whole frame is refused before
-			// anything else looks at it), or an item is unstamped (refused in
-			// its own ack; the rest of the frame goes on).
+			// empty, a source ref is bad or its op IDs do not ascend (the
+			// whole frame is refused before anything else looks at it), or an
+			// item is unstamped (refused in its own ack; the rest of the frame
+			// goes on).
 			if len(req.Batch) == 0 {
 				fail(rep, fmt.Errorf("daemon: empty launch batch"))
 				break
 			}
-			if err := ipc.ResolveSrcRefs(req.Batch); err != nil {
+			err := ipc.ResolveSrcRefs(req.Batch)
+			if err == nil {
+				err = ipc.CheckOpOrder(req.Batch)
+			}
+			if err != nil {
 				fail(rep, fmt.Errorf("daemon: launch batch refused: %w", err))
 				break
 			}

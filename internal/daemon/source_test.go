@@ -150,6 +150,65 @@ func TestBatchBadSrcRefRefusesWholeFrame(t *testing.T) {
 	}
 }
 
+// A frame whose stamped op IDs do not strictly ascend is refused whole and
+// typed, like a bad source ref: the dedup check sees every item of a frame
+// before any is accepted, so [5 5 7 6] would run op 5 twice and leave a
+// replayed window without op 6. The same ops in order are accepted, run once
+// each, and after a restart a re-send of op 6 gets its stored ack back.
+func TestBatchOpIDsMustAscend(t *testing.T) {
+	dir := t.TempDir()
+	srv, dial, _ := durableServer(t, dir, 2)
+	conn := ipc.NewConn(dial())
+	hello := call(t, conn, &ipc.Request{Op: ipc.OpHello, Proc: "asc", Seq: 1})
+	if hello.Err != "" {
+		t.Fatal(hello.Err)
+	}
+	frame := func(ops ...uint64) []ipc.BatchItem {
+		items := make([]ipc.BatchItem, len(ops))
+		for i, op := range ops {
+			items[i] = batchSrcItem(op, "asc")
+		}
+		return items
+	}
+	before := journalSize(t, dir)
+	for i, ops := range [][]uint64{{5, 5, 7, 6}, {5, 7, 6}, {7, 0, 7}} {
+		rep := call(t, conn, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: frame(ops...), Seq: uint64(2 + i)})
+		if rep.Code != ipc.CodeMalformed || len(rep.Acks) != 0 {
+			t.Fatalf("frame %v: code %d (%s) with %d acks, want CodeMalformed and none", ops, rep.Code, rep.Err, len(rep.Acks))
+		}
+	}
+	if after := journalSize(t, dir); after != before {
+		t.Fatalf("refused frames grew the journal by %d bytes", after-before)
+	}
+	rep := call(t, conn, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: frame(5, 6, 7), Seq: 10})
+	if rep.Err != "" || len(rep.Acks) != 3 {
+		t.Fatalf("ascending frame: %q, %d acks", rep.Err, len(rep.Acks))
+	}
+	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 11}); rep.Err != "" {
+		t.Fatalf("sync: %v", rep.Err)
+	}
+	if got := srv.Exec.Runs("src:asc"); got != 3 {
+		t.Fatalf("asc ran %d times, want 3", got)
+	}
+	conn.Close()
+	waitIdle(t, srv)
+	if err := srv.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, dial2, _ := durableServer(t, dir, 2)
+	defer srv2.CloseDurability()
+	conn2 := ipc.NewConn(dial2())
+	defer conn2.Close()
+	if res := call(t, conn2, &ipc.Request{Op: ipc.OpResume, SessionToken: hello.Token, Seq: 1}); !res.Recovered {
+		t.Fatalf("resume = %+v, want Recovered", res)
+	}
+	rep = call(t, conn2, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: frame(6), Seq: 2})
+	if rep.Err != "" || len(rep.Acks) != 1 || !rep.Acks[0].Dup || rep.Acks[0].Code != 0 {
+		t.Fatalf("re-sent op 6 after restart: %q %+v, want its stored ack with Dup", rep.Err, rep.Acks)
+	}
+}
+
 // BenchmarkLaunchSourceBatch32 is one op of the launch_source workload: a
 // batch of 32 source launches alternating between the two kernels of
 // examples/injection's translation unit, Submit, Synchronize —

@@ -205,7 +205,7 @@ func TestSynchronizeStreamMeansJournaled(t *testing.T) {
 			d := srv.durable
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			st := d.bySess[sess]
+			st := d.tab.bySess[sess]
 			if st == nil || len(st.Window) != launches {
 				t.Fatalf("session state = %+v, want %d journaled launches", st, launches)
 			}

@@ -146,12 +146,12 @@ func (s *Session) do(op func(c *client.Client) error) error {
 		if !rehomeable(err) {
 			return err
 		}
-		pendingBefore := s.c.PendingOp()
+		pendingBefore := len(s.c.PendingOps()) > 0
 		recovered, rerr := s.rehomeLocked()
 		if rerr != nil {
 			return fmt.Errorf("%v: %w", err, rerr)
 		}
-		if recovered && pendingBefore != 0 {
+		if recovered && pendingBefore {
 			// The interrupted launch was replayed during Resume and settled
 			// exactly once on the new home; its detailed reply is gone, but
 			// the op is done.

@@ -85,19 +85,24 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzResolveSrcRefs resolves batches whose items carry arbitrary source
-// refs, as a frame from a client may. It must never panic, any out-of-range
-// ref must be an error, and a batch it accepts has every ref resolved to its
-// carrier's source.
+// FuzzResolveSrcRefs puts batches whose items carry arbitrary source refs
+// and op IDs, as a frame from a client may, through the daemon's two frame
+// checks. Neither may panic. CheckOpOrder refuses exactly the frames in which
+// some stamped op ID is at or below an earlier stamped one. Any out-of-range
+// ref must be an error, and a batch ResolveSrcRefs accepts has every ref
+// resolved to its carrier's source.
 func FuzzResolveSrcRefs(f *testing.F) {
-	// Each byte is one item: bit 0 marks a source launch, bit 1 gives it a
-	// source text, and the high six bits are its SrcRef (-32..31).
-	f.Add([]byte{0x03, 0x05, 0x00, 0x03, 0x11, 0x05})
-	f.Add([]byte{0x09, 0x03})       // forward ref
-	f.Add([]byte{0x03, 0xFD})       // negative ref
-	f.Add([]byte{0x03, 0x05, 0x09}) // ref to a ref
-	f.Add([]byte{0x07})             // both a source and a ref
-	f.Fuzz(func(t *testing.T, data []byte) {
+	// Each byte of data is one item: bit 0 marks a source launch, bit 1 gives
+	// it a source text, and the high six bits are its SrcRef (-32..31). Byte i
+	// of ops is item i's op ID (0, unstamped, past its end).
+	f.Add([]byte{0x03, 0x05, 0x00, 0x03, 0x11, 0x05}, []byte{1, 2, 3, 4, 5, 6})
+	f.Add([]byte{0x09, 0x03}, []byte{})           // forward ref
+	f.Add([]byte{0x03, 0xFD}, []byte{})           // negative ref
+	f.Add([]byte{0x03, 0x05, 0x09}, []byte{})     // ref to a ref
+	f.Add([]byte{0x07}, []byte{})                 // both a source and a ref
+	f.Add([]byte{0, 0, 0, 0}, []byte{5, 5, 7, 6}) // one op twice, one out of order
+	f.Add([]byte{0, 0, 0}, []byte{3, 0, 4})       // an unstamped item between two
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		if len(data) > 64 {
 			data = data[:64]
 		}
@@ -113,6 +118,20 @@ func FuzzResolveSrcRefs(f *testing.F) {
 			if it.SrcRef != 0 && (it.SrcRef < 0 || it.SrcRef > i) {
 				outOfRange = true
 			}
+			if i < len(ops) {
+				it.OpID = uint64(ops[i])
+			}
+		}
+		repeated := false
+		for j := range items {
+			for i := 0; i < j; i++ {
+				if items[i].OpID != 0 && items[j].OpID != 0 && items[j].OpID <= items[i].OpID {
+					repeated = true
+				}
+			}
+		}
+		if err := CheckOpOrder(items); (err != nil) != repeated || err != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("CheckOpOrder = %v on op IDs %v (out of order: %v)", err, ops[:min(len(ops), len(items))], repeated)
 		}
 		orig := append([]BatchItem(nil), items...)
 		err := ResolveSrcRefs(items)

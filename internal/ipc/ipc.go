@@ -358,6 +358,26 @@ func ResolveSrcRefs(items []BatchItem) error {
 	return nil
 }
 
+// CheckOpOrder refuses, with ErrMalformed, a frame whose stamped op IDs do
+// not strictly ascend. The daemon checks every item of a frame against the
+// session's dedup watermark before it accepts any, so one op stamped twice in
+// a frame would run twice; the caller must refuse the whole frame. Unstamped
+// items (OpID 0) are skipped: they are refused one by one.
+func CheckOpOrder(items []BatchItem) error {
+	var last uint64
+	for i := range items {
+		op := items[i].OpID
+		if op == 0 {
+			continue
+		}
+		if op <= last {
+			return fmt.Errorf("%w: batch item %d has op ID %d, not above an earlier item's %d", ErrMalformed, i, op, last)
+		}
+		last = op
+	}
+	return nil
+}
+
 // BatchAck is one item's accept-time verdict inside an OpLaunchBatch reply.
 type BatchAck struct {
 	OpID uint64

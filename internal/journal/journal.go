@@ -47,8 +47,10 @@ const (
 	KindLaunchAccept
 	// KindLaunchComplete: an accepted launch finished, with its outcome.
 	KindLaunchComplete
-	// KindStrike: a containment transition (quarantine, strike-ladder step,
-	// timeout, panic, vanilla fallback) from the executor's decision log.
+	// KindStrike: a change to a session's sticky state, named by Action:
+	// "poison" (a kernel panic or containment timeout; Code/Err), "lost" (an
+	// accepted launch recovery could not re-run; Lost) or "lost-surfaced"
+	// (the session was handed its loss notice).
 	KindStrike
 	// KindProfile: a kernel's first-run classification — the warm profile
 	// state a restart would otherwise re-measure.
@@ -120,13 +122,14 @@ type Record struct {
 	// Completion outcome (launch-complete).
 	Code uint8  `json:"code,omitempty"`
 	Err  string `json:"err,omitempty"`
-	// Containment transition (strike).
+	// What a strike changes on its session.
 	Action string `json:"action,omitempty"`
 	// Warm profile state (profile).
 	Class   int     `json:"class,omitempty"`
 	SoloSec float64 `json:"solo_sec,omitempty"`
 	// Re-homed session segment (session-adopt): the dedup watermark, the
-	// loss mark, and the full window. Poison rides on Code/Err above.
+	// loss mark (also a lost strike's notice), and the full window. Poison
+	// rides on Code/Err above.
 	MaxOp    uint64       `json:"max_op,omitempty"`
 	Lost     string       `json:"lost,omitempty"`
 	AdoptOps []*AdoptedOp `json:"adopt_ops,omitempty"`
