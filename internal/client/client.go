@@ -304,8 +304,9 @@ func (c *Client) launchWait(attempt int) time.Duration {
 
 // WithTimeout bounds every command round trip: a call that has not received
 // its reply within d fails with ErrTimeout instead of blocking forever (a
-// hung Synchronize included). The connection is then abandoned — a half-read
-// gob frame cannot be resynchronized — and later calls fail with
+// hung Synchronize included). The connection is then abandoned — the daemon
+// is presumed hung, and a send cut off by its deadline leaves part of a frame
+// on the wire that no later frame can follow — and later calls fail with
 // ErrDaemonDown.
 func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
@@ -559,8 +560,8 @@ func (c *Client) awaitReply(conn *ipc.Conn, req *ipc.Request, ch chan callResult
 			_ = conn.SetReadDeadline(time.Time{})
 		}
 		if err != nil {
-			// Transport death (or deadline expiry, after which the half-read
-			// frame cannot be resynchronized): poison the client and fail
+			// Transport death (or deadline expiry: the daemon is presumed
+			// hung, as WithTimeout says): poison the client and fail
 			// every in-flight waiter — ourselves included, via the broadcast.
 			// A stale pumper whose conn was already replaced by Resume must
 			// not poison the fresh transport. Taking mu here cannot deadlock

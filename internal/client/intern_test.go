@@ -95,10 +95,13 @@ func TestBatchShipsEachSourceOncePerFrame(t *testing.T) {
 	defer c.Close()
 	one, two := internUnit("one"), internUnit("two")
 
-	// The first batch frame also carries gob's one-time type descriptors;
-	// size the second.
-	submitInterned(t, c, tap, 32, one)
+	// Frames carry no stream state: the first frame costs what the second
+	// does.
+	first := submitInterned(t, c, tap, 32, one)
 	frame := submitInterned(t, c, tap, 32, one)
+	if len(first) != len(frame) {
+		t.Fatalf("the first frame is %d bytes and an identical second one %d", len(first), len(frame))
+	}
 	t.Logf("32 launches of one %d-byte unit: %d-byte frame", len(one), len(frame))
 	if len(frame) >= 3<<10 {
 		t.Fatalf("one-unit frame is %d bytes, want under 3 KB", len(frame))

@@ -1,9 +1,9 @@
 package daemon_test
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -146,27 +146,64 @@ func TestDisconnectMidLaunchReclaimsEverything(t *testing.T) {
 func TestGarbageAndTruncatedFramesTearDownSession(t *testing.T) {
 	srv := daemon.NewServer(2)
 
-	// Garbage bytes where a gob frame should be.
+	// Garbage bytes where a frame should be: a non-minimal length header.
 	a, b := net.Pipe()
 	go srv.ServeConn(b)
-	if _, err := a.Write([]byte("\xff\x00garbage-not-gob\x07\x03")); err != nil {
+	if _, err := a.Write([]byte("\xff\x00garbage-not-a-frame\x07\x03")); err != nil {
 		t.Fatal(err)
 	}
 	a.Close()
 
 	// A truncated but otherwise valid frame: encode a real request, send
 	// half, then vanish.
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(&ipc.Request{Op: ipc.OpMalloc, Seq: 1, Size: 64}); err != nil {
-		t.Fatal(err)
-	}
+	frame := wireFrame(t, &ipc.Request{Op: ipc.OpMalloc, Seq: 1, Size: 64})
 	c, d := net.Pipe()
 	go srv.ServeConn(d)
-	if _, err := c.Write(frame.Bytes()[:frame.Len()/2]); err != nil {
+	if _, err := c.Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
 
+	waitDrained(t, srv)
+}
+
+// wireFrame is the bytes ipc.Conn writes for one request.
+func wireFrame(t *testing.T, req *ipc.Request) []byte {
+	t.Helper()
+	a, b := net.Pipe()
+	sent := make(chan error, 1)
+	go func() {
+		sent <- ipc.NewConn(a).SendRequest(req)
+		a.Close()
+	}()
+	frame, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// A peer of protocol version 2 speaks gob. Its hello is not a frame of this
+// version's codec, so it opens no session: the daemon sends nothing back,
+// and the connection's session is torn down once the peer gives up.
+func TestGobHelloFromAV2PeerOpensNoSession(t *testing.T) {
+	srv := daemon.NewServer(2)
+	a, b := net.Pipe()
+	go srv.ServeConn(b)
+	// gob's first bytes read as the length header of a frame of about 2 MiB,
+	// so the daemon takes in the whole hello and waits for the rest.
+	if err := gob.NewEncoder(a).Encode(&ipc.Request{Op: ipc.OpHello, Seq: 1, Proc: "v2-client", Version: 2}); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var ne net.Error
+	if n, err := a.Read(make([]byte, 64)); n != 0 || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("a v2 hello got %d bytes back (read error %v), want no reply", n, err)
+	}
+	a.Close()
 	waitDrained(t, srv)
 }
 

@@ -225,7 +225,8 @@ func TestVersionSkewRefused(t *testing.T) {
 	}
 	conn2.Close()
 
-	// A legacy peer stamps no version (gob zero value) and is accepted.
+	// A hello that stamps no version (the field is left off the frame) is
+	// accepted.
 	conn3 := ipc.NewConn(dial())
 	defer conn3.Close()
 	if rep := call(t, conn3, &ipc.Request{Op: ipc.OpHello, Proc: "legacy", Seq: 1}); rep.Err != "" {

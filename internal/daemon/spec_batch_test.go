@@ -90,8 +90,8 @@ func BenchmarkLaunchSpecBatch32(b *testing.B) {
 // specBatchAllocBudget is what a warmed spec batch of 32 may allocate,
 // client, wire and daemon together. It was 990 before the launch path lost
 // its per-launch reflection, window copy, Sprintf and goroutines, and
-// measures 458 since (go1.24, amd64); the budget leaves room for another
-// toolchain's gob and is there so that cost cannot come back unnoticed.
+// measured 458 since (go1.24, amd64); the budget leaves room for another
+// toolchain and is there so that cost cannot come back unnoticed.
 const specBatchAllocBudget = 700
 
 func TestLaunchBatchAllocBudget(t *testing.T) {

@@ -68,9 +68,10 @@ func (d *Dialer) DialFor(name string) func() (net.Conn, error) {
 //
 // It is the fleet's one hedged race: the first candidate is pinged, the next
 // joins whenever Hedge passes in silence or an attempt fails, and the first
-// ping to answer wins a fresh dial (the ping's connection carried ping
-// traffic and is closed; the gob stream the caller layers on the returned
-// one must start clean). Each attempt settles its member's breaker once,
+// ping to answer wins a fresh dial (the ping runs on the supervisor's own
+// throwaway connection, under ProbeTimeout's deadline, and is closed; the
+// caller's session gets a transport that has carried nothing and has no
+// deadline set). Each attempt settles its member's breaker once,
 // with its final outcome — a good ping whose dial then failed is a failure.
 // A candidate never launched gives its admit back: a race that ended early
 // is no evidence about it. One still in flight when another won keeps its

@@ -29,10 +29,12 @@ const MaxFramePayload = 16 << 20
 // truncated.
 var (
 	// ErrFrameTruncated: the stream ended inside a frame header or payload —
-	// the torn tail a crash mid-append leaves.
+	// the torn tail a crash mid-append leaves, or a command frame its peer
+	// cut off.
 	ErrFrameTruncated = errors.New("ipc: truncated frame")
 	// ErrFrameCorrupt: a structurally complete frame whose payload fails its
-	// CRC32C, or whose declared length is impossible.
+	// CRC32C, or whose declared length is impossible; also a command frame
+	// the wire codec refuses (wire.go).
 	ErrFrameCorrupt = errors.New("ipc: corrupt frame")
 )
 

@@ -2,7 +2,6 @@ package ipc
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -16,31 +15,28 @@ import (
 // re-encodes to a frame that decodes to the same bytes.
 func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: well-formed frames around realistic payloads (a
-	// journal-style JSON record and a gob-encoded Reply), plus hostile
+	// journal-style JSON record and a command-channel Reply), plus hostile
 	// variants. Checked-in file corpus lives in testdata/fuzz/FuzzReadFrame.
 	journalRec := []byte(`{"k":3,"sess":2,"op":7,"kernel":"stream_triad"}`)
-	var replyBuf bytes.Buffer
-	_ = gob.NewEncoder(&replyBuf).Encode(&Reply{Seq: 9, Session: 2, Token: 0xfeed, Dup: true})
+	reply := encodeWire(&Reply{Seq: 9, Session: 2, Token: 0xfeed, Dup: true})
 
 	f.Add(AppendFrame(nil, journalRec))
-	f.Add(AppendFrame(nil, replyBuf.Bytes()))
+	f.Add(AppendFrame(nil, reply))
 	f.Add(AppendFrame(nil, nil))
-	f.Add(AppendFrame(AppendFrame(nil, journalRec), replyBuf.Bytes())) // two frames
-	f.Add(AppendFrame(nil, journalRec)[:11])                           // torn payload
-	f.Add(AppendFrame(nil, journalRec)[:3])                            // torn header
+	f.Add(AppendFrame(AppendFrame(nil, journalRec), reply)) // two frames
+	f.Add(AppendFrame(nil, journalRec)[:11])                // torn payload
+	f.Add(AppendFrame(nil, journalRec)[:3])                 // torn header
 	flipped := AppendFrame(nil, journalRec)
 	flipped[FrameHeaderSize+4] ^= 0x20
 	f.Add(flipped)                                         // bit-flipped payload
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0, 'x'}) // absurd length
 	f.Add([]byte{})
-	// A protocol-v2 batch request: one item carrying its source, one
-	// referring to it by SrcRef.
-	var batchBuf bytes.Buffer
-	_ = gob.NewEncoder(&batchBuf).Encode(&Request{Op: OpLaunchBatch, Seq: 3, Batch: []BatchItem{
+	// A batch request: one item carrying its source, one referring to it by
+	// SrcRef.
+	f.Add(AppendFrame(nil, encodeWire(&Request{Op: OpLaunchBatch, Seq: 3, Batch: []BatchItem{
 		{Src: true, OpID: 1, Source: "__global__ void k(int n) {}", Kernel: "k", GridX: 1, GridY: 1, BlockX: 32, BlockY: 1},
 		{Src: true, OpID: 2, SrcRef: 1, Kernel: "k", GridX: 1, GridY: 1, BlockX: 32, BlockY: 1},
-	}})
-	f.Add(AppendFrame(nil, batchBuf.Bytes()))
+	}})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The in-place decoder must never panic and must stay classified;

@@ -4,13 +4,13 @@
 // can range from bytes to gigabytes — kept out of the command path so bulk
 // data is never copied through it.
 //
-// Commands are gob-encoded frames over any net.Conn; the buffer registry
-// plays the role of the shared-memory segment: in-process clients get
-// zero-copy views, remote clients copy through explicit transfer messages.
+// Commands are frames of a hand-written binary codec (wire.go) over any
+// net.Conn; the buffer registry plays the role of the shared-memory segment:
+// in-process clients get zero-copy views, remote clients copy through
+// explicit transfer messages.
 package ipc
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -136,12 +136,16 @@ func Sentinel(code ErrCode) error {
 
 // ProtocolVersion is the wire protocol generation this build speaks. Clients
 // stamp it on Hello/Resume; daemons refuse a mismatched, non-zero version
-// with CodeVersionSkew (zero means a legacy, pre-versioning peer and is
-// accepted for compatibility — gob decodes absent fields as zero).
+// with CodeVersionSkew. Zero is accepted as an unstamped hello: a frame
+// leaves out a zero field, so a peer that stamps nothing sends no version.
 //
 // Version 2 added BatchItem.SrcRef: a v1 daemon would decode a v2 client's
 // interned batch as items with empty sources, so the two must not talk.
-const ProtocolVersion uint32 = 2
+// Version 3 replaced gob with the binary codec of wire.go. A v2 peer fails at
+// its first frame, before any version check: gob's bytes are not a frame of
+// this codec, so its hello gets no reply, not even CodeVersionSkew, and the
+// connection is torn down once the bytes fail to decode or the peer gives up.
+const ProtocolVersion uint32 = 3
 
 // Op enumerates command-channel operations.
 type Op uint8
@@ -245,13 +249,12 @@ type Request struct {
 	SessionToken uint64
 	// Version is the client's ProtocolVersion, stamped on OpHello and
 	// OpResume so the daemon can refuse version skew before any session
-	// state is touched. Zero = legacy client (accepted).
+	// state is touched. Zero = unstamped (accepted).
 	Version uint32
 	// Deadline is the client's per-op deadline in Unix nanoseconds (0 =
 	// none). It rides the frame so the daemon can shed already-expired
 	// work — at admission and again at the queue head — with CodeExpired
-	// instead of executing launches nobody is waiting for. Gob decodes the
-	// absent field as zero, so legacy clients are unaffected.
+	// instead of executing launches nobody is waiting for.
 	Deadline int64
 }
 
@@ -294,7 +297,7 @@ type Reply struct {
 	// LoadSeq is a daemon-side monotonic stamp on Load (ping). Hedged probe
 	// conns can deliver ping replies out of order; the fleet router keeps
 	// only the highest-sequence load report per member so a stale reading
-	// never overwrites a fresher one. Zero = legacy daemon (always applied).
+	// never overwrites a fresher one. Zero = unstamped (always applied).
 	LoadSeq uint64
 	// Acks carries the per-item outcomes of an OpLaunchBatch, in the batch's
 	// submission order. Reply-level Err/Code describe batch-level refusals
@@ -390,51 +393,69 @@ type BatchAck struct {
 	Dup bool
 }
 
-// Conn wraps a net.Conn with gob framing. Safe for one reader and one
-// writer concurrently; concurrent writers must serialize via Send's lock.
+// Conn carries Requests and Replies over a net.Conn in the wire codec's
+// frames (wire.go). Safe for one reader and one writer concurrently; writers
+// serialize on Send's lock, and each frame is one Write. Frames are
+// stateless: each one decodes on its own.
 type Conn struct {
 	c    net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
 	wmu  sync.Mutex
+	enc  walker // under wmu; its buffer is the outgoing frame
+	rd   wireReader
+	dec  walker
 	once sync.Once
 }
 
 // NewConn wraps a transport connection.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+	return &Conn{c: c, rd: wireReader{r: c}}
+}
+
+// send writes m as one frame.
+func (c *Conn) send(m walkable) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	frame, err := c.enc.encodeFrame(m)
+	if err == nil {
+		_, err = c.c.Write(frame)
+	}
+	if cap(c.enc.b) > keptBufSize {
+		c.enc.b = nil
+	}
+	return err
+}
+
+// recv reads the next frame into m.
+func (c *Conn) recv(m walkable) error {
+	payload, err := c.rd.next()
+	if err != nil {
+		return err
+	}
+	return c.dec.decode(payload, m)
 }
 
 // SendRequest writes one command frame.
-func (c *Conn) SendRequest(r *Request) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(r)
-}
+func (c *Conn) SendRequest(r *Request) error { return c.send(r) }
 
 // RecvRequest reads one command frame (daemon side).
 func (c *Conn) RecvRequest() (*Request, error) {
-	var r Request
-	if err := c.dec.Decode(&r); err != nil {
+	r := new(Request)
+	if err := c.recv(r); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // SendReply writes one response frame (daemon side).
-func (c *Conn) SendReply(r *Reply) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.enc.Encode(r)
-}
+func (c *Conn) SendReply(r *Reply) error { return c.send(r) }
 
 // RecvReply reads one response frame.
 func (c *Conn) RecvReply() (*Reply, error) {
-	var r Reply
-	if err := c.dec.Decode(&r); err != nil {
+	r := new(Reply)
+	if err := c.recv(r); err != nil {
 		return nil, err
 	}
-	return &r, nil
+	return r, nil
 }
 
 // RoundTrip is the one-shot request/reply for a connection with exactly one

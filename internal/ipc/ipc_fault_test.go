@@ -1,11 +1,9 @@
 package ipc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -15,34 +13,29 @@ func TestRecvRequestGarbageFrame(t *testing.T) {
 	a, b := net.Pipe()
 	conn := NewConn(b)
 	go func() {
-		a.Write([]byte("\x00\xff\xfenot a gob stream\x01\x02\x03"))
+		a.Write([]byte("\x00\xff\xfenot a frame\x01\x02\x03"))
 		a.Close()
 	}()
-	if _, err := conn.RecvRequest(); err == nil {
-		t.Fatal("garbage frame decoded successfully")
+	if _, err := conn.RecvRequest(); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("garbage frame: err = %v, want ErrFrameCorrupt", err)
 	}
 }
 
-// A frame cut off mid-body must surface as an error once the peer closes.
+// A frame cut off anywhere, in its header or its body, surfaces as a
+// truncated frame once the peer closes.
 func TestRecvRequestTruncatedFrame(t *testing.T) {
-	var frame bytes.Buffer
-	if err := gob.NewEncoder(&frame).Encode(&Request{Op: OpLaunchSource, Seq: 9, Source: "__global__ void k() {}"}); err != nil {
-		t.Fatal(err)
+	frame := wireFrame(t, &Request{Op: OpLaunchSource, Seq: 9, Source: strings.Repeat("__global__ void k() {}", 8)})
+	for _, cut := range []int{1, len(frame) / 2, len(frame) - 1} {
+		a, b := net.Pipe()
+		conn := NewConn(b)
+		go func() {
+			a.Write(frame[:cut])
+			a.Close()
+		}()
+		if _, err := conn.RecvRequest(); !errors.Is(err, ErrFrameTruncated) {
+			t.Fatalf("frame cut at %d of %d: err = %v, want ErrFrameTruncated", cut, len(frame), err)
+		}
 	}
-	a, b := net.Pipe()
-	conn := NewConn(b)
-	go func() {
-		a.Write(frame.Bytes()[:frame.Len()/2])
-		a.Close()
-	}()
-	_, err := conn.RecvRequest()
-	if err == nil {
-		t.Fatal("truncated frame decoded successfully")
-	}
-	if errors.Is(err, nil) {
-		t.Fatal("unreachable")
-	}
-	_ = io.EOF // truncated streams surface EOF/ErrUnexpectedEOF; either is fine
 }
 
 // OOM failures are typed: both the capacity limit and the fault hook wrap

@@ -1,8 +1,6 @@
 package ipc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -189,32 +187,19 @@ func TestResolveSrcRefs(t *testing.T) {
 // and it survives the round trip next to an item that carries its text.
 func TestSrcRefOnTheWire(t *testing.T) {
 	text := strings.Repeat("x", 600)
-	// steadyFrame is the encoded size of a frame once the stream's one-time
-	// gob type descriptors have gone out with an earlier one.
-	steadyFrame := func(items []BatchItem) int {
-		t.Helper()
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		for i := 0; i < 2; i++ {
-			buf.Reset()
-			if err := enc.Encode(&Request{Op: OpLaunchBatch, Batch: items}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Len()
+	frameLen := func(items []BatchItem) int {
+		return len(wireFrame(t, &Request{Op: OpLaunchBatch, Batch: items}))
 	}
 	interned := []BatchItem{{Src: true, Source: text, OpID: 1}, {Src: true, SrcRef: 1, OpID: 2}}
-	full := steadyFrame([]BatchItem{{Src: true, Source: text, OpID: 1}, {Src: true, Source: text, OpID: 2}})
-	if saved := full - steadyFrame(interned); saved < len(text)-8 {
+	full := frameLen([]BatchItem{{Src: true, Source: text, OpID: 1}, {Src: true, Source: text, OpID: 2}})
+	if saved := full - frameLen(interned); saved < len(text)-8 {
 		t.Fatalf("interning saved %d bytes of a %d-byte text (full frame %d)", saved, len(text), full)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&Request{Op: OpLaunchBatch, Batch: interned}); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+	a, b := net.Pipe()
+	go func() { _ = NewConn(a).SendRequest(&Request{Op: OpLaunchBatch, Batch: interned}) }()
+	got, err := NewConn(b).RecvRequest()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Batch) != 2 || got.Batch[0].Source != text || got.Batch[1].Source != "" || got.Batch[1].SrcRef != 1 {
