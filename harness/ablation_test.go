@@ -113,11 +113,11 @@ func TestANTTPredictFixesLinearSelfPair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, decisions, err := testHarness.runSlate(jobs, mut)
+		_, s, err := testHarness.runSlate(jobs, mut)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range decisions {
+		for _, d := range s.Decisions() {
 			if d.Action == "corun" {
 				return "corun"
 			}

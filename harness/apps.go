@@ -94,8 +94,8 @@ type mutator func(*daemon.SimBackend)
 
 // runSlate is the one runner of a Slate cell: it runs jobs under a fresh
 // Slate daemon, adjusted by mut when mut is not nil, and returns the results
-// and the scheduler's decision log.
-func (h *Harness) runSlate(jobs []run.Job, mut mutator) ([]run.Result, []sched.Decision, error) {
+// and the scheduler, whose decision log a cell that reads it assembles.
+func (h *Harness) runSlate(jobs []run.Job, mut mutator) ([]run.Result, *sched.Scheduler, error) {
 	clk := vtime.NewClock()
 	sim := h.newSlateSim(clk)
 	if mut != nil {
@@ -105,7 +105,7 @@ func (h *Harness) runSlate(jobs []run.Job, mut mutator) ([]run.Result, []sched.D
 	if err != nil {
 		return nil, nil, err
 	}
-	return rs, sim.Sched.Decisions(), nil
+	return rs, sim.Sched, nil
 }
 
 // newBackend builds one scheduler's backend on the given clock, plumbing the

@@ -55,10 +55,11 @@ func TestSlateDecisionsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, decisions, err := testHarness.runSlate(jobs, c.mut)
+		_, s, err := testHarness.runSlate(jobs, c.mut)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		decisions := s.Decisions()
 		fmt.Fprintf(&b, "%s %d %x\n", c.name, len(decisions), sha256.Sum256([]byte(fmt.Sprintf("%+v", decisions))))
 	}
 	got := b.String()

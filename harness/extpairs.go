@@ -66,7 +66,7 @@ func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 		if err != nil {
 			return err
 		}
-		rs, decisions, err := h.runSlate(jobs, nil)
+		rs, sc, err := h.runSlate(jobs, nil)
 		if err != nil {
 			return fmt.Errorf("extended pair %s under %v: %w", row.Pair, Slate, err)
 		}
@@ -75,7 +75,7 @@ func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 			row.Norm[s] = mean[s] / mean[CUDA]
 		}
 		row.Decided = "solo"
-		for _, d := range decisions {
+		for _, d := range sc.Decisions() {
 			if d.Action == "corun" {
 				row.Decided = "corun"
 				break

@@ -82,12 +82,12 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 		if err != nil {
 			return err
 		}
-		rs, decisions, err := h.runSlate(jobs, threeWay)
+		rs, sc, err := h.runSlate(jobs, threeWay)
 		if err != nil {
 			return fmt.Errorf("triple %s under slate: %w", names, err)
 		}
 		row.MeanSec[Slate] = meanAppSec(rs)
-		for _, d := range decisions {
+		for _, d := range sc.Decisions() {
 			if d.Action == "corun" && strings.Contains(d.Partner, "+") {
 				row.Coruns3++
 			}

@@ -58,7 +58,9 @@ func (b *Backend) Submit(spec *kern.Spec, done func(vtime.Time, engine.Metrics))
 			}
 			b.Eng.OnComplete(h, func(at vtime.Time) {
 				b.gpu.Release(b.Clock)
-				done(at, h.Metrics())
+				m := h.Metrics()
+				b.Eng.Release(h)
+				done(at, m)
 			})
 		}
 		if b.lastCtx != nil && b.lastCtx != spec {

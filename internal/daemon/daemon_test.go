@@ -14,6 +14,7 @@ import (
 	"slate/internal/policy"
 	"slate/internal/run"
 	"slate/internal/sched"
+	"slate/internal/transform"
 	"slate/internal/vtime"
 	"slate/workloads"
 )
@@ -264,6 +265,60 @@ func TestExecutorCorunSplitsByLayout(t *testing.T) {
 	}
 	if nLow.Load() != 4300 || nMem.Load() != 4300 {
 		t.Fatalf("block counts %d/%d, want 4300/4300", nLow.Load(), nMem.Load())
+	}
+}
+
+// A grace fire that lost the race with a cancel and a re-arm must not grow
+// the survivor before the re-armed grace ends. The test drives the core by
+// hand, stops the real timer, and calls its handler directly: once just
+// before the recorded deadline, once at it.
+func TestExecutorStaleGrowFireWaitsForTheDeadline(t *testing.T) {
+	x := NewExecutor(6)
+	task := func(name string, class policy.Class) *execTask {
+		spec := busyKernel(name, 60, new(atomic.Int64), class == policy.HM)
+		tr, err := transform.Transform(spec.Grid, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := &execTask{spec: spec, queue: transform.NewQueue(tr)}
+		task.job = sched.Job{Name: name, Prof: x.hostProfile(name, class, 1e-3), Owner: task}
+		return task
+	}
+	survivor, first, second := task("compute", policy.HC), task("memory", policy.HM), task("memory2", policy.HM)
+	x.mu.Lock()
+	x.core.NumSMs, x.core.MaxConcurrent = x.Budget, x.MaxConcurrent
+	now := x.now()
+	for _, step := range []func() error{
+		func() error { return x.core.Arrive(now, &survivor.job) },
+		func() error { return x.core.Arrive(now, &first.job) },
+		func() error { x.core.Depart(now, &first.job); return nil },  // arms the grace
+		func() error { return x.core.Arrive(now, &second.job) },      // cancels it
+		func() error { x.core.Depart(now, &second.job); return nil }, // re-arms it
+	} {
+		if err := step(); err != nil {
+			x.mu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	x.grow.Stop()
+	deadline := x.growAt
+	x.mu.Unlock()
+
+	grows := func() (n int) {
+		for _, d := range x.Decisions() {
+			if d.Action == "grow" {
+				n++
+			}
+		}
+		return n
+	}
+	x.growFired(deadline.Add(-time.Nanosecond))
+	if n := grows(); n != 0 {
+		t.Fatalf("a fire before the re-armed deadline grew the survivor (%d grows); decisions %+v", n, x.Decisions())
+	}
+	x.growFired(deadline)
+	if n := grows(); n != 1 {
+		t.Fatalf("%d grows after the deadline, want 1; decisions %+v", n, x.Decisions())
 	}
 }
 

@@ -92,6 +92,7 @@ type Executor struct {
 	core     sched.Core  // its log keeps the last decisionLogCap decisions
 	epoch    time.Time   // the core's time zero
 	grow     *time.Timer // the grow grace; made on first use
+	growAt   time.Time   // when the armed grace ends
 	profiles map[string]*profile.Profile
 	runs     map[string]int
 	// fallbacks counts NoteFallback's vanilla decisions exactly, whatever
@@ -425,20 +426,28 @@ func (d *hostDriver) Evict(j *sched.Job) error {
 // Finish has nothing to do: each launch's own goroutine reports its outcome.
 func (d *hostDriver) Finish(vtime.Time, *sched.Job) {}
 
-// ArmGrow arms the grace timer. A fire that lost the race with a cancel
-// finds the grace disarmed and does nothing, or, if it was re-armed
-// meanwhile, grows the survivors early.
+// ArmGrow arms the grace timer and records when the grace ends.
 func (d *hostDriver) ArmGrow() {
-	if d.grow != nil {
-		d.grow.Reset(hostGrowGrace)
+	x := (*Executor)(d)
+	x.growAt = time.Now().Add(hostGrowGrace)
+	if x.grow != nil {
+		x.grow.Reset(hostGrowGrace)
 		return
 	}
-	x := (*Executor)(d)
-	x.grow = time.AfterFunc(hostGrowGrace, func() {
-		x.mu.Lock()
-		defer x.mu.Unlock()
-		x.core.GraceExpired(x.now())
-	})
+	x.grow = time.AfterFunc(hostGrowGrace, func() { x.growFired(time.Now()) })
+}
+
+// growFired is the grace timer's handler, fired at now. A fire that lost the
+// race with a cancel finds the grace disarmed; one that lost it with a cancel
+// and a re-arm comes before the new grace ends, and is ignored too, so the
+// survivors never grow early.
+func (x *Executor) growFired(now time.Time) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if now.Before(x.growAt) {
+		return
+	}
+	x.core.GraceExpired(x.now())
 }
 
 func (d *hostDriver) CancelGrow() { d.grow.Stop() }

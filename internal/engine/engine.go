@@ -176,6 +176,12 @@ func (m Metrics) IPC(clockHz float64) float64 {
 }
 
 // Handle identifies a running (or completed) kernel instance.
+//
+// Ownership: a Handle belongs to its launcher until it is handed back with
+// Engine.Release, after which the engine may reuse it for a later Launch —
+// retaining the pointer past Release is a bug, the same rule vtime.Event
+// follows. A handle that is never released stays valid for as long as it is
+// referenced.
 type Handle struct {
 	id         int
 	spec       *kern.Spec
@@ -187,6 +193,9 @@ type Handle struct {
 	done       bool
 	evicted    bool
 	onComplete []func(vtime.Time)
+	// firing is set while the callbacks of the handle's completion event
+	// run; released records a Release, which waits for them to return.
+	firing, released bool
 
 	// cached static parameters
 	warpsPerBlock float64
@@ -275,6 +284,8 @@ type Engine struct {
 	// recomputeFn is e.recompute bound once, so scheduling an event does not
 	// allocate a closure.
 	recomputeFn func(vtime.Time)
+	// free holds released handles for Launch to reuse.
+	free []*Handle
 }
 
 // engineScratch is the reusable working set of recompute. recompute re-enters
@@ -411,12 +422,21 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 	if resident == 0 {
 		return nil, fmt.Errorf("engine: kernel %q block shape does not fit on an SM", spec.Name)
 	}
-	h := &Handle{
+	var h *Handle
+	if n := len(e.free); n > 0 {
+		h = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		h = new(Handle)
+	}
+	*h = Handle{
 		id:            e.nextID,
 		spec:          spec,
 		specID:        e.memo.specID(spec),
 		opts:          opts,
 		numBlocks:     float64(spec.NumBlocks()),
+		onComplete:    h.onComplete,
 		warpsPerBlock: float64(spec.Shape().Warps()),
 		resident:      float64(resident),
 	}
@@ -425,6 +445,31 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 	e.running = append(e.running, h)
 	e.recompute(e.Clock.Now())
 	return h, nil
+}
+
+// Release hands a finished (completed or evicted) handle back to the engine,
+// which reuses it, every field reset, for a later Launch; after Release the
+// caller must not touch h. Releasing a running handle, or one twice, panics.
+// Called from one of h's completion callbacks, Release takes effect once
+// every callback of that event has returned, so the later ones still run.
+func (e *Engine) Release(h *Handle) {
+	if !h.done || h.released {
+		panic("engine: Release of a running or already released handle")
+	}
+	h.released = true
+	if !h.firing {
+		e.reuse(h)
+	}
+}
+
+// reuse puts a released handle on the free list, dropping its callbacks so
+// what they captured is collectable but keeping their backing array. Until
+// Launch reuses it the handle still reads Done, and a second Release of it
+// still panics.
+func (e *Engine) reuse(h *Handle) {
+	clear(h.onComplete)
+	*h = Handle{done: true, released: true, onComplete: h.onComplete[:0]}
+	e.free = append(e.free, h)
 }
 
 // OnComplete registers a callback fired when the instance finishes. If the
@@ -606,10 +651,20 @@ func (e *Engine) recompute(now vtime.Time) {
 	e.running = live
 
 	// Completion callbacks may launch or resize kernels, re-entering
-	// recompute; run them after state is consistent.
+	// recompute; run them after state is consistent. A handle released by
+	// one of them is reused only after all of them have returned.
+	for _, h := range finished {
+		h.firing = true
+	}
 	for _, h := range finished {
 		for _, fn := range h.onComplete {
 			fn(now)
+		}
+	}
+	for _, h := range finished {
+		h.firing = false
+		if h.released {
+			e.reuse(h)
 		}
 	}
 	if len(finished) > 0 {

@@ -53,6 +53,10 @@ func (b *Backend) Submit(spec *kern.Spec, done func(vtime.Time, engine.Metrics))
 	if err != nil {
 		return err
 	}
-	b.Eng.OnComplete(h, func(at vtime.Time) { done(at, h.Metrics()) })
+	b.Eng.OnComplete(h, func(at vtime.Time) {
+		m := h.Metrics()
+		b.Eng.Release(h)
+		done(at, m)
+	})
 	return nil
 }

@@ -153,7 +153,7 @@ func (d *Driver) runApp(job Job, res *Result, done func(error)) {
 	res.HostSec += job.App.HostSetupSeconds
 	d.Clock.After(setup, func(now vtime.Time) {
 		d.transfer(job.App.InputBytes, res, func(now vtime.Time) {
-			d.loop(job, res, 0, func(err error) {
+			d.loop(job, res, func(err error) {
 				if err != nil {
 					done(err)
 					return
@@ -184,34 +184,60 @@ func (d *Driver) transfer(bytes int64, res *Result, next func(vtime.Time)) {
 	})
 }
 
-// loop issues rep kernel launches back to back, synchronizing after each as
-// the benchmarks do.
-func (d *Driver) loop(job Job, res *Result, rep int, done func(error)) {
-	if rep >= job.Reps {
-		done(nil)
+// loop issues job.Reps kernel launches back to back, synchronizing after
+// each as the benchmarks do, then calls done.
+func (d *Driver) loop(job Job, res *Result, done func(error)) {
+	a := &appLoop{d: d, job: job, res: res, done: done}
+	a.submitFn, a.finishFn = a.submit, a.finish
+	a.next()
+}
+
+// appLoop is one application's launch loop. Its two callbacks are bound once,
+// so a rep allocates no closure.
+type appLoop struct {
+	d    *Driver
+	job  Job
+	res  *Result
+	done func(error)
+	rep  int
+	spec *kern.Spec // the current rep's kernel
+
+	submitFn func(vtime.Time)
+	finishFn func(vtime.Time, engine.Metrics)
+}
+
+// next pays the host-side launch overheads of the next rep, then submits it.
+func (a *appLoop) next() {
+	if a.rep >= a.job.Reps {
+		a.done(nil)
 		return
 	}
-	spec := job.kernelFor(rep)
-	ov := d.Backend.LaunchOverheads(spec, rep)
-	res.HostSec += ov.HostSec
-	res.CommSec += ov.CommSec
-	res.InjectSec += ov.InjectSec
-	delay := vtime.FromSeconds(ov.HostSec + ov.CommSec + ov.InjectSec)
-	d.Clock.After(delay, func(vtime.Time) {
-		err := d.Backend.Submit(spec, func(at vtime.Time, m engine.Metrics) {
-			res.KernelSec += m.Duration().Seconds()
-			res.Launches++
-			res.FLOPs += m.FLOPs
-			res.L2Bytes += m.L2Bytes
-			res.DRAMBytes += m.DRAMBytes
-			res.Instr += m.Instr
-			res.Atomics += m.Atomics
-			d.loop(job, res, rep+1, done)
-		})
-		if err != nil {
-			done(err)
-		}
-	})
+	a.spec = a.job.kernelFor(a.rep)
+	ov := a.d.Backend.LaunchOverheads(a.spec, a.rep)
+	a.res.HostSec += ov.HostSec
+	a.res.CommSec += ov.CommSec
+	a.res.InjectSec += ov.InjectSec
+	a.d.Clock.After(vtime.FromSeconds(ov.HostSec+ov.CommSec+ov.InjectSec), a.submitFn)
+}
+
+func (a *appLoop) submit(vtime.Time) {
+	if err := a.d.Backend.Submit(a.spec, a.finishFn); err != nil {
+		a.done(err)
+	}
+}
+
+// finish adds a completed rep's metrics to the result and starts the next.
+func (a *appLoop) finish(_ vtime.Time, m engine.Metrics) {
+	res := a.res
+	res.KernelSec += m.Duration().Seconds()
+	res.Launches++
+	res.FLOPs += m.FLOPs
+	res.L2Bytes += m.L2Bytes
+	res.DRAMBytes += m.DRAMBytes
+	res.Instr += m.Instr
+	res.Atomics += m.Atomics
+	a.rep++
+	a.next()
 }
 
 // FIFO is a strict-FIFO mutex on virtual time, used for the PCIe link and

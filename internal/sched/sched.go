@@ -9,6 +9,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"slate/internal/device"
 	"slate/internal/engine"
@@ -42,13 +43,28 @@ type Decision struct {
 // recent Cap.
 type Log struct {
 	Cap  int
-	buf  []Decision
-	next int // a full ring's oldest slot
+	buf  []Decision // the ring
+	next int        // a full ring's oldest slot
+	// chunks hold an unbounded log, logChunk decisions each, so an Add never
+	// copies an earlier decision.
+	chunks [][]Decision
 }
+
+// logChunk is the number of decisions one chunk of an unbounded log holds.
+const logChunk = 256
 
 // Add appends d, overwriting the oldest decision once a ring is full.
 func (l *Log) Add(d Decision) {
-	if l.Cap == 0 || len(l.buf) < l.Cap {
+	if l.Cap == 0 {
+		n := len(l.chunks)
+		if n == 0 || len(l.chunks[n-1]) == logChunk {
+			l.chunks = append(l.chunks, make([]Decision, 0, logChunk))
+			n++
+		}
+		l.chunks[n-1] = append(l.chunks[n-1], d)
+		return
+	}
+	if len(l.buf) < l.Cap {
 		l.buf = append(l.buf, d)
 		return
 	}
@@ -56,10 +72,14 @@ func (l *Log) Add(d Decision) {
 	l.next = (l.next + 1) % l.Cap
 }
 
-// All returns the kept decisions, oldest first: the log's own slice when it
+// All returns the kept decisions, oldest first: an unbounded log's chunks
+// assembled into one slice on this call, or the ring's own slice when it
 // is in order.
 func (l *Log) All() []Decision {
-	if l.next == 0 {
+	switch {
+	case l.Cap == 0:
+		return slices.Concat(l.chunks...)
+	case l.next == 0:
 		return l.buf
 	}
 	return append(append([]Decision(nil), l.buf[l.next:]...), l.buf[:l.next]...)
@@ -165,6 +185,10 @@ func (d *simDriver) Launch(j *Job, lo, hi int, vanilla bool) error {
 	if vanilla {
 		opts = engine.LaunchOpts{Mode: engine.HardwareSched, TaskSize: en.taskSize}
 	}
+	if en.handle != nil {
+		// A requeued job's evicted handle: nothing reads it again.
+		s.Eng.Release(en.handle)
+	}
 	h, err := s.Eng.Launch(en.spec, opts)
 	en.handle = h // nil on failure: a failed launch reports zero metrics
 	if err != nil {
@@ -189,12 +213,16 @@ func (d *simDriver) Evict(j *Job) error {
 	return err
 }
 
+// Finish reports j's final metrics and hands its handle back to the engine.
 func (d *simDriver) Finish(now vtime.Time, j *Job) {
-	if en := j.Owner.(*entry); en.onDone != nil {
-		var m engine.Metrics
-		if en.handle != nil {
-			m = en.handle.Metrics()
-		}
+	en := j.Owner.(*entry)
+	var m engine.Metrics
+	if en.handle != nil {
+		m = en.handle.Metrics()
+		d.Eng.Release(en.handle)
+		en.handle = nil
+	}
+	if en.onDone != nil {
 		en.onDone(now, m)
 	}
 }

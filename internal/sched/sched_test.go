@@ -265,3 +265,39 @@ func TestSubmitInvalidKernel(t *testing.T) {
 		t.Fatal("invalid kernel accepted")
 	}
 }
+
+// The decision log keeps every decision in order across chunk boundaries,
+// never moves a kept decision, and as a ring keeps the most recent Cap.
+func TestLogKeepsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		cap, n int
+	}{
+		{0, 0}, {0, 1}, {0, logChunk - 1}, {0, logChunk}, {0, logChunk + 1}, {0, 3*logChunk + 5},
+		{5, 0}, {5, 3}, {5, 5}, {5, 7}, {5, 12},
+	} {
+		l := Log{Cap: tc.cap}
+		var first *Decision
+		for i := 0; i < tc.n; i++ {
+			l.Add(Decision{At: vtime.Time(i)})
+			if i == 0 && tc.cap == 0 {
+				first = &l.chunks[0][0]
+			}
+		}
+		got := l.All()
+		kept := tc.n
+		if tc.cap > 0 {
+			kept = min(tc.n, tc.cap)
+		}
+		if len(got) != kept {
+			t.Fatalf("cap %d, %d added: All() holds %d, want %d", tc.cap, tc.n, len(got), kept)
+		}
+		for i, d := range got {
+			if want := vtime.Time(tc.n - kept + i); d.At != want {
+				t.Fatalf("cap %d, %d added: All()[%d] is decision %d, want %d", tc.cap, tc.n, i, d.At, want)
+			}
+		}
+		if first != nil && first != &l.chunks[0][0] {
+			t.Fatalf("%d added: the first decision moved", tc.n)
+		}
+	}
+}
