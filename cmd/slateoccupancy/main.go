@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"slate/gpu"
+	"slate/internal/smsim"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 			exit = 1
 			continue
 		}
-		occupancy := float64(resident*shape.Threads) / float64(dev.SM.MaxThreads)
+		occupancy := smsim.Occupancy(dev.SM, shape)
 		fmt.Printf("%-32s %2d resident blocks/SM, %3.0f%% occupancy\n",
 			dev.Name, resident, occupancy*100)
 		fmt.Printf("%-32s Slate workers: full=%d", "", dev.MaxWorkers(shape, dev.NumSMs))

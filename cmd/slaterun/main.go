@@ -1,7 +1,9 @@
 // Command slaterun executes one or more of the paper's applications
 // concurrently under a chosen scheduler on the simulated Titan Xp and
-// prints per-application results. With -trace it also writes the Slate
-// scheduler's decision timeline as JSONL.
+// prints per-application results. It runs through the evaluation harness,
+// so a pair's numbers are the ones `slatebench -exp fig7` reports at the
+// same -loop. With -trace it also writes the Slate scheduler's decision
+// timeline as JSONL.
 //
 // Usage:
 //
@@ -11,112 +13,113 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"slate/internal/cudart"
-	"slate/internal/daemon"
-	"slate/internal/engine"
-	"slate/internal/mps"
-	"slate/internal/run"
-	"slate/internal/sched"
+	"slate/harness"
 	"slate/internal/trace"
-	"slate/internal/vtime"
-
-	"slate/gpu"
 	"slate/workloads"
 )
 
-func main() {
-	schedFlag := flag.String("sched", "slate", "scheduler: cuda|mps|slate")
-	apps := flag.String("apps", "BS,RG", "comma-separated application codes (BS,GS,MM,RG,TR)")
-	loop := flag.Float64("loop", 3.0, "solo kernel loop target in seconds")
-	traceOut := flag.String("trace", "", "write the scheduling timeline as JSONL (slate only)")
-	gantt := flag.Bool("gantt", false, "print an ASCII SM-occupancy timeline (slate only)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	dev := gpu.TitanXp()
-	clk := vtime.NewClock()
-	model := engine.NewTraceModel(dev)
-
-	var backend run.Backend
-	var decisions func() []sched.Decision
-	switch strings.ToLower(*schedFlag) {
-	case "cuda":
-		backend = cudart.New(dev, clk, model)
-	case "mps":
-		backend = mps.New(dev, clk, model)
-	case "slate":
-		sim := daemon.NewSim(dev, clk, model)
-		backend = sim
-		decisions = sim.Sched.Decisions
-	default:
-		fmt.Fprintf(os.Stderr, "slaterun: unknown scheduler %q\n", *schedFlag)
-		os.Exit(2)
+// run is the command: it returns the exit status (2 for a usage error, 1 for
+// a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slaterun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	schedFlag := fs.String("sched", "slate", "scheduler: cuda|mps|slate")
+	codes := fs.String("apps", "BS,RG", "comma-separated application codes (BS,GS,MM,RG,TR)")
+	loop := fs.Float64("loop", 3.0, "solo kernel loop target in seconds")
+	traceOut := fs.String("trace", "", "write the scheduling timeline as JSONL (slate only)")
+	gantt := fs.Bool("gantt", false, "print an ASCII SM-occupancy timeline (slate only)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	var jobs []run.Job
-	for _, code := range strings.Split(*apps, ",") {
+	s, ok := schedByName(*schedFlag)
+	if !ok {
+		fmt.Fprintf(stderr, "slaterun: unknown scheduler %q\n", *schedFlag)
+		return 2
+	}
+	if s != harness.Slate && (*gantt || *traceOut != "") {
+		fmt.Fprintln(stderr, "slaterun: -gantt and -trace require -sched slate")
+		return 2
+	}
+	var apps []*workloads.App
+	for _, code := range strings.Split(*codes, ",") {
 		app, err := workloads.ByCode(strings.TrimSpace(code))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "slaterun: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "slaterun: %v\n", err)
+			return 2
 		}
-		m, err := gpu.NewSimulator(dev).RunSolo(app.Kernel, gpu.HardwareSched, 1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slaterun: %v\n", err)
-			os.Exit(1)
-		}
-		jobs = append(jobs, run.Job{App: app, Reps: run.Reps30s(m.Duration().Seconds(), *loop)})
+		apps = append(apps, app)
 	}
 
-	results, err := run.NewDriver(clk, backend).Run(jobs)
+	h := harness.New(harness.Config{LoopSeconds: *loop})
+	jobs, err := h.JobsFor(apps)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "slaterun: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "slaterun: %v\n", err)
+		return 1
 	}
-	fmt.Printf("scheduler: %s\n", *schedFlag)
-	fmt.Printf("%-4s %10s %10s %10s %10s %10s %8s\n",
+	results, decisions, err := h.RunJobs(s, jobs)
+	if err != nil {
+		fmt.Fprintf(stderr, "slaterun: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "scheduler: %s\n", *schedFlag)
+	fmt.Fprintf(stdout, "%-4s %10s %10s %10s %10s %10s %8s\n",
 		"app", "app(s)", "kernel(s)", "host(s)", "comm(s)", "inject(s)", "launches")
 	for _, r := range results {
-		fmt.Printf("%-4s %10.3f %10.3f %10.3f %10.3f %10.3f %8d\n",
+		fmt.Fprintf(stdout, "%-4s %10.3f %10.3f %10.3f %10.3f %10.3f %8d\n",
 			r.Code, r.AppSec(), r.KernelSec, r.HostSec, r.CommSec, r.InjectSec, r.Launches)
 	}
 
+	log := &trace.Log{}
+	log.AddDecisions(decisions)
 	if *gantt {
-		if decisions == nil {
-			fmt.Fprintln(os.Stderr, "slaterun: -gantt requires -sched slate")
-			os.Exit(2)
-		}
-		log := &trace.Log{}
-		log.AddDecisions(decisions())
-		fmt.Println("\nSM occupancy timeline (█ = whole device):")
-		fmt.Print(log.Gantt(100, dev.NumSMs))
-		fmt.Printf("spatial utilization: %.1f%%\n", log.Utilization(dev.NumSMs)*100)
+		fmt.Fprintln(stdout, "\nSM occupancy timeline (█ = whole device):")
+		fmt.Fprint(stdout, log.Gantt(100, h.Dev.NumSMs))
+		fmt.Fprintf(stdout, "spatial utilization: %.1f%%\n", log.Utilization(h.Dev.NumSMs)*100)
 	}
-
 	if *traceOut != "" {
-		if decisions == nil {
-			fmt.Fprintln(os.Stderr, "slaterun: -trace requires -sched slate")
-			os.Exit(2)
-		}
-		log := &trace.Log{}
-		log.AddDecisions(decisions())
 		log.AddResults(results)
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "slaterun: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := log.WriteJSONL(f); err != nil {
-			fmt.Fprintf(os.Stderr, "slaterun: %v\n", err)
-			os.Exit(1)
+		if err := writeTrace(log, *traceOut); err != nil {
+			fmt.Fprintf(stderr, "slaterun: %v\n", err)
+			return 1
 		}
 		sum := log.Summary()
-		fmt.Printf("trace: %d events → %s (%d corun, %d solo, %d grow)\n",
+		fmt.Fprintf(stdout, "trace: %d events → %s (%d corun, %d solo, %d grow)\n",
 			log.Len(), *traceOut, sum["corun"], sum["solo"], sum["grow"])
 	}
+	return 0
+}
+
+// schedByName resolves a -sched value, case-insensitively.
+func schedByName(name string) (harness.Sched, bool) {
+	for _, s := range harness.Scheds() {
+		if strings.EqualFold(name, s.String()) {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// writeTrace writes the log as JSONL to path.
+func writeTrace(log *trace.Log, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := log.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -10,7 +10,8 @@
 //   - A calibrated discrete-event simulator of the paper's NVIDIA Titan Xp
 //     testbed (package gpu), on which the harness package regenerates every
 //     table and figure of the paper's evaluation against the vanilla-CUDA
-//     and MPS baselines (package baselines).
+//     and MPS baselines; harness is the one place an application set
+//     reaches a simulated CUDA, MPS or Slate scheduler.
 //
 //   - A real, runnable Slate runtime (package framework): client/daemon
 //     sessions over a command channel with shared-buffer data transfer, the

@@ -8,14 +8,7 @@ import (
 	"log"
 
 	"slate/harness"
-
-	"slate/internal/daemon"
-	"slate/internal/engine"
-	"slate/internal/run"
 	"slate/internal/trace"
-	"slate/internal/vtime"
-
-	"slate/gpu"
 	"slate/workloads"
 )
 
@@ -30,37 +23,31 @@ func main() {
 	fmt.Println()
 	fmt.Print(r.Render())
 
-	// Rerun the Slate case directly to extract its scheduling timeline.
-	dev := gpu.TitanXp()
-	clk := vtime.NewClock()
-	sim := daemon.NewSim(dev, clk, engine.NewTraceModel(dev))
-	sim.Costs.InjectSeconds /= 30
-	sim.Costs.CompileSeconds /= 30
-
-	var jobs []run.Job
-	delay := 0.0
+	// Run a 4-job window under Slate on the same harness to extract its
+	// scheduling timeline. Distinct instance names make repeated codes
+	// separate clients.
+	var apps []*workloads.App
 	for i, code := range []string{"GS", "RG", "BS", "RG"} {
 		app, err := workloads.ByCode(code)
 		if err != nil {
 			log.Fatal(err)
 		}
 		app.Kernel.Name = fmt.Sprintf("%s@%d", app.Kernel.Name, i)
-		m, err := gpu.NewSimulator(dev).RunSolo(app.Kernel, gpu.HardwareSched, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		jobs = append(jobs, run.Job{
-			App:           app,
-			Reps:          run.Reps30s(m.Duration().Seconds(), 0.5),
-			StartDelaySec: delay,
-		})
-		delay += 0.2
+		apps = append(apps, app)
 	}
-	if _, err := run.NewDriver(clk, sim).Run(jobs); err != nil {
+	jobs, err := h.JobsFor(apps)
+	if err != nil {
 		log.Fatal(err)
 	}
-	log2 := &trace.Log{}
-	log2.AddDecisions(sim.Sched.Decisions())
+	for i := range jobs {
+		jobs[i].StartDelaySec = 0.2 * float64(i)
+	}
+	_, decisions, err := h.RunJobs(harness.Slate, jobs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	timeline := &trace.Log{}
+	timeline.AddDecisions(decisions)
 	fmt.Println("\nSlate SM-occupancy timeline for a 4-job window (█ = whole device):")
-	fmt.Print(log2.Gantt(100, dev.NumSMs))
+	fmt.Print(timeline.Gantt(100, h.Dev.NumSMs))
 }

@@ -8,60 +8,38 @@ import (
 	"fmt"
 	"log"
 
-	"slate/baselines"
-	"slate/gpu"
+	"slate/harness"
 	"slate/workloads"
 )
 
 func main() {
-	const loopSec = 2.0
-
+	// Rep counts per the paper's methodology: the harness loops each kernel
+	// to a fixed solo duration, and scales Slate's one-time injection cost
+	// to that loop, exactly as `slatebench -exp fig7 -loop 2` does.
+	h := harness.New(harness.Config{LoopSeconds: 2.0})
 	bs, _ := workloads.ByCode("BS")
 	rg, _ := workloads.ByCode("RG")
+	jobs, err := h.JobsFor([]*workloads.App{bs, rg})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Rep counts per the paper's methodology: loop each kernel to a fixed
-	// solo duration.
-	jobs := make([]baselines.Job, 0, 2)
-	for _, app := range []*workloads.App{bs, rg} {
-		m, err := gpu.NewSimulator(nil).RunSolo(app.Kernel, gpu.HardwareSched, 1)
+	var mean [3]float64
+	for _, s := range harness.Scheds() {
+		results, _, err := h.RunJobs(s, jobs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		jobs = append(jobs, baselines.Job{
-			App:  app,
-			Reps: baselines.Reps30s(m.Duration().Seconds(), loopSec),
-		})
-	}
-
-	type row struct {
-		name string
-		mean float64
-	}
-	var rows []row
-	for _, b := range []struct {
-		name string
-		mk   func(*gpu.Device) *baselines.Runner
-	}{
-		{"CUDA", baselines.NewCUDA},
-		{"MPS", baselines.NewMPS},
-		{"Slate", baselines.NewSlate},
-	} {
-		results, err := b.mk(nil).Run(jobs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mean := 0.0
-		fmt.Printf("%-6s", b.name)
+		fmt.Printf("%-6s", s)
 		for _, r := range results {
 			fmt.Printf("  %s=%.3fs", r.Code, r.AppSec())
-			mean += r.AppSec()
+			mean[s] += r.AppSec()
 		}
-		mean /= float64(len(results))
-		fmt.Printf("  mean=%.3fs\n", mean)
-		rows = append(rows, row{b.name, mean})
+		mean[s] /= float64(len(results))
+		fmt.Printf("  mean=%.3fs\n", mean[s])
 	}
 
-	cuda, mps, slate := rows[0].mean, rows[1].mean, rows[2].mean
+	cuda, mps, slate := mean[harness.CUDA], mean[harness.MPS], mean[harness.Slate]
 	fmt.Printf("\nSlate vs MPS:  %+.1f%%  (paper: +30.55%% for BS-RG)\n", (mps/slate-1)*100)
 	fmt.Printf("Slate vs CUDA: %+.1f%%\n", (cuda/slate-1)*100)
 }

@@ -112,7 +112,7 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 	}
 	err = h.forEachCell(len(ablationVariants)*np, func(c int) error {
 		v, p := c/np, c%np
-		jobs, err := h.jobsFor(pairs[p])
+		jobs, err := h.JobsFor(pairs[p])
 		if err != nil {
 			return err
 		}

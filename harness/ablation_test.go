@@ -109,7 +109,7 @@ func TestANTTPredictFixesLinearSelfPair(t *testing.T) {
 			t.Fatal(err)
 		}
 		pair[1].Kernel.Name = "KM@2"
-		jobs, err := testHarness.jobsFor(pair)
+		jobs, err := testHarness.JobsFor(pair)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func Scheds() []Sched { return []Sched{CUDA, MPS, Slate} }
 // runApps executes the given applications concurrently under one scheduler
 // on a fresh clock and returns per-app results (in input order).
 func (h *Harness) runApps(s Sched, apps []*workloads.App) ([]run.Result, error) {
-	jobs, err := h.jobsFor(apps)
+	jobs, err := h.JobsFor(apps)
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +61,10 @@ func appsByCode(codes ...string) ([]*workloads.App, error) {
 	return apps, nil
 }
 
-// jobsFor builds the ~30s-loop jobs for the given applications from their
-// solo times; it is the one place a job list is made.
-func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
+// JobsFor sizes one job per application to the harness's loop (§V-A3's
+// ~30 s methodology at h.Loop) from its cached solo time; it is the one
+// place a job list is made.
+func (h *Harness) JobsFor(apps []*workloads.App) ([]run.Job, error) {
 	jobs := make([]run.Job, len(apps))
 	for i, app := range apps {
 		solo, err := h.soloKernelSec(app.Kernel)
@@ -75,12 +76,24 @@ func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
 	return jobs, nil
 }
 
-// runJobs executes prepared jobs under one scheduler on a fresh clock.
-func (h *Harness) runJobs(s Sched, jobs []run.Job) ([]run.Result, error) {
+// RunJobs executes prepared jobs concurrently under one scheduler on a
+// fresh clock and returns per-app results in job order. Under Slate it also
+// returns the scheduler's decisions; under CUDA and MPS they are nil. Every
+// simulated CUDA, MPS or Slate run outside this package goes through it.
+func (h *Harness) RunJobs(s Sched, jobs []run.Job) ([]run.Result, []sched.Decision, error) {
 	if s == Slate {
-		rs, _, err := h.runSlate(jobs, nil)
-		return rs, err
+		rs, sc, err := h.runSlate(jobs, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return rs, sc.Decisions(), nil
 	}
+	rs, err := h.runJobs(s, jobs)
+	return rs, nil, err
+}
+
+// runJobs is RunJobs for the cells that read only the results.
+func (h *Harness) runJobs(s Sched, jobs []run.Job) ([]run.Result, error) {
 	clk := vtime.NewClock()
 	backend, err := h.newBackend(s, clk)
 	if err != nil {
@@ -130,12 +143,13 @@ func (h *Harness) newBackend(s Sched, clk *vtime.Clock) (run.Backend, error) {
 // newSlateSim builds a fresh Slate daemon on the given clock, sharing the
 // harness's profiler so kernels are profiled once across all cells.
 func (h *Harness) newSlateSim(clk *vtime.Clock) *daemon.SimBackend {
-	sim := daemon.NewSimWith(h.Dev, clk, h.Model, h.Prof)
+	sim := daemon.NewSim(h.Dev, clk, h.Model, h.Prof)
 	sim.Eng.Workers = h.simWorkers
 	// One-time injection/compilation costs are defined relative to the
 	// paper's ~30 s loop methodology; scale them with the configured
 	// loop length so shortened runs keep the measured overhead
-	// fractions (~1.5% of application time).
+	// fractions (~1.5% of application time). This is the one place the
+	// scaling happens: every simulated Slate run is built here.
 	scale := h.Loop / 30.0
 	sim.Costs.InjectSeconds *= scale
 	sim.Costs.CompileSeconds *= scale

@@ -114,7 +114,7 @@ func (h *Harness) CloudTrace(cfg CloudTraceConfig) (*CloudTraceResult, error) {
 			app.Kernel.Name = fmt.Sprintf("%s@%d", app.Kernel.Name, i)
 			apps[i] = app
 		}
-		jobs, err := h.jobsFor(apps)
+		jobs, err := h.JobsFor(apps)
 		if err != nil {
 			return err
 		}

@@ -51,7 +51,7 @@ func TestSlateDecisionsGolden(t *testing.T) {
 
 	var b strings.Builder
 	for _, c := range cells {
-		jobs, err := testHarness.jobsFor(c.apps)
+		jobs, err := testHarness.JobsFor(c.apps)
 		if err != nil {
 			t.Fatal(err)
 		}

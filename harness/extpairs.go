@@ -62,7 +62,7 @@ func (h *Harness) ExtendedPairs() (*ExtendedPairsResult, error) {
 			mean[s] = meanAppSec(rs)
 		}
 		// The Slate run gives both its times and its decision.
-		jobs, err := h.jobsFor(pairs[p])
+		jobs, err := h.JobsFor(pairs[p])
 		if err != nil {
 			return err
 		}

@@ -50,7 +50,7 @@ func (h *Harness) SimBenchCell(p int) (string, error) {
 	pair := pairs[p]
 	name := pair[0].Code + "-" + pair[1].Code
 	h.calibrate(sweepShapes, pair[:])
-	jobs, err := h.jobsFor(pair[:])
+	jobs, err := h.JobsFor(pair[:])
 	if err != nil {
 		return "", err
 	}

@@ -78,7 +78,7 @@ func (h *Harness) Triples() (*TriplesResult, error) {
 		}
 
 		// Slate with 3-way sharing enabled.
-		jobs, err := h.jobsFor(apps)
+		jobs, err := h.JobsFor(apps)
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@ import (
 	"slate/internal/engine"
 	"slate/internal/kern"
 	"slate/internal/policy"
+	"slate/internal/profile"
 	"slate/internal/run"
 	"slate/internal/sched"
 	"slate/internal/transform"
@@ -105,7 +106,8 @@ func TestExecutorConcurrentClientsCompleteExactly(t *testing.T) {
 func TestSimBackendOverheadAccounting(t *testing.T) {
 	dev := device.TitanXp()
 	clk := vtime.NewClock()
-	b := NewSim(dev, clk, &engine.StaticModel{DefaultHit: 0, DefaultRunBytes: 1 << 20, SlateRunFactor: 1})
+	model := &engine.StaticModel{DefaultHit: 0, DefaultRunBytes: 1 << 20, SlateRunFactor: 1}
+	b := NewSim(dev, clk, model, profile.New(dev, model))
 
 	spec := workloads.BS()
 	first := b.LaunchOverheads(spec, 0)
@@ -128,7 +130,8 @@ func TestSimBackendOverheadAccounting(t *testing.T) {
 func TestSimBackendRunsAppsThroughScheduler(t *testing.T) {
 	dev := device.TitanXp()
 	clk := vtime.NewClock()
-	b := NewSim(dev, clk, engine.NewTraceModel(dev))
+	model := engine.NewTraceModel(dev)
+	b := NewSim(dev, clk, model, profile.New(dev, model))
 	bs, _ := workloads.ByCode("BS")
 	rg, _ := workloads.ByCode("RG")
 	// RG starts earlier (smaller setup/transfers); give it enough reps to
@@ -166,7 +169,8 @@ func TestSimBackendRunsAppsThroughScheduler(t *testing.T) {
 func TestSimBackendIterativeApplication(t *testing.T) {
 	dev := device.TitanXp()
 	clk := vtime.NewClock()
-	b := NewSim(dev, clk, &engine.StaticModel{DefaultHit: 0.2, DefaultRunBytes: 1 << 20, SlateRunFactor: 1})
+	model := &engine.StaticModel{DefaultHit: 0.2, DefaultRunBytes: 1 << 20, SlateRunFactor: 1}
+	b := NewSim(dev, clk, model, profile.New(dev, model))
 
 	seq := workloads.GaussianModelSequence(48)
 	ge := &workloads.App{

@@ -131,7 +131,7 @@ func runCore(t *testing.T, c scriptCase, numSMs int, profs map[string]*profile.P
 func runSim(t *testing.T, c scriptCase, dev *device.Device, model engine.PerfModel, pf *profile.Profiler) []sched.Decision {
 	t.Helper()
 	clk := vtime.NewClock()
-	sim := NewSimWith(dev, clk, model, pf)
+	sim := NewSim(dev, clk, model, pf)
 	s := sim.Sched
 	s.MaxConcurrent = c.maxConcurrent
 	done := map[string]bool{}

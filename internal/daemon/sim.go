@@ -56,18 +56,12 @@ type SimBackend struct {
 	compiled map[string]bool
 }
 
-// NewSim builds the simulated Slate daemon on the shared clock with its own
-// profiler.
-func NewSim(dev *device.Device, clock *vtime.Clock, model engine.PerfModel) *SimBackend {
-	return NewSimWith(dev, clock, model, profile.New(dev, model))
-}
-
-// NewSimWith builds the simulated daemon around a caller-owned profiler.
-// Profiles are pure functions of (kernel content, device, model), so a
-// profiler shared across many backends — as the parallel harness does
-// across experiment cells — yields exactly the per-backend results while
-// measuring each kernel once.
-func NewSimWith(dev *device.Device, clock *vtime.Clock, model engine.PerfModel, prof *profile.Profiler) *SimBackend {
+// NewSim builds the simulated Slate daemon on the shared clock around a
+// caller-owned profiler. Profiles are pure functions of (kernel content,
+// device, model), so a profiler shared across many backends — as the
+// parallel harness does across experiment cells — yields exactly the
+// per-backend results while measuring each kernel once.
+func NewSim(dev *device.Device, clock *vtime.Clock, model engine.PerfModel, prof *profile.Profiler) *SimBackend {
 	eng := engine.New(dev, clock, model)
 	return &SimBackend{
 		Dev:      dev,

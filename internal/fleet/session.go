@@ -60,13 +60,6 @@ func (s *Session) Home() string {
 	return s.home
 }
 
-// Token returns the session's fleet-wide resume token.
-func (s *Session) Token() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c.Token()
-}
-
 // Degraded reports whether any re-home lost durable state (the session was
 // resumed fresh instead of recovered). In a durable fleet this staying
 // false is the zero-loss invariant chaos drivers assert.

@@ -62,19 +62,18 @@ func SealFrame(frame []byte) {
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFramePayload {
-		return fmt.Errorf("%w: payload %d exceeds max %d", ErrFrameCorrupt, len(payload), MaxFramePayload)
-	}
-	_, err := w.Write(AppendFrame(nil, payload))
-	return err
-}
-
 // ReadFrame reads one frame from r and returns its payload. A clean end of
 // stream returns io.EOF; a stream ending mid-frame returns ErrFrameTruncated;
-// a checksum mismatch or impossible length returns ErrFrameCorrupt.
-func ReadFrame(r io.Reader) ([]byte, error) {
+// a checksum mismatch or a declared length above MaxFramePayload returns
+// ErrFrameCorrupt.
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameWithin(r, MaxFramePayload) }
+
+// ReadFrameWithin is ReadFrame with the caller's bound on the declared
+// payload length. A reader that knows how many bytes its stream holds — a
+// checkpoint file, whose writer frames a payload of any size — passes that,
+// so it takes back every frame its writer sealed and still refuses, before
+// allocating, a header that claims more.
+func ReadFrameWithin(r io.Reader, max int64) ([]byte, error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -89,8 +88,8 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: declared payload %d exceeds max %d", ErrFrameCorrupt, n, MaxFramePayload)
+	if int64(n) > max {
+		return nil, fmt.Errorf("%w: declared payload %d exceeds max %d", ErrFrameCorrupt, n, max)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -18,9 +18,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendFrame(nil, p))
 	}
 	for i, want := range payloads {
 		got, err := ReadFrame(&buf)
@@ -74,19 +72,20 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	if !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversized length: %v, want ErrFrameCorrupt", err)
 	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxFramePayload+1)); !errors.Is(err, ErrFrameCorrupt) {
-		t.Fatalf("oversized write: %v, want ErrFrameCorrupt", err)
+	// ReadFrameWithin bounds the declared length by the caller's limit.
+	frame := AppendFrame(nil, []byte("12345"))
+	if _, err := ReadFrameWithin(bytes.NewReader(frame), 4); !errors.Is(err, ErrFrameCorrupt) {
+		t.Fatalf("length over the caller's bound: %v, want ErrFrameCorrupt", err)
+	}
+	if _, err := ReadFrameWithin(bytes.NewReader(frame), 5); err != nil {
+		t.Fatalf("length at the caller's bound: %v", err)
 	}
 }
 
 // A half-written reply frame followed by garbage: the reader reports the
 // first failure and never misinterprets trailing bytes as a frame.
 func TestFrameStreamStopsAtFirstBadFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	stream := append(buf.Bytes(), AppendFrame(nil, []byte("torn"))[:5]...)
+	stream := append(AppendFrame(nil, []byte("good")), AppendFrame(nil, []byte("torn"))[:5]...)
 	r := bytes.NewReader(stream)
 	if _, err := ReadFrame(r); err != nil {
 		t.Fatal(err)

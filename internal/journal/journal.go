@@ -175,7 +175,6 @@ type Writer struct {
 
 	mu      sync.Mutex
 	f       *os.File
-	path    string
 	records int
 	dead    bool
 	// buf is the encode buffer every append reuses: header and payload of
@@ -189,11 +188,8 @@ func OpenWriter(path string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
-	return &Writer{f: f, path: path}, nil
+	return &Writer{f: f}, nil
 }
-
-// Path returns the journal file path.
-func (w *Writer) Path() string { return w.path }
 
 // Append encodes rec, frames it, writes it, and fsyncs — all before the
 // caller may ack the operation the record describes. A fired crash hook at
@@ -511,7 +507,14 @@ func ReadCheckpoint(path string, v any) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("journal: checkpoint open: %w", err)
 	}
-	payload, ferr := ipc.ReadFrame(f)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return false, fmt.Errorf("journal: checkpoint stat: %w", err)
+	}
+	// WriteCheckpoint frames a payload of any size, so the declared length
+	// is bounded by what the file holds, not by ipc.MaxFramePayload.
+	payload, ferr := ipc.ReadFrameWithin(f, fi.Size()-ipc.FrameHeaderSize)
 	if ferr == nil {
 		// The frame must be the whole file: trailing bytes mean corruption.
 		var rest [1]byte

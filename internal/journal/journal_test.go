@@ -1,12 +1,16 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"slate/internal/fault"
+	"slate/internal/ipc"
 )
 
 func rec(sess, op uint64, kernel string) *Record {
@@ -351,6 +355,49 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt checkpoint still in place")
+	}
+}
+
+// A checkpoint larger than ipc.MaxFramePayload comes back: compaction
+// publishes it and then resets the journal, so a reader that refused it
+// would lose every session it held.
+func TestCheckpointOverMaxFramePayloadRoundTrips(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.slate")
+	big := struct{ S string }{strings.Repeat("s", ipc.MaxFramePayload+1)}
+	if err := WriteCheckpoint(path, &big, nil); err != nil {
+		t.Fatal(err)
+	}
+	var back struct{ S string }
+	ok, err := ReadCheckpoint(path, &back)
+	if err != nil || !ok {
+		t.Fatalf("ReadCheckpoint = %v, %v; a published checkpoint must load", ok, err)
+	}
+	if back.S != big.S {
+		t.Fatalf("payload came back with %d bytes, want %d", len(back.S), len(big.S))
+	}
+	if _, err := os.Stat(path + ".bad"); !os.IsNotExist(err) {
+		t.Fatal("a good checkpoint was quarantined")
+	}
+}
+
+// A header that declares more bytes than the file holds is quarantined
+// without allocating them, whether it overshoots by one byte or by 4 GiB.
+func TestCheckpointLyingLengthQuarantined(t *testing.T) {
+	for _, declared := range []uint32{3, math.MaxUint32} {
+		path := filepath.Join(t.TempDir(), "c.slate")
+		frame := ipc.AppendFrame(nil, []byte("{}"))
+		binary.LittleEndian.PutUint32(frame, declared)
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var v ckpt
+		ok, err := ReadCheckpoint(path, &v)
+		if err != nil || ok {
+			t.Fatalf("declared %d: ReadCheckpoint = %v, %v; want quarantined", declared, ok, err)
+		}
+		if _, err := os.Stat(path + ".bad"); err != nil {
+			t.Fatalf("declared %d: checkpoint was not quarantined to .bad", declared)
+		}
 	}
 }
 

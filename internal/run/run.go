@@ -8,7 +8,6 @@ package run
 
 import (
 	"fmt"
-	"sort"
 
 	"slate/internal/engine"
 	"slate/internal/kern"
@@ -280,10 +279,4 @@ func Reps30s(soloKernelSec, target float64) int {
 		n = 1
 	}
 	return n
-}
-
-// SortByEnd orders results by completion time (stable on code), a helper
-// for reports.
-func SortByEnd(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool { return rs[i].End < rs[j].End })
 }

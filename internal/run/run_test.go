@@ -155,14 +155,6 @@ func TestFIFOOrdering(t *testing.T) {
 	}
 }
 
-func TestSortByEnd(t *testing.T) {
-	rs := []Result{{Code: "b", End: 20}, {Code: "a", End: 10}, {Code: "c", End: 30}}
-	SortByEnd(rs)
-	if rs[0].Code != "a" || rs[2].Code != "c" {
-		t.Fatalf("sorted = %v", rs)
-	}
-}
-
 func TestDriverAccumulatesDeviceCounters(t *testing.T) {
 	clk := vtime.NewClock()
 	fb := &counterBackend{clock: clk}

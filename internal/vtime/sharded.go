@@ -47,7 +47,6 @@ type ShardedClock struct {
 	// deterministic order to start from.
 	cross   [][]crossEvent
 	merged  []crossEvent // barrier scratch, reused across windows
-	now     Time         // start of the most recently executed window
 	barrier Time         // exclusive end of the executing window
 	running bool
 }
@@ -74,20 +73,10 @@ func NewSharded(n int, w Duration) *ShardedClock {
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *ShardedClock) NumShards() int { return len(s.shards) }
-
 // Shard returns shard i's Clock. All scheduling local to the shard — and
 // every component built for it (engines, drivers) — goes through this clock
 // exactly as in a serial simulation.
 func (s *ShardedClock) Shard(i int) *Clock { return s.shards[i] }
-
-// Window returns the configured conservative window width.
-func (s *ShardedClock) Window() Duration { return s.window }
-
-// Now returns the start of the most recently executed window — the sharded
-// clock's low-water mark. Individual shards may be ahead of it, never behind.
-func (s *ShardedClock) Now() Time { return s.now }
 
 // Fired returns the total events dispatched across all shards. Not safe to
 // call while Run is executing a window.
@@ -153,7 +142,6 @@ func (s *ShardedClock) Run(limit int) int {
 		if s.window <= 0 || end < start || end > Forever {
 			end = Forever
 		}
-		s.now = start
 		s.barrier = end
 		s.running = true
 

@@ -17,7 +17,6 @@ const (
 	trTileDim = 32
 	// Each block transposes a 2×2 group of 32×32 tiles (a 64×64 patch),
 	// amortizing launch and queue costs over 32 KiB of traffic.
-	trTilesPerBlock = 4
 	trPatchDim      = 64
 	trGrid          = trMatrixN / trPatchDim // 128
 	trBytesPerBlock = 2 * trPatchDim * trPatchDim * 4
