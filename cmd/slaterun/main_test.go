@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,11 +79,14 @@ func TestTraceWritesReadableJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	log, err := trace.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
+	sum := map[string]int{}
+	for dec := json.NewDecoder(f); dec.More(); {
+		var e trace.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		sum[e.Kind]++
 	}
-	sum := log.Summary()
 	if sum["corun"]+sum["solo"] == 0 {
 		t.Fatalf("trace holds no scheduling decision: %v", sum)
 	}

@@ -22,7 +22,7 @@ type AblationVariant struct {
 	Mean float64
 }
 
-// AblationResult holds the design-choice ablation of DESIGN.md §5: each
+// AblationResult holds the design-choice ablation of DESIGN.md §3: each
 // mechanism the paper's scheduler relies on is disabled or replaced, and
 // the throughput cost measured.
 type AblationResult struct {

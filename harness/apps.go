@@ -161,7 +161,7 @@ func (h *Harness) newSlateSim(clk *vtime.Clock) *daemon.SimBackend {
 // backends — so with SimWorkers > 1 they run as shards of one
 // vtime.ShardedClock under conservative windows; serially otherwise. The
 // per-scheduler results are byte-identical between the two paths: each
-// shard's event sequence is exactly the serial run's (DESIGN.md §15).
+// shard's event sequence is exactly the serial run's (DESIGN.md §3).
 func (h *Harness) runJobsAllScheds(jobs []run.Job) ([][]run.Result, error) {
 	scheds := Scheds()
 	out := make([][]run.Result, len(scheds))

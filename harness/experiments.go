@@ -21,7 +21,7 @@ type Experiment struct {
 func Experiments() []Experiment {
 	return []Experiment{
 		{"fig1", func(h *Harness) (Output, error) { return OutputOf(h.Fig1()) }},
-		{"table1", func(*Harness) (Output, error) { return Output{Render: TableIRender()}, nil }},
+		{"table1", func(*Harness) (Output, error) { return Output{Render: tableIRender()}, nil }},
 		{"table2", func(h *Harness) (Output, error) { return OutputOf(h.TableII()) }},
 		{"table3", func(h *Harness) (Output, error) { return OutputOf(h.TableIII()) }},
 		{"table4", func(h *Harness) (Output, error) { return OutputOf(h.TableIV()) }},

@@ -127,7 +127,7 @@ func TestTableVRendersInventory(t *testing.T) {
 }
 
 func TestTableIRenderMatchesPolicy(t *testing.T) {
-	out := TableIRender()
+	out := tableIRender()
 	if !strings.Contains(out, "L_C") || !strings.Contains(out, "corun") || !strings.Contains(out, "solo") {
 		t.Fatalf("Table I render incomplete:\n%s", out)
 	}

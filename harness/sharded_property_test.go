@@ -28,7 +28,7 @@ func experimentOutputs(t *testing.T, cfg Config) map[string]string {
 	return out
 }
 
-// TestShardedExecutionBitIdentical is DESIGN.md §15's contract over the
+// TestShardedExecutionBitIdentical is DESIGN.md §3's contract over the
 // whole evaluation: every experiment, rendered from a serial harness
 // (Parallel=1, SimWorkers=1) and from a fully parallel one (cell pool +
 // sharded sub-simulations + engine fan + model build fan), must agree on

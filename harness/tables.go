@@ -93,8 +93,8 @@ func (r *TableIIResult) CSV() string {
 	return csvJoin([]string{"app", "class", "gflops", "access_gbs"}, rows)
 }
 
-// TableIRender prints the heuristic policy table (Table I) verbatim.
-func TableIRender() string {
+// tableIRender prints the heuristic policy table (Table I) verbatim.
+func tableIRender() string {
 	classes := []policy.Class{policy.LC, policy.MC, policy.HC, policy.MM, policy.HM}
 	head := []string{""}
 	for _, c := range classes {

@@ -46,6 +46,6 @@ func BenchmarkMRCEightSims(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MissRatioCurve(cfg, trace, benchSizes)
+		missRatioCurve(cfg, trace, benchSizes)
 	}
 }

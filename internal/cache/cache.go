@@ -86,9 +86,9 @@ type line struct {
 	lastUse uint64
 }
 
-// Cache is a set-associative LRU cache simulator. It tracks tags only (no
+// lruCache is a set-associative LRU cache simulator. It tracks tags only (no
 // data payloads) — sufficient for hit-rate and traffic modeling.
-type Cache struct {
+type lruCache struct {
 	cfg       Config
 	sets      int
 	ways      int
@@ -99,9 +99,9 @@ type Cache struct {
 	stats     Stats
 }
 
-// New constructs a cache simulator. It panics on invalid geometry (geometries
+// newCache constructs a cache simulator. It panics on invalid geometry (geometries
 // are static configuration, not runtime input).
-func New(cfg Config) *Cache {
+func newCache(cfg Config) *lruCache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
@@ -117,7 +117,7 @@ func New(cfg Config) *Cache {
 		sets = 1 << (bits.Len(uint(sets)) - 1)
 		ways = linesTotal / sets
 	}
-	return &Cache{
+	return &lruCache{
 		cfg:       cfg,
 		sets:      sets,
 		ways:      ways,
@@ -128,22 +128,22 @@ func New(cfg Config) *Cache {
 }
 
 // Sets returns the number of sets after geometry normalization.
-func (c *Cache) Sets() int { return c.sets }
+func (c *lruCache) Sets() int { return c.sets }
 
 // Ways returns the associativity after geometry normalization.
-func (c *Cache) Ways() int { return c.ways }
+func (c *lruCache) Ways() int { return c.ways }
 
 // LineBytes returns the line size.
-func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
+func (c *lruCache) LineBytes() int { return c.cfg.LineBytes }
 
 // SizeBytes returns the effective capacity after geometry normalization.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.cfg.LineBytes }
+func (c *lruCache) SizeBytes() int { return c.sets * c.ways * c.cfg.LineBytes }
 
 // Stats returns a copy of the accumulated counters.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *lruCache) Stats() Stats { return c.stats }
 
 // Reset clears contents and counters.
-func (c *Cache) Reset() {
+func (c *lruCache) Reset() {
 	for i := range c.lines {
 		c.lines[i] = line{}
 	}
@@ -162,7 +162,7 @@ func (c *Cache) Reset() {
 // simulator's associativity assumptions (and the one-pass MRC's binomial
 // conflict correction) rely on. Lines store the full line address as their
 // tag, so identity never depends on the hash being invertible.
-func (c *Cache) setIndex(lineAddr uint64) int {
+func (c *lruCache) setIndex(lineAddr uint64) int {
 	h := lineAddr
 	h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9
 	h = (h ^ (h >> 27)) * 0x94D049BB133111EB
@@ -172,7 +172,7 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 
 // Access simulates one access to byte address addr and reports whether it
 // hit. A miss installs the line, evicting the LRU way if the set is full.
-func (c *Cache) Access(addr uint64) bool {
+func (c *lruCache) Access(addr uint64) bool {
 	c.tick++
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineShift
@@ -209,57 +209,12 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// AccessRange simulates a sequential access to [addr, addr+size) touching
-// each covered line once. Returns the number of hits and total line accesses.
-func (c *Cache) AccessRange(addr uint64, size int) (hits, total int) {
-	if size <= 0 {
-		return 0, 0
-	}
-	lb := uint64(c.cfg.LineBytes)
-	first := addr &^ (lb - 1)
-	end := addr + uint64(size) - 1
-	if end < addr {
-		// addr+size wrapped past the top of the address space; clamp to the
-		// last representable line so the loop below terminates.
-		end = ^uint64(0)
-	}
-	last := end &^ (lb - 1)
-	for a := first; ; a += lb {
-		total++
-		if c.Access(a) {
-			hits++
-		}
-		if a == last {
-			break
-		}
-	}
-	return hits, total
-}
-
 // SimulateTrace runs a full address trace through a fresh cache of the given
 // geometry and returns the stats. Convenience for miss-ratio-curve work.
 func SimulateTrace(cfg Config, trace []uint64) Stats {
-	c := New(cfg)
+	c := newCache(cfg)
 	for _, a := range trace {
 		c.Access(a)
 	}
 	return c.Stats()
-}
-
-// MissRatioCurve evaluates the trace's miss ratio at each capacity in
-// sizesBytes (geometry otherwise as cfg) by running one full set-associative
-// simulation per capacity. It is the brute-force validation oracle for the
-// single-pass ReuseDistanceMRC engine, which the model-build hot path uses
-// instead; the property tests in mrc_test.go bound the deviation between
-// the two.
-func MissRatioCurve(cfg Config, trace []uint64, sizesBytes []int) []float64 {
-	out := make([]float64, len(sizesBytes))
-	for i, sz := range sizesBytes {
-		c := cfg
-		c.SizeBytes = sz
-		c.Sets = 0
-		st := SimulateTrace(c, trace)
-		out[i] = st.MissRate()
-	}
-	return out
 }

@@ -9,7 +9,7 @@ import (
 func small() Config { return Config{SizeBytes: 4096, LineBytes: 64, Ways: 4} } // 16 sets
 
 func TestGeometry(t *testing.T) {
-	c := New(small())
+	c := newCache(small())
 	if c.Sets() != 16 || c.Ways() != 4 || c.LineBytes() != 64 {
 		t.Fatalf("geometry = %d sets x %d ways x %dB", c.Sets(), c.Ways(), c.LineBytes())
 	}
@@ -19,7 +19,7 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestTitanXpL2Geometry(t *testing.T) {
-	c := New(TitanXpL2())
+	c := newCache(TitanXpL2())
 	if c.SizeBytes() != 3<<20 {
 		t.Fatalf("L2 size = %d, want %d", c.SizeBytes(), 3<<20)
 	}
@@ -41,13 +41,13 @@ func TestInvalidGeometryPanics(t *testing.T) {
 					t.Errorf("case %d: invalid geometry did not panic", i)
 				}
 			}()
-			New(cfg)
+			newCache(cfg)
 		}()
 	}
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := New(small())
+	c := newCache(small())
 	if c.Access(0x1000) {
 		t.Fatal("cold access hit")
 	}
@@ -67,7 +67,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(small())
+	c := newCache(small())
 	// Collect 5 distinct lines that map to the same set under the hashed
 	// index (probing keeps the test independent of the hash function).
 	target := c.setIndex(0)
@@ -101,7 +101,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	// asserted on fully-associative geometry. The hashed set-associative
 	// mapping intentionally trades it for stride robustness (see setIndex);
 	// conflict misses for that case are bounded below.
-	c := New(Config{SizeBytes: 4096, LineBytes: 64, Ways: 0})
+	c := newCache(Config{SizeBytes: 4096, LineBytes: 64, Ways: 0})
 	lines := c.SizeBytes() / c.LineBytes()
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < lines; i++ {
@@ -119,7 +119,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	// Set-associative with hashed indexing: a capacity-fitting working set
 	// incurs some conflict misses (sets overflow binomially), but far fewer
 	// than a thrashing trace — the second pass must still be mostly hits.
-	sa := New(small())
+	sa := newCache(small())
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < lines; i++ {
 			sa.Access(uint64(i * 64))
@@ -132,7 +132,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 }
 
 func TestStreamingThrashes(t *testing.T) {
-	c := New(small())
+	c := newCache(small())
 	// Working set = 4x capacity, sequential, repeated: LRU thrashes fully.
 	lines := 4 * c.SizeBytes() / c.LineBytes()
 	for pass := 0; pass < 3; pass++ {
@@ -146,7 +146,7 @@ func TestStreamingThrashes(t *testing.T) {
 }
 
 func TestFullyAssociative(t *testing.T) {
-	c := New(Config{SizeBytes: 1024, LineBytes: 64, Ways: 0})
+	c := newCache(Config{SizeBytes: 1024, LineBytes: 64, Ways: 0})
 	if c.Sets() != 1 || c.Ways() != 16 {
 		t.Fatalf("fully associative geometry = %d sets x %d ways", c.Sets(), c.Ways())
 	}
@@ -166,49 +166,8 @@ func TestFullyAssociative(t *testing.T) {
 	}
 }
 
-func TestAccessRange(t *testing.T) {
-	c := New(small())
-	hits, total := c.AccessRange(0, 256) // 4 lines
-	if hits != 0 || total != 4 {
-		t.Fatalf("first pass hits=%d total=%d", hits, total)
-	}
-	hits, total = c.AccessRange(0, 256)
-	if hits != 4 || total != 4 {
-		t.Fatalf("second pass hits=%d total=%d", hits, total)
-	}
-	// Unaligned range spanning two lines.
-	hits, total = c.AccessRange(60, 8)
-	if total != 2 {
-		t.Fatalf("unaligned total=%d, want 2", total)
-	}
-	if h, tot := c.AccessRange(0, 0); h != 0 || tot != 0 {
-		t.Fatal("zero-size range accessed lines")
-	}
-}
-
-// Regression: a range whose addr+size wraps past the top of the address
-// space used to loop forever (the stop line wrapped below the start line).
-// It must terminate, clamped to the last representable line.
-func TestAccessRangeOverflowTerminates(t *testing.T) {
-	c := New(small())
-	addr := ^uint64(0) - 130 // 3 lines from the top (lines of 64B)
-	hits, total := c.AccessRange(addr, 4096)
-	if total != 3 {
-		t.Fatalf("wrapped range total=%d, want 3 (clamped to top of address space)", total)
-	}
-	if hits != 0 {
-		t.Fatalf("wrapped range hits=%d on a cold cache", hits)
-	}
-	// The exact top line (addr+size-1 == ^uint64(0), no wrap) is reachable
-	// and was installed by the wrapped range above.
-	hits, total = c.AccessRange(^uint64(0)-63, 64)
-	if total != 1 || hits != 1 {
-		t.Fatalf("top line total=%d hits=%d, want 1,1 (was installed by the wrapped range)", total, hits)
-	}
-}
-
 func TestReset(t *testing.T) {
-	c := New(small())
+	c := newCache(small())
 	c.Access(0)
 	c.Reset()
 	if c.Stats().Accesses != 0 {
@@ -230,7 +189,7 @@ func TestMissRatioCurveMonotonicOnLoop(t *testing.T) {
 		}
 	}
 	sizes := []int{1 << 12, 1 << 14, 1 << 16, 1 << 18}
-	mrc := MissRatioCurve(Config{LineBytes: 64, Ways: 0}, trace, sizes)
+	mrc := missRatioCurve(Config{LineBytes: 64, Ways: 0}, trace, sizes)
 	for i := 1; i < len(mrc); i++ {
 		if mrc[i] > mrc[i-1]+1e-12 {
 			t.Fatalf("MRC not nonincreasing: %v", mrc)
@@ -249,7 +208,7 @@ func TestPropertyStatsConsistent(t *testing.T) {
 		ways := 1 << rng.Intn(4)
 		lineB := 32 << rng.Intn(3)
 		sets := 1 << rng.Intn(6)
-		c := New(Config{SizeBytes: sets * ways * lineB, LineBytes: lineB, Ways: ways})
+		c := newCache(Config{SizeBytes: sets * ways * lineB, LineBytes: lineB, Ways: ways})
 		for _, a := range raw {
 			c.Access(uint64(a))
 		}
@@ -269,8 +228,8 @@ func TestPropertyStatsConsistent(t *testing.T) {
 // misses on an access that a smaller cache hits.
 func TestPropertyLRUInclusion(t *testing.T) {
 	f := func(raw []uint16) bool {
-		smallC := New(Config{SizeBytes: 1024, LineBytes: 64, Ways: 0})
-		bigC := New(Config{SizeBytes: 4096, LineBytes: 64, Ways: 0})
+		smallC := newCache(Config{SizeBytes: 1024, LineBytes: 64, Ways: 0})
+		bigC := newCache(Config{SizeBytes: 4096, LineBytes: 64, Ways: 0})
 		for _, a := range raw {
 			hs := smallC.Access(uint64(a) * 64)
 			hb := bigC.Access(uint64(a) * 64)
@@ -286,7 +245,7 @@ func TestPropertyLRUInclusion(t *testing.T) {
 }
 
 func BenchmarkAccessHit(b *testing.B) {
-	c := New(TitanXpL2())
+	c := newCache(TitanXpL2())
 	c.Access(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -296,10 +255,28 @@ func BenchmarkAccessHit(b *testing.B) {
 }
 
 func BenchmarkAccessStreaming(b *testing.B) {
-	c := New(TitanXpL2())
+	c := newCache(TitanXpL2())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i) * 64)
 	}
+}
+
+// missRatioCurve evaluates the trace's miss ratio at each capacity in
+// sizesBytes (geometry otherwise as cfg) by running one full set-associative
+// simulation per capacity. It is the brute-force validation oracle for the
+// single-pass ReuseDistanceMRC engine, which the model-build hot path uses
+// instead; the property tests in mrc_test.go bound the deviation between
+// the two.
+func missRatioCurve(cfg Config, trace []uint64, sizesBytes []int) []float64 {
+	out := make([]float64, len(sizesBytes))
+	for i, sz := range sizesBytes {
+		c := cfg
+		c.SizeBytes = sz
+		c.Sets = 0
+		st := SimulateTrace(c, trace)
+		out[i] = st.MissRate()
+	}
+	return out
 }

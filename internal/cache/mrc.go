@@ -23,10 +23,10 @@
 // That tail is a function of (S, W) alone; phase 2 folds the distance
 // histogram through a table of it built once per geometry (tailTable).
 //
-// The set-associative simulator (SimulateTrace / MissRatioCurve) remains
+// The set-associative simulator (SimulateTrace / missRatioCurve) remains
 // the validation oracle: the property tests in mrc_test.go and the
 // engine/workloads parity suites bound the per-point deviation (see
-// MRCDeviationBound).
+// mrcDeviationBound).
 package cache
 
 import (
@@ -37,13 +37,6 @@ import (
 
 	"slate/internal/memo"
 )
-
-// MRCDeviationBound is the documented absolute per-point deviation between
-// the one-pass reuse-distance MRC and the set-associative oracle (TitanXpL2
-// geometry), asserted by the property tests in this package and the
-// engine/workloads parity suites across every workload pattern. See
-// DESIGN.md §10 for the measured maxima.
-const MRCDeviationBound = 0.04
 
 // mrcScratch is the per-pass working memory: the position bitmap, the
 // Fenwick tree over its word popcounts, the paged line table and the
@@ -139,7 +132,7 @@ func (s *mrcScratch) newPage(h int, pg uint64, pageBits uint, budget int) (int, 
 }
 
 // mrcGeometry is one capacity point's derived set-associative shape,
-// normalized exactly as New normalizes a Config (power-of-two set rounding).
+// normalized exactly as newCache normalizes a Config (power-of-two set rounding).
 type mrcGeometry struct {
 	lines int // total capacity in lines
 	sets  int
@@ -166,7 +159,7 @@ func geometryAt(cfg Config, sizeBytes int) mrcGeometry {
 }
 
 // ReuseDistanceMRC evaluates the trace's miss ratio at each capacity in
-// sizesBytes (geometry otherwise as cfg, mirroring MissRatioCurve) in a
+// sizesBytes (geometry otherwise as cfg, mirroring missRatioCurve) in a
 // single traversal. Capacities need not be sorted and duplicates are
 // allowed. An empty trace reports 0 at every point, matching
 // Stats.MissRate's untouched-cache convention. For fully-associative

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"slate/internal/daemon"
-	"slate/internal/ipc"
 )
 
 // A remote client ships memcpy bytes inline, one frame each way, so a
 // transfer twice the journal's frame bound must still round-trip byte for
 // byte: the command channel has its own, larger bound.
 func TestRemoteBulkMemcpyRoundTrips(t *testing.T) {
-	const size = 2 * ipc.MaxFramePayload
+	const size = 2 * 16 << 20 // twice ipc's 16 MiB frame bound
 	srv, dial := daemon.NewLocal(2)
 	c, err := New(dial(), "bulk")
 	if err != nil {

@@ -66,9 +66,6 @@ var (
 	// NOT run. Not retried by the backpressure loop — the client's own
 	// timeout budget for the op is what expired.
 	ErrExpired = daemon.ErrExpired
-	// ErrMalformed: the daemon refused a frame whose fields contradict each
-	// other. Batch never builds one; a hand-built request can.
-	ErrMalformed = ipc.ErrMalformed
 )
 
 // opError is a failed command: the op, the daemon's message, and the typed

@@ -62,7 +62,7 @@ func TestRefusedLaunchTakesItsSpecBack(t *testing.T) {
 // Backpressure that outlasts the retries is a definite refusal too; the
 // retries in between re-send the same token and must not lose it.
 func TestBackpressuredLaunchTakesItsSpecBack(t *testing.T) {
-	specs := daemon.NewSpecTable()
+	specs := daemon.NewServer(1).Specs
 	c, err := New(backpressureDaemon(t), "bp", WithShared(nil, specs),
 		WithBackpressureRetry(BackoffConfig{Attempts: 2, BaseDelay: 1, MaxDelay: 1}))
 	if err != nil {
@@ -99,7 +99,7 @@ func TestRejectedBatchItemTakesItsSpecBack(t *testing.T) {
 			}
 		}
 	}()
-	specs := daemon.NewSpecTable()
+	specs := daemon.NewServer(1).Specs
 	c, err := New(a, "items", WithShared(nil, specs))
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestTransportFailureKeepsTheSpec(t *testing.T) {
 	conn := dial()
 	// A table of the test's own: the daemon's teardown purges the session's
 	// deposits from the shared one, which is not what is being tested.
-	specs := daemon.NewSpecTable()
+	specs := daemon.NewServer(1).Specs
 	c, err := New(conn, "orphaned", WithShared(nil, specs))
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestTransportFailureKeepsTheSpec(t *testing.T) {
 func TestUnsentLaunchTakesItsSpecBack(t *testing.T) {
 	_, dial := daemon.NewLocal(2)
 	conn := dial()
-	specs := daemon.NewSpecTable()
+	specs := daemon.NewServer(1).Specs
 	c, err := New(conn, "unsent", WithShared(nil, specs))
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestLostReplyKeepsTheSpecForResume(t *testing.T) {
 	}
 	a, b := net.Pipe()
 	go serve(b, true)
-	specs := daemon.NewSpecTable()
+	specs := daemon.NewServer(1).Specs
 	c, err := New(a, "lost-reply", WithShared(nil, specs))
 	if err != nil {
 		t.Fatal(err)

@@ -158,7 +158,7 @@ func (s *Server) adoptSession(v *resumeState) (st *resumeState, dup bool, err er
 // StateDigest over the subdirectory still works.
 func tombstone(dir string) error {
 	ad := filepath.Join(dir, "adopted")
-	for _, f := range []string{JournalFile, CheckpointFile} {
+	for _, f := range []string{JournalFile, checkpointFile} {
 		src := filepath.Join(dir, f)
 		if _, err := os.Stat(src); err != nil {
 			continue

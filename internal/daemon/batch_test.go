@@ -110,12 +110,12 @@ func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
 			t.Fatalf("op %d: %s", it.OpID, rep.Err)
 		}
 	}
-	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: 2}); rep.Code != ipc.CodeKernelPanic {
+	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: 2}); rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) {
 		t.Fatalf("sync of the panicked stream = %+v, want CodeKernelPanic", rep)
 	}
 
 	// Poisoned, two of three quota units held. A fresh launch is refused...
-	if rep := do(single(item(4, 2, quickKernel("fresh")))); rep.Code != ipc.CodeKernelPanic {
+	if rep := do(single(item(4, 2, quickKernel("fresh")))); rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) {
 		t.Fatalf("fresh single on a poisoned session = %+v, want the sticky error", rep)
 	}
 	// ...a replayed single is answered from the window...
@@ -134,11 +134,11 @@ func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
 	}
 	// One fresh item makes the frame fresh work: refused whole.
 	rep = do(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{bad, item(5, 2, quickKernel("fresh"))}})
-	if rep.Code != ipc.CodeKernelPanic || len(rep.Acks) != 0 {
+	if rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) || len(rep.Acks) != 0 {
 		t.Fatalf("batch with a fresh item on a poisoned session = %+v, want the sticky error and no acks", rep)
 	}
 	close(gate)
-	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: -1}); rep.Code != ipc.CodeKernelPanic {
+	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: -1}); rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) {
 		t.Fatalf("device sync = %+v, want the sticky error", rep)
 	}
 	if got := srv.DedupHits(); got != 5 {

@@ -156,9 +156,13 @@ func TestSimBackendRunsAppsThroughScheduler(t *testing.T) {
 	if !corun {
 		t.Fatal("BS-RG never corun under the Slate scheduler")
 	}
-	// The profiler classified both kernels.
-	if p, ok := b.Prof.Lookup("RG"); !ok || p.Class != policy.LC {
-		t.Fatalf("RG profile missing or misclassified: %+v", p)
+	// The profiler classified both kernels: RG's profile is cached, and a
+	// Get measures nothing new.
+	if n := b.Prof.Len(); n != 2 {
+		t.Fatalf("%d cached profiles, want 2", n)
+	}
+	if p, err := b.Prof.Get(rg.Kernel); err != nil || p.Class != policy.LC || b.Prof.Len() != 2 {
+		t.Fatalf("RG profile missing or misclassified: %+v, %v", p, err)
 	}
 }
 

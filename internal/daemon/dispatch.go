@@ -1,4 +1,4 @@
-// The back half of the launch pipeline (DESIGN.md §14): per-stream lanes.
+// The back half of the launch pipeline (DESIGN.md §4): per-stream lanes.
 // Every accepted launch, whether it arrived alone or in a batch, is queued on
 // the lane of its CUDA stream (§III: "a queue for each process and CUDA
 // stream"). A lane is a FIFO plus the one goroutine that consumes it, so

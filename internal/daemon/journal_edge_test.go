@@ -70,7 +70,7 @@ func TestRecoveryRemovesCheckpointTmpOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	orphan := filepath.Join(dir, daemon.CheckpointFile+".tmp")
+	orphan := filepath.Join(dir, "checkpoint.slate"+".tmp")
 	if err := os.WriteFile(orphan, []byte("half-written snapshot that never renamed"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCorruptCheckpointQuarantineCostsOnlyCheckpointedState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ckpt := filepath.Join(dir, daemon.CheckpointFile)
+	ckpt := filepath.Join(dir, "checkpoint.slate")
 	blob, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatalf("compaction never published a checkpoint: %v", err)

@@ -213,14 +213,14 @@ func TestVersionSkewRefused(t *testing.T) {
 
 	conn := ipc.NewConn(dial())
 	rep := call(t, conn, &ipc.Request{Op: ipc.OpHello, Proc: "skew", Seq: 1, Version: ipc.ProtocolVersion})
-	if rep.Code != ipc.CodeVersionSkew {
+	if rep.Code != ipc.CodeOf(ipc.ErrVersionSkew) {
 		t.Fatalf("skewed hello = %+v, want CodeVersionSkew", rep)
 	}
 	conn.Close()
 
 	conn2 := ipc.NewConn(dial())
 	rep = call(t, conn2, &ipc.Request{Op: ipc.OpResume, SessionToken: 42, Proc: "skew", Seq: 1, Version: ipc.ProtocolVersion})
-	if rep.Code != ipc.CodeVersionSkew {
+	if rep.Code != ipc.CodeOf(ipc.ErrVersionSkew) {
 		t.Fatalf("skewed resume = %+v, want CodeVersionSkew", rep)
 	}
 	conn2.Close()

@@ -2,7 +2,7 @@
 // session and launch state, periodic compaction into a checkpoint, and the
 // recovery path that rebuilds resumable sessions after a restart.
 //
-// Durable state machine (DESIGN.md §11):
+// Durable state machine (DESIGN.md §4):
 //
 //	hello        → journal session-open (token minted, pre-ack)
 //	launch       → journal launch-accept (pre-ack, with the ack's contents
@@ -48,8 +48,8 @@ import (
 const (
 	// JournalFile is the append-only write-ahead log.
 	JournalFile = "journal.slate"
-	// CheckpointFile is the compacted snapshot the journal folds into.
-	CheckpointFile = "checkpoint.slate"
+	// checkpointFile is the compacted snapshot the journal folds into.
+	checkpointFile = "checkpoint.slate"
 )
 
 // DedupWindow bounds each session's journaled replay window: the daemon
@@ -59,15 +59,15 @@ const (
 // will not run again, but its outcome is no longer recallable.
 const DedupWindow = 128
 
-// DefaultCompactEvery is how many journal records accumulate before the
+// defaultCompactEvery is how many journal records accumulate before the
 // daemon folds them into the checkpoint and resets the log.
-const DefaultCompactEvery = 256
+const defaultCompactEvery = 256
 
 // Durability configures the daemon's crash-safe state layer.
 type Durability struct {
 	// Dir holds the journal and checkpoint files.
 	Dir string
-	// CompactEvery overrides DefaultCompactEvery (0 = default).
+	// CompactEvery overrides defaultCompactEvery (0 = default).
 	CompactEvery int
 	// Crash is the crash-site hook (fault.Crasher.Hook) for kill-and-restart
 	// testing; nil never fires.
@@ -356,7 +356,7 @@ func (t *sessionTable) install(st *resumeState) {
 func loadDurableState(dir string) (*sessionTable, journal.ReplayStats, bool, error) {
 	t := newSessionTable()
 	var ck checkpointState
-	ckLoaded, err := journal.ReadCheckpoint(filepath.Join(dir, CheckpointFile), &ck)
+	ckLoaded, err := journal.ReadCheckpoint(filepath.Join(dir, checkpointFile), &ck)
 	if err != nil {
 		return nil, journal.ReplayStats{}, false, err
 	}
@@ -447,7 +447,7 @@ func tokenFor(sess, seed uint64) uint64 {
 // opens the journal for appending. Call before Serve.
 func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 	if cfg.CompactEvery <= 0 {
-		cfg.CompactEvery = DefaultCompactEvery
+		cfg.CompactEvery = defaultCompactEvery
 	}
 	// Recovery replays accepted-but-incomplete launches out of the dedup
 	// window, so every pending op must still be inside it: an unbounded (or
@@ -457,7 +457,7 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 		s.MaxSessionPending = DedupWindow / 2
 	}
 	jPath := filepath.Join(cfg.Dir, JournalFile)
-	ckptPath := filepath.Join(cfg.Dir, CheckpointFile)
+	ckptPath := filepath.Join(cfg.Dir, checkpointFile)
 
 	tab, rstats, ckLoaded, err := loadDurableState(cfg.Dir)
 	if err != nil {

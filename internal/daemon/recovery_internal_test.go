@@ -224,7 +224,7 @@ func TestPoisonSurvivesCompaction(t *testing.T) {
 	if got == nil {
 		t.Fatal("session 7 not recovered")
 	}
-	if got.PoisonErr == "" || got.PoisonCode != uint8(ipc.CodeKernelPanic) {
+	if got.PoisonErr == "" || got.PoisonCode != uint8(ipc.CodeOf(ErrKernelPanic)) {
 		t.Fatalf("recovered poison = (%q, %d), want the panic sticky across compaction", got.PoisonErr, got.PoisonCode)
 	}
 	if e := got.entry(1); e == nil || !e.Done {
@@ -304,7 +304,7 @@ func TestPR20StateDirDecodesAndReencodesTheSame(t *testing.T) {
 		}
 		return b
 	}
-	for _, name := range []string{JournalFile, CheckpointFile} {
+	for _, name := range []string{JournalFile, checkpointFile} {
 		if err := os.WriteFile(filepath.Join(dir, name), read(name), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -318,14 +318,14 @@ func TestPR20StateDirDecodesAndReencodesTheSame(t *testing.T) {
 	}
 
 	var ck checkpointState
-	if ok, err := journal.ReadCheckpoint(filepath.Join(dir, CheckpointFile), &ck); err != nil || !ok {
+	if ok, err := journal.ReadCheckpoint(filepath.Join(dir, checkpointFile), &ck); err != nil || !ok {
 		t.Fatalf("read checkpoint: ok=%v err=%v", ok, err)
 	}
-	again := filepath.Join(t.TempDir(), CheckpointFile)
+	again := filepath.Join(t.TempDir(), checkpointFile)
 	if err := journal.WriteCheckpoint(again, &ck, nil); err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := os.ReadFile(again); !bytes.Equal(b, read(CheckpointFile)) {
+	if b, _ := os.ReadFile(again); !bytes.Equal(b, read(checkpointFile)) {
 		t.Fatal("the checkpoint, decoded and written again, is not the PR 20 bytes")
 	}
 

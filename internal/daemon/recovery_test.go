@@ -302,7 +302,7 @@ func TestPoisonSurvivesRestart(t *testing.T) {
 	launch := sourceLaunch(5)
 	launch.Seq = 2
 	rep := call(t, conn, launch)
-	if rep.Code != ipc.CodeKernelPanic {
+	if rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) {
 		t.Fatalf("launch on resumed poisoned session = %+v, want CodeKernelPanic", rep)
 	}
 }

@@ -59,8 +59,8 @@ type specEntry struct {
 	owner uint64
 }
 
-// NewSpecTable returns an empty table.
-func NewSpecTable() *SpecTable {
+// newSpecTable returns an empty table.
+func newSpecTable() *SpecTable {
 	return &SpecTable{next: 1, specs: map[uint64]specEntry{}}
 }
 
@@ -175,21 +175,21 @@ type Server struct {
 	crashed atomic.Bool
 }
 
-// DefaultMaxSessionPending is the per-session launch-queue bound NewServer
+// defaultMaxSessionPending is the per-session launch-queue bound NewServer
 // installs: deep enough that well-behaved looped clients never see it,
 // shallow enough that one flooding session cannot queue unbounded daemon
 // work.
-const DefaultMaxSessionPending = 64
+const defaultMaxSessionPending = 64
 
 // NewServer builds a daemon with the given executor budget and default
 // per-session admission bounds.
 func NewServer(budget int) *Server {
 	return &Server{
 		Registry:          ipc.NewBufferRegistry(),
-		Specs:             NewSpecTable(),
+		Specs:             newSpecTable(),
 		Exec:              NewExecutor(budget),
 		Compiler:          nvrtc.New(),
-		MaxSessionPending: DefaultMaxSessionPending,
+		MaxSessionPending: defaultMaxSessionPending,
 		conns:             map[net.Conn]struct{}{},
 	}
 }

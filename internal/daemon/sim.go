@@ -34,8 +34,8 @@ type Costs struct {
 	CompileSeconds float64
 }
 
-// DefaultCosts returns the calibrated overhead constants.
-func DefaultCosts() Costs {
+// defaultCosts returns the calibrated overhead constants.
+func defaultCosts() Costs {
 	return Costs{
 		CommandRTTSeconds: 15e-6,
 		RTTsPerLaunch:     2,
@@ -69,7 +69,7 @@ func NewSim(dev *device.Device, clock *vtime.Clock, model engine.PerfModel, prof
 		Eng:      eng,
 		Sched:    sched.New(dev, eng, prof),
 		Prof:     prof,
-		Costs:    DefaultCosts(),
+		Costs:    defaultCosts(),
 		compiled: map[string]bool{},
 	}
 }

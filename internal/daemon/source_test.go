@@ -82,6 +82,10 @@ func journalSize(t *testing.T, dir string) int64 {
 	return fi.Size()
 }
 
+// codeMalformed is the wire code of a refused, self-contradicting frame: the
+// code of what ipc's own check returns for an op stamped twice.
+var codeMalformed = ipc.CodeOf(ipc.CheckOpOrder([]ipc.BatchItem{{OpID: 1}, {OpID: 1}}))
+
 // A frame whose SrcRef does not name an earlier source-carrying item is
 // refused whole and typed: no acks, nothing journaled, nothing executed, and
 // the session stays usable — including for a frame that spells every source
@@ -114,7 +118,7 @@ func TestBatchBadSrcRefRefusesWholeFrame(t *testing.T) {
 	for name, items := range bad {
 		seq++
 		rep := call(t, conn, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: items, Seq: seq})
-		if rep.Code != ipc.CodeMalformed || len(rep.Acks) != 0 {
+		if rep.Code != codeMalformed || len(rep.Acks) != 0 {
 			t.Errorf("%s: code %d (%s) with %d acks, want CodeMalformed and none", name, rep.Code, rep.Err, len(rep.Acks))
 		}
 	}
@@ -173,7 +177,7 @@ func TestBatchOpIDsMustAscend(t *testing.T) {
 	before := journalSize(t, dir)
 	for i, ops := range [][]uint64{{5, 5, 7, 6}, {5, 7, 6}, {7, 0, 7}} {
 		rep := call(t, conn, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: frame(ops...), Seq: uint64(2 + i)})
-		if rep.Code != ipc.CodeMalformed || len(rep.Acks) != 0 {
+		if rep.Code != codeMalformed || len(rep.Acks) != 0 {
 			t.Fatalf("frame %v: code %d (%s) with %d acks, want CodeMalformed and none", ops, rep.Code, rep.Err, len(rep.Acks))
 		}
 	}

@@ -65,7 +65,7 @@ func corunFingerprint(t *testing.T, workers int, rescheduleEvery bool, fanGate i
 	return out, clk.Fired()
 }
 
-// TestEngineWorkersBitIdentical is the §15 contract at the engine layer:
+// TestEngineWorkersBitIdentical is DESIGN.md §3's byte-identity contract at the engine layer:
 // fanning computeRates' static pass and advanceProgress across goroutines
 // must not change a single bit of any metric or the dispatched-event count.
 // fanGate=2 forces both fans on every recompute with two or more kernels;

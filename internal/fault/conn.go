@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// ErrInjected tags every transport error the injector manufactures, so tests
+// errInjected tags every transport error the injector manufactures, so tests
 // can tell injected failures from organic ones.
-var ErrInjected = errors.New("fault: injected transport failure")
+var errInjected = errors.New("fault: injected transport failure")
 
 // Conn is the one faulty net.Conn: reads may stall, writes may be replaced
 // by a connection reset or a torn (half-written) frame followed by a reset.
@@ -38,10 +38,10 @@ func (i *Injector) WrapConn(c net.Conn) *Conn {
 
 // readStall delays a read by up to DelayMax at ReadDelayProb.
 func (i *Injector) readStall() time.Duration {
-	if !i.fire(SiteReadDelay, i.cfg.ReadDelayProb, "delay") {
+	if !i.fire(siteReadDelay, i.cfg.ReadDelayProb, "delay") {
 		return 0
 	}
-	v, _ := i.roll(SiteReadDelay + ".len")
+	v, _ := i.roll(siteReadDelay + ".len")
 	return time.Duration(v * float64(i.cfg.DelayMax))
 }
 
@@ -49,11 +49,11 @@ func (i *Injector) readStall() time.Duration {
 // WriteTruncateProb. A reset that fires skips the truncate roll, so each
 // site's counter advances exactly as the fired-fault trace says.
 func (i *Injector) writeFate() (torn bool, err error) {
-	if i.fire(SiteWriteReset, i.cfg.WriteResetProb, "reset") {
-		return false, ErrInjected
+	if i.fire(siteWriteReset, i.cfg.WriteResetProb, "reset") {
+		return false, errInjected
 	}
-	if i.fire(SiteWriteTruncate, i.cfg.WriteTruncateProb, "truncate") {
-		return true, ErrInjected
+	if i.fire(siteWriteTruncate, i.cfg.WriteTruncateProb, "truncate") {
+		return true, errInjected
 	}
 	return false, nil
 }

@@ -7,18 +7,18 @@ import (
 	"time"
 )
 
-// ErrDegraded tags every transport failure the degrade injector
+// errDegraded tags every transport failure the degrade injector
 // manufactures — a flaky NIC dropping a frame mid-op — so tests can tell a
 // gray member's flakiness from organic errors.
-var ErrDegraded = errors.New("fault: degraded link dropped the op")
+var errDegraded = errors.New("fault: degraded link dropped the op")
 
 // Degrade sites: each draws from its own deterministic counter stream.
 const (
-	// SiteDegradeStall delays a read on a degraded member's link.
-	SiteDegradeStall = "degrade.op.stall"
-	// SiteDegradeDrop tears a write on a degraded member's link: a partial
+	// siteDegradeStall delays a read on a degraded member's link.
+	siteDegradeStall = "degrade.op.stall"
+	// siteDegradeDrop tears a write on a degraded member's link: a partial
 	// frame lands, then the conn dies.
-	SiteDegradeDrop = "degrade.op.drop"
+	siteDegradeDrop = "degrade.op.drop"
 )
 
 // DegradeConfig shapes a gray failure: how often ops stall, for how long,
@@ -97,19 +97,19 @@ func (d *Degrade) hit(site string, p float64) bool {
 
 // opStall stalls a read for StallMin..StallMax at StallProb while active.
 func (d *Degrade) opStall() time.Duration {
-	if !d.hit(SiteDegradeStall, d.cfg.StallProb) {
+	if !d.hit(siteDegradeStall, d.cfg.StallProb) {
 		return 0
 	}
-	v, _ := d.inj.roll(SiteDegradeStall + ".len")
+	v, _ := d.inj.roll(siteDegradeStall + ".len")
 	return d.cfg.StallMin + time.Duration(v*float64(d.cfg.StallMax-d.cfg.StallMin))
 }
 
 // opDrop flakily drops a write at DropProb while active: a torn prefix
-// lands, the conn dies, and the caller sees ErrDegraded — the client must
+// lands, the conn dies, and the caller sees errDegraded — the client must
 // redial and replay, exactly as with a crashing peer.
 func (d *Degrade) opDrop() (torn bool, err error) {
-	if d.hit(SiteDegradeDrop, d.cfg.DropProb) {
-		return true, ErrDegraded
+	if d.hit(siteDegradeDrop, d.cfg.DropProb) {
+		return true, errDegraded
 	}
 	return false, nil
 }

@@ -20,11 +20,11 @@ import (
 // stream, so adding faults at one site never shifts the decisions at
 // another.
 const (
-	SiteReadDelay     = "conn.read.delay"
-	SiteWriteReset    = "conn.write.reset"
-	SiteWriteTruncate = "conn.write.truncate"
-	SiteAlloc         = "registry.alloc"
-	SiteCompile       = "nvrtc.compile"
+	siteReadDelay     = "conn.read.delay"
+	siteWriteReset    = "conn.write.reset"
+	siteWriteTruncate = "conn.write.truncate"
+	siteAlloc         = "registry.alloc"
+	siteCompile       = "nvrtc.compile"
 )
 
 // Config sets per-site fault probabilities in [0,1]. Zero values disable a
@@ -156,7 +156,7 @@ func (i *Injector) Trace() string {
 // ipc.BufferRegistry.AllocHook.
 func (i *Injector) AllocHook() func(size int64) error {
 	return func(size int64) error {
-		if i.fire(SiteAlloc, i.cfg.AllocFailProb, "oom") {
+		if i.fire(siteAlloc, i.cfg.AllocFailProb, "oom") {
 			return fmt.Errorf("fault: injected device OOM for %d-byte allocation", size)
 		}
 		return nil
@@ -167,7 +167,7 @@ func (i *Injector) AllocHook() func(size int64) error {
 // the configured probability. Wire it to nvrtc.Compiler.FailHook.
 func (i *Injector) CompileHook() func(src string) error {
 	return func(string) error {
-		if i.fire(SiteCompile, i.cfg.CompileFailProb, "compile-fail") {
+		if i.fire(siteCompile, i.cfg.CompileFailProb, "compile-fail") {
 			return fmt.Errorf("fault: injected transient compiler failure")
 		}
 		return nil

@@ -19,7 +19,7 @@ func TestDeterministicDecisions(t *testing.T) {
 		for n := 0; n < 200; n++ {
 			_ = alloc(64)
 			_ = comp("src")
-			i.fire(SiteWriteReset, i.cfg.WriteResetProb, "reset")
+			i.fire(siteWriteReset, i.cfg.WriteResetProb, "reset")
 		}
 		return i.Events()
 	}
@@ -63,7 +63,7 @@ func TestSiteIsolation(t *testing.T) {
 		}
 		var allocs []Event
 		for _, e := range i.Events() {
-			if e.Site == SiteAlloc {
+			if e.Site == siteAlloc {
 				allocs = append(allocs, e)
 			}
 		}
@@ -102,7 +102,7 @@ var connOwners = []struct {
 		tearing: func(c net.Conn) net.Conn {
 			return New(Config{Seed: 1, WriteTruncateProb: 1}).WrapConn(c)
 		},
-		tornErr: ErrInjected,
+		tornErr: errInjected,
 	},
 	{
 		name: "degrade",
@@ -112,7 +112,7 @@ var connOwners = []struct {
 		tearing: func(c net.Conn) net.Conn {
 			return degraded(c, DegradeConfig{Seed: 1, DropProb: 1})
 		},
-		tornErr: ErrDegraded,
+		tornErr: errDegraded,
 	},
 }
 
@@ -137,8 +137,8 @@ func TestConnResetFault(t *testing.T) {
 		_, err := b.Read(buf)
 		done <- err
 	}()
-	if _, err := fc.Write([]byte("hello")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("reset-injected write = %v, want ErrInjected", err)
+	if _, err := fc.Write([]byte("hello")); !errors.Is(err, errInjected) {
+		t.Fatalf("reset-injected write = %v, want errInjected", err)
 	}
 	select {
 	case err := <-done:
@@ -260,8 +260,8 @@ func TestDegradeInactiveIsTransparent(t *testing.T) {
 	}
 	d.Degrade()
 	go func() { _, _ = b.Read(make([]byte, 8)) }()
-	if _, err := fc.Write([]byte("dropped")); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("write after Degrade() = %v, want ErrDegraded", err)
+	if _, err := fc.Write([]byte("dropped")); !errors.Is(err, errDegraded) {
+		t.Fatalf("write after Degrade() = %v, want errDegraded", err)
 	}
 }
 
@@ -275,11 +275,11 @@ func TestDegradeDrawsMatchInjectorWithoutLogging(t *testing.T) {
 	ref := New(Config{Seed: seed})
 	fired := 0
 	for n := 0; n < 500; n++ {
-		if d.hit(SiteDegradeStall, 0) {
+		if d.hit(siteDegradeStall, 0) {
 			t.Fatal("zero-probability site fired")
 		}
 		_, err := d.opDrop()
-		want := ref.fire(SiteDegradeDrop, p, "drop")
+		want := ref.fire(siteDegradeDrop, p, "drop")
 		if (err != nil) != want {
 			t.Fatalf("decision %d: degrade dropped=%v, injector fired=%v", n, err != nil, want)
 		}
@@ -290,7 +290,7 @@ func TestDegradeDrawsMatchInjectorWithoutLogging(t *testing.T) {
 	if fired == 0 || fired == 500 {
 		t.Fatalf("degenerate stream: %d of 500 fired", fired)
 	}
-	if got := d.inj.counters[SiteDegradeStall]; got != 0 {
+	if got := d.inj.counters[siteDegradeStall]; got != 0 {
 		t.Fatalf("zero-probability site drew %d decisions", got)
 	}
 	if got := len(d.inj.Events()); got != 0 {

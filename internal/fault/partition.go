@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// ErrPartitioned tags every failure the partition injector manufactures, so
+// errPartitioned tags every failure the partition injector manufactures, so
 // tests can tell a severed link from an organic transport error.
-var ErrPartitioned = errors.New("fault: network partitioned")
+var errPartitioned = errors.New("fault: network partitioned")
 
 // PartitionMode selects how a cut link misbehaves.
 type PartitionMode int
@@ -110,7 +110,7 @@ func (p *Partition) Dial(dial func() net.Conn) func() (net.Conn, error) {
 			return p.track(dial()), nil
 		}
 		if mode == PartitionReject {
-			return nil, ErrPartitioned
+			return nil, errPartitioned
 		}
 		return newBlackholeConn(), nil
 	}
@@ -150,7 +150,7 @@ func (b *blackholeConn) Read(p []byte) (int, error) {
 		}
 		select {
 		case <-b.closed:
-			return 0, ErrPartitioned
+			return 0, errPartitioned
 		case <-time.After(step):
 		}
 	}
@@ -159,7 +159,7 @@ func (b *blackholeConn) Read(p []byte) (int, error) {
 func (b *blackholeConn) Write(p []byte) (int, error) {
 	select {
 	case <-b.closed:
-		return 0, ErrPartitioned
+		return 0, errPartitioned
 	default:
 		return len(p), nil // swallowed by the void
 	}

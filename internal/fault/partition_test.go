@@ -23,8 +23,8 @@ func TestPartitionRejectMode(t *testing.T) {
 	if _, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatal("tracked conn survived the cut")
 	}
-	if _, err := dial(); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("cut dial: %v, want ErrPartitioned", err)
+	if _, err := dial(); !errors.Is(err, errPartitioned) {
+		t.Fatalf("cut dial: %v, want errPartitioned", err)
 	}
 	p.Heal()
 	if _, err := dial(); err != nil {
@@ -79,8 +79,8 @@ func TestPartitionDropCloseUnblocksRead(t *testing.T) {
 	_ = c.Close()
 	select {
 	case rerr := <-done:
-		if !errors.Is(rerr, ErrPartitioned) {
-			t.Fatalf("read after close: %v, want ErrPartitioned", rerr)
+		if !errors.Is(rerr, errPartitioned) {
+			t.Fatalf("read after close: %v, want errPartitioned", rerr)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("close did not unblock the blackholed read")

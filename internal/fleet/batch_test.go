@@ -10,18 +10,29 @@ import (
 	"slate/internal/client"
 	"slate/internal/daemon"
 	"slate/internal/fault"
+	"slate/internal/ipc"
 	"slate/internal/kern"
 )
 
-func batchFor(names []string, stream int) []BatchLaunch {
-	ls := make([]BatchLaunch, 0, len(names))
-	for _, n := range names {
-		ls = append(ls, BatchLaunch{
-			Source: srcFor(n), Kernel: n,
-			Grid: kern.D1(4), Block: kern.D1(32), TaskSize: 4, Stream: stream,
-		})
-	}
-	return ls
+// launchBatch submits one source launch per name, on stream, in one
+// OpLaunchBatch frame that follows the session across restarts. Each attempt
+// builds a fresh client Batch (batches are single-shot). If the transport
+// dies with the batch in flight, Resume replays it per item under the
+// original op IDs and the dedup window settles each exactly once; acks is
+// then nil, but every item ran once.
+func launchBatch(s *Session, names []string, stream int) (acks []ipc.BatchAck, err error) {
+	err = s.do(func(c *client.Client) error {
+		b := c.NewBatch()
+		for _, n := range names {
+			if berr := b.LaunchSourceStream(srcFor(n), n, kern.D1(4), kern.D1(32), 4, stream); berr != nil {
+				return berr
+			}
+		}
+		var serr error
+		acks, serr = b.Submit()
+		return serr
+	})
+	return acks, err
 }
 
 // A fleet session survives losing its home with a batch in flight: the
@@ -42,7 +53,7 @@ func TestBatchRehomesExactlyOnce(t *testing.T) {
 		second = append(second, fmt.Sprintf("bfr_b%d", i))
 	}
 
-	acks, err := sess.LaunchSourceBatch(batchFor(first, 0))
+	acks, err := launchBatch(sess, first, 0)
 	if err != nil {
 		t.Fatalf("pre-kill batch: %v", err)
 	}
@@ -64,7 +75,7 @@ func TestBatchRehomesExactlyOnce(t *testing.T) {
 	// The next batch hits the dead home; do() re-homes the session and either
 	// replays the interrupted frame per item (acks lost) or re-submits it
 	// fresh — both settle each kernel exactly once.
-	if _, err := sess.LaunchSourceBatch(batchFor(second, 0)); err != nil {
+	if _, err := launchBatch(sess, second, 0); err != nil {
 		t.Fatalf("batch across failover: %v", err)
 	}
 	if err := sess.Synchronize(); err != nil {
@@ -96,7 +107,7 @@ func TestBatchRehomesExactlyOnce(t *testing.T) {
 	}
 
 	// Liveness on the new home: a fresh batch is accepted with full verdicts.
-	acks, err = sess.LaunchSourceBatch(batchFor([]string{"bfr_live0", "bfr_live1"}, 1))
+	acks, err = launchBatch(sess, []string{"bfr_live0", "bfr_live1"}, 1)
 	if err != nil {
 		t.Fatalf("post-failover batch: %v", err)
 	}

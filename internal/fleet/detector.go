@@ -29,7 +29,7 @@ func (w *window) push(v float64) {
 
 func (w *window) reset() { w.vals = w.vals[:0] }
 
-// Detector is a phi-accrual failure detector (Hayashibara et al.) over one
+// detector is a phi-accrual failure detector (Hayashibara et al.) over one
 // member's heartbeat stream. Instead of a fixed timeout it keeps a bounded
 // history of heartbeat inter-arrival times and scores the current silence
 // against it: Phi(now) = -log10(P(a heartbeat is still coming)), under a
@@ -39,7 +39,7 @@ func (w *window) reset() { w.vals = w.vals[:0] }
 // heartbeats earns a wider tolerance automatically.
 //
 // Not goroutine-safe; the supervisor serializes access under its own lock.
-type Detector struct {
+type detector struct {
 	intervals window  // heartbeat inter-arrival times
 	minStd    float64 // seconds; floor so a too-regular history cannot make
 	// the model infinitely confident (std→0 would turn any
@@ -49,28 +49,28 @@ type Detector struct {
 	seen bool
 }
 
-// DefaultWindow is the inter-arrival history bound.
-const DefaultWindow = 64
+// defaultWindow is the inter-arrival history bound.
+const defaultWindow = 64
 
-// DefaultMinStd is the standard-deviation floor.
-const DefaultMinStd = 50 * time.Millisecond
+// defaultMinStd is the standard-deviation floor.
+const defaultMinStd = 50 * time.Millisecond
 
-// NewDetector builds a detector with the given history bound and std floor
+// newDetector builds a detector with the given history bound and std floor
 // (0 → defaults).
-func NewDetector(size int, minStd time.Duration) *Detector {
+func newDetector(size int, minStd time.Duration) *detector {
 	if size <= 0 {
-		size = DefaultWindow
+		size = defaultWindow
 	}
 	if minStd <= 0 {
-		minStd = DefaultMinStd
+		minStd = defaultMinStd
 	}
-	return &Detector{intervals: window{size: size}, minStd: minStd.Seconds()}
+	return &detector{intervals: window{size: size}, minStd: minStd.Seconds()}
 }
 
 // Prime seeds the history with the expected heartbeat interval, so the
 // detector is decisive from the first silence instead of needing a warm-up
 // epoch of real arrivals. Real intervals then displace the synthetic ones.
-func (d *Detector) Prime(expected time.Duration, at time.Time) {
+func (d *detector) Prime(expected time.Duration, at time.Time) {
 	d.intervals.reset()
 	for i := 0; i < d.intervals.size/4+1; i++ {
 		d.intervals.push(expected.Seconds())
@@ -80,7 +80,7 @@ func (d *Detector) Prime(expected time.Duration, at time.Time) {
 }
 
 // Heartbeat records one successful heartbeat arrival.
-func (d *Detector) Heartbeat(now time.Time) {
+func (d *detector) Heartbeat(now time.Time) {
 	if d.seen {
 		iv := now.Sub(d.last).Seconds()
 		if iv > 0 {
@@ -94,7 +94,7 @@ func (d *Detector) Heartbeat(now time.Time) {
 // Phi scores the current silence: 0 with no history or no elapsed silence,
 // rising as the gap since the last heartbeat stretches past what the
 // history makes plausible. Capped at maxPhi.
-func (d *Detector) Phi(now time.Time) float64 {
+func (d *detector) Phi(now time.Time) float64 {
 	if !d.seen || len(d.intervals.vals) == 0 {
 		return 0
 	}
@@ -120,9 +120,9 @@ func (d *Detector) Phi(now time.Time) float64 {
 }
 
 // Samples reports how many inter-arrival samples the history holds.
-func (d *Detector) Samples() int { return len(d.intervals.vals) }
+func (d *detector) Samples() int { return len(d.intervals.vals) }
 
-func (d *Detector) stats() (mean, std float64) {
+func (d *detector) stats() (mean, std float64) {
 	vals := d.intervals.vals
 	for _, v := range vals {
 		mean += v

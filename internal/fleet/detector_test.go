@@ -7,7 +7,7 @@ import (
 )
 
 func TestPhiRisesWithSilence(t *testing.T) {
-	d := NewDetector(0, 50*time.Millisecond)
+	d := newDetector(0, 50*time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	d.Prime(500*time.Millisecond, t0)
 	// An on-time heartbeat keeps suspicion negligible.
@@ -29,7 +29,7 @@ func TestPhiRisesWithSilence(t *testing.T) {
 }
 
 func TestHeartbeatsResetSuspicion(t *testing.T) {
-	d := NewDetector(0, 50*time.Millisecond)
+	d := newDetector(0, 50*time.Millisecond)
 	now := time.Unix(1000, 0)
 	d.Prime(100*time.Millisecond, now)
 	for i := 0; i < 50; i++ {
@@ -39,7 +39,7 @@ func TestHeartbeatsResetSuspicion(t *testing.T) {
 	if phi := d.Phi(now.Add(100 * time.Millisecond)); phi > 1 {
 		t.Fatalf("steady stream still suspect: phi=%.2f", phi)
 	}
-	if d.Samples() > DefaultWindow {
+	if d.Samples() > defaultWindow {
 		t.Fatalf("history unbounded: %d samples", d.Samples())
 	}
 }
@@ -48,8 +48,8 @@ func TestJitteryHistoryWidensTolerance(t *testing.T) {
 	// A member with naturally irregular heartbeats must earn a wider
 	// tolerance than a metronomic one — the whole point of accrual over a
 	// fixed timeout.
-	steady := NewDetector(0, 10*time.Millisecond)
-	jittery := NewDetector(0, 10*time.Millisecond)
+	steady := newDetector(0, 10*time.Millisecond)
+	jittery := newDetector(0, 10*time.Millisecond)
 	now := time.Unix(1000, 0)
 	steady.Heartbeat(now)
 	jittery.Heartbeat(now)
@@ -71,7 +71,7 @@ func TestJitteryHistoryWidensTolerance(t *testing.T) {
 }
 
 func TestPhiCappedAndFloored(t *testing.T) {
-	d := NewDetector(0, time.Millisecond)
+	d := newDetector(0, time.Millisecond)
 	t0 := time.Unix(1000, 0)
 	d.Prime(10*time.Millisecond, t0)
 	if phi := d.Phi(t0.Add(time.Hour)); phi != maxPhi {
@@ -80,7 +80,7 @@ func TestPhiCappedAndFloored(t *testing.T) {
 	if phi := d.Phi(t0); phi != 0 {
 		t.Fatalf("zero elapsed: phi=%.2f, want 0", phi)
 	}
-	if phi := NewDetector(0, 0).Phi(t0); phi != 0 {
+	if phi := newDetector(0, 0).Phi(t0); phi != 0 {
 		t.Fatalf("no history: phi=%.2f, want 0", phi)
 	}
 }
@@ -102,7 +102,7 @@ func TestAccrualGoldenAcrossWindowWraps(t *testing.T) {
 		{150, 0x40008df1c9027971, 118201047, 2000000, 118201047},
 		{200, 0x3fff2661fca8e0e7, 163336154, 214704000, 214704000},
 	}
-	det, lat := NewDetector(0, 0), NewSlowDetector(0)
+	det, lat := newDetector(0, 0), newSlowDetector(0)
 	now := time.Unix(1000, 0)
 	det.Prime(100*time.Millisecond, now)
 	x, next := uint64(20), 0
@@ -129,7 +129,7 @@ func TestAccrualGoldenAcrossWindowWraps(t *testing.T) {
 			}
 		}
 	}
-	if det.Samples() != DefaultWindow || lat.Samples() != DefaultSlowWindow {
-		t.Fatalf("windows hold %d and %d samples, want %d and %d", det.Samples(), lat.Samples(), DefaultWindow, DefaultSlowWindow)
+	if det.Samples() != defaultWindow || lat.Samples() != defaultSlowWindow {
+		t.Fatalf("windows hold %d and %d samples, want %d and %d", det.Samples(), lat.Samples(), defaultWindow, defaultSlowWindow)
 	}
 }

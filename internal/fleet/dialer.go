@@ -55,7 +55,7 @@ func (d *Dialer) DialFor(name string) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		m := d.sup.MemberByName(name)
 		if m == nil {
-			return nil, fmt.Errorf("fleet: dial %q: %w", name, ErrFleetUnavailable)
+			return nil, fmt.Errorf("fleet: dial %q: %w", name, errFleetUnavailable)
 		}
 		return m.Dial()()
 	}
@@ -64,7 +64,7 @@ func (d *Dialer) DialFor(name string) func() (net.Conn, error) {
 // Connect opens a transport to a healthy fleet member, preferring the named
 // one (""= no preference, pure placement order). Returns the connection and
 // the name of the member it reached; every attempt failing is
-// ErrFleetUnavailable.
+// errFleetUnavailable.
 //
 // It is the fleet's one hedged race: the first candidate is pinged, the next
 // joins whenever Hedge passes in silence or an attempt fails, and the first
@@ -80,7 +80,7 @@ func (d *Dialer) DialFor(name string) func() (net.Conn, error) {
 func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 	cands := d.candidates(prefer)
 	if len(cands) == 0 {
-		return nil, "", fmt.Errorf("fleet: connect: %w", ErrFleetUnavailable)
+		return nil, "", fmt.Errorf("fleet: connect: %w", errFleetUnavailable)
 	}
 	type pinged struct {
 		candidate
@@ -141,7 +141,7 @@ func (d *Dialer) Connect(prefer string) (net.Conn, string, error) {
 			}
 		}
 	}
-	return nil, "", fmt.Errorf("fleet: connect: %v: %w", lastErr, ErrFleetUnavailable)
+	return nil, "", fmt.Errorf("fleet: connect: %v: %w", lastErr, errFleetUnavailable)
 }
 
 // candidate is a member a Connect may try, with its breaker's ticket.

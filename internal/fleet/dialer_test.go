@@ -78,8 +78,8 @@ func TestConnectFleetUnavailable(t *testing.T) {
 	_ = sup.CutMember("gpu0")
 	_ = sup.CutMember("gpu1")
 	d := sup.NewDialer()
-	if _, _, err := d.Connect(""); !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("connect over severed fleet: %v, want ErrFleetUnavailable", err)
+	if _, _, err := d.Connect(""); !errors.Is(err, errFleetUnavailable) {
+		t.Fatalf("connect over severed fleet: %v, want errFleetUnavailable", err)
 	}
 }
 
@@ -117,15 +117,15 @@ func TestDialerBreakerHalfOpenRecovery(t *testing.T) {
 	d.Cooldown = 60 * time.Millisecond
 
 	_ = sup.CutMember("gpu0")
-	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("connect to severed sole member: %v, want ErrFleetUnavailable", err)
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, errFleetUnavailable) {
+		t.Fatalf("connect to severed sole member: %v, want errFleetUnavailable", err)
 	}
 
 	// Healed but still inside the cooldown: the breaker stays latched and
 	// the sole member is not even probed.
 	_ = sup.HealMember("gpu0")
-	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("connect inside cooldown: %v, want ErrFleetUnavailable (breaker latched)", err)
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, errFleetUnavailable) {
+		t.Fatalf("connect inside cooldown: %v, want errFleetUnavailable (breaker latched)", err)
 	}
 
 	// Past the cooldown the member is re-admitted (half-open) and the
@@ -145,8 +145,8 @@ func TestDialerBreakerHalfOpenRecovery(t *testing.T) {
 	// The recovery reset the failure count: it takes a full TripAfter run of
 	// fresh failures to trip again, not a stale leftover.
 	_ = sup.CutMember("gpu0")
-	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("connect after re-cut: %v, want ErrFleetUnavailable", err)
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, errFleetUnavailable) {
+		t.Fatalf("connect after re-cut: %v, want errFleetUnavailable", err)
 	}
 	if _, ok := d.breaker("gpu0").Admit(); ok {
 		t.Fatal("breaker did not re-trip after recovery + fresh failure")
@@ -218,11 +218,11 @@ func TestDialerPingOkDialFailsIsAFailure(t *testing.T) {
 	d := sup.NewDialer()
 	d.TripAfter = 1
 	d.Cooldown = time.Hour
-	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
-		t.Fatalf("connect with the link cut between ping and dial: %v, want ErrFleetUnavailable", err)
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, errFleetUnavailable) {
+		t.Fatalf("connect with the link cut between ping and dial: %v, want errFleetUnavailable", err)
 	}
 	_ = sup.HealMember("gpu0")
-	if _, _, err := d.Connect("gpu0"); !errors.Is(err, ErrFleetUnavailable) {
+	if _, _, err := d.Connect("gpu0"); !errors.Is(err, errFleetUnavailable) {
 		t.Fatalf("connect after heal: %v; the failed attempt was settled as a success", err)
 	}
 }
@@ -292,5 +292,70 @@ func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
 	}
 	if waited := time.Since(released); waited < d.Cooldown/2 {
 		t.Fatalf("gpu0 re-admitted %v after its probe failed: the late failure did not re-open the circuit (cooldown %v)", waited, d.Cooldown)
+	}
+}
+
+// A failed attempt re-arms the hedge timer, and the next candidate still
+// waits a full Hedge even when the timer had already fired, unread, before
+// the failure was handled. The first candidate's ping fails at once, but
+// Connect settles it only after the timer fired: the test holds the dialer's
+// lock, which settling needs, past the first Hedge. The second candidate
+// accepts and never answers, so the third must launch a full Hedge after the
+// re-arm. Under the Go 1.22 timer semantics the fired timer's stale tick
+// survived Reset and launched the third candidate at once.
+func TestConnectRearmedHedgeWaitsAfterStaleFire(t *testing.T) {
+	sup := testFleet(t, &eventLog{}, 3, fault.PartitionReject)
+	dialing, gate := make(chan struct{}), make(chan struct{})
+	sup.MemberByName("gpu0").rawDial = func() net.Conn {
+		close(dialing)
+		<-gate
+		a, b := net.Pipe()
+		b.Close()
+		return a
+	}
+	silent := make(chan net.Conn, 1)
+	sup.MemberByName("gpu1").rawDial = func() net.Conn {
+		a, b := net.Pipe()
+		silent <- b
+		return a
+	}
+	defer func() { (<-silent).Close() }()
+	gpu2 := sup.MemberByName("gpu2")
+	serve := gpu2.rawDial
+	third := make(chan time.Time, 2)
+	gpu2.rawDial = func() net.Conn {
+		third <- time.Now()
+		return serve()
+	}
+	d := sup.NewDialer()
+	d.Hedge = 200 * time.Millisecond
+	d.ProbeTimeout = 5 * time.Second
+
+	type result struct {
+		name string
+		err  error
+	}
+	done := make(chan result, 1)
+	start := time.Now()
+	go func() {
+		nc, name, err := d.Connect("gpu0")
+		if err == nil {
+			nc.Close()
+		}
+		done <- result{name, err}
+	}()
+	<-dialing // the candidates are admitted and the first ping is dialing
+	d.mu.Lock()
+	close(gate) // the first ping fails now; settling it waits on d.mu
+	time.Sleep(time.Until(start.Add(d.Hedge + d.Hedge/2)))
+	rearmed := time.Now()
+	d.mu.Unlock() // settle, launch the second candidate, re-arm the hedge
+
+	r := <-done
+	if r.err != nil || r.name != "gpu2" {
+		t.Fatalf("connect = %q, %v; want gpu2", r.name, r.err)
+	}
+	if waited := (<-third).Sub(rearmed); waited < d.Hedge {
+		t.Fatalf("third candidate launched %v after the re-arm, want at least Hedge (%v): a stale tick fired it", waited, d.Hedge)
 	}
 }

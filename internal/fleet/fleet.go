@@ -29,9 +29,9 @@ var (
 	// location returned alongside it is valid, the client just needs to
 	// redial there and Resume with its original token.
 	ErrRehomed = errors.New("REHOMED: session re-homed after failover")
-	// ErrFleetUnavailable signals that no healthy member can serve the
+	// errFleetUnavailable signals that no healthy member can serve the
 	// request right now.
-	ErrFleetUnavailable = errors.New("FLEET_UNAVAILABLE: no healthy fleet member")
+	errFleetUnavailable = errors.New("FLEET_UNAVAILABLE: no healthy fleet member")
 )
 
 // MemberState is a member's health as the supervisor sees it.
@@ -47,9 +47,9 @@ const (
 	// StateDown: phi crossed downPhi (or the member was killed explicitly).
 	// Terminal: the member is fenced and its sessions fail over.
 	StateDown
-	// StateDraining: graceful shutdown; no new placements, no more pings
+	// stateDraining: graceful shutdown; no new placements, no more pings
 	// (a probe connection would hold the drain's session count up).
-	StateDraining
+	stateDraining
 )
 
 func (s MemberState) String() string {
@@ -60,7 +60,7 @@ func (s MemberState) String() string {
 		return "suspect"
 	case StateDown:
 		return "down"
-	case StateDraining:
+	case stateDraining:
 		return "draining"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
@@ -110,13 +110,13 @@ func (c Config) withDefaults() Config {
 		c.PingTimeout = 250 * time.Millisecond
 	}
 	if c.SlowWindow <= 0 {
-		c.SlowWindow = DefaultSlowWindow
+		c.SlowWindow = defaultSlowWindow
 	}
 	if c.SlowMinSamples <= 0 {
-		c.SlowMinSamples = DefaultSlowMinSamples
+		c.SlowMinSamples = defaultSlowMinSamples
 	}
 	if c.SlowRecover <= 0 {
-		c.SlowRecover = DefaultSlowRecover
+		c.SlowRecover = defaultSlowRecover
 	}
 	return c
 }
@@ -156,7 +156,7 @@ type Member struct {
 	// the member's stable fleet identity, and gen counts incarnations so
 	// each restart mints from a distinct token stream.
 	srv    *daemon.Server
-	det    *Detector
+	det    *detector
 	gen    int
 	state  MemberState
 	load   int64
@@ -169,7 +169,7 @@ type Member struct {
 	// a reply that raced a newer one over a hedged probe conn cannot roll
 	// the load figure backwards. deg, when set, degrades every dialed conn
 	// (gray-failure injection).
-	lat     *SlowDetector
+	lat     *slowDetector
 	slow    bool
 	slowOK  int
 	loadSeq uint64
@@ -215,7 +215,7 @@ func (m *Member) Load() int64 {
 // Dial returns the member's client transport dialer, routed through its
 // partition injector (while the member is cut, dials fail or blackhole) and
 // — when a degrade injector is installed — through per-op stall/drop
-// injection, the gray-failure mode the SlowDetector exists to catch.
+// injection, the gray-failure mode the slowDetector exists to catch.
 func (m *Member) Dial() func() (net.Conn, error) {
 	m.sup.mu.Lock()
 	deg := m.deg
@@ -327,8 +327,8 @@ func (s *Supervisor) AddMember(spec MemberSpec) (*Member, error) {
 		Name: spec.Name, Profile: spec.Profile, Capacity: spec.Capacity,
 		sup: s, srv: srv, budget: spec.Budget,
 		part:  fault.NewPartition(s.cfg.PartitionMode),
-		det:   NewDetector(DefaultWindow, DefaultMinStd),
-		lat:   NewSlowDetector(s.cfg.SlowWindow),
+		det:   newDetector(defaultWindow, defaultMinStd),
+		lat:   newSlowDetector(s.cfg.SlowWindow),
 		state: StateUp,
 	}
 	if spec.Durability != nil {
@@ -426,7 +426,7 @@ func (s *Supervisor) Tick(now time.Time) {
 	var downs []*Member
 	for _, m := range members {
 		s.mu.Lock()
-		if m.state == StateDown || m.state == StateDraining {
+		if m.state == StateDown || m.state == stateDraining {
 			s.mu.Unlock()
 			continue
 		}
@@ -442,7 +442,7 @@ func (s *Supervisor) Tick(now time.Time) {
 			s.observeRTT(m, res.rtt)
 		}
 		s.mu.Lock()
-		if m.state == StateDown || m.state == StateDraining {
+		if m.state == StateDown || m.state == stateDraining {
 			s.mu.Unlock() // lost a race with KillMember/Drain mid-ping
 			continue
 		}
@@ -597,7 +597,7 @@ func (s *Supervisor) Failover(victimName string) error {
 	adopter := s.pickAdopter(victim)
 	if adopter == nil {
 		s.emit("failover", "victim", victimName, "ok", "false", "reason", "no healthy member")
-		return fmt.Errorf("fleet: failover of %s: %w", victimName, ErrFleetUnavailable)
+		return fmt.Errorf("fleet: failover of %s: %w", victimName, errFleetUnavailable)
 	}
 	if err := s.adoptInto(victim, adopter, nil); err != nil {
 		return fmt.Errorf("fleet: failover of %s: %w", victimName, err)
@@ -697,7 +697,7 @@ func (s *Supervisor) Route(profileHint string) (*Member, error) {
 		}
 	}
 	if len(cands) == 0 {
-		return nil, fmt.Errorf("fleet: route: %w", ErrFleetUnavailable)
+		return nil, fmt.Errorf("fleet: route: %w", errFleetUnavailable)
 	}
 	if s.cfg.RoundRobin {
 		m := cands[s.rr%len(cands)]
@@ -723,17 +723,17 @@ func (s *Supervisor) Route(profileHint string) (*Member, error) {
 // Locate returns the name of the member currently homing a session token.
 // After a failover the result is the adopter and the error wraps ErrRehomed
 // — a typed signal that the location is new, not a failure. When the last
-// known home is gone and the token was never re-homed, ErrFleetUnavailable.
+// known home is gone and the token was never re-homed, errFleetUnavailable.
 func (s *Supervisor) Locate(token uint64, lastHome string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if home, ok := s.rehome[token]; ok && home != lastHome {
 		return home, fmt.Errorf("%w: session moved %s → %s", ErrRehomed, lastHome, home)
 	}
-	if m := s.byName[lastHome]; m != nil && m.state != StateDown && m.state != StateDraining {
+	if m := s.byName[lastHome]; m != nil && m.state != StateDown && m.state != stateDraining {
 		return lastHome, nil
 	}
-	return "", fmt.Errorf("%w: %s is gone and session %x was not re-homed", ErrFleetUnavailable, lastHome, token)
+	return "", fmt.Errorf("%w: %s is gone and session %x was not re-homed", errFleetUnavailable, lastHome, token)
 }
 
 // DrainAll gracefully drains every live member (down members are already
@@ -750,7 +750,7 @@ func (s *Supervisor) DrainAll(timeout time.Duration) error {
 		if m.state == StateDown {
 			continue
 		}
-		m.state = StateDraining
+		m.state = stateDraining
 		todo = append(todo, drainee{m, m.srv})
 	}
 	s.mu.Unlock()

@@ -372,7 +372,7 @@ func TestRoutePlacement(t *testing.T) {
 		m.state = StateDown
 		sup2.mu.Unlock()
 	}
-	if _, err := sup2.Route(""); !errors.Is(err, ErrFleetUnavailable) {
+	if _, err := sup2.Route(""); !errors.Is(err, errFleetUnavailable) {
 		t.Fatalf("route over dead fleet: %v", err)
 	}
 }

@@ -20,11 +20,11 @@ import (
 	"slate/internal/daemon"
 )
 
-// ErrMigrateFellBack reports that a planned migration could not complete
+// errMigrateFellBack reports that a planned migration could not complete
 // cooperatively (the source wedged past its budget or died mid-handoff) and
 // was recovered by failure-style fence-adopt instead. The sessions are safe
 // on the destination and re-homed; only the cooperative path failed.
-var ErrMigrateFellBack = errors.New("MIGRATE_FELL_BACK: planned migration recovered by fence-adopt")
+var errMigrateFellBack = errors.New("MIGRATE_FELL_BACK: planned migration recovered by fence-adopt")
 
 // Migrate cooperatively moves every session on src to dst: mark src
 // draining, quiesce it within budget (drain's polite phase — sessions
@@ -32,7 +32,7 @@ var ErrMigrateFellBack = errors.New("MIGRATE_FELL_BACK: planned migration recove
 // source copies, and re-home the tokens so Locate forwards clients with
 // ErrRehomed. If src wedges (drain exceeds budget) or dies mid-handoff, the
 // failure machinery takes over — fence-adopt onto the same dst — and the
-// returned error wraps ErrMigrateFellBack; session safety is identical,
+// returned error wraps errMigrateFellBack; session safety is identical,
 // only the "source stays cleanly restartable" property is lost.
 //
 // Per-session lifecycle is emitted as structured events:
@@ -57,9 +57,9 @@ func (s *Supervisor) Migrate(srcName, dstName string, budget time.Duration) (*da
 	}
 	if src.stateDir != "" && (dst.state != StateUp || dst.stateDir == "") {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("fleet: migrate %s → %s: destination must be an up, durable member: %w", srcName, dstName, ErrFleetUnavailable)
+		return nil, fmt.Errorf("fleet: migrate %s → %s: destination must be an up, durable member: %w", srcName, dstName, errFleetUnavailable)
 	}
-	src.state = StateDraining
+	src.state = stateDraining
 	srcSrv, dstSrv := src.srv, dst.srv
 	s.mu.Unlock()
 
@@ -128,7 +128,7 @@ func (s *Supervisor) migrateFallback(src, dst *Member, tokens []uint64, cause er
 	if err := s.adoptInto(src, dst, tokens); err != nil {
 		return fmt.Errorf("fleet: migrate %s → %s: fallback fence-adopt failed: %w (after %v)", src.Name, dst.Name, err, cause)
 	}
-	return fmt.Errorf("fleet: migrate %s → %s: %w: %v", src.Name, dst.Name, ErrMigrateFellBack, cause)
+	return fmt.Errorf("fleet: migrate %s → %s: %w: %v", src.Name, dst.Name, errMigrateFellBack, cause)
 }
 
 // restartMember replaces the member's daemon instance with a fresh
@@ -161,14 +161,14 @@ func (s *Supervisor) restartMember(m *Member, version uint32) error {
 	}
 	s.mu.Lock()
 	m.srv = srv
-	m.det = NewDetector(DefaultWindow, DefaultMinStd)
+	m.det = newDetector(defaultWindow, defaultMinStd)
 	m.primed = false
 	m.load = 0
 	// The new incarnation's ping sequence restarts at 1, and its latency
 	// history is its own: reset the staleness guard and the slow accrual so
 	// the old daemon's figures cannot shadow the fresh one's.
 	m.loadSeq = 0
-	m.lat = NewSlowDetector(s.cfg.SlowWindow)
+	m.lat = newSlowDetector(s.cfg.SlowWindow)
 	m.slow = false
 	m.slowOK = 0
 	// state stays as-is (draining/down) until the health gate promotes it.
@@ -221,15 +221,15 @@ func (s *Supervisor) RollingRestart(opts RollingRestartOptions) error {
 		if m.stateDir != "" {
 			dst := s.pickAdopter(m)
 			if dst == nil {
-				return fmt.Errorf("fleet: rolling restart of %s: no migration target: %w", m.Name, ErrFleetUnavailable)
+				return fmt.Errorf("fleet: rolling restart of %s: no migration target: %w", m.Name, errFleetUnavailable)
 			}
-			if _, err := s.Migrate(m.Name, dst.Name, opts.Budget); err != nil && !errors.Is(err, ErrMigrateFellBack) {
+			if _, err := s.Migrate(m.Name, dst.Name, opts.Budget); err != nil && !errors.Is(err, errMigrateFellBack) {
 				return fmt.Errorf("fleet: rolling restart of %s: %w", m.Name, err)
 			}
 		} else {
 			// Volatile member: nothing durable to move, just quiesce.
 			s.mu.Lock()
-			m.state = StateDraining
+			m.state = stateDraining
 			srv := m.srv
 			s.mu.Unlock()
 			s.emit("drain", "member", m.Name, "phase", "begin")
@@ -254,7 +254,7 @@ func (s *Supervisor) RollingRestart(opts RollingRestartOptions) error {
 		}
 		if !passed {
 			return fmt.Errorf("fleet: rolling restart of %s: health gate failed after %d probes: %w",
-				m.Name, gateAttempts, ErrFleetUnavailable)
+				m.Name, gateAttempts, errFleetUnavailable)
 		}
 		// The gate proved liveness; prime the fresh detector's history and
 		// promote the member so it is placeable again.

@@ -148,8 +148,8 @@ func TestMigrateWedgedFallsBack(t *testing.T) {
 	<-started
 
 	_, merr := sup.Migrate("gpu0", "gpu1", 60*time.Millisecond)
-	if !errors.Is(merr, ErrMigrateFellBack) {
-		t.Fatalf("migrate of wedged source = %v, want ErrMigrateFellBack", merr)
+	if !errors.Is(merr, errMigrateFellBack) {
+		t.Fatalf("migrate of wedged source = %v, want errMigrateFellBack", merr)
 	}
 	if src.State() != StateDown {
 		t.Fatalf("wedged source state = %v, want down", src.State())
@@ -185,14 +185,14 @@ func TestMigrateFallbackVolatileSourceRehomesNothing(t *testing.T) {
 	}
 	const token = 0xabc
 	ferr := sup.migrateFallback(src, dst, []uint64{token}, errors.New("source wedged"))
-	if !errors.Is(ferr, ErrMigrateFellBack) {
-		t.Fatalf("fallback of a volatile source = %v, want ErrMigrateFellBack", ferr)
+	if !errors.Is(ferr, errMigrateFellBack) {
+		t.Fatalf("fallback of a volatile source = %v, want errMigrateFellBack", ferr)
 	}
 	if !log.has("failover", "victim", "vol", "adopter", "gpu0", "ok", "true", "sessions", "0", "reason", "volatile member") {
 		t.Fatalf("missing volatile-member failover event; log:\n%s", strings.Join(log.all(), "\n"))
 	}
-	if home, lerr := sup.Locate(token, "vol"); !errors.Is(lerr, ErrFleetUnavailable) || home != "" {
-		t.Fatalf("Locate of a lost volatile session = %q, %v; want ErrFleetUnavailable", home, lerr)
+	if home, lerr := sup.Locate(token, "vol"); !errors.Is(lerr, errFleetUnavailable) || home != "" {
+		t.Fatalf("Locate of a lost volatile session = %q, %v; want errFleetUnavailable", home, lerr)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"slate/internal/client"
-	"slate/internal/ipc"
 	"slate/internal/kern"
 )
 
@@ -121,7 +120,7 @@ func (s *Session) rehomeLocked() (recovered bool, err error) {
 		}
 		return recovered, nil
 	}
-	return false, fmt.Errorf("fleet: session %x: re-home exhausted (%v): %w", s.c.Token(), lastErr, ErrFleetUnavailable)
+	return false, fmt.Errorf("fleet: session %x: re-home exhausted (%v): %w", s.c.Token(), lastErr, errFleetUnavailable)
 }
 
 // do runs one client op with transparent re-homing. If the op's transport
@@ -166,37 +165,6 @@ func (s *Session) LaunchSourceDegraded(source, kernel string, grid, block kern.D
 		return lerr
 	})
 	return entries, degraded, err
-}
-
-// BatchLaunch describes one source launch inside a fleet batched submit.
-type BatchLaunch struct {
-	Source, Kernel string
-	Grid, Block    kern.Dim3
-	TaskSize       int
-	Stream         int
-}
-
-// LaunchSourceBatch submits every launch in one OpLaunchBatch frame,
-// following the session across restarts. Each do-attempt builds a fresh
-// client Batch (batches are single-shot; a clean refusal like draining was
-// never accepted, so rebuilding re-stamps safely). If the transport dies with
-// the batch in flight, Resume expands it into per-item replays under the
-// original op IDs and the dedup window settles each exactly once — in that
-// case acks is nil (the per-item verdicts are gone) but every item ran once;
-// failures still surface at the next Synchronize.
-func (s *Session) LaunchSourceBatch(launches []BatchLaunch) (acks []ipc.BatchAck, err error) {
-	err = s.do(func(c *client.Client) error {
-		b := c.NewBatch()
-		for _, l := range launches {
-			if berr := b.LaunchSourceStream(l.Source, l.Kernel, l.Grid, l.Block, l.TaskSize, l.Stream); berr != nil {
-				return berr
-			}
-		}
-		var serr error
-		acks, serr = b.Submit()
-		return serr
-	})
-	return acks, err
 }
 
 // Synchronize drains the session's outstanding work, following the session

@@ -20,13 +20,13 @@ import (
 
 // Slow-detection defaults (Config fields of the same prefix override).
 const (
-	// DefaultSlowWindow is each member's RTT sample window.
-	DefaultSlowWindow = 32
-	// DefaultSlowMinSamples guards against scoring a near-empty window.
-	DefaultSlowMinSamples = 8
-	// DefaultSlowRecover is how many consecutive fast probes re-admit a
+	// defaultSlowWindow is each member's RTT sample window.
+	defaultSlowWindow = 32
+	// defaultSlowMinSamples guards against scoring a near-empty window.
+	defaultSlowMinSamples = 8
+	// defaultSlowRecover is how many consecutive fast probes re-admit a
 	// suspect.
-	DefaultSlowRecover = 3
+	defaultSlowRecover = 3
 )
 
 // Slow-detection constants: no caller has needed another value.
@@ -43,25 +43,25 @@ const (
 	slowAlpha = 0.2
 )
 
-// SlowDetector accrues one member's op round-trip latencies: an EWMA (the
+// slowDetector accrues one member's op round-trip latencies: an EWMA (the
 // persistent-slowness signal) plus a bounded sample window for tail
 // quantiles (the jitter signal). Not goroutine-safe; the supervisor
-// serializes access under its own lock, mirroring Detector.
-type SlowDetector struct {
+// serializes access under its own lock, mirroring detector.
+type slowDetector struct {
 	samples window // op round-trips
 	ewma    float64
 }
 
-// NewSlowDetector builds a detector with the given window (0 → default).
-func NewSlowDetector(size int) *SlowDetector {
+// newSlowDetector builds a detector with the given window (0 → default).
+func newSlowDetector(size int) *slowDetector {
 	if size <= 0 {
-		size = DefaultSlowWindow
+		size = defaultSlowWindow
 	}
-	return &SlowDetector{samples: window{size: size}}
+	return &slowDetector{samples: window{size: size}}
 }
 
 // Observe records one op round-trip.
-func (d *SlowDetector) Observe(rtt time.Duration) {
+func (d *slowDetector) Observe(rtt time.Duration) {
 	v := rtt.Seconds()
 	if v < 0 {
 		v = 0
@@ -75,13 +75,13 @@ func (d *SlowDetector) Observe(rtt time.Duration) {
 }
 
 // EWMA returns the smoothed round-trip estimate.
-func (d *SlowDetector) EWMA() time.Duration {
+func (d *slowDetector) EWMA() time.Duration {
 	return time.Duration(d.ewma * float64(time.Second))
 }
 
 // Quantile returns the q-th (0..1] nearest-rank quantile over the sample
 // window, 0 with no samples.
-func (d *SlowDetector) Quantile(q float64) time.Duration {
+func (d *slowDetector) Quantile(q float64) time.Duration {
 	if len(d.samples.vals) == 0 {
 		return 0
 	}
@@ -99,7 +99,7 @@ func (d *SlowDetector) Quantile(q float64) time.Duration {
 
 // Score is the accrued slowness signal: the worse of the EWMA and the
 // slowQuantile tail, so both persistent slowness and heavy jitter trip it.
-func (d *SlowDetector) Score() time.Duration {
+func (d *slowDetector) Score() time.Duration {
 	e, t := d.EWMA(), d.Quantile(slowQuantile)
 	if t > e {
 		return t
@@ -108,11 +108,11 @@ func (d *SlowDetector) Score() time.Duration {
 }
 
 // Samples reports how many round-trips the window holds.
-func (d *SlowDetector) Samples() int { return len(d.samples.vals) }
+func (d *slowDetector) Samples() int { return len(d.samples.vals) }
 
 // Reset drops the history — used on re-admission so a recovered member's
 // stale stall samples cannot immediately re-eject it, and on restart.
-func (d *SlowDetector) Reset() {
+func (d *slowDetector) Reset() {
 	d.samples.reset()
 	d.ewma = 0
 }

@@ -42,7 +42,7 @@ func feed(s *Supervisor, name string, rtt time.Duration, k int) {
 // The accrual basics: EWMA converges toward the stream, the window stays
 // bounded, Score is the worse of EWMA and tail quantile, Reset forgets.
 func TestSlowDetectorAccrualAndReset(t *testing.T) {
-	d := NewSlowDetector(8)
+	d := newSlowDetector(8)
 	for i := 0; i < 20; i++ {
 		d.Observe(10 * time.Millisecond)
 	}
@@ -71,7 +71,7 @@ func TestSlowDetectorAccrualAndReset(t *testing.T) {
 
 // Nearest-rank quantile edges: empty, single sample, extremes of q.
 func TestSlowDetectorQuantileNearestRank(t *testing.T) {
-	d := NewSlowDetector(8)
+	d := newSlowDetector(8)
 	if q := d.Quantile(0.9); q != 0 {
 		t.Fatalf("empty window quantile = %v, want 0", q)
 	}
@@ -209,7 +209,7 @@ func TestSlowCheckReadmitAfterRecovery(t *testing.T) {
 // Prime seeds only a quarter-window of synthetic intervals; real arrivals
 // must displace them and the history must stay bounded at the window.
 func TestDetectorPrimedWindowBoundary(t *testing.T) {
-	d := NewDetector(8, 10*time.Millisecond)
+	d := newDetector(8, 10*time.Millisecond)
 	now := time.Unix(1000, 0)
 	d.Prime(500*time.Millisecond, now)
 	if d.Samples() != 8/4+1 {
@@ -233,7 +233,7 @@ func TestDetectorPrimedWindowBoundary(t *testing.T) {
 // microsecond of lateness would score phi=∞. The floor keeps a slightly
 // late heartbeat modest while real silence still becomes decisive.
 func TestDetectorFlooredStdDegenerateHistory(t *testing.T) {
-	d := NewDetector(0, 50*time.Millisecond)
+	d := newDetector(0, 50*time.Millisecond)
 	now := time.Unix(1000, 0)
 	d.Heartbeat(now)
 	for i := 0; i < 30; i++ {

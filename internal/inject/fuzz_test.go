@@ -27,7 +27,7 @@ func FuzzLexRoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks := Lex(src)
-		if Render(toks) != src {
+		if render(toks) != src {
 			t.Fatalf("lex/render not lossless for %q", src)
 		}
 	})
@@ -71,7 +71,7 @@ func FuzzTransformNeverPanics(f *testing.F) {
 		// Whatever transformed, it must still lex losslessly and keep
 		// balanced braces at the token level.
 		toks := Lex(out)
-		if Render(toks) != out {
+		if render(toks) != out {
 			t.Fatal("transformed source does not round-trip")
 		}
 		depth := 0

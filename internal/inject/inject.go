@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// DefaultTaskSize is the SLATE_ITERS grouping a non-positive
+// defaultTaskSize is the SLATE_ITERS grouping a non-positive
 // Options.TaskSize selects.
-const DefaultTaskSize = 10
+const defaultTaskSize = 10
 
 // Options configures the transformation.
 type Options struct {
-	// TaskSize is the SLATE_ITERS grouping; <=0 selects DefaultTaskSize.
+	// TaskSize is the SLATE_ITERS grouping; <=0 selects defaultTaskSize.
 	TaskSize int
 	// EmitDispatcher also generates the Listing-3 dispatch kernel.
 	EmitDispatcher bool
@@ -22,15 +22,15 @@ type Options struct {
 // canonical form is what a cache of transformed units keys on.
 func (opt Options) Canonical() Options {
 	if opt.TaskSize <= 0 {
-		opt.TaskSize = DefaultTaskSize
+		opt.TaskSize = defaultTaskSize
 	}
 	return opt
 }
 
-// Prelude is the device runtime every transformed translation unit needs:
+// prelude is the device runtime every transformed translation unit needs:
 // the global queue cursor (slateIdx), the retreat flag, and the SM-id
 // intrinsic wrapper.
-const Prelude = `// --- Slate device runtime (injected) ---
+const prelude = `// --- Slate device runtime (injected) ---
 __device__ unsigned int slateIdx;
 __device__ volatile int slateRetreat;
 static __device__ __forceinline__ unsigned int slate_get_smid() {
@@ -58,10 +58,10 @@ func Transform(src string, opt Options) (string, error) {
 		return "", fmt.Errorf("inject: no __global__ kernels found")
 	}
 	var b strings.Builder
-	b.WriteString(Prelude)
+	b.WriteString(prelude)
 	cursor := 0
 	for _, k := range kernels {
-		b.WriteString(Render(toks[cursor:k.start]))
+		b.WriteString(render(toks[cursor:k.start]))
 		gen, err := generate(toks, k, opt)
 		if err != nil {
 			return "", err
@@ -69,7 +69,7 @@ func Transform(src string, opt Options) (string, error) {
 		b.WriteString(gen)
 		cursor = k.end
 	}
-	b.WriteString(Render(toks[cursor:]))
+	b.WriteString(render(toks[cursor:]))
 	return b.String(), nil
 }
 
@@ -165,7 +165,7 @@ func replaceBuiltins(toks []Token) (string, int) {
 	var b strings.Builder
 	n := 0
 	for _, t := range toks {
-		if t.Kind == TokIdent {
+		if t.Kind == tokIdent {
 			switch t.Text {
 			case "blockIdx":
 				b.WriteString("slateBlockIdx")
@@ -190,12 +190,12 @@ func paramNames(toks []Token) ([]string, error) {
 	var only *Token // the sole non-space token, if there is exactly one
 	significant := 0
 	for i := range toks {
-		if toks[i].Kind != TokSpace {
+		if toks[i].Kind != tokSpace {
 			only = &toks[i]
 			significant++
 		}
 	}
-	if significant == 0 || (significant == 1 && only.Kind == TokIdent && only.Text == "void") {
+	if significant == 0 || (significant == 1 && only.Kind == tokIdent && only.Text == "void") {
 		return nil, nil
 	}
 	var names []string
@@ -206,7 +206,7 @@ func paramNames(toks []Token) ([]string, error) {
 	name, start := "", 0
 	flush := func(end int) error {
 		if name == "" {
-			return fmt.Errorf("unnamed parameter %q", strings.TrimSpace(Render(toks[start:end])))
+			return fmt.Errorf("unnamed parameter %q", strings.TrimSpace(render(toks[start:end])))
 		}
 		names = append(names, name)
 		name, start, suffix = "", end+1, 0
@@ -214,7 +214,7 @@ func paramNames(toks []Token) ([]string, error) {
 	}
 	for i, t := range toks {
 		switch t.Kind {
-		case TokIdent:
+		case tokIdent:
 			if suffix == 0 {
 				name = t.Text
 			}

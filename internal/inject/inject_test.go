@@ -31,7 +31,7 @@ __global__ void tile2d(float *out, const float *in, int w, int h) {
 
 func TestLexRoundTrips(t *testing.T) {
 	toks := Lex(sampleSrc)
-	if Render(toks) != sampleSrc {
+	if render(toks) != sampleSrc {
 		t.Fatal("lex/render does not round-trip")
 	}
 }
@@ -44,20 +44,20 @@ func TestLexClassification(t *testing.T) {
 	for _, tk := range toks {
 		kinds[tk.Kind]++
 	}
-	if kinds[TokPreproc] != 1 {
-		t.Errorf("preproc tokens = %d, want 1", kinds[TokPreproc])
+	if kinds[tokPreproc] != 1 {
+		t.Errorf("preproc tokens = %d, want 1", kinds[tokPreproc])
 	}
-	if kinds[TokComment] != 2 {
-		t.Errorf("comment tokens = %d, want 2", kinds[TokComment])
+	if kinds[tokComment] != 2 {
+		t.Errorf("comment tokens = %d, want 2", kinds[tokComment])
 	}
-	if kinds[TokString] != 2 {
-		t.Errorf("string tokens = %d, want 2", kinds[TokString])
+	if kinds[tokString] != 2 {
+		t.Errorf("string tokens = %d, want 2", kinds[tokString])
 	}
-	if kinds[TokIdent] != 1 {
-		t.Errorf("ident tokens = %d, want 1", kinds[TokIdent])
+	if kinds[tokIdent] != 1 {
+		t.Errorf("ident tokens = %d, want 1", kinds[tokIdent])
 	}
-	if kinds[TokNumber] != 2 {
-		t.Errorf("number tokens = %d, want 2", kinds[TokNumber])
+	if kinds[tokNumber] != 2 {
+		t.Errorf("number tokens = %d, want 2", kinds[tokNumber])
 	}
 }
 
@@ -136,7 +136,7 @@ func TestTransformReplacesBuiltinsOnlyInCode(t *testing.T) {
 	bodyEnd := strings.Index(out[bodyStart:], "extern \"C\"")
 	body := out[bodyStart : bodyStart+bodyEnd]
 	for _, tok := range Lex(body) {
-		if tok.Kind == TokIdent && (tok.Text == "blockIdx" || tok.Text == "gridDim") {
+		if tok.Kind == tokIdent && (tok.Text == "blockIdx" || tok.Text == "gridDim") {
 			t.Fatalf("unreplaced builtin %q in transformed body", tok.Text)
 		}
 	}

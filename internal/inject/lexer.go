@@ -20,13 +20,13 @@ type TokKind int
 
 // Token kinds.
 const (
-	TokIdent TokKind = iota
-	TokNumber
-	TokString  // "..." or '...'
-	TokComment // // or /* */
-	TokPreproc // a full #... line
+	tokIdent TokKind = iota
+	tokNumber
+	tokString  // "..." or '...'
+	tokComment // // or /* */
+	tokPreproc // a full #... line
 	TokPunct   // any single punctuation rune
-	TokSpace   // whitespace run
+	tokSpace   // whitespace run
 )
 
 // Token is one lexical unit with its source span.
@@ -61,7 +61,7 @@ func Lex(src string) []Token {
 			for j < n && (src[j] == '\n' || src[j] == ' ' || src[j] == '\t' || src[j] == '\r') {
 				j++
 			}
-			emit(TokSpace, i, j)
+			emit(tokSpace, i, j)
 			i = j
 		case c == '#' && atLineStart(toks):
 			// Preprocessor directive: runs to end of line, honoring
@@ -73,14 +73,14 @@ func Lex(src string) []Token {
 				}
 				j++
 			}
-			emit(TokPreproc, i, j)
+			emit(tokPreproc, i, j)
 			i = j
 		case c == '/' && i+1 < n && src[i+1] == '/':
 			j := i
 			for j < n && src[j] != '\n' {
 				j++
 			}
-			emit(TokComment, i, j)
+			emit(tokComment, i, j)
 			i = j
 		case c == '/' && i+1 < n && src[i+1] == '*':
 			j := i + 2
@@ -92,7 +92,7 @@ func Lex(src string) []Token {
 			} else {
 				j = n
 			}
-			emit(TokComment, i, j)
+			emit(tokComment, i, j)
 			i = j
 		case c == '"' || c == '\'':
 			quote := c
@@ -109,14 +109,14 @@ func Lex(src string) []Token {
 			if j < n {
 				j++
 			}
-			emit(TokString, i, j)
+			emit(tokString, i, j)
 			i = j
 		case isIdentStart(rune(c)):
 			j := i + 1
 			for j < n && isIdentCont(rune(src[j])) {
 				j++
 			}
-			emit(TokIdent, i, j)
+			emit(tokIdent, i, j)
 			i = j
 		case c >= '0' && c <= '9':
 			j := i + 1
@@ -124,7 +124,7 @@ func Lex(src string) []Token {
 				((src[j] == '+' || src[j] == '-') && (src[j-1] == 'e' || src[j-1] == 'E'))) {
 				j++
 			}
-			emit(TokNumber, i, j)
+			emit(tokNumber, i, j)
 			i = j
 		default:
 			emit(TokPunct, i, i+1)
@@ -138,11 +138,11 @@ func atLineStart(toks []Token) bool {
 	for k := len(toks) - 1; k >= 0; k-- {
 		t := toks[k]
 		switch t.Kind {
-		case TokSpace:
+		case tokSpace:
 			if strings.Contains(t.Text, "\n") {
 				return true
 			}
-		case TokComment:
+		case tokComment:
 			continue
 		default:
 			return false
@@ -154,8 +154,8 @@ func atLineStart(toks []Token) bool {
 func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
 func isIdentCont(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
 
-// Render reassembles tokens into source text.
-func Render(toks []Token) string {
+// render reassembles tokens into source text.
+func render(toks []Token) string {
 	var b strings.Builder
 	for _, t := range toks {
 		b.WriteString(t.Text)
@@ -191,7 +191,7 @@ func FindKernels(src string) ([]Kernel, error) {
 func FindKernelsIn(toks []Token) ([]Kernel, error) {
 	var kernels []Kernel
 	for i := 0; i < len(toks); i++ {
-		if toks[i].Kind != TokIdent || toks[i].Text != "__global__" {
+		if toks[i].Kind != tokIdent || toks[i].Text != "__global__" {
 			continue
 		}
 		k, err := parseKernel(toks, i)
@@ -213,7 +213,7 @@ func parseKernel(toks []Token, at int) (Kernel, error) {
 	var name string
 	for ; i < len(toks); i++ {
 		t := toks[i]
-		if t.Kind == TokSpace || t.Kind == TokComment {
+		if t.Kind == tokSpace || t.Kind == tokComment {
 			continue
 		}
 		if t.Kind == TokPunct && t.Text == "(" {
@@ -240,11 +240,11 @@ func parseKernel(toks []Token, at int) (Kernel, error) {
 			}
 			break
 		}
-		if t.Kind == TokIdent {
+		if t.Kind == tokIdent {
 			name = t.Text
 			continue
 		}
-		if t.Kind == TokString && strings.HasPrefix(t.Text, `"C"`) {
+		if t.Kind == tokString && strings.HasPrefix(t.Text, `"C"`) {
 			continue // extern "C"
 		}
 		return k, fmt.Errorf("unexpected token %q in kernel signature", t.Text)
@@ -277,13 +277,13 @@ func parseKernel(toks []Token, at int) (Kernel, error) {
 	return k, fmt.Errorf("unbalanced parameter parentheses for kernel %s", name)
 params:
 	k.paramStart, k.paramEnd = pStart, i
-	k.Params = strings.TrimSpace(Render(toks[pStart:i]))
+	k.Params = strings.TrimSpace(render(toks[pStart:i]))
 	i++
 
 	// Find the opening brace.
 	for ; i < len(toks); i++ {
 		t := toks[i]
-		if t.Kind == TokSpace || t.Kind == TokComment {
+		if t.Kind == tokSpace || t.Kind == tokComment {
 			continue
 		}
 		if t.Kind == TokPunct && t.Text == "{" {
@@ -311,7 +311,7 @@ params:
 			if depth == 0 {
 				k.bodyStart, k.bodyEnd = bStart, i
 				k.end = i + 1
-				k.Body = Render(toks[bStart:i])
+				k.Body = render(toks[bStart:i])
 				return k, nil
 			}
 		}

@@ -21,9 +21,9 @@ import (
 // FrameHeaderSize is the fixed per-frame overhead: length plus checksum.
 const FrameHeaderSize = 8
 
-// MaxFramePayload bounds a single frame so a corrupted length field cannot
+// maxFramePayload bounds a single frame so a corrupted length field cannot
 // make a reader attempt a multi-gigabyte allocation.
-const MaxFramePayload = 16 << 20
+const maxFramePayload = 16 << 20
 
 // Frame decode failures, distinguished so journal replay can report what it
 // truncated.
@@ -64,9 +64,9 @@ func SealFrame(frame []byte) {
 
 // ReadFrame reads one frame from r and returns its payload. A clean end of
 // stream returns io.EOF; a stream ending mid-frame returns ErrFrameTruncated;
-// a checksum mismatch or a declared length above MaxFramePayload returns
+// a checksum mismatch or a declared length above maxFramePayload returns
 // ErrFrameCorrupt.
-func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameWithin(r, MaxFramePayload) }
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameWithin(r, maxFramePayload) }
 
 // ReadFrameWithin is ReadFrame with the caller's bound on the declared
 // payload length. A reader that knows how many bytes its stream holds — a
@@ -121,8 +121,8 @@ func DecodeFrame(b []byte) (payload, rest []byte, err error) {
 		return nil, nil, ErrFrameTruncated
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
-	if n > MaxFramePayload {
-		return nil, nil, fmt.Errorf("%w: declared payload %d exceeds max %d", ErrFrameCorrupt, n, MaxFramePayload)
+	if n > maxFramePayload {
+		return nil, nil, fmt.Errorf("%w: declared payload %d exceeds max %d", ErrFrameCorrupt, n, maxFramePayload)
 	}
 	end := FrameHeaderSize + int(n)
 	if len(b) < end {

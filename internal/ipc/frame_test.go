@@ -65,7 +65,7 @@ func TestFrameBitFlipDetected(t *testing.T) {
 }
 
 func TestFrameRejectsOversizedLength(t *testing.T) {
-	// A header declaring a payload beyond MaxFramePayload must fail as
+	// A header declaring a payload beyond maxFramePayload must fail as
 	// corrupt without attempting the allocation.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}
 	_, err := ReadFrame(bytes.NewReader(hdr))

@@ -66,7 +66,7 @@ func FuzzReadFrame(f *testing.F) {
 					t.Fatal("DecodeFrame and ReadFrame disagree on the first payload")
 				}
 			}
-			if len(payload) > MaxFramePayload {
+			if len(payload) > maxFramePayload {
 				t.Fatalf("decoded payload of %d bytes exceeds bound", len(payload))
 			}
 			// Round trip: re-encoding the decoded payload must survive.
@@ -126,13 +126,13 @@ func FuzzResolveSrcRefs(f *testing.F) {
 				}
 			}
 		}
-		if err := CheckOpOrder(items); (err != nil) != repeated || err != nil && !errors.Is(err, ErrMalformed) {
+		if err := CheckOpOrder(items); (err != nil) != repeated || err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("CheckOpOrder = %v on op IDs %v (out of order: %v)", err, ops[:min(len(ops), len(items))], repeated)
 		}
 		orig := append([]BatchItem(nil), items...)
 		err := ResolveSrcRefs(items)
 		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
+			if !errors.Is(err, errMalformed) {
 				t.Fatalf("unclassified error: %v", err)
 			}
 			return

@@ -22,11 +22,11 @@ import (
 // (cudaErrorMemoryAllocation); callers test it with errors.Is.
 var ErrDeviceOOM = errors.New("ipc: out of device memory")
 
-// ErrMalformed is the typed cause of refusing a frame that decoded but whose
+// errMalformed is the typed cause of refusing a frame that decoded but whose
 // contents contradict each other (a batch item's SrcRef that does not name an
 // earlier source-carrying item). Only a client that does not speak the
 // protocol can cause it; retrying the same frame is pointless.
-var ErrMalformed = errors.New("ipc: malformed request")
+var errMalformed = errors.New("ipc: malformed request")
 
 // ErrCode classifies a Reply's failure so clients can map wire errors back
 // to typed sentinels without parsing strings.
@@ -38,43 +38,43 @@ const (
 	CodeOK ErrCode = iota
 	// CodeGeneric is an untyped failure; Reply.Err carries the detail.
 	CodeGeneric
-	// CodeOOM is a device-memory allocation failure.
-	CodeOOM
-	// CodeKernelPanic is a panicking kernel body caught by the executor
+	// codeOOM is a device-memory allocation failure.
+	codeOOM
+	// codeKernelPanic is a panicking kernel body caught by the executor
 	// (sticky, like a CUDA sticky context error).
-	CodeKernelPanic
+	codeKernelPanic
 	// CodeBackpressure rejects a launch because the session's pending queue
 	// is full; the client should back off and retry.
 	CodeBackpressure
-	// CodeQuota rejects a request because it would exceed a per-session
+	// codeQuota rejects a request because it would exceed a per-session
 	// resource quota (in-flight launches or device memory).
-	CodeQuota
+	codeQuota
 	// CodeDraining rejects new work because the daemon is shutting down
 	// gracefully; retrying on this connection is pointless.
 	CodeDraining
-	// CodeKernelTimeout is a launch abandoned by the executor's wall-clock
+	// codeKernelTimeout is a launch abandoned by the executor's wall-clock
 	// containment deadline (sticky, like a panic).
-	CodeKernelTimeout
+	codeKernelTimeout
 	// CodeDuplicateOp marks a launch whose per-session op ID was already
 	// accepted but whose original outcome is no longer in the bounded dedup
 	// window; the launch was NOT re-executed (exactly-once semantics).
 	// Replays whose outcome is still cached return the original reply with
 	// Dup set instead of this code.
 	CodeDuplicateOp
-	// CodeVersionSkew refuses a Hello/Resume whose protocol version does not
+	// codeVersionSkew refuses a Hello/Resume whose protocol version does not
 	// match the daemon's: mixed-version fleets must fail the handshake
 	// loudly instead of exchanging frames the other side misreads. The
 	// client should redial a member running its own version.
-	CodeVersionSkew
-	// CodeExpired sheds a launch whose propagated deadline had already
+	codeVersionSkew
+	// codeExpired sheds a launch whose propagated deadline had already
 	// passed when the daemon was about to spend work on it — at admission,
 	// or at the queue head just before execution. The launch did NOT run
 	// (and never will); retrying it verbatim is pointless because the
 	// client's own deadline has passed too.
-	CodeExpired
-	// CodeMalformed refuses a request whose fields are inconsistent
-	// (ErrMalformed). Nothing was admitted, journaled or executed.
-	CodeMalformed
+	codeExpired
+	// codeMalformed refuses a request whose fields are inconsistent
+	// (errMalformed). Nothing was admitted, journaled or executed.
+	codeMalformed
 
 	numCodes // one past the last code: what the round-trip test walks up to
 )
@@ -100,16 +100,16 @@ var wireErrors = [...]struct {
 	code ErrCode
 	err  error
 }{
-	{CodeOOM, ErrDeviceOOM},
-	{CodeKernelPanic, ErrKernelPanic},
-	{CodeKernelTimeout, ErrKernelTimeout},
+	{codeOOM, ErrDeviceOOM},
+	{codeKernelPanic, ErrKernelPanic},
+	{codeKernelTimeout, ErrKernelTimeout},
 	{CodeBackpressure, ErrBackpressure},
-	{CodeQuota, ErrQuota},
+	{codeQuota, ErrQuota},
 	{CodeDraining, ErrDraining},
 	{CodeDuplicateOp, ErrDuplicateOp},
-	{CodeVersionSkew, ErrVersionSkew},
-	{CodeExpired, ErrExpired},
-	{CodeMalformed, ErrMalformed},
+	{codeVersionSkew, ErrVersionSkew},
+	{codeExpired, ErrExpired},
+	{codeMalformed, errMalformed},
 }
 
 // CodeOf classifies an error for the wire: the code of the sentinel it wraps,
@@ -136,14 +136,14 @@ func Sentinel(code ErrCode) error {
 
 // ProtocolVersion is the wire protocol generation this build speaks. Clients
 // stamp it on Hello/Resume; daemons refuse a mismatched, non-zero version
-// with CodeVersionSkew. Zero is accepted as an unstamped hello: a frame
+// with codeVersionSkew. Zero is accepted as an unstamped hello: a frame
 // leaves out a zero field, so a peer that stamps nothing sends no version.
 //
 // Version 2 added BatchItem.SrcRef: a v1 daemon would decode a v2 client's
 // interned batch as items with empty sources, so the two must not talk.
 // Version 3 replaced gob with the binary codec of wire.go. A v2 peer fails at
 // its first frame, before any version check: gob's bytes are not a frame of
-// this codec, so its hello gets no reply, not even CodeVersionSkew, and the
+// this codec, so its hello gets no reply, not even codeVersionSkew, and the
 // connection is torn down once the bytes fail to decode or the peer gives up.
 const ProtocolVersion uint32 = 3
 
@@ -253,7 +253,7 @@ type Request struct {
 	Version uint32
 	// Deadline is the client's per-op deadline in Unix nanoseconds (0 =
 	// none). It rides the frame so the daemon can shed already-expired
-	// work — at admission and again at the queue head — with CodeExpired
+	// work — at admission and again at the queue head — with codeExpired
 	// instead of executing launches nobody is waiting for.
 	Deadline int64
 }
@@ -333,7 +333,7 @@ type BatchItem struct {
 // it names, in place (the strings share memory). A ref must be on a source
 // item that has no text of its own and must name an earlier source item that
 // does: forward and self refs, refs onto spec items, refs onto items that are
-// themselves refs and out-of-range refs all fail with ErrMalformed, and the
+// themselves refs and out-of-range refs all fail with errMalformed, and the
 // caller must then refuse the whole frame — items up to the bad one have
 // been resolved, which is harmless.
 func ResolveSrcRefs(items []BatchItem) error {
@@ -344,24 +344,24 @@ func ResolveSrcRefs(items []BatchItem) error {
 		}
 		switch {
 		case !it.Src:
-			return fmt.Errorf("%w: batch item %d is not a source launch but has SrcRef %d", ErrMalformed, i, it.SrcRef)
+			return fmt.Errorf("%w: batch item %d is not a source launch but has SrcRef %d", errMalformed, i, it.SrcRef)
 		case it.Source != "":
-			return fmt.Errorf("%w: batch item %d has both a Source and SrcRef %d", ErrMalformed, i, it.SrcRef)
+			return fmt.Errorf("%w: batch item %d has both a Source and SrcRef %d", errMalformed, i, it.SrcRef)
 		case it.SrcRef < 0 || it.SrcRef > i:
-			return fmt.Errorf("%w: batch item %d has SrcRef %d, want an earlier item in 1..%d", ErrMalformed, i, it.SrcRef, i)
+			return fmt.Errorf("%w: batch item %d has SrcRef %d, want an earlier item in 1..%d", errMalformed, i, it.SrcRef, i)
 		}
 		// Earlier items are already resolved, so a carrier that was itself a
 		// ref cannot be told apart by its Source; its SrcRef still can.
 		carrier := &items[it.SrcRef-1]
 		if !carrier.Src || carrier.SrcRef != 0 {
-			return fmt.Errorf("%w: batch item %d has SrcRef %d, which does not carry a source", ErrMalformed, i, it.SrcRef)
+			return fmt.Errorf("%w: batch item %d has SrcRef %d, which does not carry a source", errMalformed, i, it.SrcRef)
 		}
 		it.Source = carrier.Source
 	}
 	return nil
 }
 
-// CheckOpOrder refuses, with ErrMalformed, a frame whose stamped op IDs do
+// CheckOpOrder refuses, with errMalformed, a frame whose stamped op IDs do
 // not strictly ascend. The daemon checks every item of a frame against the
 // session's dedup watermark before it accepts any, so one op stamped twice in
 // a frame would run twice; the caller must refuse the whole frame. Unstamped
@@ -374,7 +374,7 @@ func CheckOpOrder(items []BatchItem) error {
 			continue
 		}
 		if op <= last {
-			return fmt.Errorf("%w: batch item %d has op ID %d, not above an earlier item's %d", ErrMalformed, i, op, last)
+			return fmt.Errorf("%w: batch item %d has op ID %d, not above an earlier item's %d", errMalformed, i, op, last)
 		}
 		last = op
 	}
@@ -526,14 +526,6 @@ type BufferRegistry struct {
 // NewBufferRegistry returns an empty, unbounded registry.
 func NewBufferRegistry() *BufferRegistry {
 	return &BufferRegistry{next: 1, bufs: map[uint64][]byte{}, devPtr: map[uint64]uint64{}}
-}
-
-// NewBoundedBufferRegistry returns a registry enforcing a device-memory
-// capacity.
-func NewBoundedBufferRegistry(capacity int64) *BufferRegistry {
-	r := NewBufferRegistry()
-	r.Capacity = capacity
-	return r
 }
 
 // Create allocates a buffer and returns its handle and simulated device

@@ -41,7 +41,8 @@ func TestRecvRequestTruncatedFrame(t *testing.T) {
 // OOM failures are typed: both the capacity limit and the fault hook wrap
 // ErrDeviceOOM.
 func TestCreateOOMIsTyped(t *testing.T) {
-	r := NewBoundedBufferRegistry(100)
+	r := NewBufferRegistry()
+	r.Capacity = 100
 	if _, _, err := r.Create(200); !errors.Is(err, ErrDeviceOOM) {
 		t.Fatalf("capacity OOM = %v, want ErrDeviceOOM", err)
 	}

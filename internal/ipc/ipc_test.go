@@ -126,7 +126,8 @@ func TestDistinctDevicePointers(t *testing.T) {
 }
 
 func TestBoundedRegistryEnforcesCapacity(t *testing.T) {
-	r := NewBoundedBufferRegistry(1000)
+	r := NewBufferRegistry()
+	r.Capacity = 1000
 	h1, _, err := r.Create(600)
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +178,8 @@ func TestResolveSrcRefs(t *testing.T) {
 		"beside its own source": {src("A"), {Src: true, Source: "B", SrcRef: 1}},
 	}
 	for name, items := range bad {
-		if err := ResolveSrcRefs(items); !errors.Is(err, ErrMalformed) {
-			t.Errorf("%s: ResolveSrcRefs = %v, want ErrMalformed", name, err)
+		if err := ResolveSrcRefs(items); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: ResolveSrcRefs = %v, want errMalformed", name, err)
 		}
 	}
 }

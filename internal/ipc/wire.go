@@ -30,10 +30,10 @@ import (
 	"math/bits"
 )
 
-// MaxWirePayload bounds one command frame's payload. A remote memcpy carries
+// maxWirePayload bounds one command frame's payload. A remote memcpy carries
 // its bytes inline, so the bound is the largest single transfer, not
-// MaxFramePayload: the journal's bound is for records.
-const MaxWirePayload = 1 << 30
+// maxFramePayload: the journal's bound is for records.
+const maxWirePayload = 1 << 30
 
 const (
 	// readBufSize is a connection's first read buffer; it doubles only when
@@ -337,8 +337,8 @@ func (w *walker) encodeFrame(m walkable) ([]byte, error) {
 	w.mode = modeWrite
 	w.message(m)
 	n := len(w.b) - slot
-	if n > MaxWirePayload {
-		return nil, fmt.Errorf("ipc: %d-byte frame exceeds the wire's max %d", n, MaxWirePayload)
+	if n > maxWirePayload {
+		return nil, fmt.Errorf("ipc: %d-byte frame exceeds the wire's max %d", n, maxWirePayload)
 	}
 	start := slot - (bits.Len64(uint64(n)|1)+6)/7
 	binary.PutUvarint(w.b[start:], uint64(n))
@@ -373,7 +373,7 @@ type wireReader struct {
 // next returns the next frame's payload, valid until the following call. A
 // stream that ends between frames returns io.EOF, one that ends inside a
 // frame ErrFrameTruncated, and a length header that is not a minimal uvarint
-// up to MaxWirePayload ErrFrameCorrupt; a transport error is returned as is.
+// up to maxWirePayload ErrFrameCorrupt; a transport error is returned as is.
 func (r *wireReader) next() ([]byte, error) {
 	if r.pos == r.end {
 		r.pos, r.end = 0, 0
@@ -384,7 +384,7 @@ func (r *wireReader) next() ([]byte, error) {
 	var n uint64
 	for {
 		v, k := binary.Uvarint(r.buf[r.pos:r.end])
-		if k < 0 || k > 1 && r.buf[r.pos+k-1] == 0 || k > 0 && v > MaxWirePayload {
+		if k < 0 || k > 1 && r.buf[r.pos+k-1] == 0 || k > 0 && v > maxWirePayload {
 			return nil, fmt.Errorf("%w: wire: bad frame length header % x", ErrFrameCorrupt, r.buf[r.pos:r.pos+min(r.end-r.pos, binary.MaxVarintLen64)])
 		}
 		if k > 0 {

@@ -168,7 +168,7 @@ func TestWireRefusesNonCanonicalPayloads(t *testing.T) {
 // frame, then a little of it, then the end, costs the reader a buffer the
 // size of what arrived, not the frame.
 func TestWireHostileLengthAllocatesNothing(t *testing.T) {
-	hdr := binary.AppendUvarint(nil, MaxWirePayload)
+	hdr := binary.AppendUvarint(nil, maxWirePayload)
 	a, b := net.Pipe()
 	conn := NewConn(b)
 	defer conn.Close()
@@ -185,11 +185,11 @@ func TestWireHostileLengthAllocatesNothing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrFrameTruncated", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Fatalf("a header declaring %d bytes allocated %d", MaxWirePayload, grew)
+		t.Fatalf("a header declaring %d bytes allocated %d", maxWirePayload, grew)
 	}
 
 	// One past the bound is refused from the header alone.
-	r := wireReader{r: bytes.NewReader(binary.AppendUvarint(nil, MaxWirePayload+1))}
+	r := wireReader{r: bytes.NewReader(binary.AppendUvarint(nil, maxWirePayload+1))}
 	if _, err := r.next(); !errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversized header: err = %v, want ErrFrameCorrupt", err)
 	}
@@ -261,10 +261,10 @@ func sampleRequests() []*Request {
 func sampleReplies() []*Reply {
 	return []*Reply{
 		{Seq: 9, Session: 2, Token: 0xfeed, Dup: true},
-		{Seq: 3, Code: CodeOOM, Err: "out of memory"},
+		{Seq: 3, Code: codeOOM, Err: "out of memory"},
 		{Seq: 4, Data: []byte{1, 2, 3}, Entries: []string{"k", ""}},
 		{Seq: 5, Load: 3, LoadSeq: 11},
-		{Seq: 6, Acks: []BatchAck{{OpID: 1, Entries: []string{"k"}, Degraded: true}, {OpID: 2, Code: CodeQuota, Err: "quota"}}},
+		{Seq: 6, Acks: []BatchAck{{OpID: 1, Entries: []string{"k"}, Degraded: true}, {OpID: 2, Code: codeQuota, Err: "quota"}}},
 	}
 }
 

@@ -513,7 +513,7 @@ func ReadCheckpoint(path string, v any) (bool, error) {
 		return false, fmt.Errorf("journal: checkpoint stat: %w", err)
 	}
 	// WriteCheckpoint frames a payload of any size, so the declared length
-	// is bounded by what the file holds, not by ipc.MaxFramePayload.
+	// is bounded by what the file holds, not by ipc's frame bound.
 	payload, ferr := ipc.ReadFrameWithin(f, fi.Size()-ipc.FrameHeaderSize)
 	if ferr == nil {
 		// The frame must be the whole file: trailing bytes mean corruption.

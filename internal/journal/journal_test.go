@@ -358,12 +358,12 @@ func TestCorruptCheckpointQuarantined(t *testing.T) {
 	}
 }
 
-// A checkpoint larger than ipc.MaxFramePayload comes back: compaction
+// A checkpoint larger than ipc's 16 MiB frame bound comes back: compaction
 // publishes it and then resets the journal, so a reader that refused it
 // would lose every session it held.
 func TestCheckpointOverMaxFramePayloadRoundTrips(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.slate")
-	big := struct{ S string }{strings.Repeat("s", ipc.MaxFramePayload+1)}
+	big := struct{ S string }{strings.Repeat("s", 16<<20+1)}
 	if err := WriteCheckpoint(path, &big, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ import (
 	"slate/internal/vtime"
 )
 
-// ServerRTTSeconds is the client→MPS-server→driver hop added to each
+// serverRTTSeconds is the client→MPS-server→driver hop added to each
 // launch; it is why "MPS generally has a slightly larger application time
 // than CUDA" (§V-D2).
-const ServerRTTSeconds = 8e-6
+const serverRTTSeconds = 8e-6
 
 // Backend implements run.Backend for MPS.
 type Backend struct {
@@ -39,7 +39,7 @@ func (b *Backend) Name() string { return "mps" }
 // LaunchOverheads implements run.Backend: the launch API plus one hop
 // through the MPS server.
 func (b *Backend) LaunchOverheads(*kern.Spec, int) run.Overheads {
-	return run.Overheads{HostSec: b.Dev.KernelLaunchSeconds, CommSec: ServerRTTSeconds}
+	return run.Overheads{HostSec: b.Dev.KernelLaunchSeconds, CommSec: serverRTTSeconds}
 }
 
 // TransferSeconds implements run.Backend.

@@ -26,8 +26,8 @@ func newBackend() (*Backend, *vtime.Clock) {
 func TestServerHopInOverheads(t *testing.T) {
 	b, _ := newBackend()
 	ov := b.LaunchOverheads(spec("x", 1), 0)
-	if ov.CommSec != ServerRTTSeconds {
-		t.Fatalf("CommSec = %v, want the MPS server hop %v", ov.CommSec, ServerRTTSeconds)
+	if ov.CommSec != serverRTTSeconds {
+		t.Fatalf("CommSec = %v, want the MPS server hop %v", ov.CommSec, serverRTTSeconds)
 	}
 	if ov.HostSec != b.Dev.KernelLaunchSeconds {
 		t.Fatalf("HostSec = %v", ov.HostSec)

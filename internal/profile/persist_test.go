@@ -46,7 +46,7 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 clean loads", st)
 	}
 	for _, n := range []string{"rt-a", "rt-b", "rt-c"} {
-		if _, ok := q.Lookup(n); !ok {
+		if _, ok := lookup(q, n); !ok {
 			t.Fatalf("kernel %q missing after load", n)
 		}
 	}
@@ -126,7 +126,7 @@ func TestTornTailStopsWalk(t *testing.T) {
 func TestModelVersionMismatchSkipped(t *testing.T) {
 	p, path := savedTable(t, "mv-keep")
 	// Forge a second table entry claiming a future model version.
-	pr, _ := p.Lookup("mv-keep")
+	pr, _ := lookup(p, "mv-keep")
 	forged := *pr
 	forged.Fingerprint = ""
 	forged.ModelVersion = engine.ModelVersion + 1
@@ -150,7 +150,7 @@ func TestModelVersionMismatchSkipped(t *testing.T) {
 	if st.Loaded != 1 || st.Skipped != 1 {
 		t.Fatalf("stats = %+v, want the forged generation skipped", st)
 	}
-	if _, ok := q.Lookup("mv-drop"); ok {
+	if _, ok := lookup(q, "mv-drop"); ok {
 		t.Fatal("foreign-generation entry loaded")
 	}
 }

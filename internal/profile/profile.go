@@ -97,20 +97,6 @@ func (p *Profiler) Get(spec *kern.Spec) (*Profile, error) {
 	})
 }
 
-// Lookup returns a cached profile by kernel name without measuring. Names
-// are labels rather than identities (the cache is keyed by content), so
-// this scans the table; it exists for inspection and tests.
-func (p *Profiler) Lookup(name string) (*Profile, bool) {
-	var found *Profile
-	p.table.Range(func(_ string, pr *Profile) bool {
-		if pr.Kernel == name {
-			found = pr
-		}
-		return found == nil
-	})
-	return found, found != nil
-}
-
 // Len returns the number of completed cached profiles.
 func (p *Profiler) Len() int { return p.table.Len() }
 

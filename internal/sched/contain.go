@@ -66,9 +66,6 @@ func (c *Core) Contain(agingBound vtime.Duration) {
 	c.strikes = map[string]int{}
 }
 
-// Strikes returns a kernel's eviction count.
-func (s *Scheduler) Strikes(kernel string) int { return s.core.strikes[kernel] }
-
 // Quarantined reports whether a kernel's profile has been quarantined.
 func (s *Scheduler) Quarantined(kernel string) bool { return s.core.strikes[kernel] >= maxStrikes }
 

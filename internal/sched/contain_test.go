@@ -59,7 +59,7 @@ func TestStrikeLadderEvictQuarantineAbandon(t *testing.T) {
 	if !r.sched.Quarantined("stuck") {
 		t.Fatal("offender not quarantined")
 	}
-	if s := r.sched.Strikes("stuck"); s != 3 {
+	if s := r.sched.core.strikes["stuck"]; s != 3 {
 		t.Fatalf("strikes = %d, want 3", s)
 	}
 	if r.sched.Running() != 0 || r.sched.Queued() != 0 {
@@ -117,8 +117,8 @@ func TestEvictedOffenderCoRunnerCompletes(t *testing.T) {
 		}
 	}
 	// One strike puts the offender on probation: solo-only, not quarantined.
-	if r.sched.Strikes("mem") != 1 || r.sched.Quarantined("mem") {
-		t.Fatalf("strikes=%d quarantined=%v, want 1/false", r.sched.Strikes("mem"), r.sched.Quarantined("mem"))
+	if r.sched.core.strikes["mem"] != 1 || r.sched.Quarantined("mem") {
+		t.Fatalf("strikes=%d quarantined=%v, want 1/false", r.sched.core.strikes["mem"], r.sched.Quarantined("mem"))
 	}
 }
 

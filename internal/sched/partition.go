@@ -13,14 +13,14 @@ import (
 // two-kernel case of the one layout; three or more kernels (MaxConcurrent
 // ≥ 3, a natural extension the paper leaves open) share by waterfill.
 
-// Layout is the one partition policy: it sizes one contiguous range per
+// layoutFor is the one partition policy: it sizes one contiguous range per
 // kernel for numSMs SMs shared by kernels with the given profiles, in order.
 // Two kernels get the minimax split (SplitFor, or splitFn when set), clamped
 // so each keeps an SM. Otherwise everyone starts at the 2-SM floor and the
 // remaining SMs go, one at a time, to whichever kernel the profiles predict
 // is currently slowed the most. The admission core sizes through it for
 // both of its drivers.
-func Layout(numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
+func layoutFor(numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
 	n := len(profs)
 	if n == 2 {
 		var sA int
@@ -63,13 +63,13 @@ func Layout(numSMs int, profs []*profile.Profile, splitFn func(running, arrival 
 	return widths
 }
 
-// layout sizes the partitions of the device for jobs by Layout.
+// layout sizes the partitions of the device for jobs by layoutFor.
 func (c *Core) layout(jobs []*Job) []int {
 	profs := make([]*profile.Profile, len(jobs))
 	for i, j := range jobs {
 		profs[i] = j.Prof
 	}
-	return Layout(c.NumSMs, profs, c.SplitFn)
+	return layoutFor(c.NumSMs, profs, c.SplitFn)
 }
 
 // admitCorun is the one corun admission: it repartitions the device for

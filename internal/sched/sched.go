@@ -106,7 +106,7 @@ type Scheduler struct {
 	// ANTT-predictive policy (ANTTPredictCorun) here.
 	CorunFn func(running, arrival *profile.Profile) bool
 	// SplitFn sizes the partition when two kernels share the device (SMs
-	// granted to the lower-range kernel, clamped by Layout); nil selects the
+	// granted to the lower-range kernel, clamped by layoutFor); nil selects the
 	// measured-scaling minimax optimizer, SplitFor.
 	SplitFn func(running, arrival *profile.Profile) int
 

