@@ -14,7 +14,6 @@ import (
 
 	"slate/internal/client"
 	"slate/internal/daemon"
-	"slate/internal/fault"
 	"slate/internal/fleet"
 	"slate/internal/kern"
 )
@@ -112,7 +111,6 @@ const fleetMembers = 3
 func newFleet(cfg fleet.Config, base string, arm func(i int, dur *daemon.Durability)) (*fleet.Supervisor, error) {
 	cfg.PingTimeout = 2 * time.Second
 	cfg.RoundRobin = true
-	cfg.PartitionMode = fault.PartitionReject
 	sup := fleet.New(cfg)
 	for i := 0; i < fleetMembers; i++ {
 		spec := fleet.MemberSpec{Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i]}

@@ -116,7 +116,13 @@ func (h *Harness) Ablations() (*AblationResult, error) {
 		if err != nil {
 			return err
 		}
-		rs, _, err := h.runSlate(jobs, ablationVariants[v].mut)
+		mut := ablationVariants[v].mut
+		rs, _, err := h.runSlate(jobs, func(b *daemon.SimBackend) {
+			if mut != nil {
+				mut(b)
+			}
+			resultsOnly(b)
+		})
 		if err != nil {
 			return fmt.Errorf("ablation %s on %s: %w", ablationVariants[v].name, keys[p], err)
 		}

@@ -92,7 +92,8 @@ func (h *Harness) RunJobs(s Sched, jobs []run.Job) ([]run.Result, []sched.Decisi
 	return rs, nil, err
 }
 
-// runJobs is RunJobs for the cells that read only the results.
+// runJobs is RunJobs for the cells that read only the results: a Slate
+// cell's scheduler keeps no decision log (resultsOnly).
 func (h *Harness) runJobs(s Sched, jobs []run.Job) ([]run.Result, error) {
 	clk := vtime.NewClock()
 	backend, err := h.newBackend(s, clk)
@@ -134,11 +135,18 @@ func (h *Harness) newBackend(s Sched, clk *vtime.Clock) (run.Backend, error) {
 		b.Eng.Workers = h.simWorkers
 		return b, nil
 	case Slate:
-		return h.newSlateSim(clk), nil
+		sim := h.newSlateSim(clk)
+		resultsOnly(sim)
+		return sim, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown scheduler %v", s)
 	}
 }
+
+// resultsOnly makes sim's scheduler keep only its last decision, for a cell
+// that reads only the results: an unread log that keeps every decision is
+// most of what a warm sweep allocates.
+func resultsOnly(sim *daemon.SimBackend) { sim.Sched.Log().Cap = 1 }
 
 // newSlateSim builds a fresh Slate daemon on the given clock, sharing the
 // harness's profiler so kernels are profiled once across all cells.

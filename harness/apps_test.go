@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -86,6 +87,35 @@ func TestOverheadFieldsBySched(t *testing.T) {
 		}
 		if !ok {
 			t.Fatalf("%v overheads wrong: comm %v inject %v", s, r.CommSec, r.InjectSec)
+		}
+	}
+}
+
+// TestResultsOnlyLogIsInvisible: a Slate cell that reads only its results
+// keeps a one-slot decision ring (resultsOnly). On every Fig. 7 pair that
+// cell's results equal, field for field, those of the same cell keeping its
+// whole log, and the ring holds the whole log's last decision.
+func TestResultsOnlyLogIsInvisible(t *testing.T) {
+	for _, pair := range workloads.Pairs() {
+		name := pair[0].Code + "-" + pair[1].Code
+		jobs, err := testHarness.JobsFor(pair[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, fullSched, err := testHarness.runSlate(jobs, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ring, ringSched, err := testHarness.runSlate(jobs, resultsOnly)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := fmt.Sprintf("%+v", ring), fmt.Sprintf("%+v", full); got != want {
+			t.Errorf("%s: results-only cell\n%s\nfull-log cell\n%s", name, got, want)
+		}
+		all, last := fullSched.Decisions(), ringSched.Decisions()
+		if len(all) == 0 || len(last) != 1 || last[0] != all[len(all)-1] {
+			t.Errorf("%s: ring holds %+v; the full log's %d decisions end %+v", name, last, len(all), all[len(all)-1:])
 		}
 	}
 }

@@ -33,14 +33,17 @@ func BenchmarkWarmFig7(b *testing.B) {
 }
 
 // Allocation budget of one warm Fig. 7 sweep at a 1 s loop, serial. The
-// simulated launch loop reuses engine handles, stores the decision log in
-// chunks it never recopies, and binds the driver's callbacks once per
-// application; what a sweep still allocates is per-submit bookkeeping and
-// the render. Measured at 8.4 MB and 136k allocations; before those three
-// changes a sweep took 38.5 MB and 316k.
+// simulated launch loop reuses engine handles, scheduler entries and the
+// backends' launch records with their callbacks bound once, keeps its
+// queues' backing arrays, and a cell that reads only its results keeps a
+// one-slot decision ring; what a sweep still allocates is per cell (engines,
+// rate-memo entries, the driver's per-application state) and the render.
+// Measured at 0.30 MB and ~5.0k allocations (8.4 MB and 136k before those
+// changes, 38.5 MB and 316k before engine handles were reused); the budget
+// is that plus about half again.
 const (
-	warmFig7BudgetBytes  = 12 << 20
-	warmFig7BudgetAllocs = 180_000
+	warmFig7BudgetBytes  = 512 << 10
+	warmFig7BudgetAllocs = 7_500
 )
 
 // TestWarmFig7AllocationBudget pins what one warm sweep allocates, by

@@ -127,29 +127,8 @@ func newCache(cfg Config) *lruCache {
 	}
 }
 
-// Sets returns the number of sets after geometry normalization.
-func (c *lruCache) Sets() int { return c.sets }
-
-// Ways returns the associativity after geometry normalization.
-func (c *lruCache) Ways() int { return c.ways }
-
-// LineBytes returns the line size.
-func (c *lruCache) LineBytes() int { return c.cfg.LineBytes }
-
-// SizeBytes returns the effective capacity after geometry normalization.
-func (c *lruCache) SizeBytes() int { return c.sets * c.ways * c.cfg.LineBytes }
-
 // Stats returns a copy of the accumulated counters.
 func (c *lruCache) Stats() Stats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *lruCache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.tick = 0
-	c.stats = Stats{}
-}
 
 // setIndex maps a line address to its set with a splitmix64-style mixed
 // hash. GPU L2s hash the set/slice mapping (microbenchmarking consistently

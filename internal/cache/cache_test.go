@@ -10,21 +10,21 @@ func small() Config { return Config{SizeBytes: 4096, LineBytes: 64, Ways: 4} } /
 
 func TestGeometry(t *testing.T) {
 	c := newCache(small())
-	if c.Sets() != 16 || c.Ways() != 4 || c.LineBytes() != 64 {
-		t.Fatalf("geometry = %d sets x %d ways x %dB", c.Sets(), c.Ways(), c.LineBytes())
+	if c.sets != 16 || c.ways != 4 || c.cfg.LineBytes != 64 {
+		t.Fatalf("geometry = %d sets x %d ways x %dB", c.sets, c.ways, c.cfg.LineBytes)
 	}
-	if c.SizeBytes() != 4096 {
-		t.Fatalf("SizeBytes = %d", c.SizeBytes())
+	if c.sets*c.ways*c.cfg.LineBytes != 4096 {
+		t.Fatalf("SizeBytes = %d", c.sets*c.ways*c.cfg.LineBytes)
 	}
 }
 
 func TestTitanXpL2Geometry(t *testing.T) {
 	c := newCache(TitanXpL2())
-	if c.SizeBytes() != 3<<20 {
-		t.Fatalf("L2 size = %d, want %d", c.SizeBytes(), 3<<20)
+	if c.sets*c.ways*c.cfg.LineBytes != 3<<20 {
+		t.Fatalf("L2 size = %d, want %d", c.sets*c.ways*c.cfg.LineBytes, 3<<20)
 	}
-	if c.LineBytes() != 64 {
-		t.Fatalf("L2 line = %d", c.LineBytes())
+	if c.cfg.LineBytes != 64 {
+		t.Fatalf("L2 line = %d", c.cfg.LineBytes)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestLRUEviction(t *testing.T) {
 	addrs := []uint64{0}
 	for line := uint64(1); len(addrs) < 5; line++ {
 		if c.setIndex(line) == target {
-			addrs = append(addrs, line*uint64(c.LineBytes()))
+			addrs = append(addrs, line*uint64(c.cfg.LineBytes))
 		}
 	}
 	for _, a := range addrs[:4] { // fill the 4-way set
@@ -102,10 +102,10 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	// mapping intentionally trades it for stride robustness (see setIndex);
 	// conflict misses for that case are bounded below.
 	c := newCache(Config{SizeBytes: 4096, LineBytes: 64, Ways: 0})
-	lines := c.SizeBytes() / c.LineBytes()
+	lines := c.sets * c.ways
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < lines; i++ {
-			c.Access(uint64(i * c.LineBytes()))
+			c.Access(uint64(i * c.cfg.LineBytes))
 		}
 	}
 	st := c.Stats()
@@ -134,10 +134,10 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 func TestStreamingThrashes(t *testing.T) {
 	c := newCache(small())
 	// Working set = 4x capacity, sequential, repeated: LRU thrashes fully.
-	lines := 4 * c.SizeBytes() / c.LineBytes()
+	lines := 4 * c.sets * c.ways
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < lines; i++ {
-			c.Access(uint64(i * c.LineBytes()))
+			c.Access(uint64(i * c.cfg.LineBytes))
 		}
 	}
 	if hr := c.Stats().HitRate(); hr != 0 {
@@ -147,8 +147,8 @@ func TestStreamingThrashes(t *testing.T) {
 
 func TestFullyAssociative(t *testing.T) {
 	c := newCache(Config{SizeBytes: 1024, LineBytes: 64, Ways: 0})
-	if c.Sets() != 1 || c.Ways() != 16 {
-		t.Fatalf("fully associative geometry = %d sets x %d ways", c.Sets(), c.Ways())
+	if c.sets != 1 || c.ways != 16 {
+		t.Fatalf("fully associative geometry = %d sets x %d ways", c.sets, c.ways)
 	}
 	// Any 16 distinct lines should coexist regardless of address bits.
 	rng := rand.New(rand.NewSource(1))
@@ -163,18 +163,6 @@ func TestFullyAssociative(t *testing.T) {
 			// are distinct with overwhelming probability at this seed.
 			t.Fatalf("line %#x evicted in fully associative cache within capacity", a)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := newCache(small())
-	c.Access(0)
-	c.Reset()
-	if c.Stats().Accesses != 0 {
-		t.Fatal("stats survived Reset")
-	}
-	if c.Access(0) {
-		t.Fatal("contents survived Reset")
 	}
 }
 

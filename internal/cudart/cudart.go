@@ -23,6 +23,8 @@ type Backend struct {
 	lastCtx *kern.Spec
 	// Switches counts context switches, an observable for tests.
 	Switches int
+	// free holds finished launches for Submit to reuse.
+	free []*launch
 }
 
 // New builds a CUDA backend with its own engine on the shared clock.
@@ -46,31 +48,73 @@ func (b *Backend) TransferSeconds(n int64) float64 { return b.Dev.PCIe.TransferS
 // different context, runs under the hardware scheduler, and releases the
 // device on completion.
 func (b *Backend) Submit(spec *kern.Spec, done func(vtime.Time, engine.Metrics)) error {
-	b.gpu.Acquire(b.Clock, func(now vtime.Time) {
-		start := func(vtime.Time) {
-			h, err := b.Eng.Launch(spec, engine.LaunchOpts{Mode: engine.HardwareSched})
-			if err != nil {
-				// Release so other contexts are not wedged, then surface the
-				// failure through the completion callback with zero metrics.
-				b.gpu.Release(b.Clock)
-				done(b.Clock.Now(), engine.Metrics{})
-				return
-			}
-			b.Eng.OnComplete(h, func(at vtime.Time) {
-				b.gpu.Release(b.Clock)
-				m := h.Metrics()
-				b.Eng.Release(h)
-				done(at, m)
-			})
-		}
-		if b.lastCtx != nil && b.lastCtx != spec {
-			b.Switches++
-			b.lastCtx = spec
-			b.Clock.After(vtime.FromSeconds(b.Dev.ContextSwitchSeconds), start)
-			return
-		}
-		b.lastCtx = spec
-		start(b.Clock.Now())
-	})
+	var l *launch
+	if n := len(b.free); n > 0 {
+		l = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		l = &launch{b: b}
+		l.acquiredFn, l.startFn, l.completeFn = l.acquired, l.start, l.complete
+	}
+	l.spec, l.done = spec, done
+	b.gpu.Acquire(b.Clock, l.acquiredFn)
 	return nil
+}
+
+// launch is one submitted kernel. Launches are reused once finished, with
+// their three callbacks bound once, so a submit allocates nothing.
+type launch struct {
+	b    *Backend
+	spec *kern.Spec
+	h    *engine.Handle
+	done func(vtime.Time, engine.Metrics)
+
+	acquiredFn, startFn, completeFn func(vtime.Time)
+}
+
+// acquired runs once the launch owns the device: it starts the kernel, after
+// a context switch if the previous kernel belonged to another context.
+func (l *launch) acquired(vtime.Time) {
+	b := l.b
+	if b.lastCtx != nil && b.lastCtx != l.spec {
+		b.Switches++
+		b.lastCtx = l.spec
+		b.Clock.After(vtime.FromSeconds(b.Dev.ContextSwitchSeconds), l.startFn)
+		return
+	}
+	b.lastCtx = l.spec
+	l.start(b.Clock.Now())
+}
+
+func (l *launch) start(vtime.Time) {
+	b := l.b
+	h, err := b.Eng.Launch(l.spec, engine.LaunchOpts{Mode: engine.HardwareSched})
+	if err != nil {
+		// Release so other contexts are not wedged, then surface the
+		// failure through the completion callback with zero metrics.
+		b.gpu.Release(b.Clock)
+		l.finish(b.Clock.Now(), engine.Metrics{})
+		return
+	}
+	l.h = h
+	b.Eng.OnComplete(h, l.completeFn)
+}
+
+// complete is the engine's completion callback: it releases the device and
+// the handle.
+func (l *launch) complete(at vtime.Time) {
+	b := l.b
+	b.gpu.Release(b.Clock)
+	m := l.h.Metrics()
+	b.Eng.Release(l.h)
+	l.finish(at, m)
+}
+
+// finish hands the launch back to the free list, then reports m.
+func (l *launch) finish(at vtime.Time, m engine.Metrics) {
+	done := l.done
+	l.spec, l.h, l.done = nil, nil, nil
+	l.b.free = append(l.b.free, l)
+	done(at, m)
 }

@@ -19,7 +19,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -200,6 +199,12 @@ type Handle struct {
 	// cached static parameters
 	warpsPerBlock float64
 	resident      float64 // blocks of this shape resident on one SM
+	// unit is the scheduling unit in blocks (the task size under Slate, one
+	// block under hardware) and units the kernel's count of them.
+	unit, units float64
+	// wave is the wave geometry at the allocation last asked about: every
+	// event asks again, nearly always at the same allocation.
+	wave waveGeom
 	// loc is the kernel's locality, resolved from the PerfModel by the first
 	// rate computation in which the instance holds SMs (where any expensive
 	// cold model build happens) and read lock-free from then on.
@@ -280,7 +285,6 @@ type Engine struct {
 	// every simulation event, and without reuse these allocations dominate
 	// the event loop's profile.
 	scratch engineScratch
-	sorter  prioSorter
 	// recomputeFn is e.recompute bound once, so scheduling an event does not
 	// allocate a closure.
 	recomputeFn func(vtime.Time)
@@ -316,26 +320,6 @@ type rateTerms struct {
 type rateSnap struct {
 	rate, dramPB, hit, throttle float64
 }
-
-// prioSorter orders hardware-kernel indices by priority without the
-// per-call closure allocation of sort.Slice. Equal priorities fall back to
-// kernel index, making the permutation unique (and therefore stable across
-// sort-algorithm internals).
-type prioSorter struct {
-	order   []int
-	running []*Handle
-}
-
-func (p *prioSorter) Len() int { return len(p.order) }
-func (p *prioSorter) Less(a, b int) bool {
-	pa := p.running[p.order[a]].opts.Priority
-	pb := p.running[p.order[b]].opts.Priority
-	if pa != pb {
-		return pa < pb
-	}
-	return p.order[a] < p.order[b]
-}
-func (p *prioSorter) Swap(a, b int) { p.order[a], p.order[b] = p.order[b], p.order[a] }
 
 // Fan gates. Per-kernel work on resolved handles is tens of nanoseconds and
 // a goroutine handoff would dominate, so the fans engage only where they
@@ -402,8 +386,11 @@ func (e *Engine) Sync() { e.advanceProgress(e.Clock.Now()) }
 
 // Launch starts a kernel instance now and returns its handle.
 func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+	facts, known := e.memo.specs[spec]
+	if !known {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if opts.TaskSize <= 0 {
 		opts.TaskSize = DefaultTaskSize
@@ -418,9 +405,16 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 	if opts.Priority == 0 {
 		opts.Priority = e.nextID + 1
 	}
-	resident := e.Dev.ResidentBlocks(spec.Shape())
-	if resident == 0 {
-		return nil, fmt.Errorf("engine: kernel %q block shape does not fit on an SM", spec.Name)
+	if !known {
+		resident := e.Dev.ResidentBlocks(spec.Shape())
+		if resident == 0 {
+			return nil, fmt.Errorf("engine: kernel %q block shape does not fit on an SM", spec.Name)
+		}
+		facts = e.memo.addSpec(spec, resident)
+	}
+	unit := 1.0
+	if opts.Mode == SlateSched {
+		unit = float64(opts.TaskSize)
 	}
 	var h *Handle
 	if n := len(e.free); n > 0 {
@@ -433,12 +427,15 @@ func (e *Engine) Launch(spec *kern.Spec, opts LaunchOpts) (*Handle, error) {
 	*h = Handle{
 		id:            e.nextID,
 		spec:          spec,
-		specID:        e.memo.specID(spec),
+		specID:        facts.id,
 		opts:          opts,
-		numBlocks:     float64(spec.NumBlocks()),
+		numBlocks:     facts.numBlocks,
 		onComplete:    h.onComplete,
-		warpsPerBlock: float64(spec.Shape().Warps()),
-		resident:      float64(resident),
+		warpsPerBlock: facts.warpsPerBlock,
+		resident:      facts.resident,
+		unit:          unit,
+		units:         math.Ceil(facts.numBlocks / unit),
+		wave:          waveGeom{smAlloc: math.NaN()},
 	}
 	e.nextID++
 	h.metrics.Launched = e.Clock.Now()
@@ -610,7 +607,7 @@ func (e *Engine) advanceHandle(h *Handle, dt float64) {
 	h.metrics.Busy += vtime.FromSeconds(dt)
 	h.metrics.StallMemThrottle += h.memThrottle * dt
 	h.metrics.SMSecondsIntegral += h.smAlloc * dt
-	if h.opts.Mode == SlateSched && h.spec.NumBlocks() > 0 {
+	if h.opts.Mode == SlateSched && h.numBlocks > 0 {
 		h.metrics.Atomics = int64(h.blocksDone) / int64(h.opts.TaskSize)
 	}
 }
@@ -764,16 +761,22 @@ func (e *Engine) allocate(now vtime.Time) []float64 {
 	}
 
 	// Hardware kernels in priority order take what their remaining blocks
-	// can fill, from what is free.
+	// can fill, from what is free. The order is built by insertion, in index
+	// order, past strictly later priorities only: equal priorities keep index
+	// order, so the permutation is the unique (priority, index) sort.
 	order := e.scratch.order[:0]
 	for i, h := range e.running {
-		if h.opts.Mode == HardwareSched {
-			order = append(order, i)
+		if h.opts.Mode != HardwareSched {
+			continue
 		}
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && e.running[order[j-1]].opts.Priority > h.opts.Priority; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
 	e.scratch.order = order
-	e.sorter.order, e.sorter.running = order, e.running
-	sort.Sort(&e.sorter)
 	for _, i := range order {
 		h := e.running[i]
 		if free <= 0 || now < h.pausedUntil {
@@ -1002,28 +1005,35 @@ func (e *Engine) staticTerms(h *Handle, s, active float64, corun bool) rateTerms
 	}
 }
 
+// waveGeom is a kernel's wave geometry on smAlloc SMs (Handle.waves).
+type waveGeom struct {
+	smAlloc                      float64
+	capacity, lastWave, boundary float64
+}
+
 // waves returns the kernel's wave geometry on smAlloc SMs. Workers drain the
 // queue in waves of `capacity` scheduling units (tasks under Slate, blocks
 // under hardware) that progress in lockstep; lastWave is the size of the
 // final, possibly underpopulated wave and boundary the blocksDone value at
-// which it begins.
+// which it begins. Everything but smAlloc is fixed at Launch, so the
+// geometry at the last allocation asked about is kept and reused.
 func (h *Handle) waves(smAlloc float64) (capacity, lastWave, boundary float64) {
+	if w := &h.wave; w.smAlloc == smAlloc {
+		return w.capacity, w.lastWave, w.boundary
+	}
 	capacity = math.Floor(smAlloc * h.resident)
 	if capacity < 1 {
 		capacity = 1
 	}
-	unit := 1.0
-	if h.opts.Mode == SlateSched {
-		unit = float64(h.opts.TaskSize)
-	}
-	unitsTotal := math.Ceil(h.numBlocks / unit)
-	fullWaves := math.Floor(unitsTotal / capacity)
-	lastWave = unitsTotal - fullWaves*capacity
+	fullWaves := math.Floor(h.units / capacity)
+	lastWave = h.units - fullWaves*capacity
 	if lastWave == 0 {
 		lastWave = capacity
 		fullWaves--
 	}
-	return capacity, lastWave, fullWaves * capacity * unit
+	boundary = fullWaves * capacity * h.unit
+	h.wave = waveGeom{smAlloc, capacity, lastWave, boundary}
+	return capacity, lastWave, boundary
 }
 
 // activeWorkers returns how many block slots are actually processing work —

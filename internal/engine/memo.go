@@ -20,9 +20,11 @@ const rateMemoCap = 4096
 // hit returns the snapshots a fresh solve would compute, bit for bit.
 //
 // Specs are keyed by a per-engine ID assigned at Launch, which relies on a
-// spec being immutable once launched (Launch already caches its block count
-// and shape). IDs count up and are never reused, so clearing the ID table
-// with the memo cannot make a live handle alias a new spec.
+// spec being immutable once launched. The same rule lets the ID's entry keep
+// what Launch derives from the spec (specFacts), so a spec is validated and
+// fitted to an SM once, not on every launch. IDs count up and are never
+// reused, so clearing the spec table with the memo cannot make a live handle
+// alias a new spec.
 type rateMemo struct {
 	// index maps an encoded key to the offset of its first kernel's snapshot
 	// in vals; the entry spans one snapshot per running kernel.
@@ -32,24 +34,35 @@ type rateMemo struct {
 	// string(key) does not allocate, only an insert does.
 	key []byte
 
-	specIDs    map[*kern.Spec]uint64
+	specs      map[*kern.Spec]specFacts
 	nextSpecID uint64
 
 	// solved and reused count misses and hits.
 	solved, reused uint64
 }
 
-// specID returns spec's ID, assigning the next one on first sight.
-func (m *rateMemo) specID(spec *kern.Spec) uint64 {
-	if id, ok := m.specIDs[spec]; ok {
-		return id
-	}
-	if m.specIDs == nil {
-		m.specIDs = make(map[*kern.Spec]uint64)
+// specFacts is what Launch derives from a valid spec that fits on an SM: its
+// memo ID, block count, resident blocks per SM and warps per block.
+type specFacts struct {
+	id                                 uint64
+	numBlocks, resident, warpsPerBlock float64
+}
+
+// addSpec assigns spec the next ID and records its facts, given the blocks
+// of its shape resident on one SM.
+func (m *rateMemo) addSpec(spec *kern.Spec, resident int) specFacts {
+	if m.specs == nil {
+		m.specs = make(map[*kern.Spec]specFacts)
 	}
 	m.nextSpecID++
-	m.specIDs[spec] = m.nextSpecID
-	return m.nextSpecID
+	f := specFacts{
+		id:            m.nextSpecID,
+		numBlocks:     float64(spec.NumBlocks()),
+		resident:      float64(resident),
+		warpsPerBlock: float64(spec.Shape().Warps()),
+	}
+	m.specs[spec] = f
+	return f
 }
 
 // encode writes the key of the running set at the given allocations and
@@ -82,7 +95,7 @@ func (m *rateMemo) insert(snaps []rateSnap) {
 	m.solved++
 	if len(m.index) >= rateMemoCap {
 		clear(m.index)
-		clear(m.specIDs)
+		clear(m.specs)
 		m.vals = m.vals[:0]
 	}
 	if m.index == nil {

@@ -356,8 +356,8 @@ func TestRateMemoBounded(t *testing.T) {
 				}
 			}
 		}
-		if len(e.memo.index) > rateMemoCap || len(e.memo.specIDs) > rateMemoCap {
-			t.Fatalf("step %d: memo holds %d entries and %d spec IDs, cap %d", step, len(e.memo.index), len(e.memo.specIDs), rateMemoCap)
+		if len(e.memo.index) > rateMemoCap || len(e.memo.specs) > rateMemoCap {
+			t.Fatalf("step %d: memo holds %d entries and %d spec IDs, cap %d", step, len(e.memo.index), len(e.memo.specs), rateMemoCap)
 		}
 	}
 

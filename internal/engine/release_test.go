@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -25,8 +26,9 @@ type releaseRun struct {
 // launching its next rep from a completion callback, plus random resizes of
 // stream 0 and one eviction of stream 1, after which stream 1 relaunches
 // outside any callback. With release set, every finished handle goes back
-// to the engine as soon as its metrics are read.
-func releaseScenario(t *testing.T, seed int64, release bool) releaseRun {
+// to the engine as soon as its metrics are read. afterEvent, when not nil,
+// runs after every event.
+func releaseScenario(t *testing.T, seed int64, release bool, afterEvent func(*Engine)) releaseRun {
 	t.Helper()
 	const reps = 6
 	rng := rand.New(rand.NewSource(seed))
@@ -114,8 +116,13 @@ func releaseScenario(t *testing.T, seed int64, release bool) releaseRun {
 		finish(1, h, m)
 		launch(1)
 	})
-	if n := clk.Run(10_000_000); n >= 10_000_000 {
-		t.Fatal("simulation did not converge")
+	for n := 0; clk.Step(); n++ {
+		if n >= 10_000_000 {
+			t.Fatal("simulation did not converge")
+		}
+		if afterEvent != nil {
+			afterEvent(e)
+		}
 	}
 	if want := len(opts) * reps; out.launches != want || len(out.metrics) != want {
 		t.Fatalf("%d launches, %d finished; want %d each", out.launches, len(out.metrics), want)
@@ -132,8 +139,8 @@ func releaseScenario(t *testing.T, seed int64, release bool) releaseRun {
 // events fired, and it does reuse handles.
 func TestReleaseIsInvisible(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
-		kept := releaseScenario(t, seed, false)
-		released := releaseScenario(t, seed, true)
+		kept := releaseScenario(t, seed, false, nil)
+		released := releaseScenario(t, seed, true, nil)
 		if !reflect.DeepEqual(kept.metrics, released.metrics) {
 			t.Errorf("seed %d: metrics differ\nkept:     %+v\nreleased: %+v", seed, kept.metrics, released.metrics)
 		}
@@ -192,5 +199,75 @@ func TestReleaseMisuse(t *testing.T) {
 	e.Release(next)
 	if again, err := e.Launch(computeKernel("c", 600), LaunchOpts{Mode: HardwareSched}); err != nil || again != next {
 		t.Fatalf("launch after the callbacks returned %p (%v), want the released %p", again, err, next)
+	}
+}
+
+// freshWaves is Handle.waves computed from the device, the spec and the
+// launch options alone.
+func freshWaves(dev *device.Device, h *Handle, smAlloc float64) [3]float64 {
+	capacity := math.Floor(smAlloc * float64(dev.ResidentBlocks(h.spec.Shape())))
+	if capacity < 1 {
+		capacity = 1
+	}
+	unit := 1.0
+	if h.opts.Mode == SlateSched {
+		unit = float64(h.opts.TaskSize)
+	}
+	units := math.Ceil(float64(h.spec.NumBlocks()) / unit)
+	fullWaves := math.Floor(units / capacity)
+	lastWave := units - fullWaves*capacity
+	if lastWave == 0 {
+		lastWave = capacity
+		fullWaves--
+	}
+	return [3]float64{capacity, lastWave, fullWaves * capacity * unit}
+}
+
+// TestWaveGeometryCacheIsInvisible: each handle keeps its wave geometry at
+// the last allocation asked about. After every event of the release
+// scenario — resizes, an eviction, reused handles — every running handle's
+// geometry at its allocation, at other allocations and at its allocation
+// again equals a fresh computation bit for bit, and a run that asks all
+// those questions equals one that asks none.
+func TestWaveGeometryCacheIsInvisible(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		checks := 0
+		check := func(e *Engine) {
+			for _, h := range e.running {
+				span := float64(h.opts.SMHigh - h.opts.SMLow + 1)
+				for _, a := range []float64{h.smAlloc, h.smAlloc, 0, 1, 2.5, span, float64(e.Dev.NumSMs), h.smAlloc} {
+					c, l, b := h.waves(a)
+					got, want := [3]float64{c, l, b}, freshWaves(e.Dev, h, a)
+					for f := range got {
+						if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+							t.Fatalf("seed %d: %s on %v SMs: cached geometry %v, fresh %v", seed, h.spec.Name, a, got, want)
+						}
+					}
+					checks++
+				}
+			}
+		}
+		asked := releaseScenario(t, seed, true, check)
+		plain := releaseScenario(t, seed, true, nil)
+		if !reflect.DeepEqual(asked, plain) {
+			t.Errorf("seed %d: asking for wave geometry changed the run\nasked: %+v\nplain: %+v", seed, asked, plain)
+		}
+		if checks == 0 {
+			t.Fatalf("seed %d: no running handle was checked", seed)
+		}
+	}
+
+	// A handle the engine has never asked — a hardware kernel behind a Slate
+	// partition that holds every SM — answers from its own geometry too.
+	e, _ := newEngine()
+	if _, err := e.Launch(computeKernel("slate", 600), LaunchOpts{Mode: SlateSched, SMLow: 0, SMHigh: e.Dev.NumSMs - 1}); err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.Launch(computeKernel("hw", 600), LaunchOpts{Mode: HardwareSched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, l, b := h.waves(0); [3]float64{c, l, b} != freshWaves(e.Dev, h, 0) {
+		t.Fatalf("unasked handle on 0 SMs: cached geometry %v, fresh %v", [3]float64{c, l, b}, freshWaves(e.Dev, h, 0))
 	}
 }

@@ -3,37 +3,20 @@ package fault
 import (
 	"errors"
 	"net"
-	"os"
 	"sync"
-	"time"
 )
 
 // errPartitioned tags every failure the partition injector manufactures, so
 // tests can tell a severed link from an organic transport error.
 var errPartitioned = errors.New("fault: network partitioned")
 
-// PartitionMode selects how a cut link misbehaves.
-type PartitionMode int
-
-const (
-	// PartitionReject fails new dials immediately (an RST-style partition:
-	// the router answers, the host is gone). Deterministic, so chaos legs
-	// that must be byte-identical across runs use it.
-	PartitionReject PartitionMode = iota
-	// PartitionDrop blackholes new dials: the connection "opens" but no
-	// byte ever arrives, exactly like a firewall silently dropping packets.
-	// Callers only escape via read deadlines — the case hedged dialing and
-	// ping timeouts exist for.
-	PartitionDrop
-)
-
 // Partition simulates a network partition around one daemon: while cut, new
-// dials are rejected or blackholed (per mode) and every previously tracked
-// connection is severed, as a real link failure would tear established TCP
-// sessions. Heal restores dialing; severed connections stay dead.
+// dials fail immediately (an RST-style partition: the router answers, the
+// host is gone — deterministic, so chaos legs that must be byte-identical
+// across runs can use it) and every previously tracked connection is
+// severed, as a real link failure would tear established TCP sessions. Heal
+// restores dialing; severed connections stay dead.
 type Partition struct {
-	mode PartitionMode
-
 	mu    sync.Mutex
 	cut   bool
 	cuts  int
@@ -41,12 +24,12 @@ type Partition struct {
 }
 
 // NewPartition builds a healed partition injector.
-func NewPartition(mode PartitionMode) *Partition {
-	return &Partition{mode: mode, conns: map[net.Conn]struct{}{}}
+func NewPartition() *Partition {
+	return &Partition{conns: map[net.Conn]struct{}{}}
 }
 
 // Cut severs the link: tracked connections close now, and new dials fail
-// (reject mode) or blackhole (drop mode) until Heal.
+// until Heal.
 func (p *Partition) Cut() {
 	p.mu.Lock()
 	if p.cut {
@@ -100,91 +83,15 @@ func (p *Partition) track(c net.Conn) net.Conn {
 }
 
 // Dial wraps a transport dialer with the partition: healthy dials are
-// tracked (so Cut severs them); cut dials fail per the mode.
+// tracked (so Cut severs them); cut dials fail.
 func (p *Partition) Dial(dial func() net.Conn) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
 		p.mu.Lock()
-		cut, mode := p.cut, p.mode
+		cut := p.cut
 		p.mu.Unlock()
 		if !cut {
 			return p.track(dial()), nil
 		}
-		if mode == PartitionReject {
-			return nil, errPartitioned
-		}
-		return newBlackholeConn(), nil
+		return nil, errPartitioned
 	}
 }
-
-// blackholeConn is a "connected" transport across a drop-mode partition: it
-// swallows writes and never delivers a byte. Reads block until the read
-// deadline expires (os.ErrDeadlineExceeded, like any slow peer) or the conn
-// is closed; without a deadline they block until Close.
-type blackholeConn struct {
-	mu       sync.Mutex
-	deadline time.Time
-	closed   chan struct{}
-	once     sync.Once
-}
-
-func newBlackholeConn() *blackholeConn {
-	return &blackholeConn{closed: make(chan struct{})}
-}
-
-func (b *blackholeConn) Read(p []byte) (int, error) {
-	for {
-		b.mu.Lock()
-		deadline := b.deadline
-		b.mu.Unlock()
-		var wait time.Duration
-		if !deadline.IsZero() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				return 0, os.ErrDeadlineExceeded
-			}
-		}
-		// Poll coarsely so deadline updates land without a wakeup channel.
-		step := 5 * time.Millisecond
-		if wait > 0 && wait < step {
-			step = wait
-		}
-		select {
-		case <-b.closed:
-			return 0, errPartitioned
-		case <-time.After(step):
-		}
-	}
-}
-
-func (b *blackholeConn) Write(p []byte) (int, error) {
-	select {
-	case <-b.closed:
-		return 0, errPartitioned
-	default:
-		return len(p), nil // swallowed by the void
-	}
-}
-
-func (b *blackholeConn) Close() error {
-	b.once.Do(func() { close(b.closed) })
-	return nil
-}
-
-func (b *blackholeConn) LocalAddr() net.Addr  { return blackholeAddr{} }
-func (b *blackholeConn) RemoteAddr() net.Addr { return blackholeAddr{} }
-
-func (b *blackholeConn) SetDeadline(t time.Time) error { return b.SetReadDeadline(t) }
-
-func (b *blackholeConn) SetReadDeadline(t time.Time) error {
-	b.mu.Lock()
-	b.deadline = t
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *blackholeConn) SetWriteDeadline(time.Time) error { return nil }
-
-type blackholeAddr struct{}
-
-func (blackholeAddr) Network() string { return "blackhole" }
-func (blackholeAddr) String() string  { return "blackhole" }

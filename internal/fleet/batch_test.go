@@ -9,7 +9,6 @@ import (
 
 	"slate/internal/client"
 	"slate/internal/daemon"
-	"slate/internal/fault"
 	"slate/internal/ipc"
 	"slate/internal/kern"
 )
@@ -41,7 +40,7 @@ func launchBatch(s *Session, names []string, stream int) (acks []ipc.BatchAck, e
 // exactly once fleet-wide.
 func TestBatchRehomesExactlyOnce(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	sess, err := sup.OpenSession("batch-rehome", client.WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"slate/internal/client"
-	"slate/internal/fault"
 )
 
 func TestConnectPrefersHome(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 3, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 3)
 	d := sup.NewDialer()
 	nc, name, err := d.Connect("gpu2")
 	if err != nil {
@@ -31,7 +30,7 @@ func TestConnectPrefersHome(t *testing.T) {
 }
 
 func TestConnectFallsBackFromRejectedMember(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	if err := sup.CutMember("gpu0"); err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +46,11 @@ func TestConnectFallsBackFromRejectedMember(t *testing.T) {
 }
 
 func TestConnectHedgesPastBlackhole(t *testing.T) {
-	// Drop-mode partition: dials "succeed" but no byte ever returns. Only
-	// the hedged probe lets Connect escape to the healthy member without
+	// A silent member: dials "succeed" but no byte ever returns. Only the
+	// hedged probe lets Connect escape to the healthy member without
 	// waiting out a full timeout budget.
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionDrop)
-	if err := sup.CutMember("gpu0"); err != nil {
-		t.Fatal(err)
-	}
+	sup := testFleet(t, &eventLog{}, 2)
+	silence(t, sup, "gpu0")
 	d := sup.NewDialer()
 	d.Hedge = 10 * time.Millisecond
 	d.ProbeTimeout = 150 * time.Millisecond
@@ -74,7 +71,7 @@ func TestConnectHedgesPastBlackhole(t *testing.T) {
 }
 
 func TestConnectFleetUnavailable(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	_ = sup.CutMember("gpu0")
 	_ = sup.CutMember("gpu1")
 	d := sup.NewDialer()
@@ -84,7 +81,7 @@ func TestConnectFleetUnavailable(t *testing.T) {
 }
 
 func TestDialerBreakerSkipsRepeatOffender(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	_ = sup.CutMember("gpu0")
 	d := sup.NewDialer()
 	d.TripAfter = 2
@@ -111,7 +108,7 @@ func TestDialerBreakerSkipsRepeatOffender(t *testing.T) {
 // for good — a healed member is not locked out forever, and the trip
 // counter restarts clean afterwards.
 func TestDialerBreakerHalfOpenRecovery(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 1, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 1)
 	d := sup.NewDialer()
 	d.TripAfter = 1
 	d.Cooldown = 60 * time.Millisecond
@@ -170,7 +167,7 @@ func deadDial(m *Member) *atomic.Int32 {
 // single half-open probe's failure re-opens the circuit at once, it does not
 // buy the member TripAfter fresh probes.
 func TestDialerBreakerOneProbePerCooldown(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	dials := deadDial(sup.MemberByName("gpu0"))
 	d := sup.NewDialer()
 	d.Cooldown = 200 * time.Millisecond
@@ -204,7 +201,7 @@ func TestDialerBreakerOneProbePerCooldown(t *testing.T) {
 // An attempt settles once, with its final outcome: a member that answered
 // the ping and then failed the real dial has failed.
 func TestDialerPingOkDialFailsIsAFailure(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 1, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 1)
 	m := sup.MemberByName("gpu0")
 	serve := m.rawDial
 	cut := false
@@ -231,7 +228,7 @@ func TestDialerPingOkDialFailsIsAFailure(t *testing.T) {
 // its admit back: a half-open member's probe slot must not leak to a race it
 // took no part in.
 func TestDialerUntriedCandidateReturnsProbeSlot(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	d := sup.NewDialer()
 	d.TripAfter = 1
 	d.Cooldown = time.Millisecond
@@ -254,7 +251,7 @@ func TestDialerUntriedCandidateReturnsProbeSlot(t *testing.T) {
 // first is still running, and the probe's late failure re-opens the circuit
 // for a fresh cooldown instead of being dropped.
 func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 2, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 2)
 	// gpu0 accepts and then says nothing until the test hangs up on it.
 	peers := make(chan net.Conn, 1)
 	sup.MemberByName("gpu0").rawDial = func() net.Conn {
@@ -304,7 +301,7 @@ func TestDialerInFlightLoserKeepsProbeSlot(t *testing.T) {
 // re-arm. Under the Go 1.22 timer semantics the fired timer's stale tick
 // survived Reset and launched the third candidate at once.
 func TestConnectRearmedHedgeWaitsAfterStaleFire(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 3, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 3)
 	dialing, gate := make(chan struct{}), make(chan struct{})
 	sup.MemberByName("gpu0").rawDial = func() net.Conn {
 		close(dialing)

@@ -80,7 +80,7 @@ type Config struct {
 	// loop and primes each member's detector (default 500ms).
 	HeartbeatEvery time.Duration
 	// PingTimeout bounds one heartbeat round trip (default 250ms) — the
-	// escape hatch from a blackholed (drop-partitioned) member.
+	// escape hatch from a member that accepts and never answers.
 	PingTimeout time.Duration
 	// SlowWindow bounds each member's RTT sample window (default 32).
 	SlowWindow int
@@ -95,8 +95,6 @@ type Config struct {
 	// RoundRobin places new sessions in fixed rotation instead of
 	// least-loaded — deterministic placement for the chaos harness.
 	RoundRobin bool
-	// PartitionMode shapes injected partitions (default PartitionReject).
-	PartitionMode fault.PartitionMode
 	// Logf receives one structured Event line per state transition,
 	// failover, and drain (nil = discard).
 	Logf func(line string)
@@ -213,7 +211,7 @@ func (m *Member) Load() int64 {
 }
 
 // Dial returns the member's client transport dialer, routed through its
-// partition injector (while the member is cut, dials fail or blackhole) and
+// partition injector (while the member is cut, dials fail) and
 // — when a degrade injector is installed — through per-op stall/drop
 // injection, the gray-failure mode the slowDetector exists to catch.
 func (m *Member) Dial() func() (net.Conn, error) {
@@ -326,7 +324,7 @@ func (s *Supervisor) AddMember(spec MemberSpec) (*Member, error) {
 	m := &Member{
 		Name: spec.Name, Profile: spec.Profile, Capacity: spec.Capacity,
 		sup: s, srv: srv, budget: spec.Budget,
-		part:  fault.NewPartition(s.cfg.PartitionMode),
+		part:  fault.NewPartition(),
 		det:   newDetector(defaultWindow, defaultMinStd),
 		lat:   newSlowDetector(s.cfg.SlowWindow),
 		state: StateUp,
@@ -529,7 +527,7 @@ func (s *Supervisor) Stop() {
 }
 
 // CutMember severs a member's network link (partition injection): every
-// established connection tears, new dials fail per the configured mode. The
+// established connection tears, new dials fail. The
 // daemon itself keeps running — exactly the failure the detector must tell
 // apart from a clean process death.
 func (s *Supervisor) CutMember(name string) error {

@@ -12,7 +12,6 @@ import (
 
 	"slate/internal/client"
 	"slate/internal/daemon"
-	"slate/internal/fault"
 	"slate/internal/kern"
 )
 
@@ -53,14 +52,13 @@ func (l *eventLog) has(kind string, kv ...string) bool {
 	return false
 }
 
-func testFleet(t *testing.T, log *eventLog, n int, mode fault.PartitionMode) *Supervisor {
+func testFleet(t *testing.T, log *eventLog, n int) *Supervisor {
 	t.Helper()
 	sup := New(Config{
 		HeartbeatEvery: 500 * time.Millisecond,
 		PingTimeout:    200 * time.Millisecond,
 		AutoFailover:   true,
 		RoundRobin:     true,
-		PartitionMode:  mode,
 		Logf:           log.logf,
 	})
 	for i := 0; i < n; i++ {
@@ -74,6 +72,29 @@ func testFleet(t *testing.T, log *eventLog, n int, mode fault.PartitionMode) *Su
 		}
 	}
 	return sup
+}
+
+// silence makes the named member accept every dial and never answer — a
+// peer behind a firewall that drops its packets. Callers escape only through
+// their deadlines. The far ends close when the test ends.
+func silence(t *testing.T, sup *Supervisor, name string) {
+	t.Helper()
+	var mu sync.Mutex
+	var peers []net.Conn
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, p := range peers {
+			p.Close()
+		}
+	})
+	sup.MemberByName(name).rawDial = func() net.Conn {
+		a, b := net.Pipe()
+		mu.Lock()
+		peers = append(peers, b)
+		mu.Unlock()
+		return a
+	}
 }
 
 func srcFor(name string) string {
@@ -95,7 +116,7 @@ func connect(t *testing.T, sup *Supervisor, member, proc string) *client.Client 
 }
 
 func TestTokenSeedsDiverge(t *testing.T) {
-	sup := testFleet(t, &eventLog{}, 3, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 3)
 	tokens := map[uint64]string{}
 	for _, m := range sup.Members() {
 		c := connect(t, sup, m.Name, "seed-test")
@@ -113,7 +134,7 @@ func TestTokenSeedsDiverge(t *testing.T) {
 
 func TestKillFailoverExactlyOnce(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	victim := sup.MemberByName("gpu0")
 	adopter := sup.MemberByName("gpu1")
 
@@ -208,7 +229,7 @@ func TestKillFailoverExactlyOnce(t *testing.T) {
 
 func TestDetectorDrivenFailover(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	t0 := time.Unix(5000, 0)
 	sup.Tick(t0) // everyone healthy, detectors primed
 
@@ -292,7 +313,7 @@ func TestTickSendIsBounded(t *testing.T) {
 
 func TestPartitionDrivenFailover(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 3, fault.PartitionReject)
+	sup := testFleet(t, log, 3)
 	t0 := time.Unix(9000, 0)
 	sup.Tick(t0)
 
@@ -332,7 +353,7 @@ func TestPartitionDrivenFailover(t *testing.T) {
 
 func TestRoutePlacement(t *testing.T) {
 	// Round-robin rotates deterministically.
-	sup := testFleet(t, &eventLog{}, 3, fault.PartitionReject)
+	sup := testFleet(t, &eventLog{}, 3)
 	var order []string
 	for i := 0; i < 6; i++ {
 		m, err := sup.Route("")
@@ -379,7 +400,7 @@ func TestRoutePlacement(t *testing.T) {
 
 func TestDrainAllTerminates(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	c := connect(t, sup, "gpu0", "drain-test")
 	done := make(chan error, 1)
 	go func() { done <- sup.DrainAll(2 * time.Second) }()

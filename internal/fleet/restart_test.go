@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"slate/internal/client"
-	"slate/internal/fault"
 	"slate/internal/ipc"
 	"slate/internal/kern"
 )
@@ -21,7 +20,7 @@ import (
 // the typed re-home signal.
 func TestMigratePlannedMove(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	src := sup.MemberByName("gpu0")
 	dst := sup.MemberByName("gpu1")
 
@@ -113,7 +112,7 @@ func TestMigratePlannedMove(t *testing.T) {
 // cooperative path reports the fallback with a typed error.
 func TestMigrateWedgedFallsBack(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	src := sup.MemberByName("gpu0")
 
 	nc, err := src.Dial()()
@@ -177,7 +176,7 @@ func TestMigrateWedgedFallsBack(t *testing.T) {
 // forward them to a destination that never received them.
 func TestMigrateFallbackVolatileSourceRehomesNothing(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 1, fault.PartitionReject)
+	sup := testFleet(t, log, 1)
 	dst := sup.MemberByName("gpu0")
 	src, err := sup.AddMember(MemberSpec{Name: "vol", Profile: "A100"})
 	if err != nil {
@@ -202,7 +201,7 @@ func TestMigrateFallbackVolatileSourceRehomesNothing(t *testing.T) {
 // generation behind the health gate.
 func TestRollingRestartTransparentToSessions(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 3, fault.PartitionReject)
+	sup := testFleet(t, log, 3)
 
 	const nSess = 3
 	sessions := make([]*Session, nSess)
@@ -282,7 +281,7 @@ func TestRollingRestartTransparentToSessions(t *testing.T) {
 // session and on fresh Hellos — instead of retrying into a broken mix.
 func TestRollingRestartVersionSkewRefusesOldClients(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 
 	c := connect(t, sup, "gpu0", "skew-test")
 	token := c.Token()
@@ -309,12 +308,12 @@ func TestRollingRestartVersionSkewRefusesOldClients(t *testing.T) {
 }
 
 // Satellite regression: KillMember racing an in-flight ping. The Tick is
-// mid-ping against a blackholed member when KillMember fences it and fails
-// it over; when the ping fails, Tick must notice it lost the race and NOT
-// run a second failover.
+// mid-ping against a silent member when KillMember fences it and fails it
+// over; when the ping fails, Tick must notice it lost the race and NOT run a
+// second failover.
 func TestKillMemberDuringTickRace(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionDrop)
+	sup := testFleet(t, log, 2)
 	t0 := time.Unix(7000, 0)
 	sup.Tick(t0) // prime detectors
 
@@ -328,11 +327,9 @@ func TestKillMemberDuringTickRace(t *testing.T) {
 	}
 	token := c.Token()
 
-	// Blackhole gpu0: the tick's ping now blocks until the 200ms probe
+	// Silence gpu0: the tick's ping now blocks until the 200ms probe
 	// deadline, leaving a wide window to race KillMember into.
-	if err := sup.CutMember("gpu0"); err != nil {
-		t.Fatal(err)
-	}
+	silence(t, sup, "gpu0")
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {

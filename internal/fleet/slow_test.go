@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"slate/internal/fault"
 )
 
 // slowFleet builds a supervisor with a tight slow-detection config (small
@@ -253,7 +251,7 @@ func TestDetectorFlooredStdDegenerateHistory(t *testing.T) {
 // fencing or failover (the race the accrual detector exists to win).
 func TestHealDuringSuspectRace(t *testing.T) {
 	log := &eventLog{}
-	sup := testFleet(t, log, 2, fault.PartitionReject)
+	sup := testFleet(t, log, 2)
 	defer sup.DrainAll(5 * time.Second)
 	t0 := time.Unix(7000, 0)
 	sup.Tick(t0)

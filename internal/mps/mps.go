@@ -26,6 +26,28 @@ type Backend struct {
 	Dev   *device.Device
 	Clock *vtime.Clock
 	Eng   *engine.Engine
+
+	// free holds finished launches for Submit to reuse.
+	free []*launch
+}
+
+// launch is one submitted kernel. Launches are reused once finished, with
+// completeFn bound once, so a submit allocates nothing.
+type launch struct {
+	b          *Backend
+	h          *engine.Handle
+	done       func(vtime.Time, engine.Metrics)
+	completeFn func(vtime.Time)
+}
+
+// complete is the engine's completion callback: it hands the handle and the
+// launch back, then reports the metrics.
+func (l *launch) complete(at vtime.Time) {
+	m, done := l.h.Metrics(), l.done
+	l.b.Eng.Release(l.h)
+	l.h, l.done = nil, nil
+	l.b.free = append(l.b.free, l)
+	done(at, m)
 }
 
 // New builds an MPS backend with its own engine on the shared clock.
@@ -53,10 +75,16 @@ func (b *Backend) Submit(spec *kern.Spec, done func(vtime.Time, engine.Metrics))
 	if err != nil {
 		return err
 	}
-	b.Eng.OnComplete(h, func(at vtime.Time) {
-		m := h.Metrics()
-		b.Eng.Release(h)
-		done(at, m)
-	})
+	var l *launch
+	if n := len(b.free); n > 0 {
+		l = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		l = &launch{b: b}
+		l.completeFn = l.complete
+	}
+	l.h, l.done = h, done
+	b.Eng.OnComplete(h, l.completeFn)
 	return nil
 }

@@ -8,6 +8,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 
 	"slate/internal/engine"
 	"slate/internal/kern"
@@ -257,14 +258,15 @@ func (f *FIFO) Acquire(clock *vtime.Clock, fn func(vtime.Time)) {
 }
 
 // Release frees the resource, handing it to the next waiter at the current
-// instant (without recursing).
+// instant (without recursing). The waiters shift down in place, so the queue
+// keeps its backing array.
 func (f *FIFO) Release(clock *vtime.Clock) {
 	if len(f.waiters) == 0 {
 		f.busy = false
 		return
 	}
 	next := f.waiters[0]
-	f.waiters = f.waiters[1:]
+	f.waiters = slices.Delete(f.waiters, 0, 1)
 	clock.After(0, next)
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"slate/internal/engine"
@@ -91,5 +92,79 @@ func testCompletionProperty(t *testing.T, seed int64, withContain bool) {
 	}
 	if r.eng.Running() != 0 {
 		t.Errorf("engine not drained: %d left", r.eng.Running())
+	}
+}
+
+// pooledScenario loops three streams of kernels through the scheduler with
+// containment on and a stalled kernel evicted along the way: each stream
+// submits its next rep from the last one's onDone, on even reps inside the
+// callback and on odd reps a little later. It returns the decision log and
+// every completion (time and metrics), formatted, and the number of entries
+// the scheduler ever allocated.
+func pooledScenario(t *testing.T, seed int64, reuse bool) (string, int) {
+	t.Helper()
+	r := newRig()
+	r.sched.noReuse = !reuse
+	r.sched.EnableContainment(2 * vtime.Millisecond)
+	rng := rand.New(rand.NewSource(seed))
+	const streams, reps = 3, 5
+	var out strings.Builder
+	submits := 0
+	var submit func(s, rep int)
+	submit = func(s, rep int) {
+		if rep == reps {
+			return
+		}
+		name := fmt.Sprintf("s%d-%d", s, rep)
+		blocks := 600 + rng.Intn(2400)
+		spec := []*kern.Spec{memK(name, blocks), computeK(name, blocks), lowK(name, 48+rng.Intn(96))}[s]
+		submits++
+		err := r.sched.Submit(spec, 10, func(at vtime.Time, m engine.Metrics) {
+			fmt.Fprintf(&out, "%s %v %+v\n", name, at, m)
+			if rep%2 == 0 {
+				submit(s, rep+1)
+			} else {
+				r.clk.After(vtime.Duration(rng.Intn(50))*vtime.Microsecond, func(vtime.Time) { submit(s, rep+1) })
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := 0; s < streams; s++ {
+		submit(s, 0)
+	}
+	r.clk.At(vtime.Time(200+rng.Intn(800))*vtime.Time(vtime.Microsecond), func(vtime.Time) {
+		for i := 0; i < streams*reps; i++ { // stall the first running kernel
+			if r.sched.StallRunning(fmt.Sprintf("s%d-%d", i%streams, i/streams), 10*vtime.Millisecond) {
+				return
+			}
+		}
+	})
+	r.run(t)
+	if submits != streams*reps {
+		t.Fatalf("%d submits, want %d", submits, streams*reps)
+	}
+	fmt.Fprintf(&out, "%+v\n", r.sched.Decisions())
+	return out.String(), len(r.sched.free)
+}
+
+// TestEntryReuseIsInvisible: a run whose scheduler reuses finished entries
+// — from inside onDone, after an eviction and requeue — equals one that
+// allocates a fresh entry per submit, in every decision, completion time
+// and metric, and it does reuse them.
+func TestEntryReuseIsInvisible(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4} {
+		fresh, _ := pooledScenario(t, seed, false)
+		pooled, entries := pooledScenario(t, seed, true)
+		if fresh != pooled {
+			t.Errorf("seed %d: pooled run differs\nfresh:\n%s\npooled:\n%s", seed, fresh, pooled)
+		}
+		if !strings.Contains(fresh, "evict") {
+			t.Errorf("seed %d: no eviction in the scenario", seed)
+		}
+		if entries == 0 || entries >= 15 {
+			t.Errorf("seed %d: %d entries allocated for 15 submits", seed, entries)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"slate/internal/policy"
 	"slate/internal/profile"
@@ -169,12 +170,12 @@ func (c *Core) enqueue(now vtime.Time, j *Job, action, reason string) {
 	c.record(Decision{At: now, Kernel: j.Name, Action: action, Reason: reason})
 }
 
-// without removes j from list, if present.
+// without removes j from list, if present, in place: the backing array
+// stays the list's, so the running set and the queue stop allocating once
+// they have held their most jobs.
 func without(list []*Job, j *Job) []*Job {
-	for i, e := range list {
-		if e == j {
-			return append(list[:i], list[i+1:]...)
-		}
+	if i := slices.Index(list, j); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
 	return list
 }
@@ -230,7 +231,7 @@ func (c *Core) tryPairFromQueue(now vtime.Time, running *Job) {
 	c.record(Decision{At: now, Kernel: cand.Name, Action: "dequeue", Partner: running.Name, Reason: reason})
 	if err := c.admitCorun(now, cand); err != nil {
 		// Back at the front, keeping its aging clock.
-		c.queue = append([]*Job{cand}, c.queue...)
+		c.queue = slices.Insert(c.queue, 0, cand)
 	}
 }
 
@@ -244,7 +245,7 @@ func (c *Core) afterDeparture(now vtime.Time) {
 	case len(c.running) == 0:
 		if len(c.queue) > 0 {
 			next := c.queue[0]
-			c.queue = c.queue[1:]
+			c.queue = slices.Delete(c.queue, 0, 1)
 			c.startQueued(now, next)
 		}
 	case len(c.running) == 1 && c.queuedPartner(c.running[0]) != nil:

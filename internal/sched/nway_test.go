@@ -104,7 +104,7 @@ func TestLayoutWaterfill(t *testing.T) {
 	r := newRig()
 	pm, _ := r.sched.Prof.Get(memK("mem", 2400))
 	pc, _ := r.sched.Prof.Get(computeK("cb", 2400))
-	widths := r.sched.in().layout([]*Job{{Prof: pm}, {Prof: pc}})
+	widths := r.sched.in().layout(nil, []*Job{{Prof: pm}, {Prof: pc}}, nil)
 	if widths[0]+widths[1] != 30 {
 		t.Fatalf("widths %v do not sum to 30", widths)
 	}
@@ -114,10 +114,10 @@ func TestLayoutWaterfill(t *testing.T) {
 		t.Fatalf("compute kernel got %d SMs vs memory's %d; waterfill should favor the scaler", widths[1], widths[0])
 	}
 	// Degenerate cases.
-	if w := r.sched.in().layout(nil); len(w) != 0 {
+	if w := r.sched.in().layout(nil, nil, nil); len(w) != 0 {
 		t.Fatal("empty layout should be empty")
 	}
-	solo := r.sched.in().layout([]*Job{{Prof: pm}})
+	solo := r.sched.in().layout(nil, []*Job{{Prof: pm}}, nil)
 	if solo[0] != 30 {
 		t.Fatalf("solo layout = %v, want [30]", solo)
 	}

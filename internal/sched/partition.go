@@ -14,13 +14,14 @@ import (
 // ≥ 3, a natural extension the paper leaves open) share by waterfill.
 
 // layoutFor is the one partition policy: it sizes one contiguous range per
-// kernel for numSMs SMs shared by kernels with the given profiles, in order.
+// kernel for numSMs SMs shared by kernels with the given profiles, in order,
+// into dst's backing array when it has room.
 // Two kernels get the minimax split (SplitFor, or splitFn when set), clamped
 // so each keeps an SM. Otherwise everyone starts at the 2-SM floor and the
 // remaining SMs go, one at a time, to whichever kernel the profiles predict
 // is currently slowed the most. The admission core sizes through it for
 // both of its drivers.
-func layoutFor(numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
+func layoutFor(dst []int, numSMs int, profs []*profile.Profile, splitFn func(running, arrival *profile.Profile) int) []int {
 	n := len(profs)
 	if n == 2 {
 		var sA int
@@ -30,9 +31,9 @@ func layoutFor(numSMs int, profs []*profile.Profile, splitFn func(running, arriv
 			sA = SplitFor(numSMs, profs[0], profs[1])
 		}
 		sA = min(max(sA, 1), numSMs-1)
-		return []int{sA, numSMs - sA}
+		return append(dst[:0], sA, numSMs-sA)
 	}
-	widths := make([]int, n)
+	widths := dst[:0]
 	if n == 0 {
 		return widths
 	}
@@ -41,8 +42,8 @@ func layoutFor(numSMs int, profs []*profile.Profile, splitFn func(running, arriv
 		floor = max(numSMs/n, 1)
 	}
 	used := 0
-	for i := range widths {
-		widths[i] = floor
+	for range n {
+		widths = append(widths, floor)
 		used += floor
 	}
 	for used < numSMs {
@@ -63,13 +64,21 @@ func layoutFor(numSMs int, profs []*profile.Profile, splitFn func(running, arriv
 	return widths
 }
 
-// layout sizes the partitions of the device for jobs by layoutFor.
-func (c *Core) layout(jobs []*Job) []int {
-	profs := make([]*profile.Profile, len(jobs))
-	for i, j := range jobs {
-		profs[i] = j.Prof
+// layoutCap is the number of partitions an admission sizes on the stack.
+const layoutCap = 4
+
+// layout sizes the partitions of the device by layoutFor, into dst, for the
+// running jobs followed by arrival when it is not nil.
+func (c *Core) layout(dst []int, running []*Job, arrival *Job) []int {
+	var buf [layoutCap]*profile.Profile
+	profs := buf[:0]
+	for _, j := range running {
+		profs = append(profs, j.Prof)
 	}
-	return layoutFor(c.NumSMs, profs, c.SplitFn)
+	if arrival != nil {
+		profs = append(profs, arrival.Prof)
+	}
+	return layoutFor(dst, c.NumSMs, profs, c.SplitFn)
 }
 
 // admitCorun is the one corun admission: it repartitions the device for
@@ -78,8 +87,8 @@ func (c *Core) layout(jobs []*Job) []int {
 // absorbing any rounding. If the arrival fails to launch, the running jobs
 // regrow.
 func (c *Core) admitCorun(now vtime.Time, j *Job) error {
-	jobs := append(append([]*Job{}, c.running...), j)
-	widths := c.layout(jobs)
+	var buf [layoutCap]int
+	widths := c.layout(buf[:0], c.running, j)
 
 	// Assign contiguous ranges in order; keep a running job's current range
 	// when it is within the sticky tolerance, propagating the boundary so
@@ -122,7 +131,8 @@ func (c *Core) regrowSurvivors(now vtime.Time) {
 	if len(c.running) == 0 {
 		return
 	}
-	widths := c.layout(c.running)
+	var buf [layoutCap]int
+	widths := c.layout(buf[:0], c.running, nil)
 	lo := 0
 	for i, e := range c.running {
 		hi := lo + widths[i] - 1

@@ -57,11 +57,11 @@ func TestSplitFnClamped(t *testing.T) {
 	b := fabProfile(policy.LC, 1, 70)
 	n := r.sched.Dev.NumSMs
 	negative := func(*profile.Profile, *profile.Profile) int { return -5 }
-	if got := layoutFor(n, []*profile.Profile{a, b}, negative); got[0] != 1 || got[1] != n-1 {
+	if got := layoutFor(nil, n, []*profile.Profile{a, b}, negative); got[0] != 1 || got[1] != n-1 {
 		t.Fatalf("negative split laid out as %v, want [1 %d]", got, n-1)
 	}
 	oversized := func(*profile.Profile, *profile.Profile) int { return 99 }
-	if got := layoutFor(n, []*profile.Profile{a, b}, oversized); got[0] != n-1 || got[1] != 1 {
+	if got := layoutFor(nil, n, []*profile.Profile{a, b}, oversized); got[0] != n-1 || got[1] != 1 {
 		t.Fatalf("oversized split laid out as %v, want [%d 1]", got, n-1)
 	}
 }

@@ -115,15 +115,59 @@ type Scheduler struct {
 	growFn      func(vtime.Time)
 	// watchdog is nil unless EnableContainment was called.
 	watchdog *engine.Watchdog
+	// free holds finished entries for Submit to reuse; noReuse turns the
+	// reuse off so a test can compare the two.
+	free    []*entry
+	noReuse bool
 }
 
 // entry is one submitted kernel: its core job plus what the engine needs.
+// Entries are reused once finished, with completeFn bound once, so a submit
+// allocates nothing.
 type entry struct {
 	job      Job
 	spec     *kern.Spec
 	taskSize int
 	handle   *engine.Handle
 	onDone   func(vtime.Time, engine.Metrics)
+
+	s          *Scheduler
+	completeFn func(vtime.Time)
+}
+
+// complete is the engine's completion callback of the entry's handle.
+func (en *entry) complete(t vtime.Time) {
+	s := en.s
+	if s.watchdog != nil {
+		s.watchdog.Unwatch(en.handle)
+	}
+	s.in().Depart(t, &en.job)
+}
+
+// newEntry returns a reset entry for spec, reusing a finished one if any.
+func (s *Scheduler) newEntry(spec *kern.Spec, taskSize int, pr *profile.Profile, onDone func(vtime.Time, engine.Metrics)) *entry {
+	var en *entry
+	if n := len(s.free); n > 0 {
+		en = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+	} else {
+		en = &entry{s: s}
+		en.completeFn = en.complete
+	}
+	en.spec, en.taskSize, en.onDone = spec, taskSize, onDone
+	en.job = Job{Name: spec.Name, Prof: pr, Owner: en}
+	return en
+}
+
+// reuse hands a finished entry back to the free list, dropping what it
+// references.
+func (s *Scheduler) reuse(en *entry) {
+	if s.noReuse {
+		return
+	}
+	en.spec, en.handle, en.onDone, en.job = nil, nil, nil, Job{}
+	s.free = append(s.free, en)
 }
 
 // New constructs a scheduler driving the given engine.
@@ -154,6 +198,11 @@ func (s *Scheduler) in() *Core {
 // Decisions returns the recorded scheduling actions.
 func (s *Scheduler) Decisions() []Decision { return s.core.Log.All() }
 
+// Log returns the decision log Decisions reads. It keeps every decision
+// unless its Cap is set, before the first Submit, to keep a ring of the most
+// recent ones: a run that never reads its decisions keeps one.
+func (s *Scheduler) Log() *Log { return &s.core.Log }
+
 // Running returns the number of currently executing kernels.
 func (s *Scheduler) Running() int { return s.core.Running() }
 
@@ -171,9 +220,13 @@ func (s *Scheduler) Submit(spec *kern.Spec, taskSize int, onDone func(vtime.Time
 	if err != nil {
 		return fmt.Errorf("sched: profiling %q: %w", spec.Name, err)
 	}
-	en := &entry{spec: spec, taskSize: taskSize, onDone: onDone}
-	en.job = Job{Name: spec.Name, Prof: pr, Owner: en}
-	return s.in().Arrive(s.Eng.Clock.Now(), &en.job)
+	en := s.newEntry(spec, taskSize, pr, onDone)
+	if err := s.in().Arrive(s.Eng.Clock.Now(), &en.job); err != nil {
+		// The core dropped the job; nothing else holds the entry.
+		s.reuse(en)
+		return err
+	}
+	return nil
 }
 
 // simDriver is the Scheduler seen as the core's Driver.
@@ -194,12 +247,7 @@ func (d *simDriver) Launch(j *Job, lo, hi int, vanilla bool) error {
 	if err != nil {
 		return err
 	}
-	s.Eng.OnComplete(h, func(t vtime.Time) {
-		if s.watchdog != nil {
-			s.watchdog.Unwatch(h)
-		}
-		s.in().Depart(t, j)
-	})
+	s.Eng.OnComplete(h, en.completeFn)
 	s.watch(en, lo, hi)
 	return nil
 }
@@ -213,7 +261,8 @@ func (d *simDriver) Evict(j *Job) error {
 	return err
 }
 
-// Finish reports j's final metrics and hands its handle back to the engine.
+// Finish reports j's final metrics and hands its handle back to the engine
+// and the entry to the free list: the core holds no finished job.
 func (d *simDriver) Finish(now vtime.Time, j *Job) {
 	en := j.Owner.(*entry)
 	var m engine.Metrics
@@ -225,6 +274,7 @@ func (d *simDriver) Finish(now vtime.Time, j *Job) {
 	if en.onDone != nil {
 		en.onDone(now, m)
 	}
+	(*Scheduler)(d).reuse(en)
 }
 
 func (d *simDriver) ArmGrow() {

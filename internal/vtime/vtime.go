@@ -6,7 +6,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -84,33 +83,83 @@ func (e *Event) Cancelled() bool { return e.cancel }
 // clock recycles them.
 func (e *Event) Pending() bool { return e.index >= 0 }
 
+// eventHeap is a binary min-heap of events ordered by (at, seq), each event
+// keeping its own index so Cancel can remove it in place. (at, seq) is a
+// strict total order, so the sequence of minima is the only one any correct
+// heap can produce. It is typed rather than a container/heap.Interface: every
+// event pays a push and a pop, and the interface calls and the boxing of
+// each *Event into an any were a tenth of the warm simulator's CPU.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether e fires before f.
+func (e *Event) before(f *Event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < f.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
+
+// push adds e to the heap.
+func (h *eventHeap) push(e *Event) {
 	*h = append(*h, e)
+	h.up(len(*h)-1, e)
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// remove takes the event at index i out of the heap, sets its index to -1
+// and returns it; remove(0) pops the minimum.
+func (h *eventHeap) remove(i int) *Event {
+	s := *h
+	n := len(s) - 1
+	e, last := s[i], s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i < n {
+		if !h.down(i, last) {
+			h.up(i, last)
+		}
+	}
 	e.index = -1
-	*h = old[:n-1]
 	return e
+}
+
+// up places e at the hole i, moving it toward the root past every parent it
+// fires before.
+func (h eventHeap) up(i int, e *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e at the hole i, moving it toward the leaves past every child
+// that fires before it; it reports whether e moved.
+func (h eventHeap) down(i int, e *Event) bool {
+	i0, n := i, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = e
+	e.index = i
+	return i > i0
 }
 
 // Clock is a discrete-event simulation clock. It is not safe for concurrent
@@ -165,7 +214,7 @@ func (c *Clock) At(at Time, fn func(now Time)) *Event {
 		e = &Event{at: at, seq: c.seq, fn: fn}
 	}
 	c.seq++
-	heap.Push(&c.events, e)
+	c.events.push(e)
 	return e
 }
 
@@ -202,7 +251,7 @@ func (c *Clock) Cancel(e *Event) {
 		return
 	}
 	e.cancel = true
-	heap.Remove(&c.events, e.index)
+	c.events.remove(e.index)
 	c.recycle(e)
 }
 
@@ -210,7 +259,7 @@ func (c *Clock) Cancel(e *Event) {
 // It reports false if the queue is empty.
 func (c *Clock) Step() bool {
 	for len(c.events) > 0 {
-		e := heap.Pop(&c.events).(*Event)
+		e := c.events.remove(0)
 		if e.cancel {
 			c.recycle(e)
 			continue
@@ -247,7 +296,7 @@ func (c *Clock) RunUntil(deadline Time) {
 		// Peek.
 		next := c.events[0]
 		if next.cancel {
-			c.recycle(heap.Pop(&c.events).(*Event))
+			c.recycle(c.events.remove(0))
 			continue
 		}
 		if next.at > deadline {
@@ -265,7 +314,7 @@ func (c *Clock) RunUntil(deadline Time) {
 func (c *Clock) NextEventTime() Time {
 	for len(c.events) > 0 {
 		if c.events[0].cancel {
-			c.recycle(heap.Pop(&c.events).(*Event))
+			c.recycle(c.events.remove(0))
 			continue
 		}
 		return c.events[0].at

@@ -25,7 +25,6 @@ var publicAPI = map[string]bool{"framework": true, "gpu": true, "workloads": tru
 // its directory or one name as "dir.Name", each with its reason.
 var deadExportAllowlist = map[string]string{
 	"internal/leakcheck":            "test-support package: only _test.go files import it",
-	"internal/fault.PartitionDrop":  "fleet.Config.PartitionMode selects it; the fleet's hedged-dial tests cut members in drop mode",
 	"internal/ipc.CodeBackpressure": "benchmark/benchmark_test.go names it, and benchmark/ changes only with the benchmark",
 }
 
