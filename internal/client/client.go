@@ -841,11 +841,16 @@ func (c *Client) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
 // unknown, and Resume re-sends it under the same token. So a deposit outlives
 // a failed launch exactly while its op is in c.pending.
 func refused(err error) bool {
+	// Checked before errors.As, whose target escapes to the heap, so a
+	// launch that succeeded allocates nothing here.
+	if err == nil {
+		return false
+	}
 	var oe *opError
 	if errors.As(err, &oe) && oe.unsent {
 		return true
 	}
-	return err != nil && !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrDaemonDown)
+	return !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrDaemonDown)
 }
 
 // LaunchSource runs the injection + runtime-compilation pipeline on CUDA

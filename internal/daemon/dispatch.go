@@ -44,6 +44,7 @@ type lane struct {
 	queue []dispatchItem // FIFO from head; consumed slots are zeroed
 	head  int
 	done  []launchOutcome // ran, completion record not yet journaled
+	recs  recordGroup     // the completion records of done, while they commit
 }
 
 // dispatcher is one session's set of lanes. Launches are pushed from the
@@ -62,8 +63,9 @@ type dispatcher struct {
 
 	// Frame scratch, confined to the session's ServeConn goroutine and reused
 	// from one launchFrame to the next.
-	fresh []int
-	ready []dispatchItem
+	fresh   []int
+	ready   []dispatchItem
+	accepts recordGroup
 }
 
 func newDispatcher(s *Server, ss *session) *dispatcher {
@@ -137,7 +139,7 @@ func (dp *dispatcher) run(stream int, l *lane) {
 			break
 		}
 		dp.mu.Unlock()
-		dp.settle(l.done)
+		dp.settle(l)
 		clear(l.done)
 		l.done = l.done[:0]
 		dp.mu.Lock()
@@ -167,8 +169,9 @@ func (dp *dispatcher) exec(it *dispatchItem) error {
 // then releases their pending quota: a client whose synchronize returned, or
 // whose launch was admitted into the freed quota, knows the records are in
 // the journal.
-func (dp *dispatcher) settle(done []launchOutcome) {
-	dp.s.journalCompletions(done)
+func (dp *dispatcher) settle(l *lane) {
+	done := l.done
+	dp.s.journalCompletions(&l.recs, done)
 	for i := range done {
 		if err := done[i].err; err != nil {
 			dp.ss.recordLaunch(err)

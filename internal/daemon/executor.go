@@ -38,21 +38,19 @@ type panicTrap struct {
 	first error
 }
 
-// wrap guards one kernel body. A panicking block abandons only its own
-// remaining work; the queue keeps draining so the launch terminates.
-func (p *panicTrap) wrap(spec *kern.Spec) func(glob int, id kern.Dim3) {
-	return func(glob int, _ kern.Dim3) {
-		defer func() {
-			if r := recover(); r != nil {
-				p.mu.Lock()
-				if p.first == nil {
-					p.first = fmt.Errorf("%w: kernel %q at block %d: %v", ErrKernelPanic, spec.Name, glob, r)
-				}
-				p.mu.Unlock()
+// call runs one block of spec's body. A panicking block abandons only its
+// own remaining work; the queue keeps draining so the launch terminates.
+func (p *panicTrap) call(spec *kern.Spec, glob int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.mu.Lock()
+			if p.first == nil {
+				p.first = fmt.Errorf("%w: kernel %q at block %d: %v", ErrKernelPanic, spec.Name, glob, r)
 			}
-		}()
-		spec.Exec(glob)
-	}
+			p.mu.Unlock()
+		}
+	}()
+	spec.Exec(glob)
 }
 
 func (p *panicTrap) err() error {
@@ -98,6 +96,10 @@ type Executor struct {
 	// fallbacks counts NoteFallback's vanilla decisions exactly, whatever
 	// the log has since dropped.
 	fallbacks int
+	// free holds the states of finished Run launches for the next ones.
+	free []*runState
+	// noRecycle makes every Run launch on a fresh state (tests only).
+	noRecycle bool
 }
 
 // decisionLogCap bounds the decision log: a daemon logs every launch for as
@@ -114,7 +116,79 @@ type execTask struct {
 	queue     *transform.Queue // nil on the vanilla path
 	target    int              // assigned workers, 0 until launched; under Executor.mu
 	abandoned atomic.Bool      // set by the core's eviction
-	wake      chan struct{}    // closed at launch; made only if the task queues
+	// wake carries the launch to a task that queued. It is made the first
+	// time the task queues and kept with it, so a recycled task queues
+	// without allocating. queued is set, under Executor.mu, while the task
+	// waits on it.
+	wake   chan struct{}
+	queued bool
+}
+
+// runState is everything one Run launch needs: the task the core schedules,
+// the flattened grid and its queue, the panic trap, and the callbacks
+// RunToCompletion and contain take, bound once when the state is made. A
+// finished launch's state goes back on Executor.free, so a steady stream of
+// launches runs without allocating — except a launch abandoned at the
+// containment deadline: contain gave up waiting for its body, which may
+// still be running against the state, so the state is left to the GC.
+type runState struct {
+	task    execTask
+	tr      transform.Transformed
+	queue   transform.Queue
+	trap    panicTrap
+	workers int // the worker count of the first worker set
+
+	resize func(launch int) int
+	body   func(glob int, id kern.Dim3)
+	drive  func()
+}
+
+// newRunState makes a state and binds its callbacks.
+func (x *Executor) newRunState() *runState {
+	rs := &runState{}
+	rs.task.queue = &rs.queue
+	// Before every relaunch after a retreat: the freshly assigned worker
+	// count, or -1 once the core evicted the launch.
+	rs.resize = func(int) int {
+		if rs.task.abandoned.Load() {
+			return -1
+		}
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		return rs.task.target
+	}
+	rs.body = func(glob int, _ kern.Dim3) { rs.trap.call(rs.task.spec, glob) }
+	rs.drive = func() { transform.RunToCompletion(&rs.tr, &rs.queue, rs.workers, rs.resize, rs.body) }
+	return rs
+}
+
+// runStateLocked takes a state off the free list, or makes one, set up to
+// launch spec over tr. Caller holds x.mu.
+func (x *Executor) runStateLocked(spec *kern.Spec, tr transform.Transformed) *runState {
+	var rs *runState
+	if n := len(x.free); n > 0 {
+		rs = x.free[n-1]
+		x.free[n-1] = nil
+		x.free = x.free[:n-1]
+	} else {
+		rs = x.newRunState()
+	}
+	rs.tr = tr
+	rs.queue.Reset(&rs.tr)
+	rs.task.spec, rs.task.target = spec, 0
+	rs.task.abandoned.Store(false)
+	rs.trap.first = nil
+	return rs
+}
+
+// releaseLocked puts a finished launch's state back on the free list,
+// dropping its spec and job so the list pins neither. Caller holds x.mu.
+func (x *Executor) releaseLocked(rs *runState) {
+	if x.noRecycle {
+		return
+	}
+	rs.task.spec, rs.task.job = nil, sched.Job{}
+	x.free = append(x.free, rs)
 }
 
 // NewExecutor builds an executor with the given worker budget (<=0 selects
@@ -149,43 +223,30 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	if spec.Exec == nil {
 		return fmt.Errorf("daemon: kernel %q has no executable body", spec.Name)
 	}
-	if taskSize <= 0 {
-		taskSize = transform.DefaultTaskSize
-	}
-	tr, err := transform.Transform(spec.Grid, taskSize)
-	if err != nil {
+	var tr transform.Transformed
+	if err := tr.Reset(spec.Grid, taskSize); err != nil {
 		return err
 	}
-
-	task := &execTask{spec: spec, queue: transform.NewQueue(tr)}
-	workers, started := x.admit(task)
+	x.mu.Lock()
+	rs := x.runStateLocked(spec, tr)
+	workers, started := x.admitLocked(&rs.task)
+	rs.workers = workers
+	x.mu.Unlock()
 	// Drive the dispatch loop: relaunch after every retreat with the
 	// freshly assigned worker count, carrying the queue cursor.
-	trap := &panicTrap{}
-	timedOut := !x.contain(func() {
-		transform.RunToCompletion(tr, task.queue, workers,
-			func(int) int {
-				if task.abandoned.Load() {
-					return -1
-				}
-				x.mu.Lock()
-				defer x.mu.Unlock()
-				return task.target
-			},
-			trap.wrap(spec))
-	})
+	timedOut := !x.contain(rs.drive)
 	x.mu.Lock()
 	now := x.now()
 	sec := now.Sub(started).Seconds()
 	var learned *profile.Profile
-	perr := trap.err()
+	perr := rs.trap.err()
 	switch {
 	case timedOut: // abandoned: no verdict on the body
 	case perr != nil:
 		// A panicking first run is not classified; the next launch of the
 		// (presumably fixed) kernel profiles afresh.
 		x.core.Log.Add(sched.Decision{At: now, Kernel: spec.Name, Action: "panic", Reason: perr.Error()})
-	case task.job.Prof == nil:
+	case rs.task.job.Prof == nil:
 		sec = max(sec, 1e-9)
 		class := policy.Classify(spec.TotalFLOPs()/sec/1e9, spec.TotalL2Bytes()/sec/1e9)
 		learned = x.hostProfile(spec.Name, class, sec)
@@ -194,8 +255,12 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 		x.core.Log.Add(sched.Decision{At: now, Kernel: spec.Name, Action: "profile",
 			Reason: fmt.Sprintf("class=%v solo=%.3fms", class, sec*1e3)})
 	}
-	if err = x.leaveLocked(now, task, timedOut); err == nil {
+	err := x.leaveLocked(now, &rs.task, timedOut)
+	if err == nil {
 		err = perr
+	}
+	if !timedOut {
+		x.releaseLocked(rs)
 	}
 	onProfile := x.OnProfile
 	x.mu.Unlock()
@@ -205,12 +270,11 @@ func (x *Executor) Run(spec *kern.Spec, taskSize int) error {
 	return err
 }
 
-// admit hands task to the core and blocks until the core launches it,
+// admitLocked hands task to the core and blocks until the core launches it,
 // returning its worker count and launch time. A queued task waits on its own
-// channel: the core wakes exactly the waiter it admits.
-func (x *Executor) admit(task *execTask) (int, vtime.Time) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+// channel, with x.mu released: the core wakes exactly the waiter it admits.
+// Caller holds x.mu.
+func (x *Executor) admitLocked(task *execTask) (int, vtime.Time) {
 	task.job = sched.Job{Name: task.spec.Name, Prof: x.profiles[task.spec.Name], Vanilla: task.queue == nil, Owner: task}
 	// The executor's settable policy applies from each arrival on. The host
 	// driver's launch cannot fail, so neither can the arrival.
@@ -218,7 +282,10 @@ func (x *Executor) admit(task *execTask) (int, vtime.Time) {
 	at := x.now()
 	_ = x.core.Arrive(at, &task.job)
 	if task.target == 0 {
-		task.wake = make(chan struct{})
+		if task.wake == nil {
+			task.wake = make(chan struct{}, 1)
+		}
+		task.queued = true
 		x.mu.Unlock()
 		<-task.wake
 		x.mu.Lock()
@@ -280,10 +347,11 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 	}
 	blocks := spec.Grid.X * spec.Grid.Y
 	task := &execTask{spec: spec}
-	workers, _ := x.admit(task)
+	x.mu.Lock()
+	workers, _ := x.admitLocked(task)
+	x.mu.Unlock()
 	workers = min(workers, blocks)
 	trap := &panicTrap{}
-	body := trap.wrap(spec)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -295,7 +363,7 @@ func (x *Executor) RunVanilla(spec *kern.Spec, _ int) error {
 				if glob >= blocks {
 					return
 				}
-				body(glob, kern.Dim3{})
+				trap.call(spec, glob)
 			}
 		}()
 	}
@@ -398,8 +466,11 @@ func (d *hostDriver) Launch(j *sched.Job, lo, hi int, _ bool) error {
 	t := j.Owner.(*execTask)
 	t.target = max(hi-lo+1, 1)
 	d.runs[j.Name]++
-	if t.wake != nil {
-		close(t.wake)
+	if t.queued {
+		// Never blocks under the lock: the waiter took the last send before
+		// it could queue again, and the channel holds one.
+		t.queued = false
+		t.wake <- struct{}{}
 	}
 	return nil
 }

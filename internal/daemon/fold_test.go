@@ -377,3 +377,86 @@ func FuzzLiveTableIsTheFoldedStateDir(f *testing.F) {
 		runFoldScript(t, data)
 	})
 }
+
+// The dedup window wraps, refilling the entries it evicts, and stays the
+// folded state dir. After three windows' worth of spec and source launches
+// the live table is the table StateDigest folds out of the state dir; a
+// re-sent op still in the window is answered with its original ack, Dup set,
+// and an older one is refused as a duplicate — before a restart, and after
+// one has rebuilt the window from disk.
+func TestWrappedWindowDedupsAndFolds(t *testing.T) {
+	w := &foldWorld{t: t, dir: t.TempDir(), seed: 1, gate: make(chan struct{})}
+	w.srv = w.start(w.dir)
+	defer func() {
+		w.kill(w.srv)
+		for _, done := range w.served {
+			<-done
+		}
+	}()
+	w.step(foldStep{op: foldHello})
+	c := w.clients[0]
+	sent := map[uint64]ipc.BatchItem{}
+	acked := map[uint64]ipc.BatchAck{}
+	const frame = 8
+	for n := 0; n < 3*DedupWindow; n += frame {
+		batch := make([]ipc.BatchItem, frame)
+		for i := range batch {
+			batch[i] = w.item(c, i%2, i%3)
+			sent[batch[i].OpID] = batch[i]
+		}
+		rep := w.call(c, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
+		if rep.Err != "" || len(rep.Acks) != frame {
+			t.Fatalf("frame at op %d: err %q, %d acks", batch[0].OpID, rep.Err, len(rep.Acks))
+		}
+		for _, a := range rep.Acks {
+			if a.Code != 0 || a.Dup || sent[a.OpID].Src != (len(a.Entries) > 0) {
+				t.Fatalf("fresh op %d acked %+v", a.OpID, a)
+			}
+			acked[a.OpID] = a
+		}
+		if rep := w.call(c, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1}); rep.Err != "" {
+			t.Fatalf("synchronize: %s", rep.Err)
+		}
+		w.check(w.srv, w.dir, fmt.Sprintf("the frame at op %d", batch[0].OpID))
+	}
+
+	// Re-send frames of the oldest ops, of ops either side of the window's
+	// start, and of the newest ops.
+	last := c.nextOp
+	first := last - DedupWindow + 1 // the oldest op still in the window
+	resend := func(when string) {
+		t.Helper()
+		for _, lo := range []uint64{1, first - frame/2, last - frame + 1} {
+			batch := make([]ipc.BatchItem, frame)
+			for i := range batch {
+				batch[i] = sent[lo+uint64(i)]
+			}
+			rep := w.call(c, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
+			if rep.Err != "" || len(rep.Acks) != frame {
+				t.Fatalf("%s: re-sent frame at op %d: err %q, %d acks", when, lo, rep.Err, len(rep.Acks))
+			}
+			for _, a := range rep.Acks {
+				if a.OpID < first {
+					if a.Code != ipc.CodeDuplicateOp {
+						t.Fatalf("%s: op %d, out of the window, acked %+v", when, a.OpID, a)
+					}
+					continue
+				}
+				want := acked[a.OpID]
+				want.Dup = true
+				if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", want) {
+					t.Fatalf("%s: op %d re-acked %+v, first acked %+v", when, a.OpID, a, acked[a.OpID])
+				}
+			}
+		}
+		w.check(w.srv, w.dir, when)
+	}
+	resend("re-sending")
+	token := c.token
+	w.step(foldStep{op: foldRestart})
+	w.step(foldStep{op: foldResume})
+	if c.token != token {
+		t.Fatal("the session did not resume after the restart")
+	}
+	resend("re-sending after a restart")
+}

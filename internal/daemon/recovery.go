@@ -131,6 +131,25 @@ func (st *resumeState) clone() *resumeState {
 	return &cp
 }
 
+// spare returns the window entry the next push evicts, for the caller to
+// refill and push back as the newest, or nil while the window has room.
+//
+// The invariant that makes the reuse safe: a window entry is reachable only
+// through its window, and is read or written only under durableState.mu
+// (or before its table is shared). entry's callers use what it returns
+// inside that critical section — dedup copies the ack out, apply marks a
+// completion — clone deep-copies a window for a checkpoint, replaySessions
+// replays copies of the entries, and apply copies an adopted session's
+// entries in. So an entry push has dropped is reachable from nowhere. An ack
+// dedup filled from an entry shares the entry's Entries array, which a
+// refill replaces and never writes into.
+func (st *resumeState) spare() *journal.AdoptedOp {
+	if n := len(st.Window) - DedupWindow + 1; n > 0 {
+		return st.Window[n-1]
+	}
+	return nil
+}
+
 // push appends a window entry, evicting the oldest beyond DedupWindow, in
 // amortised constant time and, once the window has filled, without
 // allocating. A filling window grows like any slice; a full one drops its
@@ -279,13 +298,18 @@ func (t *sessionTable) apply(rec *journal.Record) {
 		if !ok || rec.OpID == 0 || rec.OpID <= st.MaxOp {
 			return // closed session, unstamped op, or re-delivery
 		}
-		st.push(&journal.AdoptedOp{
+		e := st.spare()
+		if e == nil {
+			e = new(journal.AdoptedOp)
+		}
+		*e = journal.AdoptedOp{
 			OpID: rec.OpID, Code: rec.Code, Err: rec.Err,
 			Degraded: rec.Degraded, Entries: rec.Entries,
 			Src: rec.Src, Kernel: rec.Kernel,
 			GridX: rec.GridX, GridY: rec.GridY, BlockX: rec.BlockX, BlockY: rec.BlockY,
 			TaskSize: rec.TaskSize, Stream: rec.Stream,
-		})
+		}
+		st.push(e)
 	case journal.KindLaunchComplete:
 		if st, ok := t.bySess[rec.Sess]; ok {
 			if e := st.entry(rec.OpID); e != nil {
@@ -322,7 +346,8 @@ func (t *sessionTable) apply(rec *journal.Record) {
 		}
 		for _, e := range rec.AdoptOps {
 			if e != nil { // a "null" element decodes to nil
-				st.push(e)
+				cp := *e // the window owns its entries (spare)
+				st.push(&cp)
 			}
 		}
 		// The explicit watermark wins over what the (possibly trimmed) window
@@ -522,9 +547,11 @@ func (s *Server) EnableDurability(cfg Durability) (*RecoveryStats, error) {
 // adoption settle re-homed work through this one path.
 func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 	d := s.durable
+	// Each pending launch is a copy of its window entry: the window may
+	// recycle the entry once d.mu is released (push).
 	type pending struct {
 		st *resumeState
-		e  *journal.AdoptedOp
+		e  journal.AdoptedOp
 	}
 	var todo []pending
 	d.mu.Lock()
@@ -533,7 +560,7 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 			// Only launches whose accept succeeded are replayable work; a
 			// journaled rejection (Code != 0) never executed and never will.
 			if !e.Done && e.Code == 0 {
-				todo = append(todo, pending{st, e})
+				todo = append(todo, pending{st, *e})
 			}
 		}
 	}
@@ -544,10 +571,11 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 		}
 		return todo[i].e.OpID < todo[j].e.OpID
 	})
+	var g recordGroup
 	for _, p := range todo {
 		if !p.e.Src {
 			err := fmt.Errorf("daemon: launch op %d lost in crash (%w)", p.e.OpID, errNotReplayable)
-			s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
+			s.journalCompletions(&g, []launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
 			lost++
 			continue
 		}
@@ -560,7 +588,7 @@ func (s *Server) replaySessions(sts []*resumeState) (replayed, lost int) {
 		} else {
 			err = s.Exec.Run(spec, p.e.TaskSize)
 		}
-		s.journalCompletions([]launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
+		s.journalCompletions(&g, []launchOutcome{{st: p.st, opID: p.e.OpID, err: err}})
 		replayed++
 	}
 	return replayed, lost
@@ -750,11 +778,38 @@ func (s *Server) closeSession(st *resumeState) {
 	_ = s.journalAppend([]*journal.Record{{Kind: journal.KindSessionClose, Sess: st.Sess}})
 }
 
-// recsOnStack sizes the array a commit group's record pointers start in: a
-// frame of 32, or a lane's full buffer of completions with a strike behind
-// each, is gathered without a heap allocation, and a larger group grows out
-// of it like any slice.
-const recsOnStack = 2 * completionFlushThreshold
+// recordGroup is a commit group built in storage kept from one group to the
+// next: the records, and the pointers journalAppend takes. A record is
+// encoded and applied inside journalAppend and nothing holds it afterwards,
+// so commit clears the group and the next one reuses its storage. Each
+// group has one owner: a session's ServeConn goroutine builds its accept
+// groups in its dispatcher's, a lane its completion groups in the lane's.
+type recordGroup struct {
+	recs []journal.Record
+	ptrs []*journal.Record
+}
+
+// keptRecords is the largest group whose storage a recordGroup keeps for the
+// next one: a frame of 32, or a lane's full buffer of completions with a
+// strike behind each. A larger group's storage goes when it commits.
+const keptRecords = 2 * completionFlushThreshold
+
+// commit appends the group through journalAppend and empties it, clearing
+// its storage so no string of a committed record stays reachable.
+func (g *recordGroup) commit(s *Server) error {
+	for i := range g.recs {
+		g.ptrs = append(g.ptrs, &g.recs[i])
+	}
+	err := s.journalAppend(g.ptrs)
+	if len(g.recs) > keptRecords {
+		g.recs, g.ptrs = nil, nil
+		return err
+	}
+	clear(g.recs)
+	clear(g.ptrs)
+	g.recs, g.ptrs = g.recs[:0], g.ptrs[:0]
+	return err
+}
 
 // dedup answers a replayed launch from the session's dedup window, into its
 // ack: an op still in the window gets its original ack back with Dup set, one
@@ -791,18 +846,16 @@ func (s *Server) dedup(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
 // fault.ErrCrash: the caller dies without acking, so either no item of the
 // frame is durable (torn prefix truncates on replay) or all are (durable,
 // un-acked; the dedup window absorbs the re-send).
-func (s *Server) acceptFrame(st *resumeState, items []ipc.BatchItem, acks []ipc.BatchAck, idxs []int) error {
+func (s *Server) acceptFrame(g *recordGroup, st *resumeState, items []ipc.BatchItem, acks []ipc.BatchAck, idxs []int) error {
 	if s.durable == nil || st == nil {
 		return nil
 	}
-	var buf [recsOnStack]*journal.Record
-	recs := buf[:0]
 	for _, i := range idxs {
 		it, a := &items[i], &acks[i]
 		if it.OpID == 0 {
 			continue
 		}
-		recs = append(recs, &journal.Record{
+		g.recs = append(g.recs, journal.Record{
 			Kind: journal.KindLaunchAccept, Sess: st.Sess, OpID: it.OpID,
 			Code: uint8(a.Code), Err: a.Err, Degraded: a.Degraded, Entries: a.Entries,
 			Src: it.Src, Kernel: it.Kernel,
@@ -810,7 +863,7 @@ func (s *Server) acceptFrame(st *resumeState, items []ipc.BatchItem, acks []ipc.
 			TaskSize: it.TaskSize, Stream: it.Stream,
 		})
 	}
-	return s.journalAppend(recs)
+	return g.commit(s)
 }
 
 // launchOutcome is one finished launch awaiting its completion record.
@@ -837,35 +890,33 @@ var errNotReplayable = errors.New("in-process kernel not replayable")
 // report. The whole group lands in one commit. A simulated death drops it:
 // none of the completions is durable and recovery re-executes them, which the
 // exactly-once contract permits (completion loss, not duplication).
-func (s *Server) journalCompletions(outs []launchOutcome) {
+func (s *Server) journalCompletions(g *recordGroup, outs []launchOutcome) {
 	if s.durable == nil {
 		return
 	}
-	var buf [recsOnStack]*journal.Record
-	recs := buf[:0]
 	for _, o := range outs {
 		if o.st == nil || o.opID == 0 {
 			continue
 		}
-		rec := &journal.Record{Kind: journal.KindLaunchComplete, Sess: o.st.Sess, OpID: o.opID}
+		var code uint8
+		var msg string
 		if o.err != nil {
-			rec.Code, rec.Err = uint8(ipc.CodeOf(o.err)), o.err.Error()
+			code, msg = uint8(ipc.CodeOf(o.err)), o.err.Error()
 		}
-		recs = append(recs, rec)
+		g.recs = append(g.recs, journal.Record{Kind: journal.KindLaunchComplete, Sess: o.st.Sess, OpID: o.opID, Code: code, Err: msg})
 		switch {
 		case o.err == nil:
 		case poisons(o.err):
-			recs = append(recs, &journal.Record{
-				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikePoison,
-				Code: rec.Code, Err: rec.Err,
+			g.recs = append(g.recs, journal.Record{
+				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikePoison, Code: code, Err: msg,
 			})
 		case errors.Is(o.err, errNotReplayable):
-			recs = append(recs, &journal.Record{
-				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikeLost, Lost: rec.Err,
+			g.recs = append(g.recs, journal.Record{
+				Kind: journal.KindStrike, Sess: o.st.Sess, Action: strikeLost, Lost: msg,
 			})
 		}
 	}
-	_ = s.journalAppend(recs)
+	_ = g.commit(s)
 }
 
 // CloseDurability closes the journal writer (tests and shutdown).

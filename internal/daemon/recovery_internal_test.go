@@ -185,7 +185,7 @@ func TestDedupCheckVerdicts(t *testing.T) {
 // the way a single launch reaches the journal.
 func acceptOne(srv *Server, st *resumeState, op uint64) error {
 	items := []ipc.BatchItem{{Src: true, OpID: op, Kernel: "k"}}
-	return srv.acceptFrame(st, items, []ipc.BatchAck{{OpID: op}}, []int{0})
+	return srv.acceptFrame(new(recordGroup), st, items, []ipc.BatchAck{{OpID: op}}, []int{0})
 }
 
 // Session poisoning survives a compaction: the strike record is folded into
@@ -205,7 +205,7 @@ func TestPoisonSurvivesCompaction(t *testing.T) {
 	if err := acceptOne(srv, st, 1); err != nil {
 		t.Fatal(err)
 	}
-	srv.journalCompletions([]launchOutcome{{st: st, opID: 1, err: fmt.Errorf("kernel k: %w", ErrKernelPanic)}})
+	srv.journalCompletions(new(recordGroup), []launchOutcome{{st: st, opID: 1, err: fmt.Errorf("kernel k: %w", ErrKernelPanic)}})
 
 	// Fold everything into the checkpoint and reset the journal: the strike
 	// record is gone, only the checkpoint can carry the poison now.
@@ -258,7 +258,7 @@ func TestConcurrentAppendsDuringCompaction(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				srv.journalCompletions([]launchOutcome{{st: st, opID: op}})
+				srv.journalCompletions(new(recordGroup), []launchOutcome{{st: st, opID: op}})
 			}
 		}(g)
 	}

@@ -809,7 +809,7 @@ func (s *Server) launchFrame(disp *dispatcher, items []ipc.BatchItem, acks []ipc
 			})
 		}
 	}
-	if err := s.acceptFrame(st, items, acks, accepted); err != nil {
+	if err := s.acceptFrame(&disp.accepts, st, items, acks, accepted); err != nil {
 		return true, nil
 	}
 	disp.push(ready)

@@ -88,11 +88,13 @@ func BenchmarkLaunchSpecBatch32(b *testing.B) {
 }
 
 // specBatchAllocBudget is what a warmed spec batch of 32 may allocate,
-// client, wire and daemon together. It was 990 before the launch path lost
-// its per-launch reflection, window copy, Sprintf and goroutines, and
-// measured 458 since (go1.24, amd64); the budget leaves room for another
-// toolchain and is there so that cost cannot come back unnoticed.
-const specBatchAllocBudget = 700
+// client, wire and daemon together (go1.24, amd64). It was 990 before the
+// launch path lost its per-launch reflection, window copy, Sprintf and
+// goroutines, then 312 while the daemon still allocated nine objects per
+// accepted launch, and measures 24 since it allocates none: its run state,
+// its journal records and its dedup window entry are all reused. The budget
+// is that plus half again, so that cost cannot come back unnoticed.
+const specBatchAllocBudget = 36
 
 func TestLaunchBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -109,11 +111,14 @@ func TestLaunchBatchAllocBudget(t *testing.T) {
 }
 
 // singleLaunchAllocBudget is what one warmed client.Launch may allocate,
-// client, wire and daemon together: the count of the goroutine-per-launch
-// path this pipeline replaced (go1.24, amd64). A single launch is a frame of
-// one, and the budget is there so that a frame's bookkeeping — scratch
-// slices, a lane, a completion group — stays free for it.
-const singleLaunchAllocBudget = 22
+// client, wire and daemon together (go1.24, amd64). It measured 17.6 while
+// the daemon allocated nine objects per accepted launch and the client one
+// more for every launch that succeeded, and 7.3–8.2 since neither does;
+// what is left is the client's call, the two frames, the reply, and the
+// goroutine of a lane that went idle. The budget is that plus half again. A single launch is a frame of one, and the budget is there so
+// that a frame's bookkeeping — scratch slices, a lane, a completion group —
+// stays free for it.
+const singleLaunchAllocBudget = 12
 
 func TestSingleLaunchAllocBudget(t *testing.T) {
 	if raceEnabled {

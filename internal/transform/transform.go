@@ -37,13 +37,25 @@ const DefaultTaskSize = 10
 
 // Transform flattens a kernel's grid. taskSize <= 0 selects the default.
 func Transform(grid kern.Dim3, taskSize int) (*Transformed, error) {
+	t := &Transformed{}
+	if err := t.Reset(grid, taskSize); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset flattens grid into t in place, as Transform does into a new value,
+// so a caller that keeps its Transformed can flatten without allocating. On
+// error t is unchanged.
+func (t *Transformed) Reset(grid kern.Dim3, taskSize int) error {
 	if !grid.Valid() {
-		return nil, fmt.Errorf("transform: grid %v is not a valid 1D/2D grid", grid)
+		return fmt.Errorf("transform: grid %v is not a valid 1D/2D grid", grid)
 	}
 	if taskSize <= 0 {
 		taskSize = DefaultTaskSize
 	}
-	return &Transformed{Grid: grid, NumBlocks: grid.Count(), TaskSize: taskSize}, nil
+	*t = Transformed{Grid: grid, NumBlocks: grid.Count(), TaskSize: taskSize}
+	return nil
 }
 
 // NumTasks returns the task count: ceil(NumBlocks/TaskSize).
@@ -97,6 +109,16 @@ type Queue struct {
 // NewQueue creates a queue positioned at the beginning of the grid.
 func NewQueue(t *Transformed) *Queue {
 	return &Queue{t: t}
+}
+
+// Reset repositions q at the beginning of t's grid, its retreat flag down
+// and its pull count zero: the queue NewQueue(t) returns, made in place. No
+// worker may be pulling from q.
+func (q *Queue) Reset(t *Transformed) {
+	q.t = t
+	q.slate.Store(0)
+	q.retreat.Store(false)
+	q.atomics.Store(0)
 }
 
 // Pull claims the next task. It returns the starting flattened index and the

@@ -172,6 +172,46 @@ func TestQueueRetreatResume(t *testing.T) {
 	}
 }
 
+// Resetting a drained, retreating queue onto another grid, and flattening
+// into a used Transformed, give what NewQueue and Transform give fresh; a
+// failed flatten leaves its Transformed alone.
+func TestResetMatchesFresh(t *testing.T) {
+	var tr Transformed
+	q := NewQueue(mustTransform(t, kern.D1(5), 2))
+	for _, c := range []struct {
+		grid kern.Dim3
+		task int
+	}{{kern.D1(25), 10}, {kern.D2(7, 3), 4}, {kern.D1(3), 0}} {
+		q.Pull()
+		q.Retreat()
+		if err := tr.Reset(c.grid, c.task); err != nil {
+			t.Fatal(err)
+		}
+		if fresh := mustTransform(t, c.grid, c.task); tr != *fresh {
+			t.Fatalf("Reset(%v, %d) = %+v, Transform gives %+v", c.grid, c.task, tr, *fresh)
+		}
+		q.Reset(&tr)
+		ref := NewQueue(&tr)
+		if q.Retreating() || q.Atomics() != 0 || q.Progress() != 0 {
+			t.Fatalf("reset queue: retreating=%v atomics=%d progress=%d", q.Retreating(), q.Atomics(), q.Progress())
+		}
+		for {
+			gi, gn, gok := q.Pull()
+			wi, wn, wok := ref.Pull()
+			if gi != wi || gn != wn || gok != wok {
+				t.Fatalf("grid %v: reset queue pulled (%d, %d, %v), a new one (%d, %d, %v)", c.grid, gi, gn, gok, wi, wn, wok)
+			}
+			if !gok {
+				break
+			}
+		}
+	}
+	before := tr
+	if err := tr.Reset(kern.Dim3{X: 2, Y: 2, Z: 2}, 4); err == nil || tr != before {
+		t.Fatalf("Reset onto a 3D grid: err %v, Transformed %+v (was %+v)", err, tr, before)
+	}
+}
+
 func TestRunParallelExecutesAllBlocksOnce(t *testing.T) {
 	tr := mustTransform(t, kern.D2(33, 17), 7)
 	q := NewQueue(tr)
