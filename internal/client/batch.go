@@ -2,8 +2,8 @@
 // submits them as one OpLaunchBatch frame — one IPC round trip and one
 // daemon-side group-commit fsync for N launches, instead of N of each. The
 // per-item accept verdicts come back in one reply; execution stays
-// asynchronous and failures surface at Synchronize exactly as for single
-// launches.
+// asynchronous and failures surface at Synchronize. A single launch is a
+// frame of one through the same path (Client.submit).
 package client
 
 import (
@@ -46,18 +46,11 @@ func (b *Batch) Launch(spec *kern.Spec, taskSize int) error {
 // vanished client's orphans are purged), but nothing reaches the daemon's
 // launch path until Submit.
 func (b *Batch) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
-	if b.c.specs == nil {
-		return fmt.Errorf("client: executable launches require an in-process daemon; use LaunchSource remotely")
+	it, err := b.c.specItem(spec, taskSize, stream)
+	if err == nil {
+		b.items = append(b.items, it)
 	}
-	if stream < 0 {
-		return fmt.Errorf("client: invalid stream %d", stream)
-	}
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	tok := b.c.specs.PutOwned(spec, b.c.Session())
-	b.items = append(b.items, ipc.BatchItem{Token: tok, TaskSize: taskSize, Stream: stream})
-	return nil
+	return err
 }
 
 // LaunchSource adds a source-kernel launch, like Client.LaunchSource. The
@@ -74,33 +67,26 @@ func (b *Batch) LaunchSourceStream(source, kernel string, grid, block kern.Dim3,
 	if stream < 0 {
 		return fmt.Errorf("client: invalid stream %d", stream)
 	}
-	it := ipc.BatchItem{
-		Src: true, Kernel: kernel, TaskSize: taskSize, Stream: stream,
-		GridX: grid.X, GridY: grid.Y, BlockX: block.X, BlockY: block.Y,
-	}
+	it := sourceItem(source, kernel, grid, block, taskSize, stream)
 	if ref, ok := b.carrier[source]; ok {
-		it.SrcRef = ref
+		it.Source, it.SrcRef = "", ref
 	} else {
 		if b.carrier == nil {
 			b.carrier = map[string]int{}
 		}
 		b.carrier[source] = len(b.items) + 1
-		it.Source = source
 	}
 	b.items = append(b.items, it)
 	return nil
 }
 
 // Submit sends the whole batch in one frame and returns the per-item accept
-// verdicts in submission order. Op IDs are stamped inside the send critical
-// section (wire order == ID order) and re-stamped on backpressure retries,
-// exactly like single launches; a whole-batch refusal (draining, poisoned
-// session, backpressure that retries exhausted) is returned as the error with
-// nil acks. Items the daemon rejected individually carry their verdict in
-// their BatchAck (Code/Err); accepted items execute asynchronously, and their
-// failures surface at Synchronize. The specs of refused items leave the shared
-// table again, as do those of a batch that was never sent; after a transport
-// failure under a sent batch they stay, for Resume's re-send.
+// verdicts in submission order, through the same path as a single launch
+// (Client.submit): a whole-batch refusal (draining, poisoned session,
+// backpressure that retries exhausted) is returned as the error with nil
+// acks, and items the daemon rejected individually carry their verdict in
+// their BatchAck (Code/Err). Accepted items execute asynchronously, and their
+// failures surface at Synchronize.
 func (b *Batch) Submit() ([]ipc.BatchAck, error) {
 	if b.submitted {
 		return nil, fmt.Errorf("client: batch already submitted")
@@ -109,28 +95,5 @@ func (b *Batch) Submit() ([]ipc.BatchAck, error) {
 	if len(b.items) == 0 {
 		return nil, nil
 	}
-	rep, err := b.c.callLaunch(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: b.items})
-	if err != nil {
-		if refused(err) {
-			for i := range b.items {
-				b.takeBack(i)
-			}
-		}
-		return nil, err
-	}
-	for i, a := range rep.Acks {
-		if a.Code != ipc.CodeOK && i < len(b.items) {
-			b.takeBack(i)
-		}
-	}
-	return rep.Acks, nil
-}
-
-// takeBack removes the spec item i deposited from the shared table after the
-// daemon refused the item (or its whole batch): nothing will launch it, and
-// it would otherwise sit there until the session closes.
-func (b *Batch) takeBack(i int) {
-	if it := &b.items[i]; !it.Src {
-		b.c.specs.Take(it.Token)
-	}
+	return b.c.submit(b.items)
 }

@@ -247,7 +247,7 @@ func TestWrongSeqReplyPoisonsAndKeepsPending(t *testing.T) {
 				return
 			}
 			rep := &ipc.Reply{Seq: req.Seq, Session: 1}
-			if req.Op == ipc.OpLaunchSource {
+			if req.Op == ipc.OpLaunchBatch {
 				rep.Seq = req.Seq + 1000 // a reply nobody asked for
 			}
 			if err := conn.SendReply(rep); err != nil {
@@ -302,7 +302,7 @@ func TestWrongSeqPendingReplaysOnResume(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if req.Op == ipc.OpLaunchSource {
+			if req.Op == ipc.OpLaunchBatch {
 				rep.Seq = req.Seq + 1000
 			}
 			if err := down.SendReply(rep); err != nil {

@@ -162,10 +162,10 @@ type Client struct {
 	// blocked writing, daemon blocked replying, pumper blocked on mu.
 	waiters map[uint64]*waiter
 	// pending is the set of stamped launches whose fates a transport failure
-	// left unknown; Resume re-sends each under its original op ID, and the
-	// daemon's dedup window answers with the original outcome for any that
-	// were already accepted.
-	pending map[uint64]*ipc.Request
+	// left unknown, by op ID; Resume re-sends each, as a frame of one, under
+	// its original op ID, and the daemon's dedup window answers with the
+	// original outcome for any that were already accepted.
+	pending map[uint64]ipc.BatchItem
 
 	// recvMu elects the reply pumper: exactly one waiter at a time reads the
 	// transport and routes replies by Seq. Never held together with mu by the
@@ -327,7 +327,7 @@ func New(nc net.Conn, proc string, opts ...Option) (*Client, error) {
 		conn:    ipc.NewConn(nc),
 		proc:    proc,
 		waiters: map[uint64]*waiter{},
-		pending: map[uint64]*ipc.Request{},
+		pending: map[uint64]ipc.BatchItem{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -464,8 +464,8 @@ func (c *Client) call(req *ipc.Request) (*ipc.Reply, error) {
 	return c.doCall(req, false)
 }
 
-// callStamped is call for launches: the op ID (per batch item, for batched
-// sends) is stamped inside the send critical section. Each invocation stamps
+// callStamped is call for launches: each batch item's op ID is stamped
+// inside the send critical section. Each invocation stamps
 // FRESH op IDs — a backpressure retry must re-stamp, because under pipelining
 // a newer op may have been accepted since the rejected attempt, and re-using
 // the old (now below-watermark) ID would be falsely rejected as a duplicate.
@@ -482,14 +482,9 @@ func (c *Client) doCall(req *ipc.Request, stamp bool) (*ipc.Reply, error) {
 		return nil, &opError{op: req.Op, msg: c.broken.Error(), kind: ErrDaemonDown, unsent: true}
 	}
 	if stamp {
-		if req.Op == ipc.OpLaunchBatch {
-			for i := range req.Batch {
-				c.nextOp++
-				req.Batch[i].OpID = c.nextOp
-			}
-		} else {
+		for i := range req.Batch {
 			c.nextOp++
-			req.OpID = c.nextOp
+			req.Batch[i].OpID = c.nextOp
 		}
 		// The per-op deadline rides the frame so the daemon can shed the
 		// launch once nobody will use its result. Stamped fresh per
@@ -675,46 +670,22 @@ func (c *Client) callLaunch(req *ipc.Request) (*ipc.Reply, error) {
 	return rep, err
 }
 
-// notePendingLocked records a stamped launch whose fate the transport
-// failure left unknown — the daemon may or may not have accepted it.
-// Resume re-sends each under its original op ID, and journal-backed dedup on
-// the daemon turns the re-send into a fetch of the original outcome instead
-// of a second execution. A batched request expands into one pending
-// single-launch request per item, so replay needs no batch-aware daemon
-// support. Unstamped ops (queries, memcpy, sync) are idempotent or harmless
-// to drop and are not tracked. Caller holds c.mu.
+// notePendingLocked records the stamped launches of a request whose fate the
+// transport failure left unknown — the daemon may or may not have accepted
+// them. Resume re-sends each under its original op ID, and journal-backed
+// dedup on the daemon turns the re-send into a fetch of the original outcome
+// instead of a second execution. Requests that launch nothing (queries,
+// memcpy, sync) are idempotent or harmless to drop and carry no items.
+// Caller holds c.mu.
 func (c *Client) notePendingLocked(req *ipc.Request) {
-	if req.Op == ipc.OpLaunchBatch {
-		for _, it := range req.Batch {
-			if it.OpID == 0 {
-				continue
-			}
-			single := &ipc.Request{
-				TaskSize: it.TaskSize, Stream: it.Stream, OpID: it.OpID,
-			}
-			if it.Src {
-				single.Op = ipc.OpLaunchSource
-				single.Source, single.Kernel = it.Source, it.Kernel
-				if it.SrcRef != 0 {
-					// Refs mean nothing outside their frame: the single
-					// re-send carries the text its batch item pointed at.
-					single.Source = req.Batch[it.SrcRef-1].Source
-				}
-				single.GridX, single.GridY = it.GridX, it.GridY
-				single.BlockX, single.BlockY = it.BlockX, it.BlockY
-			} else {
-				single.Op = ipc.OpLaunch
-				single.Token = it.Token
-			}
-			c.pending[it.OpID] = single
+	for _, it := range req.Batch {
+		if it.SrcRef != 0 {
+			// Refs mean nothing outside their frame: the re-send carries the
+			// text its item pointed at.
+			it.Source, it.SrcRef = req.Batch[it.SrcRef-1].Source, 0
 		}
-		return
+		c.pending[it.OpID] = it
 	}
-	if req.OpID == 0 {
-		return
-	}
-	cp := *req
-	c.pending[req.OpID] = &cp
 }
 
 // PendingOps returns every unsettled stamped op ID in ascending order —
@@ -813,24 +784,84 @@ func (c *Client) Launch(spec *kern.Spec, taskSize int) error {
 // stream execute in order; different streams run concurrently and may
 // corun under the workload-aware executor.
 func (c *Client) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
-	if c.specs == nil {
-		return fmt.Errorf("client: executable launches require an in-process daemon; use LaunchSource remotely")
-	}
-	if stream < 0 {
-		return fmt.Errorf("client: invalid stream %d", stream)
-	}
-	if err := spec.Validate(); err != nil {
+	it, err := c.specItem(spec, taskSize, stream)
+	if err != nil {
 		return err
 	}
-	tok := c.specs.PutOwned(spec, c.Session())
-	// The op ID is stamped inside the send critical section (callStamped), so
-	// concurrent launches hit the wire in op-ID order; backpressure retries
-	// re-stamp (a rejected op was never accepted, so the old ID is dead).
-	_, err := c.callLaunch(&ipc.Request{Op: ipc.OpLaunch, Token: tok, TaskSize: taskSize, Stream: stream})
-	if refused(err) {
-		c.specs.Take(tok)
-	}
+	_, err = oneAck(c.submit([]ipc.BatchItem{it}))
 	return err
+}
+
+// specItem validates an executable launch and deposits its spec in the shared
+// table, tagged with the session so a vanished client's orphans are purged:
+// the item that launches it.
+func (c *Client) specItem(spec *kern.Spec, taskSize, stream int) (ipc.BatchItem, error) {
+	if c.specs == nil {
+		return ipc.BatchItem{}, fmt.Errorf("client: executable launches require an in-process daemon; use LaunchSource remotely")
+	}
+	if stream < 0 {
+		return ipc.BatchItem{}, fmt.Errorf("client: invalid stream %d", stream)
+	}
+	if err := spec.Validate(); err != nil {
+		return ipc.BatchItem{}, err
+	}
+	return ipc.BatchItem{Token: c.specs.PutOwned(spec, c.Session()), TaskSize: taskSize, Stream: stream}, nil
+}
+
+// sourceItem is the item that launches a source kernel.
+func sourceItem(source, kernel string, grid, block kern.Dim3, taskSize, stream int) ipc.BatchItem {
+	return ipc.BatchItem{
+		Src: true, Source: source, Kernel: kernel, TaskSize: taskSize, Stream: stream,
+		GridX: grid.X, GridY: grid.Y, BlockX: block.X, BlockY: block.Y,
+	}
+}
+
+// submit sends items as one OpLaunchBatch frame through the backpressure
+// policy and returns their acks in submission order. Op IDs are stamped
+// inside the send critical section (wire order == ID order) and re-stamped on
+// a retry (a rejected op was never accepted, so its old ID is dead). The spec
+// of every item the daemon refused, alone or with its whole frame, leaves the
+// shared table again, as do those of a frame that was never sent; after a
+// transport failure under a sent frame they stay, for Resume's re-send.
+func (c *Client) submit(items []ipc.BatchItem) ([]ipc.BatchAck, error) {
+	rep, err := c.callLaunch(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: items})
+	if err != nil {
+		if refused(err) {
+			for i := range items {
+				c.takeBack(&items[i])
+			}
+		}
+		return nil, err
+	}
+	for i, a := range rep.Acks {
+		if a.Code != ipc.CodeOK && i < len(items) {
+			c.takeBack(&items[i])
+		}
+	}
+	return rep.Acks, nil
+}
+
+// takeBack removes the spec a refused item deposited from the shared table:
+// nothing will launch it, and it would otherwise sit there until the session
+// closes.
+func (c *Client) takeBack(it *ipc.BatchItem) {
+	if !it.Src {
+		c.specs.Take(it.Token)
+	}
+}
+
+// oneAck reads the outcome of a frame of one: a refusal of the frame or of
+// its item comes back as the typed error.
+func oneAck(acks []ipc.BatchAck, err error) (ipc.BatchAck, error) {
+	switch {
+	case err != nil:
+		return ipc.BatchAck{}, err
+	case len(acks) != 1:
+		return ipc.BatchAck{}, &opError{op: ipc.OpLaunchBatch, msg: fmt.Sprintf("%d acks for a frame of one", len(acks))}
+	case acks[0].Code != ipc.CodeOK:
+		return acks[0], &opError{op: ipc.OpLaunchBatch, msg: acks[0].Err, kind: ipc.Sentinel(acks[0].Code)}
+	}
+	return acks[0], nil
 }
 
 // refused reports whether a launch error means the daemon will never take
@@ -866,14 +897,11 @@ func (c *Client) LaunchSource(source, kernel string, grid, block kern.Dim3, task
 // path (the transparency contract) — the program ran, without Slate's
 // scheduling benefits.
 func (c *Client) LaunchSourceDegraded(source, kernel string, grid, block kern.Dim3, taskSize int) (entries []string, degraded bool, err error) {
-	rep, err := c.callLaunch(&ipc.Request{
-		Op: ipc.OpLaunchSource, Source: source, Kernel: kernel, TaskSize: taskSize,
-		GridX: grid.X, GridY: grid.Y, BlockX: block.X, BlockY: block.Y,
-	})
+	a, err := oneAck(c.submit([]ipc.BatchItem{sourceItem(source, kernel, grid, block, taskSize, 0)}))
 	if err != nil {
 		return nil, false, err
 	}
-	return rep.Entries, rep.Degraded, nil
+	return a.Entries, a.Degraded, nil
 }
 
 // Synchronize blocks until every launched kernel completes, mirroring
@@ -924,7 +952,7 @@ func (c *Client) Resume(dial func() (net.Conn, error), rc RetryConfig) (recovere
 	c.mu.Lock()
 	token := c.token
 	pendingIDs := c.pendingIDsLocked()
-	pending := make([]*ipc.Request, 0, len(pendingIDs))
+	pending := make([]ipc.BatchItem, 0, len(pendingIDs))
 	for _, op := range pendingIDs {
 		pending = append(pending, c.pending[op])
 	}
@@ -979,7 +1007,7 @@ func (c *Client) Resume(dial func() (net.Conn, error), rc RetryConfig) (recovere
 		c.broken = nil
 		c.sess = rep.Session
 		c.token = rep.Token
-		c.pending = map[uint64]*ipc.Request{}
+		c.pending = map[uint64]ipc.BatchItem{}
 		c.mu.Unlock()
 		if !rep.Recovered {
 			if len(pending) != 0 {
@@ -992,9 +1020,13 @@ func (c *Client) Resume(dial func() (net.Conn, error), rc RetryConfig) (recovere
 		// outcome for any the daemon had accepted, and executes the rest for
 		// the first time. ErrDuplicateOp means "accepted exactly once, reply
 		// aged out" — the launch is safe, only its details are gone.
-		for _, preq := range pending {
-			if _, perr := c.call(preq); perr != nil && !errors.Is(perr, ErrDuplicateOp) {
-				return true, fmt.Errorf("client: resumed, but replaying op %d failed: %w", preq.OpID, perr)
+		for _, it := range pending {
+			rep, perr := c.call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{it}})
+			if perr == nil {
+				_, perr = oneAck(rep.Acks, nil)
+			}
+			if perr != nil && !errors.Is(perr, ErrDuplicateOp) {
+				return true, fmt.Errorf("client: resumed, but replaying op %d failed: %w", it.OpID, perr)
 			}
 		}
 		return true, nil

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,24 +127,27 @@ func TestBatchShipsEachSourceOncePerFrame(t *testing.T) {
 }
 
 // Interning is per frame, so nothing about it survives a lost connection: a
-// batch whose ack never arrives is replayed on Resume as single launches that
+// batch whose ack never arrives is replayed on Resume as frames of one that
 // each carry their full source, and the daemon — which had accepted the batch
 // — answers every one from the dedup window without running anything twice.
+// A single LaunchSource whose ack is lost replays the same way.
 func TestInternedBatchReplaysWithFullSourcesOnResume(t *testing.T) {
 	srv, dial := daemon.NewLocal(2)
 	if _, err := srv.EnableDurability(daemon.Durability{Dir: t.TempDir(), NoSync: true}); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.CloseDurability()
+	unit := internUnit("resume")
 
 	// relay forwards one client transport to a fresh daemon session. It
-	// records every launch request it forwards, and with dropBatchAck it dies
-	// in place of delivering a batch's reply.
+	// records every launch request it forwards, and while drop is set it dies
+	// in place of delivering a launch's reply (clearing drop).
 	var (
 		mu      sync.Mutex
 		relayed []*ipc.Request
+		drop    atomic.Bool
 	)
-	relay := func(dropBatchAck bool) net.Conn {
+	relay := func() net.Conn {
 		cliSide, relaySide := net.Pipe()
 		go func() {
 			up, down := ipc.NewConn(dial()), ipc.NewConn(relaySide)
@@ -154,7 +158,7 @@ func TestInternedBatchReplaysWithFullSourcesOnResume(t *testing.T) {
 				if err != nil {
 					return
 				}
-				if req.Op == ipc.OpLaunchSource || req.Op == ipc.OpLaunchBatch {
+				if req.Op == ipc.OpLaunchBatch {
 					mu.Lock()
 					relayed = append(relayed, req)
 					mu.Unlock()
@@ -163,7 +167,7 @@ func TestInternedBatchReplaysWithFullSourcesOnResume(t *testing.T) {
 					return
 				}
 				rep, err := up.RecvReply()
-				if err != nil || (dropBatchAck && req.Op == ipc.OpLaunchBatch) {
+				if err != nil || (req.Op == ipc.OpLaunchBatch && drop.CompareAndSwap(true, false)) {
 					return
 				}
 				if err := down.SendReply(rep); err != nil {
@@ -173,13 +177,50 @@ func TestInternedBatchReplaysWithFullSourcesOnResume(t *testing.T) {
 		}()
 		return cliSide
 	}
+	// resume waits for the daemon to detach the dead relayed session, then
+	// resumes over a fresh relay.
+	resume := func(c *Client) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("daemon never detached the relayed session")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		recovered, err := c.Resume(func() (net.Conn, error) { return relay(), nil }, RetryConfig{Attempts: 3})
+		if err != nil || !recovered {
+			t.Fatalf("resume: recovered=%v err=%v", recovered, err)
+		}
+		if err := c.Synchronize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// checkLaunches checks that the relayed launches from index from on are
+	// frames of one carrying the full text, of ops.
+	checkLaunches := func(from int, ops ...uint64) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(relayed) != from+len(ops) {
+			t.Fatalf("relay saw %d launch requests, want %d", len(relayed), from+len(ops))
+		}
+		for i, req := range relayed[from:] {
+			if len(req.Batch) != 1 {
+				t.Fatalf("launch %d has %d items, want a frame of one", from+i, len(req.Batch))
+			}
+			if it := req.Batch[0]; it.Source != unit || it.SrcRef != 0 || it.OpID != ops[i] {
+				t.Fatalf("launch %d = op ID %d, %d-byte source, SrcRef %d; want op %d with the full text",
+					from+i, it.OpID, len(it.Source), it.SrcRef, ops[i])
+			}
+		}
+	}
 
-	c, err := New(relay(true), "intern-resume")
+	drop.Store(true)
+	c, err := New(relay(), "intern-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const items = 6
-	unit := internUnit("resume")
 	b := c.NewBatch()
 	for i := 0; i < items; i++ {
 		if err := b.LaunchSource(unit, [2]string{"ka", "kb"}[i%2], kern.D1(4), kern.D1(32), 4); err != nil {
@@ -192,39 +233,31 @@ func TestInternedBatchReplaysWithFullSourcesOnResume(t *testing.T) {
 	if got := len(c.PendingOps()); got != items {
 		t.Fatalf("%d pending ops after the lost ack, want %d", got, items)
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon never detached the relayed session")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	recovered, err := c.Resume(func() (net.Conn, error) { return relay(false), nil }, RetryConfig{Attempts: 3})
-	if err != nil || !recovered {
-		t.Fatalf("resume: recovered=%v err=%v", recovered, err)
-	}
-	if err := c.Synchronize(); err != nil {
-		t.Fatal(err)
-	}
-
+	resume(c)
 	mu.Lock()
-	defer mu.Unlock()
-	if len(relayed) != 1+items || relayed[0].Op != ipc.OpLaunchBatch {
-		t.Fatalf("relay saw %d launch requests, want the batch and %d singles", len(relayed), items)
-	}
-	if first := relayed[0].Batch; first[0].Source != unit || first[1].SrcRef != 1 || first[1].Source != "" {
+	if first := relayed[0].Batch; len(first) != items || first[0].Source != unit || first[1].SrcRef != 1 || first[1].Source != "" {
 		t.Fatalf("batch was not interned on the wire: items 0 and 1 = %+v, %+v", first[0], first[1])
 	}
-	for i, req := range relayed[1:] {
-		if req.Op != ipc.OpLaunchSource || req.Source != unit || req.OpID != uint64(i+1) {
-			t.Fatalf("replay %d = op %v, op ID %d, %d-byte source; want a single launch of op %d with the full text",
-				i, req.Op, req.OpID, len(req.Source), i+1)
-		}
+	mu.Unlock()
+	checkLaunches(1, 1, 2, 3, 4, 5, 6)
+
+	// A single source launch lost in flight is replayed under its op ID: the
+	// relay sees the lost send and the replay.
+	drop.Store(true)
+	if _, err := c.LaunchSource(unit, "ka", kern.D1(4), kern.D1(32), 4); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("single launch over a dying relay = %v, want ErrDaemonDown", err)
 	}
-	if hits := srv.DedupHits(); hits != items {
-		t.Fatalf("DedupHits = %d, want %d", hits, items)
+	if pend := c.PendingOps(); len(pend) != 1 || pend[0] != items+1 {
+		t.Fatalf("pending ops after the lost single ack = %v, want [%d]", pend, items+1)
 	}
-	if ran := srv.Exec.Runs("src:ka") + srv.Exec.Runs("src:kb"); ran != items {
-		t.Fatalf("executor ran %d launches, want exactly %d", ran, items)
+	resume(c)
+	checkLaunches(1+items, items+1, items+1)
+
+	if hits := srv.DedupHits(); hits != items+1 {
+		t.Fatalf("DedupHits = %d, want %d", hits, items+1)
+	}
+	if ran := srv.Exec.Runs("src:ka") + srv.Exec.Runs("src:kb"); ran != items+1 {
+		t.Fatalf("executor ran %d launches, want exactly %d", ran, items+1)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

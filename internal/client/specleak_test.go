@@ -200,13 +200,15 @@ func TestLostReplyKeepsTheSpecForResume(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if req.Op == ipc.OpLaunch {
+			rep := &ipc.Reply{Seq: req.Seq, Session: 1, Token: 7, Recovered: req.Op == ipc.OpResume}
+			if req.Op == ipc.OpLaunchBatch {
 				if dieOnLaunch {
 					return
 				}
 				replayed <- req
+				rep.Acks = []ipc.BatchAck{{OpID: req.Batch[0].OpID}}
 			}
-			if err := conn.SendReply(&ipc.Reply{Seq: req.Seq, Session: 1, Token: 7, Recovered: req.Op == ipc.OpResume}); err != nil {
+			if err := conn.SendReply(rep); err != nil {
 				return
 			}
 		}
@@ -241,7 +243,12 @@ func TestLostReplyKeepsTheSpecForResume(t *testing.T) {
 		t.Fatalf("resume = %v, %v", recovered, err)
 	}
 	req := <-replayed
-	if _, ok := specs.Take(req.Token); req.OpID != 1 || !ok {
-		t.Fatalf("resume replayed op %d with token %d (deposit present: %v), want op 1 and its kept deposit", req.OpID, req.Token, ok)
+	if len(req.Batch) != 1 {
+		t.Fatalf("resume replayed %d items, want a frame of one", len(req.Batch))
+	}
+	if it := req.Batch[0]; it.OpID != 1 {
+		t.Fatalf("resume replayed op %d, want op 1", it.OpID)
+	} else if _, ok := specs.Take(it.Token); !ok {
+		t.Fatalf("resume replayed token %d, whose deposit is gone", it.Token)
 	}
 }

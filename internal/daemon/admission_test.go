@@ -307,6 +307,39 @@ func TestDrainForceClosesStragglers(t *testing.T) {
 	}
 }
 
+// Close and Drain return with a launch still pending: Close waits for its
+// launch to run, and a drain force-closes a session that never says goodbye,
+// whose teardown waits for its launch.
+func TestCloseAndDrainReturnWithALaunchPending(t *testing.T) {
+	srv, dial := daemon.NewLocal(2)
+	closer, err := client.Local(srv, dial, "closer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	straggler, err := client.Local(srv, dial, "straggler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closer.Launch(slowKernel2("pending-close", 20, time.Millisecond), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := closer.Close(); err != nil {
+		t.Fatalf("close with a launch pending: %v", err)
+	}
+	if runs := srv.Exec.Runs("pending-close"); runs != 1 {
+		t.Fatalf("Close returned with its launch run %d times, want 1", runs)
+	}
+	if err := straggler.Launch(slowKernel2("pending-drain", 20, time.Millisecond), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Drain(500 * time.Millisecond); err != nil {
+		t.Fatalf("drain with a launch pending: %v", err)
+	}
+	if runs := srv.Exec.Runs("pending-drain"); runs != 1 || srv.Sessions() != 0 || srv.Specs.Len() != 0 {
+		t.Fatalf("after the drain: launch run %d times, %d sessions, %d specs", runs, srv.Sessions(), srv.Specs.Len())
+	}
+}
+
 // A containment timeout is sticky for the session, like a panic.
 func TestKernelTimeoutPoisonsSession(t *testing.T) {
 	srv, dial := daemon.NewLocal(2)

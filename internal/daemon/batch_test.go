@@ -1,6 +1,7 @@
 package daemon_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,13 +102,13 @@ func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
 		return ipc.BatchItem{Token: srv.Specs.Put(spec), Stream: stream, OpID: op}
 	}
 	single := func(it ipc.BatchItem) *ipc.Request {
-		return &ipc.Request{Op: ipc.OpLaunch, Token: it.Token, Stream: it.Stream, OpID: it.OpID}
+		return &ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{it}}
 	}
 	held1, held2 := item(1, 1, gatedKernel("held", gate)), item(2, 1, gatedKernel("held", gate))
 	bad := item(3, 2, panickingSpec("panicker"))
 	for _, it := range []ipc.BatchItem{held1, held2, bad} {
-		if rep := do(single(it)); rep.Err != "" {
-			t.Fatalf("op %d: %s", it.OpID, rep.Err)
+		if rep := do(single(it)); rep.Err != "" || len(rep.Acks) != 1 || rep.Acks[0].Code != 0 {
+			t.Fatalf("op %d: %+v", it.OpID, rep)
 		}
 	}
 	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: 2}); rep.Code != ipc.CodeOf(ipc.ErrKernelPanic) {
@@ -119,7 +120,7 @@ func TestReplayOnPoisonedSessionIsAnsweredFromWindow(t *testing.T) {
 		t.Fatalf("fresh single on a poisoned session = %+v, want the sticky error", rep)
 	}
 	// ...a replayed single is answered from the window...
-	if rep := do(single(bad)); rep.Err != "" || !rep.Dup {
+	if rep := do(single(bad)); rep.Err != "" || len(rep.Acks) != 1 || !rep.Acks[0].Dup {
 		t.Fatalf("replayed single = %+v, want the stored ack with Dup", rep)
 	}
 	// ...and so is a replayed batch, although three items would not fit the quota.
@@ -283,6 +284,85 @@ func TestRecoveryReplaysBatchedRecords(t *testing.T) {
 	for _, k := range []string{"rb1", "rb2"} {
 		if got := srv2.Exec.Runs("src:" + k); got != 0 {
 			t.Fatalf("%s: %d incarnation-2 runs of a completed launch", k, got)
+		}
+	}
+}
+
+// A connection decodes every frame into the same items and acks from the
+// same slice, so nothing of one frame may show in the next: frames that put
+// spec items, and a refused one, where the frame before had source items get
+// exactly their own acks and run exactly their own kernels, and a re-send of
+// every accepted op replays each ack as it was first given.
+func TestFrameStorageReuseLeaksNothing(t *testing.T) {
+	srv, dial, _ := durableServer(t, t.TempDir(), 2)
+	defer srv.CloseDurability()
+	conn := ipc.NewConn(dial())
+	defer conn.Close()
+	seq := uint64(0)
+	do := func(req *ipc.Request) *ipc.Reply {
+		t.Helper()
+		seq++
+		req.Seq = seq
+		return call(t, conn, req)
+	}
+	if rep := do(&ipc.Request{Op: ipc.OpHello, Proc: "reuse"}); rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	op := uint64(0)
+	src := func() ipc.BatchItem { op++; return batchSrcItem(op, "rk") }
+	spec := func() ipc.BatchItem {
+		op++
+		return ipc.BatchItem{Token: srv.Specs.Put(quickKernel("reuse-spec")), OpID: op}
+	}
+	const unknownToken = 1 << 40
+	unknown := func() ipc.BatchItem { op++; return ipc.BatchItem{Token: unknownToken, OpID: op} }
+
+	var replay []ipc.BatchItem
+	var firstAcks []ipc.BatchAck
+	for _, frame := range [][]ipc.BatchItem{
+		{src(), src(), src()},
+		{spec(), spec()},
+		{src(), unknown(), spec()},
+		{spec()},
+	} {
+		rep := do(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: frame})
+		if rep.Err != "" || len(rep.Acks) != len(frame) {
+			t.Fatalf("frame at op %d = %+v", frame[0].OpID, rep)
+		}
+		for i, a := range rep.Acks {
+			it := frame[i]
+			var ok bool
+			switch {
+			case it.Src:
+				ok = a.Code == 0 && a.Err == "" && len(a.Entries) > 0
+			case it.Token == unknownToken:
+				ok = strings.Contains(a.Err, "unknown kernel token") && len(a.Entries) == 0
+			default:
+				ok = a.Code == 0 && a.Err == "" && len(a.Entries) == 0
+			}
+			if !ok || a.OpID != it.OpID || a.Degraded || a.Dup {
+				t.Fatalf("op %d (source %v, token %d) acked %+v", it.OpID, it.Src, it.Token, a)
+			}
+			if a.Code == 0 {
+				replay, firstAcks = append(replay, it), append(firstAcks, a)
+			}
+		}
+	}
+	if rep := do(&ipc.Request{Op: ipc.OpSynchronize, Stream: -1}); rep.Err != "" {
+		t.Fatal(rep.Err)
+	}
+	if src, spec := srv.Exec.Runs("src:rk"), srv.Exec.Runs("reuse-spec"); src != 4 || spec != 4 {
+		t.Fatalf("ran the source kernel %d and the spec kernel %d times, want 4 and 4", src, spec)
+	}
+	rep := do(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: replay})
+	if rep.Err != "" || len(rep.Acks) != len(replay) {
+		t.Fatalf("re-sent frame = %+v", rep)
+	}
+	for i, a := range rep.Acks {
+		want := firstAcks[i]
+		want.Dup = true
+		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", want) {
+			t.Fatalf("op %d re-acked %+v, first acked %+v", a.OpID, a, firstAcks[i])
 		}
 	}
 }

@@ -257,12 +257,9 @@ func (w *foldWorld) step(s foldStep) {
 	case foldLaunch:
 		if c := w.connected(s.who); c != nil {
 			it := w.item(c, s.arg, s.arg/4%3)
-			req := &ipc.Request{Op: ipc.OpLaunch, Token: it.Token, TaskSize: it.TaskSize, Stream: it.Stream, OpID: it.OpID}
-			if it.Src {
-				req.Op, req.Source, req.Kernel = ipc.OpLaunchSource, it.Source, it.Kernel
-				req.GridX, req.GridY, req.BlockX, req.BlockY = it.GridX, it.GridY, it.BlockX, it.BlockY
-			}
-			w.call(c, req) // a refusal (poisoned session) is a valid outcome
+			// A single launch is a frame of one; a refusal (poisoned session)
+			// is a valid outcome.
+			w.call(c, &ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{it}})
 		}
 	case foldBatch:
 		if c := w.connected(s.who); c != nil {

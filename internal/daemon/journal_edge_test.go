@@ -36,8 +36,8 @@ func TestRecoveryOverEmptyStateDir(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, conn, launch); rep.Err != "" {
-		t.Fatalf("launch on cold daemon: %v", rep.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatalf("launch on cold daemon: %v", err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatalf("sync on cold daemon: %v", rep.Err)
@@ -58,8 +58,8 @@ func TestRecoveryRemovesCheckpointTmpOrphan(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, conn, launch); rep.Err != "" {
-		t.Fatal(rep.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatal(err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatal(rep.Err)
@@ -107,8 +107,8 @@ func TestCorruptCheckpointQuarantineCostsOnlyCheckpointedState(t *testing.T) {
 	helloA := call(t, connA, &ipc.Request{Op: ipc.OpHello, Proc: "ckpt-bound", Seq: 1})
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, connA, launch); rep.Err != "" {
-		t.Fatal(rep.Err)
+	if err := launchErr(call(t, connA, launch)); err != "" {
+		t.Fatal(err)
 	}
 	if rep := call(t, connA, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatal(rep.Err)

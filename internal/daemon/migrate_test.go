@@ -2,7 +2,9 @@ package daemon_test
 
 import (
 	"errors"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,8 +30,8 @@ func TestMigrateSessionsMovesDurableImage(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, conn, launch); rep.Err != "" {
-		t.Fatalf("launch: %v", rep.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatalf("launch: %v", err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatalf("sync: %v", rep.Err)
@@ -66,7 +68,7 @@ func TestMigrateSessionsMovesDurableImage(t *testing.T) {
 	}
 	replay := sourceLaunch(1)
 	replay.Seq = 2
-	if rep := call(t, conn2, replay); rep.Err != "" || !rep.Dup {
+	if rep := call(t, conn2, replay); !dupAck(rep) {
 		t.Fatalf("replay on destination = %+v, want stored ack with Dup", rep)
 	}
 	if runs := dst.Exec.Runs("src:rk"); runs != 0 {
@@ -99,8 +101,8 @@ func TestAdoptStateTombstonesTheDir(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, conn, launch); rep.Err != "" {
-		t.Fatalf("launch: %v", rep.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatalf("launch: %v", err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatalf("sync: %v", rep.Err)
@@ -234,5 +236,43 @@ func TestVersionSkewRefused(t *testing.T) {
 	}
 	if !errors.Is(daemon.ErrVersionSkew, daemon.ErrVersionSkew) {
 		t.Fatal("unreachable")
+	}
+}
+
+// A protocol-v3 peer fails at its first frame: its hello sets v3's Version
+// mask bit, past the last field of a v4 Request, so the daemon refuses the
+// frame as corrupt and closes the connection with no reply. The bytes are a
+// v3 client's hello (Seq 1, Proc "v3", Version 3) and its single source
+// launch (OpLaunchSource, op 1), as the v3 codec wrote them.
+func TestV3PeerGetsNoSession(t *testing.T) {
+	v3Hello := []byte{0x9, 0x87, 0x80, 0x10, 0x1, 0x1, 0x2, 0x76, 0x33, 0x3}
+	v3Launch := append([]byte{0x29, 0x83, 0xfe, 0x3, 0x7, 0x2, 0x8, 0x1b},
+		"__global__ void k(int n) {}\x01k\x02\x02\x40\x02\x01"...)
+	dir := t.TempDir()
+	srv, dial, _ := durableServer(t, dir, 2)
+	defer srv.CloseDurability()
+
+	nc := dial()
+	defer nc.Close()
+	go func() { _, _ = nc.Write(append(v3Hello, v3Launch...)) }()
+	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := nc.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("v3 hello: read %d bytes, err %v; want the connection closed with no reply", n, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the v3 connection's session never ended")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if runs := srv.Exec.Runs("src:k"); runs != 0 {
+		t.Fatalf("the v3 launch ran %d times", runs)
+	}
+	digest, err := daemon.StateDigest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(digest, "sess=") {
+		t.Fatalf("a session opened for the v3 hello:\n%s", digest)
 	}
 }

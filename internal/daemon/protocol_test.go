@@ -51,20 +51,32 @@ func TestProtocolErrors(t *testing.T) {
 	if rep := call(t, c, &ipc.Request{Op: ipc.OpMemcpyD2H, Seq: 5, Buf: 777, Size: 4}); rep.Err == "" {
 		t.Fatal("D2H from unknown buffer accepted")
 	}
-	if rep := call(t, c, &ipc.Request{Op: ipc.OpLaunch, Seq: 6, Token: 424242}); !strings.Contains(rep.Err, "unknown kernel token") {
-		t.Fatalf("unknown token reply = %+v", rep)
+	// The single launch op of protocol v3 is no op at all now.
+	if rep := call(t, c, &ipc.Request{Op: ipc.OpLaunch, Seq: 6, Token: 424242, OpID: 1}); !strings.Contains(rep.Err, "unknown op") {
+		t.Fatalf("OpLaunch reply = %+v, want the unknown-op refusal", rep)
 	}
-	if rep := call(t, c, &ipc.Request{Op: ipc.OpLaunchSource, Seq: 7, Source: "int main(){}", Kernel: "k"}); rep.Err == "" {
+	if err := launchErr(call(t, c, launchOne(7, ipc.BatchItem{Token: 424242, OpID: 1}))); !strings.Contains(err, "unknown kernel token") {
+		t.Fatalf("unknown token refusal = %q", err)
+	}
+	if err := launchErr(call(t, c, launchOne(8, ipc.BatchItem{Src: true, Source: "int main(){}", Kernel: "k", OpID: 2}))); err == "" {
 		t.Fatal("kernel-free source accepted")
 	}
 	// A kernel present in source but not the requested one.
-	rep := call(t, c, &ipc.Request{
-		Op: ipc.OpLaunchSource, Seq: 8,
-		Source: "__global__ void other(int n) { if (n) return; }", Kernel: "k",
-	})
-	if !strings.Contains(rep.Err, "not found after injection") {
-		t.Fatalf("wrong-kernel reply = %+v", rep)
+	err := launchErr(call(t, c, launchOne(9, ipc.BatchItem{
+		Src: true, Source: "__global__ void other(int n) { if (n) return; }", Kernel: "k", OpID: 3,
+	})))
+	if !strings.Contains(err, "not found after injection") {
+		t.Fatalf("wrong-kernel refusal = %q", err)
 	}
+	// An unstamped launch is refused in its own ack.
+	if err := launchErr(call(t, c, launchOne(10, ipc.BatchItem{Src: true, Source: "__global__ void k(int n) {}", Kernel: "k", GridX: 1, GridY: 1, BlockX: 32, BlockY: 1}))); !strings.Contains(err, "must carry op IDs") {
+		t.Fatalf("unstamped launch refusal = %q", err)
+	}
+}
+
+// launchOne is a frame of one launch.
+func launchOne(seq uint64, it ipc.BatchItem) *ipc.Request {
+	return &ipc.Request{Op: ipc.OpLaunchBatch, Seq: seq, Batch: []ipc.BatchItem{it}}
 }
 
 func TestH2DOverflowRejectedByDaemon(t *testing.T) {

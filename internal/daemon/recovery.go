@@ -814,7 +814,8 @@ func (g *recordGroup) commit(s *Server) error {
 // dedup answers a replayed launch from the session's dedup window, into its
 // ack: an op still in the window gets its original ack back with Dup set, one
 // at or below MaxOp that has aged out gets CodeDuplicateOp. False means the
-// op is fresh (or carries no dedup identity) and must go on to admission.
+// op is fresh (or it or its session has no dedup identity) and must go on
+// to admission.
 func (s *Server) dedup(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
 	if s.durable == nil || st == nil || opID == 0 {
 		return false
@@ -841,20 +842,16 @@ func (s *Server) dedup(st *resumeState, opID uint64, ack *ipc.BatchAck) bool {
 // — write-ahead of the ack, with the ack's contents and, for source launches,
 // the geometry recovery needs to re-execute them — in one group commit, whose
 // apply installs their dedup entries in op-ID order. idxs selects the accepted
-// items (per-item rejections are acked but never journaled); an unstamped one
-// has no identity to journal under. A fired crash site returns
-// fault.ErrCrash: the caller dies without acking, so either no item of the
-// frame is durable (torn prefix truncates on replay) or all are (durable,
-// un-acked; the dedup window absorbs the re-send).
+// items (per-item rejections are acked but never journaled). A fired crash
+// site returns fault.ErrCrash: the caller dies without acking, so either no
+// item of the frame is durable (torn prefix truncates on replay) or all are
+// (durable, un-acked; the dedup window absorbs the re-send).
 func (s *Server) acceptFrame(g *recordGroup, st *resumeState, items []ipc.BatchItem, acks []ipc.BatchAck, idxs []int) error {
 	if s.durable == nil || st == nil {
 		return nil
 	}
 	for _, i := range idxs {
 		it, a := &items[i], &acks[i]
-		if it.OpID == 0 {
-			continue
-		}
 		g.recs = append(g.recs, journal.Record{
 			Kind: journal.KindLaunchAccept, Sess: st.Sess, OpID: it.OpID,
 			Code: uint8(a.Code), Err: a.Err, Degraded: a.Degraded, Entries: a.Entries,
@@ -895,7 +892,7 @@ func (s *Server) journalCompletions(g *recordGroup, outs []launchOutcome) {
 		return
 	}
 	for _, o := range outs {
-		if o.st == nil || o.opID == 0 {
+		if o.st == nil {
 			continue
 		}
 		var code uint8

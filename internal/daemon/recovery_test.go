@@ -2,6 +2,7 @@ package daemon_test
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -28,11 +29,28 @@ func durableServer(t *testing.T, dir string, budget int) (*daemon.Server, func()
 
 const recoverySrc = `__global__ void rk(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 2.0f; }`
 
+// sourceLaunch is a frame of one source launch.
 func sourceLaunch(opID uint64) *ipc.Request {
-	return &ipc.Request{
-		Op: ipc.OpLaunchSource, Source: recoverySrc, Kernel: "rk",
+	return &ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{{
+		Src: true, Source: recoverySrc, Kernel: "rk",
 		GridX: 4, GridY: 1, BlockX: 32, BlockY: 1, TaskSize: 4, OpID: opID,
+	}}}
+}
+
+// launchErr is the refusal of a frame of one: the frame's, or its item's.
+func launchErr(rep *ipc.Reply) string {
+	switch {
+	case rep.Err != "":
+		return rep.Err
+	case len(rep.Acks) != 1:
+		return fmt.Sprintf("%d acks for a frame of one", len(rep.Acks))
 	}
+	return rep.Acks[0].Err
+}
+
+// dupAck reports whether a frame of one was answered with its stored ack.
+func dupAck(rep *ipc.Reply) bool {
+	return launchErr(rep) == "" && rep.Acks[0].Dup
 }
 
 // A durable hello mints a resume token; a volatile daemon does not.
@@ -68,9 +86,8 @@ func TestResumeRecoversSessionAcrossRestart(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	first := call(t, conn, launch)
-	if first.Err != "" {
-		t.Fatalf("launch: %v", first.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatalf("launch: %v", err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatalf("sync: %v", rep.Err)
@@ -101,7 +118,7 @@ func TestResumeRecoversSessionAcrossRestart(t *testing.T) {
 	replay := sourceLaunch(1)
 	replay.Seq = 2
 	rep := call(t, conn2, replay)
-	if rep.Err != "" || !rep.Dup {
+	if !dupAck(rep) {
 		t.Fatalf("replayed op = %+v, want the stored ack with Dup", rep)
 	}
 	if got := srv2.Exec.Runs("src:rk"); got != 0 {
@@ -113,8 +130,8 @@ func TestResumeRecoversSessionAcrossRestart(t *testing.T) {
 	// A fresh op on the resumed session still works.
 	fresh := sourceLaunch(2)
 	fresh.Seq = 3
-	if rep := call(t, conn2, fresh); rep.Err != "" {
-		t.Fatalf("fresh launch after resume: %v", rep.Err)
+	if err := launchErr(call(t, conn2, fresh)); err != "" {
+		t.Fatalf("fresh launch after resume: %v", err)
 	}
 	if rep := call(t, conn2, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 4}); rep.Err != "" {
 		t.Fatalf("sync after resume: %v", rep.Err)
@@ -388,8 +405,8 @@ func TestCompactionBoundaryKeepsCompletion(t *testing.T) {
 	}
 	launch := sourceLaunch(1)
 	launch.Seq = 2
-	if rep := call(t, conn, launch); rep.Err != "" {
-		t.Fatalf("launch: %v", rep.Err)
+	if err := launchErr(call(t, conn, launch)); err != "" {
+		t.Fatalf("launch: %v", err)
 	}
 	if rep := call(t, conn, &ipc.Request{Op: ipc.OpSynchronize, Stream: -1, Seq: 3}); rep.Err != "" {
 		t.Fatalf("sync: %v", rep.Err)
@@ -421,7 +438,7 @@ func TestCompactionBoundaryKeepsCompletion(t *testing.T) {
 	}
 	replay := sourceLaunch(1)
 	replay.Seq = 2
-	if rep := call(t, conn2, replay); rep.Err != "" || !rep.Dup {
+	if rep := call(t, conn2, replay); !dupAck(rep) {
 		t.Fatalf("replayed op = %+v, want the stored ack with Dup", rep)
 	}
 }

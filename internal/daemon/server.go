@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,8 +126,8 @@ type Server struct {
 	Compiler *nvrtc.Compiler
 
 	// MaxSessionPending bounds each session's accepted-but-unfinished
-	// launches; beyond it OpLaunch/OpLaunchSource fail with
-	// ErrBackpressure (0 = unbounded).
+	// launches; a launch frame beyond it fails with ErrBackpressure (0 =
+	// unbounded).
 	MaxSessionPending int
 	// MaxSessionBytes bounds each session's live device memory; an OpMalloc
 	// that would exceed it fails with ErrQuota (0 = unbounded).
@@ -420,15 +421,21 @@ func (s *Server) ServeConn(nc net.Conn) {
 		s.mu.Unlock()
 	}()
 
+	// Every frame decodes into req and replies from rep and acks, storage the
+	// connection keeps: nothing holds them once the reply is sent (the dedup
+	// window and the journal records copy what they keep).
+	var (
+		req  ipc.Request
+		rep  = new(ipc.Reply)
+		acks []ipc.BatchAck
+	)
 	for {
-		req, err := conn.RecvRequest()
-		if err != nil {
+		if err := conn.ReadRequest(&req); err != nil {
 			// EOF is a vanished client; anything else is a torn or garbage
 			// frame. Either way the deferred teardown reclaims the session.
-			_ = err
 			return
 		}
-		rep := &ipc.Reply{Seq: req.Seq}
+		*rep = ipc.Reply{Seq: req.Seq}
 		switch req.Op {
 		case ipc.OpHello:
 			// Session established; hand the client its session ID so its
@@ -564,32 +571,14 @@ func (s *Server) ServeConn(nc net.Conn) {
 				}
 				rep.Data = append([]byte(nil), src[:n]...)
 			}
-		case ipc.OpLaunch, ipc.OpLaunchSource:
-			// A single launch is a frame of one; an unstamped one (OpID 0)
-			// runs with no dedup identity and no journal record.
-			items := [1]ipc.BatchItem{{
-				Src: req.Op == ipc.OpLaunchSource, Token: req.Token,
-				TaskSize: req.TaskSize, Stream: req.Stream, OpID: req.OpID,
-				Source: req.Source, Kernel: req.Kernel,
-				GridX: req.GridX, GridY: req.GridY, BlockX: req.BlockX, BlockY: req.BlockY,
-			}}
-			acks := [1]ipc.BatchAck{{OpID: req.OpID}}
-			died, refusal := s.launchFrame(disp, items[:], acks[:], req.Deadline)
-			if died {
-				return // journal died pre-ack: the accept never happened
-			}
-			if refusal != nil {
-				fail(rep, refusal)
-				break
-			}
-			a := &acks[0]
-			rep.Code, rep.Err, rep.Degraded, rep.Entries, rep.Dup = a.Code, a.Err, a.Degraded, a.Entries, a.Dup
 		case ipc.OpLaunchBatch:
-			// What only a received frame can get wrong is checked here: it is
+			// Every launch arrives here, a single one as a frame of one. What
+			// only a received frame can get wrong is checked first: it is
 			// empty, a source ref is bad or its op IDs do not ascend (the
 			// whole frame is refused before anything else looks at it), or an
 			// item is unstamped (refused in its own ack; the rest of the frame
-			// goes on).
+			// goes on). Every launch carries an op ID; a daemon without
+			// durability journals and dedups none of them.
 			if len(req.Batch) == 0 {
 				fail(rep, fmt.Errorf("daemon: empty launch batch"))
 				break
@@ -602,11 +591,12 @@ func (s *Server) ServeConn(nc net.Conn) {
 				fail(rep, fmt.Errorf("daemon: launch batch refused: %w", err))
 				break
 			}
-			acks := make([]ipc.BatchAck, len(req.Batch))
+			acks = slices.Grow(acks[:0], len(req.Batch))[:len(req.Batch)]
+			clear(acks)
 			for i := range req.Batch {
 				if acks[i].OpID = req.Batch[i].OpID; acks[i].OpID == 0 {
 					acks[i].Code = ipc.CodeGeneric
-					acks[i].Err = "daemon: batched launches must carry op IDs"
+					acks[i].Err = "daemon: launches must carry op IDs"
 				}
 			}
 			died, refusal := s.launchFrame(disp, req.Batch, acks, req.Deadline)
@@ -757,10 +747,10 @@ func synthesizeSourceSpec(kernel string, gx, gy, bx, by int) *kern.Spec {
 	return spec
 }
 
-// launchFrame is the daemon's one launch path. OpLaunchBatch hands it the
-// frame it received, OpLaunch and OpLaunchSource a frame of one. acks arrives
-// with every item's OpID filled in; an item the caller's own validation
-// already refused (Code set) is left alone. Order matters:
+// launchFrame is the daemon's one launch path: OpLaunchBatch hands it the
+// frame it received. acks arrives with every item's OpID filled in; an item
+// the caller's own validation already refused (Code set, as for every
+// unstamped item) is left alone. Order matters:
 //
 //  1. dedup first — replayed items are answered from the window and consume
 //     no admission quota; a frame with no fresh item is answered entirely

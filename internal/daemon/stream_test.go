@@ -133,7 +133,7 @@ func TestLanesDrainOnDisconnect(t *testing.T) {
 		batch = append(batch, ipc.BatchItem{Token: srv.Specs.Put(spec), Stream: 1 + int(op%3), OpID: op})
 	}
 	call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
-	call(&ipc.Request{Op: ipc.OpLaunch, Token: srv.Specs.Put(spec), Stream: 3, OpID: 7})
+	call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{{Token: srv.Specs.Put(spec), Stream: 3, OpID: 7}}})
 	conn.Close()
 	close(gate)
 	<-served
@@ -194,10 +194,7 @@ func TestSynchronizeStreamMeansJournaled(t *testing.T) {
 				call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: batch})
 			} else {
 				for _, it := range batch {
-					call(&ipc.Request{
-						Op: ipc.OpLaunchSource, Source: it.Source, Kernel: it.Kernel, Stream: it.Stream, OpID: it.OpID,
-						GridX: it.GridX, GridY: it.GridY, BlockX: it.BlockX, BlockY: it.BlockY, TaskSize: it.TaskSize,
-					})
+					call(&ipc.Request{Op: ipc.OpLaunchBatch, Batch: []ipc.BatchItem{it}})
 				}
 			}
 			call(&ipc.Request{Op: ipc.OpSynchronize, Stream: 7})

@@ -18,7 +18,7 @@ func FuzzReadFrame(f *testing.F) {
 	// journal-style JSON record and a command-channel Reply), plus hostile
 	// variants. Checked-in file corpus lives in testdata/fuzz/FuzzReadFrame.
 	journalRec := []byte(`{"k":3,"sess":2,"op":7,"kernel":"stream_triad"}`)
-	reply := encodeWire(&Reply{Seq: 9, Session: 2, Token: 0xfeed, Dup: true})
+	reply := encodeWire(&Reply{Seq: 9, Session: 2, Token: 0xfeed, Recovered: true})
 
 	f.Add(AppendFrame(nil, journalRec))
 	f.Add(AppendFrame(nil, reply))

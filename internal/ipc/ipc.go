@@ -58,7 +58,7 @@ const (
 	// CodeDuplicateOp marks a launch whose per-session op ID was already
 	// accepted but whose original outcome is no longer in the bounded dedup
 	// window; the launch was NOT re-executed (exactly-once semantics).
-	// Replays whose outcome is still cached return the original reply with
+	// Replays whose outcome is still cached return the original ack with
 	// Dup set instead of this code.
 	CodeDuplicateOp
 	// codeVersionSkew refuses a Hello/Resume whose protocol version does not
@@ -145,7 +145,14 @@ func Sentinel(code ErrCode) error {
 // its first frame, before any version check: gob's bytes are not a frame of
 // this codec, so its hello gets no reply, not even codeVersionSkew, and the
 // connection is torn down once the bytes fail to decode or the peer gives up.
-const ProtocolVersion uint32 = 3
+// Version 4 made OpLaunchBatch the one launch op, dropped Request's
+// per-launch fields and Reply's per-launch ack fields, and moved
+// Request.Version to the front. A v3 peer also fails at its first frame: its
+// hello sets Request.Version's v3 mask bit, which is past the last field of a
+// v4 Request, so the frame is refused as corrupt and the daemon closes the
+// connection without a reply. A v3 daemon does not refuse a v4 hello as skew
+// either.
+const ProtocolVersion uint32 = 4
 
 // Op enumerates command-channel operations.
 type Op uint8
@@ -157,8 +164,14 @@ const (
 	OpFree
 	OpMemcpyH2D
 	OpMemcpyD2H
+	// OpLaunch is ProtocolVersion 3's single spec launch. No runtime code
+	// sends or serves it: a daemon refuses it as an unknown op. It stays
+	// declared only for the benchmark's ipc.launch_frame_bytes probe, and
+	// goes when that probe moves to a one-item OpLaunchBatch (ROADMAP item 0).
 	OpLaunch
-	OpLaunchSource
+	// 7 was ProtocolVersion 3's OpLaunchSource; it stays unused so the ops
+	// after it keep their values.
+	_
 	OpSynchronize
 	OpClose
 	// OpResume replaces OpHello for a client reconnecting after a daemon
@@ -171,10 +184,10 @@ const (
 	// load, so a supervisor can feed a failure detector and a placement
 	// router from one cheap round trip.
 	OpPing
-	// OpLaunchBatch carries N stamped launches in one frame (batched
-	// dispatch): the daemon admits, journals, and acks the whole batch in one
-	// round trip — one group-commit fsync instead of N — and replies with a
-	// per-item BatchAck slice in batch order.
+	// OpLaunchBatch is the one launch op: it carries N stamped launches in one
+	// frame (a single launch is a frame of one), and the daemon admits,
+	// journals, and acks them in one round trip — one group-commit fsync
+	// instead of N — and replies with a per-item BatchAck slice in batch order.
 	OpLaunchBatch
 )
 
@@ -192,8 +205,6 @@ func (o Op) String() string {
 		return "memcpyD2H"
 	case OpLaunch:
 		return "launch"
-	case OpLaunchSource:
-		return "launchSource"
 	case OpSynchronize:
 		return "synchronize"
 	case OpClose:
@@ -209,10 +220,17 @@ func (o Op) String() string {
 	}
 }
 
-// Request is one client→daemon command.
+// Request is one client→daemon command. Op and Version lead it, and the
+// fields kept only for the benchmark's probe trail it, so dropping those or
+// appending fields leaves Version's mask bit where it is: a peer of another
+// version still decodes the hello and gets the typed skew refusal.
 type Request struct {
-	Op  Op
-	Seq uint64
+	Op Op
+	// Version is the client's ProtocolVersion, stamped on OpHello and
+	// OpResume so the daemon can refuse version skew before any session
+	// state is touched. Zero = unstamped (accepted).
+	Version uint32
+	Seq     uint64
 	// Proc names the client process (hello).
 	Proc string
 	// Size is the allocation or transfer size.
@@ -222,40 +240,25 @@ type Request struct {
 	// Data carries bulk bytes for remote transfers (empty for in-process
 	// clients, which write the shared buffer directly).
 	Data []byte
-	// Token identifies an in-process kernel spec (OpLaunch).
-	Token uint64
-	// Stream selects the CUDA stream for OpLaunch (0 = default) and
-	// OpSynchronize (-1 = whole device).
+	// Stream selects the CUDA stream OpSynchronize waits for (-1 = whole
+	// device).
 	Stream int
-	// TaskSize is the requested SLATE_ITERS grouping.
-	TaskSize int
-	// Source carries CUDA source for OpLaunchSource.
-	Source string
-	// Kernel names the kernel within Source.
-	Kernel string
-	// GridX, GridY, BlockX, BlockY describe the launch geometry
-	// (OpLaunchSource).
-	GridX, GridY, BlockX, BlockY int
-	// OpID is the per-session monotonically increasing operation ID the
-	// client stamps on launches (0 = unstamped). The daemon journals it with
-	// the launch and dedups replays, so a reconnecting client re-sending an
-	// un-acked launch gets exactly-once execution.
-	OpID uint64
 	// Batch carries the items of an OpLaunchBatch, in submission order. Each
-	// item is a fully stamped launch; Request-level launch fields are unused
-	// for batched sends.
+	// item is a fully stamped launch.
 	Batch []BatchItem
 	// SessionToken is the resume credential presented with OpResume.
 	SessionToken uint64
-	// Version is the client's ProtocolVersion, stamped on OpHello and
-	// OpResume so the daemon can refuse version skew before any session
-	// state is touched. Zero = unstamped (accepted).
-	Version uint32
 	// Deadline is the client's per-op deadline in Unix nanoseconds (0 =
 	// none). It rides the frame so the daemon can shed already-expired
 	// work — at admission and again at the queue head — with codeExpired
 	// instead of executing launches nobody is waiting for.
 	Deadline int64
+	// Token, TaskSize and OpID are OpLaunch's fields. No runtime code sets or
+	// reads them (a launch's fields are in its BatchItem); they go with
+	// OpLaunch when the benchmark's probe moves off it (ROADMAP item 0).
+	Token    uint64
+	TaskSize int
+	OpID     uint64
 }
 
 // Reply is one daemon→client response.
@@ -267,9 +270,6 @@ type Reply struct {
 	// Session is the daemon-assigned session ID (hello); it tags
 	// session-owned resources so teardown can reclaim them.
 	Session uint64
-	// Degraded reports that a source launch fell back to the untransformed
-	// vanilla path after an injection/compilation failure (launchSource).
-	Degraded bool
 	// Buf is the allocated shared-buffer handle (malloc).
 	Buf uint64
 	// DevPtr is the daemon-side device pointer recorded in the hash table
@@ -277,15 +277,10 @@ type Reply struct {
 	DevPtr uint64
 	// Data carries bulk bytes back for remote D2H transfers.
 	Data []byte
-	// Entries lists compiled entry points (launchSource).
-	Entries []string
 	// Token is the session resume credential (hello/resume); presenting it
 	// with OpResume after a reconnect reattaches the session's recovered
 	// state.
 	Token uint64
-	// Dup reports that this reply replays the stored outcome of an op the
-	// daemon had already accepted — the launch was not executed again.
-	Dup bool
 	// Recovered reports the resume verdict: true means the daemon restarted
 	// (or the transport dropped) and the session's durable state was
 	// recovered; false on an OpResume reply means the state was lost and the
@@ -305,8 +300,7 @@ type Reply struct {
 	Acks []BatchAck
 }
 
-// BatchItem is one stamped launch inside an OpLaunchBatch request: the same
-// fields a single OpLaunch/OpLaunchSource carries, minus the envelope.
+// BatchItem is one stamped launch inside an OpLaunchBatch request.
 type BatchItem struct {
 	// Src selects the source-launch path (Source/Kernel/geometry) over the
 	// in-process spec-token path (Token).
@@ -386,10 +380,13 @@ type BatchAck struct {
 	OpID uint64
 	Code ErrCode
 	Err  string
-	// Degraded/Entries mirror the source-launch ack fields.
+	// Degraded reports that a source launch fell back to the untransformed
+	// vanilla path after an injection/compilation failure.
 	Degraded bool
-	Entries  []string
-	// Dup marks a replayed op answered from the dedup window.
+	// Entries lists a source launch's compiled entry points.
+	Entries []string
+	// Dup reports that this ack replays the stored outcome of an op the
+	// daemon had already accepted — the launch was not executed again.
 	Dup bool
 }
 
@@ -437,13 +434,27 @@ func (c *Conn) recv(m walkable) error {
 // SendRequest writes one command frame.
 func (c *Conn) SendRequest(r *Request) error { return c.send(r) }
 
-// RecvRequest reads one command frame (daemon side).
+// RecvRequest reads one command frame into a new Request.
 func (c *Conn) RecvRequest() (*Request, error) {
 	r := new(Request)
-	if err := c.recv(r); err != nil {
+	if err := c.ReadRequest(r); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// ReadRequest reads one command frame into r (daemon side), overwriting it.
+// The items decode into r.Batch's storage, kept from the last frame unless it
+// holds more than keptItems, so a caller that reads every frame into the same
+// Request allocates nothing for them; nothing of one frame's r may be kept
+// past the next call.
+func (c *Conn) ReadRequest(r *Request) error {
+	batch := r.Batch[:0]
+	if cap(batch) > keptItems {
+		batch = nil
+	}
+	*r = Request{Batch: batch}
+	return c.recv(r)
 }
 
 // SendReply writes one response frame (daemon side).

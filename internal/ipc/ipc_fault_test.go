@@ -24,7 +24,7 @@ func TestRecvRequestGarbageFrame(t *testing.T) {
 // A frame cut off anywhere, in its header or its body, surfaces as a
 // truncated frame once the peer closes.
 func TestRecvRequestTruncatedFrame(t *testing.T) {
-	frame := wireFrame(t, &Request{Op: OpLaunchSource, Seq: 9, Source: strings.Repeat("__global__ void k() {}", 8)})
+	frame := wireFrame(t, &Request{Op: OpLaunchBatch, Seq: 9, Batch: []BatchItem{{Src: true, OpID: 1, Source: strings.Repeat("__global__ void k() {}", 8)}}})
 	for _, cut := range []int{1, len(frame) / 2, len(frame) - 1} {
 		a, b := net.Pipe()
 		conn := NewConn(b)

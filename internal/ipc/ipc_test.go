@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,7 +44,7 @@ func TestRequestReplyRoundTrip(t *testing.T) {
 }
 
 func TestOpStrings(t *testing.T) {
-	ops := []Op{OpHello, OpMalloc, OpFree, OpMemcpyH2D, OpMemcpyD2H, OpLaunch, OpLaunchSource, OpSynchronize, OpClose}
+	ops := []Op{OpHello, OpMalloc, OpFree, OpMemcpyH2D, OpMemcpyD2H, OpLaunch, OpSynchronize, OpClose, OpResume, OpPing, OpLaunchBatch}
 	seen := map[string]bool{}
 	for _, o := range ops {
 		s := o.String()
@@ -236,5 +237,65 @@ func TestEveryCodeRoundTrips(t *testing.T) {
 	}
 	if len(seen) != len(wireErrors) {
 		t.Fatalf("wireErrors has %d rows for %d typed codes", len(wireErrors), len(seen))
+	}
+}
+
+// ReadRequest decodes every frame into the caller's Request and reuses its
+// items' storage, so each frame must read back exactly as it was sent,
+// whatever the frame before it held; storage past keptItems is let go.
+func TestReadRequestReuseIsInvisible(t *testing.T) {
+	src := func(op uint64) BatchItem {
+		return BatchItem{Src: true, Token: 9, TaskSize: 4, Stream: 2, OpID: op, Source: "s", Kernel: "k",
+			GridX: 1, GridY: 2, BlockX: 3, BlockY: 4}
+	}
+	large := make([]BatchItem, keptItems+1)
+	for i := range large {
+		large[i] = BatchItem{Token: 1, OpID: uint64(10 + i)}
+	}
+	frames := []*Request{
+		{Op: OpLaunchBatch, Seq: 1, Deadline: 5, Batch: []BatchItem{src(1), src(2), src(3)}},
+		{Op: OpLaunchBatch, Seq: 2, Batch: []BatchItem{{Token: 7, OpID: 4}, {Src: true, SrcRef: 1, OpID: 5}}},
+		{Op: OpSynchronize, Seq: 3, Stream: -1},
+		{Op: OpLaunchBatch, Seq: 4, Batch: []BatchItem{{OpID: 6}}},
+		{Op: OpLaunchBatch, Seq: 5, Batch: large},
+		{Op: OpLaunchBatch, Seq: 6, Batch: []BatchItem{src(100)}},
+	}
+	a, b := net.Pipe()
+	defer b.Close()
+	go func() {
+		c := NewConn(a)
+		defer c.Close()
+		for _, f := range frames {
+			if c.SendRequest(f) != nil {
+				return
+			}
+		}
+	}()
+	conn := NewConn(b)
+	var r Request
+	var first *BatchItem
+	for i, want := range frames {
+		if err := conn.ReadRequest(&r); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got := r
+		if len(got.Batch) == 0 {
+			got.Batch = nil // the kept storage, empty
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("frame %d read back as\n%+v\nwant\n%+v", i, got, *want)
+		}
+		switch want.Seq {
+		case 1:
+			first = &r.Batch[0]
+		case 2, 4:
+			if &r.Batch[0] != first {
+				t.Fatalf("frame %d decoded into new storage", i)
+			}
+		case 6:
+			if cap(r.Batch) > keptItems {
+				t.Fatalf("frame %d kept storage for %d items", i, cap(r.Batch))
+			}
+		}
 	}
 }

@@ -1,4 +1,4 @@
-// Wire codec for the command channel (ProtocolVersion 3). Every Request and
+// Wire codec for the command channel (ProtocolVersion 4). Every Request and
 // Reply travels as one frame,
 //
 //	[uvarint payload length][payload]
@@ -42,6 +42,9 @@ const (
 	// keptBufSize is the largest read or write buffer a connection keeps
 	// between frames; a bulk transfer's buffer is dropped after its frame.
 	keptBufSize = 64 << 10
+	// keptItems is the most batch items a Request read by ReadRequest keeps
+	// storage for between frames.
+	keptItems = 64
 	// A decoder interns strings up to maxNameLen bytes, and keeps up to
 	// maxNames of them before it starts its table afresh.
 	maxNameLen = 64
@@ -243,7 +246,8 @@ func (w *walker) text(b []byte) string {
 	return s
 }
 
-// walkSlice carries a slice of messages.
+// walkSlice carries a slice of messages. A read decodes into *p's storage
+// when it has room, zeroing each element first.
 func walkSlice[T any, P interface {
 	*T
 	walkable
@@ -262,7 +266,13 @@ func walkSlice[T any, P interface {
 	if n == 0 {
 		return
 	}
-	s := make([]T, n)
+	s := (*p)[:0]
+	if cap(s) < n {
+		s = make([]T, n)
+	} else {
+		s = s[:n]
+		clear(s)
+	}
 	for i := range s {
 		w.message(P(&s[i]))
 	}
@@ -441,25 +451,19 @@ func (r *wireReader) truncated(err error) error {
 // walk lists Request's fields in wire order.
 func (r *Request) walk(w *walker) {
 	w.u8((*uint8)(&r.Op))
+	w.u32(&r.Version)
 	w.u64(&r.Seq)
 	w.str(&r.Proc)
 	w.i64(&r.Size)
 	w.u64(&r.Buf)
 	w.data(&r.Data)
-	w.u64(&r.Token)
 	w.int(&r.Stream)
-	w.int(&r.TaskSize)
-	w.str(&r.Source)
-	w.str(&r.Kernel)
-	w.int(&r.GridX)
-	w.int(&r.GridY)
-	w.int(&r.BlockX)
-	w.int(&r.BlockY)
-	w.u64(&r.OpID)
 	walkSlice(w, &r.Batch)
 	w.u64(&r.SessionToken)
-	w.u32(&r.Version)
 	w.i64(&r.Deadline)
+	w.u64(&r.Token)
+	w.int(&r.TaskSize)
+	w.u64(&r.OpID)
 }
 
 // walk lists Reply's fields in wire order.
@@ -468,13 +472,10 @@ func (r *Reply) walk(w *walker) {
 	w.str(&r.Err)
 	w.u8((*uint8)(&r.Code))
 	w.u64(&r.Session)
-	w.flag(&r.Degraded)
 	w.u64(&r.Buf)
 	w.u64(&r.DevPtr)
 	w.data(&r.Data)
-	w.strs(&r.Entries)
 	w.u64(&r.Token)
-	w.flag(&r.Dup)
 	w.flag(&r.Recovered)
 	w.i64(&r.Load)
 	w.u64(&r.LoadSeq)

@@ -128,9 +128,18 @@ func TestWireCarriesEveryField(t *testing.T) {
 // Extremes of every numeric kind survive, signed ones in both directions.
 func TestWireNumericExtremes(t *testing.T) {
 	const maxInt = int(^uint(0) >> 1)
-	roundTrip(t, &Request{Op: 255, Seq: ^uint64(0), Size: -1 << 63, Stream: -1, TaskSize: maxInt,
-		GridX: -maxInt - 1, Version: ^uint32(0), Deadline: 1<<63 - 1, OpID: 1 << 63})
+	roundTrip(t, &Request{Op: 255, Seq: ^uint64(0), Size: -1 << 63, Stream: -maxInt - 1, Version: ^uint32(0),
+		Deadline: 1<<63 - 1, Batch: []BatchItem{{TaskSize: maxInt, GridX: -maxInt - 1, OpID: 1 << 63}}})
 	roundTrip(t, &Reply{Code: 255, Load: -1, LoadSeq: 127, Token: 128})
+}
+
+// Op and Version are a Request's first two fields, so a hello of any later
+// version that keeps them there decodes far enough to be refused with
+// codeVersionSkew.
+func TestWireVersionKeepsItsMaskBit(t *testing.T) {
+	if got, want := encodeWire(&Request{Op: OpHello, Version: 9}), []byte{0x03, byte(OpHello), 9}; !bytes.Equal(got, want) {
+		t.Fatalf("a bare hello encodes as % x, want % x", got, want)
+	}
 }
 
 // Every payload that is not the one encoding of a message is refused as
@@ -141,17 +150,17 @@ func TestWireRefusesNonCanonicalPayloads(t *testing.T) {
 		"empty":                  {},
 		"truncated":              good[:len(good)-1],
 		"trailing byte":          append(append([]byte(nil), good...), 0),
-		"unknown mask bit":       {0x80, 0x80, 0x80, 0x01}, // bit 21 of a 20-field message
+		"unknown mask bit":       {0x80, 0x80, 0x01}, // bit 14 of a 14-field message
 		"non-minimal mask":       {0x81, 0x00, 0x06},
 		"non-minimal value":      {0x01, 0x86, 0x00},
 		"present but zero":       {0x01, 0x00},
-		"empty present string":   {0x04, 0x00},
+		"empty present string":   {0x08, 0x00},
 		"op overflows uint8":     {0x01, 0x80, 0x02},
 		"varint overflows":       {0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
-		"string past the end":    {0x04, 0x05, 'a', 'b'},
-		"count past the end":     {0x80, 0x80, 0x04, 0x03, 0x00, 0x00},
+		"string past the end":    {0x08, 0x05, 'a', 'b'},
+		"count past the end":     {0x80, 0x02, 0x03, 0x00, 0x00},
 		"varint past the end":    {0x02, 0x80},
-		"item with unknown bits": {0x80, 0x80, 0x04, 0x01, 0x80, 0x20},
+		"item with unknown bits": {0x80, 0x02, 0x01, 0x80, 0x20},
 	} {
 		var r Request
 		if err := decodeWire(payload, &r); !errors.Is(err, ErrFrameCorrupt) {
@@ -159,8 +168,8 @@ func TestWireRefusesNonCanonicalPayloads(t *testing.T) {
 		}
 	}
 	var r Reply
-	if err := decodeWire([]byte{0x80, 0x02, 0x00}, &r); !errors.Is(err, ErrFrameCorrupt) {
-		t.Errorf("reply whose present Entries has no element: err = %v", err)
+	if err := decodeWire([]byte{0x80, 0x10, 0x00}, &r); !errors.Is(err, ErrFrameCorrupt) {
+		t.Errorf("reply whose present Acks has no element: err = %v", err)
 	}
 }
 
@@ -247,7 +256,7 @@ func (c *chunked) Read(p []byte) (int, error) {
 func sampleRequests() []*Request {
 	return []*Request{
 		{Op: OpHello, Seq: 1, Proc: "bench", Version: ProtocolVersion},
-		{Op: OpLaunch, Seq: 2, Token: 1, TaskSize: 4, OpID: 1},
+		{Op: OpLaunchBatch, Seq: 2, Batch: []BatchItem{{Token: 1, TaskSize: 4, OpID: 1}}},
 		{Op: OpMemcpyH2D, Seq: 3, Buf: 2, Size: 8, Data: []byte("12345678")},
 		{Op: OpSynchronize, Seq: 4, Stream: -1},
 		{Op: OpLaunchBatch, Seq: 5, Deadline: 1 << 60, Batch: []BatchItem{
@@ -260,11 +269,11 @@ func sampleRequests() []*Request {
 
 func sampleReplies() []*Reply {
 	return []*Reply{
-		{Seq: 9, Session: 2, Token: 0xfeed, Dup: true},
+		{Seq: 9, Session: 2, Token: 0xfeed, Recovered: true},
 		{Seq: 3, Code: codeOOM, Err: "out of memory"},
-		{Seq: 4, Data: []byte{1, 2, 3}, Entries: []string{"k", ""}},
+		{Seq: 4, Data: []byte{1, 2, 3}},
 		{Seq: 5, Load: 3, LoadSeq: 11},
-		{Seq: 6, Acks: []BatchAck{{OpID: 1, Entries: []string{"k"}, Degraded: true}, {OpID: 2, Code: codeQuota, Err: "quota"}}},
+		{Seq: 6, Acks: []BatchAck{{OpID: 1, Entries: []string{"k", ""}, Degraded: true}, {OpID: 2, Code: codeQuota, Err: "quota"}, {OpID: 3, Dup: true}}},
 	}
 }
 
@@ -272,7 +281,7 @@ func FuzzWireRequest(f *testing.F) {
 	for _, r := range sampleRequests() {
 		f.Add(encodeWire(r))
 	}
-	f.Add([]byte{0x80, 0x80, 0x04, 0x7f, 0x00}) // a batch count the bytes cannot hold
+	f.Add([]byte{0x80, 0x02, 0x7f, 0x00}) // a batch count the bytes cannot hold
 	f.Fuzz(func(t *testing.T, payload []byte) { fuzzWire[Request](t, payload) })
 }
 
@@ -280,7 +289,7 @@ func FuzzWireReply(f *testing.F) {
 	for _, r := range sampleReplies() {
 		f.Add(encodeWire(r))
 	}
-	f.Add([]byte{0x80, 0x01, 0x7f}) // an entry count the bytes cannot hold
+	f.Add([]byte{0x80, 0x10, 0x7f}) // an ack count the bytes cannot hold
 	f.Fuzz(func(t *testing.T, payload []byte) { fuzzWire[Reply](t, payload) })
 }
 
